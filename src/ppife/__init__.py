@@ -8,14 +8,13 @@ from .geometry import (CartesianMesh, DomainSpec, ElementCut, InterfaceGeometry,
                        build_mesh, circle, classify_edges, classify_elements,
                        edge_intersection, line)
 from .harness import RunConfig, build_context, cmd_convergence, cmd_solve, cmd_verify, load_config
-from .linsolve import SolveResult, bicgstab, cg, dense_solve
+from .linsolve import SolveResult, bicgstab, cg
 from .local_basis import (LocalBasis, basis_residuals, bilinear_ife_basis,
                           build_bases, linear_ife_basis, standard_basis)
 from .postprocess import (PiecewiseSolution, RunRecord, convergence_rates,
-                          energy_error, h1_semi_error, interpolate_nodal,
-                          l2_error, linf_error, radial_interface_solution)
+                          error_norms, interpolate_nodal, radial_interface_solution)
 from .quadrature import (QuadratureRule, rect_rule, segment_rule,
-                         split_edge_rule, split_polygon_rule, triangle_rule)
+                         split_edge_rule, split_polygon_rule)
 from .verify import (ScanReport, interp_edge_error_study, scan_coefficient_bounds,
                      scan_coercivity, scan_trace_ratio)
 

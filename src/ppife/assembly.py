@@ -5,7 +5,7 @@ The bilinear form is
     sum_K int_K beta grad(u) . grad(v)
   + delta   * sum_B int_B {beta grad(u) . n_B} [v]
   + epsilon * sum_B int_B {beta grad(v) . n_B} [u]
-  + sum_B sigma0_B / |B|^alpha * int_B [u][v]
+  + sum_B sigma0 / |B|^alpha * int_B [u][v]
 
 with the edge sums over interior interface edges only. Averages are the plain
 1/2-1/2 mean of the two element traces; jumps are trace(T1) - trace(T2) with
@@ -16,7 +16,6 @@ and NPP (-1, +1, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 import scipy.io
@@ -44,17 +43,12 @@ class MethodParams:
     scheme: str
     delta: float
     epsilon: float
-    sigma0: Union[float, Callable[[int], float]]
+    sigma0: float
     alpha: float = 1.0
 
     def __post_init__(self):
         if self.alpha < 1.0:
             raise ConfigError("penalty exponent alpha must be >= 1")
-
-    def sigma0_at(self, edge_id):
-        if callable(self.sigma0):
-            return float(self.sigma0(edge_id))
-        return float(self.sigma0)
 
     @staticmethod
     def preset(name, beta_minus=1.0, beta_plus=1.0, sigma0=None, alpha=1.0):
@@ -190,7 +184,7 @@ def edge_term_matrices(mesh, edge_id, cuts, bases, beta_minus, beta_plus,
                                        beta_minus, beta_plus, degree)
     M = np.einsum("q,iq,jq->ij", w, jump, flux)
     L = mesh.edge_lengths[edge_id]
-    scale = params.sigma0_at(edge_id) / L ** params.alpha
+    scale = params.sigma0 / L ** params.alpha
     P = scale * np.einsum("q,iq,jq->ij", w, jump, jump)
     return dofs, M, P
 
@@ -257,8 +251,8 @@ def cut_data_rules(cut, degree=DATA_DEGREE, refine=DATA_REFINE):
         yield side, np.vstack(pts), np.concatenate(wts)
 
 
-def _bulk_reference(mesh, degree):
-    """Scaled quadrature points/weights and basis value/grad tables per variant."""
+def bulk_rules(mesh, degree):
+    """Scaled quadrature rule per cell variant: {variant: (template, points, weights)}."""
     if mesh.cell_kind == RECT:
         rule = rect_rule(degree)
         return {0: ("rect", rule.points, rule.weights)}
@@ -274,34 +268,42 @@ def _bulk_reference(mesh, degree):
     return out
 
 
-def assemble_load(mesh, cuts, bases, solution, iface, degree=DATA_DEGREE,
-                  refine=DATA_REFINE):
-    """Load vector b_i = sum_K int_K f phi_i with the data-side of f chosen by
-    the exact level set at each quadrature point."""
-    n = mesh.n_nodes
-    b = np.zeros(n)
+def bulk_chunks(mesh, cuts, tables):
+    """Non-interface elements in chunks, with the physical points of a rule.
+
+    `tables` maps each cell variant to a tuple whose first two entries are the
+    template name and the scaled points (as `bulk_rules` returns). Yields
+    (table, element ids, x, y) with x, y of shape (len(ids), n_points).
+    """
     status = np.array([c.status for c in cuts], dtype=np.int8)
     bulk = np.flatnonzero(status != 0)
-
-    tables = _bulk_reference(mesh, degree)
     h = mesh.h
-    for variant, (name, spts, swts) in tables.items():
+    for variant, table in tables.items():
         if mesh.cell_kind == RECT:
             ids = bulk
         else:
             ids = bulk[mesh.element_variant[bulk] == variant]
         if len(ids) == 0:
             continue
-        V = template_values(name, spts)              # (d, nq)
-        w = swts * h * h                             # physical weights
+        spts = table[1]
         for chunk in np.array_split(ids, max(1, len(ids) // 50000)):
             pts = mesh.element_origins[chunk][:, None, :] + h * spts[None, :, :]
-            x = pts[..., 0]
-            y = pts[..., 1]
-            minus = np.asarray(iface.phi(x, y)) < 0
-            f = np.where(minus, solution.f_minus(x, y), solution.f_plus(x, y))
-            loc = (f * w[None, :]) @ V.T             # (nc, d)
-            np.add.at(b, mesh.elements[chunk], loc)
+            yield table, chunk, pts[..., 0], pts[..., 1]
+
+
+def assemble_load(mesh, cuts, bases, solution, iface, degree=DATA_DEGREE,
+                  refine=DATA_REFINE):
+    """Load vector b_i = sum_K int_K f phi_i with the data-side of f chosen by
+    the exact level set at each quadrature point."""
+    b = np.zeros(mesh.n_nodes)
+    h = mesh.h
+    for (name, spts, swts), chunk, x, y in bulk_chunks(mesh, cuts, bulk_rules(mesh, degree)):
+        V = template_values(name, spts)              # (d, nq)
+        w = swts * h * h                             # physical weights
+        minus = np.asarray(iface.phi(x, y)) < 0
+        f = np.where(minus, solution.f_minus(x, y), solution.f_plus(x, y))
+        loc = (f * w[None, :]) @ V.T                 # (nc, d)
+        np.add.at(b, mesh.elements[chunk], loc)
 
     for cut in cuts:
         if not cut.is_interface:
@@ -362,18 +364,3 @@ def apply_dirichlet(A, b, mesh, g) -> SparseSystem:
 def dump_matrix(path, A):
     """MatrixMarket coordinate dump of a sparse matrix."""
     scipy.io.mmwrite(str(path), A.tocoo())
-
-
-# ---------------------------------------------------------------------------
-# edge jump integrals (shared with the energy norm)
-# ---------------------------------------------------------------------------
-
-def edge_jump_square(mesh, edge_id, cuts, bases, coeffs, degree=EDGE_DEGREE):
-    """int_B [u_h]^2 for one interior edge."""
-    t1, t2 = mesh.edge_elements[edge_id]
-    a = mesh.nodes[mesh.edge_nodes[edge_id, 0]]
-    b = mesh.nodes[mesh.edge_nodes[edge_id, 1]]
-    rule = split_edge_rule(a, b, edge_split_points(mesh, edge_id, cuts), degree)
-    u1 = coeffs[mesh.elements[t1]] @ bases[t1].values(rule.points)
-    u2 = coeffs[mesh.elements[t2]] @ bases[t2].values(rule.points)
-    return float(np.dot(rule.weights, (u1 - u2) ** 2))

@@ -17,10 +17,6 @@ class MultipleCrossings(GeometryError):
     """The interface crosses a single edge more than once: mesh too coarse."""
 
 
-class DegenerateCut(GeometryError):
-    """Chord shorter than the snap tolerance; element is treated as uncut."""
-
-
 class SingularLocalSystem(PpifeError):
     """Local jump-condition system is numerically singular (degenerate cut)."""
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import re
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -17,8 +18,7 @@ from .assembly import MethodParams, SCHEMES
 from .errors import ConfigError, NotConverged
 from .geometry import DomainSpec, build_mesh, classify_edges, classify_elements
 from .local_basis import build_bases
-from .postprocess import (RunRecord, energy_error, h1_semi_error, l2_error,
-                          linf_error, markdown_error_table,
+from .postprocess import (RunRecord, error_norms, markdown_error_table,
                           radial_interface_solution, record_csv_rows)
 
 _SYMMETRIC_SCHEMES = ("classic", "spp")
@@ -68,6 +68,9 @@ class RunConfig:
                 raise ConfigError(f"unknown scheme {s!r}")
         if self.mesh not in ("rect", "tri"):
             raise ConfigError("mesh must be 'rect' or 'tri'")
+        if self.interface != "circle" and self.beta_minus != self.beta_plus:
+            raise ConfigError("the manufactured solution needs a circle interface "
+                              "when beta_minus != beta_plus")
         if not self.N:
             raise ConfigError("N list is empty")
         if doubling and len(self.N) > 1:
@@ -77,21 +80,28 @@ class RunConfig:
         return self
 
 
+_NUM = r"(\d+\.?\d*(?:e[+-]?\d+)?|\.\d+(?:e[+-]?\d+)?)"
+_PI_FRACTION = re.compile(rf"([+-]?)(?:{_NUM}\*)?pi(?:/{_NUM})?")
+
+
 def _parse_number(text):
-    """Float parser with support for 'pi' fractions like pi/6.28 or 2*pi."""
+    """Float parser with support for 'pi' fractions: [num*]pi[/num] with an
+    optional sign, like pi/6.28, 2*pi or -pi/2."""
     t = text.strip().lower()
     try:
         return float(t)
     except ValueError:
         pass
-    if "pi" in t:
-        expr = t.replace("pi", repr(math.pi))
-        try:
-            val = eval(expr, {"__builtins__": {}}, {})  # arithmetic on literals only
-            return float(val)
-        except Exception:
-            pass
-    raise ConfigError(f"cannot parse number {text!r}")
+    m = _PI_FRACTION.fullmatch(t.replace(" ", ""))
+    if m is None:
+        raise ConfigError(f"cannot parse number {text!r}")
+    sign, num, den = m.groups()
+    val = math.pi if num is None else float(num) * math.pi
+    if den is not None:
+        if float(den) == 0.0:
+            raise ConfigError(f"division by zero in {text!r}")
+        val = val / float(den)
+    return -val if sign == "-" else val
 
 
 # how each RunConfig field is parsed from text
@@ -197,10 +207,10 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
     spec = DomainSpec(config.xmin, config.xmax, config.ymin, config.ymax, N, config.mesh)
     mesh = build_mesh(spec)
     iface = geometry.interface_from_name(config.interface, config.interface_params)
+    cx, cy, r0 = (config.interface_params if config.interface == "circle"
+                  else (0.0, 0.0, np.pi / 6.28))
     sol = radial_interface_solution(config.beta_minus, config.beta_plus,
-                                    alpha_exp=config.alpha_exp,
-                                    r0=config.interface_params[2]
-                                    if config.interface == "circle" else np.pi / 6.28)
+                                    alpha_exp=config.alpha_exp, r0=r0, center=(cx, cy))
     cuts = classify_elements(mesh, iface)
     labels = classify_edges(mesh, cuts)
     bases = build_bases(mesh, cuts, config.beta_minus, config.beta_plus)
@@ -222,11 +232,7 @@ def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
 def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     """Assemble the scheme system on a prepared context, solve, measure errors."""
     params = scheme_params(config, scheme)
-    A = (ctx.A_vol + params.delta * ctx.M + params.epsilon * ctx.M.T
-         + params.sigma0_at(0) * ctx.P_unit).tocsr()
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    A.sort_indices()
+    A = assembly.combine_system(ctx.A_vol, ctx.M, params.sigma0 * ctx.P_unit, params)
     system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
                                       lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
     A_ff, rhs = system.reduced()
@@ -236,14 +242,12 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
         raise NotConverged(f"{scheme} at N={ctx.N}: residual {res.residual:.3e}", res)
     coeffs = system.expand(res.x)
 
+    err = error_norms(ctx.mesh, ctx.cuts, ctx.bases, coeffs, ctx.sol, ctx.iface,
+                      ctx.labels, params)
     rec = RunRecord(
         scheme=scheme, mesh_kind=config.mesh, N=ctx.N, h=ctx.mesh.h,
         beta_minus=config.beta_minus, beta_plus=config.beta_plus,
-        e_l2=l2_error(ctx.mesh, ctx.cuts, ctx.bases, coeffs, ctx.sol, ctx.iface),
-        e_h1=h1_semi_error(ctx.mesh, ctx.cuts, ctx.bases, coeffs, ctx.sol, ctx.iface),
-        e_linf=linf_error(ctx.mesh, ctx.cuts, ctx.bases, coeffs, ctx.sol, ctx.iface),
-        e_energy=energy_error(ctx.mesh, ctx.cuts, ctx.bases, coeffs, ctx.sol,
-                              ctx.iface, ctx.labels, params),
+        e_l2=err["l2"], e_h1=err["h1"], e_linf=err["linf"], e_energy=err["energy"],
         iterations=res.iterations, residual=res.residual,
         n_dofs=ctx.mesh.n_nodes, n_interface_elements=ctx.n_interface)
     return rec, coeffs, system

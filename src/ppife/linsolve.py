@@ -1,12 +1,10 @@
 """Sparse iterative solvers for the reduced systems.
 
-Matrices are scipy CSR; `check_csr` enforces the storage invariants we rely
-on (sorted, duplicate-free columns). CG handles the symmetric schemes and a
-restarted BiCGSTAB the nonsymmetric ones. Jacobi preconditioning is applied
-as the symmetric scaling D^{-1/2} A D^{-1/2}, which keeps CG's inner product
-exact and is markedly more robust than one-sided scaling for the strongly
-nonsymmetric systems produced by large coefficient contrasts. `dense_solve`
-is the small-system oracle used in tests.
+Matrices are scipy CSR. CG handles the symmetric schemes and a restarted
+BiCGSTAB the nonsymmetric ones. Jacobi preconditioning is applied as the
+symmetric scaling D^{-1/2} A D^{-1/2}, which keeps CG's inner product exact
+and is markedly more robust than one-sided scaling for the strongly
+nonsymmetric systems produced by large coefficient contrasts.
 """
 from __future__ import annotations
 
@@ -26,21 +24,6 @@ class SolveResult:
     iterations: int
     residual: float        # final |b - Ax| / |b| on the original system
     converged: bool
-
-
-def check_csr(A):
-    """Validate CSR storage: monotone indptr, strictly increasing columns."""
-    A = A.tocsr()
-    indptr, indices = A.indptr, A.indices
-    if indptr[0] != 0 or indptr[-1] != len(indices):
-        raise ValueError("broken indptr")
-    if np.any(np.diff(indptr) < 0):
-        raise ValueError("indptr not monotone")
-    for r in range(A.shape[0]):
-        cols = indices[indptr[r]:indptr[r + 1]]
-        if len(cols) > 1 and np.any(np.diff(cols) <= 0):
-            raise ValueError(f"row {r}: columns not strictly increasing")
-    return True
 
 
 def _sample_symmetry(A, n_samples=100, rtol=1e-12):
@@ -210,20 +193,3 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, precond="jacobi") -> Solv
     out = _finish(A, b, bnorm, best[1], s, it, tol_rel)
     cand = _finish(A, b, bnorm, x, s, it, tol_rel)
     return cand if cand.residual < out.residual else out
-
-
-def dense_solve(A, b):
-    """Dense LU oracle for small systems (n <= 2000)."""
-    if sp.issparse(A):
-        n = A.shape[0]
-        if n > 2000:
-            raise ValueError("dense fallback limited to n <= 2000")
-        A = A.toarray()
-    return np.linalg.solve(A, b)
-
-
-def matvec_triplets(rows, cols, data, x, n):
-    """Naive triplet-based product, used as an oracle for the CSR product."""
-    y = np.zeros(n)
-    np.add.at(y, rows, data * x[cols])
-    return y

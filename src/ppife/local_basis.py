@@ -139,12 +139,6 @@ class LocalBasis:
     def gradients_piece(self, pts, side):
         return self._gradients_from(self.coefs_plus if side > 0 else self.coefs_minus, pts)
 
-    def value(self, j, x, y):
-        return float(self.values(np.array([[x, y]]))[j, 0])
-
-    def grad(self, j, x, y):
-        return self.gradients(np.array([[x, y]]))[j, 0]
-
     def phys_coefficients(self):
         """Physical-monomial coefficients [1, x, y(, xy)] of both pieces."""
         def convert(c):

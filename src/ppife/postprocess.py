@@ -6,10 +6,11 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import RECT, SIDE_MINUS
+from .assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_chunks, bulk_rules,
+                       cut_data_rules)
+from .geometry import EDGE_INTERFACE, RECT, SIDE_MINUS, edge_split_points
 from .local_basis import template_gradients, template_values
-from .assembly import DATA_DEGREE, DATA_REFINE, cut_data_rules, edge_jump_square
-from .geometry import EDGE_INTERFACE
+from .quadrature import split_edge_rule
 
 
 @dataclass(frozen=True)
@@ -41,19 +42,21 @@ class PiecewiseSolution:
 
 
 def radial_interface_solution(beta_minus, beta_plus, alpha_exp=5.0,
-                              r0=np.pi / 6.28) -> PiecewiseSolution:
+                              r0=np.pi / 6.28, center=(0.0, 0.0)) -> PiecewiseSolution:
     """u = r^a / beta^-, inside; r^a / beta^+ plus a matching constant outside.
 
-    The additive constant (1/beta^- - 1/beta^+) r0^a makes the solution
-    continuous across the circle r = r0, and the flux beta du/dn = a r^(a-1)
-    is continuous by construction, so both interface conditions hold exactly.
-    The corresponding source is f = -a^2 r^(a-2) on both sides.
+    r is the distance from `center`. The additive constant
+    (1/beta^- - 1/beta^+) r0^a makes the solution continuous across the circle
+    r = r0, and the flux beta du/dn = a r^(a-1) is continuous by construction,
+    so both interface conditions hold exactly. The corresponding source is
+    f = -a^2 r^(a-2) on both sides.
     """
     a = float(alpha_exp)
+    cx, cy = center
     shift = (1.0 / beta_minus - 1.0 / beta_plus) * r0 ** a
 
     def r2(x, y):
-        return np.asarray(x) ** 2 + np.asarray(y) ** 2
+        return (np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2
 
     def u_minus(x, y):
         return r2(x, y) ** (a / 2) / beta_minus
@@ -64,7 +67,7 @@ def radial_interface_solution(beta_minus, beta_plus, alpha_exp=5.0,
     def grad_side(beta):
         def g(x, y):
             s = a * r2(x, y) ** (a / 2 - 1) / beta
-            return s * np.asarray(x), s * np.asarray(y)
+            return s * (np.asarray(x) - cx), s * (np.asarray(y) - cy)
         return g
 
     def f(x, y):
@@ -104,140 +107,103 @@ def interpolate_nodal(mesh, sol, iface):
 # error norms
 # ---------------------------------------------------------------------------
 
-def _bulk_tables(mesh, degree):
-    from .assembly import _bulk_reference
-    return _bulk_reference(mesh, degree)
+def error_norms(mesh, cuts, bases, coeffs, sol, iface, edge_labels, params,
+                degree=DATA_DEGREE, refine=DATA_REFINE):
+    """Errors of u_h against the exact solution, keyed like `_NORM_KEYS`.
 
+    'l2' is ||u - u_h||_L2, 'h1' the broken H1 seminorm, 'linf' the sampled
+    max error and 'energy' ||u - u_h||_h: the beta-weighted broken H1 seminorm
+    plus the penalty jump terms. The exact solution is continuous across
+    edges, so the edge jumps of the error reduce to the jumps of u_h.
 
-def _element_batches(mesh, cuts):
-    status = np.array([c.status for c in cuts], dtype=np.int8)
-    bulk = np.flatnonzero(status != 0)
-    iface_ids = np.flatnonzero(status == 0)
-    return bulk, iface_ids
-
-
-def _bulk_ids(mesh, bulk, variant):
-    if mesh.cell_kind == RECT:
-        return bulk
-    return bulk[mesh.element_variant[bulk] == variant]
-
-
-def _bulk_error_sums(mesh, cuts, coeffs, sol, iface, degree, kind, beta=None):
-    """Vectorized sum over non-interface elements of the squared L2 ('l2'),
-    H1-seminorm ('h1'), or beta-weighted H1 ('energy') error integrand."""
-    bulk, _ = _element_batches(mesh, cuts)
-    h = mesh.h
-    total = 0.0
-    for variant, (name, spts, swts) in _bulk_tables(mesh, degree).items():
-        ids = _bulk_ids(mesh, bulk, variant)
-        if len(ids) == 0:
-            continue
-        w = swts * h * h
-        V = template_values(name, spts)
-        G = template_gradients(name, spts) / h
-        for chunk in np.array_split(ids, max(1, len(ids) // 50000)):
-            pts = mesh.element_origins[chunk][:, None, :] + h * spts[None, :, :]
-            x, y = pts[..., 0], pts[..., 1]
-            minus = np.asarray(iface.phi(x, y)) < 0
-            ce = coeffs[mesh.elements[chunk]]
-            if kind == "l2":
-                uh = ce @ V
-                diff = sol.u(x, y, minus) - uh
-                total += float(np.einsum("eq,q->", diff * diff, w))
-            else:
-                ghx = ce @ G[:, :, 0]
-                ghy = ce @ G[:, :, 1]
-                gx, gy = sol.grad(x, y, minus)
-                d2 = (gx - ghx) ** 2 + (gy - ghy) ** 2
-                if kind == "energy":
-                    bpt = np.where(minus, beta[0], beta[1])
-                    d2 = bpt * d2
-                total += float(np.einsum("eq,q->", d2, w))
-    return total
-
-
-def _iface_error_sums(mesh, cuts, bases, coeffs, sol, iface, degree, refine, kind, beta=None):
-    """Cut-element error sums on the chord-split sub-polygons.
-
-    Values compare against the exact branch chosen by the true level set;
+    One sweep over the standard elements and one over the chord-split
+    sub-polygons of the cut elements fill the three squared sums. Values
+    compare against the exact branch chosen by the true level set;
     gradient-based integrands compare piece against piece (branch chosen by
     the sub-polygon side). In the thin region between chord and curve the
     exact gradient branches differ by the full coefficient contrast, and
     charging that mismatch to the discrete solution would inflate the
     gradient norms by an h-independent factor at large jumps.
     """
-    _, iface_ids = _element_batches(mesh, cuts)
-    total = 0.0
-    for k in iface_ids:
-        cut = cuts[k]
+    beta = (sol.params["beta_minus"], sol.params["beta_plus"])
+    h = mesh.h
+    bulk = np.zeros(3)      # squared L2, H1 and energy sums
+    for (name, spts, swts), chunk, x, y in bulk_chunks(mesh, cuts, bulk_rules(mesh, degree)):
+        w = swts * h * h
+        G = template_gradients(name, spts) / h
+        ce = coeffs[mesh.elements[chunk]]
+        minus = np.asarray(iface.phi(x, y)) < 0
+        diff = sol.u(x, y, minus) - ce @ template_values(name, spts)
+        gx, gy = sol.grad(x, y, minus)
+        d2 = (gx - ce @ G[:, :, 0]) ** 2 + (gy - ce @ G[:, :, 1]) ** 2
+        bulk += (np.einsum("eq,q->", diff * diff, w), np.einsum("eq,q->", d2, w),
+                 np.einsum("eq,q->", np.where(minus, beta[0], beta[1]) * d2, w))
+
+    cut_sums = np.zeros(3)
+    for cut in cuts:
+        if not cut.is_interface:
+            continue
+        k = cut.element_id
         basis = bases[k]
         ce = coeffs[mesh.elements[k]]
         for side, pts, wts in cut_data_rules(cut, degree, refine):
             x, y = pts[:, 0], pts[:, 1]
-            if kind == "l2":
-                minus = np.asarray(iface.phi(x, y)) < 0
-                uh = ce @ basis.values_piece(pts, side)
-                diff = sol.u(x, y, minus) - uh
-                total += float(np.dot(wts, diff * diff))
-            else:
-                minus = np.full(len(pts), side == SIDE_MINUS)
-                gh = np.einsum("d,dqa->qa", ce, basis.gradients_piece(pts, side))
-                gx, gy = sol.grad(x, y, minus)
-                d2 = (gx - gh[:, 0]) ** 2 + (gy - gh[:, 1]) ** 2
-                if kind == "energy":
-                    d2 = (beta[0] if side == SIDE_MINUS else beta[1]) * d2
-                total += float(np.dot(wts, d2))
-    return total
+            minus = np.asarray(iface.phi(x, y)) < 0
+            diff = sol.u(x, y, minus) - ce @ basis.values_piece(pts, side)
+            gh = np.einsum("d,dqa->qa", ce, basis.gradients_piece(pts, side))
+            gx, gy = sol.grad(x, y, np.full(len(pts), side == SIDE_MINUS))
+            d2 = (gx - gh[:, 0]) ** 2 + (gy - gh[:, 1]) ** 2
+            b = beta[0] if side == SIDE_MINUS else beta[1]
+            cut_sums += (np.dot(wts, diff * diff), np.dot(wts, d2), np.dot(wts, b * d2))
+
+    l2, h1, energy = bulk + cut_sums
+    if params.sigma0 != 0.0:
+        for e in np.flatnonzero(edge_labels == EDGE_INTERFACE):
+            L = mesh.edge_lengths[e]
+            energy += (params.sigma0 / L ** params.alpha
+                       * _edge_jump_square(mesh, int(e), cuts, bases, coeffs))
+    return {"l2": float(np.sqrt(l2)), "h1": float(np.sqrt(h1)),
+            "linf": _linf_error(mesh, cuts, bases, coeffs, sol, iface),
+            "energy": float(np.sqrt(energy))}
 
 
-def l2_error(mesh, cuts, bases, coeffs, sol, iface, degree=DATA_DEGREE, refine=DATA_REFINE):
-    """||u - u_h||_L2, chord-split quadrature with exact-side data selection."""
-    s = _bulk_error_sums(mesh, cuts, coeffs, sol, iface, degree, "l2")
-    s += _iface_error_sums(mesh, cuts, bases, coeffs, sol, iface, degree, refine, "l2")
-    return float(np.sqrt(s))
+def _edge_jump_square(mesh, edge_id, cuts, bases, coeffs, degree=EDGE_DEGREE):
+    """int_B [u_h]^2 for one interior edge."""
+    t1, t2 = mesh.edge_elements[edge_id]
+    a = mesh.nodes[mesh.edge_nodes[edge_id, 0]]
+    b = mesh.nodes[mesh.edge_nodes[edge_id, 1]]
+    rule = split_edge_rule(a, b, edge_split_points(mesh, edge_id, cuts), degree)
+    u1 = coeffs[mesh.elements[t1]] @ bases[t1].values(rule.points)
+    u2 = coeffs[mesh.elements[t2]] @ bases[t2].values(rule.points)
+    return float(np.dot(rule.weights, (u1 - u2) ** 2))
 
 
-def h1_semi_error(mesh, cuts, bases, coeffs, sol, iface, degree=DATA_DEGREE, refine=DATA_REFINE):
-    """Broken H1 seminorm |u - u_h|_H1 (element-wise gradients, unweighted)."""
-    s = _bulk_error_sums(mesh, cuts, coeffs, sol, iface, degree, "h1")
-    s += _iface_error_sums(mesh, cuts, bases, coeffs, sol, iface, degree, refine, "h1")
-    return float(np.sqrt(s))
-
-
-def linf_error(mesh, cuts, bases, coeffs, sol, iface, grid=5):
+def _linf_error(mesh, cuts, bases, coeffs, sol, iface, grid=5):
     """Max |u - u_h| over a grid x grid sample per element plus all vertices."""
     t = np.linspace(0.0, 1.0, grid)
+    TX, TY = np.meshgrid(t, t, indexing="ij")
     if mesh.cell_kind == RECT:
-        TX, TY = np.meshgrid(t, t, indexing="ij")
         sample = {0: ("rect", np.column_stack([TX.ravel(), TY.ravel()]))}
     else:
-        TX, TY = np.meshgrid(t, t, indexing="ij")
         low = np.column_stack([TX.ravel(), (TX * TY).ravel()])       # eta <= xi
         up = np.column_stack([(TX * TY).ravel(), TX.ravel()])        # xi <= eta
         sample = {0: ("tri_lower", low), 1: ("tri_upper", up)}
 
-    bulk, iface_ids = _element_batches(mesh, cuts)
-    h = mesh.h
     worst = 0.0
-    for variant, (name, spts) in sample.items():
-        ids = _bulk_ids(mesh, bulk, variant)
-        if len(ids) == 0:
+    for (name, spts), chunk, x, y in bulk_chunks(mesh, cuts, sample):
+        uh = coeffs[mesh.elements[chunk]] @ template_values(name, spts)
+        ue = sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
+        worst = max(worst, float(np.abs(ue - uh).max()))
+    for cut in cuts:
+        if not cut.is_interface:
             continue
-        V = template_values(name, spts)
-        for chunk in np.array_split(ids, max(1, len(ids) // 50000)):
-            pts = mesh.element_origins[chunk][:, None, :] + h * spts[None, :, :]
-            x, y = pts[..., 0], pts[..., 1]
-            uh = coeffs[mesh.elements[chunk]] @ V
-            ue = sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
-            worst = max(worst, float(np.abs(ue - uh).max()))
-    for k in iface_ids:
+        k = cut.element_id
         verts = mesh.element_vertices(k)
         lo = verts.min(axis=0)
         span = verts.max(axis=0) - lo
-        TX, TY = np.meshgrid(t, t, indexing="ij")
         pts = np.column_stack([(lo[0] + span[0] * TX).ravel(), (lo[1] + span[1] * TY).ravel()])
         if mesh.cell_kind != RECT:
-            xi = (pts - lo) / h
+            xi = (pts - lo) / mesh.h
             keep = xi[:, 1] <= xi[:, 0] + 1e-12 if mesh.element_variant[k] == 0 \
                 else xi[:, 0] <= xi[:, 1] + 1e-12
             pts = pts[keep]
@@ -247,25 +213,6 @@ def linf_error(mesh, cuts, bases, coeffs, sol, iface, grid=5):
                    np.asarray(iface.phi(pts[:, 0], pts[:, 1])) < 0)
         worst = max(worst, float(np.abs(ue - uh).max()))
     return worst
-
-
-def energy_error(mesh, cuts, bases, coeffs, sol, iface, edge_labels, params,
-                 degree=DATA_DEGREE, refine=DATA_REFINE):
-    """||u - u_h||_h: beta-weighted broken H1 plus the penalty jump terms.
-
-    The exact solution is continuous across edges, so the edge jumps of the
-    error reduce to the jumps of u_h.
-    """
-    beta = (sol.params["beta_minus"], sol.params["beta_plus"])
-    s = _bulk_error_sums(mesh, cuts, coeffs, sol, iface, degree, "energy", beta)
-    s += _iface_error_sums(mesh, cuts, bases, coeffs, sol, iface, degree, refine, "energy", beta)
-    for e in np.flatnonzero(edge_labels == EDGE_INTERFACE):
-        sigma = params.sigma0_at(int(e))
-        if sigma == 0.0:
-            continue
-        L = mesh.edge_lengths[e]
-        s += sigma / L ** params.alpha * edge_jump_square(mesh, int(e), cuts, bases, coeffs)
-    return float(np.sqrt(s))
 
 
 def convergence_rates(errors):

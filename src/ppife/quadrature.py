@@ -7,7 +7,6 @@ region they cover.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,25 +80,6 @@ def _collapsed_triangle_rule(degree):
     return QuadratureRule(pts, W.ravel(), degree)
 
 
-@lru_cache(maxsize=None)
-def triangle_rule(degree):
-    """Symmetric positive rule on the reference triangle (0,0)-(1,0)-(0,1).
-
-    The conical-product rule is symmetrized over the six affine symmetries of
-    the triangle (barycentric permutations), which preserves exactness and
-    keeps every weight positive.
-    """
-    base = _collapsed_triangle_rule(degree)
-    lam = np.column_stack([1.0 - base.points[:, 0] - base.points[:, 1],
-                           base.points[:, 0], base.points[:, 1]])
-    pts, wts = [], []
-    for perm in itertools.permutations(range(3)):
-        lp = lam[:, perm]
-        pts.append(np.column_stack([lp[:, 1], lp[:, 2]]))
-        wts.append(base.weights / 6.0)
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts), degree)
-
-
 # ---------------------------------------------------------------------------
 # mapping helpers
 # ---------------------------------------------------------------------------
@@ -155,7 +135,7 @@ def _subdivide(tri):
             np.array([m20, m12, tri[2]]), np.array([m01, m12, m20])]
 
 
-def split_polygon_rule(poly, degree, refine=0, symmetric=False):
+def split_polygon_rule(poly, degree, refine=0):
     """Quadrature over a convex polygon with 3-5 vertices.
 
     Fan-triangulates from the first vertex, optionally subdivides each fan
@@ -170,7 +150,7 @@ def split_polygon_rule(poly, degree, refine=0, symmetric=False):
     scale = max(np.ptp(poly[:, 0]), np.ptp(poly[:, 1]), 1e-300)
     if area < 1e-14 * scale * scale:
         raise DegeneratePolygon(f"polygon area {area:.3e} below tolerance")
-    ref = triangle_rule(degree) if symmetric else _collapsed_triangle_rule(degree)
+    ref = _collapsed_triangle_rule(degree)
     tris = fan_triangles(poly)
     for _ in range(refine):
         tris = [child for tri in tris for child in _subdivide(tri)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import MethodParams, assemble_edge_terms, assemble_volume
+from .assembly import MethodParams, assemble_edge_terms, assemble_volume, combine_system
 from .errors import DegenerateGradient
 from .geometry import (EDGE_INTERFACE, DomainSpec, RECT, SIDE_MINUS, TRI,
                        build_mesh, circle, classify_edges, classify_elements,
@@ -139,24 +139,6 @@ def scan_coefficient_bounds(kind, beta_pairs, samples=2000, seed=7) -> ScanRepor
         ok = ok and np.isfinite(fine) and drift < 0.10
     report.passed = bool(ok)
     return report
-
-
-def linear_coupling_matrix(d, e, h, beta_minus, beta_plus):
-    """Closed-form map c+ = F c- for a linear immersed function on the
-    reference triangle with D = (0, d h), E = (e h, 0) (physical monomials).
-
-    Derived by eliminating the two point-continuity conditions and the flux
-    condition; used as an independent oracle for the local solver.
-    """
-    rho = beta_minus / beta_plus
-    q = d * d + e * e
-    g_minus = np.array([[0.0, -d * d * e * h, -d * e * e * h],
-                        [0.0, d * d, d * e],
-                        [0.0, d * e, e * e]])
-    g_plus = np.array([[q, d * d * e * h, d * e * e * h],
-                       [0.0, e * e, -d * e],
-                       [0.0, -d * e, d * d]])
-    return (g_minus * rho + g_plus) / q
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +290,11 @@ def _free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
     unit = MethodParams("custom", -1.0, 0.0, 1.0, alpha)
     M, P = assemble_edge_terms(mesh, labels, cuts, bases, bm, bp, unit)
     free = mesh.interior_nodes
-    return (A_vol[free][:, free].toarray(), M[free][:, free].toarray(),
-            P[free][:, free].toarray())
+    return A_vol[free][:, free], M[free][:, free], P[free][:, free]
 
 
 def _sym_part_spd(A_vol, M, P, params):
-    A = A_vol + params.delta * M + params.epsilon * M.T + params.sigma0_at(0) * P
+    A = combine_system(A_vol, M, params.sigma0 * P, params).toarray()
     return _is_spd(0.5 * (A + A.T))
 
 
@@ -349,7 +330,7 @@ def scan_coercivity(Ns=(10, 20, 40), beta_pairs=((1.0, 10.0), (1.0, 10000.0)),
 
     # empirical SPP penalty threshold (halving scan, factor-2 bracket)
     A_vol, M, P = cache[(Ns[min(1, len(Ns) - 1)], beta_pairs[0])]
-    sig = MethodParams.preset("spp", *beta_pairs[0]).sigma0_at(0)
+    sig = MethodParams.preset("spp", *beta_pairs[0]).sigma0
 
     def spd_at(sigma):
         return _sym_part_spd(A_vol, M, P, MethodParams("custom", -1.0, -1.0, sigma))

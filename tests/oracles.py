@@ -1,0 +1,171 @@
+"""Independent reference implementations that the tests compare against.
+
+None of this runs in the solver: storage checks and naive products for the
+sparse kernels, a dense solve for small systems, the closed-form linear IFE
+coupling, and the per-norm error passes that `postprocess.error_norms` fuses.
+"""
+import numpy as np
+import scipy.sparse as sp
+
+from ppife.assembly import DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_rules, cut_data_rules
+from ppife.geometry import EDGE_INTERFACE, RECT, SIDE_MINUS, edge_split_points
+from ppife.local_basis import template_gradients, template_values
+from ppife.quadrature import split_edge_rule
+
+
+def check_csr(A):
+    """Validate CSR storage: monotone indptr, strictly increasing columns."""
+    A = A.tocsr()
+    indptr, indices = A.indptr, A.indices
+    if indptr[0] != 0 or indptr[-1] != len(indices):
+        raise ValueError("broken indptr")
+    if np.any(np.diff(indptr) < 0):
+        raise ValueError("indptr not monotone")
+    for r in range(A.shape[0]):
+        cols = indices[indptr[r]:indptr[r + 1]]
+        if len(cols) > 1 and np.any(np.diff(cols) <= 0):
+            raise ValueError(f"row {r}: columns not strictly increasing")
+    return True
+
+
+def dense_solve(A, b):
+    """Dense LU oracle for small systems (n <= 2000)."""
+    if sp.issparse(A):
+        n = A.shape[0]
+        if n > 2000:
+            raise ValueError("dense fallback limited to n <= 2000")
+        A = A.toarray()
+    return np.linalg.solve(A, b)
+
+
+def matvec_triplets(rows, cols, data, x, n):
+    """Naive triplet-based product, used as an oracle for the CSR product."""
+    y = np.zeros(n)
+    np.add.at(y, rows, data * x[cols])
+    return y
+
+
+def linear_coupling_matrix(d, e, h, beta_minus, beta_plus):
+    """Closed-form map c+ = F c- for a linear immersed function on the
+    reference triangle with D = (0, d h), E = (e h, 0) (physical monomials).
+
+    Derived by eliminating the two point-continuity conditions and the flux
+    condition; an independent oracle for the local solver.
+    """
+    rho = beta_minus / beta_plus
+    q = d * d + e * e
+    g_minus = np.array([[0.0, -d * d * e * h, -d * e * e * h],
+                        [0.0, d * d, d * e],
+                        [0.0, d * e, e * e]])
+    g_plus = np.array([[q, d * d * e * h, d * e * e * h],
+                       [0.0, e * e, -d * e],
+                       [0.0, -d * e, d * d]])
+    return (g_minus * rho + g_plus) / q
+
+
+def reference_error_norms(mesh, cuts, bases, coeffs, sol, iface, edge_labels, params,
+                          degree=DATA_DEGREE, refine=DATA_REFINE):
+    """One full sweep per norm, summed in the order the fused sweep must keep:
+    standard elements chunk by chunk, then the cut-element total, then (energy
+    only) the penalty jumps edge by edge."""
+    beta = (sol.params["beta_minus"], sol.params["beta_plus"])
+    status = np.array([c.status for c in cuts], dtype=np.int8)
+    bulk, cut_ids = np.flatnonzero(status != 0), np.flatnonzero(status == 0)
+    h = mesh.h
+
+    def bulk_ids(variant):
+        return bulk if mesh.cell_kind == RECT else bulk[mesh.element_variant[bulk] == variant]
+
+    def bulk_sum(kind):
+        total = 0.0
+        for variant, (name, spts, swts) in bulk_rules(mesh, degree).items():
+            ids = bulk_ids(variant)
+            if len(ids) == 0:
+                continue
+            w = swts * h * h
+            V = template_values(name, spts)
+            G = template_gradients(name, spts) / h
+            for chunk in np.array_split(ids, max(1, len(ids) // 50000)):
+                pts = mesh.element_origins[chunk][:, None, :] + h * spts[None, :, :]
+                x, y = pts[..., 0], pts[..., 1]
+                minus = np.asarray(iface.phi(x, y)) < 0
+                ce = coeffs[mesh.elements[chunk]]
+                if kind == "l2":
+                    diff = sol.u(x, y, minus) - ce @ V
+                    total += float(np.einsum("eq,q->", diff * diff, w))
+                    continue
+                gx, gy = sol.grad(x, y, minus)
+                d2 = (gx - ce @ G[:, :, 0]) ** 2 + (gy - ce @ G[:, :, 1]) ** 2
+                if kind == "energy":
+                    d2 = np.where(minus, beta[0], beta[1]) * d2
+                total += float(np.einsum("eq,q->", d2, w))
+        return total
+
+    def cut_sum(kind):
+        total = 0.0
+        for k in cut_ids:
+            basis, ce = bases[k], coeffs[mesh.elements[k]]
+            for side, pts, wts in cut_data_rules(cuts[k], degree, refine):
+                x, y = pts[:, 0], pts[:, 1]
+                if kind == "l2":
+                    minus = np.asarray(iface.phi(x, y)) < 0
+                    diff = sol.u(x, y, minus) - ce @ basis.values_piece(pts, side)
+                    total += float(np.dot(wts, diff * diff))
+                    continue
+                gh = np.einsum("d,dqa->qa", ce, basis.gradients_piece(pts, side))
+                gx, gy = sol.grad(x, y, np.full(len(pts), side == SIDE_MINUS))
+                d2 = (gx - gh[:, 0]) ** 2 + (gy - gh[:, 1]) ** 2
+                if kind == "energy":
+                    d2 = (beta[0] if side == SIDE_MINUS else beta[1]) * d2
+                total += float(np.dot(wts, d2))
+        return total
+
+    def jump_square(e):
+        t1, t2 = mesh.edge_elements[e]
+        a, b = mesh.nodes[mesh.edge_nodes[e]]
+        rule = split_edge_rule(a, b, edge_split_points(mesh, e, cuts), EDGE_DEGREE)
+        u1 = coeffs[mesh.elements[t1]] @ bases[t1].values(rule.points)
+        u2 = coeffs[mesh.elements[t2]] @ bases[t2].values(rule.points)
+        return float(np.dot(rule.weights, (u1 - u2) ** 2))
+
+    s = {kind: bulk_sum(kind) for kind in ("l2", "h1", "energy")}
+    for kind in s:
+        s[kind] += cut_sum(kind)
+    for e in np.flatnonzero(edge_labels == EDGE_INTERFACE):
+        if params.sigma0 == 0.0:
+            continue
+        s["energy"] += params.sigma0 / mesh.edge_lengths[e] ** params.alpha * jump_square(int(e))
+
+    # sampled max error: a 5 x 5 grid per element plus the cut elements' vertices
+    t = np.linspace(0.0, 1.0, 5)
+    TX, TY = np.meshgrid(t, t, indexing="ij")
+    if mesh.cell_kind == RECT:
+        sample = {0: ("rect", np.column_stack([TX.ravel(), TY.ravel()]))}
+    else:
+        sample = {0: ("tri_lower", np.column_stack([TX.ravel(), (TX * TY).ravel()])),
+                  1: ("tri_upper", np.column_stack([(TX * TY).ravel(), TX.ravel()]))}
+    worst = 0.0
+    for variant, (name, spts) in sample.items():
+        ids = bulk_ids(variant)
+        pts = mesh.element_origins[ids][:, None, :] + h * spts[None, :, :]
+        x, y = pts[..., 0], pts[..., 1]
+        uh = coeffs[mesh.elements[ids]] @ template_values(name, spts)
+        worst = max(worst, float(np.abs(sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
+                                        - uh).max()))
+    for k in cut_ids:
+        verts = mesh.element_vertices(k)
+        lo = verts.min(axis=0)
+        span = verts.max(axis=0) - lo
+        pts = np.column_stack([(lo[0] + span[0] * TX).ravel(), (lo[1] + span[1] * TY).ravel()])
+        if mesh.cell_kind != RECT:
+            xi = (pts - lo) / h
+            keep = (xi[:, 1] <= xi[:, 0] + 1e-12 if mesh.element_variant[k] == 0
+                    else xi[:, 0] <= xi[:, 1] + 1e-12)
+            pts = pts[keep]
+        pts = np.vstack([pts, verts])
+        x, y = pts[:, 0], pts[:, 1]
+        uh = coeffs[mesh.elements[k]] @ bases[k].values(pts)
+        worst = max(worst, float(np.abs(sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
+                                        - uh).max()))
+    return {"l2": float(np.sqrt(s["l2"])), "h1": float(np.sqrt(s["h1"])), "linf": worst,
+            "energy": float(np.sqrt(s["energy"]))}

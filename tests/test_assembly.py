@@ -8,7 +8,8 @@ from ppife.assembly import (MethodParams, apply_dirichlet, assemble_edge_terms,
 from ppife.errors import ConfigError
 from ppife.geometry import (EDGE_INTERFACE, DomainSpec, build_mesh, circle,
                             classify_edges, classify_elements, line)
-from ppife.linsolve import cg, check_csr, dense_solve
+from oracles import check_csr
+from ppife.linsolve import cg
 from ppife.local_basis import build_bases
 from ppife.postprocess import radial_interface_solution
 
@@ -38,12 +39,6 @@ def test_method_params_presets():
         MethodParams.preset("sip")
     with pytest.raises(ConfigError):
         MethodParams("x", 0.0, 0.0, 0.0, alpha=0.5)
-
-
-def test_sigma0_rule_callable():
-    params = MethodParams("custom", -1.0, -1.0, lambda e: 3.0 * (e + 1), alpha=1.0)
-    assert params.sigma0_at(0) == 3.0
-    assert params.sigma0_at(4) == 15.0
 
 
 def test_q1_interior_stencil_diagonal():
@@ -158,7 +153,7 @@ def test_edge_terms_vs_composite_simpson_oracle():
         w *= (hi - lo) * L / (3 * 2 * n_sub)
         jump, flux = traces(pts)
         M_oracle += np.einsum("q,iq,jq->ij", w, jump, flux)
-        P_oracle += params.sigma0_at(e) / L * np.einsum("q,iq,jq->ij", w, jump, jump)
+        P_oracle += params.sigma0 / L * np.einsum("q,iq,jq->ij", w, jump, jump)
 
     scale = max(np.abs(M_oracle).max(), np.abs(P_oracle).max())
     assert np.abs(M - M_oracle).max() < 1e-8 * scale
@@ -373,7 +368,7 @@ def test_schemes_identical_for_continuous_coefficient():
 
 def test_energy_norm_identity_against_quadrature():
     # ||v||_h^2 == v' (A_vol + P) v, checked against the postprocess quadrature
-    from ppife.postprocess import energy_error, PiecewiseSolution
+    from ppife.postprocess import error_norms, PiecewiseSolution
     mesh, iface, cuts, labels, bases = _pipeline(4)
     params = MethodParams.preset("spp", 1.0, 10.0)
     A_vol = assemble_volume(mesh, cuts, bases, 1.0, 10.0)
@@ -385,7 +380,7 @@ def test_energy_norm_identity_against_quadrature():
                              params={"beta_minus": 1.0, "beta_plus": 10.0})
     for _ in range(5):
         v = rng.standard_normal(mesh.n_nodes)
-        quad = energy_error(mesh, cuts, bases, v, zsol, iface, labels, params)
+        quad = error_norms(mesh, cuts, bases, v, zsol, iface, labels, params)["energy"]
         alg = float(np.sqrt(v @ (A_vol @ v) + v @ (P @ v)))
         assert quad == pytest.approx(alg, rel=1e-10)
 

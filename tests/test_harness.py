@@ -13,10 +13,12 @@ from ppife.harness import (RunConfig, _parse_number, build_context, cmd_converge
 
 def test_parse_number_pi_fractions():
     assert _parse_number("0.5") == 0.5
-    assert _parse_number("pi/6.28") == pytest.approx(math.pi / 6.28)
-    assert _parse_number("2*pi") == pytest.approx(2 * math.pi)
-    with pytest.raises(ConfigError):
-        _parse_number("two")
+    assert _parse_number("pi/6.28") == math.pi / 6.28
+    assert _parse_number("2*pi") == 2 * math.pi
+    assert _parse_number("-pi/2") == -math.pi / 2
+    for bad in ("two", "pi*2", "pi/0", "pi.__class__", "().__class__.__base__", "9**9**9*pi"):
+        with pytest.raises(ConfigError):
+            _parse_number(bad)
 
 
 def test_load_config_file_and_overrides(tmp_path):
@@ -155,6 +157,34 @@ def test_cli_verify_exit_code_on_forced_failure(tmp_path):
     # the scans file reflects the coercivity outcome either way
     text = (tmp_path / "v" / "scans.csv").read_text()
     assert "coercivity" in text
+
+
+def _run_l2(tmp_path, name, *flags):
+    assert main(["solve", "--N", "20", "--out", str(tmp_path / name), *flags]) == 0
+    row = (tmp_path / name / "runs.csv").read_text().splitlines()[1].split(",")
+    return float(row[6])
+
+
+def test_cli_off_centre_circle_uses_its_centre(tmp_path):
+    # the manufactured solution follows the circle: moving the centre leaves
+    # the error at the size of the centred run (it was 40x larger when the
+    # solution stayed at the origin)
+    centred = _run_l2(tmp_path, "c", "--interface-params", "0,0,0.5")
+    shifted = _run_l2(tmp_path, "s", "--interface-params", "0.2,0,0.5")
+    assert shifted < 3 * centred
+
+
+def test_cli_line_interface_needs_equal_betas(tmp_path):
+    # no manufactured solution exists for a line with a coefficient jump
+    code = main(["solve", "--N", "8", "--interface", "line", "--interface-params", "1,0,-0.3",
+                 "--out", str(tmp_path / "jump")])
+    assert code == 2
+    assert not (tmp_path / "jump" / "runs.csv").exists()
+    # without a jump the radial solution is smooth, so any interface is valid:
+    # the line run matches the circle run of the same coefficient
+    flat = _run_l2(tmp_path, "flat", "--interface", "line", "--interface-params", "1,0,-0.3",
+                   "--beta-plus", "1")
+    assert flat == pytest.approx(_run_l2(tmp_path, "circle", "--beta-plus", "1"), rel=1e-6)
 
 
 def test_cli_scheme_alias(tmp_path):

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from ppife.errors import AsymmetricInput
-from ppife.linsolve import bicgstab, cg, check_csr, dense_solve, matvec_triplets
+from oracles import check_csr, dense_solve, matvec_triplets
+from ppife.linsolve import bicgstab, cg
 
 
 def _tridiag(n):
@@ -104,8 +105,7 @@ def test_solvers_on_assembled_systems():
     ctx = build_context(cfg, 20)
     for scheme, solver in (("spp", cg), ("npp", bicgstab)):
         params = scheme_params(cfg, scheme)
-        A = (ctx.A_vol + params.delta * ctx.M + params.epsilon * ctx.M.T
-             + params.sigma0_at(0) * ctx.P_unit).tocsr()
+        A = assembly.combine_system(ctx.A_vol, ctx.M, params.sigma0 * ctx.P_unit, params)
         system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
                                           lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
         A_ff, rhs = system.reduced()
@@ -121,8 +121,7 @@ def test_cg_bicgstab_energy_agreement():
     cfg = RunConfig(N=(10,), schemes=("spp",))
     ctx = build_context(cfg, 10)
     params = scheme_params(cfg, "spp")
-    A = (ctx.A_vol + params.delta * ctx.M + params.epsilon * ctx.M.T
-         + params.sigma0_at(0) * ctx.P_unit).tocsr()
+    A = assembly.combine_system(ctx.A_vol, ctx.M, params.sigma0 * ctx.P_unit, params)
     system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
                                       lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
     A_ff, rhs = system.reduced()

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import reference_error_norms
+from ppife.assembly import MethodParams
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_edges, classify_elements
 from ppife.local_basis import build_bases
-from ppife.postprocess import (PiecewiseSolution, convergence_rates, energy_error,
-                               h1_semi_error, interface_jump_residuals,
-                               interpolate_nodal, l2_error, linf_error,
+from ppife.postprocess import (PiecewiseSolution, convergence_rates, error_norms,
+                               interface_jump_residuals, interpolate_nodal,
                                markdown_error_table, radial_interface_solution,
                                record_csv_rows, RunRecord)
 
@@ -20,6 +21,9 @@ def _setup(N, kind="rect", betas=(1.0, 10.0)):
     bases = build_bases(mesh, cuts, *betas)
     sol = radial_interface_solution(*betas)
     return mesh, iface, cuts, labels, bases, sol
+
+
+CLASSIC = MethodParams.preset("classic")
 
 
 @pytest.mark.parametrize("betas", [(1.0, 10.0), (1.0, 10000.0), (10.0, 1.0)])
@@ -71,17 +75,33 @@ def test_norms_vanish_for_reproduced_linear(kind):
     sol = PiecewiseSolution(lin, lin, grad, grad, zero, zero,
                             params={"beta_minus": 2.0, "beta_plus": 2.0})
     coeffs = lin(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    assert l2_error(mesh, cuts, bases, coeffs, sol, iface) < 1e-12
-    assert h1_semi_error(mesh, cuts, bases, coeffs, sol, iface) < 1e-12
-    assert linf_error(mesh, cuts, bases, coeffs, sol, iface) < 1e-12
+    err = error_norms(mesh, cuts, bases, coeffs, sol, iface, labels, CLASSIC)
+    for norm in ("l2", "h1", "linf", "energy"):
+        assert err[norm] < 1e-12
 
 
 def test_norms_are_nonnegative_and_detect_error():
     mesh, iface, cuts, labels, bases, sol = _setup(8)
     coeffs = interpolate_nodal(mesh, sol, iface)
-    for fn in (l2_error, h1_semi_error, linf_error):
-        v = fn(mesh, cuts, bases, coeffs, sol, iface)
-        assert v > 0
+    err = error_norms(mesh, cuts, bases, coeffs, sol, iface, labels, CLASSIC)
+    for norm in ("l2", "h1", "linf", "energy"):
+        assert err[norm] > 0
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("beta_plus", [10.0, 1e4])
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_error_norms_equal_per_norm_reference(kind, beta_plus, N):
+    # the fused sweep keeps the per-norm summation order, so equality is exact;
+    # classic exercises the sigma0 = 0 skip of the penalty jumps
+    mesh, iface, cuts, labels, bases, sol = _setup(N, kind=kind, betas=(1.0, beta_plus))
+    rng = np.random.default_rng(N)
+    coeffs = interpolate_nodal(mesh, sol, iface) + 1e-3 * rng.standard_normal(mesh.n_nodes)
+    for scheme in ("classic", "spp", "npp"):
+        params = MethodParams.preset(scheme, 1.0, beta_plus)
+        fused = error_norms(mesh, cuts, bases, coeffs, sol, iface, labels, params)
+        assert fused == reference_error_norms(mesh, cuts, bases, coeffs, sol, iface,
+                                              labels, params)
 
 
 def test_interpolation_rates():
@@ -92,10 +112,12 @@ def test_interpolation_rates():
     for N in (20, 40, 80, 160, 320):
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, "rect"))
         cuts = classify_elements(mesh, iface)
+        labels = classify_edges(mesh, cuts)
         bases = build_bases(mesh, cuts, 1.0, 10.0)
         coeffs = interpolate_nodal(mesh, sol, iface)
-        l2s.append((N, l2_error(mesh, cuts, bases, coeffs, sol, iface)))
-        h1s.append((N, h1_semi_error(mesh, cuts, bases, coeffs, sol, iface)))
+        err = error_norms(mesh, cuts, bases, coeffs, sol, iface, labels, CLASSIC)
+        l2s.append((N, err["l2"]))
+        h1s.append((N, err["h1"]))
     for r in convergence_rates(l2s):
         assert 1.8 <= r <= 2.2
     for r in convergence_rates(h1s):
@@ -105,20 +127,18 @@ def test_interpolation_rates():
 def test_quadrature_depth_self_convergence():
     mesh, iface, cuts, labels, bases, sol = _setup(20)
     coeffs = interpolate_nodal(mesh, sol, iface)
-    for fn in (l2_error, h1_semi_error):
-        a = fn(mesh, cuts, bases, coeffs, sol, iface, refine=1)
-        b = fn(mesh, cuts, bases, coeffs, sol, iface, refine=2)
-        assert abs(a - b) / a < 1e-3  # three significant digits
+    a = error_norms(mesh, cuts, bases, coeffs, sol, iface, labels, CLASSIC, refine=1)
+    b = error_norms(mesh, cuts, bases, coeffs, sol, iface, labels, CLASSIC, refine=2)
+    for norm in ("l2", "h1"):
+        assert abs(a[norm] - b[norm]) / a[norm] < 1e-3  # three significant digits
 
 
 def test_energy_error_includes_jumps():
     mesh, iface, cuts, labels, bases, sol = _setup(8)
-    from ppife.assembly import MethodParams
     params = MethodParams.preset("spp", 1.0, 10.0)
     coeffs = interpolate_nodal(mesh, sol, iface)
-    e_pen = energy_error(mesh, cuts, bases, coeffs, sol, iface, labels, params)
-    e_nopen = energy_error(mesh, cuts, bases, coeffs, sol, iface, labels,
-                           MethodParams.preset("classic"))
+    e_pen = error_norms(mesh, cuts, bases, coeffs, sol, iface, labels, params)["energy"]
+    e_nopen = error_norms(mesh, cuts, bases, coeffs, sol, iface, labels, CLASSIC)["energy"]
     assert e_pen >= e_nopen > 0
 
 

@@ -1,12 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from ppife.errors import DegeneratePolygon, UnsupportedDegree
 from ppife.quadrature import (_collapsed_triangle_rule, map_triangle, rect_rule,
-                              segment_rule, split_edge_rule, split_polygon_rule,
-                              triangle_rule)
+                              segment_rule, split_edge_rule, split_polygon_rule)
 
 
 def test_segment_rule_degree1_is_midpoint():
@@ -45,7 +42,7 @@ def _tri_moment(a, b):
 
 @pytest.mark.parametrize("degree", range(1, 11))
 def test_triangle_moments(degree):
-    rule = triangle_rule(degree)
+    rule = _collapsed_triangle_rule(degree)
     assert np.all(rule.weights > 0)
     assert rule.weights.sum() == pytest.approx(0.5, abs=1e-14)
     for a in range(degree + 1):
@@ -55,7 +52,7 @@ def test_triangle_moments(degree):
 
 
 def test_triangle_rule_degree2_x2_moment():
-    rule = triangle_rule(2)
+    rule = _collapsed_triangle_rule(2)
     assert float(rule.weights @ rule.points[:, 0] ** 2) == pytest.approx(1.0 / 12, abs=1e-14)
 
 
@@ -65,26 +62,12 @@ def test_rect_rule_degree3_xy_cubed():
     assert val == pytest.approx(1.0 / 16, abs=1e-15)
 
 
-def test_triangle_rule_is_symmetric():
-    rule = triangle_rule(4)
-    lam = np.column_stack([1 - rule.points.sum(axis=1), rule.points])
-    key = np.sort(np.round(lam, 12), axis=1)
-    order = np.lexsort(key.T)
-    base = np.column_stack([key[order], rule.weights[order]])
-    # permuting coordinates must reproduce the same weighted point multiset
-    perm = np.column_stack([lam[:, 2], lam[:, 0], lam[:, 1]])
-    key2 = np.sort(np.round(perm, 12), axis=1)
-    order2 = np.lexsort(key2.T)
-    other = np.column_stack([key2[order2], rule.weights[order2]])
-    assert np.allclose(base, other, atol=1e-12)
-
-
 @pytest.mark.parametrize("degree", [0, 11, -3])
 def test_unsupported_degree(degree):
     with pytest.raises(UnsupportedDegree):
         segment_rule(degree)
     with pytest.raises(UnsupportedDegree):
-        triangle_rule(degree)
+        _collapsed_triangle_rule(degree)
 
 
 def test_split_polygon_triangle_matches_mapped_rule():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import linear_coupling_matrix
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
 from ppife.local_basis import linear_ife_basis
 from ppife.verify import (ScanReport, _reference_cut, interp_edge_error_study,
-                          linear_coupling_matrix, quadrant_bound_constant,
-                          quadrant_gradient_check, quadrant_sigma,
+                          quadrant_bound_constant, quadrant_gradient_check, quadrant_sigma,
                           scan_coefficient_bounds, scan_coercivity,
                           scan_trace_ratio)
 

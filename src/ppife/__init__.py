@@ -6,11 +6,11 @@ from .assembly import (MethodParams, SCHEMES, SparseSystem, apply_dirichlet,
                        combine_system)
 from .geometry import (CartesianMesh, DomainSpec, ElementCut, InterfaceGeometry,
                        build_mesh, circle, classify_edges, classify_elements,
-                       edge_intersection, line)
+                       edge_crossings, line)
 from .harness import RunConfig, build_context, cmd_convergence, cmd_solve, cmd_verify, load_config
 from .linsolve import SolveResult, bicgstab, cg
 from .local_basis import (LocalBasis, basis_residuals, bilinear_ife_basis,
-                          build_bases, linear_ife_basis, standard_basis)
+                          build_bases, linear_ife_basis)
 from .postprocess import (PiecewiseSolution, RunRecord, convergence_rates,
                           error_norms, interpolate_nodal, radial_interface_solution)
 from .quadrature import (QuadratureRule, rect_rule, segment_rule,

@@ -23,7 +23,8 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .geometry import EDGE_INTERFACE, RECT, SIDE_MINUS, edge_split_points
-from .local_basis import template_gradients, template_values
+from .local_basis import (standard_gradients, standard_values, template_gradients,
+                          template_values)
 from .quadrature import (map_triangle, rect_rule, split_edge_rule,
                          split_polygon_rule, _collapsed_triangle_rule,
                          fan_triangles, _subdivide)
@@ -102,11 +103,10 @@ def volume_element_matrix(basis, cut, beta_minus, beta_plus, degree=VOLUME_DEGRE
     return A
 
 
-def assemble_volume(mesh, cuts, bases, beta_minus, beta_plus):
+def assemble_volume(mesh, status, cuts, bases, beta_minus, beta_plus):
     """Stiffness matrix sum_K int_K beta grad(phi_i) . grad(phi_j), CSR."""
     n = mesh.n_nodes
     d = mesh.n_local
-    status = np.array([c.status for c in cuts], dtype=np.int8)
     bulk = np.flatnonzero(status != 0)
     coef = np.where(status == SIDE_MINUS, beta_minus, beta_plus)[bulk]
 
@@ -121,10 +121,7 @@ def assemble_volume(mesh, cuts, bases, beta_minus, beta_plus):
         cols.append(np.tile(conn, (1, d)).ravel())
         data.append(blocks.ravel())
 
-    for cut in cuts:
-        if not cut.is_interface:
-            continue
-        k = cut.element_id
+    for k, cut in cuts.items():
         Aloc = volume_element_matrix(bases[k], cut, beta_minus, beta_plus)
         conn = mesh.elements[k]
         rows.append(np.repeat(conn, d))
@@ -143,7 +140,7 @@ def assemble_volume(mesh, cuts, bases, beta_minus, beta_plus):
 # edge terms
 # ---------------------------------------------------------------------------
 
-def _edge_traces(mesh, edge_id, cuts, bases, beta_minus, beta_plus, degree):
+def _edge_traces(mesh, edge_id, status, cuts, bases, beta_minus, beta_plus, degree):
     """Per-edge dof list, jump values, averaged fluxes, and quadrature weights."""
     t1, t2 = mesh.edge_elements[edge_id]
     a = mesh.nodes[mesh.edge_nodes[edge_id, 0]]
@@ -162,13 +159,15 @@ def _edge_traces(mesh, edge_id, cuts, bases, beta_minus, beta_plus, degree):
     flux = np.zeros((len(dofs), nq))
 
     for elem, sign in ((t1, 1.0), (t2, -1.0)):
-        basis = bases[elem]
-        vals = basis.values(pts)
-        grads = basis.gradients(pts)
-        if cuts[elem].is_interface:
+        basis = bases.get(int(elem))
+        if basis is not None:
+            vals = basis.values(pts)
+            grads = basis.gradients(pts)
             bpt = np.where(basis.side_plus_mask(pts), beta_plus, beta_minus)
         else:
-            bpt = np.full(nq, beta_minus if cuts[elem].status == SIDE_MINUS else beta_plus)
+            vals = standard_values(mesh, elem, pts)
+            grads = standard_gradients(mesh, elem, pts)
+            bpt = np.full(nq, beta_minus if status[elem] == SIDE_MINUS else beta_plus)
         fl = bpt[None, :] * np.einsum("dqa,a->dq", grads, nB)
         loc = [index[int(g)] for g in mesh.elements[elem]]
         jump[loc] += sign * vals
@@ -176,11 +175,11 @@ def _edge_traces(mesh, edge_id, cuts, bases, beta_minus, beta_plus, degree):
     return dofs, jump, flux, rule.weights
 
 
-def edge_term_matrices(mesh, edge_id, cuts, bases, beta_minus, beta_plus,
+def edge_term_matrices(mesh, edge_id, status, cuts, bases, beta_minus, beta_plus,
                        params: MethodParams, degree=EDGE_DEGREE):
     """Consistency matrix M_loc[i,j] = int_B {beta grad(phi_j).n}[phi_i] and the
     scaled penalty matrix for one edge, with the dof list they refer to."""
-    dofs, jump, flux, w = _edge_traces(mesh, edge_id, cuts, bases,
+    dofs, jump, flux, w = _edge_traces(mesh, edge_id, status, cuts, bases,
                                        beta_minus, beta_plus, degree)
     M = np.einsum("q,iq,jq->ij", w, jump, flux)
     L = mesh.edge_lengths[edge_id]
@@ -189,7 +188,7 @@ def edge_term_matrices(mesh, edge_id, cuts, bases, beta_minus, beta_plus,
     return dofs, M, P
 
 
-def assemble_edge_terms(mesh, edge_labels, cuts, bases, beta_minus, beta_plus,
+def assemble_edge_terms(mesh, edge_labels, status, cuts, bases, beta_minus, beta_plus,
                         params: MethodParams, degree=EDGE_DEGREE):
     """Assemble (M, P): consistency and penalty matrices over interface edges.
 
@@ -198,7 +197,7 @@ def assemble_edge_terms(mesh, edge_labels, cuts, bases, beta_minus, beta_plus,
     n = mesh.n_nodes
     rows, cols, mdata, pdata = [], [], [], []
     for e in np.flatnonzero(edge_labels == EDGE_INTERFACE):
-        dofs, M, P = edge_term_matrices(mesh, int(e), cuts, bases,
+        dofs, M, P = edge_term_matrices(mesh, int(e), status, cuts, bases,
                                         beta_minus, beta_plus, params, degree)
         dofs = np.asarray(dofs)
         rows.append(np.repeat(dofs, len(dofs)))
@@ -268,14 +267,13 @@ def bulk_rules(mesh, degree):
     return out
 
 
-def bulk_chunks(mesh, cuts, tables):
+def bulk_chunks(mesh, status, tables):
     """Non-interface elements in chunks, with the physical points of a rule.
 
     `tables` maps each cell variant to a tuple whose first two entries are the
     template name and the scaled points (as `bulk_rules` returns). Yields
     (table, element ids, x, y) with x, y of shape (len(ids), n_points).
     """
-    status = np.array([c.status for c in cuts], dtype=np.int8)
     bulk = np.flatnonzero(status != 0)
     h = mesh.h
     for variant, table in tables.items():
@@ -291,13 +289,13 @@ def bulk_chunks(mesh, cuts, tables):
             yield table, chunk, pts[..., 0], pts[..., 1]
 
 
-def assemble_load(mesh, cuts, bases, solution, iface, degree=DATA_DEGREE,
+def assemble_load(mesh, status, cuts, bases, solution, iface, degree=DATA_DEGREE,
                   refine=DATA_REFINE):
     """Load vector b_i = sum_K int_K f phi_i with the data-side of f chosen by
     the exact level set at each quadrature point."""
     b = np.zeros(mesh.n_nodes)
     h = mesh.h
-    for (name, spts, swts), chunk, x, y in bulk_chunks(mesh, cuts, bulk_rules(mesh, degree)):
+    for (name, spts, swts), chunk, x, y in bulk_chunks(mesh, status, bulk_rules(mesh, degree)):
         V = template_values(name, spts)              # (d, nq)
         w = swts * h * h                             # physical weights
         minus = np.asarray(iface.phi(x, y)) < 0
@@ -305,10 +303,7 @@ def assemble_load(mesh, cuts, bases, solution, iface, degree=DATA_DEGREE,
         loc = (f * w[None, :]) @ V.T                 # (nc, d)
         np.add.at(b, mesh.elements[chunk], loc)
 
-    for cut in cuts:
-        if not cut.is_interface:
-            continue
-        k = cut.element_id
+    for k, cut in cuts.items():
         basis = bases[k]
         acc = np.zeros(basis.n_funcs)
         for _side, pts, wts in cut_data_rules(cut, degree, refine):

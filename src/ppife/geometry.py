@@ -127,8 +127,10 @@ class CartesianMesh:
         self.edge_elements = np.column_stack([lo, np.where(count == 2, hi, -1)])
 
         self.centroids = self.nodes[self.elements].mean(axis=1)
-        # cell origin (lower-left node) per element, for scaled local coordinates
+        # cell origin (lower-left node) and extent per element, the frame of
+        # scaled local coordinates; the extent can differ from h in the last bit
         self.element_origins = self.nodes[self.elements].min(axis=1)
+        self.element_h = np.ptp(self.nodes[self.elements], axis=1).max(axis=1)
 
         ea = self.nodes[self.edge_nodes[:, 0]]
         eb = self.nodes[self.edge_nodes[:, 1]]
@@ -196,8 +198,10 @@ def circle(cx, cy, r) -> InterfaceGeometry:
     if r <= 0:
         raise ConfigError("circle radius must be positive")
 
+    # np.square, not **2: numpy computes x**2 on arrays as x*x but on scalars
+    # through pow(), which can differ in the last bit
     def phi(x, y):
-        return (x - cx) ** 2 + (y - cy) ** 2 - r * r
+        return np.square(x - cx) + np.square(y - cy) - r * r
 
     def grad(x, y):
         return 2.0 * (x - cx), 2.0 * (y - cy)
@@ -237,92 +241,91 @@ def interface_from_name(name, params) -> InterfaceGeometry:
 # edge / element classification
 # ---------------------------------------------------------------------------
 
-_N_EDGE_SAMPLES = 17  # 16-interval refinement used to audit for multiple crossings
+# 16-interval refinement used to audit for multiple crossings
+_EDGE_SAMPLES = np.linspace(0.0, 1.0, 17)
 
 
-def _compressed_sign_flips(signs):
-    nz = signs[signs != 0]
-    if len(nz) < 2:
-        return 0
-    return int(np.count_nonzero(nz[:-1] * nz[1:] < 0))
+def _edge_signs(p0, p1, iface, tol):
+    """phi at the samples of each segment p0[i] -> p1[i], and its sign with
+    |phi| < tol snapped to 0; both of shape (n, 17)."""
+    ts = _EDGE_SAMPLES
+    pts = p0[:, None, :] + ts[None, :, None] * (p1 - p0)[:, None, :]
+    vals = np.asarray(iface.phi(pts[..., 0], pts[..., 1]), float)
+    return vals, np.where(np.abs(vals) < tol, 0, np.sign(vals)).astype(np.int8)
 
 
-def edge_intersection(p0, p1, iface: InterfaceGeometry, h=None) -> Optional[np.ndarray]:
-    """Interface crossing of the segment p0 -> p1, or None.
+def _sign_flips(signs):
+    """Sign changes along each row of `signs`, zeros skipped."""
+    cols = np.arange(signs.shape[1])
+    last = np.maximum.accumulate(np.where(signs != 0, cols, 0), axis=1)
+    prev = np.take_along_axis(signs, last[:, :-1], axis=1)  # latest nonzero before
+    return np.count_nonzero(prev * signs[:, 1:] < 0, axis=1)
+
+
+def edge_crossings(p0, p1, iface: InterfaceGeometry, h):
+    """Interface crossings of the segments p0[i] -> p1[i], bisected all at once.
 
     Endpoints with |phi| < snap_tol*h are snapped onto the curve, in which
     case no interior intersection is reported. A sign audit on a 16-interval
-    refinement raises MultipleCrossings when the curve cuts the segment more
-    than once. The crossing parameter is resolved to 1e-14 by bisection.
+    refinement raises MultipleCrossings when the curve cuts a segment more
+    than once. Each crossing parameter is resolved to 1e-14 by bisection
+    between the nearest strictly-signed samples (interior samples may sit
+    inside the snap band around the crossing). Returns (hit, points): a
+    boolean mask and (n, 2) crossing points, NaN where there is none.
     """
-    p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    if h is None:
-        h = np.linalg.norm(p1 - p0)
-    tol = iface.snap_tol * h
-
-    ts = np.linspace(0.0, 1.0, _N_EDGE_SAMPLES)
-    pts = p0 + ts[:, None] * (p1 - p0)
-    vals = np.asarray(iface.phi(pts[:, 0], pts[:, 1]), float)
-    signs = np.where(np.abs(vals) < tol, 0, np.sign(vals)).astype(int)
-    if _compressed_sign_flips(signs) > 1:
+    p0 = np.asarray(p0, float).reshape(-1, 2)
+    p1 = np.asarray(p1, float).reshape(-1, 2)
+    vals, signs = _edge_signs(p0, p1, iface, iface.snap_tol * h)
+    flips = _sign_flips(signs)
+    if (flips > 1).any():
+        i = int(np.argmax(flips > 1))
         raise MultipleCrossings(
-            f"interface crosses segment {p0}->{p1} more than once; refine the mesh")
-    if signs[0] == 0 or signs[-1] == 0:
-        return None
-    if signs[0] * signs[-1] > 0:
-        return None
+            f"interface crosses segment {p0[i]}->{p1[i]} more than once; refine the mesh")
+    hit = signs[:, 0] * signs[:, -1] < 0
+    rows = np.flatnonzero(hit)
 
-    # bracket between the nearest strictly-signed samples (interior samples may
-    # sit inside the snap band around the crossing), then bisect
-    s0 = signs[0]
-    j = int(np.flatnonzero(signs == -s0)[0])
-    k = int(np.flatnonzero(signs[:j] == s0)[-1])
-    a, b = ts[k], ts[j]
-    fa = float(vals[k])
+    # bracket: first sample of the far sign, last one of the near sign before it
+    S = signs[rows]
+    cols = np.arange(S.shape[1])
+    j = np.argmax(S == -S[:, :1], axis=1)
+    k = np.where((S == S[:, :1]) & (cols < j[:, None]), cols, 0).max(axis=1)
+    a, b, fa = _EDGE_SAMPLES[k], _EDGE_SAMPLES[j], vals[rows, k]
+    q0 = p0[rows]
+    d = p1[rows] - q0
     for _ in range(60):
-        if b - a <= 1e-14:
+        live = b - a > 1e-14
+        if not live.any():
             break
         m = 0.5 * (a + b)
-        pm = p0 + m * (p1 - p0)
-        fm = float(iface.phi(pm[0], pm[1]))
-        if fm == 0.0:
-            a = b = m
-            break
-        if fa * fm < 0:
-            b = m
-        else:
-            a, fa = m, fm
-    t = 0.5 * (a + b)
-    return p0 + t * (p1 - p0)
+        pm = q0 + m[:, None] * d
+        fm = np.asarray(iface.phi(pm[:, 0], pm[:, 1]), float)
+        lower = live & (fa * fm < 0)           # crossing in [a, m]
+        upper = live & ~lower                  # in [m, b], or exactly at m
+        b = np.where(lower | (upper & (fm == 0.0)), m, b)
+        a = np.where(upper, m, a)
+        fa = np.where(upper, fm, fa)
+    points = np.full(p0.shape, np.nan)
+    points[rows] = q0 + (0.5 * (a + b))[:, None] * d
+    return hit, points
 
 
 @dataclass(eq=False)
 class ElementCut:
-    """Classification record for one element.
+    """Cut data of one interface element.
 
-    For interface elements, D/E are the curve-boundary intersections, the
-    chord normal points from the minus sub-polygon toward the plus one, and
-    poly_minus/poly_plus are the chord-split sub-polygons (CCW).
+    D/E are the curve-boundary intersections, the chord normal points from
+    the minus sub-polygon toward the plus one, and poly_minus/poly_plus are
+    the chord-split sub-polygons (CCW).
     """
 
     element_id: int
-    status: int                      # SIDE_MINUS, SIDE_PLUS, or INTERFACE
-    D: Optional[np.ndarray] = None
-    E: Optional[np.ndarray] = None
-    cut_edges: tuple = ()
-    chord_normal: Optional[np.ndarray] = None
-    poly_minus: Optional[np.ndarray] = None
-    poly_plus: Optional[np.ndarray] = None
+    D: np.ndarray
+    E: np.ndarray
+    cut_edges: tuple
+    chord_normal: np.ndarray
+    poly_minus: np.ndarray
+    poly_plus: np.ndarray
     type_tag: Optional[str] = None   # 'I' / 'II' for rectangles
-
-    @property
-    def is_interface(self):
-        return self.status == INTERFACE
-
-    @property
-    def side(self):
-        return self.status
 
 
 def split_convex_by_chord(verts, D, E, tol):
@@ -381,13 +384,15 @@ def split_convex_by_chord(verts, D, E, tol):
 
 
 def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
-    """Label every element against the interface and build its cut data.
+    """Label every element against the interface; build cut data where it cuts.
 
-    Non-interface elements get their side from the sign of phi at the
-    centroid. Crossing points are computed once per mesh edge so that
-    neighbouring elements share bit-identical D/E points. Degenerate cuts
-    (chord below snap tolerance, or an empty sub-polygon) fall back to
-    non-interface status.
+    Returns (status, cuts): `status` holds SIDE_MINUS, SIDE_PLUS or INTERFACE
+    per element (int8), and `cuts` maps the id of each interface element, in
+    ascending order, to its ElementCut. Non-interface elements get their side
+    from the sign of phi at the centroid. Crossing points are computed once
+    per mesh edge so that neighbouring elements share bit-identical D/E
+    points. Degenerate cuts (chord below snap tolerance, or an empty
+    sub-polygon) fall back to non-interface status.
     """
     h = mesh.h
     tol = iface.snap_tol * h
@@ -397,57 +402,46 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     # audit every edge for hidden double crossings; collect candidate edges
     ea = mesh.nodes[mesh.edge_nodes[:, 0]]
     eb = mesh.nodes[mesh.edge_nodes[:, 1]]
-    ts = np.linspace(0.0, 1.0, _N_EDGE_SAMPLES)
-    sample = ea[:, None, :] + ts[None, :, None] * (eb - ea)[:, None, :]
-    vals = np.asarray(iface.phi(sample[..., 0], sample[..., 1]), float)
-    s = np.where(np.abs(vals) < tol, 0, np.sign(vals)).astype(np.int8)
+    _, s = _edge_signs(ea, eb, iface, tol)
     candidates = np.flatnonzero(((s > 0).any(axis=1) & (s < 0).any(axis=1)) | (s == 0).any(axis=1))
+    flips = _sign_flips(s[candidates])
+    if (flips > 1).any():
+        i = int(np.argmax(flips > 1))
+        raise MultipleCrossings(
+            f"edge {candidates[i]} is crossed {flips[i]} times; refine the mesh")
 
-    crossings = {}
-    for e in candidates:
-        flips = _compressed_sign_flips(s[e])
-        if flips > 1:
-            raise MultipleCrossings(f"edge {e} is crossed {flips} times; refine the mesh")
-        sa = node_sign[mesh.edge_nodes[e, 0]]
-        sb = node_sign[mesh.edge_nodes[e, 1]]
-        if sa * sb < 0:
-            x = edge_intersection(ea[e], eb[e], iface, h=h)
-            if x is not None:
-                crossings[int(e)] = x
+    ends = mesh.edge_nodes[candidates]
+    solve = candidates[node_sign[ends[:, 0]] * node_sign[ends[:, 1]] < 0]
+    hit, points = edge_crossings(ea[solve], eb[solve], iface, h)
+    crossings = dict(zip(solve[hit].tolist(), points[hit]))
 
     cent_phi = np.asarray(iface.phi(mesh.centroids[:, 0], mesh.centroids[:, 1]), float)
-    cent_side = np.where(cent_phi > 0, SIDE_PLUS, SIDE_MINUS).astype(np.int8)
+    status = np.where(cent_phi > 0, SIDE_PLUS, SIDE_MINUS).astype(np.int8)
 
-    elem_has_cut = np.zeros(mesh.n_elements, dtype=bool)
-    for e in crossings:
-        for el in mesh.edge_elements[e]:
-            if el >= 0:
-                elem_has_cut[el] = True
-    elem_has_zero = (node_sign[mesh.elements] == 0).any(axis=1)
+    touched = (node_sign[mesh.elements] == 0).any(axis=1)
+    adj = mesh.edge_elements[solve[hit]].ravel()
+    touched[adj[adj >= 0]] = True
 
-    cuts = []
-    for k in range(mesh.n_elements):
-        if not (elem_has_cut[k] or elem_has_zero[k]):
-            cuts.append(ElementCut(k, int(cent_side[k])))
-            continue
-        cuts.append(_classify_one(mesh, iface, k, crossings, node_sign, cent_side, tol))
-    return cuts
+    cuts = {}
+    for k in np.flatnonzero(touched).tolist():
+        cut = _classify_one(mesh, iface, k, crossings, node_sign, tol)
+        if cut is not None:
+            status[k] = INTERFACE
+            cuts[k] = cut
+    return status, cuts
 
 
-def _classify_one(mesh, iface, k, crossings, node_sign, cent_side, tol):
+def _classify_one(mesh, iface, k, crossings, node_sign, tol):
+    """Cut data of element k, or None when its cut is degenerate."""
     conn = mesh.elements[k]
     verts = mesh.nodes[conn]
-    strict = []
-    for local, e in enumerate(mesh.element_edges[k]):
-        if int(e) in crossings:
-            strict.append((crossings[int(e)], int(e)))
+    strict = [(crossings[e], e) for e in mesh.element_edges[k].tolist() if e in crossings]
     snapped = [(verts[i].copy(), None) for i in range(len(conn)) if node_sign[conn[i]] == 0]
 
-    fallback = ElementCut(k, int(cent_side[k]))
     if len(strict) > 2:
         raise MultipleCrossings(f"element {k} boundary crossed {len(strict)} times")
     if len(strict) + len(snapped) < 2:
-        return fallback
+        return None
 
     if len(strict) == 2:
         (D, eD), (E, eE) = strict
@@ -466,17 +460,17 @@ def _classify_one(mesh, iface, k, crossings, node_sign, cent_side, tol):
         _, (D, eD), (E, eE) = best
 
     if np.linalg.norm(E - D) < tol:
-        return fallback  # degenerate chord
+        return None  # degenerate chord
 
     split = split_convex_by_chord(verts, D, E, max(tol, 1e-12 * mesh.h))
     if split is None:
-        return fallback
+        return None
     pa, pb = split
     area_a = polygon_area(pa)
     area_b = polygon_area(pb)
     area_k = abs(polygon_area(verts))
     if min(area_a, area_b) < 1e-12 * mesh.h ** 2:
-        return fallback
+        return None
     if abs(area_a + area_b - area_k) > 1e-10 * mesh.h ** 2:
         raise GeometryError(f"cut of element {k} does not partition it")
 
@@ -500,7 +494,7 @@ def _classify_one(mesh, iface, k, crossings, node_sign, cent_side, tol):
     sa = chain_side(pa)
     sb = chain_side(pb)
     if sa == sb:
-        return fallback
+        return None
     poly_minus, poly_plus = (pa, pb) if sa == SIDE_MINUS else (pb, pa)
 
     chord = E - D
@@ -526,13 +520,13 @@ def _classify_one(mesh, iface, k, crossings, node_sign, cent_side, tol):
         else:
             type_tag = "II" if (len(pa), len(pb)) == (4, 4) else "I"
 
-    return ElementCut(k, INTERFACE, D=D, E=E,
+    return ElementCut(k, D=D, E=E,
                       cut_edges=tuple(e for e in (eD, eE) if e is not None),
                       chord_normal=n, poly_minus=poly_minus, poly_plus=poly_plus,
                       type_tag=type_tag)
 
 
-def classify_edges(mesh: CartesianMesh, cuts) -> np.ndarray:
+def classify_edges(mesh: CartesianMesh, status) -> np.ndarray:
     """Edge labels: boundary, interior, or interior-interface.
 
     Every interior edge adjacent to at least one interface element is labelled
@@ -541,7 +535,7 @@ def classify_edges(mesh: CartesianMesh, cuts) -> np.ndarray:
     """
     labels = np.full(mesh.n_edges, EDGE_INTERIOR, dtype=np.int8)
     labels[mesh.edge_elements[:, 1] < 0] = EDGE_BOUNDARY
-    iface_elems = np.array([c.is_interface for c in cuts], dtype=bool)
+    iface_elems = status == INTERFACE
     adj = mesh.edge_elements
     touched = np.zeros(mesh.n_edges, dtype=bool)
     touched |= iface_elems[adj[:, 0]]
@@ -559,9 +553,10 @@ def edge_split_points(mesh, edge_id, cuts):
     ll = float(d @ d)
     pts = []
     for el in mesh.edge_elements[edge_id]:
-        if el < 0 or not cuts[el].is_interface:
+        cut = cuts.get(int(el))
+        if cut is None:
             continue
-        for X in (cuts[el].D, cuts[el].E):
+        for X in (cut.D, cut.E):
             t = float((X - a) @ d) / ll
             if 1e-12 < t < 1 - 1e-12:
                 foot = a + t * d

@@ -104,6 +104,13 @@ def _parse_number(text):
     return -val if sign == "-" else val
 
 
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse integer {text!r}") from None
+
+
 # how each RunConfig field is parsed from text
 _PARSE_KIND = {
     "xmin": "float", "xmax": "float", "ymin": "float", "ymax": "float",
@@ -124,7 +131,10 @@ def _parse_value(name, raw):
     if kind == "beta_pairs":
         pairs = []
         for item in raw.split(","):
-            a, b = item.split(":")
+            parts = item.split(":")
+            if len(parts) != 2:
+                raise ConfigError(f"beta pair {item!r} is not of the form minus:plus")
+            a, b = parts
             pairs.append((_parse_number(a), _parse_number(b)))
         return tuple(pairs)
     if kind == "float":
@@ -132,14 +142,14 @@ def _parse_value(name, raw):
     if kind == "opt_float":
         return None if raw.lower() in ("none", "") else _parse_number(raw)
     if kind == "int":
-        return int(raw)
+        return _parse_int(raw)
     if kind == "opt_int":
-        return None if raw.lower() in ("none", "") else int(raw)
+        return None if raw.lower() in ("none", "") else _parse_int(raw)
     if kind == "bool":
         return raw.lower() in ("1", "true", "yes", "on")
     items = [x for x in raw.replace(" ", "").split(",") if x]
     if kind == "int_tuple":
-        return tuple(int(x) for x in items)
+        return tuple(_parse_int(x) for x in items)
     if kind == "float_tuple":
         return tuple(_parse_number(x) for x in items)
     if kind == "str_tuple":
@@ -193,9 +203,10 @@ class CaseContext:
     mesh: object
     iface: object
     sol: object
-    cuts: list
+    status: np.ndarray   # per element: SIDE_MINUS, SIDE_PLUS or INTERFACE
+    cuts: dict           # interface element id -> ElementCut
     labels: np.ndarray
-    bases: list
+    bases: dict          # interface element id -> LocalBasis
     A_vol: object
     M: object
     P_unit: object
@@ -204,6 +215,7 @@ class CaseContext:
 
 
 def build_context(config: RunConfig, N: int) -> CaseContext:
+    config.validate()
     spec = DomainSpec(config.xmin, config.xmax, config.ymin, config.ymax, N, config.mesh)
     mesh = build_mesh(spec)
     iface = geometry.interface_from_name(config.interface, config.interface_params)
@@ -211,17 +223,17 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
                   else (0.0, 0.0, np.pi / 6.28))
     sol = radial_interface_solution(config.beta_minus, config.beta_plus,
                                     alpha_exp=config.alpha_exp, r0=r0, center=(cx, cy))
-    cuts = classify_elements(mesh, iface)
-    labels = classify_edges(mesh, cuts)
+    status, cuts = classify_elements(mesh, iface)
+    labels = classify_edges(mesh, status)
     bases = build_bases(mesh, cuts, config.beta_minus, config.beta_plus)
-    A_vol = assembly.assemble_volume(mesh, cuts, bases, config.beta_minus, config.beta_plus)
+    A_vol = assembly.assemble_volume(mesh, status, cuts, bases,
+                                     config.beta_minus, config.beta_plus)
     unit = MethodParams("custom", -1.0, 0.0, 1.0, config.penalty_alpha)
-    M, P_unit = assembly.assemble_edge_terms(mesh, labels, cuts, bases,
+    M, P_unit = assembly.assemble_edge_terms(mesh, labels, status, cuts, bases,
                                              config.beta_minus, config.beta_plus, unit)
-    b = assembly.assemble_load(mesh, cuts, bases, sol, iface)
-    n_interface = sum(c.is_interface for c in cuts)
-    return CaseContext(N, mesh, iface, sol, cuts, labels, bases, A_vol, M, P_unit,
-                       b, n_interface)
+    b = assembly.assemble_load(mesh, status, cuts, bases, sol, iface)
+    return CaseContext(N, mesh, iface, sol, status, cuts, labels, bases, A_vol, M, P_unit,
+                       b, len(cuts))
 
 
 def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
@@ -242,8 +254,8 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
         raise NotConverged(f"{scheme} at N={ctx.N}: residual {res.residual:.3e}", res)
     coeffs = system.expand(res.x)
 
-    err = error_norms(ctx.mesh, ctx.cuts, ctx.bases, coeffs, ctx.sol, ctx.iface,
-                      ctx.labels, params)
+    err = error_norms(ctx.mesh, ctx.status, ctx.cuts, ctx.bases, coeffs, ctx.sol,
+                      ctx.iface, ctx.labels, params)
     rec = RunRecord(
         scheme=scheme, mesh_kind=config.mesh, N=ctx.N, h=ctx.mesh.h,
         beta_minus=config.beta_minus, beta_plus=config.beta_plus,
@@ -257,7 +269,7 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
 # pointwise field evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_solution(mesh, cuts, bases, coeffs, pts):
+def evaluate_solution(mesh, status, bases, coeffs, pts):
     """u_h at arbitrary points of the domain (vectorized on standard cells)."""
     spec = mesh.spec
     n = mesh.n_cells
@@ -276,8 +288,7 @@ def evaluate_solution(mesh, cuts, bases, coeffs, pts):
         elem = 2 * cell + np.where(lower, 0, 1)
 
     out = np.empty(len(x))
-    iface_elem = np.array([c.is_interface for c in cuts], dtype=bool)
-    std = ~iface_elem[elem]
+    std = status[elem] != geometry.INTERFACE
     if std.any():
         ce = coeffs[mesh.elements[elem[std]]]
         xs, es = xi[std], eta[std]
@@ -293,7 +304,7 @@ def evaluate_solution(mesh, cuts, bases, coeffs, pts):
             vals[up] = (ce[up, 0] * (1 - es[up]) + ce[up, 1] * xs[up]
                         + ce[up, 2] * (es[up] - xs[up]))
             out[std] = vals
-    for k in np.unique(elem[~std]) if (~std).any() else []:
+    for k in np.unique(elem[~std]).tolist():
         sel = elem == k
         p = np.column_stack([x[sel], y[sel]])
         out[sel] = coeffs[mesh.elements[k]] @ bases[k].values(p)
@@ -310,7 +321,7 @@ def pointwise_error_field(ctx: CaseContext, coeffs, grid=0):
     ys = np.linspace(ctx.mesh.spec.ymin, ctx.mesh.spec.ymax, grid)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    uh = evaluate_solution(ctx.mesh, ctx.cuts, ctx.bases, coeffs, pts)
+    uh = evaluate_solution(ctx.mesh, ctx.status, ctx.bases, coeffs, pts)
     ue = ctx.sol.u_at(pts[:, 0], pts[:, 1], ctx.iface)
     return pts, np.abs(ue - uh)
 

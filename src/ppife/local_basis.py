@@ -1,7 +1,8 @@
 """Nodal bases on mesh elements.
 
 Non-interface elements carry the standard linear (triangle) or bilinear
-(rectangle) nodal basis. Interface elements carry an immersed basis: one
+(rectangle) nodal basis, evaluated from fixed coefficient templates; no
+object is built for them. Interface elements carry an immersed basis: one
 polynomial per side of the chord D-E, glued by continuity at D and E plus a
 flux-matching condition, solved element by element from a small linear
 system. Coefficients are stored for scaled monomials in local coordinates
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularLocalSystem
-from .geometry import INTERFACE, RECT
+from .geometry import RECT
 
 CHORD_TIE_TOL = 1e-13  # points this close to the chord evaluate the minus piece
 
@@ -63,6 +64,29 @@ def template_gradients(variant, pts):
         g[:, :, 0] += np.outer(C[:, 3], pts[:, 1])
         g[:, :, 1] += np.outer(C[:, 3], pts[:, 0])
     return g
+
+
+def template_name(mesh, k):
+    """Template of the standard nodal basis on element k."""
+    if mesh.cell_kind == RECT:
+        return "rect"
+    return "tri_lower" if mesh.element_variant[k] == 0 else "tri_upper"
+
+
+def _element_scaled(mesh, k, pts):
+    pts = np.atleast_2d(np.asarray(pts, float))
+    return (pts - mesh.element_origins[k]) / mesh.element_h[k]
+
+
+def standard_values(mesh, k, pts):
+    """Standard nodal basis of element k at physical points, shape (d, n)."""
+    return template_values(template_name(mesh, k), _element_scaled(mesh, k, pts))
+
+
+def standard_gradients(mesh, k, pts):
+    """Gradients of the standard nodal basis of element k, shape (d, n, 2)."""
+    g = template_gradients(template_name(mesh, k), _element_scaled(mesh, k, pts))
+    return g / mesh.element_h[k]
 
 
 @dataclass(eq=False)
@@ -161,22 +185,6 @@ class LocalBasis:
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
-
-def standard_basis(element_id, verts, kind, variant=None) -> LocalBasis:
-    """Standard nodal basis; uses the fixed templates when the scaled element
-    matches one, otherwise solves the small Vandermonde system."""
-    verts = np.asarray(verts, float)
-    origin = verts.min(axis=0)
-    h = max(np.ptp(verts[:, 0]), np.ptp(verts[:, 1]))
-    sv = (verts - origin) / h
-    if variant is not None:
-        C = _TEMPLATES[variant]
-    else:
-        m = len(verts)
-        V = _monomials(sv, m)
-        C = np.linalg.inv(V).T
-    return LocalBasis(element_id, kind, origin, h, C, C)
-
 
 def _refine_solve(M, rhs):
     """Direct solve with one mixed-precision refinement sweep."""
@@ -278,26 +286,11 @@ def bilinear_ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_p
 
 
 def build_bases(mesh, cuts, beta_minus, beta_plus):
-    """One LocalBasis per element; immersed bases on interface elements."""
-    bases = []
-    if mesh.cell_kind == RECT:
-        variants = ["rect"] * mesh.n_elements
-        kind = "q1"
-    else:
-        variants = ["tri_lower" if v == 0 else "tri_upper" for v in mesh.element_variant]
-        kind = "p1"
-    for cut in cuts:
-        k = cut.element_id
-        verts = mesh.element_vertices(k)
-        if cut.status != INTERFACE:
-            bases.append(standard_basis(k, verts, kind, variants[k]))
-        elif mesh.cell_kind == RECT:
-            bases.append(bilinear_ife_basis(k, verts, cut.D, cut.E, cut.chord_normal,
-                                            beta_minus, beta_plus))
-        else:
-            bases.append(linear_ife_basis(k, verts, cut.D, cut.E, cut.chord_normal,
-                                          beta_minus, beta_plus))
-    return bases
+    """Immersed bases of the interface elements, keyed like `cuts`."""
+    build = bilinear_ife_basis if mesh.cell_kind == RECT else linear_ife_basis
+    return {k: build(k, mesh.element_vertices(k), cut.D, cut.E, cut.chord_normal,
+                     beta_minus, beta_plus)
+            for k, cut in cuts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +298,8 @@ def build_bases(mesh, cuts, beta_minus, beta_plus):
 # ---------------------------------------------------------------------------
 
 def basis_residuals(basis, verts, beta_minus, beta_plus):
-    """Worst-case residuals of the defining conditions, in long double.
+    """Worst-case residuals of the defining conditions of an immersed basis,
+    in long double.
 
     Returns a dict with keys 'kronecker', 'continuity', 'flux', 'partition'.
     The flux residual is pointwise (|beta- dv-/dn - beta+ dv+/dn|) for linear
@@ -339,14 +333,6 @@ def basis_residuals(basis, verts, beta_minus, beta_plus):
         return np.stack([gx, gy], axis=-1) / h
 
     out = {}
-    if not basis.is_interface:
-        vals = val(cm, verts)
-        out["kronecker"] = float(np.abs(vals - np.eye(d)).max())
-        out["continuity"] = 0.0
-        out["flux"] = 0.0
-        out["partition"] = float(max(abs(cm[:, 0].sum() - 1), np.abs(cm[:, 1:].sum(axis=0)).max()))
-        return out
-
     side = basis.side_plus_mask(verts)
     vals = np.where(side[:, None], val(cp, verts), val(cm, verts))
     out["kronecker"] = float(np.abs(vals - np.eye(d)).max())

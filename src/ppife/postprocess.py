@@ -9,7 +9,7 @@ import numpy as np
 from .assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_chunks, bulk_rules,
                        cut_data_rules)
 from .geometry import EDGE_INTERFACE, RECT, SIDE_MINUS, edge_split_points
-from .local_basis import template_gradients, template_values
+from .local_basis import standard_values, template_gradients, template_values
 from .quadrature import split_edge_rule
 
 
@@ -107,7 +107,7 @@ def interpolate_nodal(mesh, sol, iface):
 # error norms
 # ---------------------------------------------------------------------------
 
-def error_norms(mesh, cuts, bases, coeffs, sol, iface, edge_labels, params,
+def error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_labels, params,
                 degree=DATA_DEGREE, refine=DATA_REFINE):
     """Errors of u_h against the exact solution, keyed like `_NORM_KEYS`.
 
@@ -128,7 +128,7 @@ def error_norms(mesh, cuts, bases, coeffs, sol, iface, edge_labels, params,
     beta = (sol.params["beta_minus"], sol.params["beta_plus"])
     h = mesh.h
     bulk = np.zeros(3)      # squared L2, H1 and energy sums
-    for (name, spts, swts), chunk, x, y in bulk_chunks(mesh, cuts, bulk_rules(mesh, degree)):
+    for (name, spts, swts), chunk, x, y in bulk_chunks(mesh, status, bulk_rules(mesh, degree)):
         w = swts * h * h
         G = template_gradients(name, spts) / h
         ce = coeffs[mesh.elements[chunk]]
@@ -140,10 +140,7 @@ def error_norms(mesh, cuts, bases, coeffs, sol, iface, edge_labels, params,
                  np.einsum("eq,q->", np.where(minus, beta[0], beta[1]) * d2, w))
 
     cut_sums = np.zeros(3)
-    for cut in cuts:
-        if not cut.is_interface:
-            continue
-        k = cut.element_id
+    for k, cut in cuts.items():
         basis = bases[k]
         ce = coeffs[mesh.elements[k]]
         for side, pts, wts in cut_data_rules(cut, degree, refine):
@@ -163,7 +160,7 @@ def error_norms(mesh, cuts, bases, coeffs, sol, iface, edge_labels, params,
             energy += (params.sigma0 / L ** params.alpha
                        * _edge_jump_square(mesh, int(e), cuts, bases, coeffs))
     return {"l2": float(np.sqrt(l2)), "h1": float(np.sqrt(h1)),
-            "linf": _linf_error(mesh, cuts, bases, coeffs, sol, iface),
+            "linf": _linf_error(mesh, status, bases, coeffs, sol, iface),
             "energy": float(np.sqrt(energy))}
 
 
@@ -173,12 +170,13 @@ def _edge_jump_square(mesh, edge_id, cuts, bases, coeffs, degree=EDGE_DEGREE):
     a = mesh.nodes[mesh.edge_nodes[edge_id, 0]]
     b = mesh.nodes[mesh.edge_nodes[edge_id, 1]]
     rule = split_edge_rule(a, b, edge_split_points(mesh, edge_id, cuts), degree)
-    u1 = coeffs[mesh.elements[t1]] @ bases[t1].values(rule.points)
-    u2 = coeffs[mesh.elements[t2]] @ bases[t2].values(rule.points)
+    u1, u2 = (coeffs[mesh.elements[t]] @ (bases[t].values(rule.points) if t in bases
+                                         else standard_values(mesh, t, rule.points))
+              for t in (int(t1), int(t2)))
     return float(np.dot(rule.weights, (u1 - u2) ** 2))
 
 
-def _linf_error(mesh, cuts, bases, coeffs, sol, iface, grid=5):
+def _linf_error(mesh, status, bases, coeffs, sol, iface, grid=5):
     """Max |u - u_h| over a grid x grid sample per element plus all vertices."""
     t = np.linspace(0.0, 1.0, grid)
     TX, TY = np.meshgrid(t, t, indexing="ij")
@@ -190,14 +188,11 @@ def _linf_error(mesh, cuts, bases, coeffs, sol, iface, grid=5):
         sample = {0: ("tri_lower", low), 1: ("tri_upper", up)}
 
     worst = 0.0
-    for (name, spts), chunk, x, y in bulk_chunks(mesh, cuts, sample):
+    for (name, spts), chunk, x, y in bulk_chunks(mesh, status, sample):
         uh = coeffs[mesh.elements[chunk]] @ template_values(name, spts)
         ue = sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
         worst = max(worst, float(np.abs(ue - uh).max()))
-    for cut in cuts:
-        if not cut.is_interface:
-            continue
-        k = cut.element_id
+    for k, basis in bases.items():
         verts = mesh.element_vertices(k)
         lo = verts.min(axis=0)
         span = verts.max(axis=0) - lo
@@ -208,7 +203,7 @@ def _linf_error(mesh, cuts, bases, coeffs, sol, iface, grid=5):
                 else xi[:, 0] <= xi[:, 1] + 1e-12
             pts = pts[keep]
         pts = np.vstack([pts, verts])
-        uh = coeffs[mesh.elements[k]] @ bases[k].values(pts)
+        uh = coeffs[mesh.elements[k]] @ basis.values(pts)
         ue = sol.u(pts[:, 0], pts[:, 1],
                    np.asarray(iface.phi(pts[:, 0], pts[:, 1])) < 0)
         worst = max(worst, float(np.abs(ue - uh).max()))

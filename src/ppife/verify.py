@@ -283,12 +283,12 @@ def _free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
     bm, bp = beta_pair
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, cell_kind))
     iface = circle(0.0, 0.0, r0)
-    cuts = classify_elements(mesh, iface)
-    labels = classify_edges(mesh, cuts)
+    status, cuts = classify_elements(mesh, iface)
+    labels = classify_edges(mesh, status)
     bases = build_bases(mesh, cuts, bm, bp)
-    A_vol = assemble_volume(mesh, cuts, bases, bm, bp)
+    A_vol = assemble_volume(mesh, status, cuts, bases, bm, bp)
     unit = MethodParams("custom", -1.0, 0.0, 1.0, alpha)
-    M, P = assemble_edge_terms(mesh, labels, cuts, bases, bm, bp, unit)
+    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, bm, bp, unit)
     free = mesh.interior_nodes
     return A_vol[free][:, free], M[free][:, free], P[free][:, free]
 
@@ -370,8 +370,8 @@ def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
     sums, maxes = [], []
     for N in Ns:
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, cell_kind))
-        cuts = classify_elements(mesh, iface)
-        labels = classify_edges(mesh, cuts)
+        status, cuts = classify_elements(mesh, iface)
+        labels = classify_edges(mesh, status)
         bases = build_bases(mesh, cuts, bm, bp)
         coeffs = interpolate_nodal(mesh, sol, iface)
         total = 0.0
@@ -386,10 +386,10 @@ def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
             bpt = np.where(minus, bm, bp)
             gx, gy = sol.grad(x, y, minus)
             for el in mesh.edge_elements[e]:
-                if el < 0 or not cuts[el].is_interface:
+                if int(el) not in bases:
                     continue
                 gi = np.einsum("d,dqa->qa", coeffs[mesh.elements[el]],
-                               bases[el].gradients(rule.points))
+                               bases[int(el)].gradients(rule.points))
                 fl = bpt * ((gx - gi[:, 0]) * nB[0] + (gy - gi[:, 1]) * nB[1])
                 contrib = float(np.dot(rule.weights, fl * fl))
                 total += contrib

@@ -196,8 +196,8 @@ def test_criterion_7_reduction_and_patch():
     for kind in ("rect", "tri"):
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, kind))
         iface = circle(0.0, 0.0, np.pi / 6.28)
-        cuts = classify_elements(mesh, iface)
-        labels = classify_edges(mesh, cuts)
+        status, cuts = classify_elements(mesh, iface)
+        labels = classify_edges(mesh, status)
         from ppife.local_basis import build_bases
         bases = build_bases(mesh, cuts, 2.0, 2.0)
         if kind == "rect":
@@ -210,11 +210,12 @@ def test_criterion_7_reduction_and_patch():
         zero = lambda x, y: np.zeros_like(np.asarray(x, float))
         sol = PiecewiseSolution(u, u, gu, gu, zero, zero,
                                 params={"beta_minus": 2.0, "beta_plus": 2.0})
-        A_vol = assembly.assemble_volume(mesh, cuts, bases, 2.0, 2.0)
+        A_vol = assembly.assemble_volume(mesh, status, cuts, bases, 2.0, 2.0)
         params = MethodParams.preset("spp", 2.0, 2.0)
-        M, P = assembly.assemble_edge_terms(mesh, labels, cuts, bases, 2.0, 2.0, params)
+        M, P = assembly.assemble_edge_terms(mesh, labels, status, cuts, bases, 2.0, 2.0,
+                                            params)
         A = assembly.combine_system(A_vol, M, P, params)
-        b = assembly.assemble_load(mesh, cuts, bases, sol, iface)
+        b = assembly.assemble_load(mesh, status, cuts, bases, sol, iface)
         sysm = assembly.apply_dirichlet(A, b, mesh, u)
         A_ff, rhs = sysm.reduced()
         res = cg(A_ff, rhs, tol_rel=1e-13)

@@ -8,7 +8,7 @@ from ppife.assembly import (MethodParams, apply_dirichlet, assemble_edge_terms,
 from ppife.errors import ConfigError
 from ppife.geometry import (EDGE_INTERFACE, DomainSpec, build_mesh, circle,
                             classify_edges, classify_elements, line)
-from oracles import check_csr
+from oracles import check_csr, standard_basis
 from ppife.linsolve import cg
 from ppife.local_basis import build_bases
 from ppife.postprocess import radial_interface_solution
@@ -19,10 +19,20 @@ R0 = np.pi / 6.28
 def _pipeline(N, kind="rect", betas=(1.0, 10.0), iface=None):
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
     iface = iface or circle(0.0, 0.0, R0)
-    cuts = classify_elements(mesh, iface)
-    labels = classify_edges(mesh, cuts)
+    status, cuts = classify_elements(mesh, iface)
+    labels = classify_edges(mesh, status)
     bases = build_bases(mesh, cuts, *betas)
-    return mesh, iface, cuts, labels, bases
+    return mesh, iface, status, cuts, labels, bases
+
+
+def _element_basis(mesh, bases, k):
+    """The immersed basis of element k, or the standard-basis oracle."""
+    if k in bases:
+        return bases[k]
+    if mesh.cell_kind == "rect":
+        return standard_basis(k, mesh.element_vertices(k), "q1", "rect")
+    variant = ("tri_lower", "tri_upper")[mesh.element_variant[k]]
+    return standard_basis(k, mesh.element_vertices(k), "p1", variant)
 
 
 def test_method_params_presets():
@@ -43,24 +53,24 @@ def test_method_params_presets():
 
 def test_q1_interior_stencil_diagonal():
     # beta = 1 on a 2x2 mesh: the centre node accumulates 4 corner entries of 8/3 total
-    mesh, iface, cuts, labels, bases = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
-    A = assemble_volume(mesh, cuts, bases, 1.0, 1.0)
+    mesh, iface, status, cuts, labels, bases = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
+    A = assemble_volume(mesh, status, cuts, bases, 1.0, 1.0)
     centre = 4  # node (1,1) of the 3x3 grid
     assert A[centre, centre] == pytest.approx(8.0 / 3.0, abs=1e-12)
 
 
 def test_volume_row_sums_vanish():
     for kind in ("rect", "tri"):
-        mesh, iface, cuts, labels, bases = _pipeline(6, kind=kind)
-        A = assemble_volume(mesh, cuts, bases, 1.0, 10.0)
+        mesh, iface, status, cuts, labels, bases = _pipeline(6, kind=kind)
+        A = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
         check_csr(A)
         ones = np.ones(mesh.n_nodes)
         assert np.abs(A @ ones).max() < 1e-12 * np.abs(A.data).max()
 
 
 def test_cut_element_matrix_vs_dense_grid_oracle():
-    mesh, iface, cuts, labels, bases = _pipeline(4)
-    cut = next(c for c in cuts if c.is_interface)
+    mesh, iface, status, cuts, labels, bases = _pipeline(4)
+    cut = next(iter(cuts.values()))
     basis = bases[cut.element_id]
     Aloc = volume_element_matrix(basis, cut, 1.0, 10.0)
 
@@ -90,10 +100,10 @@ def test_cut_element_matrix_vs_dense_grid_oracle():
 
 
 def test_classic_combine_is_volume_only():
-    mesh, iface, cuts, labels, bases = _pipeline(8)
-    A_vol = assemble_volume(mesh, cuts, bases, 1.0, 10.0)
+    mesh, iface, status, cuts, labels, bases = _pipeline(8)
+    A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
     params = MethodParams.preset("classic")
-    M, P = assemble_edge_terms(mesh, labels, cuts, bases, 1.0, 10.0, params)
+    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params)
     A = combine_system(A_vol, M, P, params)
     assert (A - A_vol).nnz == 0 or np.abs((A - A_vol).data).max() == 0.0
 
@@ -101,19 +111,19 @@ def test_classic_combine_is_volume_only():
 def test_mislabeled_edge_contributes_nothing():
     # constant beta, no interface: force one interior edge through the edge
     # machinery; continuous traces must produce ~zero contributions
-    mesh, iface, cuts, labels, bases = _pipeline(4, iface=line(1, 0, -10), betas=(2.0, 2.0))
+    mesh, iface, status, cuts, labels, bases = _pipeline(4, iface=line(1, 0, -10), betas=(2.0, 2.0))
     e = int(np.flatnonzero(mesh.edge_elements[:, 1] >= 0)[3])
     params = MethodParams.preset("spp", 2.0, 2.0)
-    dofs, M, P = edge_term_matrices(mesh, e, cuts, bases, 2.0, 2.0, params)
+    dofs, M, P = edge_term_matrices(mesh, e, status, cuts, bases, 2.0, 2.0, params)
     assert np.abs(M).max() < 1e-12
     assert np.abs(P).max() < 1e-12
 
 
 def test_edge_terms_vs_composite_simpson_oracle():
-    mesh, iface, cuts, labels, bases = _pipeline(4)
+    mesh, iface, status, cuts, labels, bases = _pipeline(4)
     e = int(np.flatnonzero(labels == EDGE_INTERFACE)[0])
     params = MethodParams.preset("spp", 1.0, 10.0)
-    dofs, M, P = edge_term_matrices(mesh, e, cuts, bases, 1.0, 10.0, params)
+    dofs, M, P = edge_term_matrices(mesh, e, status, cuts, bases, 1.0, 10.0, params)
 
     t1, t2 = mesh.edge_elements[e]
     a = mesh.nodes[mesh.edge_nodes[e, 0]]
@@ -129,14 +139,14 @@ def test_edge_terms_vs_composite_simpson_oracle():
         jump = np.zeros((len(dofs), len(pts)))
         flux = np.zeros((len(dofs), len(pts)))
         for elem, sign in ((t1, 1.0), (t2, -1.0)):
-            basis = bases[elem]
+            basis = _element_basis(mesh, bases, int(elem))
             loc = [index[int(g)] for g in mesh.elements[elem]]
             vals = basis.values(pts)
             grads = basis.gradients(pts)
-            if cuts[elem].is_interface:
+            if elem in cuts:
                 bpt = np.where(basis.side_plus_mask(pts), 10.0, 1.0)
             else:
-                bpt = np.full(len(pts), 1.0 if cuts[elem].status == -1 else 10.0)
+                bpt = np.full(len(pts), 1.0 if status[elem] == -1 else 10.0)
             jump[loc] += sign * vals
             flux[loc] += 0.5 * bpt * np.einsum("dqa,a->dq", grads, nB)
         return jump, flux
@@ -161,10 +171,10 @@ def test_edge_terms_vs_composite_simpson_oracle():
 
 
 def test_spp_matrix_is_symmetric():
-    mesh, iface, cuts, labels, bases = _pipeline(10)
-    A_vol = assemble_volume(mesh, cuts, bases, 1.0, 10.0)
+    mesh, iface, status, cuts, labels, bases = _pipeline(10)
+    A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
     params = MethodParams.preset("spp", 1.0, 10.0)
-    M, P = assemble_edge_terms(mesh, labels, cuts, bases, 1.0, 10.0, params)
+    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params)
     A = combine_system(A_vol, M, P, params)
     free = mesh.interior_nodes
     A_ff = A[free][:, free]
@@ -174,10 +184,10 @@ def test_spp_matrix_is_symmetric():
 
 def test_spp_symmetric_part_positive_definite():
     for betas in ((1.0, 10.0), (1.0, 10000.0)):
-        mesh, iface, cuts, labels, bases = _pipeline(10, betas=betas)
-        A_vol = assemble_volume(mesh, cuts, bases, *betas)
+        mesh, iface, status, cuts, labels, bases = _pipeline(10, betas=betas)
+        A_vol = assemble_volume(mesh, status, cuts, bases, *betas)
         params = MethodParams.preset("spp", *betas)
-        M, P = assemble_edge_terms(mesh, labels, cuts, bases, *betas, params)
+        M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, *betas, params)
         A = combine_system(A_vol, M, P, params)
         free = mesh.interior_nodes
         S = A[free][:, free].toarray()
@@ -185,20 +195,20 @@ def test_spp_symmetric_part_positive_definite():
 
 
 def test_load_partition_of_unity():
-    mesh, iface, cuts, labels, bases = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
+    mesh, iface, status, cuts, labels, bases = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
     one = radial_interface_solution(1.0, 1.0)
     sol = type(one)(u_minus=one.u_minus, u_plus=one.u_plus, grad_minus=one.grad_minus,
                     grad_plus=one.grad_plus, f_minus=lambda x, y: np.ones_like(np.asarray(x, float)),
                     f_plus=lambda x, y: np.ones_like(np.asarray(x, float)), params=one.params)
-    b = assemble_load(mesh, cuts, bases, sol, iface)
+    b = assemble_load(mesh, status, cuts, bases, sol, iface)
     assert b.sum() == pytest.approx(4.0, abs=1e-12)
     zero = type(one)(u_minus=one.u_minus, u_plus=one.u_plus, grad_minus=one.grad_minus,
                      grad_plus=one.grad_plus, f_minus=lambda x, y: np.zeros_like(np.asarray(x, float)),
                      f_plus=lambda x, y: np.zeros_like(np.asarray(x, float)), params=one.params)
-    assert np.abs(assemble_load(mesh, cuts, bases, zero, iface)).max() == 0.0
+    assert np.abs(assemble_load(mesh, status, cuts, bases, zero, iface)).max() == 0.0
 
 
-def _dense_grid_load(mesh, iface, cuts, bases, sol, m=512):
+def _dense_grid_load(mesh, iface, bases, sol, m=512):
     gx, gw = np.polynomial.legendre.leggauss(2)
     gx = 0.5 * (gx + 1)
     gw = 0.5 * gw
@@ -213,7 +223,7 @@ def _dense_grid_load(mesh, iface, cuts, bases, sol, m=512):
         pts = np.column_stack([(o[0] + h * TX).ravel(), (o[1] + h * TY).ravel()])
         minus = iface.phi(pts[:, 0], pts[:, 1]) < 0
         f = np.where(minus, sol.f_minus(pts[:, 0], pts[:, 1]), sol.f_plus(pts[:, 0], pts[:, 1]))
-        vals = bases[e].values(pts)
+        vals = _element_basis(mesh, bases, e).values(pts)
         oracle[mesh.elements[e]] += (vals * (f * W)[None, :]).sum(axis=1) * h * h
     return oracle
 
@@ -223,10 +233,10 @@ def test_load_vs_dense_grid_oracle():
     # the origin (a corner of four cut cells here), which caps the agreement
     # of any fixed-order rule pair around 1e-7; see the polynomial-data test
     # below for a sharp check of the assembly logic itself
-    mesh, iface, cuts, labels, bases = _pipeline(4)
+    mesh, iface, status, cuts, labels, bases = _pipeline(4)
     sol = radial_interface_solution(1.0, 10.0)
-    b = assemble_load(mesh, cuts, bases, sol, iface)
-    oracle = _dense_grid_load(mesh, iface, cuts, bases, sol)
+    b = assemble_load(mesh, status, cuts, bases, sol, iface)
+    oracle = _dense_grid_load(mesh, iface, bases, sol)
     assert np.abs(b - oracle).max() < 1e-6 * np.abs(oracle).max()
 
 
@@ -234,14 +244,13 @@ def test_load_vs_dense_grid_oracle_polynomial_data():
     # alpha = 6 gives the polynomial source -36 r^4, for which the assembly
     # quadrature is exact: away from cut cells the dense grid must agree to
     # near machine precision
-    mesh, iface, cuts, labels, bases = _pipeline(4)
+    mesh, iface, status, cuts, labels, bases = _pipeline(4)
     sol = radial_interface_solution(1.0, 10.0, alpha_exp=6.0)
-    b = assemble_load(mesh, cuts, bases, sol, iface)
-    oracle = _dense_grid_load(mesh, iface, cuts, bases, sol, m=256)
+    b = assemble_load(mesh, status, cuts, bases, sol, iface)
+    oracle = _dense_grid_load(mesh, iface, bases, sol, m=256)
     touched = np.zeros(mesh.n_nodes, dtype=bool)
-    for c in cuts:
-        if c.is_interface:
-            touched[mesh.elements[c.element_id]] = True
+    for k in cuts:
+        touched[mesh.elements[k]] = True
     sel = ~touched
     assert np.abs(b[sel] - oracle[sel]).max() < 1e-12 * np.abs(oracle).max()
 
@@ -251,10 +260,10 @@ def test_cut_element_load_vs_symbolic_oracle():
     # one cut element (f = -36 r^4 is a polynomial, so this is exact)
     import sympy as sp
 
-    mesh, iface, cuts, labels, bases = _pipeline(4)
+    mesh, iface, status, cuts, labels, bases = _pipeline(4)
     sol = radial_interface_solution(1.0, 10.0, alpha_exp=6.0)
     from ppife.assembly import cut_data_rules
-    cut = next(c for c in cuts if c.is_interface)
+    cut = next(iter(cuts.values()))
     basis = bases[cut.element_id]
     mine = np.zeros(4)
     for side, pts, wts in cut_data_rules(cut):
@@ -285,8 +294,8 @@ def test_cut_element_load_vs_symbolic_oracle():
 
 
 def test_dirichlet_homogeneous_keeps_free_rhs():
-    mesh, iface, cuts, labels, bases = _pipeline(4)
-    A = assemble_volume(mesh, cuts, bases, 1.0, 10.0)
+    mesh, iface, status, cuts, labels, bases = _pipeline(4)
+    A = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
     b = np.arange(mesh.n_nodes, dtype=float)
     sysm = apply_dirichlet(A, b, mesh, lambda x, y: np.zeros_like(x))
     A_ff, rhs = sysm.reduced()
@@ -298,7 +307,7 @@ def test_dirichlet_homogeneous_keeps_free_rhs():
 def test_patch_test_reproduces_polynomials(kind):
     # global (bi)linear exact solution, constant beta, interface present:
     # the discrete solution reproduces it to solver accuracy at the nodes
-    mesh, iface, cuts, labels, bases = _pipeline(8, kind=kind, betas=(2.0, 2.0))
+    mesh, iface, status, cuts, labels, bases = _pipeline(8, kind=kind, betas=(2.0, 2.0))
 
     if kind == "rect":
         u = lambda x, y: 1.0 + 2.0 * x - 3.0 * y + 0.5 * x * y
@@ -311,11 +320,11 @@ def test_patch_test_reproduces_polynomials(kind):
     sol = PiecewiseSolution(u, u, gu, gu, zero, zero,
                             params={"beta_minus": 2.0, "beta_plus": 2.0})
 
-    A_vol = assemble_volume(mesh, cuts, bases, 2.0, 2.0)
+    A_vol = assemble_volume(mesh, status, cuts, bases, 2.0, 2.0)
     params = MethodParams.preset("spp", 2.0, 2.0)
-    M, P = assemble_edge_terms(mesh, labels, cuts, bases, 2.0, 2.0, params)
+    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 2.0, 2.0, params)
     A = combine_system(A_vol, M, P, params)
-    b = assemble_load(mesh, cuts, bases, sol, iface)
+    b = assemble_load(mesh, status, cuts, bases, sol, iface)
     sysm = apply_dirichlet(A, b, mesh, u)
     A_ff, rhs = sysm.reduced()
     res = cg(A_ff, rhs, tol_rel=1e-13)
@@ -345,14 +354,14 @@ def test_boundary_values_satisfy_interface_conditions():
 def test_schemes_identical_for_continuous_coefficient():
     # constant beta with the circle still present: standard bases, zero jumps,
     # all schemes produce the same solution
-    mesh, iface, cuts, labels, bases = _pipeline(8, betas=(3.0, 3.0))
+    mesh, iface, status, cuts, labels, bases = _pipeline(8, betas=(3.0, 3.0))
     sol = radial_interface_solution(3.0, 3.0)
-    A_vol = assemble_volume(mesh, cuts, bases, 3.0, 3.0)
-    b = assemble_load(mesh, cuts, bases, sol, iface)
+    A_vol = assemble_volume(mesh, status, cuts, bases, 3.0, 3.0)
+    b = assemble_load(mesh, status, cuts, bases, sol, iface)
     solutions = []
     for scheme in ("classic", "spp", "ipp", "npp"):
         params = MethodParams.preset(scheme, 3.0, 3.0)
-        M, P = assemble_edge_terms(mesh, labels, cuts, bases, 3.0, 3.0, params)
+        M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 3.0, 3.0, params)
         A = combine_system(A_vol, M, P, params)
         sysm = apply_dirichlet(A, b, mesh, lambda x, y: sol.u_at(x, y, iface))
         A_ff, rhs = sysm.reduced()
@@ -369,10 +378,10 @@ def test_schemes_identical_for_continuous_coefficient():
 def test_energy_norm_identity_against_quadrature():
     # ||v||_h^2 == v' (A_vol + P) v, checked against the postprocess quadrature
     from ppife.postprocess import error_norms, PiecewiseSolution
-    mesh, iface, cuts, labels, bases = _pipeline(4)
+    mesh, iface, status, cuts, labels, bases = _pipeline(4)
     params = MethodParams.preset("spp", 1.0, 10.0)
-    A_vol = assemble_volume(mesh, cuts, bases, 1.0, 10.0)
-    M, P = assemble_edge_terms(mesh, labels, cuts, bases, 1.0, 10.0, params)
+    A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
+    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params)
     rng = np.random.default_rng(2)
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
     zsol = PiecewiseSolution(zero, zero, lambda x, y: (zero(x, y), zero(x, y)),
@@ -380,14 +389,14 @@ def test_energy_norm_identity_against_quadrature():
                              params={"beta_minus": 1.0, "beta_plus": 10.0})
     for _ in range(5):
         v = rng.standard_normal(mesh.n_nodes)
-        quad = error_norms(mesh, cuts, bases, v, zsol, iface, labels, params)["energy"]
+        quad = error_norms(mesh, status, cuts, bases, v, zsol, iface, labels, params)["energy"]
         alg = float(np.sqrt(v @ (A_vol @ v) + v @ (P @ v)))
         assert quad == pytest.approx(alg, rel=1e-10)
 
 
 def test_matrix_market_dump(tmp_path):
-    mesh, iface, cuts, labels, bases = _pipeline(4)
-    A = assemble_volume(mesh, cuts, bases, 1.0, 10.0)
+    mesh, iface, status, cuts, labels, bases = _pipeline(4)
+    A = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
     path = tmp_path / "A.mtx"
     dump_matrix(path, A)
     import scipy.io
@@ -397,10 +406,10 @@ def test_matrix_market_dump(tmp_path):
 
 def test_delta_sign_convention():
     # delta = -1 reproduces a hand-assembled fixed-minus consistency term
-    mesh, iface, cuts, labels, bases = _pipeline(6)
-    A_vol = assemble_volume(mesh, cuts, bases, 1.0, 10.0)
+    mesh, iface, status, cuts, labels, bases = _pipeline(6)
+    A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
     params = MethodParams("custom", -1.0, 1.0, 1.0, 1.0)
-    M, P = assemble_edge_terms(mesh, labels, cuts, bases, 1.0, 10.0, params)
+    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params)
     A = combine_system(A_vol, M, P, params)
     ref = (A_vol - M + M.T + P).tocsr()
     assert np.abs((A - ref).toarray()).max() < 1e-14 * np.abs(A_vol.data).max()
@@ -409,12 +418,12 @@ def test_delta_sign_convention():
 def test_classic_constant_beta_equals_standard_fem_matrix():
     # with a continuous coefficient the immersed stiffness matrix equals the
     # standard FEM stiffness matrix of the same mesh entry for entry
-    mesh, iface, cuts, labels, bases = _pipeline(10, betas=(3.0, 3.0))
-    A_ife = assemble_volume(mesh, cuts, bases, 3.0, 3.0)
+    mesh, iface, status, cuts, labels, bases = _pipeline(10, betas=(3.0, 3.0))
+    A_ife = assemble_volume(mesh, status, cuts, bases, 3.0, 3.0)
     far = line(1.0, 0.0, -10.0)
-    cuts2 = classify_elements(mesh, far)
+    status2, cuts2 = classify_elements(mesh, far)
     bases2 = build_bases(mesh, cuts2, 3.0, 3.0)
-    A_fem = assemble_volume(mesh, cuts2, bases2, 3.0, 3.0)
+    A_fem = assemble_volume(mesh, status2, cuts2, bases2, 3.0, 3.0)
     free = mesh.interior_nodes
     diff = (A_ife[free][:, free] - A_fem[free][:, free]).toarray()
     assert np.abs(diff).max() < 1e-12 * np.abs(A_fem.data).max()

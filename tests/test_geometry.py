@@ -6,11 +6,25 @@ from ppife.errors import ConfigError, MultipleCrossings
 from ppife.geometry import (EDGE_BOUNDARY, EDGE_INTERFACE, EDGE_INTERIOR,
                             INTERFACE, SIDE_MINUS, SIDE_PLUS, CartesianMesh,
                             DomainSpec, build_mesh, circle, classify_edges,
-                            classify_elements, dump_mesh, edge_intersection,
+                            classify_elements, dump_mesh, edge_crossings,
                             interface_from_name, line)
 from ppife.quadrature import polygon_area
+from oracles import edge_intersection
 
 R0 = np.pi / 6.28
+
+
+def _crossing(p0, p1, iface, h=None):
+    """The one-segment oracle's crossing, after checking that the vectorised
+    solve finds bitwise the same one."""
+    p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
+    h = np.linalg.norm(p1 - p0) if h is None else h
+    x = edge_intersection(p0, p1, iface, h=h)
+    hit, pts = edge_crossings(p0, p1, iface, h)
+    assert hit.tolist() == [x is not None]
+    if x is not None:
+        assert np.array_equal(pts[0], x)
+    return x
 
 
 def test_rect_mesh_counts_n2():
@@ -68,13 +82,13 @@ def test_domain_spec_validation():
 
 def test_edge_intersection_line():
     iface = line(1.0, 0.0, -0.5)  # x = 0.5
-    x = edge_intersection(np.array([0.0, 0.0]), np.array([1.0, 0.0]), iface)
+    x = _crossing(np.array([0.0, 0.0]), np.array([1.0, 0.0]), iface)
     assert np.allclose(x, [0.5, 0.0], atol=1e-13)
 
 
 def test_edge_intersection_circle_axis():
     iface = circle(0.0, 0.0, 0.5)
-    x = edge_intersection(np.array([0.0, 0.0]), np.array([0.0, 1.0]), iface)
+    x = _crossing(np.array([0.0, 0.0]), np.array([0.0, 1.0]), iface)
     assert np.allclose(x, [0.0, 0.5], atol=1e-13)
 
 
@@ -82,7 +96,7 @@ def test_edge_intersection_vs_scalar_root_oracle():
     iface = circle(0.0, 0.0, R0)
     p0 = np.array([0.4, 0.0])
     p1 = np.array([0.6, 0.0])
-    x = edge_intersection(p0, p1, iface)
+    x = _crossing(p0, p1, iface)
     # independent scalar root-finder on the 1D restriction
     root = brentq(lambda t: iface.phi(0.4 + 0.2 * t, 0.0), 0.0, 1.0, xtol=1e-15)
     assert x[0] == pytest.approx(0.4 + 0.2 * root, abs=1e-12)
@@ -93,46 +107,52 @@ def test_edge_intersection_snapped_endpoint():
     iface = circle(0.0, 0.0, 0.5)
     p0 = np.array([0.5, 0.0])       # exactly on the curve
     p1 = np.array([1.0, 0.0])
-    assert edge_intersection(p0, p1, iface, h=0.5) is None
+    assert _crossing(p0, p1, iface, h=0.5) is None
 
 
 def test_edge_intersection_multiple_crossings():
     iface = circle(0.0, 0.0, 0.5)
+    p0, p1 = np.array([-1.0, 0.3]), np.array([1.0, 0.3])
     with pytest.raises(MultipleCrossings):
-        edge_intersection(np.array([-1.0, 0.3]), np.array([1.0, 0.3]), iface)
+        edge_intersection(p0, p1, iface)
+    # one bad segment among good ones fails the whole batch
+    with pytest.raises(MultipleCrossings):
+        edge_crossings(np.array([[0.0, 0.0], p0]), np.array([[1.0, 0.0], p1]), iface, 2.0)
 
 
 def test_classify_against_dense_sampling_oracle():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, "rect"))
     iface = circle(0.0, 0.0, R0)
-    cuts = classify_elements(mesh, iface)
+    status, cuts = classify_elements(mesh, iface)
+    assert status.dtype == np.int8 and status.shape == (mesh.n_elements,)
     t = np.linspace(0.0, 1.0, 50)
     TX, TY = np.meshgrid(t, t, indexing="ij")
-    for cut in cuts:
-        verts = mesh.element_vertices(cut.element_id)
-        lo = verts.min(axis=0)
+    for k in range(mesh.n_elements):
+        lo = mesh.element_vertices(k).min(axis=0)
         xs = lo[0] + mesh.h * TX
         ys = lo[1] + mesh.h * TY
         vals = iface.phi(xs, ys)
         oracle_cut = vals.min() < 0 < vals.max()
-        assert cut.is_interface == oracle_cut, f"element {cut.element_id}"
+        assert (status[k] == INTERFACE) == oracle_cut == (k in cuts), f"element {k}"
+        if not oracle_cut:
+            assert status[k] == (SIDE_MINUS if vals.max() <= 0 else SIDE_PLUS)
 
 
 def test_far_interface_all_minus():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 4, "rect"))
-    cuts = classify_elements(mesh, line(1.0, 0.0, -10.0))  # x = 10
-    assert all(c.status == SIDE_MINUS for c in cuts)
+    status, cuts = classify_elements(mesh, line(1.0, 0.0, -10.0))  # x = 10
+    assert (status == SIDE_MINUS).all()
+    assert cuts == {}
 
 
 def test_cut_invariants_circle():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, "rect"))
     iface = circle(0.0, 0.0, R0)
-    cuts = classify_elements(mesh, iface)
-    n_interface = 0
-    for cut in cuts:
-        if not cut.is_interface:
-            continue
-        n_interface += 1
+    status, cuts = classify_elements(mesh, iface)
+    # records exist for exactly the interface elements, in ascending order
+    assert list(cuts) == np.flatnonzero(status == INTERFACE).tolist()
+    for k, cut in cuts.items():
+        assert cut.element_id == k
         am = polygon_area(cut.poly_minus)
         ap = polygon_area(cut.poly_plus)
         assert am > 0 and ap > 0
@@ -148,7 +168,7 @@ def test_cut_invariants_circle():
         mid = 0.5 * (cut.D + cut.E)
         g = np.array(iface.grad(mid[0], mid[1]))
         assert float(cut.chord_normal @ g) > 0
-    assert n_interface > 0
+    assert len(cuts) > 0
 
 
 def test_type_tags():
@@ -156,12 +176,12 @@ def test_type_tags():
     mesh = build_mesh(DomainSpec(0, 1, 0, 1, 2, "rect"))
     # D=(0, 0.3h), E=(0.4h, 0): adjacent edges -> type I
     iface = line(0.75, 1.0, -0.15)
-    cuts = classify_elements(mesh, iface)
-    assert cuts[0].is_interface and cuts[0].type_tag == "I"
+    status, cuts = classify_elements(mesh, iface)
+    assert status[0] == INTERFACE and cuts[0].type_tag == "I"
     # D=(0.3h, h), E=(0.4h, 0): opposite edges -> type II
     iface = line(1.0, 0.1, -0.2)
-    cuts = classify_elements(mesh, iface)
-    assert cuts[0].is_interface and cuts[0].type_tag == "II"
+    status, cuts = classify_elements(mesh, iface)
+    assert status[0] == INTERFACE and cuts[0].type_tag == "II"
 
 
 def test_subdomain_area_converges():
@@ -170,13 +190,9 @@ def test_subdomain_area_converges():
     errs = []
     for N in (20, 40, 80):
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, "rect"))
-        cuts = classify_elements(mesh, iface)
-        area = 0.0
-        for c in cuts:
-            if c.is_interface:
-                area += polygon_area(c.poly_minus)
-            elif c.status == SIDE_MINUS:
-                area += mesh.h ** 2
+        status, cuts = classify_elements(mesh, iface)
+        area = (sum(polygon_area(c.poly_minus) for c in cuts.values())
+                + np.count_nonzero(status == SIDE_MINUS) * mesh.h ** 2)
         errs.append(abs(area - exact))
         assert errs[-1] < 4.0 * mesh.h ** 2
     assert errs[2] < errs[1] < errs[0]
@@ -185,23 +201,21 @@ def test_subdomain_area_converges():
 def test_classification_is_deterministic():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 16, "rect"))
     iface = circle(0.0, 0.0, R0)
-    a = classify_elements(mesh, iface)
-    b = classify_elements(mesh, iface)
-    for ca, cb in zip(a, b):
-        assert ca.status == cb.status
-        if ca.is_interface:
-            assert np.array_equal(ca.D, cb.D)
-            assert np.array_equal(ca.E, cb.E)
-            assert np.array_equal(ca.poly_minus, cb.poly_minus)
+    status_a, a = classify_elements(mesh, iface)
+    status_b, b = classify_elements(mesh, iface)
+    assert np.array_equal(status_a, status_b)
+    assert list(a) == list(b)
+    for k in a:
+        assert np.array_equal(a[k].D, b[k].D)
+        assert np.array_equal(a[k].E, b[k].E)
+        assert np.array_equal(a[k].poly_minus, b[k].poly_minus)
 
 
 def test_neighbours_share_crossing_points():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, "rect"))
-    cuts = classify_elements(mesh, circle(0.0, 0.0, R0))
+    _, cuts = classify_elements(mesh, circle(0.0, 0.0, R0))
     pts = {}
-    for c in cuts:
-        if not c.is_interface:
-            continue
+    for c in cuts.values():
         for X, e in zip((c.D, c.E), c.cut_edges):
             if e in pts:
                 assert np.array_equal(pts[e], X)
@@ -212,16 +226,15 @@ def test_neighbours_share_crossing_points():
 def test_edge_labels():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, "rect"))
     iface = circle(0.0, 0.0, R0)
-    cuts = classify_elements(mesh, iface)
-    labels = classify_edges(mesh, cuts)
+    status, cuts = classify_elements(mesh, iface)
+    labels = classify_edges(mesh, status)
     assert (labels == EDGE_BOUNDARY).sum() == 80
     # every edge crossed by the curve is an interface edge
-    for c in cuts:
-        if c.is_interface:
-            for e in c.cut_edges:
-                assert labels[e] == EDGE_INTERFACE
+    for c in cuts.values():
+        for e in c.cut_edges:
+            assert labels[e] == EDGE_INTERFACE
     # far interface: no interface edges at all
-    labels2 = classify_edges(mesh, classify_elements(mesh, line(1, 0, -10)))
+    labels2 = classify_edges(mesh, classify_elements(mesh, line(1, 0, -10))[0])
     assert not (labels2 == EDGE_INTERFACE).any()
 
 
@@ -230,7 +243,7 @@ def test_interface_edge_count_scales_linearly():
     ratios = []
     for N in (20, 40, 80):
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, "rect"))
-        labels = classify_edges(mesh, classify_elements(mesh, iface))
+        labels = classify_edges(mesh, classify_elements(mesh, iface)[0])
         ratios.append((labels == EDGE_INTERFACE).sum() / N)
     assert max(ratios) / min(ratios) < 2.0
 
@@ -238,11 +251,10 @@ def test_interface_edge_count_scales_linearly():
 def test_vertex_aligned_line_is_uncut():
     # x = 0 passes through mesh nodes for even N: everything snaps, no cuts
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 4, "rect"))
-    cuts = classify_elements(mesh, line(1.0, 0.0, 0.0))
-    assert all(not c.is_interface for c in cuts)
-    sides = np.array([c.status for c in cuts])
-    assert (sides == SIDE_MINUS).sum() == 8
-    assert (sides == SIDE_PLUS).sum() == 8
+    status, cuts = classify_elements(mesh, line(1.0, 0.0, 0.0))
+    assert cuts == {}
+    assert (status == SIDE_MINUS).sum() == 8
+    assert (status == SIDE_PLUS).sum() == 8
 
 
 def test_interface_from_name():
@@ -285,20 +297,20 @@ def test_degenerate_chord_falls_back_to_uncut():
     phi = lambda x, y: scale * (np.asarray(x) + np.asarray(y) - 2.0 + 1e-16)
     grad = lambda x, y: (scale * np.ones_like(np.asarray(x, float)),
                          scale * np.ones_like(np.asarray(y, float)))
-    cuts = classify_elements(mesh, InterfaceGeometry(phi, grad))
-    assert all(not c.is_interface for c in cuts)
-    assert all(c.status == SIDE_MINUS for c in cuts)
+    status, cuts = classify_elements(mesh, InterfaceGeometry(phi, grad))
+    assert cuts == {}
+    assert (status == SIDE_MINUS).all()
 
 
 def test_every_crossed_edge_detected_by_oracle():
     # label oracle: run the crossing finder on every interior edge directly
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, "rect"))
     iface = circle(0.0, 0.0, R0)
-    cuts = classify_elements(mesh, iface)
-    labels = classify_edges(mesh, cuts)
+    status, cuts = classify_elements(mesh, iface)
+    labels = classify_edges(mesh, status)
     for e in range(mesh.n_edges):
         a = mesh.nodes[mesh.edge_nodes[e, 0]]
         b = mesh.nodes[mesh.edge_nodes[e, 1]]
-        x = edge_intersection(a, b, iface, h=mesh.h)
+        x = _crossing(a, b, iface, h=mesh.h)
         if x is not None and mesh.edge_elements[e, 1] >= 0:
             assert labels[e] == EDGE_INTERFACE

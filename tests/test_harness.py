@@ -106,7 +106,7 @@ def test_evaluate_solution_reproduces_nodal_field():
         ctx = build_context(cfg, 8)
         rng = np.random.default_rng(0)
         coeffs = rng.standard_normal(ctx.mesh.n_nodes)
-        vals = evaluate_solution(ctx.mesh, ctx.cuts, ctx.bases, coeffs, ctx.mesh.nodes)
+        vals = evaluate_solution(ctx.mesh, ctx.status, ctx.bases, coeffs, ctx.mesh.nodes)
         assert np.abs(vals - coeffs).max() < 1e-11
 
 
@@ -118,7 +118,7 @@ def test_field_dump_matches_direct_evaluation():
     assert err.shape == (81,)
     assert err.max() > 0
     # the nodal entries agree with the solved coefficients
-    uh = evaluate_solution(ctx.mesh, ctx.cuts, ctx.bases, coeffs, pts)
+    uh = evaluate_solution(ctx.mesh, ctx.status, ctx.bases, coeffs, pts)
     ue = ctx.sol.u_at(pts[:, 0], pts[:, 1], ctx.iface)
     assert np.allclose(err, np.abs(ue - uh))
 
@@ -192,3 +192,27 @@ def test_cli_scheme_alias(tmp_path):
     assert code == 0
     runs = (tmp_path / "runs.csv").read_text()
     assert "npp" in runs
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--N", "abc"],
+    ["solve", "--N", "8", "--seed", "x"],
+    ["solve", "--N", "8", "--solver-maxiter", "many"],
+    ["verify", "--scan-betas", "1-10"],
+    ["verify", "--scan-betas", "1:10:100"],
+])
+def test_cli_malformed_numbers_are_config_errors(tmp_path, argv, capsys):
+    assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_build_context_validates_config():
+    # a library call gets the same refusal as the CLI: there is no
+    # manufactured solution for a line with a coefficient jump
+    cfg = RunConfig(N=(8,), interface="line", interface_params=(1.0, 0.0, -0.3),
+                    beta_plus=10.0)
+    with pytest.raises(ConfigError):
+        build_context(cfg, 8)
+    build_context(RunConfig(N=(8,), interface="line", interface_params=(1.0, 0.0, -0.3),
+                            beta_plus=1.0), 8)

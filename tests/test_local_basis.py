@@ -4,9 +4,10 @@ import scipy.linalg
 
 from ppife.errors import SingularLocalSystem
 from ppife.local_basis import (basis_residuals, bilinear_ife_basis, build_bases,
-                               linear_ife_basis, standard_basis, template_values)
-from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
-from oracles import linear_coupling_matrix
+                               linear_ife_basis, standard_gradients, standard_values,
+                               template_name)
+from ppife.geometry import INTERFACE, DomainSpec, build_mesh, circle, classify_elements
+from oracles import linear_coupling_matrix, standard_basis
 from ppife.verify import _reference_cut
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -214,13 +215,33 @@ def test_gradient_bounded_by_inverse_h():
 
 
 def test_build_bases_dispatch():
-    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 8, "rect"))
-    iface = circle(0.0, 0.0, np.pi / 6.28)
-    cuts = classify_elements(mesh, iface)
-    bases = build_bases(mesh, cuts, 1.0, 10.0)
-    assert len(bases) == mesh.n_elements
-    for cut, basis in zip(cuts, bases):
-        assert basis.is_interface == cut.is_interface
-        if basis.is_interface:
-            res = basis_residuals(basis, mesh.element_vertices(cut.element_id), 1.0, 10.0)
+    # one immersed basis per interface element, none for standard elements
+    for kind in ("rect", "tri"):
+        mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 8, kind))
+        iface = circle(0.0, 0.0, np.pi / 6.28)
+        status, cuts = classify_elements(mesh, iface)
+        bases = build_bases(mesh, cuts, 1.0, 10.0)
+        assert list(bases) == list(cuts) == np.flatnonzero(status == INTERFACE).tolist()
+        for k, basis in bases.items():
+            assert basis.element_id == k
+            assert basis.kind == ("ife_q1" if kind == "rect" else "ife_p1")
+            res = basis_residuals(basis, mesh.element_vertices(k), 1.0, 10.0)
             assert max(res.values()) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_templates_equal_standard_basis_oracle(kind):
+    # template evaluation in each element's own frame reproduces the oracle
+    # bit for bit, and the oracle's Vandermonde solve to rounding
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 6, kind))
+    rng = np.random.default_rng(3)
+    oracle_kind = "q1" if kind == "rect" else "p1"
+    for k in range(mesh.n_elements):
+        verts = mesh.element_vertices(k)
+        pts = np.vstack([verts, verts.mean(axis=0) + 0.3 * mesh.h * rng.uniform(-1, 1, (5, 2))])
+        oracle = standard_basis(k, verts, oracle_kind, template_name(mesh, k))
+        assert np.array_equal(standard_values(mesh, k, pts), oracle.values(pts))
+        assert np.array_equal(standard_gradients(mesh, k, pts), oracle.gradients(pts))
+        solved = standard_basis(k, verts, oracle_kind)
+        assert np.allclose(standard_values(mesh, k, pts), solved.values(pts), atol=1e-12)
+        assert np.allclose(standard_values(mesh, k, verts), np.eye(len(verts)), atol=1e-13)

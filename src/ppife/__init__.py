@@ -3,7 +3,7 @@ interface problems on interface-unfitted Cartesian meshes."""
 
 from .assembly import (MethodParams, SCHEMES, SparseSystem, apply_dirichlet,
                        assemble_edge_terms, assemble_load, assemble_volume,
-                       combine_system)
+                       combine_system, edge_traces)
 from .geometry import (CartesianMesh, DomainSpec, ElementCut, InterfaceGeometry,
                        build_mesh, circle, classify_edges, classify_elements,
                        edge_crossings, line)

@@ -16,6 +16,7 @@ and NPP (-1, +1, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.io
@@ -140,73 +141,83 @@ def assemble_volume(mesh, status, cuts, bases, beta_minus, beta_plus):
 # edge terms
 # ---------------------------------------------------------------------------
 
-def _edge_traces(mesh, edge_id, status, cuts, bases, beta_minus, beta_plus, degree):
-    """Per-edge dof list, jump values, averaged fluxes, and quadrature weights."""
-    t1, t2 = mesh.edge_elements[edge_id]
-    a = mesh.nodes[mesh.edge_nodes[edge_id, 0]]
-    b = mesh.nodes[mesh.edge_nodes[edge_id, 1]]
-    nB = mesh.edge_normals[edge_id]
-    rule = split_edge_rule(a, b, edge_split_points(mesh, edge_id, cuts), degree)
-    pts = rule.points
+class EdgeSide(NamedTuple):
+    """One neighbour's trace on the quadrature points of an interface edge."""
 
-    dofs = list(mesh.elements[t1])
-    for g in mesh.elements[t2]:
-        if g not in dofs:
-            dofs.append(int(g))
-    index = {g: i for i, g in enumerate(dofs)}
-    nq = rule.n_points
-    jump = np.zeros((len(dofs), nq))
-    flux = np.zeros((len(dofs), nq))
-
-    for elem, sign in ((t1, 1.0), (t2, -1.0)):
-        basis = bases.get(int(elem))
-        if basis is not None:
-            vals = basis.values(pts)
-            grads = basis.gradients(pts)
-            bpt = np.where(basis.side_plus_mask(pts), beta_plus, beta_minus)
-        else:
-            vals = standard_values(mesh, elem, pts)
-            grads = standard_gradients(mesh, elem, pts)
-            bpt = np.full(nq, beta_minus if status[elem] == SIDE_MINUS else beta_plus)
-        fl = bpt[None, :] * np.einsum("dqa,a->dq", grads, nB)
-        loc = [index[int(g)] for g in mesh.elements[elem]]
-        jump[loc] += sign * vals
-        flux[loc] += 0.5 * fl
-    return dofs, jump, flux, rule.weights
+    element: int
+    values: np.ndarray      # (d, nq), as LocalBasis.values / standard_values give them
+    gradients: np.ndarray   # (d, nq, 2)
+    beta: np.ndarray        # (nq,) coefficient of the active side per point
 
 
-def edge_term_matrices(mesh, edge_id, status, cuts, bases, beta_minus, beta_plus,
-                       params: MethodParams, degree=EDGE_DEGREE):
+class EdgeTrace(NamedTuple):
+    """Split rule of one interface edge and both traces on it; sides[0] is the
+    lower-index element, which the edge normal points away from."""
+
+    edge: int
+    points: np.ndarray
+    weights: np.ndarray
+    sides: tuple
+
+
+def edge_traces(mesh, edge_labels, status, cuts, bases, beta_minus, beta_plus,
+                degree=EDGE_DEGREE):
+    """An EdgeTrace per interface edge, in ascending edge order.
+
+    This is the one walk over interface edges: the edge terms, the penalty
+    jumps of the energy norm and the interpolation-flux scan all read it.
+    """
+    traces = []
+    for e in np.flatnonzero(edge_labels == EDGE_INTERFACE).tolist():
+        a, b = mesh.nodes[mesh.edge_nodes[e]]
+        rule = split_edge_rule(a, b, edge_split_points(mesh, e, cuts), degree)
+        pts = rule.points
+        sides = []
+        for k in mesh.edge_elements[e].tolist():
+            basis = bases.get(k)
+            if basis is None:
+                beta = np.full(len(pts), beta_minus if status[k] == SIDE_MINUS else beta_plus)
+                sides.append(EdgeSide(k, standard_values(mesh, k, pts),
+                                      standard_gradients(mesh, k, pts), beta))
+            else:
+                beta = np.where(basis.side_plus_mask(pts), beta_plus, beta_minus)
+                sides.append(EdgeSide(k, basis.values(pts), basis.gradients(pts), beta))
+        traces.append(EdgeTrace(e, pts, rule.weights, tuple(sides)))
+    return traces
+
+
+def edge_term_matrices(mesh, trace, alpha):
     """Consistency matrix M_loc[i,j] = int_B {beta grad(phi_j).n}[phi_i] and the
-    scaled penalty matrix for one edge, with the dof list they refer to."""
-    dofs, jump, flux, w = _edge_traces(mesh, edge_id, status, cuts, bases,
-                                       beta_minus, beta_plus, degree)
+    unit penalty matrix |B|^-alpha int_B [phi_i][phi_j] of one edge, with the
+    dof list (both elements' nodes, once each) they refer to."""
+    conn = [mesh.elements[side.element].tolist() for side in trace.sides]
+    dofs = list(dict.fromkeys(conn[0] + conn[1]))
+    nB = mesh.edge_normals[trace.edge]
+    w = trace.weights
+    jump = np.zeros((len(dofs), len(w)))
+    flux = np.zeros_like(jump)
+    for side, nodes, sign in zip(trace.sides, conn, (1.0, -1.0)):
+        loc = [dofs.index(g) for g in nodes]
+        jump[loc] += sign * side.values
+        flux[loc] += 0.5 * (side.beta[None, :] * np.einsum("dqa,a->dq", side.gradients, nB))
     M = np.einsum("q,iq,jq->ij", w, jump, flux)
-    L = mesh.edge_lengths[edge_id]
-    scale = params.sigma0 / L ** params.alpha
-    P = scale * np.einsum("q,iq,jq->ij", w, jump, jump)
+    P = 1.0 / mesh.edge_lengths[trace.edge] ** alpha * np.einsum("q,iq,jq->ij", w, jump, jump)
     return dofs, M, P
 
 
-def assemble_edge_terms(mesh, edge_labels, status, cuts, bases, beta_minus, beta_plus,
-                        params: MethodParams, degree=EDGE_DEGREE):
-    """Assemble (M, P): consistency and penalty matrices over interface edges.
-
-    The full edge contribution of a scheme is delta*M + epsilon*M^T + P.
-    """
+def assemble_edge_terms(mesh, edge_labels, status, cuts, bases, beta_minus, beta_plus, alpha):
+    """Assemble (M, P_unit, traces) over the interface edges: the consistency
+    matrix, the penalty matrix at sigma0 = 1 (`combine_system` weighs both per
+    scheme) and the `edge_traces` records the sums were taken over."""
+    traces = edge_traces(mesh, edge_labels, status, cuts, bases, beta_minus, beta_plus)
     n = mesh.n_nodes
-    rows, cols, mdata, pdata = [], [], [], []
-    for e in np.flatnonzero(edge_labels == EDGE_INTERFACE):
-        dofs, M, P = edge_term_matrices(mesh, int(e), status, cuts, bases,
-                                        beta_minus, beta_plus, params, degree)
-        dofs = np.asarray(dofs)
+    rows, cols, mdata, pdata = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)], [np.zeros(0)]
+    for trace in traces:
+        dofs, M, P = edge_term_matrices(mesh, trace, alpha)
         rows.append(np.repeat(dofs, len(dofs)))
         cols.append(np.tile(dofs, len(dofs)))
         mdata.append(M.ravel())
         pdata.append(P.ravel())
-    if not rows:
-        z = sp.csr_matrix((n, n))
-        return z, z.copy()
     r = np.concatenate(rows)
     c = np.concatenate(cols)
     M = sp.coo_matrix((np.concatenate(mdata), (r, c)), shape=(n, n)).tocsr()
@@ -215,12 +226,12 @@ def assemble_edge_terms(mesh, edge_labels, status, cuts, bases, beta_minus, beta
         X.sum_duplicates()
         X.eliminate_zeros()
         X.sort_indices()
-    return M, P
+    return M, P, traces
 
 
-def combine_system(A_vol, M, P, params: MethodParams):
-    """Full scheme matrix A_vol + delta*M + epsilon*M^T + P."""
-    A = (A_vol + params.delta * M + params.epsilon * M.T + P).tocsr()
+def combine_system(A_vol, M, P_unit, params: MethodParams):
+    """Full scheme matrix A_vol + delta*M + epsilon*M^T + sigma0*P_unit."""
+    A = (A_vol + params.delta * M + params.epsilon * M.T + params.sigma0 * P_unit).tocsr()
     A.sum_duplicates()
     A.eliminate_zeros()
     A.sort_indices()

@@ -95,7 +95,6 @@ class CartesianMesh:
         if spec.cell_kind == RECT:
             self.elements = np.column_stack([v00, v10, v11, v01])
             self.element_variant = np.zeros(n * n, dtype=np.int8)
-            self.element_cell = np.arange(n * n)
         else:
             lower = np.column_stack([v00, v10, v11])
             upper = np.column_stack([v00, v11, v01])
@@ -103,7 +102,6 @@ class CartesianMesh:
             self.elements[0::2] = lower
             self.elements[1::2] = upper
             self.element_variant = np.tile(np.array([0, 1], dtype=np.int8), n * n)
-            self.element_cell = np.repeat(np.arange(n * n), 2)
 
         self.n_nodes = len(self.nodes)
         self.n_elements = len(self.elements)
@@ -243,6 +241,8 @@ def interface_from_name(name, params) -> InterfaceGeometry:
 
 # 16-interval refinement used to audit for multiple crossings
 _EDGE_SAMPLES = np.linspace(0.0, 1.0, 17)
+# edges audited per pass: bounds the (rows, 17) sample arrays on any mesh
+_AUDIT_ROWS = 20000
 
 
 def _edge_signs(p0, p1, iface, tol):
@@ -402,13 +402,17 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     # audit every edge for hidden double crossings; collect candidate edges
     ea = mesh.nodes[mesh.edge_nodes[:, 0]]
     eb = mesh.nodes[mesh.edge_nodes[:, 1]]
-    _, s = _edge_signs(ea, eb, iface, tol)
-    candidates = np.flatnonzero(((s > 0).any(axis=1) & (s < 0).any(axis=1)) | (s == 0).any(axis=1))
-    flips = _sign_flips(s[candidates])
-    if (flips > 1).any():
-        i = int(np.argmax(flips > 1))
-        raise MultipleCrossings(
-            f"edge {candidates[i]} is crossed {flips[i]} times; refine the mesh")
+    candidates = []
+    for lo in range(0, mesh.n_edges, _AUDIT_ROWS):
+        _, s = _edge_signs(ea[lo:lo + _AUDIT_ROWS], eb[lo:lo + _AUDIT_ROWS], iface, tol)
+        rows = np.flatnonzero(((s > 0).any(axis=1) & (s < 0).any(axis=1)) | (s == 0).any(axis=1))
+        flips = _sign_flips(s[rows])
+        if (flips > 1).any():
+            i = int(np.argmax(flips > 1))
+            raise MultipleCrossings(
+                f"edge {lo + rows[i]} is crossed {flips[i]} times; refine the mesh")
+        candidates.append(lo + rows)
+    candidates = np.concatenate(candidates)
 
     ends = mesh.edge_nodes[candidates]
     solve = candidates[node_sign[ends[:, 0]] * node_sign[ends[:, 1]] < 0]

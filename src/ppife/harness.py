@@ -61,6 +61,8 @@ class RunConfig:
     def validate(self, doubling=False):
         if self.beta_minus <= 0 or self.beta_plus <= 0:
             raise ConfigError("beta values must be positive")
+        if self.penalty_alpha < 1.0:
+            raise ConfigError("penalty exponent alpha must be >= 1")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         for s in self.schemes:
@@ -205,13 +207,12 @@ class CaseContext:
     sol: object
     status: np.ndarray   # per element: SIDE_MINUS, SIDE_PLUS or INTERFACE
     cuts: dict           # interface element id -> ElementCut
-    labels: np.ndarray
     bases: dict          # interface element id -> LocalBasis
     A_vol: object
     M: object
     P_unit: object
+    traces: list         # assembly.EdgeTrace per interface edge
     b: np.ndarray
-    n_interface: int
 
 
 def build_context(config: RunConfig, N: int) -> CaseContext:
@@ -228,12 +229,11 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
     bases = build_bases(mesh, cuts, config.beta_minus, config.beta_plus)
     A_vol = assembly.assemble_volume(mesh, status, cuts, bases,
                                      config.beta_minus, config.beta_plus)
-    unit = MethodParams("custom", -1.0, 0.0, 1.0, config.penalty_alpha)
-    M, P_unit = assembly.assemble_edge_terms(mesh, labels, status, cuts, bases,
-                                             config.beta_minus, config.beta_plus, unit)
+    M, P_unit, traces = assembly.assemble_edge_terms(mesh, labels, status, cuts, bases,
+                                                     config.beta_minus, config.beta_plus,
+                                                     config.penalty_alpha)
     b = assembly.assemble_load(mesh, status, cuts, bases, sol, iface)
-    return CaseContext(N, mesh, iface, sol, status, cuts, labels, bases, A_vol, M, P_unit,
-                       b, len(cuts))
+    return CaseContext(N, mesh, iface, sol, status, cuts, bases, A_vol, M, P_unit, traces, b)
 
 
 def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
@@ -244,7 +244,7 @@ def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
 def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     """Assemble the scheme system on a prepared context, solve, measure errors."""
     params = scheme_params(config, scheme)
-    A = assembly.combine_system(ctx.A_vol, ctx.M, params.sigma0 * ctx.P_unit, params)
+    A = assembly.combine_system(ctx.A_vol, ctx.M, ctx.P_unit, params)
     system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
                                       lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
     A_ff, rhs = system.reduced()
@@ -255,13 +255,13 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     coeffs = system.expand(res.x)
 
     err = error_norms(ctx.mesh, ctx.status, ctx.cuts, ctx.bases, coeffs, ctx.sol,
-                      ctx.iface, ctx.labels, params)
+                      ctx.iface, ctx.traces, params)
     rec = RunRecord(
         scheme=scheme, mesh_kind=config.mesh, N=ctx.N, h=ctx.mesh.h,
         beta_minus=config.beta_minus, beta_plus=config.beta_plus,
         e_l2=err["l2"], e_h1=err["h1"], e_linf=err["linf"], e_energy=err["energy"],
         iterations=res.iterations, residual=res.residual,
-        n_dofs=ctx.mesh.n_nodes, n_interface_elements=ctx.n_interface)
+        n_dofs=ctx.mesh.n_nodes, n_interface_elements=len(ctx.cuts))
     return rec, coeffs, system
 
 

@@ -38,9 +38,7 @@ def _sample_symmetry(A, n_samples=100, rtol=1e-12):
     return True
 
 
-def _scaled(A, b, precond):
-    if precond == "none":
-        return A, b, None
+def _scaled(A, b):
     d = np.abs(A.diagonal())
     d[d == 0.0] = 1.0
     s = 1.0 / np.sqrt(d)
@@ -49,12 +47,12 @@ def _scaled(A, b, precond):
 
 
 def _finish(A, b, bnorm, xs, s, iterations, tol_rel):
-    x = xs * s if s is not None else xs
+    x = xs * s
     res = float(np.linalg.norm(b - A @ x) / bnorm)
     return SolveResult(x, iterations, res, bool(res <= tol_rel))
 
 
-def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, precond="jacobi") -> SolveResult:
+def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None) -> SolveResult:
     """Conjugate gradients for symmetric systems.
 
     Raises AsymmetricInput when a 100-pair sample finds |A_ij - A_ji| above
@@ -70,7 +68,7 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, precond="jacobi") -> SolveResul
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0, True)
-    As, bs, s = _scaled(A, b, precond)
+    As, bs, s = _scaled(A, b)
     bsnorm = np.linalg.norm(bs)
 
     x = np.zeros(n)
@@ -105,7 +103,7 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, precond="jacobi") -> SolveResul
     return _finish(A, b, bnorm, best[1], s, max_iter, tol_rel)
 
 
-def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, precond="jacobi") -> SolveResult:
+def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None) -> SolveResult:
     """BiCGSTAB with symmetric Jacobi scaling; breakdowns restart with a
     perturbed shadow vector (at most 3 restarts)."""
     A = A.tocsr()
@@ -115,7 +113,7 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, precond="jacobi") -> Solv
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0, True)
-    As, bs, s = _scaled(A, b, precond)
+    As, bs, s = _scaled(A, b)
     bsnorm = np.linalg.norm(bs)
 
     rng = np.random.default_rng(67890)

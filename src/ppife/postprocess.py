@@ -6,11 +6,9 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_chunks, bulk_rules,
-                       cut_data_rules)
-from .geometry import EDGE_INTERFACE, RECT, SIDE_MINUS, edge_split_points
-from .local_basis import standard_values, template_gradients, template_values
-from .quadrature import split_edge_rule
+from .assembly import DATA_DEGREE, DATA_REFINE, bulk_chunks, bulk_rules, cut_data_rules
+from .geometry import RECT, SIDE_MINUS
+from .local_basis import template_gradients, template_values
 
 
 @dataclass(frozen=True)
@@ -107,14 +105,15 @@ def interpolate_nodal(mesh, sol, iface):
 # error norms
 # ---------------------------------------------------------------------------
 
-def error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_labels, params,
+def error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, params,
                 degree=DATA_DEGREE, refine=DATA_REFINE):
     """Errors of u_h against the exact solution, keyed like `_NORM_KEYS`.
 
     'l2' is ||u - u_h||_L2, 'h1' the broken H1 seminorm, 'linf' the sampled
     max error and 'energy' ||u - u_h||_h: the beta-weighted broken H1 seminorm
     plus the penalty jump terms. The exact solution is continuous across
-    edges, so the edge jumps of the error reduce to the jumps of u_h.
+    edges, so the edge jumps of the error reduce to the jumps of u_h, taken
+    on the interface-edge `traces` that `assembly.edge_traces` returns.
 
     One sweep over the standard elements and one over the chord-split
     sub-polygons of the cut elements fill the three squared sums. Values
@@ -155,25 +154,13 @@ def error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_labels, para
 
     l2, h1, energy = bulk + cut_sums
     if params.sigma0 != 0.0:
-        for e in np.flatnonzero(edge_labels == EDGE_INTERFACE):
-            L = mesh.edge_lengths[e]
-            energy += (params.sigma0 / L ** params.alpha
-                       * _edge_jump_square(mesh, int(e), cuts, bases, coeffs))
+        for trace in traces:
+            u1, u2 = (coeffs[mesh.elements[side.element]] @ side.values for side in trace.sides)
+            energy += (params.sigma0 / mesh.edge_lengths[trace.edge] ** params.alpha
+                       * float(np.dot(trace.weights, (u1 - u2) ** 2)))
     return {"l2": float(np.sqrt(l2)), "h1": float(np.sqrt(h1)),
             "linf": _linf_error(mesh, status, bases, coeffs, sol, iface),
             "energy": float(np.sqrt(energy))}
-
-
-def _edge_jump_square(mesh, edge_id, cuts, bases, coeffs, degree=EDGE_DEGREE):
-    """int_B [u_h]^2 for one interior edge."""
-    t1, t2 = mesh.edge_elements[edge_id]
-    a = mesh.nodes[mesh.edge_nodes[edge_id, 0]]
-    b = mesh.nodes[mesh.edge_nodes[edge_id, 1]]
-    rule = split_edge_rule(a, b, edge_split_points(mesh, edge_id, cuts), degree)
-    u1, u2 = (coeffs[mesh.elements[t]] @ (bases[t].values(rule.points) if t in bases
-                                         else standard_values(mesh, t, rule.points))
-              for t in (int(t1), int(t2)))
-    return float(np.dot(rule.weights, (u1 - u2) ** 2))
 
 
 def _linf_error(mesh, status, bases, coeffs, sol, iface, grid=5):

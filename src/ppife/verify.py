@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import MethodParams, assemble_edge_terms, assemble_volume, combine_system
+from .assembly import (MethodParams, assemble_edge_terms, assemble_volume, combine_system,
+                       edge_traces)
 from .errors import DegenerateGradient
-from .geometry import (EDGE_INTERFACE, DomainSpec, RECT, SIDE_MINUS, TRI,
-                       build_mesh, circle, classify_edges, classify_elements,
-                       edge_split_points, split_convex_by_chord)
+from .geometry import (DomainSpec, RECT, SIDE_MINUS, TRI, build_mesh, circle,
+                       classify_edges, classify_elements, split_convex_by_chord)
 from .local_basis import bilinear_ife_basis, build_bases, linear_ife_basis
 from .postprocess import interpolate_nodal, radial_interface_solution
 from .quadrature import split_edge_rule, split_polygon_rule
@@ -287,14 +287,13 @@ def _free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
     labels = classify_edges(mesh, status)
     bases = build_bases(mesh, cuts, bm, bp)
     A_vol = assemble_volume(mesh, status, cuts, bases, bm, bp)
-    unit = MethodParams("custom", -1.0, 0.0, 1.0, alpha)
-    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, bm, bp, unit)
+    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, bm, bp, alpha)
     free = mesh.interior_nodes
     return A_vol[free][:, free], M[free][:, free], P[free][:, free]
 
 
 def _sym_part_spd(A_vol, M, P, params):
-    A = combine_system(A_vol, M, params.sigma0 * P, params).toarray()
+    A = combine_system(A_vol, M, P, params).toarray()
     return _is_spd(0.5 * (A + A.T))
 
 
@@ -376,22 +375,18 @@ def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
         coeffs = interpolate_nodal(mesh, sol, iface)
         total = 0.0
         worst = 0.0
-        for e in np.flatnonzero(labels == EDGE_INTERFACE):
-            a = mesh.nodes[mesh.edge_nodes[e, 0]]
-            b = mesh.nodes[mesh.edge_nodes[e, 1]]
-            nB = mesh.edge_normals[e]
-            rule = split_edge_rule(a, b, edge_split_points(mesh, int(e), cuts), 6)
-            x, y = rule.points[:, 0], rule.points[:, 1]
+        for trace in edge_traces(mesh, labels, status, cuts, bases, bm, bp, degree=6):
+            x, y = trace.points[:, 0], trace.points[:, 1]
+            nB = mesh.edge_normals[trace.edge]
             minus = np.asarray(iface.phi(x, y)) < 0
             bpt = np.where(minus, bm, bp)
             gx, gy = sol.grad(x, y, minus)
-            for el in mesh.edge_elements[e]:
-                if int(el) not in bases:
+            for side in trace.sides:
+                if side.element not in bases:
                     continue
-                gi = np.einsum("d,dqa->qa", coeffs[mesh.elements[el]],
-                               bases[int(el)].gradients(rule.points))
+                gi = np.einsum("d,dqa->qa", coeffs[mesh.elements[side.element]], side.gradients)
                 fl = bpt * ((gx - gi[:, 0]) * nB[0] + (gy - gi[:, 1]) * nB[1])
-                contrib = float(np.dot(rule.weights, fl * fl))
+                contrib = float(np.dot(trace.weights, fl * fl))
                 total += contrib
                 worst = max(worst, contrib)
         sums.append(total)

@@ -212,8 +212,8 @@ def test_criterion_7_reduction_and_patch():
                                 params={"beta_minus": 2.0, "beta_plus": 2.0})
         A_vol = assembly.assemble_volume(mesh, status, cuts, bases, 2.0, 2.0)
         params = MethodParams.preset("spp", 2.0, 2.0)
-        M, P = assembly.assemble_edge_terms(mesh, labels, status, cuts, bases, 2.0, 2.0,
-                                            params)
+        M, P, _ = assembly.assemble_edge_terms(mesh, labels, status, cuts, bases, 2.0, 2.0,
+                                               params.alpha)
         A = assembly.combine_system(A_vol, M, P, params)
         b = assembly.assemble_load(mesh, status, cuts, bases, sol, iface)
         sysm = assembly.apply_dirichlet(A, b, mesh, u)

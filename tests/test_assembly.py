@@ -4,7 +4,8 @@ import pytest
 from ppife import assembly
 from ppife.assembly import (MethodParams, apply_dirichlet, assemble_edge_terms,
                             assemble_load, assemble_volume, combine_system,
-                            dump_matrix, edge_term_matrices, volume_element_matrix)
+                            dump_matrix, edge_term_matrices, edge_traces,
+                            volume_element_matrix)
 from ppife.errors import ConfigError
 from ppife.geometry import (EDGE_INTERFACE, DomainSpec, build_mesh, circle,
                             classify_edges, classify_elements, line)
@@ -103,7 +104,7 @@ def test_classic_combine_is_volume_only():
     mesh, iface, status, cuts, labels, bases = _pipeline(8)
     A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
     params = MethodParams.preset("classic")
-    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params)
+    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
     assert (A - A_vol).nnz == 0 or np.abs((A - A_vol).data).max() == 0.0
 
@@ -114,7 +115,9 @@ def test_mislabeled_edge_contributes_nothing():
     mesh, iface, status, cuts, labels, bases = _pipeline(4, iface=line(1, 0, -10), betas=(2.0, 2.0))
     e = int(np.flatnonzero(mesh.edge_elements[:, 1] >= 0)[3])
     params = MethodParams.preset("spp", 2.0, 2.0)
-    dofs, M, P = edge_term_matrices(mesh, e, status, cuts, bases, 2.0, 2.0, params)
+    labels[e] = EDGE_INTERFACE
+    trace, = edge_traces(mesh, labels, status, cuts, bases, 2.0, 2.0)
+    dofs, M, P = edge_term_matrices(mesh, trace, params.alpha)
     assert np.abs(M).max() < 1e-12
     assert np.abs(P).max() < 1e-12
 
@@ -123,7 +126,9 @@ def test_edge_terms_vs_composite_simpson_oracle():
     mesh, iface, status, cuts, labels, bases = _pipeline(4)
     e = int(np.flatnonzero(labels == EDGE_INTERFACE)[0])
     params = MethodParams.preset("spp", 1.0, 10.0)
-    dofs, M, P = edge_term_matrices(mesh, e, status, cuts, bases, 1.0, 10.0, params)
+    trace = edge_traces(mesh, labels, status, cuts, bases, 1.0, 10.0)[0]
+    dofs, M, P_unit = edge_term_matrices(mesh, trace, params.alpha)
+    P = params.sigma0 * P_unit
 
     t1, t2 = mesh.edge_elements[e]
     a = mesh.nodes[mesh.edge_nodes[e, 0]]
@@ -174,7 +179,7 @@ def test_spp_matrix_is_symmetric():
     mesh, iface, status, cuts, labels, bases = _pipeline(10)
     A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
     params = MethodParams.preset("spp", 1.0, 10.0)
-    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params)
+    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
     free = mesh.interior_nodes
     A_ff = A[free][:, free]
@@ -187,7 +192,7 @@ def test_spp_symmetric_part_positive_definite():
         mesh, iface, status, cuts, labels, bases = _pipeline(10, betas=betas)
         A_vol = assemble_volume(mesh, status, cuts, bases, *betas)
         params = MethodParams.preset("spp", *betas)
-        M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, *betas, params)
+        M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, *betas, params.alpha)
         A = combine_system(A_vol, M, P, params)
         free = mesh.interior_nodes
         S = A[free][:, free].toarray()
@@ -322,7 +327,7 @@ def test_patch_test_reproduces_polynomials(kind):
 
     A_vol = assemble_volume(mesh, status, cuts, bases, 2.0, 2.0)
     params = MethodParams.preset("spp", 2.0, 2.0)
-    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 2.0, 2.0, params)
+    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, 2.0, 2.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
     b = assemble_load(mesh, status, cuts, bases, sol, iface)
     sysm = apply_dirichlet(A, b, mesh, u)
@@ -361,7 +366,7 @@ def test_schemes_identical_for_continuous_coefficient():
     solutions = []
     for scheme in ("classic", "spp", "ipp", "npp"):
         params = MethodParams.preset(scheme, 3.0, 3.0)
-        M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 3.0, 3.0, params)
+        M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, 3.0, 3.0, params.alpha)
         A = combine_system(A_vol, M, P, params)
         sysm = apply_dirichlet(A, b, mesh, lambda x, y: sol.u_at(x, y, iface))
         A_ff, rhs = sysm.reduced()
@@ -381,7 +386,8 @@ def test_energy_norm_identity_against_quadrature():
     mesh, iface, status, cuts, labels, bases = _pipeline(4)
     params = MethodParams.preset("spp", 1.0, 10.0)
     A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
-    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params)
+    M, P, traces = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0,
+                                       params.alpha)
     rng = np.random.default_rng(2)
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
     zsol = PiecewiseSolution(zero, zero, lambda x, y: (zero(x, y), zero(x, y)),
@@ -389,8 +395,8 @@ def test_energy_norm_identity_against_quadrature():
                              params={"beta_minus": 1.0, "beta_plus": 10.0})
     for _ in range(5):
         v = rng.standard_normal(mesh.n_nodes)
-        quad = error_norms(mesh, status, cuts, bases, v, zsol, iface, labels, params)["energy"]
-        alg = float(np.sqrt(v @ (A_vol @ v) + v @ (P @ v)))
+        quad = error_norms(mesh, status, cuts, bases, v, zsol, iface, traces, params)["energy"]
+        alg = float(np.sqrt(v @ (A_vol @ v) + params.sigma0 * (v @ (P @ v))))
         assert quad == pytest.approx(alg, rel=1e-10)
 
 
@@ -409,7 +415,7 @@ def test_delta_sign_convention():
     mesh, iface, status, cuts, labels, bases = _pipeline(6)
     A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
     params = MethodParams("custom", -1.0, 1.0, 1.0, 1.0)
-    M, P = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params)
+    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
     ref = (A_vol - M + M.T + P).tocsr()
     assert np.abs((A - ref).toarray()).max() < 1e-14 * np.abs(A_vol.data).max()

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from ppife.errors import ConfigError, MultipleCrossings
-from ppife.geometry import (EDGE_BOUNDARY, EDGE_INTERFACE, EDGE_INTERIOR,
+from ppife.geometry import (_AUDIT_ROWS, EDGE_BOUNDARY, EDGE_INTERFACE, EDGE_INTERIOR,
                             INTERFACE, SIDE_MINUS, SIDE_PLUS, CartesianMesh,
                             DomainSpec, build_mesh, circle, classify_edges,
                             classify_elements, dump_mesh, edge_crossings,
@@ -285,6 +285,16 @@ def test_classify_propagates_multiple_crossings():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 2, "rect"))
     iface = circle(0.5, 0.5, 0.55)
     with pytest.raises(MultipleCrossings):
+        classify_elements(mesh, iface)
+    # the same past the first audit chunk: a small circle dips across one
+    # horizontal edge near the top of the mesh, and the error names that edge
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 120, "rect"))
+    a = 115 * 121 + 60
+    e = int(np.flatnonzero((mesh.edge_nodes == [a, a + 1]).all(axis=1))[0])
+    assert e >= _AUDIT_ROWS
+    (x0, y0), h = mesh.nodes[a], mesh.h
+    iface = circle(x0 + 0.5 * h, y0 + 0.1 * h, 0.3 * h)
+    with pytest.raises(MultipleCrossings, match=rf"^edge {e} is crossed 2 times"):
         classify_elements(mesh, iface)
 
 

@@ -138,6 +138,8 @@ def test_cmd_verify_small(tmp_path):
 def test_cli_exit_codes(tmp_path):
     # config error
     assert main(["solve", "--mesh", "hex", "--out", str(tmp_path / "x")]) == 2
+    assert main(["solve", "--N", "8", "--penalty-alpha", "0.5",
+                 "--out", str(tmp_path / "a")]) == 2
     # numerical failure: starve the solver
     code = main(["solve", "--N", "8", "--solver-maxiter", "2",
                  "--out", str(tmp_path / "y")])
@@ -216,3 +218,6 @@ def test_build_context_validates_config():
         build_context(cfg, 8)
     build_context(RunConfig(N=(8,), interface="line", interface_params=(1.0, 0.0, -0.3),
                             beta_plus=1.0), 8)
+    # the penalty exponent is refused before anything is assembled
+    with pytest.raises(ConfigError):
+        build_context(RunConfig(N=(8,), penalty_alpha=0.5), 8)

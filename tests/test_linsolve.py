@@ -25,7 +25,7 @@ def test_cg_tridiagonal_vs_dense_oracle():
     A = _tridiag(10)
     b = np.zeros(10)
     b[0] = 1.0
-    res = cg(A, b, tol_rel=1e-14, precond="none")
+    res = cg(A, b, tol_rel=1e-14)
     assert res.converged
     assert np.allclose(res.x, dense_solve(A, b), atol=1e-12)
 
@@ -105,7 +105,7 @@ def test_solvers_on_assembled_systems():
     ctx = build_context(cfg, 20)
     for scheme, solver in (("spp", cg), ("npp", bicgstab)):
         params = scheme_params(cfg, scheme)
-        A = assembly.combine_system(ctx.A_vol, ctx.M, params.sigma0 * ctx.P_unit, params)
+        A = assembly.combine_system(ctx.A_vol, ctx.M, ctx.P_unit, params)
         system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
                                           lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
         A_ff, rhs = system.reduced()
@@ -121,7 +121,7 @@ def test_cg_bicgstab_energy_agreement():
     cfg = RunConfig(N=(10,), schemes=("spp",))
     ctx = build_context(cfg, 10)
     params = scheme_params(cfg, "spp")
-    A = assembly.combine_system(ctx.A_vol, ctx.M, params.sigma0 * ctx.P_unit, params)
+    A = assembly.combine_system(ctx.A_vol, ctx.M, ctx.P_unit, params)
     system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
                                       lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
     A_ff, rhs = system.reduced()

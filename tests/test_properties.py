@@ -1,28 +1,37 @@
 """Geometry and basis invariants over random circles and meshes.
 
 Each example draws a circle centre in [-0.3, 0.3]^2, a radius in [0.2, 0.7]
-and N in [8, 64] on a rect or tri mesh of [-1, 1]^2. Draws that the mesh
-cannot resolve (MultipleCrossings) are rejected.
+and N in [8, 64] ([8, 32] for the patch test, which solves a global system)
+on a rect or tri mesh of [-1, 1]^2. Draws that the mesh cannot resolve
+(MultipleCrossings) are rejected.
 """
 import numpy as np
-from hypothesis import given, reject, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from ppife.assembly import EDGE_DEGREE
+from ppife.assembly import (EDGE_DEGREE, MethodParams, apply_dirichlet, assemble_edge_terms,
+                            assemble_load, assemble_volume, combine_system)
 from ppife.errors import MultipleCrossings
 from ppife.geometry import (EDGE_INTERFACE, INTERFACE, DomainSpec, build_mesh, circle,
                             classify_edges, classify_elements, edge_crossings,
                             edge_split_points)
+from ppife.linsolve import cg
 from ppife.local_basis import (basis_residuals, build_bases, standard_gradients,
                                standard_values, template_name)
+from ppife.postprocess import PiecewiseSolution
 from ppife.quadrature import polygon_area, split_edge_rule
 from oracles import edge_intersection, standard_basis
 
-cases = st.tuples(
-    st.sampled_from(["rect", "tri"]),
-    st.integers(8, 64),
-    st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
-    st.floats(0.2, 0.7),
-)
+
+def _cases(n_max):
+    return st.tuples(
+        st.sampled_from(["rect", "tri"]),
+        st.integers(8, n_max),
+        st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+        st.floats(0.2, 0.7),
+    )
+
+
+cases = _cases(64)
 
 
 def _classified(case):
@@ -100,3 +109,29 @@ def test_standard_neighbours_match_oracle(case):
             oracle = standard_basis(k, mesh.element_vertices(k), kind, template_name(mesh, k))
             assert np.array_equal(standard_values(mesh, k, pts), oracle.values(pts))
             assert np.array_equal(standard_gradients(mesh, k, pts), oracle.gradients(pts))
+
+
+@settings(max_examples=30)
+@given(_cases(32))
+def test_patch_test_is_exact(case):
+    # constant beta with the circle present: SPP reproduces a global
+    # (bi)linear solution at the nodes to solver accuracy
+    mesh, iface, status, cuts = _classified(case)
+    bases = build_bases(mesh, cuts, 2.0, 2.0)
+    if mesh.cell_kind == "rect":
+        u = lambda x, y: 1.0 + 2.0 * x - 3.0 * y + 0.5 * x * y
+        gu = lambda x, y: (2.0 + 0.5 * y, -3.0 + 0.5 * x)
+    else:
+        u = lambda x, y: 1.0 + 2.0 * x - 3.0 * y
+        gu = lambda x, y: (2.0 + 0.0 * x, -3.0 + 0.0 * y)
+    zero = lambda x, y: np.zeros_like(np.asarray(x, float))
+    sol = PiecewiseSolution(u, u, gu, gu, zero, zero,
+                            params={"beta_minus": 2.0, "beta_plus": 2.0})
+    params = MethodParams.preset("spp", 2.0, 2.0)
+    M, P, _ = assemble_edge_terms(mesh, classify_edges(mesh, status), status, cuts, bases,
+                                  2.0, 2.0, params.alpha)
+    A = combine_system(assemble_volume(mesh, status, cuts, bases, 2.0, 2.0), M, P, params)
+    b = assemble_load(mesh, status, cuts, bases, sol, iface)
+    sysm = apply_dirichlet(A, b, mesh, u)
+    coeffs = sysm.expand(cg(*sysm.reduced(), tol_rel=1e-13).x)
+    assert np.abs(coeffs - u(mesh.nodes[:, 0], mesh.nodes[:, 1])).max() < 1e-10

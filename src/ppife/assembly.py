@@ -253,12 +253,8 @@ def cut_data_rules(cut, degree=DATA_DEGREE, refine=DATA_REFINE):
         tris = fan_triangles(poly)
         for _ in range(refine):
             tris = [c for t in tris for c in _subdivide(t)]
-        pts, wts = [], []
-        for tri in tris:
-            p, w = map_triangle(ref, tri)
-            pts.append(p)
-            wts.append(w)
-        yield side, np.vstack(pts), np.concatenate(wts)
+        pts, wts = map_triangle(ref, np.array(tris))
+        yield side, pts.reshape(-1, 2), wts.ravel()
 
 
 def bulk_rules(mesh, degree):

@@ -39,7 +39,3 @@ class NotConverged(PpifeError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
-
-
-class DegenerateGradient(PpifeError):
-    """Sampled function is locally constant; trace ratio undefined."""

@@ -129,15 +129,7 @@ class LocalBasis:
         return coefs @ _monomials(self._scaled(pts), coefs.shape[1]).T
 
     def _gradients_from(self, coefs, pts):
-        xi = self._scaled(pts)
-        d, m = coefs.shape
-        g = np.empty((d, len(xi), 2))
-        g[:, :, 0] = coefs[:, 1:2]
-        g[:, :, 1] = coefs[:, 2:3]
-        if m == 4:
-            g[:, :, 0] += np.outer(coefs[:, 3], xi[:, 1])
-            g[:, :, 1] += np.outer(coefs[:, 3], xi[:, 0])
-        return g / self.h
+        return piece_gradients(coefs, self._scaled(pts), self.h)
 
     def values(self, pts):
         """Basis values at physical points, shape (d, n)."""
@@ -165,26 +157,52 @@ class LocalBasis:
 
     def phys_coefficients(self):
         """Physical-monomial coefficients [1, x, y(, xy)] of both pieces."""
-        def convert(c):
-            d, m = c.shape
-            out = np.zeros_like(c)
-            ox, oy = self.origin
-            h = self.h
-            out[:, 0] = c[:, 0] - c[:, 1] * ox / h - c[:, 2] * oy / h
-            out[:, 1] = c[:, 1] / h
-            out[:, 2] = c[:, 2] / h
-            if m == 4:
-                out[:, 0] += c[:, 3] * ox * oy / h ** 2
-                out[:, 1] -= c[:, 3] * oy / h ** 2
-                out[:, 2] -= c[:, 3] * ox / h ** 2
-                out[:, 3] = c[:, 3] / h ** 2
-            return out
-        return convert(self.coefs_minus), convert(self.coefs_plus)
+        return (phys_coefficients(self.coefs_minus, self.origin, self.h),
+                phys_coefficients(self.coefs_plus, self.origin, self.h))
+
+
+def piece_gradients(coefs, xi, h):
+    """Gradients of scaled-monomial pieces at scaled points, in physical units.
+
+    `coefs` is (..., d, m), `xi` (..., n, 2) and `h` scalar or (...), with
+    the same leading axes; returns (..., d, n, 2).
+    """
+    g = np.empty(coefs.shape[:-1] + (xi.shape[-2], 2))
+    g[..., 0] = coefs[..., 1:2]
+    g[..., 1] = coefs[..., 2:3]
+    if coefs.shape[-1] == 4:
+        g[..., 0] += coefs[..., 3:4] * xi[..., None, :, 1]
+        g[..., 1] += coefs[..., 3:4] * xi[..., None, :, 0]
+    return g / np.asarray(h)[..., None, None, None]
+
+
+def phys_coefficients(c, origin, h):
+    """Physical-monomial coefficients [1, x, y(, xy)] of scaled-monomial
+    pieces `c` (..., d, m) in frames `origin` (..., 2) and `h` (...)."""
+    ox = np.asarray(origin)[..., None, 0]
+    oy = np.asarray(origin)[..., None, 1]
+    h = np.asarray(h)[..., None]
+    out = np.zeros_like(c)
+    out[..., 0] = c[..., 0] - c[..., 1] * ox / h - c[..., 2] * oy / h
+    out[..., 1] = c[..., 1] / h
+    out[..., 2] = c[..., 2] / h
+    if c.shape[-1] == 4:
+        out[..., 0] += c[..., 3] * ox * oy / h ** 2
+        out[..., 1] -= c[..., 3] * oy / h ** 2
+        out[..., 2] -= c[..., 3] * ox / h ** 2
+        out[..., 3] = c[..., 3] / h ** 2
+    return out
 
 
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
+
+def local_frames(verts):
+    """Origin (lower-left corner) and size (larger extent) of the elements
+    with vertices `verts` (K, nv, 2): the frames of their scaled monomials."""
+    return verts.min(axis=1), np.ptp(verts, axis=1).max(axis=1)
+
 
 def _refine_solve(M, rhs):
     """Direct solve with one mixed-precision refinement sweep."""
@@ -195,102 +213,109 @@ def _refine_solve(M, rhs):
     return X
 
 
-def _check_local_solve(M, X, rhs, element_id):
-    resid = np.abs(np.asarray(M, np.longdouble) @ X.astype(np.longdouble)
-                   - rhs.astype(np.longdouble)).max()
-    if not np.isfinite(resid) or resid > 1e-12:
-        raise SingularLocalSystem(
-            f"element {element_id}: local residual {float(resid):.3e}")
+def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_ids=None):
+    """Immersed-basis coefficients of a stack of K cut elements.
+
+    `verts` is a float array (K, 3, 2) for triangles or (K, 4, 2) for
+    rectangles; D, E and the unit chord normals are float arrays (K, 2).
+    Returns (cm, cp), the scaled-monomial coefficients of the minus and plus
+    pieces, each (K, d, m).
+
+    A triangle has six unknowns (two linear pieces): three nodal conditions,
+    continuity at D and at E, and matching of the normal flux beta * dv/dn
+    across the chord. A rectangle has seven (the xy coefficient is shared
+    between the pieces): four nodal conditions, continuity at D and E, and the
+    flux condition in integral form along the chord; the bilinear flux is not
+    constant there, and its chord average equals its midpoint value exactly.
+    The flux row is divided by max(beta).
+
+    All systems are solved at once, with one mixed-precision refinement
+    sweep. SingularLocalSystem names the first element (its entry of
+    `element_ids`, else its stack index) whose condition estimate exceeds
+    1e14 or whose long-double residual exceeds 1e-12.
+    """
+    n = chord_normal
+    K, nv = verts.shape[:2]
+    origin, h = local_frames(verts)
+    Ds = (D - origin) / h[:, None]
+    Es = (E - origin) / h[:, None]
+    sv = (verts - origin[:, None]) / h[:, None, None]
+    side = ((verts - D[:, None]) @ n[:, :, None])[..., 0] > CHORD_TIE_TOL * h[:, None]
+    bscale = max(beta_minus, beta_plus)
+
+    size = 7 if nv == 4 else 6
+    ones = np.ones(K)
+    M = np.zeros((K, size, size))
+    node = np.stack([np.ones((K, nv)), sv[..., 0], sv[..., 1]], axis=-1)
+    M[:, :nv, :3] = np.where(side[..., None], 0.0, node)
+    M[:, :nv, 3:6] = np.where(side[..., None], node, 0.0)
+    for row, X in ((nv, Ds), (nv + 1, Es)):
+        M[:, row, :6] = np.column_stack([ones, X[:, 0], X[:, 1], -ones, -X[:, 0], -X[:, 1]])
+    flux = M[:, nv + 2]
+    flux[:, 1] = beta_minus * n[:, 0] / bscale
+    flux[:, 2] = beta_minus * n[:, 1] / bscale
+    flux[:, 4] = -beta_plus * n[:, 0] / bscale
+    flux[:, 5] = -beta_plus * n[:, 1] / bscale
+    if nv == 4:
+        M[:, :nv, 6] = sv[..., 0] * sv[..., 1]
+        mid = 0.5 * (Ds + Es)
+        flux[:, 6] = (beta_minus - beta_plus) * (n[:, 0] * mid[:, 1] + n[:, 1] * mid[:, 0]) / bscale
+
+    cond = np.linalg.cond(M)
+    ill = ~np.isfinite(cond) | (cond > 1e14)
+    # ill-conditioned systems are replaced by the identity so the stacked
+    # solve goes through; they are reported below all the same
+    M = np.where(ill[:, None, None], np.eye(size), M)
+    rhs = np.broadcast_to(np.eye(size, nv), (K, size, nv))
+    X = _refine_solve(M, rhs)
+    ld = np.longdouble
+    resid = np.abs(M.astype(ld) @ X.astype(ld) - rhs.astype(ld)).max(axis=(1, 2))
+    bad = ill | ~np.isfinite(resid) | (resid > 1e-12)
+    if bad.any():
+        i = int(np.argmax(bad))
+        eid = i if element_ids is None else element_ids[i]
+        what = (f"condition estimate {cond[i]:.3e}" if ill[i]
+                else f"local residual {float(resid[i]):.3e}")
+        raise SingularLocalSystem(f"element {eid}: {what}")
+    if nv == 4:
+        cm, cp = X[:, [0, 1, 2, 6]], X[:, [3, 4, 5, 6]]
+    else:
+        cm, cp = X[:, :3], X[:, 3:]
+    return cm.transpose(0, 2, 1).copy(), cp.transpose(0, 2, 1).copy()
+
+
+def ife_bases(element_ids, verts, D, E, chord_normal, beta_minus, beta_plus):
+    """One immersed LocalBasis per element of a stack (see `ife_coefficients`)."""
+    verts = np.asarray(verts, float)
+    D, E, n = (np.asarray(a, float) for a in (D, E, chord_normal))
+    cm, cp = ife_coefficients(verts, D, E, n, beta_minus, beta_plus, element_ids)
+    origin, h = local_frames(verts)
+    kind = "ife_q1" if verts.shape[1] == 4 else "ife_p1"
+    return [LocalBasis(k, kind, origin[i], h[i], cm[i], cp[i], D=D[i], E=E[i], chord_normal=n[i])
+            for i, k in enumerate(element_ids)]
 
 
 def linear_ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus) -> LocalBasis:
-    """Immersed P1 basis on a cut triangle.
-
-    Six unknowns (two linear pieces): three nodal conditions, continuity at D
-    and at E, and matching of the normal flux beta * dv/dn across the chord.
-    """
-    verts = np.asarray(verts, float)
-    origin = verts.min(axis=0)
-    h = max(np.ptp(verts[:, 0]), np.ptp(verts[:, 1]))
-    n = np.asarray(chord_normal, float)
-    Ds = (np.asarray(D, float) - origin) / h
-    Es = (np.asarray(E, float) - origin) / h
-    sv = (verts - origin) / h
-
-    side = ((verts - D) @ n) > CHORD_TIE_TOL * h
-    bscale = max(beta_minus, beta_plus)
-
-    M = np.zeros((6, 6))
-    rhs = np.zeros((6, 3))
-    for i in range(3):
-        row = [1.0, sv[i, 0], sv[i, 1]]
-        off = 3 if side[i] else 0
-        M[i, off:off + 3] = row
-        rhs[i, i] = 1.0
-    M[3] = [1.0, Ds[0], Ds[1], -1.0, -Ds[0], -Ds[1]]
-    M[4] = [1.0, Es[0], Es[1], -1.0, -Es[0], -Es[1]]
-    M[5] = [0.0, beta_minus * n[0] / bscale, beta_minus * n[1] / bscale,
-            0.0, -beta_plus * n[0] / bscale, -beta_plus * n[1] / bscale]
-
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularLocalSystem(f"element {element_id}: condition estimate {cond:.3e}")
-    X = _refine_solve(M, rhs)
-    _check_local_solve(M, X, rhs, element_id)
-    return LocalBasis(element_id, "ife_p1", origin, h, X[:3].T.copy(), X[3:].T.copy(),
-                      D=np.asarray(D, float), E=np.asarray(E, float), chord_normal=n)
+    """Immersed P1 basis on one cut triangle."""
+    return ife_bases([element_id], [verts], [D], [E], [chord_normal], beta_minus, beta_plus)[0]
 
 
 def bilinear_ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus) -> LocalBasis:
-    """Immersed Q1 basis on a cut rectangle.
-
-    Seven unknowns (the xy coefficient is shared between the pieces): four
-    nodal conditions, continuity at D and E, and the flux condition enforced
-    in integral form along the chord — the bilinear flux is not constant
-    there, and its chord average equals its midpoint value exactly.
-    """
-    verts = np.asarray(verts, float)
-    origin = verts.min(axis=0)
-    h = max(np.ptp(verts[:, 0]), np.ptp(verts[:, 1]))
-    n = np.asarray(chord_normal, float)
-    Ds = (np.asarray(D, float) - origin) / h
-    Es = (np.asarray(E, float) - origin) / h
-    sv = (verts - origin) / h
-    mid = 0.5 * (Ds + Es)
-
-    side = ((verts - D) @ n) > CHORD_TIE_TOL * h
-    bscale = max(beta_minus, beta_plus)
-
-    M = np.zeros((7, 7))
-    rhs = np.zeros((7, 4))
-    for i in range(4):
-        off = 3 if side[i] else 0
-        M[i, off:off + 3] = [1.0, sv[i, 0], sv[i, 1]]
-        M[i, 6] = sv[i, 0] * sv[i, 1]
-        rhs[i, i] = 1.0
-    M[4] = [1.0, Ds[0], Ds[1], -1.0, -Ds[0], -Ds[1], 0.0]
-    M[5] = [1.0, Es[0], Es[1], -1.0, -Es[0], -Es[1], 0.0]
-    M[6] = [0.0, beta_minus * n[0] / bscale, beta_minus * n[1] / bscale,
-            0.0, -beta_plus * n[0] / bscale, -beta_plus * n[1] / bscale,
-            (beta_minus - beta_plus) * (n[0] * mid[1] + n[1] * mid[0]) / bscale]
-
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularLocalSystem(f"element {element_id}: condition estimate {cond:.3e}")
-    X = _refine_solve(M, rhs)
-    _check_local_solve(M, X, rhs, element_id)
-    cm = np.column_stack([X[0], X[1], X[2], X[6]])
-    cp = np.column_stack([X[3], X[4], X[5], X[6]])
-    return LocalBasis(element_id, "ife_q1", origin, h, cm, cp,
-                      D=np.asarray(D, float), E=np.asarray(E, float), chord_normal=n)
+    """Immersed Q1 basis on one cut rectangle."""
+    return ife_bases([element_id], [verts], [D], [E], [chord_normal], beta_minus, beta_plus)[0]
 
 
 def build_bases(mesh, cuts, beta_minus, beta_plus):
-    """Immersed bases of the interface elements, keyed like `cuts`."""
-    build = bilinear_ife_basis if mesh.cell_kind == RECT else linear_ife_basis
-    return {k: build(k, mesh.element_vertices(k), cut.D, cut.E, cut.chord_normal,
-                     beta_minus, beta_plus)
-            for k, cut in cuts.items()}
+    """Immersed bases of the interface elements, keyed like `cuts`, from one
+    stacked solve."""
+    if not cuts:
+        return {}
+    ids = list(cuts)
+    records = cuts.values()
+    bases = ife_bases(ids, mesh.nodes[mesh.elements[ids]], [c.D for c in records],
+                      [c.E for c in records], [c.chord_normal for c in records],
+                      beta_minus, beta_plus)
+    return dict(zip(ids, bases))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +328,8 @@ def basis_residuals(basis, verts, beta_minus, beta_plus):
 
     Returns a dict with keys 'kronecker', 'continuity', 'flux', 'partition'.
     The flux residual is pointwise (|beta- dv-/dn - beta+ dv+/dn|) for linear
-    bases and the chord-line integral for bilinear ones.
+    bases and the chord-line integral for bilinear ones; like the builders'
+    flux row it is divided by max(beta), so all four are unit-free.
     """
     verts = np.asarray(verts, float)
     d = basis.n_funcs
@@ -347,7 +373,7 @@ def basis_residuals(basis, verts, beta_minus, beta_plus):
     if basis.kind == "ife_p1":
         fm = grad(cm, basis.D) @ n
         fp = grad(cp, basis.D) @ n
-        out["flux"] = float(np.abs(bm * fm - bp * fp).max())
+        flux = np.abs(bm * fm - bp * fp).max()
     else:
         # 2-point Gauss along the chord; exact for an affine integrand and
         # independent of the midpoint rule used in the construction
@@ -357,7 +383,8 @@ def basis_residuals(basis, verts, beta_minus, beta_plus):
         for tk in t:
             p = basis.D.astype(ld) * (1 - tk) + basis.E.astype(ld) * tk
             total = total + (bm * (grad(cm, p) @ n) - bp * (grad(cp, p) @ n)) * (L / 2)
-        out["flux"] = float(np.abs(total).max())
+        flux = np.abs(total).max()
+    out["flux"] = float(flux / max(bm, bp))
 
     pm = max(abs(cm[:, 0].sum() - 1), np.abs(cm[:, 1:].sum(axis=0)).max())
     pp = max(abs(cp[:, 0].sum() - 1), np.abs(cp[:, 1:].sum(axis=0)).max())

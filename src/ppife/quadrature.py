@@ -85,21 +85,23 @@ def _collapsed_triangle_rule(degree):
 # ---------------------------------------------------------------------------
 
 def map_segment(rule, p0, p1):
-    """Map a reference [0,1] rule onto the physical segment p0 -> p1."""
+    """Map a reference [0,1] rule onto the physical segment p0 -> p1, or onto
+    a stack of them (..., 2): points (..., n, 2), weights (..., n)."""
     p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    t = rule.points.reshape(-1, 1)
-    pts = p0 + t * (p1 - p0)
-    return pts, rule.weights * np.linalg.norm(p1 - p0)
+    d = np.asarray(p1, float) - p0
+    pts = p0[..., None, :] + rule.points[:, None] * d[..., None, :]
+    # sqrt(vecdot) is bit for bit np.linalg.norm of one vector, on stacks too
+    return pts, rule.weights * np.sqrt(np.vecdot(d, d))[..., None]
 
 
 def map_triangle(rule, tri):
-    """Map a reference-triangle rule onto the physical triangle (3,2)."""
+    """Map a reference-triangle rule onto the physical triangle (3, 2), or
+    onto a stack of them (..., 3, 2): points (..., n, 2), weights (..., n)."""
     tri = np.asarray(tri, float)
-    J = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-    det = abs(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
-    pts = rule.points @ J.T + tri[0]
-    return pts, rule.weights * det
+    J = np.stack([tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :]], axis=-1)
+    det = np.abs(J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0])
+    pts = rule.points @ J.swapaxes(-1, -2) + tri[..., None, 0, :]
+    return pts, rule.weights * det[..., None]
 
 
 def map_rect(rule, origin, hx, hy=None):
@@ -154,19 +156,32 @@ def split_polygon_rule(poly, degree, refine=0):
     tris = fan_triangles(poly)
     for _ in range(refine):
         tris = [child for tri in tris for child in _subdivide(tri)]
-    pts, wts = [], []
-    for tri in tris:
-        p, w = map_triangle(ref, tri)
-        pts.append(p)
-        wts.append(w)
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts), degree)
+    pts, wts = map_triangle(ref, np.array(tris))
+    return QuadratureRule(pts.reshape(-1, 2), wts.ravel(), degree)
+
+
+def fan_rule(polys, degree):
+    """Stacked quadrature over convex CCW polygons `polys` (..., L, 2).
+
+    Each polygon is fan-triangulated from its first vertex and a triangle
+    rule is mapped onto every fan triangle. A polygon with fewer vertices is
+    padded to L by repeating its last vertex: the padding triangles have zero
+    area and get zero weights. Returns points (..., (L-2)*n, 2) and weights
+    (..., (L-2)*n).
+    """
+    tris = np.stack([np.broadcast_to(polys[..., :1, :], polys[..., 1:-1, :].shape),
+                     polys[..., 1:-1, :], polys[..., 2:, :]], axis=-2)
+    pts, w = map_triangle(_collapsed_triangle_rule(degree), tris)
+    lead = polys.shape[:-2]
+    return pts.reshape(lead + (-1, 2)), w.reshape(lead + (-1,))
 
 
 def split_edge_rule(p0, p1, crossings, degree):
-    """Gauss rule on segment p0 -> p1, split at interior crossing points.
+    """Gauss rule on segment p0 -> p1, split at the given crossing points.
 
-    `crossings` may be None, a single point, or a list of points; points that
-    do not fall strictly inside the segment are ignored.
+    `crossings` may be None, a single point, or a list of points, in any
+    order. They must lie strictly inside the segment and be distinct, as
+    `geometry.edge_split_points` returns them.
     """
     p0 = np.asarray(p0, float)
     p1 = np.asarray(p1, float)
@@ -176,18 +191,7 @@ def split_edge_rule(p0, p1, crossings, degree):
         crossings = []
     elif isinstance(crossings, np.ndarray) and crossings.ndim == 1:
         crossings = [crossings]
-    ts = []
-    for x in crossings:
-        t = float(np.dot(np.asarray(x, float) - p0, d) / (length * length))
-        if 1e-12 < t < 1.0 - 1e-12 and not any(abs(t - s) < 1e-12 for s in ts):
-            ts.append(t)
-    breaks = np.concatenate([[0.0], np.sort(ts), [1.0]])
-    ref = segment_rule(degree)
-    pts, wts = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        pa = p0 + a * d
-        pb = p0 + b * d
-        p, w = map_segment(ref, pa, pb)
-        pts.append(p)
-        wts.append(w)
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts), degree)
+    ts = [float(np.dot(np.asarray(x, float) - p0, d) / (length * length)) for x in crossings]
+    breaks = np.concatenate([[0.0], np.sort(ts), [1.0]])[:, None]
+    pts, wts = map_segment(segment_rule(degree), p0 + breaks[:-1] * d, p0 + breaks[1:] * d)
+    return QuadratureRule(pts.reshape(-1, 2), wts.ravel(), degree)

@@ -10,17 +10,17 @@ can be verified numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .assembly import (MethodParams, assemble_edge_terms, assemble_volume, combine_system,
                        edge_traces)
-from .errors import DegenerateGradient
-from .geometry import (DomainSpec, RECT, SIDE_MINUS, TRI, build_mesh, circle,
-                       classify_edges, classify_elements, split_convex_by_chord)
-from .local_basis import bilinear_ife_basis, build_bases, linear_ife_basis
+from .geometry import DomainSpec, RECT, TRI, build_mesh, circle, classify_edges, classify_elements
+from .local_basis import (CHORD_TIE_TOL, build_bases, ife_coefficients, local_frames,
+                          phys_coefficients, piece_gradients)
 from .postprocess import interpolate_nodal, radial_interface_solution
-from .quadrature import split_edge_rule, split_polygon_rule
+from .quadrature import fan_rule, map_segment, rect_rule, segment_rule
 
 DEFAULT_R0 = np.pi / 6.28
 
@@ -54,6 +54,36 @@ class ScanReport:
 # random reference cuts
 # ---------------------------------------------------------------------------
 
+_REF_VERTS = {TRI: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+              RECT: np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])}
+
+# The cut topologies of the reference elements, as indices into each
+# sample's point table [V0, .., V(nv-1), D, E]: the minus sub-polygon (it
+# holds V0), the plus sub-polygon, and the point at which each element edge
+# V(i) -> V(i+1) is split. The polygons are CCW from D or E, as
+# split_convex_by_chord orders them, and padded to a common length by
+# repeating their last point (a zero-area fan triangle). An edge the chord
+# does not cross is split at its end vertex, which leaves a zero-length piece.
+_TOPOLOGIES = {
+    "tri": ((3, 0, 4, 4), (4, 1, 2, 3), (4, 2, 3)),
+    "adjacent": ((4, 0, 5, 5, 5), (5, 1, 2, 3, 4), (5, 2, 3, 4)),
+    "opposite": ((4, 3, 0, 5, 5), (5, 1, 2, 4, 4), (5, 2, 4, 0)),
+}
+
+
+@dataclass(frozen=True)
+class ReferenceCuts:
+    """Random chords of the reference element of size h, stacked over S samples."""
+
+    verts: np.ndarray        # (S, nv, 2)
+    D: np.ndarray            # (S, 2), on the edge x = 0 (y = h for opposite-edge cuts)
+    E: np.ndarray            # (S, 2), on the edge y = 0
+    normal: np.ndarray       # (S, 2) unit chord normal, pointing away from V0
+    poly_minus: np.ndarray   # (S, L, 2)
+    poly_plus: np.ndarray    # (S, L, 2)
+    edge_splits: np.ndarray  # (S, nv, 2)
+
+
 def _cut_params(rng):
     """Random (d, e) in [0.01, 0.99], weighted toward the endpoints where the
     extremal (thin-sliver) cuts live, so sampled maxima saturate quickly."""
@@ -62,59 +92,65 @@ def _cut_params(rng):
     return 0.01 + 0.98 * g
 
 
-def _reference_cut(kind, rng, h=1.0):
-    """Random cut of the reference element; returns (verts, D, E, normal,
-    poly_minus, poly_plus) with the minus side containing the origin vertex."""
-    d, e = _cut_params(rng)
-    if kind == TRI:
-        verts = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])
-        D = np.array([0.0, d * h])
-        E = np.array([e * h, 0.0])
-    else:
-        verts = np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
-        if rng.integers(2) == 0:                      # two adjacent edges
-            D = np.array([0.0, d * h])
-            E = np.array([e * h, 0.0])
-        else:                                         # two opposite edges
-            D = np.array([d * h, h])
-            E = np.array([e * h, 0.0])
-    chord = E - D
-    n = np.array([chord[1], -chord[0]])
-    n /= np.linalg.norm(n)
-    if float((verts[0] - D) @ n) > 0:
-        n = -n
-    pa, pb = split_convex_by_chord(verts, D, E, 1e-12 * h)
-    if any(np.allclose(p, verts[0]) for p in pa):
-        poly_minus, poly_plus = pa, pb
-    else:
-        poly_minus, poly_plus = pb, pa
-    return verts, D, E, n, poly_minus, poly_plus
+def _draw_cuts(kind, samples, seed):
+    """Parameters of `samples` random reference cuts: (d, e) per sample and,
+    for rectangles, whether the chord joins opposite edges. A scan reseeds
+    for every run, so a run's cuts are the first ones of a longer run."""
+    rng = np.random.default_rng(seed)
+    params = np.empty((samples, 2))
+    opposite = np.zeros(samples, dtype=bool)
+    for s in range(samples):
+        params[s] = _cut_params(rng)
+        if kind == RECT:
+            opposite[s] = rng.integers(2) != 0
+    return params, opposite
 
 
-def _build_ife(kind, cutdata, beta_minus, beta_plus):
-    verts, D, E, n, _, _ = cutdata
+def _reference_cuts(kind, draws, h=1.0) -> ReferenceCuts:
+    """The drawn cuts on the reference element of size h. The minus side
+    holds the origin vertex; D sits at height d*h on x = 0 (at x = d*h on
+    y = h for opposite-edge cuts) and E at x = e*h on y = 0."""
+    params, opposite = draws
+    S = len(params)
+    verts = np.broadcast_to(h * _REF_VERTS[kind], (S,) + _REF_VERTS[kind].shape)
+    d, e = params[:, 0] * h, params[:, 1] * h
+    zero = np.zeros(S)
+    D = np.where(opposite[:, None], np.column_stack([d, np.full(S, h)]),
+                 np.column_stack([zero, d]))
+    E = np.column_stack([e, zero])
+    # np.sqrt(np.vecdot(..)) is bit for bit the per-vector np.linalg.norm;
+    # np.linalg.norm(axis=...) sums in another order
+    n = np.column_stack([E[:, 1] - D[:, 1], D[:, 0] - E[:, 0]])
+    n /= np.sqrt(np.vecdot(n, n))[:, None]
+    n[((verts[:, 0] - D) * n).sum(axis=1) > 0] *= -1
+
     if kind == TRI:
-        return linear_ife_basis(0, verts, D, E, n, beta_minus, beta_plus)
-    return bilinear_ife_basis(0, verts, D, E, n, beta_minus, beta_plus)
+        tables = [np.broadcast_to(t, (S, len(t))) for t in _TOPOLOGIES["tri"]]
+    else:
+        tables = [np.where(opposite[:, None], o, a)
+                  for a, o in zip(_TOPOLOGIES["adjacent"], _TOPOLOGIES["opposite"])]
+    points = np.concatenate([verts, D[:, None], E[:, None]], axis=1)
+    rows = np.arange(S)[:, None]
+    minus, plus, splits = (points[rows, t] for t in tables)
+    return ReferenceCuts(verts, D, E, n, minus, plus, splits)
 
 
 # ---------------------------------------------------------------------------
 # coefficient bounds
 # ---------------------------------------------------------------------------
 
-def _coef_ratio_max(kind, beta_pair, samples, rng):
-    worst = 0.0
-    for _ in range(samples):
-        cut = _reference_cut(kind, rng)
-        basis = _build_ife(kind, cut, *beta_pair)
-        cm, cp = basis.phys_coefficients()
-        for j in range(basis.n_funcs):
-            nm = np.linalg.norm(cm[j])
-            npn = np.linalg.norm(cp[j])
-            if min(nm, npn) == 0.0:
-                continue
-            worst = max(worst, nm / npn, npn / nm)
-    return worst
+def _coef_ratios(kind, draws, beta_pair):
+    """Per cut, the largest ratio between the two pieces' physical coefficient
+    norms over the nodal functions (functions with a zero piece are skipped)."""
+    cuts = _reference_cuts(kind, draws)
+    origin, h = local_frames(cuts.verts)
+    norms = []
+    for c in ife_coefficients(cuts.verts, cuts.D, cuts.E, cuts.normal, *beta_pair):
+        phys = phys_coefficients(c, origin, h)
+        norms.append(np.sqrt(np.vecdot(phys, phys)))
+    lo, hi = np.minimum(*norms), np.maximum(*norms)
+    keep = lo > 0.0
+    return np.where(keep, hi / np.where(keep, lo, 1.0), 0.0).max(axis=1)
 
 
 def scan_coefficient_bounds(kind, beta_pairs, samples=2000, seed=7) -> ScanReport:
@@ -126,11 +162,11 @@ def scan_coefficient_bounds(kind, beta_pairs, samples=2000, seed=7) -> ScanRepor
     report = ScanReport("coefficient_bounds", f"{kind} coefficient-norm ratios",
                         seed, samples)
     ok = True
+    draws = _draw_cuts(kind, 4 * samples, seed)
     for pair in beta_pairs:
-        rng = np.random.default_rng(seed)
-        base = _coef_ratio_max(kind, pair, samples, rng)
-        rng = np.random.default_rng(seed)
-        fine = _coef_ratio_max(kind, pair, 4 * samples, rng)
+        ratios = _coef_ratios(kind, draws, pair)
+        base = float(ratios[:samples].max(initial=0.0))
+        fine = float(ratios.max(initial=0.0))
         tag = f"b{pair[0]:g}_{pair[1]:g}"
         report.metrics[f"max_ratio_{tag}"] = base
         report.metrics[f"max_ratio_refined_{tag}"] = fine
@@ -145,63 +181,65 @@ def scan_coefficient_bounds(kind, beta_pairs, samples=2000, seed=7) -> ScanRepor
 # trace ratios and the quadrant gradient bound
 # ---------------------------------------------------------------------------
 
-def _element_edges_of(verts):
-    nv = len(verts)
-    return [(verts[i], verts[(i + 1) % nv]) for i in range(nv)]
-
-
-def _trace_ratio(kind, cutdata, basis, beta_pair, h):
-    """max_B max_v ||beta grad(v).n_B|| / (h^{1/2} |K|^{-1/2} ||sqrt(beta) grad v||).
-
-    The maximum over nodal coefficient vectors on the unit sphere is computed
-    exactly as the largest generalized eigenvalue of the edge-flux Gram matrix
-    against the element gradient Gram matrix (restricted to the complement of
-    the constants, where the denominator is positive definite).
-    """
+@lru_cache(maxsize=None)
+def _constant_complement(d):
+    """Orthonormal basis (d, d-1) of the complement of the constant nodal vector."""
     import scipy.linalg
+    return scipy.linalg.null_space(np.full((1, d), 1.0 / np.sqrt(d)))
 
-    verts, D, E, n, poly_minus, poly_plus = cutdata
+
+def _trace_ratios(kind, draws, beta_pair, h):
+    """Per cut, max_B max_v ||beta grad(v).n_B||_B / (h^{1/2} |K|^{-1/2} ||sqrt(beta) grad v||_K)
+    over the element edges B; 0 for a cut whose gradient Gram matrix is
+    degenerate.
+
+    The maximum over nodal coefficient vectors on the unit sphere is the
+    largest generalized eigenvalue of the edge-flux Gram matrix against the
+    element gradient Gram matrix, restricted to the complement of the
+    constants, where the latter is positive definite. It is computed for all
+    cuts and edges at once through the Cholesky factor of the projected
+    gradient Gram matrix.
+    """
     bm, bp = beta_pair
-    d = basis.n_funcs
-    Dmat = np.zeros((d, d))
-    for side, poly, b in ((SIDE_MINUS, poly_minus, bm), (1, poly_plus, bp)):
-        rule = split_polygon_rule(poly, 4)
-        G = basis.gradients_piece(rule.points, side)
-        Dmat += b * np.einsum("q,iqa,jqa->ij", rule.weights, G, G)
-    if np.trace(Dmat) < 1e-28:
-        raise DegenerateGradient("degenerate element gradients")
-    # orthonormal complement of the constant nodal vector
-    ones = np.full(d, 1.0 / np.sqrt(d))
-    W = scipy.linalg.null_space(ones[None, :])
+    cuts = _reference_cuts(kind, draws, h)
+    cm, cp = ife_coefficients(cuts.verts, cuts.D, cuts.E, cuts.normal, bm, bp)
+    S, nv = cuts.verts.shape[:2]
+    d = cm.shape[1]
+    origin = local_frames(cuts.verts)[0][:, None]
+
+    Dmat = np.zeros((S, d, d))
+    for poly, c, beta in ((cuts.poly_minus, cm, bm), (cuts.poly_plus, cp, bp)):
+        pts, w = fan_rule(poly, 4)
+        G = piece_gradients(c, (pts - origin) / h, h)
+        Dmat += beta * np.einsum("sq,siqa,sjqa->sij", w, G, G)
+    valid = np.trace(Dmat, axis1=1, axis2=2) >= 1e-28
+    W = _constant_complement(d)
     Dr = W.T @ Dmat @ W
+    Dr[~valid] = np.eye(d - 1)
+    L = np.linalg.cholesky(Dr)[:, None]
+
+    # every element edge in two pieces, split where the chord crosses it
+    a = cuts.verts
+    b = np.roll(a, -1, axis=1)
+    pts, w = map_segment(segment_rule(4), np.stack([a, cuts.edge_splits], axis=2),
+                          np.stack([cuts.edge_splits, b], axis=2))
+    pts = pts.reshape(S, -1, 2)
+    w = w.reshape(S, nv, -1)
+    plus = ((pts - cuts.D[:, None]) * cuts.normal[:, None]).sum(axis=2) > CHORD_TIE_TOL * h
+    xi = (pts - origin) / h
+    G = np.where(plus[:, None, :, None], piece_gradients(cp, xi, h), piece_gradients(cm, xi, h))
+    t = b - a
+    nB = np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.linalg.norm(t, axis=-1)[..., None]
+    flux = np.where(plus, bp, bm).reshape(S, 1, nv, -1) * np.einsum(
+        "sdeqa,sea->sdeq", G.reshape(S, d, nv, -1, 2), nB)
+    N = np.einsum("seq,sieq,sjeq->seij", w, flux, flux)
+    A = W.T @ N @ W
+    # C = L^-1 A L^-T has the eigenvalues of the pencil (A, Dr), Dr = L L^T
+    C = np.linalg.solve(L, np.linalg.solve(L, A).swapaxes(-1, -2))
+    lam = np.linalg.eigvalsh(C)[..., -1]
     areaK = h * h if kind == RECT else h * h / 2
-
-    worst = 0.0
-    for a, b2 in _element_edges_of(verts):
-        nB = b2 - a
-        nB = np.array([nB[1], -nB[0]]) / np.linalg.norm(nB)
-        rule = split_edge_rule(a, b2, [D, E], 4)
-        G = basis.gradients(rule.points)
-        bpt = np.where(basis.side_plus_mask(rule.points), bp, bm)
-        fl = bpt[None, :] * np.einsum("dqa,a->dq", G, nB)
-        Nmat = np.einsum("q,iq,jq->ij", rule.weights, fl, fl)
-        lam = scipy.linalg.eigh(W.T @ Nmat @ W, Dr, eigvals_only=True)[-1]
-        worst = max(worst, np.sqrt(max(lam, 0.0) * areaK / h))
-    return worst
-
-
-def _trace_max(kind, beta_pair, samples, seed, h):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    skipped = 0
-    for _ in range(samples):
-        cut = _reference_cut(kind, rng, h)
-        basis = _build_ife(kind, cut, *beta_pair)
-        try:
-            worst = max(worst, _trace_ratio(kind, cut, basis, beta_pair, h))
-        except DegenerateGradient:
-            skipped += 1
-    return worst, skipped
+    ratio = np.sqrt(np.maximum(lam, 0.0) * areaK / h).max(axis=1)
+    return np.where(valid, ratio, 0.0)
 
 
 def quadrant_sigma():
@@ -218,21 +256,20 @@ def quadrant_gradient_check(samples, seed, hs=(1.0, 0.5)):
     """Check int_{far quadrant} |grad v|^2 >= C h^2 (c2^2 + c3^2 + c4^2 h^2)
     for random bilinear coefficient vectors, by direct quadrature."""
     rng = np.random.default_rng(seed)
-    C = quadrant_bound_constant()
-    margin = np.inf
-    from .quadrature import map_rect, rect_rule
+    c = np.empty((samples, 4))
+    h = np.empty(samples)
+    for s in range(samples):
+        c[s] = rng.standard_normal(4)
+        h[s] = hs[int(rng.integers(len(hs)))]
     rule = rect_rule(4)
-    for _ in range(samples):
-        c = rng.standard_normal(4)
-        h = hs[int(rng.integers(len(hs)))]
-        pts, w = map_rect(rule, (h / 2, h / 2), h / 2)
-        gx = c[1] + c[3] * pts[:, 1]
-        gy = c[2] + c[3] * pts[:, 0]
-        lhs = float(np.dot(w, gx * gx + gy * gy))
-        rhs = C * h * h * (c[1] ** 2 + c[2] ** 2 + c[3] ** 2 * h * h)
-        if rhs > 0:
-            margin = min(margin, lhs / rhs)
-    return float(margin)
+    half = h[:, None] / 2
+    x = half + rule.points[:, 0] * half
+    y = half + rule.points[:, 1] * half
+    gx = c[:, 1:2] + c[:, 3:4] * y
+    gy = c[:, 2:3] + c[:, 3:4] * x
+    lhs = (rule.weights * half * half * (gx * gx + gy * gy)).sum(axis=1)
+    rhs = quadrant_bound_constant() * h * h * (c[:, 1] ** 2 + c[:, 2] ** 2 + c[:, 3] ** 2 * h * h)
+    return float((lhs / rhs)[rhs > 0].min(initial=np.inf))
 
 
 def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7, hs=(1.0, 0.5, 0.25)) -> ScanReport:
@@ -245,14 +282,16 @@ def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7, hs=(1.0, 0.5, 0.25))
     """
     report = ScanReport("trace_ratio", f"{kind} flux trace ratios", seed, samples)
     ok = True
+    draws = _draw_cuts(kind, 4 * samples, seed)
+    head = tuple(a[:samples] for a in draws)
     for pair in beta_pairs:
         tag = f"b{pair[0]:g}_{pair[1]:g}"
-        per_h = []
-        for h in hs:
-            base, _ = _trace_max(kind, pair, samples, seed, h)
-            per_h.append(base)
+        refined = _trace_ratios(kind, draws, pair, hs[0])
+        per_h = [float(refined[:samples].max(initial=0.0))]
+        per_h += [float(_trace_ratios(kind, head, pair, h).max(initial=0.0)) for h in hs[1:]]
+        for h, base in zip(hs, per_h):
             report.metrics[f"max_R_{tag}_h{h:g}"] = base
-        fine, skipped = _trace_max(kind, pair, 4 * samples, seed, hs[0])
+        fine = float(refined.max(initial=0.0))
         report.metrics[f"max_R_refined_{tag}"] = fine
         drift = abs(fine - per_h[0]) / per_h[0]
         spread = max(per_h) / min(per_h) - 1.0

@@ -4,17 +4,21 @@ None of this runs in the solver: storage checks and naive products for the
 sparse kernels, a dense solve for small systems, the closed-form linear IFE
 coupling, the per-norm error passes that `postprocess.error_norms` fuses, the
 one-segment crossing solve that `geometry.edge_crossings` vectorises, and the
-per-element standard basis that the templates replace.
+per-element standard basis that the templates replace, and the per-element
+immersed-basis solve, reference cuts and lemma-scan ratios that
+`local_basis.ife_coefficients` and `verify` stack over elements and samples.
 """
 import numpy as np
 import scipy.sparse as sp
 
 from ppife.assembly import DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_rules, cut_data_rules
-from ppife.errors import MultipleCrossings
-from ppife.geometry import EDGE_INTERFACE, RECT, SIDE_MINUS, edge_split_points
-from ppife.local_basis import (_TEMPLATES, LocalBasis, _monomials, template_gradients,
-                               template_values)
-from ppife.quadrature import split_edge_rule
+from ppife.errors import MultipleCrossings, SingularLocalSystem
+from ppife.geometry import (EDGE_INTERFACE, RECT, SIDE_MINUS, TRI, edge_split_points,
+                            split_convex_by_chord)
+from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, LocalBasis, _monomials,
+                               template_gradients, template_values)
+from ppife.quadrature import split_edge_rule, split_polygon_rule
+from ppife.verify import _cut_params
 
 _N_EDGE_SAMPLES = 17
 
@@ -91,6 +95,145 @@ def standard_basis(element_id, verts, kind, variant=None):
         V = _monomials(sv, m)
         C = np.linalg.inv(V).T
     return LocalBasis(element_id, kind, origin, h, C, C)
+
+
+def ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus):
+    """Immersed basis of one cut element, its jump-condition system written
+    out row by row: P1 on a triangle, Q1 (shared xy coefficient, flux matched
+    at the chord midpoint) on a rectangle; the flux row is divided by max(beta)."""
+    verts = np.asarray(verts, float)
+    nv = len(verts)
+    origin = verts.min(axis=0)
+    h = max(np.ptp(verts[:, 0]), np.ptp(verts[:, 1]))
+    n = np.asarray(chord_normal, float)
+    D = np.asarray(D, float)
+    E = np.asarray(E, float)
+    Ds = (D - origin) / h
+    Es = (E - origin) / h
+    sv = (verts - origin) / h
+    side = ((verts - D) @ n) > CHORD_TIE_TOL * h
+    bscale = max(beta_minus, beta_plus)
+
+    size = 7 if nv == 4 else 6
+    M = np.zeros((size, size))
+    rhs = np.zeros((size, nv))
+    for i in range(nv):
+        off = 3 if side[i] else 0
+        M[i, off:off + 3] = [1.0, sv[i, 0], sv[i, 1]]
+        if nv == 4:
+            M[i, 6] = sv[i, 0] * sv[i, 1]
+        rhs[i, i] = 1.0
+    M[nv, :6] = [1.0, Ds[0], Ds[1], -1.0, -Ds[0], -Ds[1]]
+    M[nv + 1, :6] = [1.0, Es[0], Es[1], -1.0, -Es[0], -Es[1]]
+    M[nv + 2, :6] = [0.0, beta_minus * n[0] / bscale, beta_minus * n[1] / bscale,
+                     0.0, -beta_plus * n[0] / bscale, -beta_plus * n[1] / bscale]
+    if nv == 4:
+        mid = 0.5 * (Ds + Es)
+        M[6, 6] = (beta_minus - beta_plus) * (n[0] * mid[1] + n[1] * mid[0]) / bscale
+
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond) or cond > 1e14:
+        raise SingularLocalSystem(f"element {element_id}: condition estimate {cond:.3e}")
+    X = np.linalg.solve(M, rhs)
+    rl = rhs.astype(np.longdouble) - M.astype(np.longdouble) @ X.astype(np.longdouble)
+    X = X + np.linalg.solve(M, rl.astype(float))
+    resid = np.abs(M.astype(np.longdouble) @ X.astype(np.longdouble) - rhs).max()
+    if not np.isfinite(resid) or resid > 1e-12:
+        raise SingularLocalSystem(f"element {element_id}: local residual {float(resid):.3e}")
+    if nv == 4:
+        cm = np.column_stack([X[0], X[1], X[2], X[6]])
+        cp = np.column_stack([X[3], X[4], X[5], X[6]])
+    else:
+        cm, cp = X[:3].T.copy(), X[3:].T.copy()
+    return LocalBasis(element_id, "ife_q1" if nv == 4 else "ife_p1", origin, h, cm, cp,
+                      D=D, E=E, chord_normal=n)
+
+
+def reference_cut(kind, rng, h=1.0):
+    """One random cut of the reference element, drawn as the scans draw them;
+    returns (verts, D, E, normal, poly_minus, poly_plus) with the minus side
+    containing the origin vertex."""
+    d, e = _cut_params(rng)
+    if kind == TRI:
+        verts = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])
+        D = np.array([0.0, d * h])
+        E = np.array([e * h, 0.0])
+    else:
+        verts = np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
+        if rng.integers(2) == 0:                      # two adjacent edges
+            D = np.array([0.0, d * h])
+            E = np.array([e * h, 0.0])
+        else:                                         # two opposite edges
+            D = np.array([d * h, h])
+            E = np.array([e * h, 0.0])
+    chord = E - D
+    n = np.array([chord[1], -chord[0]])
+    n /= np.linalg.norm(n)
+    if float((verts[0] - D) @ n) > 0:
+        n = -n
+    pa, pb = split_convex_by_chord(verts, D, E, 1e-12 * h)
+    if any(np.allclose(p, verts[0]) for p in pa):
+        poly_minus, poly_plus = pa, pb
+    else:
+        poly_minus, poly_plus = pb, pa
+    return verts, D, E, n, poly_minus, poly_plus
+
+
+def coef_ratio_max(kind, beta_pair, samples, rng):
+    """Largest ratio between the two pieces' physical coefficient norms over
+    `samples` reference cuts drawn from rng and their nodal functions."""
+    worst = 0.0
+    for _ in range(samples):
+        cut = reference_cut(kind, rng)
+        cm, cp = ife_basis(0, *cut[:4], *beta_pair).phys_coefficients()
+        for j in range(len(cm)):
+            nm = np.linalg.norm(cm[j])
+            npn = np.linalg.norm(cp[j])
+            if min(nm, npn) == 0.0:
+                continue
+            worst = max(worst, nm / npn, npn / nm)
+    return worst
+
+
+def trace_ratio(kind, cutdata, beta_pair, h):
+    """max_B max_v ||beta grad(v).n_B|| / (h^{1/2} |K|^{-1/2} ||sqrt(beta) grad v||)
+    on one reference cut, or None when its gradient Gram matrix is degenerate:
+    polygon rules per piece, a split rule per element edge and one generalized
+    symmetric eigenproblem per edge."""
+    import scipy.linalg
+
+    verts, D, E, n, poly_minus, poly_plus = cutdata
+    bm, bp = beta_pair
+    basis = ife_basis(0, verts, D, E, n, bm, bp)
+    d = basis.n_funcs
+    Dmat = np.zeros((d, d))
+    for side, poly, b in ((SIDE_MINUS, poly_minus, bm), (1, poly_plus, bp)):
+        rule = split_polygon_rule(poly, 4)
+        G = basis.gradients_piece(rule.points, side)
+        Dmat += b * np.einsum("q,iqa,jqa->ij", rule.weights, G, G)
+    if np.trace(Dmat) < 1e-28:
+        return None
+    W = scipy.linalg.null_space(np.full((1, d), 1.0 / np.sqrt(d)))
+    Dr = W.T @ Dmat @ W
+    areaK = h * h if kind == RECT else h * h / 2
+
+    worst = 0.0
+    for i in range(len(verts)):
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        t = b - a
+        nB = np.array([t[1], -t[0]]) / np.linalg.norm(t)
+        # the chord ends that lie strictly inside this edge
+        inside = [X for X in (D, E)
+                  if abs(t[0] * (X - a)[1] - t[1] * (X - a)[0]) < 1e-12 * h * h
+                  and 0.0 < (X - a) @ t < t @ t]
+        rule = split_edge_rule(a, b, inside, 4)
+        G = basis.gradients(rule.points)
+        bpt = np.where(basis.side_plus_mask(rule.points), bp, bm)
+        fl = bpt[None, :] * np.einsum("dqa,a->dq", G, nB)
+        Nmat = np.einsum("q,iq,jq->ij", rule.weights, fl, fl)
+        lam = scipy.linalg.eigh(W.T @ Nmat @ W, Dr, eigvals_only=True)[-1]
+        worst = max(worst, np.sqrt(max(lam, 0.0) * areaK / h))
+    return worst
 
 
 def check_csr(A):

@@ -19,7 +19,7 @@ from ppife.geometry import DomainSpec, build_mesh, circle, classify_edges, class
 from ppife.harness import RunConfig, build_context, pointwise_error_field, solve_scheme
 from ppife.local_basis import basis_residuals, bilinear_ife_basis, linear_ife_basis
 from ppife.postprocess import convergence_rates
-from ppife.verify import _reference_cut
+from oracles import reference_cut
 
 NS = (20, 40, 80, 160, 320)
 SCHEMES = ("classic", "spp", "ipp", "npp")
@@ -142,7 +142,7 @@ def test_criterion_5_basis_invariant_suite():
         per_beta = n_per_kind // len(betas) + 1
         for bm, bp in betas:
             for _ in range(per_beta):
-                cut = _reference_cut(kind, rng)
+                cut = reference_cut(kind, rng)
                 basis = builder(0, *cut[:4], bm, bp)
                 res = basis_residuals(basis, cut[0], bm, bp)
                 for k, v in res.items():

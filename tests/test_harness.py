@@ -149,6 +149,20 @@ def test_cli_exit_codes(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("mesh", ["rect", "tri"])
+def test_cli_verify_defaults_pass(tmp_path, capsys, mesh):
+    # every scan at the CLI's own sample counts, seed, betas and mesh sizes
+    assert main(["verify", "--mesh", mesh, "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "PASS coefficient_bounds", "PASS trace_ratio", "PASS coercivity",
+        "PASS interp_edge_error"]
+    scans = (tmp_path / "scans.csv").read_text().splitlines()
+    assert sorted(ln for ln in scans if ",passed," in ln) == [
+        f"{scan},passed,1" for scan in
+        ("coefficient_bounds", "coercivity", "interp_edge_error", "trace_ratio")]
+
+
 def test_cli_verify_exit_code_on_forced_failure(tmp_path):
     # forcing sigma0 = 0 degrades the IPP/SPP definiteness check
     code = main(["verify", "--sigma0", "0", "--coeff-samples", "100",

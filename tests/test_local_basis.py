@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,8 +9,7 @@ from ppife.local_basis import (basis_residuals, bilinear_ife_basis, build_bases,
                                linear_ife_basis, standard_gradients, standard_values,
                                template_name)
 from ppife.geometry import INTERFACE, DomainSpec, build_mesh, circle, classify_elements
-from oracles import linear_coupling_matrix, standard_basis
-from ppife.verify import _reference_cut
+from oracles import ife_basis, linear_coupling_matrix, reference_cut, standard_basis
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 RECT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -107,7 +108,7 @@ def test_linear_coefficient_ratio_bounds():
     rng = np.random.default_rng(5)
     grad_ratio_max = 0.0
     for _ in range(1000):
-        cut = _reference_cut("tri", rng)
+        cut = reference_cut("tri", rng)
         basis = linear_ife_basis(0, *cut[:4], 1.0, 10.0)
         cm, cp = basis.phys_coefficients()
         for j in range(3):
@@ -143,7 +144,7 @@ def test_bilinear_type1_constraint_residuals():
 def test_random_cut_invariants(kind):
     rng = np.random.default_rng(42)
     for _ in range(300):
-        cut = _reference_cut(kind, rng)
+        cut = reference_cut(kind, rng)
         if kind == "tri":
             basis = linear_ife_basis(0, *cut[:4], 1.0, 100.0)
             verts = cut[0]
@@ -207,7 +208,7 @@ def test_gradient_bounded_by_inverse_h():
     rng = np.random.default_rng(9)
     for h in (1.0, 0.25):
         for _ in range(500):
-            cut = _reference_cut("rect", rng, h)
+            cut = reference_cut("rect", rng, h)
             basis = bilinear_ife_basis(0, *cut[:4], 1.0, 10.0)
             pts = rng.uniform(0, h, size=(8, 2))
             g = basis.gradients(pts)
@@ -245,3 +246,36 @@ def test_templates_equal_standard_basis_oracle(kind):
         solved = standard_basis(k, verts, oracle_kind)
         assert np.allclose(standard_values(mesh, k, pts), solved.values(pts), atol=1e-12)
         assert np.allclose(standard_values(mesh, k, verts), np.eye(len(verts)), atol=1e-13)
+
+
+@pytest.mark.parametrize("beta_plus", [10.0, 1e4])
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_build_bases_equals_per_element_oracle(kind, beta_plus):
+    # the stacked solve reproduces the one-element solve bit for bit
+    for N, (cx, cy, r) in ((40, (0.0, 0.0, np.pi / 6.28)), (64, (0.13, -0.21, 0.47))):
+        mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
+        _, cuts = classify_elements(mesh, circle(cx, cy, r))
+        bases = build_bases(mesh, cuts, 1.0, beta_plus)
+        assert list(bases) == list(cuts)
+        for k, cut in cuts.items():
+            oracle = ife_basis(k, mesh.element_vertices(k), cut.D, cut.E, cut.chord_normal,
+                               1.0, beta_plus)
+            basis = bases[k]
+            assert basis.kind == oracle.kind
+            assert np.array_equal(basis.origin, oracle.origin) and basis.h == oracle.h
+            assert np.array_equal(basis.coefs_minus, oracle.coefs_minus)
+            assert np.array_equal(basis.coefs_plus, oracle.coefs_plus)
+
+
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_singular_system_in_batch_names_its_element(kind):
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 16, kind))
+    _, cuts = classify_elements(mesh, circle(0.0, 0.0, np.pi / 6.28))
+    bad = list(cuts)[len(cuts) // 2]
+    # a chord collapsed to one point leaves the jump conditions singular
+    cuts[bad] = dataclasses.replace(cuts[bad], E=cuts[bad].D.copy())
+    with pytest.raises(SingularLocalSystem, match=rf"^element {bad}: "):
+        build_bases(mesh, cuts, 1.0, 10.0)
+    with pytest.raises(SingularLocalSystem, match=rf"^element {bad}: "):
+        ife_basis(bad, mesh.element_vertices(bad), cuts[bad].D, cuts[bad].E,
+                  cuts[bad].chord_normal, 1.0, 10.0)

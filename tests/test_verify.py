@@ -1,35 +1,85 @@
 import numpy as np
 import pytest
 
-from oracles import linear_coupling_matrix
+from oracles import coef_ratio_max, linear_coupling_matrix, reference_cut, trace_ratio
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
 from ppife.local_basis import linear_ife_basis
-from ppife.verify import (ScanReport, _reference_cut, interp_edge_error_study,
-                          quadrant_bound_constant, quadrant_gradient_check, quadrant_sigma,
-                          scan_coefficient_bounds, scan_coercivity,
-                          scan_trace_ratio)
+from ppife.quadrature import polygon_area
+from ppife.verify import (ScanReport, _coef_ratios, _draw_cuts, _reference_cuts, _trace_ratios,
+                          interp_edge_error_study, quadrant_bound_constant,
+                          quadrant_gradient_check, quadrant_sigma, scan_coefficient_bounds,
+                          scan_coercivity, scan_trace_ratio)
 
 # frozen regression baseline for the linear trace scan at the default seed
 TRACE_BASELINE_TRI_B10 = 3.758909087431e+00
 
 
 def test_reference_cut_geometry():
-    rng = np.random.default_rng(0)
     for kind in ("tri", "rect"):
-        for _ in range(50):
-            verts, D, E, n, pm, pp = _reference_cut(kind, rng)
+        cuts = _reference_cuts(kind, _draw_cuts(kind, 50, 0))
+        rng = np.random.default_rng(0)
+        for s in range(50):
+            verts, D, E, n = cuts.verts[s], cuts.D[s], cuts.E[s], cuts.normal[s]
+            pm, pp = cuts.poly_minus[s], cuts.poly_plus[s]
             # minus side contains the origin vertex
             assert any(np.allclose(p, verts[0]) for p in pm)
             assert float((verts[0] - D) @ n) <= 0
-            from ppife.quadrature import polygon_area
             total = polygon_area(pm) + polygon_area(pp)
             assert total == pytest.approx(abs(polygon_area(verts)), rel=1e-12)
+            # the same cut as the one-sample draw, with the same sub-polygons
+            # once the padding (repeated last vertices) is dropped
+            o_verts, o_D, o_E, o_n, o_pm, o_pp = reference_cut(kind, rng)
+            assert np.array_equal(verts, o_verts)
+            assert np.array_equal(D, o_D) and np.array_equal(E, o_E)
+            assert np.array_equal(n, o_n)
+            for padded, poly in ((pm, o_pm), (pp, o_pp)):
+                assert np.array_equal(padded[:len(poly)], poly)
+                assert (padded[len(poly):] == poly[-1]).all()
+
+
+@pytest.mark.parametrize("h", [1.0, 0.25])
+@pytest.mark.parametrize("beta_pair", [(1.0, 10.0), (1.0, 1e4)])
+@pytest.mark.parametrize("kind", ["tri", "rect"])
+def test_trace_ratios_match_scalar_oracle(kind, beta_pair, h):
+    batched = _trace_ratios(kind, _draw_cuts(kind, 60, 7), beta_pair, h)
+    rng = np.random.default_rng(7)
+    scalar = [trace_ratio(kind, reference_cut(kind, rng, h), beta_pair, h) for _ in range(60)]
+    assert np.allclose(batched, scalar, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("beta_pair", [(1.0, 10.0), (1.0, 1e4)])
+@pytest.mark.parametrize("kind", ["tri", "rect"])
+def test_coefficient_ratios_match_scalar_oracle(kind, beta_pair):
+    batched = _coef_ratios(kind, _draw_cuts(kind, 60, 7), beta_pair)
+    rng = np.random.default_rng(7)
+    scalar = [coef_ratio_max(kind, beta_pair, 1, rng) for _ in range(60)]
+    assert np.allclose(batched, scalar, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["tri", "rect"])
+def test_base_run_is_prefix_of_refined_run(kind):
+    # a run reseeds, so the base run's cuts are the refined run's first ones
+    pair, samples = (1.0, 10.0), 40
+    draws = _draw_cuts(kind, 4 * samples, 7)
+    head = _draw_cuts(kind, samples, 7)
+    assert all(np.array_equal(a[:samples], b) for a, b in zip(draws, head))
+
+    report = scan_trace_ratio(kind, (pair,), samples=samples, seed=7, hs=(1.0, 0.5))
+    refined = _trace_ratios(kind, draws, pair, 1.0)
+    assert report.metrics["max_R_b1_10_h1"] == refined[:samples].max()
+    assert report.metrics["max_R_refined_b1_10"] == refined.max()
+    assert report.metrics["max_R_b1_10_h0.5"] == _trace_ratios(kind, head, pair, 0.5).max()
+
+    report = scan_coefficient_bounds(kind, (pair,), samples=samples, seed=7)
+    ratios = _coef_ratios(kind, draws, pair)
+    assert report.metrics["max_ratio_b1_10"] == ratios[:samples].max()
+    assert report.metrics["max_ratio_refined_b1_10"] == ratios.max()
 
 
 def test_coefficient_scan_equal_beta_has_unit_gradient_ratios():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        cut = _reference_cut("tri", rng)
+        cut = reference_cut("tri", rng)
         basis = linear_ife_basis(0, *cut[:4], 5.0, 5.0)
         cm, cp = basis.phys_coefficients()
         assert np.allclose(cm, cp, atol=1e-12)

@@ -4,13 +4,12 @@ interface problems on interface-unfitted Cartesian meshes."""
 from .assembly import (MethodParams, SCHEMES, SparseSystem, apply_dirichlet,
                        assemble_edge_terms, assemble_load, assemble_volume,
                        combine_system, edge_traces)
-from .geometry import (CartesianMesh, DomainSpec, ElementCut, InterfaceGeometry,
+from .geometry import (CartesianMesh, CutSet, DomainSpec, InterfaceGeometry,
                        build_mesh, circle, classify_edges, classify_elements,
                        edge_crossings, line)
 from .harness import RunConfig, build_context, cmd_convergence, cmd_solve, cmd_verify, load_config
 from .linsolve import SolveResult, bicgstab, cg
-from .local_basis import (LocalBasis, basis_residuals, bilinear_ife_basis,
-                          build_bases, linear_ife_basis)
+from .local_basis import basis_residuals, build_bases, ife_coefficients
 from .postprocess import (PiecewiseSolution, RunRecord, convergence_rates,
                           error_norms, interpolate_nodal, radial_interface_solution)
 from .quadrature import (QuadratureRule, rect_rule, segment_rule,

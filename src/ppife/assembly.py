@@ -23,12 +23,11 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .geometry import EDGE_INTERFACE, RECT, SIDE_MINUS, edge_split_points
-from .local_basis import (standard_gradients, standard_values, template_gradients,
-                          template_values)
-from .quadrature import (map_triangle, rect_rule, split_edge_rule,
-                         split_polygon_rule, _collapsed_triangle_rule,
-                         fan_triangles, _subdivide)
+from .geometry import EDGE_INTERFACE, RECT, SIDE_MINUS
+from .local_basis import (cut_frame, cut_gradients, cut_values, piece_gradients, piece_values,
+                          template_coefs, template_gradients, template_values)
+from .quadrature import (_collapsed_triangle_rule, fan_rule, map_segment, rect_rule,
+                         segment_rule)
 
 VOLUME_DEGREE = 4
 EDGE_DEGREE = 4
@@ -92,45 +91,32 @@ def _p1_stiffness_batch(verts, coef):
     return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * scale[:, None, None]
 
 
-def volume_element_matrix(basis, cut, beta_minus, beta_plus, degree=VOLUME_DEGREE):
-    """Stiffness matrix of one cut element: both chord sides, each with its beta."""
-    d = basis.n_funcs
-    A = np.zeros((d, d))
-    for side, poly, b in ((SIDE_MINUS, cut.poly_minus, beta_minus),
-                          (-SIDE_MINUS, cut.poly_plus, beta_plus)):
-        rule = split_polygon_rule(poly, degree)
-        G = basis.gradients_piece(rule.points, side)
-        A += b * np.einsum("q,iqa,jqa->ij", rule.weights, G, G)
+def cut_volume_matrices(cuts, beta_minus, beta_plus, degree=VOLUME_DEGREE):
+    """Stiffness matrices (K, d, d) of the cut elements: each chord side's
+    sub-polygon with its piece and its beta."""
+    A = np.zeros(cuts.cm.shape[:2] + cuts.cm.shape[1:2])
+    for poly, c, beta in ((cuts.poly_minus, cuts.cm, beta_minus),
+                          (cuts.poly_plus, cuts.cp, beta_plus)):
+        pts, w = fan_rule(poly, degree)
+        G = piece_gradients(c, (pts - cuts.origin[:, None]) / cuts.h[:, None, None], cuts.h)
+        A += beta * np.einsum("kq,kiqa,kjqa->kij", w, G, G)
     return A
 
 
-def assemble_volume(mesh, status, cuts, bases, beta_minus, beta_plus):
+def assemble_volume(mesh, status, cuts, beta_minus, beta_plus):
     """Stiffness matrix sum_K int_K beta grad(phi_i) . grad(phi_j), CSR."""
     n = mesh.n_nodes
     d = mesh.n_local
     bulk = np.flatnonzero(status != 0)
     coef = np.where(status == SIDE_MINUS, beta_minus, beta_plus)[bulk]
-
-    rows, cols, data = [], [], []
-    if len(bulk):
-        conn = mesh.elements[bulk]
-        if mesh.cell_kind == RECT:
-            blocks = coef[:, None, None] * _S_Q1[None, :, :]
-        else:
-            blocks = _p1_stiffness_batch(mesh.nodes[conn], coef)
-        rows.append(np.repeat(conn, d, axis=1).ravel())
-        cols.append(np.tile(conn, (1, d)).ravel())
-        data.append(blocks.ravel())
-
-    for k, cut in cuts.items():
-        Aloc = volume_element_matrix(bases[k], cut, beta_minus, beta_plus)
-        conn = mesh.elements[k]
-        rows.append(np.repeat(conn, d))
-        cols.append(np.tile(conn, d))
-        data.append(Aloc.ravel())
-
-    A = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
+    if mesh.cell_kind == RECT:
+        blocks = coef[:, None, None] * _S_Q1[None, :, :]
+    else:
+        blocks = _p1_stiffness_batch(mesh.nodes[mesh.elements[bulk]], coef)
+    conn = mesh.elements[np.concatenate([bulk, cuts.ids])]
+    data = np.concatenate([blocks, cut_volume_matrices(cuts, beta_minus, beta_plus)])
+    A = sp.coo_matrix((data.ravel(), (np.repeat(conn, d, axis=1).ravel(),
+                                      np.tile(conn, (1, d)).ravel())), shape=(n, n)).tocsr()
     A.sum_duplicates()
     A.eliminate_zeros()
     A.sort_indices()
@@ -141,92 +127,117 @@ def assemble_volume(mesh, status, cuts, bases, beta_minus, beta_plus):
 # edge terms
 # ---------------------------------------------------------------------------
 
-class EdgeSide(NamedTuple):
-    """One neighbour's trace on the quadrature points of an interface edge."""
+class EdgeTraces(NamedTuple):
+    """The interface edges in ascending order, their split Gauss rules and
+    both neighbours' traces on them. Side 0 is the lower-index element, which
+    the edge normal points away from. Every edge is split in two: at the
+    chord end that lies inside it, or else at its end vertex, which leaves a
+    zero-weight second piece."""
 
-    element: int
-    values: np.ndarray      # (d, nq), as LocalBasis.values / standard_values give them
-    gradients: np.ndarray   # (d, nq, 2)
-    beta: np.ndarray        # (nq,) coefficient of the active side per point
-
-
-class EdgeTrace(NamedTuple):
-    """Split rule of one interface edge and both traces on it; sides[0] is the
-    lower-index element, which the edge normal points away from."""
-
-    edge: int
-    points: np.ndarray
-    weights: np.ndarray
-    sides: tuple
+    edges: np.ndarray       # (B,)
+    elements: np.ndarray    # (B, 2) the neighbours, lower index first
+    points: np.ndarray      # (B, nq, 2)
+    weights: np.ndarray     # (B, nq)
+    values: np.ndarray      # (B, 2, d, nq), or None when not asked for
+    gradients: np.ndarray   # (B, 2, d, nq, 2)
+    beta: np.ndarray        # (B, 2, nq) coefficient of the active side per point
 
 
-def edge_traces(mesh, edge_labels, status, cuts, bases, beta_minus, beta_plus,
-                degree=EDGE_DEGREE):
-    """An EdgeTrace per interface edge, in ascending edge order.
+def edge_traces(mesh, edge_labels, status, cuts, beta_minus, beta_plus,
+                degree=EDGE_DEGREE, values=True):
+    """The EdgeTraces of the interface edges.
 
     This is the one walk over interface edges: the edge terms, the penalty
     jumps of the energy norm and the interpolation-flux scan all read it.
+    The cut neighbours and the standard ones of each side are evaluated as
+    two stacks; `values=False` skips the values.
     """
-    traces = []
-    for e in np.flatnonzero(edge_labels == EDGE_INTERFACE).tolist():
-        a, b = mesh.nodes[mesh.edge_nodes[e]]
-        rule = split_edge_rule(a, b, edge_split_points(mesh, e, cuts), degree)
-        pts = rule.points
-        sides = []
-        for k in mesh.edge_elements[e].tolist():
-            basis = bases.get(k)
-            if basis is None:
-                beta = np.full(len(pts), beta_minus if status[k] == SIDE_MINUS else beta_plus)
-                sides.append(EdgeSide(k, standard_values(mesh, k, pts),
-                                      standard_gradients(mesh, k, pts), beta))
-            else:
-                beta = np.where(basis.side_plus_mask(pts), beta_plus, beta_minus)
-                sides.append(EdgeSide(k, basis.values(pts), basis.gradients(pts), beta))
-        traces.append(EdgeTrace(e, pts, rule.weights, tuple(sides)))
-    return traces
+    edges = np.flatnonzero(edge_labels == EDGE_INTERFACE)
+    B = len(edges)
+    a = mesh.nodes[mesh.edge_nodes[edges, 0]]
+    d = mesh.nodes[mesh.edge_nodes[edges, 1]] - a
+    # the chord end of an adjacent cut that lies inside the edge, if any
+    split = np.full((mesh.n_edges, 2), np.nan)
+    on_edge = cuts.cut_edges >= 0
+    split[cuts.cut_edges[on_edge]] = np.stack([cuts.D, cuts.E], axis=1)[on_edge]
+    length = np.sqrt(np.vecdot(d, d))
+    t = np.vecdot(split[edges] - a, d) / (length * length)
+    t = np.where((t > 1e-12) & (t < 1 - 1e-12), t, 1.0)
+    breaks = np.column_stack([np.zeros(B), t, np.ones(B)])[..., None]
+    rule = segment_rule(degree)
+    pts, w = map_segment(rule, a[:, None] + breaks[:, :-1] * d[:, None],
+                         a[:, None] + breaks[:, 1:] * d[:, None])
+    nv, nq = mesh.n_local, 2 * rule.n_points
+    pts, w = pts.reshape(B, nq, 2), w.reshape(B, nq)
+
+    row_of = np.full(mesh.n_elements, -1)
+    row_of[cuts.ids] = np.arange(len(cuts))
+    els = mesh.edge_elements[edges]
+    V = np.empty((B, 2, nv, nq)) if values else None
+    G = np.empty((B, 2, nv, nq, 2))
+    beta = np.empty((B, 2, nq))
+    for s in (0, 1):
+        rows = row_of[els[:, s]]
+        cut = rows >= 0
+        xi, plus = cut_frame(cuts, rows[cut], pts[cut])
+        if values:
+            V[cut, s] = cut_values(cuts, rows[cut], xi, plus)
+        G[cut, s] = cut_gradients(cuts, rows[cut], xi, plus)
+        beta[cut, s] = np.where(plus, beta_plus, beta_minus)
+        k = els[~cut, s]
+        C = template_coefs(mesh, k)
+        xi = (pts[~cut] - mesh.element_origins[k][:, None]) / mesh.element_h[k][:, None, None]
+        if values:
+            V[~cut, s] = piece_values(C, xi)
+        G[~cut, s] = piece_gradients(C, xi, mesh.element_h[k])
+        beta[~cut, s] = np.where(status[k] == SIDE_MINUS, beta_minus, beta_plus)[:, None]
+    return EdgeTraces(edges, els, pts, w, V, G, beta)
 
 
-def edge_term_matrices(mesh, trace, alpha):
-    """Consistency matrix M_loc[i,j] = int_B {beta grad(phi_j).n}[phi_i] and the
-    unit penalty matrix |B|^-alpha int_B [phi_i][phi_j] of one edge, with the
-    dof list (both elements' nodes, once each) they refer to."""
-    conn = [mesh.elements[side.element].tolist() for side in trace.sides]
-    dofs = list(dict.fromkeys(conn[0] + conn[1]))
-    nB = mesh.edge_normals[trace.edge]
-    w = trace.weights
-    jump = np.zeros((len(dofs), len(w)))
+def edge_term_matrices(mesh, traces, alpha):
+    """Consistency matrices M_loc[i,j] = int_B {beta grad(phi_j).n}[phi_i] and
+    unit penalty matrices |B|^-alpha int_B [phi_i][phi_j] of the edges of
+    `traces`, (B, nd, nd) each, with the dofs (B, nd) they refer to: the
+    lower-index element's nodes, then the other element's remaining ones."""
+    c0, c1 = mesh.elements[traces.elements[:, 0]], mesh.elements[traces.elements[:, 1]]
+    B, nv = c0.shape
+    extra = c1[~(c1[:, :, None] == c0[:, None, :]).any(axis=2)].reshape(B, nv - 2)
+    dofs = np.concatenate([c0, extra], axis=1)
+    loc1 = np.argmax(c1[:, :, None] == dofs[:, None, :], axis=2)
+    nB = mesh.edge_normals[traces.edges]
+    flux_side = 0.5 * (traces.beta[:, :, None, :]
+                       * np.einsum("bsdqa,ba->bsdq", traces.gradients, nB))
+    w = traces.weights
+    jump = np.zeros((B, dofs.shape[1], w.shape[1]))
     flux = np.zeros_like(jump)
-    for side, nodes, sign in zip(trace.sides, conn, (1.0, -1.0)):
-        loc = [dofs.index(g) for g in nodes]
-        jump[loc] += sign * side.values
-        flux[loc] += 0.5 * (side.beta[None, :] * np.einsum("dqa,a->dq", side.gradients, nB))
-    M = np.einsum("q,iq,jq->ij", w, jump, flux)
-    P = 1.0 / mesh.edge_lengths[trace.edge] ** alpha * np.einsum("q,iq,jq->ij", w, jump, jump)
+    jump[:, :nv] += traces.values[:, 0]
+    flux[:, :nv] += flux_side[:, 0]
+    rows = np.arange(B)[:, None]
+    jump[rows, loc1] += -traces.values[:, 1]
+    flux[rows, loc1] += flux_side[:, 1]
+    M = np.einsum("bq,biq,bjq->bij", w, jump, flux)
+    P = (1.0 / mesh.edge_lengths[traces.edges] ** alpha)[:, None, None] * np.einsum(
+        "bq,biq,bjq->bij", w, jump, jump)
     return dofs, M, P
 
 
-def assemble_edge_terms(mesh, edge_labels, status, cuts, bases, beta_minus, beta_plus, alpha):
+def assemble_edge_terms(mesh, edge_labels, status, cuts, beta_minus, beta_plus, alpha):
     """Assemble (M, P_unit, traces) over the interface edges: the consistency
     matrix, the penalty matrix at sigma0 = 1 (`combine_system` weighs both per
-    scheme) and the `edge_traces` records the sums were taken over."""
-    traces = edge_traces(mesh, edge_labels, status, cuts, bases, beta_minus, beta_plus)
+    scheme) and the `edge_traces` the sums were taken over."""
+    traces = edge_traces(mesh, edge_labels, status, cuts, beta_minus, beta_plus)
+    dofs, M, P = edge_term_matrices(mesh, traces, alpha)
+    nd = dofs.shape[1]
+    r, c = np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel()
     n = mesh.n_nodes
-    rows, cols, mdata, pdata = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)], [np.zeros(0)]
-    for trace in traces:
-        dofs, M, P = edge_term_matrices(mesh, trace, alpha)
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        mdata.append(M.ravel())
-        pdata.append(P.ravel())
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    M = sp.coo_matrix((np.concatenate(mdata), (r, c)), shape=(n, n)).tocsr()
-    P = sp.coo_matrix((np.concatenate(pdata), (r, c)), shape=(n, n)).tocsr()
+    out = []
     for X in (M, P):
+        X = sp.coo_matrix((X.ravel(), (r, c)), shape=(n, n)).tocsr()
         X.sum_duplicates()
         X.eliminate_zeros()
         X.sort_indices()
-    return M, P, traces
+        out.append(X)
+    return out[0], out[1], traces
 
 
 def combine_system(A_vol, M, P_unit, params: MethodParams):
@@ -241,21 +252,6 @@ def combine_system(A_vol, M, P_unit, params: MethodParams):
 # ---------------------------------------------------------------------------
 # load vector
 # ---------------------------------------------------------------------------
-
-def cut_data_rules(cut, degree=DATA_DEGREE, refine=DATA_REFINE):
-    """Refined chord-split quadrature for data integrands on a cut element.
-
-    Yields (side, points, weights) per sub-polygon; the caller selects the
-    exact-solution piece per point from the true level set.
-    """
-    ref = _collapsed_triangle_rule(degree)
-    for side, poly in ((SIDE_MINUS, cut.poly_minus), (-SIDE_MINUS, cut.poly_plus)):
-        tris = fan_triangles(poly)
-        for _ in range(refine):
-            tris = [c for t in tris for c in _subdivide(t)]
-        pts, wts = map_triangle(ref, np.array(tris))
-        yield side, pts.reshape(-1, 2), wts.ravel()
-
 
 def bulk_rules(mesh, degree):
     """Scaled quadrature rule per cell variant: {variant: (template, points, weights)}."""
@@ -296,7 +292,7 @@ def bulk_chunks(mesh, status, tables):
             yield table, chunk, pts[..., 0], pts[..., 1]
 
 
-def assemble_load(mesh, status, cuts, bases, solution, iface, degree=DATA_DEGREE,
+def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
                   refine=DATA_REFINE):
     """Load vector b_i = sum_K int_K f phi_i with the data-side of f chosen by
     the exact level set at each quadrature point."""
@@ -310,15 +306,17 @@ def assemble_load(mesh, status, cuts, bases, solution, iface, degree=DATA_DEGREE
         loc = (f * w[None, :]) @ V.T                 # (nc, d)
         np.add.at(b, mesh.elements[chunk], loc)
 
-    for k, cut in cuts.items():
-        basis = bases[k]
-        acc = np.zeros(basis.n_funcs)
-        for _side, pts, wts in cut_data_rules(cut, degree, refine):
-            x, y = pts[:, 0], pts[:, 1]
+    if len(cuts):
+        rows = np.arange(len(cuts))
+        acc = np.zeros(cuts.cm.shape[:2])
+        for poly in (cuts.poly_minus, cuts.poly_plus):
+            pts, wts = fan_rule(poly, degree, refine)
+            x, y = pts[..., 0], pts[..., 1]
             minus = np.asarray(iface.phi(x, y)) < 0
             f = np.where(minus, solution.f_minus(x, y), solution.f_plus(x, y))
-            acc += basis.values(pts) @ (f * wts)
-        b[mesh.elements[k]] += acc
+            xi, plus = cut_frame(cuts, rows, pts)
+            acc += (cut_values(cuts, rows, xi, plus) @ (f * wts)[..., None])[..., 0]
+        np.add.at(b, mesh.elements[cuts.ids], acc)
     return b
 
 

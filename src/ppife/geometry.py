@@ -109,7 +109,9 @@ class CartesianMesh:
         local = np.column_stack([np.arange(d), np.roll(np.arange(d), -1)])
         pairs = self.elements[:, local]                     # (ne, d, 2)
         canon = np.sort(pairs.reshape(-1, 2), axis=1)
-        self.edge_nodes, inverse = np.unique(canon, axis=0, return_inverse=True)
+        # a 1-D key keeps the lexicographic order of the node pairs
+        keys, inverse = np.unique(canon[:, 0] * self.n_nodes + canon[:, 1], return_inverse=True)
+        self.edge_nodes = np.column_stack(np.divmod(keys, self.n_nodes))
         self.element_edges = inverse.reshape(self.n_elements, d)
         self.n_edges = len(self.edge_nodes)
 
@@ -309,90 +311,92 @@ def edge_crossings(p0, p1, iface: InterfaceGeometry, h):
     return hit, points
 
 
-@dataclass(eq=False)
-class ElementCut:
-    """Cut data of one interface element.
+@dataclass(frozen=True, eq=False)
+class CutSet:
+    """The cut elements as one stack of arrays, a row per cut element in
+    ascending element order.
 
-    D/E are the curve-boundary intersections, the chord normal points from
-    the minus sub-polygon toward the plus one, and poly_minus/poly_plus are
-    the chord-split sub-polygons (CCW).
+    D and E are where the curve crosses the element boundary; a snapped
+    vertex stands for a crossing that sits on it. The unit chord normal
+    points from the minus sub-polygon toward the plus one. The sub-polygons
+    are CCW from D or E and padded to nv + 1 vertices by repeating their last
+    vertex, which adds zero-area fan triangles. Element edge i (V_i -> V_i+1)
+    is split at `edge_splits[:, i]`: at the chord end on it, else at its end
+    vertex. `local_basis.build_bases` fills in the immersed coefficients and
+    the frames of their scaled monomials.
     """
 
-    element_id: int
-    D: np.ndarray
-    E: np.ndarray
-    cut_edges: tuple
-    chord_normal: np.ndarray
-    poly_minus: np.ndarray
-    poly_plus: np.ndarray
-    type_tag: Optional[str] = None   # 'I' / 'II' for rectangles
+    ids: np.ndarray          # (K,) element ids; stack indices for reference cuts
+    verts: np.ndarray        # (K, nv, 2)
+    D: np.ndarray            # (K, 2)
+    E: np.ndarray            # (K, 2)
+    normal: np.ndarray       # (K, 2)
+    poly_minus: np.ndarray   # (K, nv + 1, 2)
+    poly_plus: np.ndarray    # (K, nv + 1, 2)
+    n_minus: np.ndarray      # (K,) vertex counts before padding
+    n_plus: np.ndarray       # (K,)
+    edge_splits: np.ndarray  # (K, nv, 2)
+    cut_edges: np.ndarray    # (K, 2) mesh edges holding D and E; -1 at a vertex or off a mesh
+    opposite: np.ndarray     # (K,) rectangle cut through opposite edges (type II)
+    cm: Optional[np.ndarray] = None      # (K, d, m) minus-piece coefficients
+    cp: Optional[np.ndarray] = None      # (K, d, m) plus-piece coefficients
+    origin: Optional[np.ndarray] = None  # (K, 2) lower-left corner of each frame
+    h: Optional[np.ndarray] = None       # (K,) size of each frame
+
+    def __len__(self):
+        return len(self.ids)
 
 
-def split_convex_by_chord(verts, D, E, tol):
-    """Split a convex CCW polygon along the chord D-E.
+def ring_chains(verts, D, E, slot_D, slot_E):
+    """The chord split of each element as index arithmetic on its ring
+    [V0, X0, V1, X1, ...], where X_i is the chord end on edge i, if any; a
+    chord end on vertex V_i takes that vertex's slot 2i.
 
-    D and E must lie on the polygon boundary (possibly at vertices). Returns
-    the two CCW sub-polygons (chainA from D to E, chainB from E to D), or None
-    when the split is degenerate (one side empty).
+    Returns (ring, chains, counts, edge_splits): the ring points (K, 2 nv, 2);
+    the ring slots (K, nv + 1) of the sub-polygon from D to E and of the one
+    from E to D, each padded by repeating its last slot; their vertex counts
+    (K,); and the split point of each element edge (K, nv, 2).
     """
-    verts = np.asarray(verts, float)
-    nv = len(verts)
-    ring = []
-    tags = []
-    for i in range(nv):
-        v = verts[i]
-        if np.linalg.norm(v - D) < tol:
-            ring.append(D)
-            tags.append("D")
-        elif np.linalg.norm(v - E) < tol:
-            ring.append(E)
-            tags.append("E")
-        else:
-            ring.append(v)
-            tags.append("v")
-        a, b = v, verts[(i + 1) % nv]
-        d = b - a
-        ll = float(d @ d)
-        for X, tag in ((D, "D"), (E, "E")):
-            t = float((X - a) @ d) / ll
-            if tol / np.sqrt(ll) < t < 1 - tol / np.sqrt(ll):
-                foot = a + t * d
-                if np.linalg.norm(X - foot) < tol:
-                    ring.append(X)
-                    tags.append(tag)
-    if tags.count("D") != 1 or tags.count("E") != 1:
-        return None
-    iD = tags.index("D")
-    iE = tags.index("E")
-    order = list(range(len(ring)))
+    K, nv = verts.shape[:2]
+    R = 2 * nv
+    rows = np.arange(K)
+    ring = np.repeat(verts, 2, axis=1)
+    ring[rows, slot_D] = D
+    ring[rows, slot_E] = E
+    odd = np.arange(1, R, 2)
+    crossed = (slot_D[:, None] == odd) | (slot_E[:, None] == odd)
+    edge_splits = np.where(crossed[..., None], ring[:, odd], ring[:, (odd + 1) % R])
 
-    def chain(i0, i1):
-        idx = []
-        k = i0
-        while True:
-            idx.append(k)
-            if k == i1:
-                break
-            k = order[(k + 1) % len(order)]
-        return np.array([ring[j] for j in idx])
+    step = np.arange(R + 1)
+    walk = (slot_D[:, None] + step) % R            # once round the ring from D
+    on = (walk % 2 == 0) | (walk == slot_D[:, None]) | (walk == slot_E[:, None])
+    at_E = ((slot_E - slot_D) % R)[:, None]
+    chains, counts = [], []
+    for keep in (on & (step <= at_E), on & (step >= at_E)):
+        n = keep.sum(axis=1)
+        first = np.argsort(~keep, axis=1, kind="stable")[:, :nv + 1]
+        last = np.take_along_axis(first, np.minimum(n, nv + 1)[:, None] - 1, axis=1)
+        chains.append(np.take_along_axis(walk, np.where(step[:nv + 1] < n[:, None], first, last),
+                                         axis=1))
+        counts.append(n)
+    return ring, chains, counts, edge_splits
 
-    pa = chain(iD, iE)
-    pb = chain(iE, iD)
-    if len(pa) < 3 or len(pb) < 3:
-        return None
-    return pa, pb
+
+def _norm(v):
+    # sqrt(vecdot) is bit for bit np.linalg.norm of one vector, on stacks too
+    return np.sqrt(np.vecdot(v, v))
 
 
 def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
-    """Label every element against the interface; build cut data where it cuts.
+    """Label every element against the interface and stack its cut elements.
 
     Returns (status, cuts): `status` holds SIDE_MINUS, SIDE_PLUS or INTERFACE
-    per element (int8), and `cuts` maps the id of each interface element, in
-    ascending order, to its ElementCut. Non-interface elements get their side
-    from the sign of phi at the centroid. Crossing points are computed once
-    per mesh edge so that neighbouring elements share bit-identical D/E
-    points. Degenerate cuts (chord below snap tolerance, or an empty
-    sub-polygon) fall back to non-interface status.
+    per element (int8), and `cuts` is the CutSet of the interface elements.
+    Non-interface elements get their side from the sign of phi at the
+    centroid. Crossing points are computed once per mesh edge so that
+    neighbouring elements share bit-identical D/E points. Degenerate cuts
+    (chord below snap tolerance, or an empty sub-polygon) fall back to
+    non-interface status.
     """
     h = mesh.h
     tol = iface.snap_tol * h
@@ -417,7 +421,8 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     ends = mesh.edge_nodes[candidates]
     solve = candidates[node_sign[ends[:, 0]] * node_sign[ends[:, 1]] < 0]
     hit, points = edge_crossings(ea[solve], eb[solve], iface, h)
-    crossings = dict(zip(solve[hit].tolist(), points[hit]))
+    crossing = np.full((mesh.n_edges, 2), np.nan)
+    crossing[solve[hit]] = points[hit]
 
     cent_phi = np.asarray(iface.phi(mesh.centroids[:, 0], mesh.centroids[:, 1]), float)
     status = np.where(cent_phi > 0, SIDE_PLUS, SIDE_MINUS).astype(np.int8)
@@ -425,109 +430,115 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     touched = (node_sign[mesh.elements] == 0).any(axis=1)
     adj = mesh.edge_elements[solve[hit]].ravel()
     touched[adj[adj >= 0]] = True
-
-    cuts = {}
-    for k in np.flatnonzero(touched).tolist():
-        cut = _classify_one(mesh, iface, k, crossings, node_sign, tol)
-        if cut is not None:
-            status[k] = INTERFACE
-            cuts[k] = cut
+    cuts = _cut_set(mesh, iface, np.flatnonzero(touched), crossing, node_sign, tol)
+    status[cuts.ids] = INTERFACE
     return status, cuts
 
 
-def _classify_one(mesh, iface, k, crossings, node_sign, tol):
-    """Cut data of element k, or None when its cut is degenerate."""
-    conn = mesh.elements[k]
+def _cut_set(mesh, iface, ids, crossing, node_sign, tol):
+    """CutSet of the touched elements `ids` whose cut is not degenerate."""
+    h = mesh.h
+    K, nv = len(ids), mesh.n_local
+    rows = np.arange(K)
+    conn = mesh.elements[ids]
     verts = mesh.nodes[conn]
-    strict = [(crossings[e], e) for e in mesh.element_edges[k].tolist() if e in crossings]
-    snapped = [(verts[i].copy(), None) for i in range(len(conn)) if node_sign[conn[i]] == 0]
+    edges = mesh.element_edges[ids]
+    strict = ~np.isnan(crossing[edges, 0])
+    n_strict = strict.sum(axis=1)
+    err = np.where(n_strict > 2, 1, 0)
 
-    if len(strict) > 2:
-        raise MultipleCrossings(f"element {k} boundary crossed {len(strict)} times")
-    if len(strict) + len(snapped) < 2:
-        return None
+    # the points a chord may join, in element order: the crossings by local
+    # edge, then the snapped vertices. D, E are the first two, or the
+    # farthest pair when grazing vertices add to fewer than two crossings.
+    valid = np.concatenate([strict, node_sign[conn] == 0], axis=1)
+    order = np.argsort(~valid, axis=1, kind="stable")
+    pts = np.take_along_axis(np.concatenate([crossing[edges], verts], axis=1),
+                             order[..., None], axis=1)
+    edge_of = np.take_along_axis(np.concatenate([edges, np.full((K, nv), -1)], axis=1),
+                                 order, axis=1)
+    count = valid.sum(axis=1)
+    i, j = np.triu_indices(2 * nv, 1)
+    dist = np.where(j < count[:, None], _norm(pts[:, i] - pts[:, j]), -1.0)
+    far = np.argmax(dist, axis=1)
+    farthest = (count > 2) & (n_strict < 2)
+    a, b = np.where(farthest, i[far], 0), np.where(farthest, j[far], 1)
+    D, E = pts[rows, a], pts[rows, b]
+    cut_edges = np.column_stack([edge_of[rows, a], edge_of[rows, b]])
 
-    if len(strict) == 2:
-        (D, eD), (E, eE) = strict
-    elif len(strict) + len(snapped) == 2:
-        pts = strict + snapped
-        (D, eD), (E, eE) = pts
-    else:
-        # one real crossing plus several grazing vertices: take the farthest pair
-        pts = strict + snapped
-        best = None
-        for ii in range(len(pts)):
-            for jj in range(ii + 1, len(pts)):
-                dd = np.linalg.norm(pts[ii][0] - pts[jj][0])
-                if best is None or dd > best[0]:
-                    best = (dd, pts[ii], pts[jj])
-        _, (D, eD), (E, eE) = best
+    # ring slots: a chord end within the split tolerance of a vertex takes it
+    split_tol = max(tol, 1e-12 * h)
+    slots = []
+    for P, e in ((D, cut_edges[:, 0]), (E, cut_edges[:, 1])):
+        near = _norm(verts - P[:, None]) < split_tol
+        on_edge = 2 * np.argmax(edges == e[:, None], axis=1) + 1
+        slots.append(np.where(near.any(axis=1), 2 * np.argmax(near, axis=1), on_edge))
+    slot_D, slot_E = slots
+    live = ((err == 0) & (count >= 2) & (_norm(E - D) >= tol) & (slot_D != slot_E))
 
-    if np.linalg.norm(E - D) < tol:
-        return None  # degenerate chord
+    ring, (sa, sb), (na, nb), edge_splits = ring_chains(verts, D, E, slot_D, slot_E)
+    pa, pb = ring[rows[:, None], sa], ring[rows[:, None], sb]
+    live &= (na >= 3) & (nb >= 3)
+    area_a, area_b = polygon_area(pa), polygon_area(pb)
+    live &= np.minimum(area_a, area_b) >= 1e-12 * h ** 2
+    bad = live & (np.abs(area_a + area_b - np.abs(polygon_area(verts))) > 1e-10 * h ** 2)
+    err[bad] = 2
+    live &= ~bad
 
-    split = split_convex_by_chord(verts, D, E, max(tol, 1e-12 * mesh.h))
-    if split is None:
-        return None
-    pa, pb = split
-    area_a = polygon_area(pa)
-    area_b = polygon_area(pb)
-    area_k = abs(polygon_area(verts))
-    if min(area_a, area_b) < 1e-12 * mesh.h ** 2:
-        return None
-    if abs(area_a + area_b - area_k) > 1e-10 * mesh.h ** 2:
-        raise GeometryError(f"cut of element {k} does not partition it")
+    # a chain's side: the sign of its vertices other than D and E, or of phi
+    # at its mean when they all snap
+    slot_sign = np.repeat(node_sign[conn], 2, axis=1)
+    slot_sign[:, 1::2] = 0
+    slot_sign[rows, slot_D] = 0
+    slot_sign[rows, slot_E] = 0
+    sides, means = [], []
+    for slots, poly, n in ((sa, pa, na), (sb, pb, nb)):
+        signs = slot_sign[rows[:, None], slots]
+        pos, neg = (signs > 0).any(axis=1), (signs < 0).any(axis=1)
+        bad = live & pos & neg
+        err[bad] = 3
+        live &= ~bad
+        mean = (poly * (np.arange(nv + 1) < n[:, None])[..., None]).sum(axis=1) / n[:, None]
+        above = np.asarray(iface.phi(mean[:, 0], mean[:, 1])) > 0
+        fallback = np.where(above, SIDE_PLUS, SIDE_MINUS)
+        sides.append(np.where(pos, SIDE_PLUS, np.where(neg, SIDE_MINUS, fallback)))
+        means.append(mean)
+    a_plus = sides[0] == SIDE_PLUS
+    live &= sides[0] != sides[1]
 
-    def chain_side(poly):
-        signs = []
-        for p in poly:
-            if np.linalg.norm(p - D) < tol or np.linalg.norm(p - E) < tol:
-                continue
-            for i, v in enumerate(verts):
-                if np.linalg.norm(p - v) < 1e-12 * mesh.h:
-                    signs.append(int(node_sign[conn[i]]))
-                    break
-        signs = [sg for sg in signs if sg != 0]
-        if signs and all(sg == signs[0] for sg in signs):
-            return signs[0]
-        if signs:
-            raise GeometryError(f"inconsistent vertex signs in element {k}")
-        c = poly.mean(axis=0)
-        return SIDE_PLUS if float(iface.phi(c[0], c[1])) > 0 else SIDE_MINUS
+    # chord normals, toward the plus side: along grad phi at the chord
+    # midpoint, or toward the plus polygon's mean where the gradient vanishes
+    k = np.flatnonzero(live)
+    chord = E[k] - D[k]
+    n = np.column_stack([chord[:, 1], -chord[:, 0]])
+    n /= _norm(n)[:, None]
+    mid = 0.5 * (D[k] + E[k])
+    gx, gy, _ = np.broadcast_arrays(*iface.grad(mid[:, 0], mid[:, 1]), mid[:, 0])
+    g = np.column_stack([gx, gy]).astype(float)
+    to_plus = np.where(a_plus[k, None], means[0][k], means[1][k]) - mid
+    flip = np.where(_norm(g) > 1e-14, np.vecdot(n, g) < 0, np.vecdot(n, to_plus) < 0)
+    n[flip] *= -1
+    err[k[np.vecdot(n, to_plus) <= 0]] = 4
+    if err.any():
+        r = int(np.argmax(err != 0))
+        e = ids[r]
+        if err[r] == 1:
+            raise MultipleCrossings(f"element {e} boundary crossed {n_strict[r]} times")
+        raise GeometryError({2: f"cut of element {e} does not partition it",
+                             3: f"inconsistent vertex signs in element {e}",
+                             4: f"chord normal of element {e} contradicts the level set"}[err[r]])
 
-    sa = chain_side(pa)
-    sb = chain_side(pb)
-    if sa == sb:
-        return None
-    poly_minus, poly_plus = (pa, pb) if sa == SIDE_MINUS else (pb, pa)
-
-    chord = E - D
-    n = np.array([chord[1], -chord[0]])
-    n /= np.linalg.norm(n)
-    mid = 0.5 * (D + E)
-    gx, gy = iface.grad(mid[0], mid[1])
-    g = np.array([float(gx), float(gy)])
-    if np.linalg.norm(g) > 1e-14:
-        if float(n @ g) < 0:
-            n = -n
-    else:
-        if float(n @ (poly_plus.mean(axis=0) - mid)) < 0:
-            n = -n
-    if float(n @ (poly_plus.mean(axis=0) - mid)) <= 0:
-        raise GeometryError(f"chord normal of element {k} contradicts the level set")
-
-    type_tag = None
+    opposite = np.zeros(len(k), dtype=bool)
     if mesh.cell_kind == RECT:
-        if eD is not None and eE is not None:
-            shared = set(mesh.edge_nodes[eD]) & set(mesh.edge_nodes[eE])
-            type_tag = "I" if shared else "II"
-        else:
-            type_tag = "II" if (len(pa), len(pb)) == (4, 4) else "I"
-
-    return ElementCut(k, D=D, E=E,
-                      cut_edges=tuple(e for e in (eD, eE) if e is not None),
-                      chord_normal=n, poly_minus=poly_minus, poly_plus=poly_plus,
-                      type_tag=type_tag)
+        eD, eE = cut_edges[k, 0], cut_edges[k, 1]
+        ends_D, ends_E = mesh.edge_nodes[eD], mesh.edge_nodes[eE]
+        shared = (ends_D[:, :, None] == ends_E[:, None, :]).any(axis=(1, 2))
+        opposite = np.where((eD >= 0) & (eE >= 0), ~shared, (na[k] == 4) & (nb[k] == 4))
+    plus = a_plus[k]
+    return CutSet(ids[k], verts[k], D[k], E[k], n,
+                  np.where(plus[:, None, None], pb[k], pa[k]),
+                  np.where(plus[:, None, None], pa[k], pb[k]),
+                  np.where(plus, nb[k], na[k]), np.where(plus, na[k], nb[k]),
+                  edge_splits[k], cut_edges[k], opposite)
 
 
 def classify_edges(mesh: CartesianMesh, status) -> np.ndarray:
@@ -547,24 +558,3 @@ def classify_edges(mesh: CartesianMesh, status) -> np.ndarray:
     touched[interior] |= iface_elems[adj[interior, 1]]
     labels[(labels == EDGE_INTERIOR) & touched] = EDGE_INTERFACE
     return labels
-
-
-def edge_split_points(mesh, edge_id, cuts):
-    """Interior points where adjacent chords break the traces on this edge."""
-    a = mesh.nodes[mesh.edge_nodes[edge_id, 0]]
-    b = mesh.nodes[mesh.edge_nodes[edge_id, 1]]
-    d = b - a
-    ll = float(d @ d)
-    pts = []
-    for el in mesh.edge_elements[edge_id]:
-        cut = cuts.get(int(el))
-        if cut is None:
-            continue
-        for X in (cut.D, cut.E):
-            t = float((X - a) @ d) / ll
-            if 1e-12 < t < 1 - 1e-12:
-                foot = a + t * d
-                if np.linalg.norm(X - foot) < 1e-10 * mesh.h:
-                    if not any(np.linalg.norm(X - p) < 1e-12 * mesh.h for p in pts):
-                        pts.append(X)
-    return pts

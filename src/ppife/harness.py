@@ -17,7 +17,7 @@ from . import assembly, geometry, linsolve, verify
 from .assembly import MethodParams, SCHEMES
 from .errors import ConfigError, NotConverged
 from .geometry import DomainSpec, build_mesh, classify_edges, classify_elements
-from .local_basis import build_bases
+from .local_basis import build_bases, cut_frame, cut_values
 from .postprocess import (RunRecord, error_norms, markdown_error_table,
                           radial_interface_solution, record_csv_rows)
 
@@ -206,12 +206,11 @@ class CaseContext:
     iface: object
     sol: object
     status: np.ndarray   # per element: SIDE_MINUS, SIDE_PLUS or INTERFACE
-    cuts: dict           # interface element id -> ElementCut
-    bases: dict          # interface element id -> LocalBasis
+    cuts: object         # geometry.CutSet of the interface elements, with their bases
     A_vol: object
     M: object
     P_unit: object
-    traces: list         # assembly.EdgeTrace per interface edge
+    traces: object       # assembly.EdgeTraces of the interface edges
     b: np.ndarray
 
 
@@ -226,14 +225,13 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
                                     alpha_exp=config.alpha_exp, r0=r0, center=(cx, cy))
     status, cuts = classify_elements(mesh, iface)
     labels = classify_edges(mesh, status)
-    bases = build_bases(mesh, cuts, config.beta_minus, config.beta_plus)
-    A_vol = assembly.assemble_volume(mesh, status, cuts, bases,
-                                     config.beta_minus, config.beta_plus)
-    M, P_unit, traces = assembly.assemble_edge_terms(mesh, labels, status, cuts, bases,
+    cuts = build_bases(cuts, config.beta_minus, config.beta_plus)
+    A_vol = assembly.assemble_volume(mesh, status, cuts, config.beta_minus, config.beta_plus)
+    M, P_unit, traces = assembly.assemble_edge_terms(mesh, labels, status, cuts,
                                                      config.beta_minus, config.beta_plus,
                                                      config.penalty_alpha)
-    b = assembly.assemble_load(mesh, status, cuts, bases, sol, iface)
-    return CaseContext(N, mesh, iface, sol, status, cuts, bases, A_vol, M, P_unit, traces, b)
+    b = assembly.assemble_load(mesh, status, cuts, sol, iface)
+    return CaseContext(N, mesh, iface, sol, status, cuts, A_vol, M, P_unit, traces, b)
 
 
 def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
@@ -254,8 +252,8 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
         raise NotConverged(f"{scheme} at N={ctx.N}: residual {res.residual:.3e}", res)
     coeffs = system.expand(res.x)
 
-    err = error_norms(ctx.mesh, ctx.status, ctx.cuts, ctx.bases, coeffs, ctx.sol,
-                      ctx.iface, ctx.traces, params)
+    err = error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,
+                      ctx.traces, params)
     rec = RunRecord(
         scheme=scheme, mesh_kind=config.mesh, N=ctx.N, h=ctx.mesh.h,
         beta_minus=config.beta_minus, beta_plus=config.beta_plus,
@@ -269,7 +267,7 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
 # pointwise field evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_solution(mesh, status, bases, coeffs, pts):
+def evaluate_solution(mesh, status, cuts, coeffs, pts):
     """u_h at arbitrary points of the domain (vectorized on standard cells)."""
     spec = mesh.spec
     n = mesh.n_cells
@@ -304,10 +302,18 @@ def evaluate_solution(mesh, status, bases, coeffs, pts):
             vals[up] = (ce[up, 0] * (1 - es[up]) + ce[up, 1] * xs[up]
                         + ce[up, 2] * (es[up] - xs[up]))
             out[std] = vals
-    for k in np.unique(elem[~std]).tolist():
-        sel = elem == k
-        p = np.column_stack([x[sel], y[sel]])
-        out[sel] = coeffs[mesh.elements[k]] @ bases[k].values(p)
+    # points on cut elements, grouped by element; the elements with equal
+    # point counts form one stack, so each element's products have the
+    # shapes, and so the bits, of evaluating its points on their own
+    idx = np.flatnonzero(~std)
+    idx = idx[np.argsort(elem[idx], kind="stable")]
+    k, first, count = np.unique(elem[idx], return_index=True, return_counts=True)
+    for c in np.unique(count):
+        g = count == c
+        sel = idx[first[g][:, None] + np.arange(c)]
+        rows = np.searchsorted(cuts.ids, k[g])
+        xi, plus = cut_frame(cuts, rows, np.stack([x[sel], y[sel]], axis=-1))
+        out[sel] = (coeffs[mesh.elements[k[g]]][:, None] @ cut_values(cuts, rows, xi, plus))[:, 0]
     return out
 
 
@@ -321,7 +327,7 @@ def pointwise_error_field(ctx: CaseContext, coeffs, grid=0):
     ys = np.linspace(ctx.mesh.spec.ymin, ctx.mesh.spec.ymax, grid)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    uh = evaluate_solution(ctx.mesh, ctx.status, ctx.bases, coeffs, pts)
+    uh = evaluate_solution(ctx.mesh, ctx.status, ctx.cuts, coeffs, pts)
     ue = ctx.sol.u_at(pts[:, 0], pts[:, 1], ctx.iface)
     return pts, np.abs(ue - uh)
 

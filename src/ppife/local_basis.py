@@ -4,15 +4,14 @@ Non-interface elements carry the standard linear (triangle) or bilinear
 (rectangle) nodal basis, evaluated from fixed coefficient templates; no
 object is built for them. Interface elements carry an immersed basis: one
 polynomial per side of the chord D-E, glued by continuity at D and E plus a
-flux-matching condition, solved element by element from a small linear
-system. Coefficients are stored for scaled monomials in local coordinates
+flux-matching condition, solved for all cut elements of a CutSet at once.
+Coefficients are stored for scaled monomials in local coordinates
 xi = (x - origin)/h so the local systems stay well conditioned on fine
 meshes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import dataclasses
 
 import numpy as np
 
@@ -38,127 +37,34 @@ _TEMPLATES = {"rect": _C_RECT, "tri_lower": _C_TRI_LOWER, "tri_upper": _C_TRI_UP
 
 
 def _monomials(pts, m):
-    pts = np.atleast_2d(np.asarray(pts, float))
-    cols = [np.ones(len(pts)), pts[:, 0], pts[:, 1]]
+    pts = np.asarray(pts)
+    cols = [np.ones_like(pts[..., 0]), pts[..., 0], pts[..., 1]]
     if m == 4:
-        cols.append(pts[:, 0] * pts[:, 1])
-    return np.column_stack(cols)
+        cols.append(pts[..., 0] * pts[..., 1])
+    return np.stack(cols, axis=-1)
 
 
 def template_values(variant, pts):
     """Values of the standard nodal basis at scaled points, shape (d, n)."""
-    C = _TEMPLATES[variant]
-    return C @ _monomials(pts, C.shape[1]).T
+    return piece_values(_TEMPLATES[variant], np.atleast_2d(pts))
 
 
 def template_gradients(variant, pts):
     """Scaled gradients of the standard nodal basis, shape (d, n, 2)."""
-    C = _TEMPLATES[variant]
-    pts = np.atleast_2d(np.asarray(pts, float))
-    n = len(pts)
-    d, m = C.shape
-    g = np.empty((d, n, 2))
-    g[:, :, 0] = C[:, 1:2]
-    g[:, :, 1] = C[:, 2:3]
-    if m == 4:
-        g[:, :, 0] += np.outer(C[:, 3], pts[:, 1])
-        g[:, :, 1] += np.outer(C[:, 3], pts[:, 0])
-    return g
+    return piece_gradients(_TEMPLATES[variant], np.atleast_2d(pts), 1.0)
 
 
-def template_name(mesh, k):
-    """Template of the standard nodal basis on element k."""
+def template_coefs(mesh, ids):
+    """Standard-basis coefficient templates of the elements `ids`, (..., d, m)."""
     if mesh.cell_kind == RECT:
-        return "rect"
-    return "tri_lower" if mesh.element_variant[k] == 0 else "tri_upper"
+        return np.broadcast_to(_C_RECT, np.shape(ids) + _C_RECT.shape)
+    return np.stack([_C_TRI_LOWER, _C_TRI_UPPER])[mesh.element_variant[ids]]
 
 
-def _element_scaled(mesh, k, pts):
-    pts = np.atleast_2d(np.asarray(pts, float))
-    return (pts - mesh.element_origins[k]) / mesh.element_h[k]
-
-
-def standard_values(mesh, k, pts):
-    """Standard nodal basis of element k at physical points, shape (d, n)."""
-    return template_values(template_name(mesh, k), _element_scaled(mesh, k, pts))
-
-
-def standard_gradients(mesh, k, pts):
-    """Gradients of the standard nodal basis of element k, shape (d, n, 2)."""
-    g = template_gradients(template_name(mesh, k), _element_scaled(mesh, k, pts))
-    return g / mesh.element_h[k]
-
-
-@dataclass(eq=False)
-class LocalBasis:
-    """Nodal basis on one element, in scaled local monomials.
-
-    For interface elements `coefs_minus`/`coefs_plus` differ and the chord
-    data selects the active piece; for standard elements they are the same
-    array.
-    """
-
-    element_id: int
-    kind: str                 # 'p1' | 'q1' | 'ife_p1' | 'ife_q1'
-    origin: np.ndarray
-    h: float
-    coefs_minus: np.ndarray   # (d, m)
-    coefs_plus: np.ndarray
-    D: Optional[np.ndarray] = None
-    E: Optional[np.ndarray] = None
-    chord_normal: Optional[np.ndarray] = None
-
-    @property
-    def n_funcs(self):
-        return self.coefs_minus.shape[0]
-
-    @property
-    def is_interface(self):
-        return self.kind.startswith("ife")
-
-    def _scaled(self, pts):
-        return (np.atleast_2d(np.asarray(pts, float)) - self.origin) / self.h
-
-    def side_plus_mask(self, pts):
-        """True where the plus piece is active (chord side test, minus on ties)."""
-        pts = np.atleast_2d(np.asarray(pts, float))
-        s = (pts - self.D) @ self.chord_normal
-        return s > CHORD_TIE_TOL * self.h
-
-    def _values_from(self, coefs, pts):
-        return coefs @ _monomials(self._scaled(pts), coefs.shape[1]).T
-
-    def _gradients_from(self, coefs, pts):
-        return piece_gradients(coefs, self._scaled(pts), self.h)
-
-    def values(self, pts):
-        """Basis values at physical points, shape (d, n)."""
-        if not self.is_interface:
-            return self._values_from(self.coefs_minus, pts)
-        vm = self._values_from(self.coefs_minus, pts)
-        vp = self._values_from(self.coefs_plus, pts)
-        mask = self.side_plus_mask(pts)
-        return np.where(mask[None, :], vp, vm)
-
-    def gradients(self, pts):
-        """Basis gradients at physical points, shape (d, n, 2)."""
-        if not self.is_interface:
-            return self._gradients_from(self.coefs_minus, pts)
-        gm = self._gradients_from(self.coefs_minus, pts)
-        gp = self._gradients_from(self.coefs_plus, pts)
-        mask = self.side_plus_mask(pts)
-        return np.where(mask[None, :, None], gp, gm)
-
-    def values_piece(self, pts, side):
-        return self._values_from(self.coefs_plus if side > 0 else self.coefs_minus, pts)
-
-    def gradients_piece(self, pts, side):
-        return self._gradients_from(self.coefs_plus if side > 0 else self.coefs_minus, pts)
-
-    def phys_coefficients(self):
-        """Physical-monomial coefficients [1, x, y(, xy)] of both pieces."""
-        return (phys_coefficients(self.coefs_minus, self.origin, self.h),
-                phys_coefficients(self.coefs_plus, self.origin, self.h))
+def piece_values(coefs, xi):
+    """Values of scaled-monomial pieces `coefs` (..., d, m) at scaled points
+    `xi` (..., n, 2) with the same leading axes: (..., d, n)."""
+    return coefs @ _monomials(xi, coefs.shape[-1]).swapaxes(-1, -2)
 
 
 def piece_gradients(coefs, xi, h):
@@ -167,13 +73,14 @@ def piece_gradients(coefs, xi, h):
     `coefs` is (..., d, m), `xi` (..., n, 2) and `h` scalar or (...), with
     the same leading axes; returns (..., d, n, 2).
     """
-    g = np.empty(coefs.shape[:-1] + (xi.shape[-2], 2))
+    g = np.empty(coefs.shape[:-1] + (xi.shape[-2], 2), dtype=np.result_type(coefs, xi))
     g[..., 0] = coefs[..., 1:2]
     g[..., 1] = coefs[..., 2:3]
     if coefs.shape[-1] == 4:
         g[..., 0] += coefs[..., 3:4] * xi[..., None, :, 1]
         g[..., 1] += coefs[..., 3:4] * xi[..., None, :, 0]
-    return g / np.asarray(h)[..., None, None, None]
+    g /= np.asarray(h)[..., None, None, None]
+    return g
 
 
 def phys_coefficients(c, origin, h):
@@ -218,8 +125,9 @@ def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_i
 
     `verts` is a float array (K, 3, 2) for triangles or (K, 4, 2) for
     rectangles; D, E and the unit chord normals are float arrays (K, 2).
-    Returns (cm, cp), the scaled-monomial coefficients of the minus and plus
-    pieces, each (K, d, m).
+    Returns (cm, cp, origin, h): the scaled-monomial coefficients of the
+    minus and plus pieces, each (K, d, m), and the frames (`local_frames`)
+    they refer to.
 
     A triangle has six unknowns (two linear pieces): three nodal conditions,
     continuity at D and at E, and matching of the normal flux beta * dv/dn
@@ -281,112 +189,87 @@ def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_i
         cm, cp = X[:, [0, 1, 2, 6]], X[:, [3, 4, 5, 6]]
     else:
         cm, cp = X[:, :3], X[:, 3:]
-    return cm.transpose(0, 2, 1).copy(), cp.transpose(0, 2, 1).copy()
+    return cm.transpose(0, 2, 1).copy(), cp.transpose(0, 2, 1).copy(), origin, h
 
 
-def ife_bases(element_ids, verts, D, E, chord_normal, beta_minus, beta_plus):
-    """One immersed LocalBasis per element of a stack (see `ife_coefficients`)."""
-    verts = np.asarray(verts, float)
-    D, E, n = (np.asarray(a, float) for a in (D, E, chord_normal))
-    cm, cp = ife_coefficients(verts, D, E, n, beta_minus, beta_plus, element_ids)
-    origin, h = local_frames(verts)
-    kind = "ife_q1" if verts.shape[1] == 4 else "ife_p1"
-    return [LocalBasis(k, kind, origin[i], h[i], cm[i], cp[i], D=D[i], E=E[i], chord_normal=n[i])
-            for i, k in enumerate(element_ids)]
+def build_bases(cuts, beta_minus, beta_plus):
+    """The CutSet `cuts` with its immersed coefficients and frames filled in,
+    from one stacked solve (`ife_coefficients`)."""
+    cm, cp, origin, h = ife_coefficients(cuts.verts, cuts.D, cuts.E, cuts.normal,
+                                         beta_minus, beta_plus, cuts.ids)
+    return dataclasses.replace(cuts, cm=cm, cp=cp, origin=origin, h=h)
 
 
-def linear_ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus) -> LocalBasis:
-    """Immersed P1 basis on one cut triangle."""
-    return ife_bases([element_id], [verts], [D], [E], [chord_normal], beta_minus, beta_plus)[0]
+def cut_frame(cuts, rows, pts):
+    """Scaled coordinates of the points `pts` (..., n, 2) in the frames of the
+    cut rows `rows` (...), and their chord side: True where the plus piece is
+    active, the minus piece winning ties."""
+    xi = (pts - cuts.origin[rows][..., None, :]) / cuts.h[rows][..., None, None]
+    s = np.vecdot(pts - cuts.D[rows][..., None, :], cuts.normal[rows][..., None, :])
+    return xi, s > CHORD_TIE_TOL * cuts.h[rows][..., None]
 
 
-def bilinear_ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus) -> LocalBasis:
-    """Immersed Q1 basis on one cut rectangle."""
-    return ife_bases([element_id], [verts], [D], [E], [chord_normal], beta_minus, beta_plus)[0]
+def cut_values(cuts, rows, xi, plus):
+    """Immersed basis values (..., d, n) at the scaled points of `cut_frame`,
+    each from the piece its `plus` mask selects."""
+    cm = cuts.cm[rows]
+    mono = _monomials(xi, cm.shape[-1]).swapaxes(-1, -2)
+    return np.where(plus[..., None, :], cuts.cp[rows] @ mono, cm @ mono)
 
 
-def build_bases(mesh, cuts, beta_minus, beta_plus):
-    """Immersed bases of the interface elements, keyed like `cuts`, from one
-    stacked solve."""
-    if not cuts:
-        return {}
-    ids = list(cuts)
-    records = cuts.values()
-    bases = ife_bases(ids, mesh.nodes[mesh.elements[ids]], [c.D for c in records],
-                      [c.E for c in records], [c.chord_normal for c in records],
-                      beta_minus, beta_plus)
-    return dict(zip(ids, bases))
+def cut_gradients(cuts, rows, xi, plus):
+    """Immersed basis gradients (..., d, n, 2), like `cut_values`."""
+    h = cuts.h[rows]
+    return np.where(plus[..., None, :, None], piece_gradients(cuts.cp[rows], xi, h),
+                    piece_gradients(cuts.cm[rows], xi, h))
 
 
 # ---------------------------------------------------------------------------
 # invariant checks
 # ---------------------------------------------------------------------------
 
-def basis_residuals(basis, verts, beta_minus, beta_plus):
-    """Worst-case residuals of the defining conditions of an immersed basis,
-    in long double.
+def basis_residuals(cuts, beta_minus, beta_plus):
+    """Worst-case residuals of the defining conditions of the immersed bases
+    of a CutSet, per cut, in long double.
 
-    Returns a dict with keys 'kronecker', 'continuity', 'flux', 'partition'.
-    The flux residual is pointwise (|beta- dv-/dn - beta+ dv+/dn|) for linear
-    bases and the chord-line integral for bilinear ones; like the builders'
-    flux row it is divided by max(beta), so all four are unit-free.
+    Returns a dict of (K,) arrays with keys 'kronecker', 'continuity', 'flux'
+    and 'partition'. The flux residual is pointwise
+    (|beta- dv-/dn - beta+ dv+/dn|) for linear bases and the chord-line
+    integral for bilinear ones; like the builder's flux row it is divided by
+    max(beta), so all four are unit-free.
     """
-    verts = np.asarray(verts, float)
-    d = basis.n_funcs
     ld = np.longdouble
-    cm = basis.coefs_minus.astype(ld)
-    cp = basis.coefs_plus.astype(ld)
-    origin = basis.origin.astype(ld)
-    h = ld(basis.h)
+    cm, cp = cuts.cm.astype(ld), cuts.cp.astype(ld)
+    origin, h = cuts.origin.astype(ld)[:, None], cuts.h.astype(ld)
+    bm, bp = ld(beta_minus), ld(beta_plus)
+    n = cuts.normal.astype(ld)[:, None, None]
 
-    def mono(p, m):
-        xi = (p.astype(ld) - origin) / h
-        cols = [np.ones_like(xi[..., 0]), xi[..., 0], xi[..., 1]]
-        if m == 4:
-            cols.append(xi[..., 0] * xi[..., 1])
-        return np.stack(cols, axis=-1)
+    def xi(p):
+        return (p.astype(ld) - origin) / h[:, None, None]
 
-    def val(c, p):
-        return mono(p, c.shape[1]) @ c.T
+    def flux(p):
+        """beta- dv-/dn - beta+ dv+/dn at the points p (K, n, 2): (K, d, n)."""
+        return ((bm * piece_gradients(cm, xi(p), h) - bp * piece_gradients(cp, xi(p), h))
+                * n).sum(axis=-1)
 
-    def grad(c, p):
-        xi = (p.astype(ld) - origin) / h
-        gx = c[:, 1].copy()
-        gy = c[:, 2].copy()
-        if c.shape[1] == 4:
-            gx = gx + c[:, 3] * xi[1]
-            gy = gy + c[:, 3] * xi[0]
-        return np.stack([gx, gy], axis=-1) / h
-
-    out = {}
-    side = basis.side_plus_mask(verts)
-    vals = np.where(side[:, None], val(cp, verts), val(cm, verts))
-    out["kronecker"] = float(np.abs(vals - np.eye(d)).max())
-
-    cont = max(np.abs(val(cm, basis.D) - val(cp, basis.D)).max(),
-               np.abs(val(cm, basis.E) - val(cp, basis.E)).max())
-    out["continuity"] = float(cont)
-
-    n = basis.chord_normal.astype(ld)
-    bm = ld(beta_minus)
-    bp = ld(beta_plus)
-    if basis.kind == "ife_p1":
-        fm = grad(cm, basis.D) @ n
-        fp = grad(cp, basis.D) @ n
-        flux = np.abs(bm * fm - bp * fp).max()
+    verts, ends = cuts.verts, np.stack([cuts.D, cuts.E], axis=1)
+    plus = (np.vecdot(verts - cuts.D[:, None], cuts.normal[:, None])
+            > CHORD_TIE_TOL * cuts.h[:, None])
+    vals = np.where(plus[:, None], piece_values(cp, xi(verts)), piece_values(cm, xi(verts)))
+    out = {"kronecker": np.abs(vals - np.eye(cm.shape[1])).max(axis=(1, 2)),
+           "continuity": np.abs(piece_values(cm, xi(ends))
+                                - piece_values(cp, xi(ends))).max(axis=(1, 2))}
+    if verts.shape[1] == 3:
+        out["flux"] = np.abs(flux(cuts.D[:, None])).max(axis=(1, 2))
     else:
         # 2-point Gauss along the chord; exact for an affine integrand and
         # independent of the midpoint rule used in the construction
-        t = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)], dtype=ld)
-        L = ld(np.linalg.norm(basis.E - basis.D))
-        total = np.zeros(d, dtype=ld)
-        for tk in t:
-            p = basis.D.astype(ld) * (1 - tk) + basis.E.astype(ld) * tk
-            total = total + (bm * (grad(cm, p) @ n) - bp * (grad(cp, p) @ n)) * (L / 2)
-        flux = np.abs(total).max()
-    out["flux"] = float(flux / max(bm, bp))
-
-    pm = max(abs(cm[:, 0].sum() - 1), np.abs(cm[:, 1:].sum(axis=0)).max())
-    pp = max(abs(cp[:, 0].sum() - 1), np.abs(cp[:, 1:].sum(axis=0)).max())
-    out["partition"] = float(max(pm, pp))
-    return out
+        t = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)], dtype=ld)[:, None]
+        L = np.sqrt(np.vecdot(cuts.E - cuts.D, cuts.E - cuts.D)).astype(ld)
+        p = cuts.D.astype(ld)[:, None] * (1 - t) + cuts.E.astype(ld)[:, None] * t
+        out["flux"] = np.abs(flux(p).sum(axis=-1) * (L / 2)[:, None]).max(axis=1)
+    out["flux"] = out["flux"] / max(bm, bp)
+    out["partition"] = np.maximum(*(np.maximum(np.abs(c[:, :, 0].sum(axis=1) - 1),
+                                               np.abs(c[:, :, 1:].sum(axis=1)).max(axis=1))
+                                    for c in (cm, cp)))
+    return {k: v.astype(float) for k, v in out.items()}

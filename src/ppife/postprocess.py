@@ -6,9 +6,11 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import DATA_DEGREE, DATA_REFINE, bulk_chunks, bulk_rules, cut_data_rules
-from .geometry import RECT, SIDE_MINUS
-from .local_basis import template_gradients, template_values
+from .assembly import DATA_DEGREE, DATA_REFINE, bulk_chunks, bulk_rules
+from .geometry import RECT
+from .local_basis import (cut_frame, cut_values, piece_gradients, piece_values,
+                          template_gradients, template_values)
+from .quadrature import fan_rule
 
 
 @dataclass(frozen=True)
@@ -76,25 +78,6 @@ def radial_interface_solution(beta_minus, beta_plus, alpha_exp=5.0,
                                            "beta_minus": beta_minus, "beta_plus": beta_plus})
 
 
-def interface_jump_residuals(sol, iface, n_samples=360):
-    """Max |[u]| and |[beta du/dn]| sampled along a circular interface."""
-    r0 = sol.params.get("r0")
-    cx, cy, _ = iface.params if iface.name == "circle" else (0.0, 0.0, r0)
-    theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
-    x = cx + r0 * np.cos(theta)
-    y = cy + r0 * np.sin(theta)
-    ju = sol.u_minus(x, y) - sol.u_plus(x, y)
-    gmx, gmy = sol.grad_minus(x, y)
-    gpx, gpy = sol.grad_plus(x, y)
-    gx, gy = iface.grad(x, y)
-    nn = np.hypot(gx, gy)
-    nx, ny = gx / nn, gy / nn
-    bm = sol.params["beta_minus"]
-    bp = sol.params["beta_plus"]
-    jf = bm * (gmx * nx + gmy * ny) - bp * (gpx * nx + gpy * ny)
-    return float(np.abs(ju).max()), float(np.abs(jf).max())
-
-
 def interpolate_nodal(mesh, sol, iface):
     """Nodal interpolant: coefficients are the exact values at mesh nodes."""
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -105,7 +88,7 @@ def interpolate_nodal(mesh, sol, iface):
 # error norms
 # ---------------------------------------------------------------------------
 
-def error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, params,
+def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params,
                 degree=DATA_DEGREE, refine=DATA_REFINE):
     """Errors of u_h against the exact solution, keyed like `_NORM_KEYS`.
 
@@ -115,9 +98,10 @@ def error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, params,
     edges, so the edge jumps of the error reduce to the jumps of u_h, taken
     on the interface-edge `traces` that `assembly.edge_traces` returns.
 
-    One sweep over the standard elements and one over the chord-split
-    sub-polygons of the cut elements fill the three squared sums. Values
-    compare against the exact branch chosen by the true level set;
+    One sweep over the standard elements and one stacked rule per chord side
+    over the sub-polygons of all cut elements fill the three squared sums;
+    the cut elements' terms are added in element order, minus side first.
+    Values compare against the exact branch chosen by the true level set;
     gradient-based integrands compare piece against piece (branch chosen by
     the sub-polygon side). In the thin region between chord and curve the
     exact gradient branches differ by the full coefficient contrast, and
@@ -125,8 +109,26 @@ def error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, params,
     gradient norms by an h-independent factor at large jumps.
     """
     beta = (sol.params["beta_minus"], sol.params["beta_plus"])
+    sums = _bulk_sums(mesh, status, coeffs, sol, iface, beta, degree)
+    if len(cuts):
+        # sequential sums keep the order of an element-by-element walk
+        parts = _cut_sums(mesh, cuts, coeffs, sol, iface, beta, degree, refine)
+        sums = sums + np.cumsum(parts.reshape(-1, 3), axis=0)[-1]
+    l2, h1, energy = sums
+    if params.sigma0 != 0.0:
+        u = coeffs[mesh.elements[traces.elements]][:, :, None] @ traces.values   # (B, 2, 1, nq)
+        jumps = np.vecdot(traces.weights, (u[:, 0, 0] - u[:, 1, 0]) ** 2)
+        scale = params.sigma0 / mesh.edge_lengths[traces.edges] ** params.alpha
+        energy = np.cumsum(np.concatenate([[energy], scale * jumps]))[-1]
+    return {"l2": float(np.sqrt(l2)), "h1": float(np.sqrt(h1)),
+            "linf": _linf_error(mesh, status, cuts, coeffs, sol, iface),
+            "energy": float(np.sqrt(energy))}
+
+
+def _bulk_sums(mesh, status, coeffs, sol, iface, beta, degree):
+    """Squared L2, H1 and energy error sums over the standard elements."""
     h = mesh.h
-    bulk = np.zeros(3)      # squared L2, H1 and energy sums
+    sums = np.zeros(3)
     for (name, spts, swts), chunk, x, y in bulk_chunks(mesh, status, bulk_rules(mesh, degree)):
         w = swts * h * h
         G = template_gradients(name, spts) / h
@@ -135,35 +137,32 @@ def error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, params,
         diff = sol.u(x, y, minus) - ce @ template_values(name, spts)
         gx, gy = sol.grad(x, y, minus)
         d2 = (gx - ce @ G[:, :, 0]) ** 2 + (gy - ce @ G[:, :, 1]) ** 2
-        bulk += (np.einsum("eq,q->", diff * diff, w), np.einsum("eq,q->", d2, w),
+        sums += (np.einsum("eq,q->", diff * diff, w), np.einsum("eq,q->", d2, w),
                  np.einsum("eq,q->", np.where(minus, beta[0], beta[1]) * d2, w))
-
-    cut_sums = np.zeros(3)
-    for k, cut in cuts.items():
-        basis = bases[k]
-        ce = coeffs[mesh.elements[k]]
-        for side, pts, wts in cut_data_rules(cut, degree, refine):
-            x, y = pts[:, 0], pts[:, 1]
-            minus = np.asarray(iface.phi(x, y)) < 0
-            diff = sol.u(x, y, minus) - ce @ basis.values_piece(pts, side)
-            gh = np.einsum("d,dqa->qa", ce, basis.gradients_piece(pts, side))
-            gx, gy = sol.grad(x, y, np.full(len(pts), side == SIDE_MINUS))
-            d2 = (gx - gh[:, 0]) ** 2 + (gy - gh[:, 1]) ** 2
-            b = beta[0] if side == SIDE_MINUS else beta[1]
-            cut_sums += (np.dot(wts, diff * diff), np.dot(wts, d2), np.dot(wts, b * d2))
-
-    l2, h1, energy = bulk + cut_sums
-    if params.sigma0 != 0.0:
-        for trace in traces:
-            u1, u2 = (coeffs[mesh.elements[side.element]] @ side.values for side in trace.sides)
-            energy += (params.sigma0 / mesh.edge_lengths[trace.edge] ** params.alpha
-                       * float(np.dot(trace.weights, (u1 - u2) ** 2)))
-    return {"l2": float(np.sqrt(l2)), "h1": float(np.sqrt(h1)),
-            "linf": _linf_error(mesh, status, bases, coeffs, sol, iface),
-            "energy": float(np.sqrt(energy))}
+    return sums
 
 
-def _linf_error(mesh, status, bases, coeffs, sol, iface, grid=5):
+def _cut_sums(mesh, cuts, coeffs, sol, iface, beta, degree, refine):
+    """The same sums per cut element and chord side, (K, 2, 3), from one
+    refined fan rule per side over all cut elements."""
+    ce = coeffs[mesh.elements[cuts.ids]][:, None]          # (K, 1, d)
+    out = np.zeros((len(cuts), 2, 3))
+    for s, (poly, c, b) in enumerate(((cuts.poly_minus, cuts.cm, beta[0]),
+                                      (cuts.poly_plus, cuts.cp, beta[1]))):
+        pts, wts = fan_rule(poly, degree, refine)
+        x, y = pts[..., 0], pts[..., 1]
+        xi = (pts - cuts.origin[:, None]) / cuts.h[:, None, None]
+        minus = np.asarray(iface.phi(x, y)) < 0
+        diff = sol.u(x, y, minus) - (ce @ piece_values(c, xi))[:, 0]
+        gh = np.einsum("kd,kdqa->kqa", ce[:, 0], piece_gradients(c, xi, cuts.h))
+        gx, gy = sol.grad(x, y, np.full(x.shape, s == 0))
+        d2 = (gx - gh[..., 0]) ** 2 + (gy - gh[..., 1]) ** 2
+        out[:, s] = np.column_stack([np.vecdot(wts, diff * diff), np.vecdot(wts, d2),
+                                     np.vecdot(wts, b * d2)])
+    return out
+
+
+def _linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
     """Max |u - u_h| over a grid x grid sample per element plus all vertices."""
     t = np.linspace(0.0, 1.0, grid)
     TX, TY = np.meshgrid(t, t, indexing="ij")
@@ -179,20 +178,25 @@ def _linf_error(mesh, status, bases, coeffs, sol, iface, grid=5):
         uh = coeffs[mesh.elements[chunk]] @ template_values(name, spts)
         ue = sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
         worst = max(worst, float(np.abs(ue - uh).max()))
-    for k, basis in bases.items():
-        verts = mesh.element_vertices(k)
-        lo = verts.min(axis=0)
-        span = verts.max(axis=0) - lo
-        pts = np.column_stack([(lo[0] + span[0] * TX).ravel(), (lo[1] + span[1] * TY).ravel()])
+    if len(cuts):
+        # the grid on each cut element's bounding square; on triangles the
+        # half of it the element covers, which has the same size on both
+        lo = cuts.verts.min(axis=1)[:, None]
+        span = cuts.verts.max(axis=1)[:, None] - lo
+        grid_pts = np.column_stack([TX.ravel(), TY.ravel()])
+        pts = lo + span * grid_pts
         if mesh.cell_kind != RECT:
             xi = (pts - lo) / mesh.h
-            keep = xi[:, 1] <= xi[:, 0] + 1e-12 if mesh.element_variant[k] == 0 \
-                else xi[:, 0] <= xi[:, 1] + 1e-12
-            pts = pts[keep]
-        pts = np.vstack([pts, verts])
-        uh = coeffs[mesh.elements[k]] @ basis.values(pts)
-        ue = sol.u(pts[:, 0], pts[:, 1],
-                   np.asarray(iface.phi(pts[:, 0], pts[:, 1])) < 0)
+            lower = (mesh.element_variant[cuts.ids] == 0)[:, None]
+            keep = np.where(lower, xi[..., 1] <= xi[..., 0] + 1e-12,
+                            xi[..., 0] <= xi[..., 1] + 1e-12)
+            pts = pts[keep].reshape(len(cuts), -1, 2)
+        pts = np.concatenate([pts, cuts.verts], axis=1)
+        rows = np.arange(len(cuts))
+        uh = (coeffs[mesh.elements[cuts.ids]][:, None] @ cut_values(cuts, rows, *cut_frame(
+            cuts, rows, pts)))[:, 0]
+        x, y = pts[..., 0], pts[..., 1]
+        ue = sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
         worst = max(worst, float(np.abs(ue - uh).max()))
     return worst
 

@@ -117,33 +117,17 @@ def map_rect(rule, origin, hx, hy=None):
 # ---------------------------------------------------------------------------
 
 def polygon_area(poly):
-    """Signed shoelace area (positive for counterclockwise vertex order)."""
+    """Signed shoelace area (positive for counterclockwise vertex order) of a
+    polygon (n, 2) or of each polygon of a stack (..., n, 2)."""
     poly = np.asarray(poly, float)
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-
-
-def fan_triangles(poly):
-    """Fan-triangulate a convex polygon from its first vertex."""
-    poly = np.asarray(poly, float)
-    return [np.array([poly[0], poly[i], poly[i + 1]]) for i in range(1, len(poly) - 1)]
-
-
-def _subdivide(tri):
-    m01 = 0.5 * (tri[0] + tri[1])
-    m12 = 0.5 * (tri[1] + tri[2])
-    m20 = 0.5 * (tri[2] + tri[0])
-    return [np.array([tri[0], m01, m20]), np.array([m01, tri[1], m12]),
-            np.array([m20, m12, tri[2]]), np.array([m01, m12, m20])]
+    x, y = poly[..., 0], poly[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
 
 
 def split_polygon_rule(poly, degree, refine=0):
-    """Quadrature over a convex polygon with 3-5 vertices.
-
-    Fan-triangulates from the first vertex, optionally subdivides each fan
-    triangle `refine` times (4 children per level), and maps a triangle rule
-    onto every piece. Weights sum to the polygon area.
-    """
+    """Quadrature over a convex polygon with 3-5 vertices (`fan_rule` of one
+    polygon, after a check that its area does not vanish). Weights sum to the
+    polygon area."""
     poly = np.asarray(poly, float)
     area = polygon_area(poly)
     if area < 0:
@@ -152,36 +136,41 @@ def split_polygon_rule(poly, degree, refine=0):
     scale = max(np.ptp(poly[:, 0]), np.ptp(poly[:, 1]), 1e-300)
     if area < 1e-14 * scale * scale:
         raise DegeneratePolygon(f"polygon area {area:.3e} below tolerance")
-    ref = _collapsed_triangle_rule(degree)
-    tris = fan_triangles(poly)
-    for _ in range(refine):
-        tris = [child for tri in tris for child in _subdivide(tri)]
-    pts, wts = map_triangle(ref, np.array(tris))
-    return QuadratureRule(pts.reshape(-1, 2), wts.ravel(), degree)
+    pts, wts = fan_rule(poly, degree, refine)
+    return QuadratureRule(pts, wts, degree)
 
 
-def fan_rule(polys, degree):
+def fan_rule(polys, degree, refine=0):
     """Stacked quadrature over convex CCW polygons `polys` (..., L, 2).
 
-    Each polygon is fan-triangulated from its first vertex and a triangle
-    rule is mapped onto every fan triangle. A polygon with fewer vertices is
-    padded to L by repeating its last vertex: the padding triangles have zero
-    area and get zero weights. Returns points (..., (L-2)*n, 2) and weights
-    (..., (L-2)*n).
+    Each polygon is fan-triangulated from its first vertex, each fan triangle
+    is optionally subdivided `refine` times (4 children per level, the
+    children of a triangle kept together), and a triangle rule is mapped onto
+    every piece. A polygon with fewer vertices is padded to L by repeating
+    its last vertex: the padding triangles have zero area and get zero
+    weights. Returns points (..., (L-2) 4^refine n, 2) and weights
+    (..., (L-2) 4^refine n).
     """
+    polys = np.asarray(polys, float)
     tris = np.stack([np.broadcast_to(polys[..., :1, :], polys[..., 1:-1, :].shape),
                      polys[..., 1:-1, :], polys[..., 2:, :]], axis=-2)
-    pts, w = map_triangle(_collapsed_triangle_rule(degree), tris)
-    lead = polys.shape[:-2]
-    return pts.reshape(lead + (-1, 2)), w.reshape(lead + (-1,))
+    for _ in range(refine):
+        a, b, c = tris[..., 0, :], tris[..., 1, :], tris[..., 2, :]
+        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+        kids = np.stack([np.stack(t, axis=-2) for t in
+                         ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))], axis=-3)
+        tris = kids.reshape(kids.shape[:-4] + (4 * kids.shape[-4], 3, 2))
+    rule = _collapsed_triangle_rule(degree)
+    pts, w = map_triangle(rule, tris)
+    shape = polys.shape[:-2] + (tris.shape[-3] * rule.n_points,)
+    return pts.reshape(shape + (2,)), w.reshape(shape)
 
 
 def split_edge_rule(p0, p1, crossings, degree):
     """Gauss rule on segment p0 -> p1, split at the given crossing points.
 
     `crossings` may be None, a single point, or a list of points, in any
-    order. They must lie strictly inside the segment and be distinct, as
-    `geometry.edge_split_points` returns them.
+    order. They must lie strictly inside the segment and be distinct.
     """
     p0 = np.asarray(p0, float)
     p1 = np.asarray(p1, float)

@@ -16,9 +16,9 @@ import numpy as np
 
 from .assembly import (MethodParams, assemble_edge_terms, assemble_volume, combine_system,
                        edge_traces)
-from .geometry import DomainSpec, RECT, TRI, build_mesh, circle, classify_edges, classify_elements
-from .local_basis import (CHORD_TIE_TOL, build_bases, ife_coefficients, local_frames,
-                          phys_coefficients, piece_gradients)
+from .geometry import (INTERFACE, RECT, TRI, CutSet, DomainSpec, build_mesh, circle,
+                       classify_edges, classify_elements, ring_chains)
+from .local_basis import CHORD_TIE_TOL, build_bases, phys_coefficients, piece_gradients
 from .postprocess import interpolate_nodal, radial_interface_solution
 from .quadrature import fan_rule, map_segment, rect_rule, segment_rule
 
@@ -57,33 +57,6 @@ class ScanReport:
 _REF_VERTS = {TRI: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
               RECT: np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])}
 
-# The cut topologies of the reference elements, as indices into each
-# sample's point table [V0, .., V(nv-1), D, E]: the minus sub-polygon (it
-# holds V0), the plus sub-polygon, and the point at which each element edge
-# V(i) -> V(i+1) is split. The polygons are CCW from D or E, as
-# split_convex_by_chord orders them, and padded to a common length by
-# repeating their last point (a zero-area fan triangle). An edge the chord
-# does not cross is split at its end vertex, which leaves a zero-length piece.
-_TOPOLOGIES = {
-    "tri": ((3, 0, 4, 4), (4, 1, 2, 3), (4, 2, 3)),
-    "adjacent": ((4, 0, 5, 5, 5), (5, 1, 2, 3, 4), (5, 2, 3, 4)),
-    "opposite": ((4, 3, 0, 5, 5), (5, 1, 2, 4, 4), (5, 2, 4, 0)),
-}
-
-
-@dataclass(frozen=True)
-class ReferenceCuts:
-    """Random chords of the reference element of size h, stacked over S samples."""
-
-    verts: np.ndarray        # (S, nv, 2)
-    D: np.ndarray            # (S, 2), on the edge x = 0 (y = h for opposite-edge cuts)
-    E: np.ndarray            # (S, 2), on the edge y = 0
-    normal: np.ndarray       # (S, 2) unit chord normal, pointing away from V0
-    poly_minus: np.ndarray   # (S, L, 2)
-    poly_plus: np.ndarray    # (S, L, 2)
-    edge_splits: np.ndarray  # (S, nv, 2)
-
-
 def _cut_params(rng):
     """Random (d, e) in [0.01, 0.99], weighted toward the endpoints where the
     extremal (thin-sliver) cuts live, so sampled maxima saturate quickly."""
@@ -106,13 +79,15 @@ def _draw_cuts(kind, samples, seed):
     return params, opposite
 
 
-def _reference_cuts(kind, draws, h=1.0) -> ReferenceCuts:
-    """The drawn cuts on the reference element of size h. The minus side
-    holds the origin vertex; D sits at height d*h on x = 0 (at x = d*h on
-    y = h for opposite-edge cuts) and E at x = e*h on y = 0."""
+def _reference_cuts(kind, draws, h=1.0) -> CutSet:
+    """The drawn cuts on the reference element of size h, as a CutSet whose
+    ids are the sample indices. The minus side holds the origin vertex; D sits
+    at height d*h on x = 0 (at x = d*h on y = h for opposite-edge cuts) and E
+    at x = e*h on y = 0."""
     params, opposite = draws
     S = len(params)
     verts = np.broadcast_to(h * _REF_VERTS[kind], (S,) + _REF_VERTS[kind].shape)
+    nv = verts.shape[1]
     d, e = params[:, 0] * h, params[:, 1] * h
     zero = np.zeros(S)
     D = np.where(opposite[:, None], np.column_stack([d, np.full(S, h)]),
@@ -124,15 +99,13 @@ def _reference_cuts(kind, draws, h=1.0) -> ReferenceCuts:
     n /= np.sqrt(np.vecdot(n, n))[:, None]
     n[((verts[:, 0] - D) * n).sum(axis=1) > 0] *= -1
 
-    if kind == TRI:
-        tables = [np.broadcast_to(t, (S, len(t))) for t in _TOPOLOGIES["tri"]]
-    else:
-        tables = [np.where(opposite[:, None], o, a)
-                  for a, o in zip(_TOPOLOGIES["adjacent"], _TOPOLOGIES["opposite"])]
-    points = np.concatenate([verts, D[:, None], E[:, None]], axis=1)
+    # D on edge nv-1 (x = 0) or on edge 2 (y = h), E on edge 0 (y = 0); the
+    # chain from D to E holds V0, so it is the minus side
+    slot_D = np.where(opposite, 5, 2 * nv - 1)
+    ring, (sa, sb), (na, nb), splits = ring_chains(verts, D, E, slot_D, np.ones(S, dtype=int))
     rows = np.arange(S)[:, None]
-    minus, plus, splits = (points[rows, t] for t in tables)
-    return ReferenceCuts(verts, D, E, n, minus, plus, splits)
+    return CutSet(np.arange(S), verts, D, E, n, ring[rows, sa], ring[rows, sb], na, nb,
+                  splits, np.full((S, 2), -1), opposite)
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +115,10 @@ def _reference_cuts(kind, draws, h=1.0) -> ReferenceCuts:
 def _coef_ratios(kind, draws, beta_pair):
     """Per cut, the largest ratio between the two pieces' physical coefficient
     norms over the nodal functions (functions with a zero piece are skipped)."""
-    cuts = _reference_cuts(kind, draws)
-    origin, h = local_frames(cuts.verts)
+    cuts = build_bases(_reference_cuts(kind, draws), *beta_pair)
     norms = []
-    for c in ife_coefficients(cuts.verts, cuts.D, cuts.E, cuts.normal, *beta_pair):
-        phys = phys_coefficients(c, origin, h)
+    for c in (cuts.cm, cuts.cp):
+        phys = phys_coefficients(c, cuts.origin, cuts.h)
         norms.append(np.sqrt(np.vecdot(phys, phys)))
     lo, hi = np.minimum(*norms), np.maximum(*norms)
     keep = lo > 0.0
@@ -201,11 +173,11 @@ def _trace_ratios(kind, draws, beta_pair, h):
     gradient Gram matrix.
     """
     bm, bp = beta_pair
-    cuts = _reference_cuts(kind, draws, h)
-    cm, cp = ife_coefficients(cuts.verts, cuts.D, cuts.E, cuts.normal, bm, bp)
+    cuts = build_bases(_reference_cuts(kind, draws, h), bm, bp)
+    cm, cp = cuts.cm, cuts.cp
     S, nv = cuts.verts.shape[:2]
     d = cm.shape[1]
-    origin = local_frames(cuts.verts)[0][:, None]
+    origin = cuts.origin[:, None]
 
     Dmat = np.zeros((S, d, d))
     for poly, c, beta in ((cuts.poly_minus, cm, bm), (cuts.poly_plus, cp, bp)):
@@ -324,9 +296,9 @@ def _free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
     iface = circle(0.0, 0.0, r0)
     status, cuts = classify_elements(mesh, iface)
     labels = classify_edges(mesh, status)
-    bases = build_bases(mesh, cuts, bm, bp)
-    A_vol = assemble_volume(mesh, status, cuts, bases, bm, bp)
-    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, bm, bp, alpha)
+    cuts = build_bases(cuts, bm, bp)
+    A_vol = assemble_volume(mesh, status, cuts, bm, bp)
+    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bm, bp, alpha)
     free = mesh.interior_nodes
     return A_vol[free][:, free], M[free][:, free], P[free][:, free]
 
@@ -410,26 +382,25 @@ def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, cell_kind))
         status, cuts = classify_elements(mesh, iface)
         labels = classify_edges(mesh, status)
-        bases = build_bases(mesh, cuts, bm, bp)
+        cuts = build_bases(cuts, bm, bp)
         coeffs = interpolate_nodal(mesh, sol, iface)
-        total = 0.0
-        worst = 0.0
-        for trace in edge_traces(mesh, labels, status, cuts, bases, bm, bp, degree=6):
-            x, y = trace.points[:, 0], trace.points[:, 1]
-            nB = mesh.edge_normals[trace.edge]
-            minus = np.asarray(iface.phi(x, y)) < 0
-            bpt = np.where(minus, bm, bp)
-            gx, gy = sol.grad(x, y, minus)
-            for side in trace.sides:
-                if side.element not in bases:
-                    continue
-                gi = np.einsum("d,dqa->qa", coeffs[mesh.elements[side.element]], side.gradients)
-                fl = bpt * ((gx - gi[:, 0]) * nB[0] + (gy - gi[:, 1]) * nB[1])
-                contrib = float(np.dot(trace.weights, fl * fl))
-                total += contrib
-                worst = max(worst, contrib)
-        sums.append(total)
-        maxes.append(worst)
+        tr = edge_traces(mesh, labels, status, cuts, bm, bp, degree=6, values=False)
+        x, y = tr.points[..., 0], tr.points[..., 1]
+        nB = mesh.edge_normals[tr.edges][:, None]
+        minus = np.asarray(iface.phi(x, y)) < 0
+        bpt = np.where(minus, bm, bp)
+        gx, gy = sol.grad(x, y, minus)
+        # per edge and cut neighbour, in the order of an edge-by-edge walk
+        contrib = np.zeros((len(tr.edges), 2))
+        for s in (0, 1):
+            el = tr.elements[:, s]
+            cut = status[el] == INTERFACE
+            gi = np.einsum("bd,bdqa->bqa", coeffs[mesh.elements[el[cut]]], tr.gradients[cut, s])
+            fl = bpt[cut] * ((gx[cut] - gi[..., 0]) * nB[cut, :, 0]
+                             + (gy[cut] - gi[..., 1]) * nB[cut, :, 1])
+            contrib[cut, s] = np.vecdot(tr.weights[cut], fl * fl)
+        sums.append(float(np.cumsum(np.concatenate([[0.0], contrib.ravel()]))[-1]))
+        maxes.append(float(contrib.max(initial=0.0)))
     hs = np.log([2.0 / N for N in Ns])
     slope_sum = float(np.polyfit(hs, np.log(sums), 1)[0])
     slope_max = float(np.polyfit(hs, np.log(maxes), 1)[0])

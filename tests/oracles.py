@@ -3,21 +3,28 @@
 None of this runs in the solver: storage checks and naive products for the
 sparse kernels, a dense solve for small systems, the closed-form linear IFE
 coupling, the per-norm error passes that `postprocess.error_norms` fuses, the
-one-segment crossing solve that `geometry.edge_crossings` vectorises, and the
-per-element standard basis that the templates replace, and the per-element
-immersed-basis solve, reference cuts and lemma-scan ratios that
-`local_basis.ife_coefficients` and `verify` stack over elements and samples.
+one-segment crossing solve that `geometry.edge_crossings` vectorises, the
+per-element standard basis that the templates replace, the per-element
+classification, chord split and edge split points that `geometry.CutSet`
+stacks, the per-element immersed basis (`LocalBasis`) and its solve, and the
+reference cuts and lemma-scan ratios that `local_basis.ife_coefficients` and
+`verify` stack over elements and samples.
 """
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import scipy.sparse as sp
 
-from ppife.assembly import DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_rules, cut_data_rules
-from ppife.errors import MultipleCrossings, SingularLocalSystem
-from ppife.geometry import (EDGE_INTERFACE, RECT, SIDE_MINUS, TRI, edge_split_points,
-                            split_convex_by_chord)
-from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, LocalBasis, _monomials,
-                               template_gradients, template_values)
-from ppife.quadrature import split_edge_rule, split_polygon_rule
+from ppife.assembly import DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_rules
+from ppife.errors import GeometryError, MultipleCrossings, SingularLocalSystem
+from ppife.geometry import (EDGE_INTERFACE, INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI,
+                            CutSet, edge_crossings)
+from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_bases,
+                               phys_coefficients, piece_gradients, template_gradients,
+                               template_values)
+from ppife.quadrature import (_collapsed_triangle_rule, map_triangle, polygon_area,
+                              split_edge_rule, split_polygon_rule)
 from ppife.verify import _cut_params
 
 _N_EDGE_SAMPLES = 17
@@ -78,6 +85,381 @@ def edge_intersection(p0, p1, iface, h=None):
             a, fa = m, fm
     t = 0.5 * (a + b)
     return p0 + t * (p1 - p0)
+
+
+@dataclass(eq=False)
+class LocalBasis:
+    """Nodal basis on one element, in scaled local monomials.
+
+    For interface elements `coefs_minus`/`coefs_plus` differ and the chord
+    data selects the active piece; for standard elements they are the same
+    array.
+    """
+
+    element_id: int
+    kind: str                 # 'p1' | 'q1' | 'ife_p1' | 'ife_q1'
+    origin: np.ndarray
+    h: float
+    coefs_minus: np.ndarray   # (d, m)
+    coefs_plus: np.ndarray
+    D: Optional[np.ndarray] = None
+    E: Optional[np.ndarray] = None
+    chord_normal: Optional[np.ndarray] = None
+
+    @property
+    def n_funcs(self):
+        return self.coefs_minus.shape[0]
+
+    @property
+    def is_interface(self):
+        return self.kind.startswith("ife")
+
+    def _scaled(self, pts):
+        return (np.atleast_2d(np.asarray(pts, float)) - self.origin) / self.h
+
+    def side_plus_mask(self, pts):
+        """True where the plus piece is active (chord side test, minus on ties)."""
+        pts = np.atleast_2d(np.asarray(pts, float))
+        s = (pts - self.D) @ self.chord_normal
+        return s > CHORD_TIE_TOL * self.h
+
+    def _values_from(self, coefs, pts):
+        return coefs @ _monomials(self._scaled(pts), coefs.shape[1]).T
+
+    def _gradients_from(self, coefs, pts):
+        return piece_gradients(coefs, self._scaled(pts), self.h)
+
+    def values(self, pts):
+        """Basis values at physical points, shape (d, n)."""
+        if not self.is_interface:
+            return self._values_from(self.coefs_minus, pts)
+        vm = self._values_from(self.coefs_minus, pts)
+        vp = self._values_from(self.coefs_plus, pts)
+        mask = self.side_plus_mask(pts)
+        return np.where(mask[None, :], vp, vm)
+
+    def gradients(self, pts):
+        """Basis gradients at physical points, shape (d, n, 2)."""
+        if not self.is_interface:
+            return self._gradients_from(self.coefs_minus, pts)
+        gm = self._gradients_from(self.coefs_minus, pts)
+        gp = self._gradients_from(self.coefs_plus, pts)
+        mask = self.side_plus_mask(pts)
+        return np.where(mask[None, :, None], gp, gm)
+
+    def values_piece(self, pts, side):
+        return self._values_from(self.coefs_plus if side > 0 else self.coefs_minus, pts)
+
+    def gradients_piece(self, pts, side):
+        return self._gradients_from(self.coefs_plus if side > 0 else self.coefs_minus, pts)
+
+    def phys_coefficients(self):
+        """Physical-monomial coefficients [1, x, y(, xy)] of both pieces."""
+        return (phys_coefficients(self.coefs_minus, self.origin, self.h),
+                phys_coefficients(self.coefs_plus, self.origin, self.h))
+
+
+def basis_of(cuts, i):
+    """The LocalBasis of row i of a CutSet with bases."""
+    kind = "ife_q1" if cuts.verts.shape[1] == 4 else "ife_p1"
+    return LocalBasis(int(cuts.ids[i]), kind, cuts.origin[i], cuts.h[i], cuts.cm[i], cuts.cp[i],
+                      D=cuts.D[i], E=cuts.E[i], chord_normal=cuts.normal[i])
+
+
+def cut_stack(verts, D, E, normal, beta_minus, beta_plus):
+    """A CutSet of hand-built cuts (stacks, or one cut) with its bases; the
+    sub-polygons and edge splits are left empty."""
+    verts = np.asarray(verts, float)
+    one = verts.ndim == 2
+    verts, D, E, normal = (np.asarray(a, float)[None] if one else np.asarray(a, float)
+                           for a in (verts, D, E, normal))
+    K = len(verts)
+    empty = np.zeros((K, 0, 2))
+    cuts = CutSet(np.arange(K), verts, D, E, normal, empty, empty, np.zeros(K, int),
+                  np.zeros(K, int), empty, np.full((K, 2), -1), np.zeros(K, bool))
+    return build_bases(cuts, beta_minus, beta_plus)
+
+
+def ife_stack_basis(verts, D, E, normal, beta_minus, beta_plus):
+    """The library's immersed basis of one hand-built cut, as a LocalBasis."""
+    return basis_of(cut_stack(verts, D, E, normal, beta_minus, beta_plus), 0)
+
+
+@dataclass(eq=False)
+class ElementCut:
+    """Cut data of one interface element.
+
+    D/E are the curve-boundary intersections, the chord normal points from
+    the minus sub-polygon toward the plus one, and poly_minus/poly_plus are
+    the chord-split sub-polygons (CCW).
+    """
+
+    element_id: int
+    D: np.ndarray
+    E: np.ndarray
+    cut_edges: tuple
+    chord_normal: np.ndarray
+    poly_minus: np.ndarray
+    poly_plus: np.ndarray
+    type_tag: Optional[str] = None   # 'I' / 'II' for rectangles
+
+
+def split_convex_by_chord(verts, D, E, tol):
+    """Split a convex CCW polygon along the chord D-E.
+
+    D and E must lie on the polygon boundary (possibly at vertices). Returns
+    the two CCW sub-polygons (chainA from D to E, chainB from E to D), or None
+    when the split is degenerate (one side empty).
+    """
+    verts = np.asarray(verts, float)
+    nv = len(verts)
+    ring = []
+    tags = []
+    for i in range(nv):
+        v = verts[i]
+        if np.linalg.norm(v - D) < tol:
+            ring.append(D)
+            tags.append("D")
+        elif np.linalg.norm(v - E) < tol:
+            ring.append(E)
+            tags.append("E")
+        else:
+            ring.append(v)
+            tags.append("v")
+        a, b = v, verts[(i + 1) % nv]
+        d = b - a
+        ll = float(d @ d)
+        for X, tag in ((D, "D"), (E, "E")):
+            t = float((X - a) @ d) / ll
+            if tol / np.sqrt(ll) < t < 1 - tol / np.sqrt(ll):
+                foot = a + t * d
+                if np.linalg.norm(X - foot) < tol:
+                    ring.append(X)
+                    tags.append(tag)
+    if tags.count("D") != 1 or tags.count("E") != 1:
+        return None
+    iD = tags.index("D")
+    iE = tags.index("E")
+    order = list(range(len(ring)))
+
+    def chain(i0, i1):
+        idx = []
+        k = i0
+        while True:
+            idx.append(k)
+            if k == i1:
+                break
+            k = order[(k + 1) % len(order)]
+        return np.array([ring[j] for j in idx])
+
+    pa = chain(iD, iE)
+    pb = chain(iE, iD)
+    if len(pa) < 3 or len(pb) < 3:
+        return None
+    return pa, pb
+
+
+def classify_one(mesh, iface, k, crossings, node_sign, tol):
+    """Cut data of element k, or None when its cut is degenerate."""
+    conn = mesh.elements[k]
+    verts = mesh.nodes[conn]
+    strict = [(crossings[e], e) for e in mesh.element_edges[k].tolist() if e in crossings]
+    snapped = [(verts[i].copy(), None) for i in range(len(conn)) if node_sign[conn[i]] == 0]
+
+    if len(strict) > 2:
+        raise MultipleCrossings(f"element {k} boundary crossed {len(strict)} times")
+    if len(strict) + len(snapped) < 2:
+        return None
+
+    if len(strict) == 2:
+        (D, eD), (E, eE) = strict
+    elif len(strict) + len(snapped) == 2:
+        pts = strict + snapped
+        (D, eD), (E, eE) = pts
+    else:
+        # one real crossing plus several grazing vertices: take the farthest pair
+        pts = strict + snapped
+        best = None
+        for ii in range(len(pts)):
+            for jj in range(ii + 1, len(pts)):
+                dd = np.linalg.norm(pts[ii][0] - pts[jj][0])
+                if best is None or dd > best[0]:
+                    best = (dd, pts[ii], pts[jj])
+        _, (D, eD), (E, eE) = best
+
+    if np.linalg.norm(E - D) < tol:
+        return None  # degenerate chord
+
+    split = split_convex_by_chord(verts, D, E, max(tol, 1e-12 * mesh.h))
+    if split is None:
+        return None
+    pa, pb = split
+    area_a = polygon_area(pa)
+    area_b = polygon_area(pb)
+    area_k = abs(polygon_area(verts))
+    if min(area_a, area_b) < 1e-12 * mesh.h ** 2:
+        return None
+    if abs(area_a + area_b - area_k) > 1e-10 * mesh.h ** 2:
+        raise GeometryError(f"cut of element {k} does not partition it")
+
+    def chain_side(poly):
+        signs = []
+        for p in poly:
+            if np.linalg.norm(p - D) < tol or np.linalg.norm(p - E) < tol:
+                continue
+            for i, v in enumerate(verts):
+                if np.linalg.norm(p - v) < 1e-12 * mesh.h:
+                    signs.append(int(node_sign[conn[i]]))
+                    break
+        signs = [sg for sg in signs if sg != 0]
+        if signs and all(sg == signs[0] for sg in signs):
+            return signs[0]
+        if signs:
+            raise GeometryError(f"inconsistent vertex signs in element {k}")
+        c = poly.mean(axis=0)
+        return SIDE_PLUS if float(iface.phi(c[0], c[1])) > 0 else SIDE_MINUS
+
+    sa = chain_side(pa)
+    sb = chain_side(pb)
+    if sa == sb:
+        return None
+    poly_minus, poly_plus = (pa, pb) if sa == SIDE_MINUS else (pb, pa)
+
+    chord = E - D
+    n = np.array([chord[1], -chord[0]])
+    n /= np.linalg.norm(n)
+    mid = 0.5 * (D + E)
+    gx, gy = iface.grad(mid[0], mid[1])
+    g = np.array([float(gx), float(gy)])
+    if np.linalg.norm(g) > 1e-14:
+        if float(n @ g) < 0:
+            n = -n
+    else:
+        if float(n @ (poly_plus.mean(axis=0) - mid)) < 0:
+            n = -n
+    if float(n @ (poly_plus.mean(axis=0) - mid)) <= 0:
+        raise GeometryError(f"chord normal of element {k} contradicts the level set")
+
+    type_tag = None
+    if mesh.cell_kind == RECT:
+        if eD is not None and eE is not None:
+            shared = set(mesh.edge_nodes[eD]) & set(mesh.edge_nodes[eE])
+            type_tag = "I" if shared else "II"
+        else:
+            type_tag = "II" if (len(pa), len(pb)) == (4, 4) else "I"
+
+    return ElementCut(k, D=D, E=E,
+                      cut_edges=tuple(e for e in (eD, eE) if e is not None),
+                      chord_normal=n, poly_minus=poly_minus, poly_plus=poly_plus,
+                      type_tag=type_tag)
+
+
+def classify_cuts(mesh, iface):
+    """(status, {element id: ElementCut}) from the per-element walk: every
+    element with a snapped vertex or a crossed edge goes through
+    `classify_one`; the crossings are those of `geometry.edge_crossings`."""
+    tol = iface.snap_tol * mesh.h
+    node_phi = np.asarray(iface.phi(mesh.nodes[:, 0], mesh.nodes[:, 1]), float)
+    node_sign = np.where(np.abs(node_phi) < tol, 0, np.sign(node_phi)).astype(np.int8)
+    ends = mesh.edge_nodes
+    solve = np.flatnonzero(node_sign[ends[:, 0]] * node_sign[ends[:, 1]] < 0)
+    hit, points = edge_crossings(mesh.nodes[ends[solve, 0]], mesh.nodes[ends[solve, 1]],
+                                 iface, mesh.h)
+    crossings = dict(zip(solve[hit].tolist(), points[hit]))
+    cent_phi = np.asarray(iface.phi(mesh.centroids[:, 0], mesh.centroids[:, 1]), float)
+    status = np.where(cent_phi > 0, SIDE_PLUS, SIDE_MINUS).astype(np.int8)
+    touched = (node_sign[mesh.elements] == 0).any(axis=1)
+    adj = mesh.edge_elements[solve[hit]].ravel()
+    touched[adj[adj >= 0]] = True
+    cuts = {}
+    for k in np.flatnonzero(touched).tolist():
+        cut = classify_one(mesh, iface, k, crossings, node_sign, tol)
+        if cut is not None:
+            status[k] = INTERFACE
+            cuts[k] = cut
+    return status, cuts
+
+
+def oracle_bases(mesh, cuts, beta_minus, beta_plus):
+    """{element id: LocalBasis} of the per-element solve, keyed like `cuts`."""
+    return {k: ife_basis(k, mesh.element_vertices(k), c.D, c.E, c.chord_normal,
+                         beta_minus, beta_plus) for k, c in cuts.items()}
+
+
+def edge_split_points(mesh, edge_id, cuts):
+    """Interior points where adjacent chords break the traces on this edge."""
+    a = mesh.nodes[mesh.edge_nodes[edge_id, 0]]
+    b = mesh.nodes[mesh.edge_nodes[edge_id, 1]]
+    d = b - a
+    ll = float(d @ d)
+    pts = []
+    for el in mesh.edge_elements[edge_id]:
+        cut = cuts.get(int(el))
+        if cut is None:
+            continue
+        for X in (cut.D, cut.E):
+            t = float((X - a) @ d) / ll
+            if 1e-12 < t < 1 - 1e-12:
+                foot = a + t * d
+                if np.linalg.norm(X - foot) < 1e-10 * mesh.h:
+                    if not any(np.linalg.norm(X - p) < 1e-12 * mesh.h for p in pts):
+                        pts.append(X)
+    return pts
+
+
+def fan_triangles(poly):
+    """Fan-triangulate a convex polygon from its first vertex."""
+    poly = np.asarray(poly, float)
+    return [np.array([poly[0], poly[i], poly[i + 1]]) for i in range(1, len(poly) - 1)]
+
+
+def _subdivide(tri):
+    m01 = 0.5 * (tri[0] + tri[1])
+    m12 = 0.5 * (tri[1] + tri[2])
+    m20 = 0.5 * (tri[2] + tri[0])
+    return [np.array([tri[0], m01, m20]), np.array([m01, tri[1], m12]),
+            np.array([m20, m12, tri[2]]), np.array([m01, m12, m20])]
+
+
+def cut_data_rules(cut, degree=DATA_DEGREE, refine=DATA_REFINE):
+    """Refined chord-split quadrature for data integrands on a cut element.
+
+    Yields (side, points, weights) per sub-polygon; the caller selects the
+    exact-solution piece per point from the true level set.
+    """
+    ref = _collapsed_triangle_rule(degree)
+    for side, poly in ((SIDE_MINUS, cut.poly_minus), (-SIDE_MINUS, cut.poly_plus)):
+        tris = fan_triangles(poly)
+        for _ in range(refine):
+            tris = [c for t in tris for c in _subdivide(t)]
+        pts, wts = map_triangle(ref, np.array(tris))
+        yield side, pts.reshape(-1, 2), wts.ravel()
+
+
+def interface_jump_residuals(sol, iface, n_samples=360):
+    """Max |[u]| and |[beta du/dn]| sampled along a circular interface."""
+    r0 = sol.params.get("r0")
+    cx, cy, _ = iface.params if iface.name == "circle" else (0.0, 0.0, r0)
+    theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
+    x = cx + r0 * np.cos(theta)
+    y = cy + r0 * np.sin(theta)
+    ju = sol.u_minus(x, y) - sol.u_plus(x, y)
+    gmx, gmy = sol.grad_minus(x, y)
+    gpx, gpy = sol.grad_plus(x, y)
+    gx, gy = iface.grad(x, y)
+    nn = np.hypot(gx, gy)
+    nx, ny = gx / nn, gy / nn
+    bm = sol.params["beta_minus"]
+    bp = sol.params["beta_plus"]
+    jf = bm * (gmx * nx + gmy * ny) - bp * (gpx * nx + gpy * ny)
+    return float(np.abs(ju).max()), float(np.abs(jf).max())
+
+
+def template_name(mesh, k):
+    """Template of the standard nodal basis on element k."""
+    if mesh.cell_kind == RECT:
+        return "rect"
+    return "tri_lower" if mesh.element_variant[k] == 0 else "tri_upper"
 
 
 def standard_basis(element_id, verts, kind, variant=None):

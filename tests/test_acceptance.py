@@ -17,9 +17,8 @@ from ppife import verify
 from ppife.assembly import MethodParams
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_edges, classify_elements, line
 from ppife.harness import RunConfig, build_context, pointwise_error_field, solve_scheme
-from ppife.local_basis import basis_residuals, bilinear_ife_basis, linear_ife_basis
+from ppife.local_basis import basis_residuals, build_bases
 from ppife.postprocess import convergence_rates
-from oracles import reference_cut
 
 NS = (20, 40, 80, 160, 320)
 SCHEMES = ("classic", "spp", "ipp", "npp")
@@ -137,16 +136,16 @@ def test_criterion_5_basis_invariant_suite():
     worst = {"kronecker": 0.0, "continuity": 0.0, "flux": 0.0, "partition": 0.0}
     n_per_kind = 10000
     betas = ((1.0, 10.0), (1.0, 10000.0), (10.0, 1.0))
-    for kind, builder in (("tri", linear_ife_basis), ("rect", bilinear_ife_basis)):
-        rng = np.random.default_rng(123)
-        per_beta = n_per_kind // len(betas) + 1
-        for bm, bp in betas:
-            for _ in range(per_beta):
-                cut = reference_cut(kind, rng)
-                basis = builder(0, *cut[:4], bm, bp)
-                res = basis_residuals(basis, cut[0], bm, bp)
-                for k, v in res.items():
-                    worst[k] = max(worst[k], v)
+    per_beta = n_per_kind // len(betas) + 1
+    for kind in ("tri", "rect"):
+        # one seeded stream per kind, consecutive runs of it per beta pair
+        params, opposite = verify._draw_cuts(kind, per_beta * len(betas), 123)
+        for i, (bm, bp) in enumerate(betas):
+            part = slice(i * per_beta, (i + 1) * per_beta)
+            cuts = build_bases(verify._reference_cuts(kind, (params[part], opposite[part])),
+                               bm, bp)
+            for k, v in basis_residuals(cuts, bm, bp).items():
+                worst[k] = max(worst[k], float(v.max()))
     elapsed = time.perf_counter() - t0
     ok = max(worst.values()) < 1e-11 and elapsed <= 30.0
     _line(5, ok, ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
@@ -198,8 +197,7 @@ def test_criterion_7_reduction_and_patch():
         iface = circle(0.0, 0.0, np.pi / 6.28)
         status, cuts = classify_elements(mesh, iface)
         labels = classify_edges(mesh, status)
-        from ppife.local_basis import build_bases
-        bases = build_bases(mesh, cuts, 2.0, 2.0)
+        cuts = build_bases(cuts, 2.0, 2.0)
         if kind == "rect":
             u = lambda x, y: 1.0 + 2.0 * x - 3.0 * y + 0.5 * x * y
             gu = lambda x, y: (2.0 + 0.5 * np.asarray(y), -3.0 + 0.5 * np.asarray(x))
@@ -210,12 +208,12 @@ def test_criterion_7_reduction_and_patch():
         zero = lambda x, y: np.zeros_like(np.asarray(x, float))
         sol = PiecewiseSolution(u, u, gu, gu, zero, zero,
                                 params={"beta_minus": 2.0, "beta_plus": 2.0})
-        A_vol = assembly.assemble_volume(mesh, status, cuts, bases, 2.0, 2.0)
+        A_vol = assembly.assemble_volume(mesh, status, cuts, 2.0, 2.0)
         params = MethodParams.preset("spp", 2.0, 2.0)
-        M, P, _ = assembly.assemble_edge_terms(mesh, labels, status, cuts, bases, 2.0, 2.0,
+        M, P, _ = assembly.assemble_edge_terms(mesh, labels, status, cuts, 2.0, 2.0,
                                                params.alpha)
         A = assembly.combine_system(A_vol, M, P, params)
-        b = assembly.assemble_load(mesh, status, cuts, bases, sol, iface)
+        b = assembly.assemble_load(mesh, status, cuts, sol, iface)
         sysm = assembly.apply_dirichlet(A, b, mesh, u)
         A_ff, rhs = sysm.reduced()
         res = cg(A_ff, rhs, tol_rel=1e-13)

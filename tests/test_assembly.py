@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from ppife import assembly
-from ppife.assembly import (MethodParams, apply_dirichlet, assemble_edge_terms,
-                            assemble_load, assemble_volume, combine_system,
-                            dump_matrix, edge_term_matrices, edge_traces,
-                            volume_element_matrix)
+from ppife.assembly import (DATA_DEGREE, DATA_REFINE, MethodParams, apply_dirichlet,
+                            assemble_edge_terms, assemble_load, assemble_volume,
+                            combine_system, cut_volume_matrices, dump_matrix,
+                            edge_term_matrices, edge_traces)
 from ppife.errors import ConfigError
 from ppife.geometry import (EDGE_INTERFACE, DomainSpec, build_mesh, circle,
                             classify_edges, classify_elements, line)
-from oracles import check_csr, standard_basis
+from oracles import (basis_of, check_csr, classify_cuts, edge_split_points,
+                     interface_jump_residuals, standard_basis)
 from ppife.linsolve import cg
-from ppife.local_basis import build_bases
+from ppife.local_basis import build_bases, cut_frame, cut_values
 from ppife.postprocess import radial_interface_solution
+from ppife.quadrature import fan_rule
 
 R0 = np.pi / 6.28
 
@@ -22,14 +24,13 @@ def _pipeline(N, kind="rect", betas=(1.0, 10.0), iface=None):
     iface = iface or circle(0.0, 0.0, R0)
     status, cuts = classify_elements(mesh, iface)
     labels = classify_edges(mesh, status)
-    bases = build_bases(mesh, cuts, *betas)
-    return mesh, iface, status, cuts, labels, bases
+    return mesh, iface, status, build_bases(cuts, *betas), labels
 
 
-def _element_basis(mesh, bases, k):
+def _element_basis(mesh, cuts, k):
     """The immersed basis of element k, or the standard-basis oracle."""
-    if k in bases:
-        return bases[k]
+    if k in cuts.ids:
+        return basis_of(cuts, int(np.searchsorted(cuts.ids, k)))
     if mesh.cell_kind == "rect":
         return standard_basis(k, mesh.element_vertices(k), "q1", "rect")
     variant = ("tri_lower", "tri_upper")[mesh.element_variant[k]]
@@ -54,26 +55,25 @@ def test_method_params_presets():
 
 def test_q1_interior_stencil_diagonal():
     # beta = 1 on a 2x2 mesh: the centre node accumulates 4 corner entries of 8/3 total
-    mesh, iface, status, cuts, labels, bases = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
-    A = assemble_volume(mesh, status, cuts, bases, 1.0, 1.0)
+    mesh, iface, status, cuts, labels = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
+    A = assemble_volume(mesh, status, cuts, 1.0, 1.0)
     centre = 4  # node (1,1) of the 3x3 grid
     assert A[centre, centre] == pytest.approx(8.0 / 3.0, abs=1e-12)
 
 
 def test_volume_row_sums_vanish():
     for kind in ("rect", "tri"):
-        mesh, iface, status, cuts, labels, bases = _pipeline(6, kind=kind)
-        A = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
+        mesh, iface, status, cuts, labels = _pipeline(6, kind=kind)
+        A = assemble_volume(mesh, status, cuts, 1.0, 10.0)
         check_csr(A)
         ones = np.ones(mesh.n_nodes)
         assert np.abs(A @ ones).max() < 1e-12 * np.abs(A.data).max()
 
 
 def test_cut_element_matrix_vs_dense_grid_oracle():
-    mesh, iface, status, cuts, labels, bases = _pipeline(4)
-    cut = next(iter(cuts.values()))
-    basis = bases[cut.element_id]
-    Aloc = volume_element_matrix(basis, cut, 1.0, 10.0)
+    mesh, iface, status, cuts, labels = _pipeline(4)
+    basis = basis_of(cuts, 0)
+    Aloc = cut_volume_matrices(cuts, 1.0, 10.0)[0]
 
     # dense-grid oracle: subdivide each fan triangle of each sub-polygon into
     # m^2 congruent triangles and apply the centroid rule
@@ -96,15 +96,16 @@ def test_cut_element_matrix_vs_dense_grid_oracle():
             total += beta * area * np.einsum("iqa,jqa->ij", G, G)
         return total
 
-    oracle = dense(cut.poly_minus, -1, 1.0) + dense(cut.poly_plus, +1, 10.0)
+    oracle = (dense(cuts.poly_minus[0, :cuts.n_minus[0]], -1, 1.0)
+              + dense(cuts.poly_plus[0, :cuts.n_plus[0]], +1, 10.0))
     assert np.abs(Aloc - oracle).max() < 1e-6 * np.abs(oracle).max()
 
 
 def test_classic_combine_is_volume_only():
-    mesh, iface, status, cuts, labels, bases = _pipeline(8)
-    A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
+    mesh, iface, status, cuts, labels = _pipeline(8)
+    A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
     params = MethodParams.preset("classic")
-    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
     assert (A - A_vol).nnz == 0 or np.abs((A - A_vol).data).max() == 0.0
 
@@ -112,43 +113,45 @@ def test_classic_combine_is_volume_only():
 def test_mislabeled_edge_contributes_nothing():
     # constant beta, no interface: force one interior edge through the edge
     # machinery; continuous traces must produce ~zero contributions
-    mesh, iface, status, cuts, labels, bases = _pipeline(4, iface=line(1, 0, -10), betas=(2.0, 2.0))
+    mesh, iface, status, cuts, labels = _pipeline(4, iface=line(1, 0, -10), betas=(2.0, 2.0))
     e = int(np.flatnonzero(mesh.edge_elements[:, 1] >= 0)[3])
     params = MethodParams.preset("spp", 2.0, 2.0)
     labels[e] = EDGE_INTERFACE
-    trace, = edge_traces(mesh, labels, status, cuts, bases, 2.0, 2.0)
-    dofs, M, P = edge_term_matrices(mesh, trace, params.alpha)
+    traces = edge_traces(mesh, labels, status, cuts, 2.0, 2.0)
+    assert traces.edges.tolist() == [e]
+    dofs, M, P = edge_term_matrices(mesh, traces, params.alpha)
     assert np.abs(M).max() < 1e-12
     assert np.abs(P).max() < 1e-12
 
 
 def test_edge_terms_vs_composite_simpson_oracle():
-    mesh, iface, status, cuts, labels, bases = _pipeline(4)
+    mesh, iface, status, cuts, labels = _pipeline(4)
     e = int(np.flatnonzero(labels == EDGE_INTERFACE)[0])
     params = MethodParams.preset("spp", 1.0, 10.0)
-    trace = edge_traces(mesh, labels, status, cuts, bases, 1.0, 10.0)[0]
-    dofs, M, P_unit = edge_term_matrices(mesh, trace, params.alpha)
-    P = params.sigma0 * P_unit
+    traces = edge_traces(mesh, labels, status, cuts, 1.0, 10.0)
+    assert traces.edges[0] == e
+    dofs, M, P_unit = edge_term_matrices(mesh, traces, params.alpha)
+    dofs, M, P = dofs[0].tolist(), M[0], params.sigma0 * P_unit[0]
 
     t1, t2 = mesh.edge_elements[e]
     a = mesh.nodes[mesh.edge_nodes[e, 0]]
     b = mesh.nodes[mesh.edge_nodes[e, 1]]
     nB = mesh.edge_normals[e]
     L = mesh.edge_lengths[e]
-    from ppife.geometry import edge_split_points
+    o_cuts = classify_cuts(mesh, iface)[1]
     breaks = [0.0] + sorted(float(np.dot(x - a, b - a) / L ** 2)
-                            for x in edge_split_points(mesh, e, cuts)) + [1.0]
+                            for x in edge_split_points(mesh, e, o_cuts)) + [1.0]
     index = {g: i for i, g in enumerate(dofs)}
 
     def traces(pts):
         jump = np.zeros((len(dofs), len(pts)))
         flux = np.zeros((len(dofs), len(pts)))
         for elem, sign in ((t1, 1.0), (t2, -1.0)):
-            basis = _element_basis(mesh, bases, int(elem))
+            basis = _element_basis(mesh, cuts, int(elem))
             loc = [index[int(g)] for g in mesh.elements[elem]]
             vals = basis.values(pts)
             grads = basis.gradients(pts)
-            if elem in cuts:
+            if elem in cuts.ids:
                 bpt = np.where(basis.side_plus_mask(pts), 10.0, 1.0)
             else:
                 bpt = np.full(len(pts), 1.0 if status[elem] == -1 else 10.0)
@@ -176,10 +179,10 @@ def test_edge_terms_vs_composite_simpson_oracle():
 
 
 def test_spp_matrix_is_symmetric():
-    mesh, iface, status, cuts, labels, bases = _pipeline(10)
-    A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
+    mesh, iface, status, cuts, labels = _pipeline(10)
+    A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
     params = MethodParams.preset("spp", 1.0, 10.0)
-    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
     free = mesh.interior_nodes
     A_ff = A[free][:, free]
@@ -189,10 +192,10 @@ def test_spp_matrix_is_symmetric():
 
 def test_spp_symmetric_part_positive_definite():
     for betas in ((1.0, 10.0), (1.0, 10000.0)):
-        mesh, iface, status, cuts, labels, bases = _pipeline(10, betas=betas)
-        A_vol = assemble_volume(mesh, status, cuts, bases, *betas)
+        mesh, iface, status, cuts, labels = _pipeline(10, betas=betas)
+        A_vol = assemble_volume(mesh, status, cuts, *betas)
         params = MethodParams.preset("spp", *betas)
-        M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, *betas, params.alpha)
+        M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, *betas, params.alpha)
         A = combine_system(A_vol, M, P, params)
         free = mesh.interior_nodes
         S = A[free][:, free].toarray()
@@ -200,20 +203,20 @@ def test_spp_symmetric_part_positive_definite():
 
 
 def test_load_partition_of_unity():
-    mesh, iface, status, cuts, labels, bases = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
+    mesh, iface, status, cuts, labels = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
     one = radial_interface_solution(1.0, 1.0)
     sol = type(one)(u_minus=one.u_minus, u_plus=one.u_plus, grad_minus=one.grad_minus,
                     grad_plus=one.grad_plus, f_minus=lambda x, y: np.ones_like(np.asarray(x, float)),
                     f_plus=lambda x, y: np.ones_like(np.asarray(x, float)), params=one.params)
-    b = assemble_load(mesh, status, cuts, bases, sol, iface)
+    b = assemble_load(mesh, status, cuts, sol, iface)
     assert b.sum() == pytest.approx(4.0, abs=1e-12)
     zero = type(one)(u_minus=one.u_minus, u_plus=one.u_plus, grad_minus=one.grad_minus,
                      grad_plus=one.grad_plus, f_minus=lambda x, y: np.zeros_like(np.asarray(x, float)),
                      f_plus=lambda x, y: np.zeros_like(np.asarray(x, float)), params=one.params)
-    assert np.abs(assemble_load(mesh, status, cuts, bases, zero, iface)).max() == 0.0
+    assert np.abs(assemble_load(mesh, status, cuts, zero, iface)).max() == 0.0
 
 
-def _dense_grid_load(mesh, iface, bases, sol, m=512):
+def _dense_grid_load(mesh, iface, cuts, sol, m=512):
     gx, gw = np.polynomial.legendre.leggauss(2)
     gx = 0.5 * (gx + 1)
     gw = 0.5 * gw
@@ -228,7 +231,7 @@ def _dense_grid_load(mesh, iface, bases, sol, m=512):
         pts = np.column_stack([(o[0] + h * TX).ravel(), (o[1] + h * TY).ravel()])
         minus = iface.phi(pts[:, 0], pts[:, 1]) < 0
         f = np.where(minus, sol.f_minus(pts[:, 0], pts[:, 1]), sol.f_plus(pts[:, 0], pts[:, 1]))
-        vals = _element_basis(mesh, bases, e).values(pts)
+        vals = _element_basis(mesh, cuts, e).values(pts)
         oracle[mesh.elements[e]] += (vals * (f * W)[None, :]).sum(axis=1) * h * h
     return oracle
 
@@ -238,10 +241,10 @@ def test_load_vs_dense_grid_oracle():
     # the origin (a corner of four cut cells here), which caps the agreement
     # of any fixed-order rule pair around 1e-7; see the polynomial-data test
     # below for a sharp check of the assembly logic itself
-    mesh, iface, status, cuts, labels, bases = _pipeline(4)
+    mesh, iface, status, cuts, labels = _pipeline(4)
     sol = radial_interface_solution(1.0, 10.0)
-    b = assemble_load(mesh, status, cuts, bases, sol, iface)
-    oracle = _dense_grid_load(mesh, iface, bases, sol)
+    b = assemble_load(mesh, status, cuts, sol, iface)
+    oracle = _dense_grid_load(mesh, iface, cuts, sol)
     assert np.abs(b - oracle).max() < 1e-6 * np.abs(oracle).max()
 
 
@@ -249,13 +252,12 @@ def test_load_vs_dense_grid_oracle_polynomial_data():
     # alpha = 6 gives the polynomial source -36 r^4, for which the assembly
     # quadrature is exact: away from cut cells the dense grid must agree to
     # near machine precision
-    mesh, iface, status, cuts, labels, bases = _pipeline(4)
+    mesh, iface, status, cuts, labels = _pipeline(4)
     sol = radial_interface_solution(1.0, 10.0, alpha_exp=6.0)
-    b = assemble_load(mesh, status, cuts, bases, sol, iface)
-    oracle = _dense_grid_load(mesh, iface, bases, sol, m=256)
+    b = assemble_load(mesh, status, cuts, sol, iface)
+    oracle = _dense_grid_load(mesh, iface, cuts, sol, m=256)
     touched = np.zeros(mesh.n_nodes, dtype=bool)
-    for k in cuts:
-        touched[mesh.elements[k]] = True
+    touched[mesh.elements[cuts.ids]] = True
     sel = ~touched
     assert np.abs(b[sel] - oracle[sel]).max() < 1e-12 * np.abs(oracle).max()
 
@@ -265,17 +267,17 @@ def test_cut_element_load_vs_symbolic_oracle():
     # one cut element (f = -36 r^4 is a polynomial, so this is exact)
     import sympy as sp
 
-    mesh, iface, status, cuts, labels, bases = _pipeline(4)
+    mesh, iface, status, cuts, labels = _pipeline(4)
     sol = radial_interface_solution(1.0, 10.0, alpha_exp=6.0)
-    from ppife.assembly import cut_data_rules
-    cut = next(iter(cuts.values()))
-    basis = bases[cut.element_id]
+    basis = basis_of(cuts, 0)
+    rows = np.arange(1)
     mine = np.zeros(4)
-    for side, pts, wts in cut_data_rules(cut):
-        x, y = pts[:, 0], pts[:, 1]
+    for poly in (cuts.poly_minus[:1], cuts.poly_plus[:1]):
+        pts, wts = fan_rule(poly, DATA_DEGREE, DATA_REFINE)
+        x, y = pts[..., 0], pts[..., 1]
         minus = iface.phi(x, y) < 0
         f = np.where(minus, sol.f_minus(x, y), sol.f_plus(x, y))
-        mine += basis.values(pts) @ (f * wts)
+        mine += (cut_values(cuts, rows, *cut_frame(cuts, rows, pts)) @ (f * wts)[..., None])[0, :, 0]
 
     xs, ys, u, v = sp.symbols("x y u v")
     f_sym = -36 * (xs ** 2 + ys ** 2) ** 2
@@ -283,7 +285,8 @@ def test_cut_element_load_vs_symbolic_oracle():
     exact = []
     for j in range(4):
         tot = sp.Float(0, 30)
-        for poly, c in ((cut.poly_minus, cm[j]), (cut.poly_plus, cp[j])):
+        for poly, c in ((cuts.poly_minus[0, :cuts.n_minus[0]], cm[j]),
+                        (cuts.poly_plus[0, :cuts.n_plus[0]], cp[j])):
             phi = c[0] + c[1] * xs + c[2] * ys + c[3] * xs * ys
             P = [sp.Matrix([sp.Float(p[0], 30), sp.Float(p[1], 30)]) for p in poly]
             for k in range(1, len(P) - 1):
@@ -299,8 +302,8 @@ def test_cut_element_load_vs_symbolic_oracle():
 
 
 def test_dirichlet_homogeneous_keeps_free_rhs():
-    mesh, iface, status, cuts, labels, bases = _pipeline(4)
-    A = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
+    mesh, iface, status, cuts, labels = _pipeline(4)
+    A = assemble_volume(mesh, status, cuts, 1.0, 10.0)
     b = np.arange(mesh.n_nodes, dtype=float)
     sysm = apply_dirichlet(A, b, mesh, lambda x, y: np.zeros_like(x))
     A_ff, rhs = sysm.reduced()
@@ -312,7 +315,7 @@ def test_dirichlet_homogeneous_keeps_free_rhs():
 def test_patch_test_reproduces_polynomials(kind):
     # global (bi)linear exact solution, constant beta, interface present:
     # the discrete solution reproduces it to solver accuracy at the nodes
-    mesh, iface, status, cuts, labels, bases = _pipeline(8, kind=kind, betas=(2.0, 2.0))
+    mesh, iface, status, cuts, labels = _pipeline(8, kind=kind, betas=(2.0, 2.0))
 
     if kind == "rect":
         u = lambda x, y: 1.0 + 2.0 * x - 3.0 * y + 0.5 * x * y
@@ -325,11 +328,11 @@ def test_patch_test_reproduces_polynomials(kind):
     sol = PiecewiseSolution(u, u, gu, gu, zero, zero,
                             params={"beta_minus": 2.0, "beta_plus": 2.0})
 
-    A_vol = assemble_volume(mesh, status, cuts, bases, 2.0, 2.0)
+    A_vol = assemble_volume(mesh, status, cuts, 2.0, 2.0)
     params = MethodParams.preset("spp", 2.0, 2.0)
-    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, 2.0, 2.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, 2.0, 2.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
-    b = assemble_load(mesh, status, cuts, bases, sol, iface)
+    b = assemble_load(mesh, status, cuts, sol, iface)
     sysm = apply_dirichlet(A, b, mesh, u)
     A_ff, rhs = sysm.reduced()
     res = cg(A_ff, rhs, tol_rel=1e-13)
@@ -339,7 +342,6 @@ def test_patch_test_reproduces_polynomials(kind):
 
 
 def test_boundary_values_satisfy_interface_conditions():
-    from ppife.postprocess import interface_jump_residuals
     iface = circle(0.0, 0.0, R0)
     for betas in ((1.0, 10.0), (1.0, 10000.0)):
         sol = radial_interface_solution(*betas)
@@ -359,14 +361,14 @@ def test_boundary_values_satisfy_interface_conditions():
 def test_schemes_identical_for_continuous_coefficient():
     # constant beta with the circle still present: standard bases, zero jumps,
     # all schemes produce the same solution
-    mesh, iface, status, cuts, labels, bases = _pipeline(8, betas=(3.0, 3.0))
+    mesh, iface, status, cuts, labels = _pipeline(8, betas=(3.0, 3.0))
     sol = radial_interface_solution(3.0, 3.0)
-    A_vol = assemble_volume(mesh, status, cuts, bases, 3.0, 3.0)
-    b = assemble_load(mesh, status, cuts, bases, sol, iface)
+    A_vol = assemble_volume(mesh, status, cuts, 3.0, 3.0)
+    b = assemble_load(mesh, status, cuts, sol, iface)
     solutions = []
     for scheme in ("classic", "spp", "ipp", "npp"):
         params = MethodParams.preset(scheme, 3.0, 3.0)
-        M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, 3.0, 3.0, params.alpha)
+        M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, 3.0, 3.0, params.alpha)
         A = combine_system(A_vol, M, P, params)
         sysm = apply_dirichlet(A, b, mesh, lambda x, y: sol.u_at(x, y, iface))
         A_ff, rhs = sysm.reduced()
@@ -383,10 +385,10 @@ def test_schemes_identical_for_continuous_coefficient():
 def test_energy_norm_identity_against_quadrature():
     # ||v||_h^2 == v' (A_vol + P) v, checked against the postprocess quadrature
     from ppife.postprocess import error_norms, PiecewiseSolution
-    mesh, iface, status, cuts, labels, bases = _pipeline(4)
+    mesh, iface, status, cuts, labels = _pipeline(4)
     params = MethodParams.preset("spp", 1.0, 10.0)
-    A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
-    M, P, traces = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0,
+    A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
+    M, P, traces = assemble_edge_terms(mesh, labels, status, cuts, 1.0, 10.0,
                                        params.alpha)
     rng = np.random.default_rng(2)
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
@@ -395,14 +397,14 @@ def test_energy_norm_identity_against_quadrature():
                              params={"beta_minus": 1.0, "beta_plus": 10.0})
     for _ in range(5):
         v = rng.standard_normal(mesh.n_nodes)
-        quad = error_norms(mesh, status, cuts, bases, v, zsol, iface, traces, params)["energy"]
+        quad = error_norms(mesh, status, cuts, v, zsol, iface, traces, params)["energy"]
         alg = float(np.sqrt(v @ (A_vol @ v) + params.sigma0 * (v @ (P @ v))))
         assert quad == pytest.approx(alg, rel=1e-10)
 
 
 def test_matrix_market_dump(tmp_path):
-    mesh, iface, status, cuts, labels, bases = _pipeline(4)
-    A = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
+    mesh, iface, status, cuts, labels = _pipeline(4)
+    A = assemble_volume(mesh, status, cuts, 1.0, 10.0)
     path = tmp_path / "A.mtx"
     dump_matrix(path, A)
     import scipy.io
@@ -412,10 +414,10 @@ def test_matrix_market_dump(tmp_path):
 
 def test_delta_sign_convention():
     # delta = -1 reproduces a hand-assembled fixed-minus consistency term
-    mesh, iface, status, cuts, labels, bases = _pipeline(6)
-    A_vol = assemble_volume(mesh, status, cuts, bases, 1.0, 10.0)
+    mesh, iface, status, cuts, labels = _pipeline(6)
+    A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
     params = MethodParams("custom", -1.0, 1.0, 1.0, 1.0)
-    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bases, 1.0, 10.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
     ref = (A_vol - M + M.T + P).tocsr()
     assert np.abs((A - ref).toarray()).max() < 1e-14 * np.abs(A_vol.data).max()
@@ -424,12 +426,11 @@ def test_delta_sign_convention():
 def test_classic_constant_beta_equals_standard_fem_matrix():
     # with a continuous coefficient the immersed stiffness matrix equals the
     # standard FEM stiffness matrix of the same mesh entry for entry
-    mesh, iface, status, cuts, labels, bases = _pipeline(10, betas=(3.0, 3.0))
-    A_ife = assemble_volume(mesh, status, cuts, bases, 3.0, 3.0)
+    mesh, iface, status, cuts, labels = _pipeline(10, betas=(3.0, 3.0))
+    A_ife = assemble_volume(mesh, status, cuts, 3.0, 3.0)
     far = line(1.0, 0.0, -10.0)
     status2, cuts2 = classify_elements(mesh, far)
-    bases2 = build_bases(mesh, cuts2, 3.0, 3.0)
-    A_fem = assemble_volume(mesh, status2, cuts2, bases2, 3.0, 3.0)
+    A_fem = assemble_volume(mesh, status2, build_bases(cuts2, 3.0, 3.0), 3.0, 3.0)
     free = mesh.interior_nodes
     diff = (A_ife[free][:, free] - A_fem[free][:, free]).toarray()
     assert np.abs(diff).max() < 1e-12 * np.abs(A_fem.data).max()

@@ -9,7 +9,7 @@ from ppife.geometry import (_AUDIT_ROWS, EDGE_BOUNDARY, EDGE_INTERFACE, EDGE_INT
                             classify_elements, dump_mesh, edge_crossings,
                             interface_from_name, line)
 from ppife.quadrature import polygon_area
-from oracles import edge_intersection
+from oracles import classify_cuts, edge_intersection
 
 R0 = np.pi / 6.28
 
@@ -133,7 +133,7 @@ def test_classify_against_dense_sampling_oracle():
         ys = lo[1] + mesh.h * TY
         vals = iface.phi(xs, ys)
         oracle_cut = vals.min() < 0 < vals.max()
-        assert (status[k] == INTERFACE) == oracle_cut == (k in cuts), f"element {k}"
+        assert (status[k] == INTERFACE) == oracle_cut == (k in cuts.ids), f"element {k}"
         if not oracle_cut:
             assert status[k] == (SIDE_MINUS if vals.max() <= 0 else SIDE_PLUS)
 
@@ -142,32 +142,34 @@ def test_far_interface_all_minus():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 4, "rect"))
     status, cuts = classify_elements(mesh, line(1.0, 0.0, -10.0))  # x = 10
     assert (status == SIDE_MINUS).all()
-    assert cuts == {}
+    assert len(cuts) == 0
 
 
 def test_cut_invariants_circle():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, "rect"))
     iface = circle(0.0, 0.0, R0)
     status, cuts = classify_elements(mesh, iface)
-    # records exist for exactly the interface elements, in ascending order
-    assert list(cuts) == np.flatnonzero(status == INTERFACE).tolist()
-    for k, cut in cuts.items():
-        assert cut.element_id == k
-        am = polygon_area(cut.poly_minus)
-        ap = polygon_area(cut.poly_plus)
+    # rows exist for exactly the interface elements, in ascending order
+    assert cuts.ids.tolist() == np.flatnonzero(status == INTERFACE).tolist()
+    assert np.array_equal(cuts.verts, mesh.nodes[mesh.elements[cuts.ids]])
+    for i in range(len(cuts)):
+        am = polygon_area(cuts.poly_minus[i, :cuts.n_minus[i]])
+        ap = polygon_area(cuts.poly_plus[i, :cuts.n_plus[i]])
         assert am > 0 and ap > 0
         assert am + ap == pytest.approx(mesh.h ** 2, abs=1e-12 * mesh.h ** 2)
         # D, E on the element boundary
-        verts = mesh.element_vertices(cut.element_id)
-        lo, hi = verts.min(axis=0), verts.max(axis=0)
-        for X in (cut.D, cut.E):
+        lo, hi = cuts.verts[i].min(axis=0), cuts.verts[i].max(axis=0)
+        for X in (cuts.D[i], cuts.E[i]):
             on = (abs(X[0] - lo[0]) < 1e-12 or abs(X[0] - hi[0]) < 1e-12
                   or abs(X[1] - lo[1]) < 1e-12 or abs(X[1] - hi[1]) < 1e-12)
             assert on
         # chord normal agrees with the level-set gradient at the chord midpoint
-        mid = 0.5 * (cut.D + cut.E)
+        mid = 0.5 * (cuts.D[i] + cuts.E[i])
         g = np.array(iface.grad(mid[0], mid[1]))
-        assert float(cut.chord_normal @ g) > 0
+        assert float(cuts.normal[i] @ g) > 0
+    # the padded polygons have the same areas
+    assert np.allclose(polygon_area(cuts.poly_minus) + polygon_area(cuts.poly_plus),
+                       mesh.h ** 2, rtol=0, atol=1e-12 * mesh.h ** 2)
     assert len(cuts) > 0
 
 
@@ -177,11 +179,11 @@ def test_type_tags():
     # D=(0, 0.3h), E=(0.4h, 0): adjacent edges -> type I
     iface = line(0.75, 1.0, -0.15)
     status, cuts = classify_elements(mesh, iface)
-    assert status[0] == INTERFACE and cuts[0].type_tag == "I"
+    assert status[0] == INTERFACE and cuts.ids[0] == 0 and not cuts.opposite[0]
     # D=(0.3h, h), E=(0.4h, 0): opposite edges -> type II
     iface = line(1.0, 0.1, -0.2)
     status, cuts = classify_elements(mesh, iface)
-    assert status[0] == INTERFACE and cuts[0].type_tag == "II"
+    assert status[0] == INTERFACE and cuts.ids[0] == 0 and cuts.opposite[0]
 
 
 def test_subdomain_area_converges():
@@ -191,7 +193,7 @@ def test_subdomain_area_converges():
     for N in (20, 40, 80):
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, "rect"))
         status, cuts = classify_elements(mesh, iface)
-        area = (sum(polygon_area(c.poly_minus) for c in cuts.values())
+        area = (polygon_area(cuts.poly_minus).sum()
                 + np.count_nonzero(status == SIDE_MINUS) * mesh.h ** 2)
         errs.append(abs(area - exact))
         assert errs[-1] < 4.0 * mesh.h ** 2
@@ -204,23 +206,23 @@ def test_classification_is_deterministic():
     status_a, a = classify_elements(mesh, iface)
     status_b, b = classify_elements(mesh, iface)
     assert np.array_equal(status_a, status_b)
-    assert list(a) == list(b)
-    for k in a:
-        assert np.array_equal(a[k].D, b[k].D)
-        assert np.array_equal(a[k].E, b[k].E)
-        assert np.array_equal(a[k].poly_minus, b[k].poly_minus)
+    assert np.array_equal(a.ids, b.ids)
+    assert np.array_equal(a.D, b.D)
+    assert np.array_equal(a.E, b.E)
+    assert np.array_equal(a.poly_minus, b.poly_minus)
 
 
 def test_neighbours_share_crossing_points():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, "rect"))
     _, cuts = classify_elements(mesh, circle(0.0, 0.0, R0))
     pts = {}
-    for c in cuts.values():
-        for X, e in zip((c.D, c.E), c.cut_edges):
-            if e in pts:
-                assert np.array_equal(pts[e], X)
-            else:
-                pts[e] = X
+    for X, e in zip(np.concatenate([cuts.D, cuts.E]), np.concatenate(cuts.cut_edges.T)):
+        if e < 0:
+            continue
+        if e in pts:
+            assert np.array_equal(pts[e], X)
+        else:
+            pts[e] = X
 
 
 def test_edge_labels():
@@ -230,9 +232,8 @@ def test_edge_labels():
     labels = classify_edges(mesh, status)
     assert (labels == EDGE_BOUNDARY).sum() == 80
     # every edge crossed by the curve is an interface edge
-    for c in cuts.values():
-        for e in c.cut_edges:
-            assert labels[e] == EDGE_INTERFACE
+    for e in cuts.cut_edges[cuts.cut_edges >= 0]:
+        assert labels[e] == EDGE_INTERFACE
     # far interface: no interface edges at all
     labels2 = classify_edges(mesh, classify_elements(mesh, line(1, 0, -10))[0])
     assert not (labels2 == EDGE_INTERFACE).any()
@@ -252,7 +253,7 @@ def test_vertex_aligned_line_is_uncut():
     # x = 0 passes through mesh nodes for even N: everything snaps, no cuts
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 4, "rect"))
     status, cuts = classify_elements(mesh, line(1.0, 0.0, 0.0))
-    assert cuts == {}
+    assert len(cuts) == 0
     assert (status == SIDE_MINUS).sum() == 8
     assert (status == SIDE_PLUS).sum() == 8
 
@@ -308,7 +309,7 @@ def test_degenerate_chord_falls_back_to_uncut():
     grad = lambda x, y: (scale * np.ones_like(np.asarray(x, float)),
                          scale * np.ones_like(np.asarray(y, float)))
     status, cuts = classify_elements(mesh, InterfaceGeometry(phi, grad))
-    assert cuts == {}
+    assert len(cuts) == 0
     assert (status == SIDE_MINUS).all()
 
 
@@ -324,3 +325,58 @@ def test_every_crossed_edge_detected_by_oracle():
         x = _crossing(a, b, iface, h=mesh.h)
         if x is not None and mesh.edge_elements[e, 1] >= 0:
             assert labels[e] == EDGE_INTERFACE
+
+
+def _assert_matches_oracle(mesh, iface):
+    """The stacked classification equals the per-element walk bit for bit."""
+    status, cuts = classify_elements(mesh, iface)
+    o_status, o_cuts = classify_cuts(mesh, iface)
+    assert np.array_equal(status, o_status)
+    assert cuts.ids.tolist() == list(o_cuts)
+    for i, c in enumerate(o_cuts.values()):
+        assert np.array_equal(cuts.D[i], c.D) and np.array_equal(cuts.E[i], c.E)
+        assert np.array_equal(cuts.normal[i], c.chord_normal)
+        for padded, n, poly in ((cuts.poly_minus[i], cuts.n_minus[i], c.poly_minus),
+                                (cuts.poly_plus[i], cuts.n_plus[i], c.poly_plus)):
+            assert n == len(poly) and np.array_equal(padded[:n], poly)
+            assert (padded[n:] == poly[-1]).all()
+        assert tuple(e for e in cuts.cut_edges[i] if e >= 0) == c.cut_edges
+        if mesh.cell_kind == "rect":
+            assert cuts.opposite[i] == (c.type_tag == "II")
+    return cuts
+
+
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_snapped_vertex_cuts_match_oracle(kind):
+    # lines through mesh nodes: a vertex plus a crossing, two vertices of a
+    # cell diagonal, and vertices grazed by a line that also crosses edges
+    from ppife.geometry import InterfaceGeometry
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 8, kind))
+    # two lines, one through the corner node (-1, -1) and one cutting the far
+    # corner of the element there: on rect, two crossings plus a grazed
+    # vertex, where the two crossings make the chord
+    s = lambda x, y: np.asarray(x) + np.asarray(y) + 2.0
+    pair = InterfaceGeometry(lambda x, y: s(x, y) * (s(x, y) - 0.4),
+                             lambda x, y: (2.0 * s(x, y) - 0.4, 2.0 * s(x, y) - 0.4))
+    snapped = 0
+    for iface in (line(1.0, 1.0, 0.0), line(1.0, -1.0, 0.25), line(2.0, 1.0, 0.5),
+                  line(1.0, 2.0, -0.25), line(1.0, -3.0, 0.5), circle(0.0, 0.0, 0.5),
+                  circle(0.25, 0.0, 0.5), pair):
+        cuts = _assert_matches_oracle(mesh, iface)
+        snapped += int((cuts.cut_edges < 0).sum())
+    assert snapped > 0
+    if kind == "rect":
+        cuts = classify_elements(mesh, pair)[1]
+        assert cuts.ids[0] == 0 and (cuts.cut_edges[0] >= 0).all()
+
+
+def test_edge_numbering_equals_two_column_unique():
+    # the 1-D key numbering is the lexicographic order of np.unique(axis=0)
+    for kind in ("rect", "tri"):
+        mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 7, kind))
+        d = mesh.n_local
+        pairs = np.sort(mesh.elements[:, np.column_stack([np.arange(d), np.roll(np.arange(d), -1)])]
+                        .reshape(-1, 2), axis=1)
+        nodes, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        assert np.array_equal(mesh.edge_nodes, nodes)
+        assert np.array_equal(mesh.element_edges, inverse.reshape(mesh.n_elements, d))

@@ -106,7 +106,7 @@ def test_evaluate_solution_reproduces_nodal_field():
         ctx = build_context(cfg, 8)
         rng = np.random.default_rng(0)
         coeffs = rng.standard_normal(ctx.mesh.n_nodes)
-        vals = evaluate_solution(ctx.mesh, ctx.status, ctx.bases, coeffs, ctx.mesh.nodes)
+        vals = evaluate_solution(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.mesh.nodes)
         assert np.abs(vals - coeffs).max() < 1e-11
 
 
@@ -118,7 +118,7 @@ def test_field_dump_matches_direct_evaluation():
     assert err.shape == (81,)
     assert err.max() > 0
     # the nodal entries agree with the solved coefficients
-    uh = evaluate_solution(ctx.mesh, ctx.status, ctx.bases, coeffs, pts)
+    uh = evaluate_solution(ctx.mesh, ctx.status, ctx.cuts, coeffs, pts)
     ue = ctx.sol.u_at(pts[:, 0], pts[:, 1], ctx.iface)
     assert np.allclose(err, np.abs(ue - uh))
 

@@ -36,6 +36,14 @@ def test_cg_rejects_asymmetric():
         cg(A, np.ones(2))
 
 
+def test_cg_rejects_one_asymmetric_entry_in_large_matrix():
+    # one off-diagonal pair out of thousands differs; a sampled check misses it
+    A = _tridiag(2000).tolil()
+    A[10, 11] = -3.0
+    with pytest.raises(AsymmetricInput):
+        cg(A.tocsr(), np.ones(2000))
+
+
 def test_cg_zero_rhs():
     res = cg(_tridiag(5), np.zeros(5))
     assert res.converged and res.iterations == 0

@@ -5,11 +5,12 @@ import pytest
 import scipy.linalg
 
 from ppife.errors import SingularLocalSystem
-from ppife.local_basis import (basis_residuals, bilinear_ife_basis, build_bases,
-                               linear_ife_basis, standard_gradients, standard_values,
-                               template_name)
+from ppife.local_basis import (basis_residuals, build_bases, piece_gradients, piece_values,
+                               template_coefs)
 from ppife.geometry import INTERFACE, DomainSpec, build_mesh, circle, classify_elements
-from oracles import ife_basis, linear_coupling_matrix, reference_cut, standard_basis
+from ppife.verify import _draw_cuts, _reference_cuts
+from oracles import (basis_of, cut_stack, ife_basis, ife_stack_basis, linear_coupling_matrix,
+                     reference_cut, standard_basis, template_name)
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 RECT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -51,11 +52,11 @@ def test_partition_of_unity(verts, kind):
 def test_equal_beta_reduces_to_standard():
     D = np.array([0.0, 0.5])
     E = np.array([0.5, 0.0])
-    b = linear_ife_basis(0, TRI, D, E, _diag_normal(), 2.5, 2.5)
+    b = ife_stack_basis(TRI, D, E, _diag_normal(), 2.5, 2.5)
     s = standard_basis(0, TRI, "p1")
     assert np.allclose(b.coefs_minus, s.coefs_minus, atol=1e-12)
     assert np.allclose(b.coefs_plus, s.coefs_minus, atol=1e-12)
-    b2 = bilinear_ife_basis(0, RECT, D, E, _diag_normal(), 2.5, 2.5)
+    b2 = ife_stack_basis(RECT, D, E, _diag_normal(), 2.5, 2.5)
     s2 = standard_basis(0, RECT, "q1")
     assert np.allclose(b2.coefs_minus, s2.coefs_minus, atol=1e-12)
     assert np.allclose(b2.coefs_plus, s2.coefs_minus, atol=1e-12)
@@ -68,7 +69,7 @@ def test_linear_reference_case_vs_independent_dense_solve():
     E = np.array([0.5, 0.0])
     n = _diag_normal()
     bm, bp = 1.0, 2.0
-    basis = linear_ife_basis(0, TRI, D, E, n, bm, bp)
+    basis = ife_stack_basis(TRI, D, E, n, bm, bp)
 
     M = np.zeros((6, 6))
     rhs = np.zeros((6, 3))
@@ -97,7 +98,7 @@ def test_linear_coefficients_match_closed_form_coupling():
         E = np.array([e * h, 0.0])
         n = np.array([d, e]) / np.hypot(d, e)
         bm, bp = 1.0, 10.0
-        basis = linear_ife_basis(0, verts, D, E, n, bm, bp)
+        basis = ife_stack_basis(verts, D, E, n, bm, bp)
         F = linear_coupling_matrix(d, e, h, bm, bp)
         cm, cp = basis.phys_coefficients()
         for j in range(3):
@@ -109,7 +110,7 @@ def test_linear_coefficient_ratio_bounds():
     grad_ratio_max = 0.0
     for _ in range(1000):
         cut = reference_cut("tri", rng)
-        basis = linear_ife_basis(0, *cut[:4], 1.0, 10.0)
+        basis = ife_stack_basis(*cut[:4], 1.0, 10.0)
         cm, cp = basis.phys_coefficients()
         for j in range(3):
             r = np.linalg.norm(cm[j]) / np.linalg.norm(cp[j])
@@ -125,10 +126,11 @@ def test_linear_coefficient_ratio_bounds():
 def test_bilinear_type1_constraint_residuals():
     D = np.array([0.0, 0.5])
     E = np.array([0.5, 0.0])
-    basis = bilinear_ife_basis(0, RECT, D, E, _diag_normal(), 1.0, 10.0)
-    res = basis_residuals(basis, RECT, 1.0, 10.0)
+    cuts = cut_stack(RECT, D, E, _diag_normal(), 1.0, 10.0)
+    basis = basis_of(cuts, 0)
+    res = basis_residuals(cuts, 1.0, 10.0)
     for key, val in res.items():
-        assert val < 1e-12, key
+        assert val.shape == (1,) and val[0] < 1e-12, key
     # independent check of the integral flux condition with a Gauss rule
     from ppife.quadrature import map_segment, segment_rule
     pts, w = map_segment(segment_rule(3), D, E)
@@ -142,17 +144,9 @@ def test_bilinear_type1_constraint_residuals():
 
 @pytest.mark.parametrize("kind", ["tri", "rect"])
 def test_random_cut_invariants(kind):
-    rng = np.random.default_rng(42)
-    for _ in range(300):
-        cut = reference_cut(kind, rng)
-        if kind == "tri":
-            basis = linear_ife_basis(0, *cut[:4], 1.0, 100.0)
-            verts = cut[0]
-        else:
-            basis = bilinear_ife_basis(0, *cut[:4], 1.0, 100.0)
-            verts = cut[0]
-        res = basis_residuals(basis, verts, 1.0, 100.0)
-        assert max(res.values()) < 1e-12
+    cuts = build_bases(_reference_cuts(kind, _draw_cuts(kind, 300, 42)), 1.0, 100.0)
+    res = basis_residuals(cuts, 1.0, 100.0)
+    assert max(r.max() for r in res.values()) < 1e-12
 
 
 def test_consistency_small_jump():
@@ -161,10 +155,10 @@ def test_consistency_small_jump():
     n = np.array([0.35, 0.65])
     n = n / np.linalg.norm(n)
     ratio = 1.0 + 1e-8
-    b = linear_ife_basis(0, TRI, D, E, n, 1.0, ratio)
+    b = ife_stack_basis(TRI, D, E, n, 1.0, ratio)
     s = standard_basis(0, TRI, "p1")
     assert np.abs(b.coefs_minus - s.coefs_minus).max() < 1e-6
-    b2 = bilinear_ife_basis(0, RECT, D, E, n, 1.0, ratio)
+    b2 = ife_stack_basis(RECT, D, E, n, 1.0, ratio)
     s2 = standard_basis(0, RECT, "q1")
     assert np.abs(b2.coefs_minus - s2.coefs_minus).max() < 1e-6
 
@@ -174,7 +168,7 @@ def test_eval_kronecker_and_gradient_fd():
     E = np.array([0.3, 0.0])
     n = np.array([0.7, 0.3])
     n = n / np.linalg.norm(n)
-    basis = bilinear_ife_basis(0, RECT, D, E, n, 1.0, 10.0)
+    basis = ife_stack_basis(RECT, D, E, n, 1.0, 10.0)
     assert np.allclose(basis.values(RECT), np.eye(4), atol=1e-12)
     # finite differences away from the chord
     eps = 1e-6
@@ -190,7 +184,7 @@ def test_eval_kronecker_and_gradient_fd():
 def test_values_agree_on_chord():
     D = np.array([0.0, 0.5])
     E = np.array([0.5, 0.0])
-    basis = linear_ife_basis(0, TRI, D, E, _diag_normal(), 1.0, 10.0)
+    basis = ife_stack_basis(TRI, D, E, _diag_normal(), 1.0, 10.0)
     pts = np.array([D + t * (E - D) for t in np.linspace(0, 1, 7)])
     vm = basis.values_piece(pts, -1)
     vp = basis.values_piece(pts, +1)
@@ -201,7 +195,7 @@ def test_degenerate_cut_raises():
     D = np.array([0.0, 0.0])
     E = np.array([0.0, 0.0])
     with pytest.raises(SingularLocalSystem):
-        linear_ife_basis(0, TRI, D, E, np.array([1.0, 0.0]), 1.0, 10.0)
+        cut_stack(TRI, D, E, np.array([1.0, 0.0]), 1.0, 10.0)
 
 
 def test_gradient_bounded_by_inverse_h():
@@ -209,7 +203,7 @@ def test_gradient_bounded_by_inverse_h():
     for h in (1.0, 0.25):
         for _ in range(500):
             cut = reference_cut("rect", rng, h)
-            basis = bilinear_ife_basis(0, *cut[:4], 1.0, 10.0)
+            basis = ife_stack_basis(*cut[:4], 1.0, 10.0)
             pts = rng.uniform(0, h, size=(8, 2))
             g = basis.gradients(pts)
             assert np.abs(g).max() < 50.0 / h
@@ -221,13 +215,13 @@ def test_build_bases_dispatch():
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 8, kind))
         iface = circle(0.0, 0.0, np.pi / 6.28)
         status, cuts = classify_elements(mesh, iface)
-        bases = build_bases(mesh, cuts, 1.0, 10.0)
-        assert list(bases) == list(cuts) == np.flatnonzero(status == INTERFACE).tolist()
-        for k, basis in bases.items():
-            assert basis.element_id == k
-            assert basis.kind == ("ife_q1" if kind == "rect" else "ife_p1")
-            res = basis_residuals(basis, mesh.element_vertices(k), 1.0, 10.0)
-            assert max(res.values()) < 1e-12
+        bases = build_bases(cuts, 1.0, 10.0)
+        assert bases.ids.tolist() == np.flatnonzero(status == INTERFACE).tolist()
+        m = 4 if kind == "rect" else 3
+        assert bases.cm.shape == bases.cp.shape == (len(cuts), mesh.n_local, m)
+        assert np.array_equal(bases.origin, mesh.element_origins[cuts.ids])
+        res = basis_residuals(bases, 1.0, 10.0)
+        assert max(r.max() for r in res.values()) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["rect", "tri"])
@@ -237,15 +231,18 @@ def test_templates_equal_standard_basis_oracle(kind):
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 6, kind))
     rng = np.random.default_rng(3)
     oracle_kind = "q1" if kind == "rect" else "p1"
+    C = template_coefs(mesh, np.arange(mesh.n_elements))
     for k in range(mesh.n_elements):
         verts = mesh.element_vertices(k)
         pts = np.vstack([verts, verts.mean(axis=0) + 0.3 * mesh.h * rng.uniform(-1, 1, (5, 2))])
+        xi = (pts - mesh.element_origins[k]) / mesh.element_h[k]
+        values = piece_values(C[k], xi)
         oracle = standard_basis(k, verts, oracle_kind, template_name(mesh, k))
-        assert np.array_equal(standard_values(mesh, k, pts), oracle.values(pts))
-        assert np.array_equal(standard_gradients(mesh, k, pts), oracle.gradients(pts))
+        assert np.array_equal(values, oracle.values(pts))
+        assert np.array_equal(piece_gradients(C[k], xi, mesh.element_h[k]), oracle.gradients(pts))
         solved = standard_basis(k, verts, oracle_kind)
-        assert np.allclose(standard_values(mesh, k, pts), solved.values(pts), atol=1e-12)
-        assert np.allclose(standard_values(mesh, k, verts), np.eye(len(verts)), atol=1e-13)
+        assert np.allclose(values, solved.values(pts), atol=1e-12)
+        assert np.allclose(values[:, :len(verts)], np.eye(len(verts)), atol=1e-13)
 
 
 @pytest.mark.parametrize("beta_plus", [10.0, 1e4])
@@ -255,12 +252,11 @@ def test_build_bases_equals_per_element_oracle(kind, beta_plus):
     for N, (cx, cy, r) in ((40, (0.0, 0.0, np.pi / 6.28)), (64, (0.13, -0.21, 0.47))):
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
         _, cuts = classify_elements(mesh, circle(cx, cy, r))
-        bases = build_bases(mesh, cuts, 1.0, beta_plus)
-        assert list(bases) == list(cuts)
-        for k, cut in cuts.items():
-            oracle = ife_basis(k, mesh.element_vertices(k), cut.D, cut.E, cut.chord_normal,
+        bases = build_bases(cuts, 1.0, beta_plus)
+        for i, k in enumerate(cuts.ids):
+            oracle = ife_basis(k, mesh.element_vertices(k), cuts.D[i], cuts.E[i], cuts.normal[i],
                                1.0, beta_plus)
-            basis = bases[k]
+            basis = basis_of(bases, i)
             assert basis.kind == oracle.kind
             assert np.array_equal(basis.origin, oracle.origin) and basis.h == oracle.h
             assert np.array_equal(basis.coefs_minus, oracle.coefs_minus)
@@ -271,11 +267,14 @@ def test_build_bases_equals_per_element_oracle(kind, beta_plus):
 def test_singular_system_in_batch_names_its_element(kind):
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 16, kind))
     _, cuts = classify_elements(mesh, circle(0.0, 0.0, np.pi / 6.28))
-    bad = list(cuts)[len(cuts) // 2]
+    i = len(cuts) // 2
+    bad = int(cuts.ids[i])
     # a chord collapsed to one point leaves the jump conditions singular
-    cuts[bad] = dataclasses.replace(cuts[bad], E=cuts[bad].D.copy())
+    E = cuts.E.copy()
+    E[i] = cuts.D[i]
+    cuts = dataclasses.replace(cuts, E=E)
     with pytest.raises(SingularLocalSystem, match=rf"^element {bad}: "):
-        build_bases(mesh, cuts, 1.0, 10.0)
+        build_bases(cuts, 1.0, 10.0)
     with pytest.raises(SingularLocalSystem, match=rf"^element {bad}: "):
-        ife_basis(bad, mesh.element_vertices(bad), cuts[bad].D, cuts[bad].E,
-                  cuts[bad].chord_normal, 1.0, 10.0)
+        ife_basis(bad, mesh.element_vertices(bad), cuts.D[i], cuts.E[i],
+                  cuts.normal[i], 1.0, 10.0)

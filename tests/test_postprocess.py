@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import reference_error_norms
+from oracles import classify_cuts, interface_jump_residuals, oracle_bases, reference_error_norms
 from ppife.assembly import MethodParams, edge_traces
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_edges, classify_elements
 from ppife.local_basis import build_bases
 from ppife.postprocess import (PiecewiseSolution, convergence_rates, error_norms,
-                               interface_jump_residuals, interpolate_nodal,
-                               markdown_error_table, radial_interface_solution,
-                               record_csv_rows, RunRecord)
+                               interpolate_nodal, markdown_error_table,
+                               radial_interface_solution, record_csv_rows, RunRecord)
 
 R0 = np.pi / 6.28
 
@@ -17,10 +16,10 @@ def _setup(N, kind="rect", betas=(1.0, 10.0)):
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
     iface = circle(0.0, 0.0, R0)
     status, cuts = classify_elements(mesh, iface)
-    bases = build_bases(mesh, cuts, *betas)
-    traces = edge_traces(mesh, classify_edges(mesh, status), status, cuts, bases, *betas)
+    cuts = build_bases(cuts, *betas)
+    traces = edge_traces(mesh, classify_edges(mesh, status), status, cuts, *betas)
     sol = radial_interface_solution(*betas)
-    return mesh, iface, status, cuts, traces, bases, sol
+    return mesh, iface, status, cuts, traces, sol
 
 
 CLASSIC = MethodParams.preset("classic")
@@ -68,22 +67,22 @@ def test_gradient_matches_fd_oracle():
 
 @pytest.mark.parametrize("kind", ["rect", "tri"])
 def test_norms_vanish_for_reproduced_linear(kind):
-    mesh, iface, status, cuts, traces, bases, _ = _setup(6, kind=kind, betas=(2.0, 2.0))
+    mesh, iface, status, cuts, traces, _ = _setup(6, kind=kind, betas=(2.0, 2.0))
     lin = lambda x, y: 0.5 + 1.5 * np.asarray(x) - 0.25 * np.asarray(y)
     grad = lambda x, y: (1.5 * np.ones_like(np.asarray(x)), -0.25 * np.ones_like(np.asarray(x)))
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
     sol = PiecewiseSolution(lin, lin, grad, grad, zero, zero,
                             params={"beta_minus": 2.0, "beta_plus": 2.0})
     coeffs = lin(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    err = error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, CLASSIC)
+    err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC)
     for norm in ("l2", "h1", "linf", "energy"):
         assert err[norm] < 1e-12
 
 
 def test_norms_are_nonnegative_and_detect_error():
-    mesh, iface, status, cuts, traces, bases, sol = _setup(8)
+    mesh, iface, status, cuts, traces, sol = _setup(8)
     coeffs = interpolate_nodal(mesh, sol, iface)
-    err = error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, CLASSIC)
+    err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC)
     for norm in ("l2", "h1", "linf", "energy"):
         assert err[norm] > 0
 
@@ -92,15 +91,19 @@ def test_norms_are_nonnegative_and_detect_error():
 @pytest.mark.parametrize("beta_plus", [10.0, 1e4])
 @pytest.mark.parametrize("kind", ["rect", "tri"])
 def test_error_norms_equal_per_norm_reference(kind, beta_plus, N):
-    # the fused sweep keeps the per-norm summation order, so equality is exact;
-    # classic exercises the sigma0 = 0 skip of the penalty jumps
-    mesh, iface, status, cuts, traces, bases, sol = _setup(N, kind=kind, betas=(1.0, beta_plus))
+    # the fused, stacked sweep keeps the per-norm, per-element summation
+    # order, so equality is exact; the reference walks the per-element
+    # classification and bases. Classic exercises the sigma0 = 0 skip of the
+    # penalty jumps
+    mesh, iface, status, cuts, traces, sol = _setup(N, kind=kind, betas=(1.0, beta_plus))
+    o_cuts = classify_cuts(mesh, iface)[1]
+    o_bases = oracle_bases(mesh, o_cuts, 1.0, beta_plus)
     rng = np.random.default_rng(N)
     coeffs = interpolate_nodal(mesh, sol, iface) + 1e-3 * rng.standard_normal(mesh.n_nodes)
     for scheme in ("classic", "spp", "npp"):
         params = MethodParams.preset(scheme, 1.0, beta_plus)
-        fused = error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, params)
-        assert fused == reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface,
+        fused = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params)
+        assert fused == reference_error_norms(mesh, status, o_cuts, o_bases, coeffs, sol, iface,
                                               classify_edges(mesh, status), params)
 
 
@@ -112,10 +115,10 @@ def test_interpolation_rates():
     for N in (20, 40, 80, 160, 320):
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, "rect"))
         status, cuts = classify_elements(mesh, iface)
-        bases = build_bases(mesh, cuts, 1.0, 10.0)
-        traces = edge_traces(mesh, classify_edges(mesh, status), status, cuts, bases, 1.0, 10.0)
+        cuts = build_bases(cuts, 1.0, 10.0)
+        traces = edge_traces(mesh, classify_edges(mesh, status), status, cuts, 1.0, 10.0)
         coeffs = interpolate_nodal(mesh, sol, iface)
-        err = error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, CLASSIC)
+        err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC)
         l2s.append((N, err["l2"]))
         h1s.append((N, err["h1"]))
     for r in convergence_rates(l2s):
@@ -125,20 +128,20 @@ def test_interpolation_rates():
 
 
 def test_quadrature_depth_self_convergence():
-    mesh, iface, status, cuts, traces, bases, sol = _setup(20)
+    mesh, iface, status, cuts, traces, sol = _setup(20)
     coeffs = interpolate_nodal(mesh, sol, iface)
-    a = error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, CLASSIC, refine=1)
-    b = error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, CLASSIC, refine=2)
+    a = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC, refine=1)
+    b = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC, refine=2)
     for norm in ("l2", "h1"):
         assert abs(a[norm] - b[norm]) / a[norm] < 1e-3  # three significant digits
 
 
 def test_energy_error_includes_jumps():
-    mesh, iface, status, cuts, traces, bases, sol = _setup(8)
+    mesh, iface, status, cuts, traces, sol = _setup(8)
     params = MethodParams.preset("spp", 1.0, 10.0)
     coeffs = interpolate_nodal(mesh, sol, iface)
-    e_pen = error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, params)["energy"]
-    e_nopen = error_norms(mesh, status, cuts, bases, coeffs, sol, iface, traces, CLASSIC)["energy"]
+    e_pen = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params)["energy"]
+    e_nopen = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC)["energy"]
     assert e_pen >= e_nopen > 0
 
 

@@ -1,25 +1,27 @@
-"""Geometry and basis invariants over random circles and meshes.
+"""Geometry and basis invariants over random interfaces and meshes.
 
 Each example draws a circle centre in [-0.3, 0.3]^2, a radius in [0.2, 0.7]
 and N in [8, 64] ([8, 32] for the patch test, which solves a global system)
-on a rect or tri mesh of [-1, 1]^2. Draws that the mesh cannot resolve
+on a rect or tri mesh of [-1, 1]^2. The oracle checks and the patch test
+also draw straight lines a x + b y + c = 0 with a, b in [-1, 1] and c in
+[-0.5, 0.5], solved with beta- = beta+. Draws that the mesh cannot resolve
 (MultipleCrossings) are rejected.
 """
 import numpy as np
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
-from ppife.assembly import (EDGE_DEGREE, MethodParams, apply_dirichlet, assemble_edge_terms,
-                            assemble_load, assemble_volume, combine_system)
+from ppife.assembly import (MethodParams, VOLUME_DEGREE, apply_dirichlet, assemble_edge_terms,
+                            assemble_load, assemble_volume, combine_system, edge_traces)
 from ppife.errors import MultipleCrossings
-from ppife.geometry import (EDGE_INTERFACE, INTERFACE, DomainSpec, build_mesh, circle,
-                            classify_edges, classify_elements, edge_crossings,
-                            edge_split_points)
+from ppife.geometry import (INTERFACE, DomainSpec, build_mesh, circle,
+                            classify_edges, classify_elements, edge_crossings, line)
 from ppife.linsolve import cg
-from ppife.local_basis import (basis_residuals, build_bases, standard_gradients,
-                               standard_values, template_name)
+from ppife.local_basis import (basis_residuals, build_bases, cut_frame, cut_gradients,
+                               cut_values, piece_gradients)
 from ppife.postprocess import PiecewiseSolution
-from ppife.quadrature import polygon_area, split_edge_rule
-from oracles import edge_intersection, standard_basis
+from ppife.quadrature import fan_rule, polygon_area, split_edge_rule
+from oracles import (classify_cuts, edge_intersection, edge_split_points, ife_basis,
+                     standard_basis, template_name)
 
 
 def _cases(n_max):
@@ -32,12 +34,19 @@ def _cases(n_max):
 
 
 cases = _cases(64)
+lines = st.tuples(st.sampled_from(["rect", "tri"]), st.integers(8, 64),
+                  st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5))
+interfaces = st.one_of(cases.map(lambda c: (c, "circle")), lines.map(lambda c: (c, "line")))
 
 
-def _classified(case):
-    kind, N, cx, cy, r = case
+def _classified(case, shape="circle"):
+    kind, N, a, b, c = case
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
-    iface = circle(cx, cy, r)
+    if shape == "line":
+        assume(abs(a) + abs(b) > 1e-3)
+        iface = line(a, b, c)
+    else:
+        iface = circle(a, b, c)
     try:
         status, cuts = classify_elements(mesh, iface)
     except MultipleCrossings:
@@ -49,13 +58,12 @@ def _classified(case):
 def test_cut_geometry(case):
     mesh, iface, status, cuts = _classified(case)
     h = mesh.h
-    assert list(cuts) == np.flatnonzero(status == INTERFACE).tolist()
+    assert cuts.ids.tolist() == np.flatnonzero(status == INTERFACE).tolist()
 
     # the chord splits every cut element into two sub-polygons that tile it
-    for k, cut in cuts.items():
-        am, ap = polygon_area(cut.poly_minus), polygon_area(cut.poly_plus)
-        assert am > 0 and ap > 0
-        assert abs(am + ap - polygon_area(mesh.element_vertices(k))) < 1e-12 * h * h
+    am, ap = polygon_area(cuts.poly_minus), polygon_area(cuts.poly_plus)
+    assert (am > 0).all() and (ap > 0).all()
+    assert (np.abs(am + ap - polygon_area(cuts.verts)) < 1e-12 * h * h).all()
 
     # the batched crossing solve equals the one-segment oracle bit for bit;
     # segments whose samples all share one strict sign have no crossing
@@ -76,45 +84,110 @@ def test_cut_geometry(case):
 
     # every element cut through an edge carries that edge's solved point bit
     # for bit, so the two elements sharing the edge have identical D/E there
-    for cut in cuts.values():
-        for e in cut.cut_edges:
-            assert hit[e]
-            assert any(np.array_equal(X, points[e]) for X in (cut.D, cut.E))
+    for X, e in zip(np.concatenate([cuts.D, cuts.E]), np.concatenate(cuts.cut_edges.T)):
+        if e >= 0:
+            assert hit[e] and np.array_equal(X, points[e])
+
+
+@given(interfaces)
+def test_stacked_cuts_equal_per_element_oracle(drawn):
+    # one stacked pass reproduces the per-element walk bit for bit: D, E, the
+    # chord normal, the sub-polygons before padding and, on rect, the type tag
+    case, shape = drawn
+    mesh, iface, status, cuts = _classified(case, shape)
+    o_status, o_cuts = classify_cuts(mesh, iface)
+    assert np.array_equal(status, o_status)
+    assert cuts.ids.tolist() == list(o_cuts)
+    for i, c in enumerate(o_cuts.values()):
+        assert np.array_equal(cuts.D[i], c.D) and np.array_equal(cuts.E[i], c.E)
+        assert np.array_equal(cuts.normal[i], c.chord_normal)
+        assert np.array_equal(cuts.poly_minus[i, :cuts.n_minus[i]], c.poly_minus)
+        assert np.array_equal(cuts.poly_plus[i, :cuts.n_plus[i]], c.poly_plus)
+        assert tuple(e for e in cuts.cut_edges[i] if e >= 0) == c.cut_edges
+        if mesh.cell_kind == "rect":
+            assert cuts.opposite[i] == (c.type_tag == "II")
+
+
+def _close(a, b):
+    return np.abs(a - b).max(initial=0.0) <= 1e-15 * max(np.abs(b).max(initial=0.0), 1.0)
+
+
+@given(interfaces, st.sampled_from([10.0, 1e4]))
+def test_stacked_bases_equal_per_element_oracle(drawn, beta_plus):
+    # values and gradients at the edge and volume quadrature points equal the
+    # per-element LocalBasis of the per-element solve
+    case, shape = drawn
+    mesh, iface, status, cuts = _classified(case, shape)
+    assume(len(cuts) > 0)
+    bm, bp = (1.0, beta_plus) if shape == "circle" else (1.0, 1.0)
+    cuts = build_bases(cuts, bm, bp)
+    oracle = [ife_basis(k, cuts.verts[i], cuts.D[i], cuts.E[i], cuts.normal[i], bm, bp)
+              for i, k in enumerate(cuts.ids)]
+
+    traces = edge_traces(mesh, classify_edges(mesh, status), status, cuts, bm, bp)
+    row_of = {k: i for i, k in enumerate(cuts.ids.tolist())}
+    for b, e in enumerate(traces.edges):
+        for s, k in enumerate(traces.elements[b]):
+            if k in row_of:
+                basis = oracle[row_of[k]]
+                pts = traces.points[b]
+                assert _close(traces.values[b, s], basis.values(pts))
+                assert _close(traces.gradients[b, s], basis.gradients(pts))
+
+    rows = np.arange(len(cuts))
+    for poly, side in ((cuts.poly_minus, -1), (cuts.poly_plus, 1)):
+        pts, _ = fan_rule(poly, VOLUME_DEGREE)
+        xi, plus = cut_frame(cuts, rows, pts)
+        V, G = cut_values(cuts, rows, xi, plus), cut_gradients(cuts, rows, xi, plus)
+        Gp = piece_gradients(cuts.cp if side > 0 else cuts.cm, xi, cuts.h)
+        for i, basis in enumerate(oracle):
+            assert _close(V[i], basis.values(pts[i]))
+            assert _close(G[i], basis.gradients(pts[i]))
+            assert _close(Gp[i], basis.gradients_piece(pts[i], side))
 
 
 @given(cases, st.sampled_from([10.0, 1e4]))
 def test_cut_bases_satisfy_interface_conditions(case, beta_plus):
     mesh, _, _, cuts = _classified(case)
-    bases = build_bases(mesh, cuts, 1.0, beta_plus)
-    assert list(bases) == list(cuts)
-    for k, basis in bases.items():
-        res = basis_residuals(basis, mesh.element_vertices(k), 1.0, beta_plus)
-        assert max(res.values()) < 1e-11, (k, res)
+    cuts = build_bases(cuts, 1.0, beta_plus)
+    assert cuts.cm.shape == cuts.cp.shape == (len(cuts), mesh.n_local, mesh.n_local)
+    res = basis_residuals(cuts, 1.0, beta_plus)
+    worst = max(r.max(initial=0.0) for r in res.values())
+    assert worst < 1e-11, res
 
 
 @given(cases)
 def test_standard_neighbours_match_oracle(case):
-    mesh, _, status, cuts = _classified(case)
+    mesh, iface, status, cuts = _classified(case)
     labels = classify_edges(mesh, status)
     kind = "q1" if mesh.cell_kind == "rect" else "p1"
-    for e in np.flatnonzero(labels == EDGE_INTERFACE):
-        a, b = mesh.nodes[mesh.edge_nodes[e]]
-        pts = split_edge_rule(a, b, edge_split_points(mesh, int(e), cuts), EDGE_DEGREE).points
-        for k in mesh.edge_elements[e]:
-            if k in cuts:
+    traces = edge_traces(mesh, labels, status, build_bases(cuts, 1.0, 10.0), 1.0, 10.0)
+    o_cuts = classify_cuts(mesh, iface)[1]
+    for b, e in enumerate(traces.edges):
+        a, c = mesh.nodes[mesh.edge_nodes[e]]
+        rule = split_edge_rule(a, c, edge_split_points(mesh, int(e), o_cuts), 4)
+        n = len(rule.weights)
+        # the rule is the oracle's split rule, padded by a zero-weight piece
+        assert np.array_equal(traces.points[b, :n], rule.points)
+        assert np.array_equal(traces.weights[b, :n], rule.weights)
+        assert (traces.weights[b, n:] == 0).all()
+        for s, k in enumerate(traces.elements[b]):
+            if status[k] == INTERFACE:
                 continue
             oracle = standard_basis(k, mesh.element_vertices(k), kind, template_name(mesh, k))
-            assert np.array_equal(standard_values(mesh, k, pts), oracle.values(pts))
-            assert np.array_equal(standard_gradients(mesh, k, pts), oracle.gradients(pts))
+            pts = traces.points[b]
+            assert np.array_equal(traces.values[b, s], oracle.values(pts))
+            assert np.array_equal(traces.gradients[b, s], oracle.gradients(pts))
 
 
 @settings(max_examples=30)
-@given(_cases(32))
-def test_patch_test_is_exact(case):
-    # constant beta with the circle present: SPP reproduces a global
+@given(st.one_of(_cases(32).map(lambda c: (c, "circle")),
+                 lines.map(lambda c: (c[0], min(c[1], 32)) + c[2:]).map(lambda c: (c, "line"))))
+def test_patch_test_is_exact(drawn):
+    # constant beta with a circle or a line present: SPP reproduces a global
     # (bi)linear solution at the nodes to solver accuracy
-    mesh, iface, status, cuts = _classified(case)
-    bases = build_bases(mesh, cuts, 2.0, 2.0)
+    mesh, iface, status, cuts = _classified(*drawn)
+    cuts = build_bases(cuts, 2.0, 2.0)
     if mesh.cell_kind == "rect":
         u = lambda x, y: 1.0 + 2.0 * x - 3.0 * y + 0.5 * x * y
         gu = lambda x, y: (2.0 + 0.5 * y, -3.0 + 0.5 * x)
@@ -125,10 +198,10 @@ def test_patch_test_is_exact(case):
     sol = PiecewiseSolution(u, u, gu, gu, zero, zero,
                             params={"beta_minus": 2.0, "beta_plus": 2.0})
     params = MethodParams.preset("spp", 2.0, 2.0)
-    M, P, _ = assemble_edge_terms(mesh, classify_edges(mesh, status), status, cuts, bases,
+    M, P, _ = assemble_edge_terms(mesh, classify_edges(mesh, status), status, cuts,
                                   2.0, 2.0, params.alpha)
-    A = combine_system(assemble_volume(mesh, status, cuts, bases, 2.0, 2.0), M, P, params)
-    b = assemble_load(mesh, status, cuts, bases, sol, iface)
+    A = combine_system(assemble_volume(mesh, status, cuts, 2.0, 2.0), M, P, params)
+    b = assemble_load(mesh, status, cuts, sol, iface)
     sysm = apply_dirichlet(A, b, mesh, u)
     coeffs = sysm.expand(cg(*sysm.reduced(), tol_rel=1e-13).x)
     assert np.abs(coeffs - u(mesh.nodes[:, 0], mesh.nodes[:, 1])).max() < 1e-10

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import coef_ratio_max, linear_coupling_matrix, reference_cut, trace_ratio
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
-from ppife.local_basis import linear_ife_basis
+from oracles import ife_stack_basis
 from ppife.quadrature import polygon_area
 from ppife.verify import (ScanReport, _coef_ratios, _draw_cuts, _reference_cuts, _trace_ratios,
                           interp_edge_error_study, quadrant_bound_constant,
@@ -80,7 +80,7 @@ def test_coefficient_scan_equal_beta_has_unit_gradient_ratios():
     rng = np.random.default_rng(1)
     for _ in range(50):
         cut = reference_cut("tri", rng)
-        basis = linear_ife_basis(0, *cut[:4], 5.0, 5.0)
+        basis = ife_stack_basis(*cut[:4], 5.0, 5.0)
         cm, cp = basis.phys_coefficients()
         assert np.allclose(cm, cp, atol=1e-12)
 
@@ -185,28 +185,21 @@ def test_interp_edge_error_study_slopes():
 
 def test_interp_edge_error_zero_for_linear_solution():
     # a globally linear solution is reproduced by the interpolant: zero flux error
-    from ppife.geometry import EDGE_INTERFACE, classify_edges
-    from ppife.local_basis import build_bases, standard_gradients
-    from ppife.quadrature import split_edge_rule
+    from ppife.assembly import edge_traces
+    from ppife.geometry import classify_edges
+    from ppife.local_basis import build_bases
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 10, "rect"))
     iface = circle(0.0, 0.0, np.pi / 6.28)
     status, cuts = classify_elements(mesh, iface)
     labels = classify_edges(mesh, status)
-    bases = build_bases(mesh, cuts, 2.0, 2.0)
+    cuts = build_bases(cuts, 2.0, 2.0)
     coeffs = 1.0 + 2.0 * mesh.nodes[:, 0] - mesh.nodes[:, 1]
-    worst = 0.0
-    for e in np.flatnonzero(labels == EDGE_INTERFACE):
-        a = mesh.nodes[mesh.edge_nodes[e, 0]]
-        b = mesh.nodes[mesh.edge_nodes[e, 1]]
-        nB = mesh.edge_normals[e]
-        rule = split_edge_rule(a, b, None, 4)
-        for el in mesh.edge_elements[e]:
-            grads = (bases[el].gradients(rule.points) if el in bases
-                     else standard_gradients(mesh, el, rule.points))
-            gi = np.einsum("d,dqa->qa", coeffs[mesh.elements[el]], grads)
-            fl = 2.0 * ((2.0 - gi[:, 0]) * nB[0] + (-1.0 - gi[:, 1]) * nB[1])
-            worst = max(worst, np.abs(fl).max())
-    assert worst < 1e-12
+    traces = edge_traces(mesh, labels, status, cuts, 2.0, 2.0, values=False)
+    assert traces.values is None and len(traces.edges) > 0
+    gi = np.einsum("bsd,bsdqa->bsqa", coeffs[mesh.elements[traces.elements]], traces.gradients)
+    nB = mesh.edge_normals[traces.edges][:, None, None]
+    fl = 2.0 * ((2.0 - gi[..., 0]) * nB[..., 0] + (-1.0 - gi[..., 1]) * nB[..., 1])
+    assert np.abs(fl).max() < 1e-12
 
 
 def test_scan_report_serialization():

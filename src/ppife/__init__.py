@@ -5,15 +5,14 @@ from .assembly import (MethodParams, SCHEMES, SparseSystem, apply_dirichlet,
                        assemble_edge_terms, assemble_load, assemble_volume,
                        combine_system, edge_traces)
 from .geometry import (CartesianMesh, CutSet, DomainSpec, InterfaceGeometry,
-                       build_mesh, circle, classify_edges, classify_elements,
-                       edge_crossings, line)
+                       build_mesh, circle, classify_elements, edge_crossings,
+                       interface_edges, line)
 from .harness import RunConfig, build_context, cmd_convergence, cmd_solve, cmd_verify, load_config
 from .linsolve import SolveResult, bicgstab, cg
 from .local_basis import basis_residuals, build_bases, ife_coefficients
 from .postprocess import (PiecewiseSolution, RunRecord, convergence_rates,
                           error_norms, interpolate_nodal, radial_interface_solution)
-from .quadrature import (QuadratureRule, rect_rule, segment_rule,
-                         split_edge_rule, split_polygon_rule)
+from .quadrature import QuadratureRule, rect_rule, segment_rule
 from .verify import (ScanReport, interp_edge_error_study, scan_coefficient_bounds,
                      scan_coercivity, scan_trace_ratio)
 

@@ -23,7 +23,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .geometry import EDGE_INTERFACE, RECT, SIDE_MINUS
+from .geometry import RECT, SIDE_MINUS
 from .local_basis import (cut_frame, cut_gradients, cut_values, piece_gradients, piece_values,
                           template_coefs, template_gradients, template_values)
 from .quadrature import (_collapsed_triangle_rule, fan_rule, map_segment, rect_rule,
@@ -143,25 +143,25 @@ class EdgeTraces(NamedTuple):
     beta: np.ndarray        # (B, 2, nq) coefficient of the active side per point
 
 
-def edge_traces(mesh, edge_labels, status, cuts, beta_minus, beta_plus,
+def edge_traces(mesh, edges, status, cuts, beta_minus, beta_plus,
                 degree=EDGE_DEGREE, values=True):
-    """The EdgeTraces of the interface edges.
+    """The EdgeTraces of the interior edges `edges` (ascending ids, the
+    `geometry.interface_edges` of `cuts` in a solve).
 
     This is the one walk over interface edges: the edge terms, the penalty
     jumps of the energy norm and the interpolation-flux scan all read it.
     The cut neighbours and the standard ones of each side are evaluated as
     two stacks; `values=False` skips the values.
     """
-    edges = np.flatnonzero(edge_labels == EDGE_INTERFACE)
     B = len(edges)
     a = mesh.nodes[mesh.edge_nodes[edges, 0]]
     d = mesh.nodes[mesh.edge_nodes[edges, 1]] - a
     # the chord end of an adjacent cut that lies inside the edge, if any
-    split = np.full((mesh.n_edges, 2), np.nan)
-    on_edge = cuts.cut_edges >= 0
-    split[cuts.cut_edges[on_edge]] = np.stack([cuts.D, cuts.E], axis=1)[on_edge]
+    hit = np.isin(cuts.cut_edges, edges)
+    split = np.full((B, 2), np.nan)
+    split[np.searchsorted(edges, cuts.cut_edges[hit])] = np.stack([cuts.D, cuts.E], axis=1)[hit]
     length = np.sqrt(np.vecdot(d, d))
-    t = np.vecdot(split[edges] - a, d) / (length * length)
+    t = np.vecdot(split - a, d) / (length * length)
     t = np.where((t > 1e-12) & (t < 1 - 1e-12), t, 1.0)
     breaks = np.column_stack([np.zeros(B), t, np.ones(B)])[..., None]
     rule = segment_rule(degree)
@@ -221,11 +221,11 @@ def edge_term_matrices(mesh, traces, alpha):
     return dofs, M, P
 
 
-def assemble_edge_terms(mesh, edge_labels, status, cuts, beta_minus, beta_plus, alpha):
-    """Assemble (M, P_unit, traces) over the interface edges: the consistency
+def assemble_edge_terms(mesh, edges, status, cuts, beta_minus, beta_plus, alpha):
+    """Assemble (M, P_unit, traces) over the interface edges `edges`: the consistency
     matrix, the penalty matrix at sigma0 = 1 (`combine_system` weighs both per
     scheme) and the `edge_traces` the sums were taken over."""
-    traces = edge_traces(mesh, edge_labels, status, cuts, beta_minus, beta_plus)
+    traces = edge_traces(mesh, edges, status, cuts, beta_minus, beta_plus)
     dofs, M, P = edge_term_matrices(mesh, traces, alpha)
     nd = dofs.shape[1]
     r, c = np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel()

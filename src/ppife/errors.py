@@ -25,10 +25,6 @@ class UnsupportedDegree(PpifeError):
     """Quadrature degree outside the supported range."""
 
 
-class DegeneratePolygon(PpifeError):
-    """Sub-polygon with (numerically) vanishing area."""
-
-
 class AsymmetricInput(PpifeError):
     """A symmetric solver was handed a matrix that fails the symmetry check."""
 

@@ -20,11 +20,6 @@ from .quadrature import polygon_area
 RECT = "rect"
 TRI = "tri"
 
-# edge labels
-EDGE_BOUNDARY = 0
-EDGE_INTERIOR = 1
-EDGE_INTERFACE = 2
-
 # element status
 SIDE_MINUS = -1
 SIDE_PLUS = 1
@@ -541,20 +536,8 @@ def _cut_set(mesh, iface, ids, crossing, node_sign, tol):
                   edge_splits[k], cut_edges[k], opposite)
 
 
-def classify_edges(mesh: CartesianMesh, status) -> np.ndarray:
-    """Edge labels: boundary, interior, or interior-interface.
-
-    Every interior edge adjacent to at least one interface element is labelled
-    interface (penalties on the extra edges are harmless because the traces
-    there agree identically).
-    """
-    labels = np.full(mesh.n_edges, EDGE_INTERIOR, dtype=np.int8)
-    labels[mesh.edge_elements[:, 1] < 0] = EDGE_BOUNDARY
-    iface_elems = status == INTERFACE
-    adj = mesh.edge_elements
-    touched = np.zeros(mesh.n_edges, dtype=bool)
-    touched |= iface_elems[adj[:, 0]]
-    interior = adj[:, 1] >= 0
-    touched[interior] |= iface_elems[adj[interior, 1]]
-    labels[(labels == EDGE_INTERIOR) & touched] = EDGE_INTERFACE
-    return labels
+def interface_edges(mesh: CartesianMesh, cuts: CutSet) -> np.ndarray:
+    """Ids of the interface edges, ascending: the interior edges of the cut
+    elements of `cuts`, the edges that carry the stabilization terms."""
+    edges = np.unique(mesh.element_edges[cuts.ids])
+    return edges[mesh.edge_elements[edges, 1] >= 0]

@@ -16,12 +16,10 @@ import numpy as np
 from . import assembly, geometry, linsolve, verify
 from .assembly import MethodParams, SCHEMES
 from .errors import ConfigError, NotConverged
-from .geometry import DomainSpec, build_mesh, classify_edges, classify_elements
-from .local_basis import build_bases, cut_frame, cut_values
+from .geometry import DomainSpec, build_mesh, classify_elements, interface_edges
+from .local_basis import build_bases, cut_frame, cut_values, piece_values, template_coefs
 from .postprocess import (RunRecord, error_norms, markdown_error_table,
                           radial_interface_solution, record_csv_rows)
-
-_SYMMETRIC_SCHEMES = ("classic", "spp")
 
 
 @dataclass
@@ -75,6 +73,16 @@ class RunConfig:
                               "when beta_minus != beta_plus")
         if not self.N:
             raise ConfigError("N list is empty")
+        if self.solver_tol <= 0:
+            raise ConfigError("solver_tol must be positive")
+        if self.solver_maxiter is not None and self.solver_maxiter < 1:
+            raise ConfigError("solver_maxiter must be at least 1")
+        if self.sigma0 is not None and self.sigma0 < 0:
+            raise ConfigError("sigma0 must be non-negative")
+        if self.coeff_samples < 1 or self.trace_samples < 1:
+            raise ConfigError("coeff_samples and trace_samples must be at least 1")
+        if len(set(self.interp_ns)) < 2:
+            raise ConfigError("interp_ns needs at least 2 distinct mesh sizes for a slope")
         if doubling and len(self.N) > 1:
             for a, b in zip(self.N[:-1], self.N[1:]):
                 if b != 2 * a:
@@ -224,12 +232,11 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
     sol = radial_interface_solution(config.beta_minus, config.beta_plus,
                                     alpha_exp=config.alpha_exp, r0=r0, center=(cx, cy))
     status, cuts = classify_elements(mesh, iface)
-    labels = classify_edges(mesh, status)
     cuts = build_bases(cuts, config.beta_minus, config.beta_plus)
     A_vol = assembly.assemble_volume(mesh, status, cuts, config.beta_minus, config.beta_plus)
-    M, P_unit, traces = assembly.assemble_edge_terms(mesh, labels, status, cuts,
-                                                     config.beta_minus, config.beta_plus,
-                                                     config.penalty_alpha)
+    M, P_unit, traces = assembly.assemble_edge_terms(
+        mesh, interface_edges(mesh, cuts), status, cuts, config.beta_minus, config.beta_plus,
+        config.penalty_alpha)
     b = assembly.assemble_load(mesh, status, cuts, sol, iface)
     return CaseContext(N, mesh, iface, sol, status, cuts, A_vol, M, P_unit, traces, b)
 
@@ -246,7 +253,8 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
                                       lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
     A_ff, rhs = system.reduced()
-    solver = linsolve.cg if scheme in _SYMMETRIC_SCHEMES else linsolve.bicgstab
+    # delta == epsilon makes the scheme matrix symmetric
+    solver = linsolve.cg if params.delta == params.epsilon else linsolve.bicgstab
     res = solver(A_ff, rhs, tol_rel=config.solver_tol, max_iter=config.solver_maxiter)
     if not res.converged:
         raise NotConverged(f"{scheme} at N={ctx.N}: residual {res.residual:.3e}", res)
@@ -287,21 +295,9 @@ def evaluate_solution(mesh, status, cuts, coeffs, pts):
 
     out = np.empty(len(x))
     std = status[elem] != geometry.INTERFACE
-    if std.any():
-        ce = coeffs[mesh.elements[elem[std]]]
-        xs, es = xi[std], eta[std]
-        if mesh.cell_kind == geometry.RECT:
-            out[std] = (ce[:, 0] * (1 - xs) * (1 - es) + ce[:, 1] * xs * (1 - es)
-                        + ce[:, 2] * xs * es + ce[:, 3] * (1 - xs) * es)
-        else:
-            low = eta[std] <= xi[std]
-            vals = np.empty(std.sum())
-            vals[low] = (ce[low, 0] * (1 - xs[low]) + ce[low, 1] * (xs[low] - es[low])
-                         + ce[low, 2] * es[low])
-            up = ~low
-            vals[up] = (ce[up, 0] * (1 - es[up]) + ce[up, 1] * xs[up]
-                        + ce[up, 2] * (es[up] - xs[up]))
-            out[std] = vals
+    k = elem[std]
+    vals = piece_values(template_coefs(mesh, k), np.stack([xi[std], eta[std]], axis=-1)[:, None])
+    out[std] = (coeffs[mesh.elements[k]] * vals[..., 0]).sum(axis=1)
     # points on cut elements, grouped by element; the elements with equal
     # point counts form one stack, so each element's products have the
     # shapes, and so the bits, of evaluating its points on their own

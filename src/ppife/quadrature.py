@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegeneratePolygon, UnsupportedDegree
+from .errors import UnsupportedDegree
 
 MIN_DEGREE = 1
 MAX_DEGREE = 10
@@ -104,14 +104,6 @@ def map_triangle(rule, tri):
     return pts, rule.weights * det[..., None]
 
 
-def map_rect(rule, origin, hx, hy=None):
-    """Map a reference-square rule onto an axis-aligned rectangle."""
-    if hy is None:
-        hy = hx
-    pts = np.asarray(origin, float) + rule.points * np.array([hx, hy])
-    return pts, rule.weights * (hx * hy)
-
-
 # ---------------------------------------------------------------------------
 # cut-element rules
 # ---------------------------------------------------------------------------
@@ -122,22 +114,6 @@ def polygon_area(poly):
     poly = np.asarray(poly, float)
     x, y = poly[..., 0], poly[..., 1]
     return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
-
-
-def split_polygon_rule(poly, degree, refine=0):
-    """Quadrature over a convex polygon with 3-5 vertices (`fan_rule` of one
-    polygon, after a check that its area does not vanish). Weights sum to the
-    polygon area."""
-    poly = np.asarray(poly, float)
-    area = polygon_area(poly)
-    if area < 0:
-        poly = poly[::-1]
-        area = -area
-    scale = max(np.ptp(poly[:, 0]), np.ptp(poly[:, 1]), 1e-300)
-    if area < 1e-14 * scale * scale:
-        raise DegeneratePolygon(f"polygon area {area:.3e} below tolerance")
-    pts, wts = fan_rule(poly, degree, refine)
-    return QuadratureRule(pts, wts, degree)
 
 
 def fan_rule(polys, degree, refine=0):
@@ -164,23 +140,3 @@ def fan_rule(polys, degree, refine=0):
     pts, w = map_triangle(rule, tris)
     shape = polys.shape[:-2] + (tris.shape[-3] * rule.n_points,)
     return pts.reshape(shape + (2,)), w.reshape(shape)
-
-
-def split_edge_rule(p0, p1, crossings, degree):
-    """Gauss rule on segment p0 -> p1, split at the given crossing points.
-
-    `crossings` may be None, a single point, or a list of points, in any
-    order. They must lie strictly inside the segment and be distinct.
-    """
-    p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    d = p1 - p0
-    length = np.linalg.norm(d)
-    if crossings is None:
-        crossings = []
-    elif isinstance(crossings, np.ndarray) and crossings.ndim == 1:
-        crossings = [crossings]
-    ts = [float(np.dot(np.asarray(x, float) - p0, d) / (length * length)) for x in crossings]
-    breaks = np.concatenate([[0.0], np.sort(ts), [1.0]])[:, None]
-    pts, wts = map_segment(segment_rule(degree), p0 + breaks[:-1] * d, p0 + breaks[1:] * d)
-    return QuadratureRule(pts.reshape(-1, 2), wts.ravel(), degree)

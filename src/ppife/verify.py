@@ -15,12 +15,12 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import (MethodParams, assemble_edge_terms, assemble_volume, combine_system,
-                       edge_traces)
+                       cut_volume_matrices, edge_traces)
 from .geometry import (INTERFACE, RECT, TRI, CutSet, DomainSpec, build_mesh, circle,
-                       classify_edges, classify_elements, ring_chains)
-from .local_basis import CHORD_TIE_TOL, build_bases, phys_coefficients, piece_gradients
+                       classify_elements, interface_edges, ring_chains)
+from .local_basis import build_bases, cut_frame, cut_gradients, phys_coefficients
 from .postprocess import interpolate_nodal, radial_interface_solution
-from .quadrature import fan_rule, map_segment, rect_rule, segment_rule
+from .quadrature import map_segment, rect_rule, segment_rule
 
 DEFAULT_R0 = np.pi / 6.28
 
@@ -174,16 +174,10 @@ def _trace_ratios(kind, draws, beta_pair, h):
     """
     bm, bp = beta_pair
     cuts = build_bases(_reference_cuts(kind, draws, h), bm, bp)
-    cm, cp = cuts.cm, cuts.cp
     S, nv = cuts.verts.shape[:2]
-    d = cm.shape[1]
-    origin = cuts.origin[:, None]
+    d = cuts.cm.shape[1]
 
-    Dmat = np.zeros((S, d, d))
-    for poly, c, beta in ((cuts.poly_minus, cm, bm), (cuts.poly_plus, cp, bp)):
-        pts, w = fan_rule(poly, 4)
-        G = piece_gradients(c, (pts - origin) / h, h)
-        Dmat += beta * np.einsum("sq,siqa,sjqa->sij", w, G, G)
+    Dmat = cut_volume_matrices(cuts, bm, bp)
     valid = np.trace(Dmat, axis1=1, axis2=2) >= 1e-28
     W = _constant_complement(d)
     Dr = W.T @ Dmat @ W
@@ -195,11 +189,10 @@ def _trace_ratios(kind, draws, beta_pair, h):
     b = np.roll(a, -1, axis=1)
     pts, w = map_segment(segment_rule(4), np.stack([a, cuts.edge_splits], axis=2),
                           np.stack([cuts.edge_splits, b], axis=2))
-    pts = pts.reshape(S, -1, 2)
     w = w.reshape(S, nv, -1)
-    plus = ((pts - cuts.D[:, None]) * cuts.normal[:, None]).sum(axis=2) > CHORD_TIE_TOL * h
-    xi = (pts - origin) / h
-    G = np.where(plus[:, None, :, None], piece_gradients(cp, xi, h), piece_gradients(cm, xi, h))
+    rows = np.arange(S)
+    xi, plus = cut_frame(cuts, rows, pts.reshape(S, -1, 2))
+    G = cut_gradients(cuts, rows, xi, plus)
     t = b - a
     nB = np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.linalg.norm(t, axis=-1)[..., None]
     flux = np.where(plus, bp, bm).reshape(S, 1, nv, -1) * np.einsum(
@@ -295,10 +288,9 @@ def _free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, cell_kind))
     iface = circle(0.0, 0.0, r0)
     status, cuts = classify_elements(mesh, iface)
-    labels = classify_edges(mesh, status)
     cuts = build_bases(cuts, bm, bp)
     A_vol = assemble_volume(mesh, status, cuts, bm, bp)
-    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, bm, bp, alpha)
+    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, bm, bp, alpha)
     free = mesh.interior_nodes
     return A_vol[free][:, free], M[free][:, free], P[free][:, free]
 
@@ -381,10 +373,10 @@ def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
     for N in Ns:
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, cell_kind))
         status, cuts = classify_elements(mesh, iface)
-        labels = classify_edges(mesh, status)
         cuts = build_bases(cuts, bm, bp)
         coeffs = interpolate_nodal(mesh, sol, iface)
-        tr = edge_traces(mesh, labels, status, cuts, bm, bp, degree=6, values=False)
+        tr = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, bm, bp, degree=6,
+                         values=False)
         x, y = tr.points[..., 0], tr.points[..., 1]
         nB = mesh.edge_normals[tr.edges][:, None]
         minus = np.asarray(iface.phi(x, y)) < 0

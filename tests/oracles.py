@@ -8,7 +8,10 @@ per-element standard basis that the templates replace, the per-element
 classification, chord split and edge split points that `geometry.CutSet`
 stacks, the per-element immersed basis (`LocalBasis`) and its solve, and the
 reference cuts and lemma-scan ratios that `local_basis.ife_coefficients` and
-`verify` stack over elements and samples.
+`verify` stack over elements and samples, the edge labels that
+`geometry.interface_edges` replaces, and the one-polygon, one-edge and
+one-rectangle quadrature rules that `quadrature.fan_rule` and the stacked edge
+split replace.
 """
 from dataclasses import dataclass
 from typing import Optional
@@ -17,14 +20,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from ppife.assembly import DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_rules
-from ppife.errors import GeometryError, MultipleCrossings, SingularLocalSystem
-from ppife.geometry import (EDGE_INTERFACE, INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI,
-                            CutSet, edge_crossings)
+from ppife.errors import GeometryError, MultipleCrossings, PpifeError, SingularLocalSystem
+from ppife.geometry import INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI, CutSet, edge_crossings
 from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_bases,
                                phys_coefficients, piece_gradients, template_gradients,
                                template_values)
-from ppife.quadrature import (_collapsed_triangle_rule, map_triangle, polygon_area,
-                              split_edge_rule, split_polygon_rule)
+from ppife.quadrature import (QuadratureRule, _collapsed_triangle_rule, fan_rule, map_segment,
+                              map_triangle, polygon_area, segment_rule)
 from ppife.verify import _cut_params
 
 _N_EDGE_SAMPLES = 17
@@ -384,6 +386,79 @@ def oracle_bases(mesh, cuts, beta_minus, beta_plus):
     """{element id: LocalBasis} of the per-element solve, keyed like `cuts`."""
     return {k: ife_basis(k, mesh.element_vertices(k), c.D, c.E, c.chord_normal,
                          beta_minus, beta_plus) for k, c in cuts.items()}
+
+
+# edge labels of `classify_edges`
+EDGE_BOUNDARY = 0
+EDGE_INTERIOR = 1
+EDGE_INTERFACE = 2
+
+
+def classify_edges(mesh, status):
+    """Edge labels: boundary, interior, or interior-interface.
+
+    Every interior edge adjacent to at least one interface element is labelled
+    interface (penalties on the extra edges are harmless because the traces
+    there agree identically).
+    """
+    labels = np.full(mesh.n_edges, EDGE_INTERIOR, dtype=np.int8)
+    labels[mesh.edge_elements[:, 1] < 0] = EDGE_BOUNDARY
+    iface_elems = status == INTERFACE
+    adj = mesh.edge_elements
+    touched = np.zeros(mesh.n_edges, dtype=bool)
+    touched |= iface_elems[adj[:, 0]]
+    interior = adj[:, 1] >= 0
+    touched[interior] |= iface_elems[adj[interior, 1]]
+    labels[(labels == EDGE_INTERIOR) & touched] = EDGE_INTERFACE
+    return labels
+
+
+class DegeneratePolygon(PpifeError):
+    """Sub-polygon with (numerically) vanishing area."""
+
+
+def map_rect(rule, origin, hx, hy=None):
+    """Map a reference-square rule onto an axis-aligned rectangle."""
+    if hy is None:
+        hy = hx
+    pts = np.asarray(origin, float) + rule.points * np.array([hx, hy])
+    return pts, rule.weights * (hx * hy)
+
+
+def split_polygon_rule(poly, degree, refine=0):
+    """Quadrature over a convex polygon with 3-5 vertices (`fan_rule` of one
+    polygon, after a check that its area does not vanish). Weights sum to the
+    polygon area."""
+    poly = np.asarray(poly, float)
+    area = polygon_area(poly)
+    if area < 0:
+        poly = poly[::-1]
+        area = -area
+    scale = max(np.ptp(poly[:, 0]), np.ptp(poly[:, 1]), 1e-300)
+    if area < 1e-14 * scale * scale:
+        raise DegeneratePolygon(f"polygon area {area:.3e} below tolerance")
+    pts, wts = fan_rule(poly, degree, refine)
+    return QuadratureRule(pts, wts, degree)
+
+
+def split_edge_rule(p0, p1, crossings, degree):
+    """Gauss rule on segment p0 -> p1, split at the given crossing points.
+
+    `crossings` may be None, a single point, or a list of points, in any
+    order. They must lie strictly inside the segment and be distinct.
+    """
+    p0 = np.asarray(p0, float)
+    p1 = np.asarray(p1, float)
+    d = p1 - p0
+    length = np.linalg.norm(d)
+    if crossings is None:
+        crossings = []
+    elif isinstance(crossings, np.ndarray) and crossings.ndim == 1:
+        crossings = [crossings]
+    ts = [float(np.dot(np.asarray(x, float) - p0, d) / (length * length)) for x in crossings]
+    breaks = np.concatenate([[0.0], np.sort(ts), [1.0]])[:, None]
+    pts, wts = map_segment(segment_rule(degree), p0 + breaks[:-1] * d, p0 + breaks[1:] * d)
+    return QuadratureRule(pts.reshape(-1, 2), wts.ravel(), degree)
 
 
 def edge_split_points(mesh, edge_id, cuts):

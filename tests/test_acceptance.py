@@ -15,7 +15,8 @@ import pytest
 
 from ppife import verify
 from ppife.assembly import MethodParams
-from ppife.geometry import DomainSpec, build_mesh, circle, classify_edges, classify_elements, line
+from ppife.geometry import (DomainSpec, build_mesh, circle, classify_elements, interface_edges,
+                            line)
 from ppife.harness import RunConfig, build_context, pointwise_error_field, solve_scheme
 from ppife.local_basis import basis_residuals, build_bases
 from ppife.postprocess import convergence_rates
@@ -196,7 +197,6 @@ def test_criterion_7_reduction_and_patch():
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, kind))
         iface = circle(0.0, 0.0, np.pi / 6.28)
         status, cuts = classify_elements(mesh, iface)
-        labels = classify_edges(mesh, status)
         cuts = build_bases(cuts, 2.0, 2.0)
         if kind == "rect":
             u = lambda x, y: 1.0 + 2.0 * x - 3.0 * y + 0.5 * x * y
@@ -210,8 +210,8 @@ def test_criterion_7_reduction_and_patch():
                                 params={"beta_minus": 2.0, "beta_plus": 2.0})
         A_vol = assembly.assemble_volume(mesh, status, cuts, 2.0, 2.0)
         params = MethodParams.preset("spp", 2.0, 2.0)
-        M, P, _ = assembly.assemble_edge_terms(mesh, labels, status, cuts, 2.0, 2.0,
-                                               params.alpha)
+        M, P, _ = assembly.assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts,
+                                               2.0, 2.0, params.alpha)
         A = assembly.combine_system(A_vol, M, P, params)
         b = assembly.assemble_load(mesh, status, cuts, sol, iface)
         sysm = assembly.apply_dirichlet(A, b, mesh, u)

@@ -7,8 +7,8 @@ from ppife.assembly import (DATA_DEGREE, DATA_REFINE, MethodParams, apply_dirich
                             combine_system, cut_volume_matrices, dump_matrix,
                             edge_term_matrices, edge_traces)
 from ppife.errors import ConfigError
-from ppife.geometry import (EDGE_INTERFACE, DomainSpec, build_mesh, circle,
-                            classify_edges, classify_elements, line)
+from ppife.geometry import (DomainSpec, build_mesh, circle, classify_elements,
+                            interface_edges, line)
 from oracles import (basis_of, check_csr, classify_cuts, edge_split_points,
                      interface_jump_residuals, standard_basis)
 from ppife.linsolve import cg
@@ -23,8 +23,8 @@ def _pipeline(N, kind="rect", betas=(1.0, 10.0), iface=None):
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
     iface = iface or circle(0.0, 0.0, R0)
     status, cuts = classify_elements(mesh, iface)
-    labels = classify_edges(mesh, status)
-    return mesh, iface, status, build_bases(cuts, *betas), labels
+    cuts = build_bases(cuts, *betas)
+    return mesh, iface, status, cuts, interface_edges(mesh, cuts)
 
 
 def _element_basis(mesh, cuts, k):
@@ -55,7 +55,7 @@ def test_method_params_presets():
 
 def test_q1_interior_stencil_diagonal():
     # beta = 1 on a 2x2 mesh: the centre node accumulates 4 corner entries of 8/3 total
-    mesh, iface, status, cuts, labels = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
+    mesh, iface, status, cuts, edges = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
     A = assemble_volume(mesh, status, cuts, 1.0, 1.0)
     centre = 4  # node (1,1) of the 3x3 grid
     assert A[centre, centre] == pytest.approx(8.0 / 3.0, abs=1e-12)
@@ -63,7 +63,7 @@ def test_q1_interior_stencil_diagonal():
 
 def test_volume_row_sums_vanish():
     for kind in ("rect", "tri"):
-        mesh, iface, status, cuts, labels = _pipeline(6, kind=kind)
+        mesh, iface, status, cuts, edges = _pipeline(6, kind=kind)
         A = assemble_volume(mesh, status, cuts, 1.0, 10.0)
         check_csr(A)
         ones = np.ones(mesh.n_nodes)
@@ -71,7 +71,7 @@ def test_volume_row_sums_vanish():
 
 
 def test_cut_element_matrix_vs_dense_grid_oracle():
-    mesh, iface, status, cuts, labels = _pipeline(4)
+    mesh, iface, status, cuts, edges = _pipeline(4)
     basis = basis_of(cuts, 0)
     Aloc = cut_volume_matrices(cuts, 1.0, 10.0)[0]
 
@@ -102,10 +102,10 @@ def test_cut_element_matrix_vs_dense_grid_oracle():
 
 
 def test_classic_combine_is_volume_only():
-    mesh, iface, status, cuts, labels = _pipeline(8)
+    mesh, iface, status, cuts, edges = _pipeline(8)
     A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
     params = MethodParams.preset("classic")
-    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, 1.0, 10.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
     assert (A - A_vol).nnz == 0 or np.abs((A - A_vol).data).max() == 0.0
 
@@ -113,11 +113,10 @@ def test_classic_combine_is_volume_only():
 def test_mislabeled_edge_contributes_nothing():
     # constant beta, no interface: force one interior edge through the edge
     # machinery; continuous traces must produce ~zero contributions
-    mesh, iface, status, cuts, labels = _pipeline(4, iface=line(1, 0, -10), betas=(2.0, 2.0))
+    mesh, iface, status, cuts, edges = _pipeline(4, iface=line(1, 0, -10), betas=(2.0, 2.0))
     e = int(np.flatnonzero(mesh.edge_elements[:, 1] >= 0)[3])
     params = MethodParams.preset("spp", 2.0, 2.0)
-    labels[e] = EDGE_INTERFACE
-    traces = edge_traces(mesh, labels, status, cuts, 2.0, 2.0)
+    traces = edge_traces(mesh, np.array([e]), status, cuts, 2.0, 2.0)
     assert traces.edges.tolist() == [e]
     dofs, M, P = edge_term_matrices(mesh, traces, params.alpha)
     assert np.abs(M).max() < 1e-12
@@ -125,10 +124,10 @@ def test_mislabeled_edge_contributes_nothing():
 
 
 def test_edge_terms_vs_composite_simpson_oracle():
-    mesh, iface, status, cuts, labels = _pipeline(4)
-    e = int(np.flatnonzero(labels == EDGE_INTERFACE)[0])
+    mesh, iface, status, cuts, edges = _pipeline(4)
+    e = int(edges[0])
     params = MethodParams.preset("spp", 1.0, 10.0)
-    traces = edge_traces(mesh, labels, status, cuts, 1.0, 10.0)
+    traces = edge_traces(mesh, edges, status, cuts, 1.0, 10.0)
     assert traces.edges[0] == e
     dofs, M, P_unit = edge_term_matrices(mesh, traces, params.alpha)
     dofs, M, P = dofs[0].tolist(), M[0], params.sigma0 * P_unit[0]
@@ -179,10 +178,10 @@ def test_edge_terms_vs_composite_simpson_oracle():
 
 
 def test_spp_matrix_is_symmetric():
-    mesh, iface, status, cuts, labels = _pipeline(10)
+    mesh, iface, status, cuts, edges = _pipeline(10)
     A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
     params = MethodParams.preset("spp", 1.0, 10.0)
-    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, 1.0, 10.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
     free = mesh.interior_nodes
     A_ff = A[free][:, free]
@@ -192,10 +191,10 @@ def test_spp_matrix_is_symmetric():
 
 def test_spp_symmetric_part_positive_definite():
     for betas in ((1.0, 10.0), (1.0, 10000.0)):
-        mesh, iface, status, cuts, labels = _pipeline(10, betas=betas)
+        mesh, iface, status, cuts, edges = _pipeline(10, betas=betas)
         A_vol = assemble_volume(mesh, status, cuts, *betas)
         params = MethodParams.preset("spp", *betas)
-        M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, *betas, params.alpha)
+        M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, *betas, params.alpha)
         A = combine_system(A_vol, M, P, params)
         free = mesh.interior_nodes
         S = A[free][:, free].toarray()
@@ -203,7 +202,7 @@ def test_spp_symmetric_part_positive_definite():
 
 
 def test_load_partition_of_unity():
-    mesh, iface, status, cuts, labels = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
+    mesh, iface, status, cuts, edges = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
     one = radial_interface_solution(1.0, 1.0)
     sol = type(one)(u_minus=one.u_minus, u_plus=one.u_plus, grad_minus=one.grad_minus,
                     grad_plus=one.grad_plus, f_minus=lambda x, y: np.ones_like(np.asarray(x, float)),
@@ -241,7 +240,7 @@ def test_load_vs_dense_grid_oracle():
     # the origin (a corner of four cut cells here), which caps the agreement
     # of any fixed-order rule pair around 1e-7; see the polynomial-data test
     # below for a sharp check of the assembly logic itself
-    mesh, iface, status, cuts, labels = _pipeline(4)
+    mesh, iface, status, cuts, edges = _pipeline(4)
     sol = radial_interface_solution(1.0, 10.0)
     b = assemble_load(mesh, status, cuts, sol, iface)
     oracle = _dense_grid_load(mesh, iface, cuts, sol)
@@ -252,7 +251,7 @@ def test_load_vs_dense_grid_oracle_polynomial_data():
     # alpha = 6 gives the polynomial source -36 r^4, for which the assembly
     # quadrature is exact: away from cut cells the dense grid must agree to
     # near machine precision
-    mesh, iface, status, cuts, labels = _pipeline(4)
+    mesh, iface, status, cuts, edges = _pipeline(4)
     sol = radial_interface_solution(1.0, 10.0, alpha_exp=6.0)
     b = assemble_load(mesh, status, cuts, sol, iface)
     oracle = _dense_grid_load(mesh, iface, cuts, sol, m=256)
@@ -267,7 +266,7 @@ def test_cut_element_load_vs_symbolic_oracle():
     # one cut element (f = -36 r^4 is a polynomial, so this is exact)
     import sympy as sp
 
-    mesh, iface, status, cuts, labels = _pipeline(4)
+    mesh, iface, status, cuts, edges = _pipeline(4)
     sol = radial_interface_solution(1.0, 10.0, alpha_exp=6.0)
     basis = basis_of(cuts, 0)
     rows = np.arange(1)
@@ -302,7 +301,7 @@ def test_cut_element_load_vs_symbolic_oracle():
 
 
 def test_dirichlet_homogeneous_keeps_free_rhs():
-    mesh, iface, status, cuts, labels = _pipeline(4)
+    mesh, iface, status, cuts, edges = _pipeline(4)
     A = assemble_volume(mesh, status, cuts, 1.0, 10.0)
     b = np.arange(mesh.n_nodes, dtype=float)
     sysm = apply_dirichlet(A, b, mesh, lambda x, y: np.zeros_like(x))
@@ -315,7 +314,7 @@ def test_dirichlet_homogeneous_keeps_free_rhs():
 def test_patch_test_reproduces_polynomials(kind):
     # global (bi)linear exact solution, constant beta, interface present:
     # the discrete solution reproduces it to solver accuracy at the nodes
-    mesh, iface, status, cuts, labels = _pipeline(8, kind=kind, betas=(2.0, 2.0))
+    mesh, iface, status, cuts, edges = _pipeline(8, kind=kind, betas=(2.0, 2.0))
 
     if kind == "rect":
         u = lambda x, y: 1.0 + 2.0 * x - 3.0 * y + 0.5 * x * y
@@ -330,7 +329,7 @@ def test_patch_test_reproduces_polynomials(kind):
 
     A_vol = assemble_volume(mesh, status, cuts, 2.0, 2.0)
     params = MethodParams.preset("spp", 2.0, 2.0)
-    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, 2.0, 2.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 2.0, 2.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
     b = assemble_load(mesh, status, cuts, sol, iface)
     sysm = apply_dirichlet(A, b, mesh, u)
@@ -361,14 +360,14 @@ def test_boundary_values_satisfy_interface_conditions():
 def test_schemes_identical_for_continuous_coefficient():
     # constant beta with the circle still present: standard bases, zero jumps,
     # all schemes produce the same solution
-    mesh, iface, status, cuts, labels = _pipeline(8, betas=(3.0, 3.0))
+    mesh, iface, status, cuts, edges = _pipeline(8, betas=(3.0, 3.0))
     sol = radial_interface_solution(3.0, 3.0)
     A_vol = assemble_volume(mesh, status, cuts, 3.0, 3.0)
     b = assemble_load(mesh, status, cuts, sol, iface)
     solutions = []
     for scheme in ("classic", "spp", "ipp", "npp"):
         params = MethodParams.preset(scheme, 3.0, 3.0)
-        M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, 3.0, 3.0, params.alpha)
+        M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 3.0, 3.0, params.alpha)
         A = combine_system(A_vol, M, P, params)
         sysm = apply_dirichlet(A, b, mesh, lambda x, y: sol.u_at(x, y, iface))
         A_ff, rhs = sysm.reduced()
@@ -385,10 +384,10 @@ def test_schemes_identical_for_continuous_coefficient():
 def test_energy_norm_identity_against_quadrature():
     # ||v||_h^2 == v' (A_vol + P) v, checked against the postprocess quadrature
     from ppife.postprocess import error_norms, PiecewiseSolution
-    mesh, iface, status, cuts, labels = _pipeline(4)
+    mesh, iface, status, cuts, edges = _pipeline(4)
     params = MethodParams.preset("spp", 1.0, 10.0)
     A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
-    M, P, traces = assemble_edge_terms(mesh, labels, status, cuts, 1.0, 10.0,
+    M, P, traces = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0,
                                        params.alpha)
     rng = np.random.default_rng(2)
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
@@ -403,7 +402,7 @@ def test_energy_norm_identity_against_quadrature():
 
 
 def test_matrix_market_dump(tmp_path):
-    mesh, iface, status, cuts, labels = _pipeline(4)
+    mesh, iface, status, cuts, edges = _pipeline(4)
     A = assemble_volume(mesh, status, cuts, 1.0, 10.0)
     path = tmp_path / "A.mtx"
     dump_matrix(path, A)
@@ -414,10 +413,10 @@ def test_matrix_market_dump(tmp_path):
 
 def test_delta_sign_convention():
     # delta = -1 reproduces a hand-assembled fixed-minus consistency term
-    mesh, iface, status, cuts, labels = _pipeline(6)
+    mesh, iface, status, cuts, edges = _pipeline(6)
     A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
     params = MethodParams("custom", -1.0, 1.0, 1.0, 1.0)
-    M, P, _ = assemble_edge_terms(mesh, labels, status, cuts, 1.0, 10.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
     ref = (A_vol - M + M.T + P).tocsr()
     assert np.abs((A - ref).toarray()).max() < 1e-14 * np.abs(A_vol.data).max()
@@ -426,7 +425,7 @@ def test_delta_sign_convention():
 def test_classic_constant_beta_equals_standard_fem_matrix():
     # with a continuous coefficient the immersed stiffness matrix equals the
     # standard FEM stiffness matrix of the same mesh entry for entry
-    mesh, iface, status, cuts, labels = _pipeline(10, betas=(3.0, 3.0))
+    mesh, iface, status, cuts, edges = _pipeline(10, betas=(3.0, 3.0))
     A_ife = assemble_volume(mesh, status, cuts, 3.0, 3.0)
     far = line(1.0, 0.0, -10.0)
     status2, cuts2 = classify_elements(mesh, far)

@@ -3,13 +3,11 @@ import pytest
 from scipy.optimize import brentq
 
 from ppife.errors import ConfigError, MultipleCrossings
-from ppife.geometry import (_AUDIT_ROWS, EDGE_BOUNDARY, EDGE_INTERFACE, EDGE_INTERIOR,
-                            INTERFACE, SIDE_MINUS, SIDE_PLUS, CartesianMesh,
-                            DomainSpec, build_mesh, circle, classify_edges,
-                            classify_elements, dump_mesh, edge_crossings,
-                            interface_from_name, line)
+from ppife.geometry import (_AUDIT_ROWS, INTERFACE, SIDE_MINUS, SIDE_PLUS, CartesianMesh,
+                            DomainSpec, build_mesh, circle, classify_elements, dump_mesh,
+                            edge_crossings, interface_edges, interface_from_name, line)
 from ppife.quadrature import polygon_area
-from oracles import classify_cuts, edge_intersection
+from oracles import EDGE_INTERFACE, classify_cuts, classify_edges, edge_intersection
 
 R0 = np.pi / 6.28
 
@@ -228,15 +226,20 @@ def test_neighbours_share_crossing_points():
 def test_edge_labels():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, "rect"))
     iface = circle(0.0, 0.0, R0)
+    assert (mesh.edge_elements[:, 1] < 0).sum() == 80
     status, cuts = classify_elements(mesh, iface)
+    edges = interface_edges(mesh, cuts)
+    assert (np.diff(edges) > 0).all()
     labels = classify_edges(mesh, status)
-    assert (labels == EDGE_BOUNDARY).sum() == 80
+    assert np.array_equal(edges, np.flatnonzero(labels == EDGE_INTERFACE))
+    # interior edges only, each with a cut neighbour
+    assert (mesh.edge_elements[edges, 1] >= 0).all()
+    assert (status[mesh.edge_elements[edges]] == INTERFACE).any(axis=1).all()
     # every edge crossed by the curve is an interface edge
-    for e in cuts.cut_edges[cuts.cut_edges >= 0]:
-        assert labels[e] == EDGE_INTERFACE
+    crossed = cuts.cut_edges[cuts.cut_edges >= 0]
+    assert np.isin(crossed[mesh.edge_elements[crossed, 1] >= 0], edges).all()
     # far interface: no interface edges at all
-    labels2 = classify_edges(mesh, classify_elements(mesh, line(1, 0, -10))[0])
-    assert not (labels2 == EDGE_INTERFACE).any()
+    assert len(interface_edges(mesh, classify_elements(mesh, line(1, 0, -10))[1])) == 0
 
 
 def test_interface_edge_count_scales_linearly():
@@ -244,8 +247,7 @@ def test_interface_edge_count_scales_linearly():
     ratios = []
     for N in (20, 40, 80):
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, "rect"))
-        labels = classify_edges(mesh, classify_elements(mesh, iface)[0])
-        ratios.append((labels == EDGE_INTERFACE).sum() / N)
+        ratios.append(len(interface_edges(mesh, classify_elements(mesh, iface)[1])) / N)
     assert max(ratios) / min(ratios) < 2.0
 
 
@@ -318,13 +320,13 @@ def test_every_crossed_edge_detected_by_oracle():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, "rect"))
     iface = circle(0.0, 0.0, R0)
     status, cuts = classify_elements(mesh, iface)
-    labels = classify_edges(mesh, status)
+    edges = interface_edges(mesh, cuts)
     for e in range(mesh.n_edges):
         a = mesh.nodes[mesh.edge_nodes[e, 0]]
         b = mesh.nodes[mesh.edge_nodes[e, 1]]
         x = _crossing(a, b, iface, h=mesh.h)
         if x is not None and mesh.edge_elements[e, 1] >= 0:
-            assert labels[e] == EDGE_INTERFACE
+            assert e in edges
 
 
 def _assert_matches_oracle(mesh, iface):

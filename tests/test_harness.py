@@ -1,14 +1,17 @@
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
-from ppife.cli import main
+from oracles import standard_basis, template_name
+from ppife.cli import build_parser, main
 from ppife.errors import ConfigError
-from ppife.harness import (RunConfig, _parse_number, build_context, cmd_convergence,
-                           cmd_solve, cmd_verify, evaluate_solution, load_config,
-                           pointwise_error_field, solve_scheme)
+from ppife.geometry import INTERFACE
+from ppife.harness import (_PARSE_KIND, RunConfig, _parse_number, build_context,
+                           cmd_convergence, cmd_solve, cmd_verify, evaluate_solution,
+                           load_config, pointwise_error_field, solve_scheme)
 
 
 def test_parse_number_pi_fractions():
@@ -110,6 +113,29 @@ def test_evaluate_solution_reproduces_nodal_field():
         assert np.abs(vals - coeffs).max() < 1e-11
 
 
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_evaluate_solution_matches_standard_basis_off_nodes(kind):
+    # random points inside random standard elements, against the per-element
+    # standard basis
+    ctx = build_context(RunConfig(N=(8,), mesh=kind), 8)
+    mesh = ctx.mesh
+    rng = np.random.default_rng(3)
+    coeffs = rng.standard_normal(mesh.n_nodes)
+    ids = rng.choice(np.flatnonzero(ctx.status != INTERFACE), 500)
+    local = rng.uniform(0.05, 0.95, size=(len(ids), 2))
+    if kind == "tri":
+        # fold into the element's half of the cell, off the diagonal
+        lo, hi = local.min(axis=1), local.max(axis=1) + 0.01
+        upper = mesh.element_variant[ids] == 1
+        local = np.column_stack([np.where(upper, lo, hi), np.where(upper, hi, lo)])
+    pts = mesh.element_origins[ids] + mesh.h * local
+    vals = evaluate_solution(mesh, ctx.status, ctx.cuts, coeffs, pts)
+    kind_name = "q1" if kind == "rect" else "p1"
+    for k, p, v in zip(ids, pts, vals):
+        basis = standard_basis(k, mesh.element_vertices(k), kind_name, template_name(mesh, k))
+        assert abs(v - coeffs[mesh.elements[k]] @ basis.values(p[None])[:, 0]) <= 1e-15
+
+
 def test_field_dump_matches_direct_evaluation():
     cfg = RunConfig(N=(8,), schemes=("spp",))
     ctx = build_context(cfg, 8)
@@ -121,6 +147,33 @@ def test_field_dump_matches_direct_evaluation():
     uh = evaluate_solution(ctx.mesh, ctx.status, ctx.cuts, coeffs, pts)
     ue = ctx.sol.u_at(pts[:, 0], pts[:, 1], ctx.iface)
     assert np.allclose(err, np.abs(ue - uh))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--coeff-samples", "0"],
+    ["verify", "--trace-samples", "0"],
+    ["verify", "--interp-ns", "20"],
+    ["verify", "--interp-ns", "20,20"],
+    ["solve", "--N", "8", "--solver-tol", "-1"],
+    ["solve", "--N", "8", "--solver-maxiter", "0"],
+    ["solve", "--N", "8", "--sigma0", "-5"],
+])
+def test_cli_rejects_unusable_settings(tmp_path, argv, capsys):
+    assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_every_config_field_has_a_parser_and_a_flag():
+    # _PARSE_KIND repeats RunConfig's fields, and the CLI builds its flags
+    # from it
+    assert list(_PARSE_KIND) == [f.name for f in dataclasses.fields(RunConfig)]
+    parser = build_parser()
+    for command in ("solve", "convergence", "verify"):
+        for key, kind in _PARSE_KIND.items():
+            flag = "--" + key.replace("_", "-")
+            args = parser.parse_args([command, flag] if kind == "bool" else [command, flag, "1"])
+            assert getattr(args, key) is not None, (command, flag)
 
 
 def test_cmd_verify_small(tmp_path):

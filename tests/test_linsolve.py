@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ppife.errors import AsymmetricInput
 from oracles import check_csr, dense_solve, matvec_triplets
-from ppife.linsolve import bicgstab, cg
+from ppife.linsolve import COARSE_SIZE, SAHierarchy, bicgstab, cg
 
 
 def _tridiag(n):
@@ -18,6 +19,7 @@ def test_cg_identity_single_iteration():
     res = cg(A, b)
     assert res.converged
     assert res.iterations == 1
+    assert res.restarts == 0
     assert np.allclose(res.x, b, atol=1e-14)
 
 
@@ -139,3 +141,72 @@ def test_cg_bicgstab_energy_agreement():
     num = float(np.sqrt(d @ (A_ff @ d)))
     den = float(np.sqrt(xa @ (A_ff @ xa)))
     assert num / den < 1e-9
+
+
+def _reduced_system(mesh, N, beta_plus, scheme):
+    from ppife.harness import RunConfig, build_context, scheme_params
+    from ppife import assembly
+
+    cfg = RunConfig(mesh=mesh, N=(N,), beta_plus=beta_plus)
+    ctx = build_context(cfg, N)
+    A = assembly.combine_system(ctx.A_vol, ctx.M, ctx.P_unit, scheme_params(cfg, scheme))
+    system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
+                                      lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
+    return system.reduced()
+
+
+def _poisson(m):
+    # 5-point Laplacian on an m x m grid of interior nodes
+    T = _tridiag(m)
+    return (sp.kron(T, sp.eye(m)) + sp.kron(sp.eye(m), T)).tocsr()
+
+
+def test_bicgstab_is_deterministic():
+    A, b = _reduced_system("rect", 40, 1e4, "npp")
+    first, second = bicgstab(A, b), bicgstab(A, b)
+    assert first.converged
+    assert first.iterations == second.iterations
+    assert np.array_equal(first.x, second.x)
+
+
+@pytest.mark.parametrize("mesh", ["rect", "tri"])
+@pytest.mark.parametrize("beta_plus", [10.0, 1e4])
+def test_nonsymmetric_schemes_agree_with_direct_solve(mesh, beta_plus):
+    for scheme in ("ipp", "npp"):
+        A, b = _reduced_system(mesh, 80, beta_plus, scheme)
+        res = bicgstab(A, b)
+        assert res.converged and res.restarts == 0
+        x_direct = spla.splu(A.tocsc()).solve(b)
+        assert np.linalg.norm(res.x - x_direct) <= 1e-9 * np.linalg.norm(x_direct)
+
+
+def test_bicgstab_iterations_grow_slowly_with_N():
+    # high contrast on rect, where Jacobi-BiCGSTAB iterations grow about linearly
+    for scheme in ("ipp", "npp"):
+        coarse, fine = (bicgstab(*_reduced_system("rect", N, 1e4, scheme)) for N in (40, 160))
+        assert coarse.converged and fine.converged
+        assert fine.iterations <= 1.5 * coarse.iterations, scheme
+
+
+def test_small_system_is_solved_by_the_coarse_factorization():
+    A, b = _reduced_system("rect", 20, 1e4, "npp")
+    assert A.shape[0] <= COARSE_SIZE
+    assert SAHierarchy(A).levels == []
+    res = bicgstab(A, b)
+    assert res.converged and res.iterations == 1
+
+
+def test_sa_hierarchy_coarsens_to_the_coarse_size():
+    A = _poisson(60)
+    M = SAHierarchy(A)
+    sizes = [lvl[0].shape[0] for lvl in M.levels] + [M.coarse.shape[0]]
+    assert sizes[0] == 3600 and sizes[-1] <= COARSE_SIZE
+    assert all(c < f / 4 for f, c in zip(sizes, sizes[1:]))
+    # every prolongator column is used and the V-cycle reduces the error
+    for _, _, P, _ in M.levels:
+        assert np.all(np.diff(P.tocsc().indptr) > 0)
+    e = np.random.default_rng(5).standard_normal(3600)
+    e0 = np.linalg.norm(e)
+    for _ in range(10):
+        e -= M(A @ e)
+    assert np.linalg.norm(e) < 1e-3 * e0

@@ -23,7 +23,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .geometry import RECT, SIDE_MINUS
+from .geometry import _SWEEP_POINTS, RECT, SIDE_MINUS
 from .local_basis import (cut_frame, cut_gradients, cut_values, piece_gradients, piece_values,
                           template_coefs, template_gradients, template_values)
 from .quadrature import (_collapsed_triangle_rule, fan_rule, map_segment, rect_rule,
@@ -271,14 +271,14 @@ def bulk_rules(mesh, degree):
 
 
 def bulk_chunks(mesh, status, tables):
-    """Non-interface elements in chunks, with the physical points of a rule.
+    """Non-interface elements in chunks, per cell variant.
 
     `tables` maps each cell variant to a tuple whose first two entries are the
     template name and the scaled points (as `bulk_rules` returns). Yields
-    (table, element ids, x, y) with x, y of shape (len(ids), n_points).
+    (table, element ids). A variant's elements are split into chunks of about
+    50 000, which fixes the order of the sums and products over a chunk.
     """
     bulk = np.flatnonzero(status != 0)
-    h = mesh.h
     for variant, table in tables.items():
         if mesh.cell_kind == RECT:
             ids = bulk
@@ -286,10 +286,19 @@ def bulk_chunks(mesh, status, tables):
             ids = bulk[mesh.element_variant[bulk] == variant]
         if len(ids) == 0:
             continue
-        spts = table[1]
         for chunk in np.array_split(ids, max(1, len(ids) // 50000)):
-            pts = mesh.element_origins[chunk][:, None, :] + h * spts[None, :, :]
-            yield table, chunk, pts[..., 0], pts[..., 1]
+            yield table, chunk
+
+
+def bulk_blocks(mesh, ids, spts):
+    """The physical points of the scaled points `spts` on the elements `ids`,
+    in consecutive blocks of at most `geometry._SWEEP_POINTS` points. Yields
+    (slice of ids, x, y) with x, y contiguous, (block rows, n_points)."""
+    rows = max(1, _SWEEP_POINTS // len(spts))
+    hx, hy = mesh.h * spts[:, 0], mesh.h * spts[:, 1]
+    for lo in range(0, len(ids), rows):
+        origin = mesh.element_origins[ids[lo:lo + rows]]
+        yield slice(lo, lo + rows), origin[:, :1] + hx, origin[:, 1:] + hy
 
 
 def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
@@ -298,13 +307,13 @@ def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
     the exact level set at each quadrature point."""
     b = np.zeros(mesh.n_nodes)
     h = mesh.h
-    for (name, spts, swts), chunk, x, y in bulk_chunks(mesh, status, bulk_rules(mesh, degree)):
+    for (name, spts, swts), chunk in bulk_chunks(mesh, status, bulk_rules(mesh, degree)):
         V = template_values(name, spts)              # (d, nq)
         w = swts * h * h                             # physical weights
-        minus = np.asarray(iface.phi(x, y)) < 0
-        f = np.where(minus, solution.f_minus(x, y), solution.f_plus(x, y))
-        loc = (f * w[None, :]) @ V.T                 # (nc, d)
-        np.add.at(b, mesh.elements[chunk], loc)
+        fw = np.empty((len(chunk), len(spts)))
+        for rows, x, y in bulk_blocks(mesh, chunk, spts):
+            fw[rows] = solution.f(x, y, np.asarray(iface.phi(x, y)) < 0) * w
+        np.add.at(b, mesh.elements[chunk], fw @ V.T)
 
     if len(cuts):
         rows = np.arange(len(cuts))
@@ -312,8 +321,7 @@ def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
         for poly in (cuts.poly_minus, cuts.poly_plus):
             pts, wts = fan_rule(poly, degree, refine)
             x, y = pts[..., 0], pts[..., 1]
-            minus = np.asarray(iface.phi(x, y)) < 0
-            f = np.where(minus, solution.f_minus(x, y), solution.f_plus(x, y))
+            f = solution.f(x, y, np.asarray(iface.phi(x, y)) < 0)
             xi, plus = cut_frame(cuts, rows, pts)
             acc += (cut_values(cuts, rows, xi, plus) @ (f * wts)[..., None])[..., 0]
         np.add.at(b, mesh.elements[cuts.ids], acc)

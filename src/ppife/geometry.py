@@ -101,11 +101,10 @@ class CartesianMesh:
         self.n_nodes = len(self.nodes)
         self.n_elements = len(self.elements)
         d = self.elements.shape[1]
-        local = np.column_stack([np.arange(d), np.roll(np.arange(d), -1)])
-        pairs = self.elements[:, local]                     # (ne, d, 2)
-        canon = np.sort(pairs.reshape(-1, 2), axis=1)
+        a, b = self.elements, np.roll(self.elements, -1, axis=1)   # local edge i: V_i -> V_i+1
         # a 1-D key keeps the lexicographic order of the node pairs
-        keys, inverse = np.unique(canon[:, 0] * self.n_nodes + canon[:, 1], return_inverse=True)
+        keys, inverse = np.unique((np.minimum(a, b) * self.n_nodes + np.maximum(a, b)).ravel(),
+                                  return_inverse=True)
         self.edge_nodes = np.column_stack(np.divmod(keys, self.n_nodes))
         self.element_edges = inverse.reshape(self.n_elements, d)
         self.n_edges = len(self.edge_nodes)
@@ -121,11 +120,15 @@ class CartesianMesh:
             raise GeometryError("broken edge adjacency")
         self.edge_elements = np.column_stack([lo, np.where(count == 2, hi, -1)])
 
-        self.centroids = self.nodes[self.elements].mean(axis=1)
-        # cell origin (lower-left node) and extent per element, the frame of
-        # scaled local coordinates; the extent can differ from h in the last bit
-        self.element_origins = self.nodes[self.elements].min(axis=1)
-        self.element_h = np.ptp(self.nodes[self.elements], axis=1).max(axis=1)
+        # vertex coordinates per component, (d, n_elem), one contiguous row
+        # per local vertex; a mean over the rows adds them in vertex order
+        vx, vy = X.ravel()[self.elements.T], Y.ravel()[self.elements.T]
+        self.centroids = np.column_stack([vx.mean(axis=0), vy.mean(axis=0)])
+        # cell origin (lower-left node, the first vertex) and extent per
+        # element, the frame of scaled local coordinates; the extent can
+        # differ from h in the last bit
+        self.element_origins = np.column_stack([vx[0], vy[0]])
+        self.element_h = np.maximum(vx.max(axis=0) - vx[0], vy.max(axis=0) - vy[0])
 
         ea = self.nodes[self.edge_nodes[:, 0]]
         eb = self.nodes[self.edge_nodes[:, 1]]
@@ -236,19 +239,31 @@ def interface_from_name(name, params) -> InterfaceGeometry:
 # edge / element classification
 # ---------------------------------------------------------------------------
 
+# points per block of the pointwise sweeps over every edge or element (the
+# edge audit here, the bulk quadrature of `assembly.bulk_blocks`). Each of
+# their arrays then takes at most 256 kB, which the allocator serves again
+# from freed memory; multi-megabyte temporaries are mapped afresh on every
+# pass, and their page faults cost more than the arithmetic.
+_SWEEP_POINTS = 1 << 15
 # 16-interval refinement used to audit for multiple crossings
 _EDGE_SAMPLES = np.linspace(0.0, 1.0, 17)
-# edges audited per pass: bounds the (rows, 17) sample arrays on any mesh
-_AUDIT_ROWS = 20000
+# edges audited per pass
+_AUDIT_ROWS = _SWEEP_POINTS // len(_EDGE_SAMPLES)
+
+
+def _snapped_sign(vals, tol):
+    """Sign of `vals` as int8, with |vals| < tol snapped to 0."""
+    return (vals >= tol).view(np.int8) - (vals <= -tol).view(np.int8)
 
 
 def _edge_signs(p0, p1, iface, tol):
     """phi at the samples of each segment p0[i] -> p1[i], and its sign with
     |phi| < tol snapped to 0; both of shape (n, 17)."""
     ts = _EDGE_SAMPLES
-    pts = p0[:, None, :] + ts[None, :, None] * (p1 - p0)[:, None, :]
-    vals = np.asarray(iface.phi(pts[..., 0], pts[..., 1]), float)
-    return vals, np.where(np.abs(vals) < tol, 0, np.sign(vals)).astype(np.int8)
+    x = p0[:, 0, None] + ts * (p1[:, 0] - p0[:, 0])[:, None]
+    y = p0[:, 1, None] + ts * (p1[:, 1] - p0[:, 1])[:, None]
+    vals = np.asarray(iface.phi(x, y), float)
+    return vals, _snapped_sign(vals, tol)
 
 
 def _sign_flips(signs):
@@ -396,7 +411,7 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     h = mesh.h
     tol = iface.snap_tol * h
     node_phi = np.asarray(iface.phi(mesh.nodes[:, 0], mesh.nodes[:, 1]), float)
-    node_sign = np.where(np.abs(node_phi) < tol, 0, np.sign(node_phi)).astype(np.int8)
+    node_sign = _snapped_sign(node_phi, tol)
 
     # audit every edge for hidden double crossings; collect candidate edges
     ea = mesh.nodes[mesh.edge_nodes[:, 0]]
@@ -404,7 +419,8 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     candidates = []
     for lo in range(0, mesh.n_edges, _AUDIT_ROWS):
         _, s = _edge_signs(ea[lo:lo + _AUDIT_ROWS], eb[lo:lo + _AUDIT_ROWS], iface, tol)
-        rows = np.flatnonzero(((s > 0).any(axis=1) & (s < 0).any(axis=1)) | (s == 0).any(axis=1))
+        # all but the rows of one strict sign throughout
+        rows = np.flatnonzero((s.min(axis=1) <= 0) & (s.max(axis=1) >= 0))
         flips = _sign_flips(s[rows])
         if (flips > 1).any():
             i = int(np.argmax(flips > 1))

@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import DATA_DEGREE, DATA_REFINE, bulk_chunks, bulk_rules
+from .assembly import DATA_DEGREE, DATA_REFINE, bulk_blocks, bulk_chunks, bulk_rules
 from .geometry import RECT
 from .local_basis import (cut_frame, cut_values, piece_gradients, piece_values,
                           template_gradients, template_values)
@@ -30,15 +30,38 @@ class PiecewiseSolution:
     params: dict = field(default_factory=dict)
 
     def u(self, x, y, minus_mask):
-        return np.where(minus_mask, self.u_minus(x, y), self.u_plus(x, y))
+        return _by_side(self.u_minus, self.u_plus, x, y, minus_mask, 1)[0]
 
     def grad(self, x, y, minus_mask):
-        gmx, gmy = self.grad_minus(x, y)
-        gpx, gpy = self.grad_plus(x, y)
-        return np.where(minus_mask, gmx, gpx), np.where(minus_mask, gmy, gpy)
+        return _by_side(self.grad_minus, self.grad_plus, x, y, minus_mask, 2)
+
+    def f(self, x, y, minus_mask):
+        return _by_side(self.f_minus, self.f_plus, x, y, minus_mask, 1)[0]
 
     def u_at(self, x, y, iface):
         return self.u(x, y, np.asarray(iface.phi(x, y)) < 0)
+
+
+def _by_side(minus_fn, plus_fn, x, y, minus_mask, n_out):
+    """The `n_out` outputs of `minus_fn` where `minus_mask` holds and of
+    `plus_fn` elsewhere, each side evaluated at its own points only.
+
+    The branches are elementwise, so each value has the bits of evaluating
+    the branch at every point and selecting afterwards. A 0-d x or y is
+    passed on as it is, since numpy evaluates scalars through other routines
+    than arrays.
+    """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(minus_mask))
+    minus = np.broadcast_to(np.asarray(minus_mask, bool), shape).ravel()
+    out = tuple(np.empty(shape) for _ in range(n_out))
+    # flat indices, not boolean masks: take and put beat masked copies
+    for fn, idx in ((minus_fn, np.flatnonzero(minus)), (plus_fn, np.flatnonzero(~minus))):
+        if len(idx):
+            vals = fn(*(np.broadcast_to(a, shape).ravel()[idx] if np.ndim(a) else a
+                        for a in (x, y)))
+            for o, v in zip(out, vals if n_out > 1 else (vals,)):
+                o.ravel()[idx] = v
+    return out
 
 
 def radial_interface_solution(beta_minus, beta_plus, alpha_exp=5.0,
@@ -129,16 +152,23 @@ def _bulk_sums(mesh, status, coeffs, sol, iface, beta, degree):
     """Squared L2, H1 and energy error sums over the standard elements."""
     h = mesh.h
     sums = np.zeros(3)
-    for (name, spts, swts), chunk, x, y in bulk_chunks(mesh, status, bulk_rules(mesh, degree)):
+    for (name, spts, swts), chunk in bulk_chunks(mesh, status, bulk_rules(mesh, degree)):
         w = swts * h * h
         G = template_gradients(name, spts) / h
         ce = coeffs[mesh.elements[chunk]]
-        minus = np.asarray(iface.phi(x, y)) < 0
-        diff = sol.u(x, y, minus) - ce @ template_values(name, spts)
-        gx, gy = sol.grad(x, y, minus)
-        d2 = (gx - ce @ G[:, :, 0]) ** 2 + (gy - ce @ G[:, :, 1]) ** 2
-        sums += (np.einsum("eq,q->", diff * diff, w), np.einsum("eq,q->", d2, w),
-                 np.einsum("eq,q->", np.where(minus, beta[0], beta[1]) * d2, w))
+        # u_h and its gradient per point; each block overwrites them with the
+        # squared value error, the squared gradient error and its beta-weighted
+        # copy, and the sums then run over the whole chunk as one array
+        e2, d2, bd2 = ce @ template_values(name, spts), ce @ G[:, :, 0], ce @ G[:, :, 1]
+        for rows, x, y in bulk_blocks(mesh, chunk, spts):
+            minus = np.asarray(iface.phi(x, y)) < 0
+            diff = sol.u(x, y, minus) - e2[rows]
+            gx, gy = sol.grad(x, y, minus)
+            e2[rows] = diff * diff
+            d2[rows] = (gx - d2[rows]) ** 2 + (gy - bd2[rows]) ** 2
+            bd2[rows] = np.where(minus, beta[0], beta[1]) * d2[rows]
+        sums += (np.einsum("eq,q->", e2, w), np.einsum("eq,q->", d2, w),
+                 np.einsum("eq,q->", bd2, w))
     return sums
 
 
@@ -147,15 +177,15 @@ def _cut_sums(mesh, cuts, coeffs, sol, iface, beta, degree, refine):
     refined fan rule per side over all cut elements."""
     ce = coeffs[mesh.elements[cuts.ids]][:, None]          # (K, 1, d)
     out = np.zeros((len(cuts), 2, 3))
-    for s, (poly, c, b) in enumerate(((cuts.poly_minus, cuts.cm, beta[0]),
-                                      (cuts.poly_plus, cuts.cp, beta[1]))):
+    for s, (poly, c, b, grad) in enumerate(((cuts.poly_minus, cuts.cm, beta[0], sol.grad_minus),
+                                            (cuts.poly_plus, cuts.cp, beta[1], sol.grad_plus))):
         pts, wts = fan_rule(poly, degree, refine)
         x, y = pts[..., 0], pts[..., 1]
         xi = (pts - cuts.origin[:, None]) / cuts.h[:, None, None]
         minus = np.asarray(iface.phi(x, y)) < 0
         diff = sol.u(x, y, minus) - (ce @ piece_values(c, xi))[:, 0]
         gh = np.einsum("kd,kdqa->kqa", ce[:, 0], piece_gradients(c, xi, cuts.h))
-        gx, gy = sol.grad(x, y, np.full(x.shape, s == 0))
+        gx, gy = grad(x, y)     # the branch of the piece, whatever the level set says
         d2 = (gx - gh[..., 0]) ** 2 + (gy - gh[..., 1]) ** 2
         out[:, s] = np.column_stack([np.vecdot(wts, diff * diff), np.vecdot(wts, d2),
                                      np.vecdot(wts, b * d2)])
@@ -174,10 +204,11 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
         sample = {0: ("tri_lower", low), 1: ("tri_upper", up)}
 
     worst = 0.0
-    for (name, spts), chunk, x, y in bulk_chunks(mesh, status, sample):
+    for (name, spts), chunk in bulk_chunks(mesh, status, sample):
         uh = coeffs[mesh.elements[chunk]] @ template_values(name, spts)
-        ue = sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
-        worst = max(worst, float(np.abs(ue - uh).max()))
+        for rows, x, y in bulk_blocks(mesh, chunk, spts):
+            ue = sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
+            worst = max(worst, float(np.abs(ue - uh[rows]).max()))
     if len(cuts):
         # the grid on each cut element's bounding square; on triangles the
         # half of it the element covers, which has the same size on both

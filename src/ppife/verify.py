@@ -275,12 +275,20 @@ def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7, hs=(1.0, 0.5, 0.25))
 # coercivity
 # ---------------------------------------------------------------------------
 
-def _is_spd(A_dense):
+def _is_spd(S):
+    """Whether the symmetric sparse matrix S is positive definite, by a
+    Cholesky factorization of its lower band (LAPACK pbtrf). Its cost grows
+    with the order times the squared bandwidth, not with the cubed order."""
+    import scipy.linalg
+    L = S.tocoo()
+    low = L.row >= L.col
+    ab = np.zeros((int((L.row - L.col).max(initial=0)) + 1, S.shape[0]))
+    ab[(L.row - L.col)[low], L.col[low]] = L.data[low]
     try:
-        np.linalg.cholesky(A_dense)
-        return True
+        scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return False
+    return True
 
 
 def _free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
@@ -296,7 +304,7 @@ def _free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
 
 
 def _sym_part_spd(A_vol, M, P, params):
-    A = combine_system(A_vol, M, P, params).toarray()
+    A = combine_system(A_vol, M, P, params)
     return _is_spd(0.5 * (A + A.T))
 
 

@@ -11,7 +11,9 @@ reference cuts and lemma-scan ratios that `local_basis.ife_coefficients` and
 `verify` stack over elements and samples, the edge labels that
 `geometry.interface_edges` replaces, and the one-polygon, one-edge and
 one-rectangle quadrature rules that `quadrature.fan_rule` and the stacked edge
-split replace.
+split replace, the gather-and-reduce mesh frames, edge sign audit and
+both-branch exact-solution selects that the per-component sweeps replace, and
+the dense Cholesky test of the coercivity scan.
 """
 from dataclasses import dataclass
 from typing import Optional
@@ -856,3 +858,43 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
                                         - uh).max()))
     return {"l2": float(np.sqrt(s["l2"])), "h1": float(np.sqrt(s["h1"])), "linf": worst,
             "energy": float(np.sqrt(s["energy"]))}
+
+
+# ---------------------------------------------------------------------------
+# per-component sweeps: the gather-and-reduce and both-branch forms
+# ---------------------------------------------------------------------------
+
+def mesh_frames(mesh):
+    """Centroids, cell origins and extents per element, reduced over the
+    (n_elem, d, 2) gather of the element vertices."""
+    v = mesh.nodes[mesh.elements]
+    return v.mean(axis=1), v.min(axis=1), np.ptp(v, axis=1).max(axis=1)
+
+
+def edge_signs(p0, p1, iface, tol):
+    """phi at the 17 samples of each segment from one (n, 17, 2) broadcast,
+    and its sign with |phi| < tol snapped to 0."""
+    ts = np.linspace(0.0, 1.0, _N_EDGE_SAMPLES)
+    pts = p0[:, None, :] + ts[None, :, None] * (p1 - p0)[:, None, :]
+    vals = np.asarray(iface.phi(pts[..., 0], pts[..., 1]), float)
+    return vals, np.where(np.abs(vals) < tol, 0, np.sign(vals)).astype(np.int8)
+
+
+def select_branches(sol, x, y, minus):
+    """u, grad and f of a PiecewiseSolution with both branches evaluated at
+    every point and selected by `minus` afterwards."""
+    gmx, gmy = sol.grad_minus(x, y)
+    gpx, gpy = sol.grad_plus(x, y)
+    return (np.where(minus, sol.u_minus(x, y), sol.u_plus(x, y)),
+            (np.where(minus, gmx, gpx), np.where(minus, gmy, gpy)),
+            np.where(minus, sol.f_minus(x, y), sol.f_plus(x, y)))
+
+
+def dense_is_spd(S):
+    """Positive definiteness of a sparse symmetric matrix by a dense
+    Cholesky factorization."""
+    try:
+        np.linalg.cholesky(S.toarray())
+    except np.linalg.LinAlgError:
+        return False
+    return True

@@ -13,16 +13,17 @@ from hypothesis import assume, given, reject, settings, strategies as st
 from ppife.assembly import (MethodParams, VOLUME_DEGREE, apply_dirichlet, assemble_edge_terms,
                             assemble_load, assemble_volume, combine_system, edge_traces)
 from ppife.errors import MultipleCrossings
-from ppife.geometry import (INTERFACE, DomainSpec, build_mesh, circle, classify_elements,
-                            edge_crossings, interface_edges, line)
+from ppife.geometry import (_EDGE_SAMPLES, INTERFACE, DomainSpec, InterfaceGeometry, _edge_signs,
+                            build_mesh, circle, classify_elements, edge_crossings,
+                            interface_edges, line)
 from ppife.linsolve import cg
 from ppife.local_basis import (basis_residuals, build_bases, cut_frame, cut_gradients,
                                cut_values, piece_gradients)
-from ppife.postprocess import PiecewiseSolution
+from ppife.postprocess import PiecewiseSolution, radial_interface_solution
 from ppife.quadrature import fan_rule, polygon_area
 from oracles import (EDGE_INTERFACE, classify_cuts, classify_edges, edge_intersection,
-                     edge_split_points, ife_basis, split_edge_rule, standard_basis,
-                     template_name)
+                     edge_signs, edge_split_points, ife_basis, mesh_frames, select_branches,
+                     split_edge_rule, standard_basis, template_name)
 
 
 def _cases(n_max):
@@ -215,3 +216,93 @@ def test_patch_test_is_exact(drawn):
     sysm = apply_dirichlet(A, b, mesh, u)
     coeffs = sysm.expand(cg(*sysm.reduced(), tol_rel=1e-13).x)
     assert np.abs(coeffs - u(mesh.nodes[:, 0], mesh.nodes[:, 1])).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# per-component sweeps: bit for bit the gather-and-reduce and both-branch forms
+# ---------------------------------------------------------------------------
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(st.sampled_from(["rect", "tri"]), st.integers(2, 70), st.floats(-5.0, 5.0),
+       st.floats(-5.0, 5.0), st.floats(1e-3, 10.0))
+def test_mesh_frames_equal_gather_reduce(kind, N, xmin, ymin, width):
+    mesh = build_mesh(DomainSpec(xmin, xmin + width, ymin, ymin + width, N, kind))
+    centroids, origins, extents = mesh_frames(mesh)
+    assert _same(mesh.centroids, centroids)
+    assert _same(mesh.element_origins, origins)
+    assert _same(mesh.element_h, extents)
+
+
+@given(st.integers(1, 40), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(0.2, 0.7),
+       st.integers(0, 2 ** 31))
+def test_edge_signs_equal_where_sign(n, cx, cy, r, seed):
+    rng = np.random.default_rng(seed)
+    p0, p1 = rng.uniform(-1.0, 1.0, (2, n, 2))
+    iface = circle(cx, cy, r)
+    tol = 10.0 ** rng.uniform(-12, -1)
+    got, want = _edge_signs(p0, p1, iface, tol), edge_signs(p0, p1, iface, tol)
+    assert _same(got[0], want[0]) and _same(got[1], want[1])
+
+
+@given(st.integers(-30, 0), st.integers(1, 20))
+def test_edge_signs_at_the_snap_tolerance(exp, n):
+    # phi = x sampled at (k - 8) tol, k = 0..16: exactly -tol and +tol at
+    # k = 7 and 9, and exactly 0 at k = 8; a power-of-two tol keeps the
+    # samples exact
+    tol = 2.0 ** exp
+    iface = InterfaceGeometry(lambda x, y: x, lambda x, y: (1.0, 0.0))
+    p0 = np.tile([[-8 * tol, 0.0]], (n, 1))
+    p1 = np.tile([[8 * tol, 1.0]], (n, 1))
+    vals, signs = _edge_signs(p0, p1, iface, tol)
+    assert np.array_equal(vals[0], (np.arange(len(_EDGE_SAMPLES)) - 8) * tol)
+    assert _same(signs, edge_signs(p0, p1, iface, tol)[1])
+    assert list(signs[0, 6:11]) == [-1, -1, 0, 1, 1]
+    # and one ulp on either side of +-tol, and both zeros, as the end values
+    near = np.array([np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0), 0.0, -0.0])
+    near = np.concatenate([near, -near])
+    q0 = np.column_stack([near, np.zeros_like(near)])
+    assert _same(_edge_signs(q0, q0, iface, tol)[1], edge_signs(q0, q0, iface, tol)[1])
+
+
+def _branch_cases():
+    # (x, y) arrays of assorted shapes, with the side mask of the circle, or
+    # all minus, all plus; empty; and 0-d as Python floats, numpy scalars and
+    # 0-d arrays
+    shapes = st.sampled_from([(0,), (1,), (7,), (5, 3), (4, 3, 2)])
+    return st.tuples(shapes, st.sampled_from(["phi", "minus", "plus"]), st.integers(0, 2 ** 31))
+
+
+@given(_branch_cases(), st.sampled_from([10.0, 1e4, 0.1]), st.floats(1.5, 5.0),
+       st.floats(0.2, 0.7))
+def test_branch_selection_equals_where_form(drawn, beta_plus, alpha, r0):
+    shape, mode, seed = drawn
+    sol = radial_interface_solution(1.0, beta_plus, alpha_exp=alpha, r0=r0, center=(0.1, -0.2))
+    iface = circle(0.1, -0.2, r0)
+    x, y = np.random.default_rng(seed).uniform(-1.0, 1.0, (2,) + shape)
+    minus = {"phi": iface.phi(x, y) < 0, "minus": np.ones(shape, bool),
+             "plus": np.zeros(shape, bool)}[mode]
+    want_u, (want_gx, want_gy), want_f = select_branches(sol, x, y, minus)
+    assert _same(sol.u(x, y, minus), want_u)
+    gx, gy = sol.grad(x, y, minus)
+    assert _same(gx, want_gx) and _same(gy, want_gy)
+    assert _same(sol.f(x, y, minus), want_f)
+    assert _same(sol.u_at(x, y, iface), select_branches(sol, x, y, iface.phi(x, y) < 0)[0])
+    # strided views, as a stack of points hands them out
+    pts = np.stack([x, y], axis=-1)
+    assert _same(sol.u(pts[..., 0], pts[..., 1], minus), want_u)
+
+
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.booleans(),
+       st.sampled_from([float, np.float64, np.asarray]))
+def test_branch_selection_of_one_point(x, y, minus, kind):
+    sol = radial_interface_solution(1.0, 10.0)
+    x, y = kind(x), kind(y)
+    want_u, (want_gx, want_gy), want_f = select_branches(sol, x, y, minus)
+    assert _same(sol.u(x, y, minus), want_u)
+    gx, gy = sol.grad(x, y, minus)
+    assert _same(gx, want_gx) and _same(gy, want_gy)
+    assert _same(sol.f(x, y, minus), want_f)

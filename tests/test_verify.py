@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
-from oracles import coef_ratio_max, linear_coupling_matrix, reference_cut, trace_ratio
+from oracles import (coef_ratio_max, dense_is_spd, linear_coupling_matrix, reference_cut,
+                     trace_ratio)
+from ppife.assembly import MethodParams, combine_system
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
 from oracles import ife_stack_basis
 from ppife.quadrature import polygon_area
-from ppife.verify import (ScanReport, _coef_ratios, _draw_cuts, _reference_cuts, _trace_ratios,
+from ppife.verify import (ScanReport, _coef_ratios, _draw_cuts, _free_matrices, _is_spd,
+                          _reference_cuts, _trace_ratios,
                           interp_edge_error_study, quadrant_bound_constant,
                           quadrant_gradient_check, quadrant_sigma, scan_coefficient_bounds,
                           scan_coercivity, scan_trace_ratio)
@@ -159,6 +164,43 @@ def test_coercivity_scan_small():
     assert report.metrics["spp_N10_b1_10"] == 1.0
     assert report.metrics["npp_N20_b1_10"] == 1.0
     assert report.metrics["spp_sigma_preset"] == pytest.approx(100.0)
+
+
+@given(st.integers(1, 60), st.integers(0, 12), st.sampled_from([-1e-3, 1e-3]),
+       st.integers(0, 2 ** 31))
+def test_banded_spd_test_agrees_with_dense_cholesky(n, band, margin, seed):
+    # a random symmetric band matrix shifted so that its smallest eigenvalue
+    # is +-1e-3 of its spread: positive definite or indefinite, well clear of
+    # the round-off of either factorization
+    rng = np.random.default_rng(seed)
+    band = min(band, n - 1)
+    B = sp.diags([rng.standard_normal(n - k) for k in range(band + 1)],
+                 [-k for k in range(band + 1)]).toarray()
+    S = B + B.T
+    lam = np.linalg.eigvalsh(S)
+    S += (margin * max(lam[-1] - lam[0], 1.0) - lam[0]) * np.eye(n)
+    A = sp.csr_matrix(S)
+    assert _is_spd(A) == dense_is_spd(A) == (margin > 0)
+
+
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_banded_spd_test_agrees_on_the_scan_matrices(kind):
+    # the scan's own symmetric parts: at the presets, across the penalty
+    # halving that locates the SPP threshold, and with consistency terms
+    # scaled up until definiteness is lost
+    for pair in ((1.0, 10.0), (1.0, 1e4)):
+        A_vol, M, P = _free_matrices(10, pair, kind)
+        presets = [MethodParams.preset(s, *pair) for s in ("spp", "ipp", "npp")]
+        sigma = presets[0].sigma0
+        halved = [MethodParams("custom", -1.0, -1.0, sigma / 2 ** k) for k in range(1, 12)]
+        scaled = [MethodParams("custom", -d, -d, s) for d in (2.0, 4.0, 8.0) for s in (0.0, 1.0)]
+        decisions = []
+        for params in presets + halved + scaled:
+            A = combine_system(A_vol, M, P, params)
+            S = 0.5 * (A + A.T)
+            decisions.append(_is_spd(S))
+            assert decisions[-1] == dense_is_spd(S), params
+        assert True in decisions and False in decisions
 
 
 def test_coercivity_scan_equal_beta():

@@ -274,16 +274,28 @@ def _sign_flips(signs):
     return np.count_nonzero(prev * signs[:, 1:] < 0, axis=1)
 
 
+def _outer_signs(signs):
+    """First and last nonzero entry of each row of `signs`, 0 for a row of
+    zeros."""
+    nz = signs != 0
+    first = np.argmax(nz, axis=1)
+    last = signs.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+    rows = np.arange(len(signs))
+    return signs[rows, first], signs[rows, last]
+
+
 def edge_crossings(p0, p1, iface: InterfaceGeometry, h):
     """Interface crossings of the segments p0[i] -> p1[i], bisected all at once.
 
-    Endpoints with |phi| < snap_tol*h are snapped onto the curve, in which
-    case no interior intersection is reported. A sign audit on a 16-interval
-    refinement raises MultipleCrossings when the curve cuts a segment more
-    than once. Each crossing parameter is resolved to 1e-14 by bisection
-    between the nearest strictly-signed samples (interior samples may sit
-    inside the snap band around the crossing). Returns (hit, points): a
-    boolean mask and (n, 2) crossing points, NaN where there is none.
+    Samples with |phi| < snap_tol*h are snapped onto the curve. A segment has
+    a crossing when its first and last strictly-signed samples have opposite
+    signs; a snapped endpoint thus adds no crossing of its own, but does not
+    hide one inside the segment. A sign audit on a 16-interval refinement
+    raises MultipleCrossings when the curve cuts a segment more than once.
+    Each crossing parameter is resolved to 1e-14 by bisection between the
+    nearest strictly-signed samples (interior samples may sit inside the snap
+    band around the crossing). Returns (hit, points): a boolean mask and
+    (n, 2) crossing points, NaN where there is none.
     """
     p0 = np.asarray(p0, float).reshape(-1, 2)
     p1 = np.asarray(p1, float).reshape(-1, 2)
@@ -293,14 +305,16 @@ def edge_crossings(p0, p1, iface: InterfaceGeometry, h):
         i = int(np.argmax(flips > 1))
         raise MultipleCrossings(
             f"interface crosses segment {p0[i]}->{p1[i]} more than once; refine the mesh")
-    hit = signs[:, 0] * signs[:, -1] < 0
+    first, last = _outer_signs(signs)
+    hit = first * last < 0
     rows = np.flatnonzero(hit)
 
     # bracket: first sample of the far sign, last one of the near sign before it
     S = signs[rows]
+    near = first[rows, None]
     cols = np.arange(S.shape[1])
-    j = np.argmax(S == -S[:, :1], axis=1)
-    k = np.where((S == S[:, :1]) & (cols < j[:, None]), cols, 0).max(axis=1)
+    j = np.argmax(S == -near, axis=1)
+    k = np.where((S == near) & (cols < j[:, None]), cols, 0).max(axis=1)
     a, b, fa = _EDGE_SAMPLES[k], _EDGE_SAMPLES[j], vals[rows, k]
     q0 = p0[rows]
     d = p1[rows] - q0
@@ -413,10 +427,10 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     node_phi = np.asarray(iface.phi(mesh.nodes[:, 0], mesh.nodes[:, 1]), float)
     node_sign = _snapped_sign(node_phi, tol)
 
-    # audit every edge for hidden double crossings; collect candidate edges
+    # audit every edge for hidden double crossings; collect the crossed ones
     ea = mesh.nodes[mesh.edge_nodes[:, 0]]
     eb = mesh.nodes[mesh.edge_nodes[:, 1]]
-    candidates = []
+    solve = []
     for lo in range(0, mesh.n_edges, _AUDIT_ROWS):
         _, s = _edge_signs(ea[lo:lo + _AUDIT_ROWS], eb[lo:lo + _AUDIT_ROWS], iface, tol)
         # all but the rows of one strict sign throughout
@@ -426,11 +440,9 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
             i = int(np.argmax(flips > 1))
             raise MultipleCrossings(
                 f"edge {lo + rows[i]} is crossed {flips[i]} times; refine the mesh")
-        candidates.append(lo + rows)
-    candidates = np.concatenate(candidates)
-
-    ends = mesh.edge_nodes[candidates]
-    solve = candidates[node_sign[ends[:, 0]] * node_sign[ends[:, 1]] < 0]
+        first, last = _outer_signs(s[rows])
+        solve.append(lo + rows[first * last < 0])
+    solve = np.concatenate(solve)
     hit, points = edge_crossings(ea[solve], eb[solve], iface, h)
     crossing = np.full((mesh.n_edges, 2), np.nan)
     crossing[solve[hit]] = points[hit]

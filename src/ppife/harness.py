@@ -254,6 +254,13 @@ def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
                                sigma0=config.sigma0, alpha=config.penalty_alpha)
 
 
+def interface_block(ctx: CaseContext, system) -> np.ndarray:
+    """Positions in the reduced system of the free nodes of the cut elements,
+    ascending."""
+    nodes = np.unique(ctx.mesh.elements[ctx.cuts.ids])
+    return np.searchsorted(system.free, nodes[np.isin(nodes, system.free)])
+
+
 def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     """Assemble the scheme system on a prepared context, solve, measure errors."""
     params = scheme_params(config, scheme)
@@ -262,8 +269,12 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
                                       lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
     A_ff, rhs = system.reduced()
     # delta == epsilon makes the scheme matrix symmetric
-    solver = linsolve.cg if params.delta == params.epsilon else linsolve.bicgstab
-    res = solver(A_ff, rhs, tol_rel=config.solver_tol, max_iter=config.solver_maxiter)
+    if params.delta == params.epsilon:
+        res = linsolve.cg(A_ff, rhs, tol_rel=config.solver_tol, max_iter=config.solver_maxiter)
+    else:
+        res = linsolve.bicgstab(A_ff, rhs, tol_rel=config.solver_tol,
+                                max_iter=config.solver_maxiter,
+                                block=interface_block(ctx, system))
     if not res.converged:
         raise NotConverged(f"{scheme} at N={ctx.N}: not converged after {res.iterations} "
                            f"iterations and {res.restarts} restarts, final residual "

@@ -44,10 +44,11 @@ def _compressed_sign_flips(signs):
 def edge_intersection(p0, p1, iface, h=None):
     """Interface crossing of the segment p0 -> p1, or None.
 
-    Endpoints with |phi| < snap_tol*h are snapped onto the curve, in which
-    case no interior intersection is reported. A sign audit on a 16-interval
-    refinement raises MultipleCrossings when the curve cuts the segment more
-    than once. The crossing parameter is resolved to 1e-14 by bisection.
+    Samples with |phi| < snap_tol*h are snapped onto the curve; the segment
+    is crossed when its first and last strictly-signed samples have opposite
+    signs. A sign audit on a 16-interval refinement raises MultipleCrossings
+    when the curve cuts the segment more than once. The crossing parameter is
+    resolved to 1e-14 by bisection.
     """
     p0 = np.asarray(p0, float)
     p1 = np.asarray(p1, float)
@@ -62,14 +63,13 @@ def edge_intersection(p0, p1, iface, h=None):
     if _compressed_sign_flips(signs) > 1:
         raise MultipleCrossings(
             f"interface crosses segment {p0}->{p1} more than once; refine the mesh")
-    if signs[0] == 0 or signs[-1] == 0:
-        return None
-    if signs[0] * signs[-1] > 0:
+    nz = signs[signs != 0]
+    if len(nz) == 0 or nz[0] * nz[-1] > 0:
         return None
 
     # bracket between the nearest strictly-signed samples (interior samples may
     # sit inside the snap band around the crossing), then bisect
-    s0 = signs[0]
+    s0 = nz[0]
     j = int(np.flatnonzero(signs == -s0)[0])
     k = int(np.flatnonzero(signs[:j] == s0)[-1])
     a, b = ts[k], ts[j]
@@ -361,19 +361,19 @@ def classify_one(mesh, iface, k, crossings, node_sign, tol):
 def classify_cuts(mesh, iface):
     """(status, {element id: ElementCut}) from the per-element walk: every
     element with a snapped vertex or a crossed edge goes through
-    `classify_one`; the crossings are those of `geometry.edge_crossings`."""
+    `classify_one`; the crossings are those of `geometry.edge_crossings` over
+    every mesh edge."""
     tol = iface.snap_tol * mesh.h
     node_phi = np.asarray(iface.phi(mesh.nodes[:, 0], mesh.nodes[:, 1]), float)
     node_sign = np.where(np.abs(node_phi) < tol, 0, np.sign(node_phi)).astype(np.int8)
     ends = mesh.edge_nodes
-    solve = np.flatnonzero(node_sign[ends[:, 0]] * node_sign[ends[:, 1]] < 0)
-    hit, points = edge_crossings(mesh.nodes[ends[solve, 0]], mesh.nodes[ends[solve, 1]],
-                                 iface, mesh.h)
-    crossings = dict(zip(solve[hit].tolist(), points[hit]))
+    hit, points = edge_crossings(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, mesh.h)
+    crossed = np.flatnonzero(hit)
+    crossings = dict(zip(crossed.tolist(), points[crossed]))
     cent_phi = np.asarray(iface.phi(mesh.centroids[:, 0], mesh.centroids[:, 1]), float)
     status = np.where(cent_phi > 0, SIDE_PLUS, SIDE_MINUS).astype(np.int8)
     touched = (node_sign[mesh.elements] == 0).any(axis=1)
-    adj = mesh.edge_elements[solve[hit]].ravel()
+    adj = mesh.edge_elements[crossed].ravel()
     touched[adj[adj >= 0]] = True
     cuts = {}
     for k in np.flatnonzero(touched).tolist():

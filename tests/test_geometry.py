@@ -372,6 +372,22 @@ def test_snapped_vertex_cuts_match_oracle(kind):
         assert cuts.ids[0] == 0 and (cuts.cut_edges[0] >= 0).all()
 
 
+def test_crossing_beside_a_snapped_vertex_is_solved():
+    # (x+y+2)(x+y+1.6) vanishes at the corner node (-1, -1) and crosses the
+    # diagonal of element 0 at (-0.8, -0.8), inside the edge that ends at
+    # that node; the chord joins the two crossings, not the corner
+    from ppife.geometry import InterfaceGeometry
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 8, "tri"))
+    s = lambda x, y: np.asarray(x) + np.asarray(y) + 2.0
+    pair = InterfaceGeometry(lambda x, y: s(x, y) * (s(x, y) - 0.4),
+                             lambda x, y: (2.0 * s(x, y) - 0.4, 2.0 * s(x, y) - 0.4))
+    cuts = _assert_matches_oracle(mesh, pair)
+    assert cuts.ids[0] == 0 and (cuts.cut_edges[0] >= 0).all()
+    assert np.allclose(cuts.D[0], [-0.75, -0.85], atol=1e-13)
+    assert np.allclose(cuts.E[0], [-0.8, -0.8], atol=1e-13)
+    assert _crossing([-1.0, -1.0], [-0.75, -0.75], pair, h=0.25) is not None
+
+
 def test_edge_numbering_equals_two_column_unique():
     # the 1-D key numbering is the lexicographic order of np.unique(axis=0)
     for kind in ("rect", "tri"):

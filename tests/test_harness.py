@@ -221,6 +221,25 @@ def test_cli_exit_codes(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("mesh", ["rect", "tri"])
+def test_solve_scheme_passes_the_cut_element_block(mesh, monkeypatch):
+    # the nonsymmetric schemes get the free nodes of the cut elements, by
+    # keyword, through the module attribute that a tracer may wrap
+    from ppife import linsolve
+    calls = []
+    solver = linsolve.bicgstab
+    monkeypatch.setattr(linsolve, "bicgstab",
+                        lambda *a, **kw: calls.append(kw.get("block")) or solver(*a, **kw))
+    cfg = RunConfig(mesh=mesh, N=(24,), schemes=("spp", "npp"))
+    ctx = build_context(cfg, 24)
+    _, _, system = solve_scheme(ctx, cfg, "spp")
+    assert calls == []
+    solve_scheme(ctx, cfg, "npp")
+    [block] = calls
+    nodes = set(ctx.mesh.elements[ctx.cuts.ids].ravel().tolist())
+    assert system.free[block].tolist() == sorted(nodes - set(system.boundary.tolist()))
+
+
 def test_not_converged_names_iterations_restarts_and_residual():
     cfg = RunConfig(N=(24,), schemes=("npp",), solver_maxiter=1)
     ctx = build_context(cfg, 24)

@@ -8,7 +8,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -228,6 +228,16 @@ class CaseContext:
     P_unit: object
     traces: object       # assembly.EdgeTraces of the interface edges
     b: np.ndarray
+    _aggregates: Optional[tuple] = field(default=None, repr=False)
+
+    def fine_aggregates(self):
+        """Level-0 AMG aggregates of the free nodes (see
+        linsolve.SAHierarchy), shared by every scheme of the context. They
+        are formed on the bulk matrix A_vol, on the first call."""
+        if self._aggregates is None:
+            free = self.mesh.interior_nodes
+            self._aggregates = linsolve.aggregate(self.A_vol[free][:, free])
+        return self._aggregates
 
 
 def build_context(config: RunConfig, N: int) -> CaseContext:
@@ -268,13 +278,11 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
                                       lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
     A_ff, rhs = system.reduced()
-    # delta == epsilon makes the scheme matrix symmetric
-    if params.delta == params.epsilon:
-        res = linsolve.cg(A_ff, rhs, tol_rel=config.solver_tol, max_iter=config.solver_maxiter)
-    else:
-        res = linsolve.bicgstab(A_ff, rhs, tol_rel=config.solver_tol,
-                                max_iter=config.solver_maxiter,
-                                block=interface_block(ctx, system))
+    # delta == epsilon makes the scheme matrix symmetric; the solver is
+    # looked up at call time, so that a tracer may wrap it
+    solver = linsolve.cg if params.delta == params.epsilon else linsolve.bicgstab
+    res = solver(A_ff, rhs, tol_rel=config.solver_tol, max_iter=config.solver_maxiter,
+                 block=interface_block(ctx, system), aggregates=ctx.fine_aggregates)
     if not res.converged:
         raise NotConverged(f"{scheme} at N={ctx.N}: not converged after {res.iterations} "
                            f"iterations and {res.restarts} restarts, final residual "

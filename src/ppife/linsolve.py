@@ -1,14 +1,20 @@
 """Sparse iterative solvers for the reduced systems.
 
 Matrices are scipy CSR. Both solvers work on the symmetric Jacobi scaling
-D^{-1/2} A D^{-1/2}, which keeps CG's inner product exact and is markedly
-more robust than one-sided scaling for the strongly nonsymmetric systems
-produced by large coefficient contrasts. CG handles the symmetric schemes
-with that scaling alone. A restarted BiCGSTAB handles the nonsymmetric ones,
-right-preconditioned by one V-cycle of a smoothed-aggregation AMG hierarchy
-built on the scaled matrix (Vanek, Mandel & Brezina, Computing 56, 1996),
-with an exact solve of a given block of unknowns (the nodes of the cut
-elements) around the V-cycle.
+As = D^{-1/2} A D^{-1/2}, which keeps CG's inner product exact and is
+markedly more robust than one-sided scaling for the strongly nonsymmetric
+systems produced by large coefficient contrasts.
+
+The preconditioner is one V-cycle of a smoothed-aggregation AMG hierarchy
+built on As (Vanek, Mandel & Brezina, Computing 56, 1996), with an exact
+solve of a given block of unknowns (the nodes of the cut elements) around
+the V-cycle. Its tentative prolongator carries the near-null vector of As,
+D^{1/2} 1, normalized per aggregate. Level 0 may take its aggregates from
+the caller, so that every scheme on one mesh shares them. A restarted
+BiCGSTAB handles the nonsymmetric schemes, right-preconditioned. CG handles
+the symmetric ones: preconditioned above AMG_CG_DOFS unknowns, and with the
+Jacobi scaling alone below, where building the hierarchy costs more than
+the iterations it saves.
 """
 from __future__ import annotations
 
@@ -20,8 +26,15 @@ import scipy.sparse as sp
 from .errors import AsymmetricInput
 
 DEFAULT_TOL = 1e-12
-# AMG: levels at or below this many dofs are factorized by splu
+# AMG: coarsening stops at this many dofs or fewer; that level is solved by
+# a banded LU
 COARSE_SIZE = 400
+# CG takes the AMG preconditioner above this many dofs. Against Jacobi-CG,
+# the first solve on a context, which also forms the shared level-0
+# aggregates, gains from 19 321 dofs (N=140) on tri at beta+ = 10 and, for
+# SPP, from 25 281 (N=160) on rect at beta+ = 1e4; a later solve gains from
+# 14 161 dofs (N=120) on both
+AMG_CG_DOFS = 20_000
 # AMG: i and j are strongly coupled when |s_ij| >= theta sqrt(|s_ii s_jj|),
 # with S the symmetric part of the level matrix
 STRENGTH_THETA = 0.08
@@ -42,6 +55,8 @@ class SolveResult:
     residual: float        # final |b - Ax| / |b| on the original system
     converged: bool
     restarts: int = 0      # BiCGSTAB restarts after a breakdown
+    amg_levels: int = 0    # levels of the AMG hierarchy, the coarsest included;
+                           # 0 when no V-cycle ran
 
 
 def _is_symmetric(A, rtol=1e-12):
@@ -59,17 +74,22 @@ def _scaled(A, b):
     return As.tocsr(), s * b, s
 
 
-def _finish(A, b, bnorm, xs, s, iterations, tol_rel, restarts=0):
+def _finish(A, b, bnorm, xs, s, iterations, tol_rel, restarts=0, M=None):
     x = xs * s
     res = float(np.linalg.norm(b - A @ x) / bnorm)
-    return SolveResult(x, iterations, res, bool(res <= tol_rel), restarts)
+    return SolveResult(x, iterations, res, bool(res <= tol_rel), restarts,
+                       0 if M is None else len(M.levels) + 1)
 
 
-def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None) -> SolveResult:
-    """Conjugate gradients for symmetric systems.
+def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
+       aggregates=None) -> SolveResult:
+    """Conjugate gradients for symmetric systems, on the Jacobi-scaled matrix.
 
-    Raises AsymmetricInput when some |A_ij - A_ji| exceeds 1e-12 * max|A|.
-    Returns the best iterate with converged=False when the budget runs out.
+    Above AMG_CG_DOFS unknowns, each iteration applies one V-cycle of an
+    SAHierarchy (with `block` and `aggregates`, see there) to the residual;
+    at or below, the scaling alone preconditions. Raises AsymmetricInput
+    when some |A_ij - A_ji| exceeds 1e-12 * max|A|. Returns the best iterate
+    with converged=False when the budget runs out.
     """
     A = A.tocsr()
     n = A.shape[0]
@@ -82,11 +102,16 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None) -> SolveResult:
         return SolveResult(np.zeros(n), 0, 0.0, True)
     As, bs, s = _scaled(A, b)
     bsnorm = np.linalg.norm(bs)
+    M = SAHierarchy(As, block, 1.0 / s, aggregates) if n > AMG_CG_DOFS else None
+
+    def precondition(r):
+        return r if M is None else M(r)
 
     x = np.zeros(n)
     r = bs.copy()
-    p = r.copy()
-    rr = float(r @ r)
+    z = precondition(r)
+    p = z.copy()
+    rz = float(r @ z)
     best = (np.inf, x.copy(), 0)
     target = tol_rel
     for it in range(1, max_iter + 1):
@@ -94,25 +119,26 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None) -> SolveResult:
         pAp = float(p @ Ap)
         if pAp <= 0 or not np.isfinite(pAp):
             break
-        alpha = rr / pAp
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         rn = np.linalg.norm(r) / bsnorm
         if rn < best[0]:
             best = (rn, x.copy(), it)
         if rn <= target:
-            out = _finish(A, b, bnorm, x, s, it, tol_rel)
+            out = _finish(A, b, bnorm, x, s, it, tol_rel, M=M)
             if out.converged:
                 return out
             r = bs - As @ x          # recompute to fight drift, then tighten
             rn = np.linalg.norm(r) / bsnorm
             target = max(target / 4.0, 1e-2 * np.finfo(float).eps)
-        rr_new = float(r @ r)
-        if not np.isfinite(rr_new):
+        z = precondition(r)
+        rz_new = float(r @ z)
+        if not np.isfinite(rz_new):
             break
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return _finish(A, b, bnorm, best[1], s, max_iter, tol_rel)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return _finish(A, b, bnorm, best[1], s, max_iter, tol_rel, M=M)
 
 
 def _neighbour_max(G, v):
@@ -121,18 +147,19 @@ def _neighbour_max(G, v):
     return np.maximum.reduceat(v[G.indices], G.indptr[:-1])
 
 
-def _strength_graph(A, theta):
-    """Strong couplings of the symmetric part of A, with the diagonal, as a
-    CSR pattern; also whether each node has a strong neighbour."""
-    S = ((A + A.T) * 0.5).tocoo()
+def _strength_graph(S, theta):
+    """Strong couplings of the symmetric CSR matrix S, whose diagonal is
+    nonzero, with the diagonal, as a CSR pattern; also whether each node
+    has a strong neighbour."""
+    n = S.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(S.indptr))
     d = np.sqrt(np.abs(S.diagonal()))
-    off = S.row != S.col
-    strong = off & (np.abs(S.data) >= theta * d[S.row] * d[S.col])
-    n = A.shape[0]
-    rows = np.concatenate([S.row[strong], np.arange(n)])
-    cols = np.concatenate([S.col[strong], np.arange(n)])
-    G = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    return G, np.diff(G.indptr) > 1
+    keep = (rows == S.indices) | (np.abs(S.data) >= theta * d[rows] * d[S.indices])
+    counts = np.bincount(rows[keep], minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    G = sp.csr_matrix((np.ones(indptr[-1], dtype=np.int8), S.indices[keep],
+                       indptr), shape=(n, n))
+    return G, counts > 1
 
 
 def _aggregate(G, coupled, rng):
@@ -174,14 +201,19 @@ def _spectral_radius(A, dinv, rng, steps=15):
 
 def _banded_lu(B):
     """Exact solver of B x = v as a function of v, from LAPACK's banded LU
-    with partial pivoting, or None when B is singular. Its storage is
-    n (2 kl + ku + 1) floats for kl, ku the lower and upper bandwidths of B,
-    so B's nonzeros should lie near the diagonal. (splu would keep its whole
-    initial fill estimate as the factor: 5.1 MB for the 648-dof interface
-    block of rect N=160, against 0.3 MB here.)"""
+    with partial pivoting of B in reverse Cuthill-McKee order, or None when
+    B is singular. Its storage is n (2 kl + ku + 1) floats for kl, ku the
+    lower and upper bandwidths of the reordered B, so it suits matrices that
+    this ordering gives a narrow band: mesh-like couplings, or a few hundred
+    dofs. (splu would keep its whole initial fill estimate as the factor:
+    5.1 MB for the 648-dof interface block of rect N=160, against 0.3 MB
+    here.)"""
     from scipy.linalg.lapack import dgbtrf, dgbtrs
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    B = B.tocoo()
+    B = B.tocsr()
+    order = reverse_cuthill_mckee(B, symmetric_mode=False)
+    B = B[order][:, order].tocoo()
     kl = int(np.max(B.row - B.col, initial=0))
     ku = int(np.max(B.col - B.row, initial=0))
     ab = np.zeros((2 * kl + ku + 1, B.shape[0]))
@@ -189,22 +221,54 @@ def _banded_lu(B):
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
     if info != 0:
         return None
-    return lambda v: dgbtrs(lu, kl, ku, v, piv)[0]
+
+    def solve(v):
+        x = np.empty(len(order))
+        x[order] = dgbtrs(lu, kl, ku, v[order], piv)[0]
+        return x
+    return solve
+
+
+def aggregate(A, rng=None):
+    """Aggregates of the strong-coupling graph of the symmetric part of A,
+    whose diagonal is nonzero, as SAHierarchy forms them on a level: per
+    node its aggregate (-1 for a node with no strong neighbour), and the
+    number of aggregates. `rng` draws the priorities; by default a fresh
+    generator seeded with AMG_SEED. The strength test is invariant under a
+    symmetric diagonal scaling, so A need not be Jacobi-scaled."""
+    if rng is None:
+        rng = np.random.default_rng(AMG_SEED)
+    S = ((A + A.T) * 0.5).tocsr()
+    return _aggregate(*_strength_graph(S, STRENGTH_THETA), rng)
 
 
 class SAHierarchy:
     """Smoothed-aggregation AMG; calling it applies one V-cycle to a vector,
     an approximation of A^-1 v.
 
-    Each level aggregates the strong-coupling graph of its matrix, smooths
-    the piecewise-constant tentative prolongator once by damped Jacobi,
-    restricts by the transpose and forms the Galerkin product P^T A P.
-    SMOOTHER_SWEEPS damped-Jacobi sweeps smooth before and after the coarse
-    correction. The coarsest level is solved by splu. It has at most
-    COARSE_SIZE dofs, unless coarsening stops early: at a zero diagonal
-    entry, or where aggregation merges fewer than half the nodes. Every step
-    is deterministic: the random priorities and the power iteration's start
-    vector come from a fixed seed.
+    Each level aggregates the strong-coupling graph of its matrix, builds
+    the tentative prolongator T from the near-null candidate B, smooths it
+    once by damped Jacobi, restricts by the transpose and forms the Galerkin
+    product P^T A P. T[i, a] = B_i / |B_a| for node i of aggregate a, with
+    |B_a| the norm of B over the aggregate, and the vector of those norms is
+    the next level's candidate. B = 1 when no `candidate` is given; for a
+    Jacobi-scaled A = D^{-1/2} K D^{-1/2} whose K has zero row sums, the
+    near-null vector is D^{1/2} 1, which is the candidate 1/s that the
+    solvers pass. SMOOTHER_SWEEPS damped-Jacobi sweeps smooth before and
+    after the coarse correction. The coarsest level has at most COARSE_SIZE
+    dofs and is solved by a banded LU in reverse Cuthill-McKee order, unless
+    coarsening stops early, at a zero diagonal entry or where aggregation
+    merges fewer than half the nodes; a larger coarsest level is solved by
+    splu. (A dense LU would hold about as much, but OpenBLAS factorizes a
+    few hundred dofs by another algorithm on several threads than on one,
+    so the last bits of every small solve would follow the thread count.)
+    Every step is deterministic: the random priorities and the power
+    iteration's start vector come from a fixed seed.
+
+    `aggregates`, a function of no arguments, gives level 0's aggregates as
+    `aggregate` returns them, in place of the level's own. It is called only
+    when level 0 is coarsened, so that a caller can compute the aggregates
+    lazily and share them between matrices on the same unknowns.
 
     `block`, a set of row indices, adds an exact solve of A[block, block]
     around the fine-level V-cycle: the block is solved for its part of the
@@ -219,18 +283,17 @@ class SAHierarchy:
     empty or singular, or when A has COARSE_SIZE dofs or fewer.
     """
 
-    def __init__(self, A, block=None):
+    def __init__(self, A, block=None, candidate=None, aggregates=None):
         # imported here: scipy.sparse.linalg adds about 0.1 s to `import ppife`
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
         from scipy.sparse.linalg import splu
 
         rng = np.random.default_rng(AMG_SEED)
         self.levels = []            # (A, omega / diag, P, P^T) per level
         A = A.tocsr()
+        B = np.ones(A.shape[0]) if candidate is None else np.asarray(candidate, float)
         self.block = None           # (ids, solver of A[ids, ids], A[ids, :], A[:, ids])
         if block is not None and len(block) and A.shape[0] > COARSE_SIZE:
             ids = np.asarray(block)
-            ids = ids[reverse_cuthill_mckee(A[ids][:, ids], symmetric_mode=False)]
             rows = A[ids]
             solve = _banded_lu(rows[:, ids])
             if solve is not None:
@@ -241,19 +304,27 @@ class SAHierarchy:
             if not diag.all():
                 break
             dinv = 1.0 / diag
-            G, coupled = _strength_graph(A, STRENGTH_THETA)
-            agg, n_coarse = _aggregate(G, coupled, rng)
+            if aggregates is not None and not self.levels:
+                agg, n_coarse = aggregates()
+                if len(agg) != n:
+                    raise ValueError(f"{len(agg)} aggregate labels for {n} unknowns")
+            else:
+                agg, n_coarse = aggregate(A, rng)
             if n_coarse == 0 or n_coarse > n // 2:
                 break
-            keep = agg >= 0
-            T = sp.csr_matrix((np.ones(keep.sum()), (np.flatnonzero(keep), agg[keep])),
+            keep = np.flatnonzero(agg >= 0)
+            norms = np.sqrt(np.bincount(agg[keep], B[keep] ** 2, minlength=n_coarse))
+            T = sp.csr_matrix((B[keep] / norms[agg[keep]], (keep, agg[keep])),
                               shape=(n, n_coarse))
             dinv /= _spectral_radius(A, dinv, rng)
             P = (T - sp.diags(PROLONGATOR_DAMPING * dinv) @ (A @ T)).tocsr()
             R = P.T.tocsr()
             self.levels.append((A, SMOOTHER_DAMPING * dinv, P, R))
             A = (R @ A @ P).tocsr()
-        self.coarse = splu(A.tocsc())
+            B = norms
+        self.coarse = A             # the coarsest matrix, solved by coarse_solve
+        solve = _banded_lu(A) if A.shape[0] <= COARSE_SIZE else None
+        self.coarse_solve = splu(A.tocsc()).solve if solve is None else solve
 
     def __call__(self, b):
         if self.block is None:
@@ -268,7 +339,7 @@ class SAHierarchy:
 
     def _cycle(self, k, b):
         if k == len(self.levels):
-            return self.coarse.solve(b)
+            return self.coarse_solve(b)
         A, omega_dinv, P, R = self.levels[k]
         x = omega_dinv * b
         for _ in range(SMOOTHER_SWEEPS - 1):
@@ -279,12 +350,14 @@ class SAHierarchy:
         return x
 
 
-def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None) -> SolveResult:
+def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
+             aggregates=None) -> SolveResult:
     """BiCGSTAB with symmetric Jacobi scaling and one SA-AMG V-cycle as the
     right preconditioner, so the convergence test sees the true residual of
     the scaled system; breakdowns restart with a perturbed shadow vector (at
     most 3 restarts). `block` (row indices of A) is the set of unknowns that
-    the preconditioner solves exactly around its V-cycle (see SAHierarchy)."""
+    the preconditioner solves exactly around its V-cycle, and `aggregates`
+    gives its level-0 aggregates (see SAHierarchy)."""
     A = A.tocsr()
     n = A.shape[0]
     if max_iter is None:
@@ -294,7 +367,7 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None) -> SolveResul
         return SolveResult(np.zeros(n), 0, 0.0, True)
     As, bs, s = _scaled(A, b)
     bsnorm = np.linalg.norm(bs)
-    M = SAHierarchy(As, block)
+    M = SAHierarchy(As, block, 1.0 / s, aggregates)
 
     rng = np.random.default_rng(67890)
 
@@ -303,7 +376,7 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None) -> SolveResul
         return r, r.copy(), r.copy(), float(r @ r)
 
     def finish(x):
-        return _finish(A, b, bnorm, x, s, it, tol_rel, restarts)
+        return _finish(A, b, bnorm, x, s, it, tol_rel, restarts, M)
 
     x = np.zeros(n)
     r, rtld, p, rho = fresh(x)

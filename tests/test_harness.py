@@ -240,6 +240,25 @@ def test_solve_scheme_passes_the_cut_element_block(mesh, monkeypatch):
     assert system.free[block].tolist() == sorted(nodes - set(system.boundary.tolist()))
 
 
+def test_fine_aggregates_are_lazy_and_shared(monkeypatch):
+    # formed once per context, on the first solve that builds a hierarchy:
+    # Jacobi-CG at 529 free dofs builds none, BiCGSTAB does
+    from ppife import linsolve
+    calls, seen = [], []
+    aggregate, solver = linsolve.aggregate, linsolve.bicgstab
+    monkeypatch.setattr(linsolve, "aggregate", lambda A: calls.append(A.shape) or aggregate(A))
+    monkeypatch.setattr(linsolve, "bicgstab",
+                        lambda *a, **kw: seen.append(kw["aggregates"]()) or solver(*a, **kw))
+    cfg = RunConfig(N=(24,), schemes=("spp", "npp", "ipp"))
+    ctx = build_context(cfg, 24)
+    _, _, system = solve_scheme(ctx, cfg, "spp")
+    assert calls == []
+    solve_scheme(ctx, cfg, "npp")
+    solve_scheme(ctx, cfg, "ipp")
+    assert calls == [(len(system.free),) * 2]
+    assert seen[0] is seen[1] is ctx.fine_aggregates()
+
+
 def test_not_converged_names_iterations_restarts_and_residual():
     cfg = RunConfig(N=(24,), schemes=("npp",), solver_maxiter=1)
     ctx = build_context(cfg, 24)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,8 @@ import scipy.sparse.linalg as spla
 
 from ppife.errors import AsymmetricInput
 from oracles import check_csr, dense_solve, matvec_triplets
-from ppife.linsolve import COARSE_SIZE, SAHierarchy, _scaled, bicgstab, cg
+from ppife.linsolve import (AMG_CG_DOFS, COARSE_SIZE, SAHierarchy, _scaled, aggregate,
+                            bicgstab, cg)
 
 
 def _tridiag(n):
@@ -143,18 +146,34 @@ def test_cg_bicgstab_energy_agreement():
     assert num / den < 1e-9
 
 
-def _blocked_system(mesh, N, beta_plus, scheme):
-    """Reduced system of a scheme and the positions in it of the free nodes
-    of the cut elements."""
-    from ppife.harness import RunConfig, build_context, interface_block, scheme_params
-    from ppife import assembly
+@functools.lru_cache(maxsize=1)
+def _context(mesh, N, beta_plus):
+    from ppife.harness import RunConfig, build_context
 
     cfg = RunConfig(mesh=mesh, N=(N,), beta_plus=beta_plus)
-    ctx = build_context(cfg, N)
+    return cfg, build_context(cfg, N)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+@functools.cache
+def _blocked_system(mesh, N, beta_plus, scheme):
+    """Reduced system of a scheme and the positions in it of the free nodes
+    of the cut elements; shared by the tests, so every array is read-only."""
+    from ppife.harness import interface_block, scheme_params
+    from ppife import assembly
+
+    cfg, ctx = _context(mesh, N, beta_plus)
     A = assembly.combine_system(ctx.A_vol, ctx.M, ctx.P_unit, scheme_params(cfg, scheme))
     system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
                                       lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
-    return (*system.reduced(), interface_block(ctx, system))
+    A_ff, rhs = system.reduced()
+    block = interface_block(ctx, system)
+    _read_only(A_ff.data, A_ff.indices, A_ff.indptr, rhs, block)
+    return A_ff, rhs, block
 
 
 def _reduced_system(mesh, N, beta_plus, scheme):
@@ -260,3 +279,106 @@ def test_block_solve_is_exact_and_optional():
         assert np.array_equal(other(b), plain(b))
     small, small_b, small_block = _blocked_system("rect", 20, 1e4, "npp")
     assert SAHierarchy(small, small_block).block is None
+
+
+def _weighted_laplacian(m, seed):
+    # graph Laplacian of an m x m grid with random edge weights in [1/e, e]:
+    # zero row sums, so K @ 1 = 0, and a diagonal that varies from node to node
+    idx = np.arange(m * m).reshape(m, m)
+    i = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    j = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    w = np.exp(np.random.default_rng(seed).uniform(-1.0, 1.0, len(i)))
+    W = sp.csr_matrix((np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+                      shape=(m * m, m * m))
+    return (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
+
+
+def test_candidate_is_carried_to_every_level():
+    # As = D^-1/2 K D^-1/2 has the null vector D^1/2 1 = 1/s. When the
+    # tentative prolongators carry it, every coarse matrix inherits a null
+    # vector; the constant candidate leaves them all clearly nonsingular
+    K = _weighted_laplacian(60, 3)
+    As, _, s = _scaled(K, np.ones(K.shape[0]))
+    for candidate, singular in ((1.0 / s, True), (None, False)):
+        M = SAHierarchy(As, candidate=candidate)
+        coarse = [lvl[0] for lvl in M.levels[1:]] + [M.coarse]
+        assert len(coarse) >= 2
+        for C in coarse:
+            ev = np.abs(np.linalg.eigvalsh(C.toarray()))
+            assert (ev.min() < 1e-12 * ev.max()) == singular, (candidate is None, C.shape)
+
+
+def test_coarse_level_is_solved_exactly():
+    # a banded LU at the coarse size; splu where coarsening stops above it
+    # (a diagonal matrix has no strong couplings to aggregate)
+    rng = np.random.default_rng(4)
+    for A in (_poisson(60), sp.diags(rng.uniform(1.0, 2.0, COARSE_SIZE + 100)).tocsr()):
+        M = SAHierarchy(A)
+        v = rng.standard_normal(M.coarse.shape[0])
+        x = M.coarse_solve(v)
+        assert np.linalg.norm(M.coarse @ x - v) <= 1e-12 * np.linalg.norm(v)
+    assert M.levels == [] and M.coarse.shape[0] > COARSE_SIZE
+
+
+def test_given_aggregates_replace_the_first_level_only():
+    A, b, block = _blocked_system("rect", 40, 1e4, "spp")
+    As, _, s = _scaled(A, b)
+    agg, n_coarse = aggregate(As)
+    calls = []
+    M = SAHierarchy(As, block, 1.0 / s, lambda: calls.append(1) or (agg, n_coarse))
+    own = SAHierarchy(As, block, 1.0 / s)
+    assert calls == [1]
+    assert M.levels[0][2].shape == own.levels[0][2].shape == (As.shape[0], n_coarse)
+    with pytest.raises(ValueError):
+        SAHierarchy(As, aggregates=lambda: (agg[1:], n_coarse))
+    # a system at the coarse size never asks for them
+    small, _, _ = _blocked_system("rect", 20, 1e4, "spp")
+    SAHierarchy(small, aggregates=lambda: calls.append(2))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("mesh", ["rect", "tri"])
+@pytest.mark.parametrize("beta_plus", [10.0, 1e4])
+def test_preconditioned_cg_iteration_ceiling(mesh, beta_plus):
+    # Jacobi-CG needs 320-475 iterations on these systems
+    for scheme in ("classic", "spp"):
+        A, b, block = _blocked_system(mesh, 160, beta_plus, scheme)
+        assert A.shape[0] > AMG_CG_DOFS
+        res = cg(A, b, block=block)
+        assert res.converged and res.amg_levels >= 1, scheme
+        assert res.iterations <= 30, (scheme, res.iterations)
+        x_direct = spla.splu(A.tocsc()).solve(b)
+        assert np.linalg.norm(res.x - x_direct) <= 1e-10 * np.linalg.norm(x_direct), scheme
+
+
+def test_small_systems_keep_jacobi_cg():
+    for mesh in ("rect", "tri"):
+        A, b, block = _blocked_system(mesh, 80, 1e4, "spp")
+        assert A.shape[0] <= AMG_CG_DOFS
+        res = cg(A, b, block=block, aggregates=lambda: pytest.fail("no hierarchy is built"))
+        assert res.converged and res.amg_levels == 0
+        assert np.array_equal(res.x, cg(A, b).x)
+    assert bicgstab(*_reduced_system("rect", 20, 1e4, "npp")).amg_levels == 1
+
+
+def test_cg_preconditioner_is_symmetric_and_positive():
+    A, b, block = _blocked_system("rect", 80, 1e4, "spp")
+    As, _, s = _scaled(A, b)
+    M = SAHierarchy(As, block, 1.0 / s)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        u, v = rng.standard_normal((2, As.shape[0]))
+        Mu, Mv = M(u), M(v)
+        assert abs(u @ Mv - v @ Mu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(Mv)
+        assert u @ Mu > 0
+
+
+def test_preconditioned_cg_iterations_grow_slowly_with_N():
+    # Jacobi-CG takes 361 and 730 iterations here
+    def solve(N):
+        A, b, block = _blocked_system("rect", N, 1e4, "spp")
+        return cg(A, b, block=block)
+
+    coarse, fine = solve(160), solve(320)
+    assert coarse.converged and fine.converged
+    assert fine.iterations <= 1.5 * coarse.iterations, (coarse.iterations, fine.iterations)

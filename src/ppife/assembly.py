@@ -23,7 +23,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .geometry import _SWEEP_POINTS, RECT, SIDE_MINUS
+from .geometry import _CORNERS, _SWEEP_POINTS, RECT, SIDE_MINUS
 from .local_basis import (cut_frame, cut_gradients, cut_values, piece_gradients, piece_values,
                           template_coefs, template_gradients, template_values)
 from .quadrature import (_collapsed_triangle_rule, fan_rule, map_segment, rect_rule,
@@ -71,26 +71,6 @@ class MethodParams:
 # volume terms
 # ---------------------------------------------------------------------------
 
-def _q1_ref_stiffness():
-    rule = rect_rule(2)
-    G = template_gradients("rect", rule.points)  # scaled gradients on [0,1]^2
-    return np.einsum("q,iqa,jqa->ij", rule.weights, G, G)
-
-
-_S_Q1 = _q1_ref_stiffness()
-
-
-def _p1_stiffness_batch(verts, coef):
-    """Local P1 stiffness matrices for a batch of triangles, (ne, 3, 3)."""
-    x = verts[:, :, 0]
-    y = verts[:, :, 1]
-    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
-    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
-    area2 = x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]  # 2*area (CCW > 0)
-    scale = coef / (2.0 * area2)
-    return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * scale[:, None, None]
-
-
 def cut_volume_matrices(cuts, beta_minus, beta_plus, degree=VOLUME_DEGREE):
     """Stiffness matrices (K, d, d) of the cut elements: each chord side's
     sub-polygon with its piece and its beta."""
@@ -104,23 +84,44 @@ def cut_volume_matrices(cuts, beta_minus, beta_plus, degree=VOLUME_DEGREE):
 
 
 def assemble_volume(mesh, status, cuts, beta_minus, beta_plus):
-    """Stiffness matrix sum_K int_K beta grad(phi_i) . grad(phi_j), CSR."""
-    n = mesh.n_nodes
-    d = mesh.n_local
-    bulk = np.flatnonzero(status != 0)
-    coef = np.where(status == SIDE_MINUS, beta_minus, beta_plus)[bulk]
-    if mesh.cell_kind == RECT:
-        blocks = coef[:, None, None] * _S_Q1[None, :, :]
-    else:
-        blocks = _p1_stiffness_batch(mesh.nodes[mesh.elements[bulk]], coef)
-    conn = mesh.elements[np.concatenate([bulk, cuts.ids])]
-    data = np.concatenate([blocks, cut_volume_matrices(cuts, beta_minus, beta_plus)])
-    A = sp.coo_matrix((data.ravel(), (np.repeat(conn, d, axis=1).ravel(),
-                                      np.tile(conn, (1, d)).ravel())), shape=(n, n)).tocsr()
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    A.sort_indices()
-    return A
+    """Stiffness matrix sum_K int_K beta grad(phi_i) . grad(phi_j), CSR.
+
+    Each row is a 9-point (rectangles) or 7-point (triangles) stencil over
+    the node's neighbours. Shifted array adds fill it with beta times the
+    unit stiffness matrix of each standard element's cell variant, which in
+    2D does not depend on h, and the cut elements' matrices are added after.
+    Each entry sums the standard elements in ascending element order, then
+    the cut ones in ascending order."""
+    n, d, nn = mesh.n_cells, mesh.n_local, mesh.n_nodes
+    corners = _CORNERS[mesh.cell_kind]
+    nvar = len(corners)
+    unit = []                                     # per variant, (d, d)
+    for name, pts, w in bulk_rules(mesh, 2).values():
+        G = template_gradients(name, pts)
+        unit.append(np.einsum("q,iqa,jqa->ij", w, G, G))
+    # node-index offset from local vertex l to m, and its stencil slot
+    gap = (corners[:, None, :] - corners[:, :, None]) @ [1, n + 1]   # (nvar, d, d)
+    offsets = np.unique(gap)
+    slot = np.searchsorted(offsets, gap)
+    coef = np.array([beta_minus, 0.0, beta_plus])[status + 1].reshape(n, n, nvar)  # 0 if cut
+    acc = np.zeros((len(offsets), n + 1, n + 1))
+    # node (i, j) is vertex l of the element in cell (i, j) - corner l, so
+    # (-dj, -di, variant) ascending is ascending element id
+    for v, l, m in sorted(np.ndindex(nvar, d, d),
+                          key=lambda t: (-corners[t[0], t[1], 1], -corners[t[0], t[1], 0], t[0])):
+        di, dj = corners[v, l]
+        acc[slot[v, l, m], dj:dj + n, di:di + n] += coef[..., v] * unit[v][l, m]
+    conn = mesh.elements[cuts.ids]
+    np.add.at(acc.reshape(-1), (slot[cuts.ids % nvar] * nn + conn[:, :, None]).ravel(),
+              cut_volume_matrices(cuts, beta_minus, beta_plus).ravel())
+
+    acc = acc.reshape(len(offsets), nn).T                            # (node, slot)
+    keep = acc != 0
+    idx = np.int32 if nn * len(offsets) < 2 ** 31 else np.int64
+    indptr = np.zeros(nn + 1, dtype=idx)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    cols = (np.arange(nn, dtype=idx)[:, None] + offsets.astype(idx))[keep]
+    return sp.csr_matrix((acc[keep], cols, indptr), shape=(nn, nn))
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +155,9 @@ def edge_traces(mesh, edges, status, cuts, beta_minus, beta_plus,
     two stacks; `values=False` skips the values.
     """
     B = len(edges)
-    a = mesh.nodes[mesh.edge_nodes[edges, 0]]
-    d = mesh.nodes[mesh.edge_nodes[edges, 1]] - a
+    ends = mesh.edge_nodes(edges)
+    a = mesh.nodes[ends[:, 0]]
+    d = mesh.nodes[ends[:, 1]] - a
     # the chord end of an adjacent cut that lies inside the edge, if any
     hit = np.isin(cuts.cut_edges, edges)
     split = np.full((B, 2), np.nan)
@@ -172,7 +174,7 @@ def edge_traces(mesh, edges, status, cuts, beta_minus, beta_plus,
 
     row_of = np.full(mesh.n_elements, -1)
     row_of[cuts.ids] = np.arange(len(cuts))
-    els = mesh.edge_elements[edges]
+    els = mesh.edge_elements(edges)
     V = np.empty((B, 2, nv, nq)) if values else None
     G = np.empty((B, 2, nv, nq, 2))
     beta = np.empty((B, 2, nq))
@@ -204,7 +206,7 @@ def edge_term_matrices(mesh, traces, alpha):
     extra = c1[~(c1[:, :, None] == c0[:, None, :]).any(axis=2)].reshape(B, nv - 2)
     dofs = np.concatenate([c0, extra], axis=1)
     loc1 = np.argmax(c1[:, :, None] == dofs[:, None, :], axis=2)
-    nB = mesh.edge_normals[traces.edges]
+    nB = mesh.edge_normals(traces.edges)
     flux_side = 0.5 * (traces.beta[:, :, None, :]
                        * np.einsum("bsdqa,ba->bsdq", traces.gradients, nB))
     w = traces.weights
@@ -216,7 +218,7 @@ def edge_term_matrices(mesh, traces, alpha):
     jump[rows, loc1] += -traces.values[:, 1]
     flux[rows, loc1] += flux_side[:, 1]
     M = np.einsum("bq,biq,bjq->bij", w, jump, flux)
-    P = (1.0 / mesh.edge_lengths[traces.edges] ** alpha)[:, None, None] * np.einsum(
+    P = (1.0 / mesh.edge_lengths(traces.edges) ** alpha)[:, None, None] * np.einsum(
         "bq,biq,bjq->bij", w, jump, jump)
     return dofs, M, P
 
@@ -301,10 +303,22 @@ def bulk_blocks(mesh, ids, spts):
         yield slice(lo, lo + rows), origin[:, :1] + hx, origin[:, 1:] + hy
 
 
+def cut_data_rules(cuts, iface, degree=DATA_DEGREE, refine=DATA_REFINE):
+    """The refined fan rules of the load and the error norms over the cut
+    elements: per chord side (minus, plus) the points (K, n, 2), the weights
+    (K, n) and whether phi < 0 at each point. A context builds them once."""
+    rules = []
+    for poly in (cuts.poly_minus, cuts.poly_plus):
+        pts, wts = fan_rule(poly, degree, refine)
+        rules.append((pts, wts, np.asarray(iface.phi(pts[..., 0], pts[..., 1])) < 0))
+    return rules
+
+
 def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
-                  refine=DATA_REFINE):
+                  refine=DATA_REFINE, rules=None):
     """Load vector b_i = sum_K int_K f phi_i with the data-side of f chosen by
-    the exact level set at each quadrature point."""
+    the exact level set at each quadrature point. `rules` are the
+    `cut_data_rules` of `cuts`, made here when not given."""
     b = np.zeros(mesh.n_nodes)
     h = mesh.h
     for (name, spts, swts), chunk in bulk_chunks(mesh, status, bulk_rules(mesh, degree)):
@@ -318,10 +332,8 @@ def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
     if len(cuts):
         rows = np.arange(len(cuts))
         acc = np.zeros(cuts.cm.shape[:2])
-        for poly in (cuts.poly_minus, cuts.poly_plus):
-            pts, wts = fan_rule(poly, degree, refine)
-            x, y = pts[..., 0], pts[..., 1]
-            f = solution.f(x, y, np.asarray(iface.phi(x, y)) < 0)
+        for pts, wts, minus in rules or cut_data_rules(cuts, iface, degree, refine):
+            f = solution.f(pts[..., 0], pts[..., 1], minus)
             xi, plus = cut_frame(cuts, rows, pts)
             acc += (cut_values(cuts, rows, xi, plus) @ (f * wts)[..., None])[..., 0]
         np.add.at(b, mesh.elements[cuts.ids], acc)

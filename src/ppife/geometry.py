@@ -54,100 +54,57 @@ class DomainSpec:
         return (self.xmax - self.xmin) / self.n
 
 
-class CartesianMesh:
-    """Structured mesh with full edge/element adjacency.
+# (di, dj) of each local vertex from its cell's lower-left node, per element
+# variant, counterclockwise: the rectangle; the triangles below and above the
+# lower-left -> upper-right diagonal
+_CORNERS = {RECT: np.array([[[0, 0], [1, 0], [1, 1], [0, 1]]]),
+            TRI: np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])}
 
-    Attributes
-    ----------
-    nodes : (n_nodes, 2) vertex coordinates
-    elements : (n_elem, 3|4) vertex indices, counterclockwise
-    edge_nodes : (n_edge, 2) endpoint indices, lexicographically ordered
-    edge_elements : (n_edge, 2) adjacent elements, [lower, higher]; -1 if boundary
-    element_edges : (n_elem, 3|4) edge index per local edge
-    edge_normals : (n_edge, 2) unit normal, oriented from the lower-index
-        adjacent element toward the higher-index one (outward on the boundary)
+
+class CartesianMesh:
+    """Structured mesh; its edges are index arithmetic on the grid.
+
+    Node (i, j) is j (n + 1) + i, and cell (i, j) holds elements
+    (j n + i) v + variant, v = 1 or 2 (the lower and upper triangle). Edges
+    are numbered in the lexicographic order of their node pairs: node a has
+    edges to a + 1, a + n + 1 and, on triangles, a + n + 2. The edge queries
+    compute endpoints, neighbours, normals and lengths only for the ids asked.
+
+    nodes (n_nodes, 2); elements (n_elem, 3|4), counterclockwise;
+    element_variant (int8, 1 for upper triangles); element_origins
+    (n_elem, 2) and element_h (n_elem,), the lower-left corner and extent of
+    each cell, the frame of scaled local coordinates (the extent can differ
+    from h in the last bit); boundary_nodes and interior_nodes, ascending.
     """
 
     def __init__(self, spec: DomainSpec):
         self.spec = spec
         self.cell_kind = spec.cell_kind
-        self.n_cells = spec.n
+        self.n_cells = n = spec.n
         self.h = spec.h
-        n = spec.n
         xs = np.linspace(spec.xmin, spec.xmax, n + 1)
         ys = np.linspace(spec.ymin, spec.ymax, n + 1)
         X, Y = np.meshgrid(xs, ys, indexing="xy")
         self.nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-        def vid(i, j):
-            return j * (n + 1) + i
-
-        I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-        i = I.ravel()
-        j = J.ravel()
-        v00, v10 = vid(i, j), vid(i + 1, j)
-        v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-        if spec.cell_kind == RECT:
-            self.elements = np.column_stack([v00, v10, v11, v01])
-            self.element_variant = np.zeros(n * n, dtype=np.int8)
-        else:
-            lower = np.column_stack([v00, v10, v11])
-            upper = np.column_stack([v00, v11, v01])
-            self.elements = np.empty((2 * n * n, 3), dtype=int)
-            self.elements[0::2] = lower
-            self.elements[1::2] = upper
-            self.element_variant = np.tile(np.array([0, 1], dtype=np.int8), n * n)
-
         self.n_nodes = len(self.nodes)
+
+        corners = _CORNERS[spec.cell_kind]
+        self._nvar = nvar = len(corners)
+        cell_node = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+        self.elements = (cell_node[:, None, None] + corners @ [1, n + 1]).reshape(n * n * nvar, -1)
         self.n_elements = len(self.elements)
-        d = self.elements.shape[1]
-        a, b = self.elements, np.roll(self.elements, -1, axis=1)   # local edge i: V_i -> V_i+1
-        # a 1-D key keeps the lexicographic order of the node pairs
-        keys, inverse = np.unique((np.minimum(a, b) * self.n_nodes + np.maximum(a, b)).ravel(),
-                                  return_inverse=True)
-        self.edge_nodes = np.column_stack(np.divmod(keys, self.n_nodes))
-        self.element_edges = inverse.reshape(self.n_elements, d)
-        self.n_edges = len(self.edge_nodes)
+        self.element_variant = np.tile(np.arange(nvar, dtype=np.int8), n * n)
+        self.element_origins = np.repeat(self.nodes[cell_node], nvar, axis=0)
+        self.element_h = np.repeat(np.maximum(np.diff(xs), np.diff(ys)[:, None]).ravel(), nvar)
 
-        elem_rep = np.repeat(np.arange(self.n_elements), d)
-        flat = self.element_edges.ravel()
-        lo = np.full(self.n_edges, self.n_elements, dtype=int)
-        hi = np.full(self.n_edges, -1, dtype=int)
-        np.minimum.at(lo, flat, elem_rep)
-        np.maximum.at(hi, flat, elem_rep)
-        count = np.bincount(flat, minlength=self.n_edges)
-        if count.max() > 2 or count.min() < 1:
-            raise GeometryError("broken edge adjacency")
-        self.edge_elements = np.column_stack([lo, np.where(count == 2, hi, -1)])
+        # edges per row of nodes below the top
+        self._row = (nvar + 1) * n + 1
+        self.n_edges = n * self._row + n
 
-        # vertex coordinates per component, (d, n_elem), one contiguous row
-        # per local vertex; a mean over the rows adds them in vertex order
-        vx, vy = X.ravel()[self.elements.T], Y.ravel()[self.elements.T]
-        self.centroids = np.column_stack([vx.mean(axis=0), vy.mean(axis=0)])
-        # cell origin (lower-left node, the first vertex) and extent per
-        # element, the frame of scaled local coordinates; the extent can
-        # differ from h in the last bit
-        self.element_origins = np.column_stack([vx[0], vy[0]])
-        self.element_h = np.maximum(vx.max(axis=0) - vx[0], vy.max(axis=0) - vy[0])
-
-        ea = self.nodes[self.edge_nodes[:, 0]]
-        eb = self.nodes[self.edge_nodes[:, 1]]
-        t = eb - ea
-        self.edge_lengths = np.linalg.norm(t, axis=1)
-        nrm = np.column_stack([t[:, 1], -t[:, 0]]) / self.edge_lengths[:, None]
-        mid = 0.5 * (ea + eb)
-        interior = self.edge_elements[:, 1] >= 0
-        ref = np.where(interior[:, None],
-                       self.centroids[self.edge_elements[:, 1]] - self.centroids[self.edge_elements[:, 0]],
-                       mid - self.centroids[self.edge_elements[:, 0]])
-        flip = np.einsum("ij,ij->i", nrm, ref) < 0
-        nrm[flip] *= -1
-        self.edge_normals = nrm
-
-        bmask = np.zeros(self.n_nodes, dtype=bool)
-        bmask[self.edge_nodes[~interior].ravel()] = True
-        self.boundary_nodes = np.flatnonzero(bmask)
-        self.interior_nodes = np.flatnonzero(~bmask)
+        on = np.zeros((n + 1, n + 1), dtype=bool)
+        on[[0, -1]] = on[:, [0, -1]] = True
+        self.boundary_nodes = np.flatnonzero(on)
+        self.interior_nodes = np.flatnonzero(~on)
 
     @property
     def n_local(self):
@@ -155,6 +112,77 @@ class CartesianMesh:
 
     def element_vertices(self, e):
         return self.nodes[self.elements[e]]
+
+    def element_centroids(self, ids):
+        """(len, 2) vertex means of the elements `ids` (indices or a slice),
+        added in vertex order."""
+        return self.nodes[self.elements[ids].T].mean(axis=0)
+
+    def _edge_origins(self, ids):
+        """Lower node (i, j) and direction k (0 right, 1 up, 2 up-right) of
+        the edges `ids`. Below the top row a node has nvar + 1 edges, in the
+        order of k, and a row ends with an up edge; the top row has right
+        edges only."""
+        n = self.n_cells
+        j, r = np.divmod(np.asarray(ids), self._row)
+        i, k = np.divmod(r, self._nvar + 1)
+        top = j == n
+        return np.where(top, r, i), j, np.where(top, 0, k + (i == n))
+
+    def edge_nodes(self, ids):
+        """(len, 2) endpoints of the edges `ids`, the lower node first."""
+        i, j, k = self._edge_origins(ids)
+        a = j * (self.n_cells + 1) + i
+        return np.stack([a, a + np.array([1, self.n_cells + 1, self.n_cells + 2])[k]], axis=-1)
+
+    def element_edges(self, ids):
+        """(len, d) edge of each local edge V_i -> V_i+1 of the elements `ids`."""
+        n = self.n_cells
+        conn = self.elements[ids]
+        a = np.minimum(conn, np.roll(conn, -1, axis=1))
+        gap = np.maximum(conn, np.roll(conn, -1, axis=1)) - a
+        j, i = np.divmod(a, n + 1)
+        k = np.searchsorted([1, n + 1], gap)           # gap 1, n + 1, n + 2
+        return np.where(j < n, j * self._row + (self._nvar + 1) * i + k - (i == n),
+                        n * self._row + i)
+
+    def _edge_sides(self, ids):
+        """The elements before (lower id) and after the edges `ids`, -1 off
+        the mesh, and the edges' directions. The one after lies in the cell
+        of the edge's lower node (i, j), the upper triangle unless k = 0; the
+        one before in the cell below (k = 0, upper triangle), to the left
+        (k = 1, lower) or the same cell (k = 2, lower)."""
+        n, tri = self.n_cells, self._nvar - 1
+        i, j, k = self._edge_origins(ids)
+        bi, bj = i - (k == 1), j - (k == 0)
+        return np.column_stack([
+            np.where((bi >= 0) & (bj >= 0), (bj * n + bi) * self._nvar + tri * (k == 0), -1),
+            np.where((i < n) & (j < n), (j * n + i) * self._nvar + tri * (k > 0), -1)]), k
+
+    def edge_elements(self, ids):
+        """(len, 2) elements beside the edges `ids`, the lower id first; -1
+        in the second column for a boundary edge."""
+        el = self._edge_sides(ids)[0]
+        return np.where(el[:, :1] >= 0, el, el[:, ::-1])
+
+    def _edge_vectors(self, ids):
+        ends = self.edge_nodes(ids)
+        return self.nodes[ends[:, 1]] - self.nodes[ends[:, 0]]
+
+    def edge_lengths(self, ids):
+        """Lengths of the edges `ids`."""
+        return np.linalg.norm(self._edge_vectors(ids), axis=1)
+
+    def edge_normals(self, ids):
+        """(len, 2) unit normals of the edges `ids`, from the lower-index
+        element toward the higher one (outward on the boundary)."""
+        t = self._edge_vectors(ids)
+        nrm = np.column_stack([t[:, 1], -t[:, 0]]) / np.linalg.norm(t, axis=1)[:, None]
+        # (t_y, -t_x) points from the element after an edge toward the one
+        # before, except on up edges
+        el, k = self._edge_sides(ids)
+        nrm[(el[:, 0] >= 0) != (k == 1)] *= -1
+        return nrm
 
 
 def build_mesh(spec: DomainSpec) -> CartesianMesh:
@@ -164,12 +192,13 @@ def build_mesh(spec: DomainSpec) -> CartesianMesh:
 
 def dump_mesh(mesh: CartesianMesh, path):
     """Plain-text dump: one `node|elem|edge` record per line, space-separated."""
+    ids = np.arange(mesh.n_edges)
     with open(path, "w") as f:
         for i, (x, y) in enumerate(mesh.nodes):
             f.write(f"node {i} {x:.17g} {y:.17g}\n")
         for i, conn in enumerate(mesh.elements):
             f.write("elem " + str(i) + " " + " ".join(str(v) for v in conn) + "\n")
-        for i, ((a, b), (l, r)) in enumerate(zip(mesh.edge_nodes, mesh.edge_elements)):
+        for i, ((a, b), (l, r)) in enumerate(zip(mesh.edge_nodes(ids), mesh.edge_elements(ids))):
             f.write(f"edge {i} {a} {b} {l} {r}\n")
 
 
@@ -258,12 +287,14 @@ def _snapped_sign(vals, tol):
 
 def _edge_signs(p0, p1, iface, tol):
     """phi at the samples of each segment p0[i] -> p1[i], and its sign with
-    |phi| < tol snapped to 0; both of shape (n, 17)."""
-    ts = _EDGE_SAMPLES
-    x = p0[:, 0, None] + ts * (p1[:, 0] - p0[:, 0])[:, None]
-    y = p0[:, 1, None] + ts * (p1[:, 1] - p0[:, 1])[:, None]
+    |phi| < tol snapped to 0; both of shape (n, 17), transposed views of
+    sample-major arrays, so that a reduction over each segment's samples
+    runs along contiguous rows."""
+    ts = _EDGE_SAMPLES[:, None]
+    x = p0[:, 0] + ts * (p1[:, 0] - p0[:, 0])
+    y = p0[:, 1] + ts * (p1[:, 1] - p0[:, 1])
     vals = np.asarray(iface.phi(x, y), float)
-    return vals, _snapped_sign(vals, tol)
+    return vals.T, _snapped_sign(vals, tol).T
 
 
 def _sign_flips(signs):
@@ -428,11 +459,10 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     node_sign = _snapped_sign(node_phi, tol)
 
     # audit every edge for hidden double crossings; collect the crossed ones
-    ea = mesh.nodes[mesh.edge_nodes[:, 0]]
-    eb = mesh.nodes[mesh.edge_nodes[:, 1]]
     solve = []
     for lo in range(0, mesh.n_edges, _AUDIT_ROWS):
-        _, s = _edge_signs(ea[lo:lo + _AUDIT_ROWS], eb[lo:lo + _AUDIT_ROWS], iface, tol)
+        ends = mesh.edge_nodes(np.arange(lo, min(lo + _AUDIT_ROWS, mesh.n_edges)))
+        _, s = _edge_signs(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, tol)
         # all but the rows of one strict sign throughout
         rows = np.flatnonzero((s.min(axis=1) <= 0) & (s.max(axis=1) >= 0))
         flips = _sign_flips(s[rows])
@@ -443,30 +473,39 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
         first, last = _outer_signs(s[rows])
         solve.append(lo + rows[first * last < 0])
     solve = np.concatenate(solve)
-    hit, points = edge_crossings(ea[solve], eb[solve], iface, h)
-    crossing = np.full((mesh.n_edges, 2), np.nan)
-    crossing[solve[hit]] = points[hit]
+    ends = mesh.edge_nodes(solve)
+    hit, points = edge_crossings(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, h)
+    crossed = solve[hit]
 
-    cent_phi = np.asarray(iface.phi(mesh.centroids[:, 0], mesh.centroids[:, 1]), float)
-    status = np.where(cent_phi > 0, SIDE_PLUS, SIDE_MINUS).astype(np.int8)
+    # side of phi at the centroid, in blocks of _SWEEP_POINTS vertex coordinates
+    status = np.empty(mesh.n_elements, dtype=np.int8)
+    rows = _SWEEP_POINTS // (2 * mesh.n_local)
+    for lo in range(0, mesh.n_elements, rows):
+        c = mesh.element_centroids(slice(lo, lo + rows))
+        status[lo:lo + rows] = np.where(np.asarray(iface.phi(c[:, 0], c[:, 1]), float) > 0,
+                                        SIDE_PLUS, SIDE_MINUS)
 
     touched = (node_sign[mesh.elements] == 0).any(axis=1)
-    adj = mesh.edge_elements[solve[hit]].ravel()
+    adj = mesh.edge_elements(crossed).ravel()
     touched[adj[adj >= 0]] = True
-    cuts = _cut_set(mesh, iface, np.flatnonzero(touched), crossing, node_sign, tol)
+    cuts = _cut_set(mesh, iface, np.flatnonzero(touched), crossed, points[hit], node_sign, tol)
     status[cuts.ids] = INTERFACE
     return status, cuts
 
 
-def _cut_set(mesh, iface, ids, crossing, node_sign, tol):
-    """CutSet of the touched elements `ids` whose cut is not degenerate."""
+def _cut_set(mesh, iface, ids, crossed, points, node_sign, tol):
+    """CutSet of the touched elements `ids` whose cut is not degenerate;
+    `points` are the crossings of the edges `crossed` (ascending)."""
     h = mesh.h
     K, nv = len(ids), mesh.n_local
     rows = np.arange(K)
     conn = mesh.elements[ids]
     verts = mesh.nodes[conn]
-    edges = mesh.element_edges[ids]
-    strict = ~np.isnan(crossing[edges, 0])
+    edges = mesh.element_edges(ids)
+    # each local edge's crossing; a NaN row appended to the points where none
+    at = np.searchsorted(crossed, edges)
+    strict = np.append(crossed, -1)[at] == edges
+    crossing = np.append(points, [[np.nan, np.nan]], axis=0)[np.where(strict, at, -1)]
     n_strict = strict.sum(axis=1)
     err = np.where(n_strict > 2, 1, 0)
 
@@ -475,7 +514,7 @@ def _cut_set(mesh, iface, ids, crossing, node_sign, tol):
     # farthest pair when grazing vertices add to fewer than two crossings.
     valid = np.concatenate([strict, node_sign[conn] == 0], axis=1)
     order = np.argsort(~valid, axis=1, kind="stable")
-    pts = np.take_along_axis(np.concatenate([crossing[edges], verts], axis=1),
+    pts = np.take_along_axis(np.concatenate([crossing, verts], axis=1),
                              order[..., None], axis=1)
     edge_of = np.take_along_axis(np.concatenate([edges, np.full((K, nv), -1)], axis=1),
                                  order, axis=1)
@@ -553,7 +592,7 @@ def _cut_set(mesh, iface, ids, crossing, node_sign, tol):
     opposite = np.zeros(len(k), dtype=bool)
     if mesh.cell_kind == RECT:
         eD, eE = cut_edges[k, 0], cut_edges[k, 1]
-        ends_D, ends_E = mesh.edge_nodes[eD], mesh.edge_nodes[eE]
+        ends_D, ends_E = mesh.edge_nodes(eD), mesh.edge_nodes(eE)
         shared = (ends_D[:, :, None] == ends_E[:, None, :]).any(axis=(1, 2))
         opposite = np.where((eD >= 0) & (eE >= 0), ~shared, (na[k] == 4) & (nb[k] == 4))
     plus = a_plus[k]
@@ -567,5 +606,5 @@ def _cut_set(mesh, iface, ids, crossing, node_sign, tol):
 def interface_edges(mesh: CartesianMesh, cuts: CutSet) -> np.ndarray:
     """Ids of the interface edges, ascending: the interior edges of the cut
     elements of `cuts`, the edges that carry the stabilization terms."""
-    edges = np.unique(mesh.element_edges[cuts.ids])
-    return edges[mesh.edge_elements[edges, 1] >= 0]
+    edges = np.unique(mesh.element_edges(cuts.ids))
+    return edges[mesh.edge_elements(edges)[:, 1] >= 0]

@@ -227,6 +227,7 @@ class CaseContext:
     M: object
     P_unit: object
     traces: object       # assembly.EdgeTraces of the interface edges
+    rules: list          # assembly.cut_data_rules of the cut elements
     b: np.ndarray
     _aggregates: Optional[tuple] = field(default=None, repr=False)
 
@@ -255,8 +256,9 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
     M, P_unit, traces = assembly.assemble_edge_terms(
         mesh, interface_edges(mesh, cuts), status, cuts, config.beta_minus, config.beta_plus,
         config.penalty_alpha)
-    b = assembly.assemble_load(mesh, status, cuts, sol, iface)
-    return CaseContext(N, mesh, iface, sol, status, cuts, A_vol, M, P_unit, traces, b)
+    rules = assembly.cut_data_rules(cuts, iface)
+    b = assembly.assemble_load(mesh, status, cuts, sol, iface, rules=rules)
+    return CaseContext(N, mesh, iface, sol, status, cuts, A_vol, M, P_unit, traces, rules, b)
 
 
 def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
@@ -290,7 +292,7 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     coeffs = system.expand(res.x)
 
     err = error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,
-                      ctx.traces, params)
+                      ctx.traces, params, rules=ctx.rules)
     rec = RunRecord(
         scheme=scheme, mesh_kind=config.mesh, N=ctx.N, h=ctx.mesh.h,
         beta_minus=config.beta_minus, beta_plus=config.beta_plus,

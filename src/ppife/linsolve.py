@@ -141,10 +141,24 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     return _finish(A, b, bnorm, best[1], s, max_iter, tol_rel, M=M)
 
 
-def _neighbour_max(G, v):
-    """Per node, the max of v over its neighbours in the graph G (CSR, every
-    row holding its diagonal, so no row is empty)."""
-    return np.maximum.reduceat(v[G.indices], G.indptr[:-1])
+def _neighbour_table(G):
+    """The neighbours of each node of the graph G (CSR, every row holding
+    its diagonal) as a column of a (largest row length, n) table, each
+    column padded with the node itself."""
+    n = G.shape[0]
+    counts = np.diff(G.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    T = np.tile(np.arange(n), (counts.max(initial=1), 1))
+    T[np.arange(len(rows)) - G.indptr[rows], rows] = G.indices
+    return T
+
+
+def _neighbour_max(T, v):
+    """Per node, the max of v over its neighbours in the `_neighbour_table` T."""
+    out = v[T[0]]
+    for col in T[1:]:
+        np.maximum(out, v[col], out=out)
+    return out
 
 
 def _strength_graph(S, theta):
@@ -169,20 +183,21 @@ def _aggregate(G, coupled, rng):
     then joins the aggregate of a neighbour, first at distance 1 and then at
     distance 2."""
     n = G.shape[0]
+    T = _neighbour_table(G)
     priority = rng.permutation(n).astype(np.int64)
     state = np.where(coupled, 1, 0)          # 2 root, 1 undecided, 0 out
     while (state == 1).any():
         key = state * n + priority
-        top = _neighbour_max(G, _neighbour_max(G, key))
+        top = _neighbour_max(T, _neighbour_max(T, key))
         state[(state == 1) & (top == key)] = 2
         key = state * n + priority
-        top = _neighbour_max(G, _neighbour_max(G, key))
+        top = _neighbour_max(T, _neighbour_max(T, key))
         state[(state == 1) & (top >= 2 * n)] = 0
     roots = np.flatnonzero(state == 2)
     agg = np.full(n, -1, dtype=np.int64)
     agg[roots] = np.arange(len(roots))
     for _ in range(2):
-        near = _neighbour_max(G, agg)
+        near = _neighbour_max(T, agg)
         join = (agg < 0) & (near >= 0)
         agg[join] = near[join]
     return agg, len(roots)

@@ -6,11 +6,11 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import DATA_DEGREE, DATA_REFINE, bulk_blocks, bulk_chunks, bulk_rules
+from .assembly import (DATA_DEGREE, DATA_REFINE, bulk_blocks, bulk_chunks, bulk_rules,
+                       cut_data_rules)
 from .geometry import RECT
 from .local_basis import (cut_frame, cut_values, piece_gradients, piece_values,
                           template_gradients, template_values)
-from .quadrature import fan_rule
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,16 @@ def interpolate_nodal(mesh, sol, iface):
 # ---------------------------------------------------------------------------
 
 def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params,
-                degree=DATA_DEGREE, refine=DATA_REFINE):
+                degree=DATA_DEGREE, refine=DATA_REFINE, rules=None):
     """Errors of u_h against the exact solution, keyed like `_NORM_KEYS`.
 
     'l2' is ||u - u_h||_L2, 'h1' the broken H1 seminorm, 'linf' the sampled
     max error and 'energy' ||u - u_h||_h: the beta-weighted broken H1 seminorm
     plus the penalty jump terms. The exact solution is continuous across
     edges, so the edge jumps of the error reduce to the jumps of u_h, taken
-    on the interface-edge `traces` that `assembly.edge_traces` returns.
+    on the interface-edge `traces` that `assembly.edge_traces` returns, and
+    the cut elements' integrals on their `assembly.cut_data_rules`, made here
+    when `rules` is not given.
 
     One sweep over the standard elements and one stacked rule per chord side
     over the sub-polygons of all cut elements fill the three squared sums;
@@ -135,13 +137,14 @@ def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params,
     sums = _bulk_sums(mesh, status, coeffs, sol, iface, beta, degree)
     if len(cuts):
         # sequential sums keep the order of an element-by-element walk
-        parts = _cut_sums(mesh, cuts, coeffs, sol, iface, beta, degree, refine)
+        parts = _cut_sums(mesh, cuts, coeffs, sol, beta,
+                          rules or cut_data_rules(cuts, iface, degree, refine))
         sums = sums + np.cumsum(parts.reshape(-1, 3), axis=0)[-1]
     l2, h1, energy = sums
     if params.sigma0 != 0.0:
         u = coeffs[mesh.elements[traces.elements]][:, :, None] @ traces.values   # (B, 2, 1, nq)
         jumps = np.vecdot(traces.weights, (u[:, 0, 0] - u[:, 1, 0]) ** 2)
-        scale = params.sigma0 / mesh.edge_lengths[traces.edges] ** params.alpha
+        scale = params.sigma0 / mesh.edge_lengths(traces.edges) ** params.alpha
         energy = np.cumsum(np.concatenate([[energy], scale * jumps]))[-1]
     return {"l2": float(np.sqrt(l2)), "h1": float(np.sqrt(h1)),
             "linf": _linf_error(mesh, status, cuts, coeffs, sol, iface),
@@ -172,17 +175,15 @@ def _bulk_sums(mesh, status, coeffs, sol, iface, beta, degree):
     return sums
 
 
-def _cut_sums(mesh, cuts, coeffs, sol, iface, beta, degree, refine):
-    """The same sums per cut element and chord side, (K, 2, 3), from one
-    refined fan rule per side over all cut elements."""
+def _cut_sums(mesh, cuts, coeffs, sol, beta, rules):
+    """The same sums per cut element and chord side, (K, 2, 3), from the
+    refined fan rule of each side over all cut elements."""
     ce = coeffs[mesh.elements[cuts.ids]][:, None]          # (K, 1, d)
     out = np.zeros((len(cuts), 2, 3))
-    for s, (poly, c, b, grad) in enumerate(((cuts.poly_minus, cuts.cm, beta[0], sol.grad_minus),
-                                            (cuts.poly_plus, cuts.cp, beta[1], sol.grad_plus))):
-        pts, wts = fan_rule(poly, degree, refine)
+    for s, ((pts, wts, minus), c, b, grad) in enumerate(zip(
+            rules, (cuts.cm, cuts.cp), beta, (sol.grad_minus, sol.grad_plus))):
         x, y = pts[..., 0], pts[..., 1]
         xi = (pts - cuts.origin[:, None]) / cuts.h[:, None, None]
-        minus = np.asarray(iface.phi(x, y)) < 0
         diff = sol.u(x, y, minus) - (ce @ piece_values(c, xi))[:, 0]
         gh = np.einsum("kd,kdqa->kqa", ce[:, 0], piece_gradients(c, xi, cuts.h))
         gx, gy = grad(x, y)     # the branch of the piece, whatever the level set says

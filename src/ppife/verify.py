@@ -386,7 +386,7 @@ def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
         tr = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, bm, bp, degree=6,
                          values=False)
         x, y = tr.points[..., 0], tr.points[..., 1]
-        nB = mesh.edge_normals[tr.edges][:, None]
+        nB = mesh.edge_normals(tr.edges)[:, None]
         minus = np.asarray(iface.phi(x, y)) < 0
         bpt = np.where(minus, bm, bp)
         gx, gy = sol.grad(x, y, minus)

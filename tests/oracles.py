@@ -13,22 +13,28 @@ reference cuts and lemma-scan ratios that `local_basis.ife_coefficients` and
 one-rectangle quadrature rules that `quadrature.fan_rule` and the stacked edge
 split replace, the gather-and-reduce mesh frames, edge sign audit and
 both-branch exact-solution selects that the per-component sweeps replace, and
-the dense Cholesky test of the coercivity scan.
+the dense Cholesky test of the coercivity scan, the unstructured mesh
+adjacency (every edge's endpoints, neighbours, normal and length) and the
+element-block COO volume assembly that the closed-form mesh and the stencil
+replace, and the gather-and-reduce neighbour maxima of the AMG aggregation.
 """
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from ppife.assembly import DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_rules
+from ppife.assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_rules,
+                            cut_volume_matrices)
 from ppife.errors import GeometryError, MultipleCrossings, PpifeError, SingularLocalSystem
-from ppife.geometry import INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI, CutSet, edge_crossings
+from ppife.geometry import (INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI, CutSet, DomainSpec,
+                            edge_crossings)
 from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_bases,
                                phys_coefficients, piece_gradients, template_gradients,
                                template_values)
 from ppife.quadrature import (QuadratureRule, _collapsed_triangle_rule, fan_rule, map_segment,
-                              map_triangle, polygon_area, segment_rule)
+                              map_triangle, polygon_area, rect_rule, segment_rule)
 from ppife.verify import _cut_params
 
 _N_EDGE_SAMPLES = 17
@@ -267,7 +273,8 @@ def classify_one(mesh, iface, k, crossings, node_sign, tol):
     """Cut data of element k, or None when its cut is degenerate."""
     conn = mesh.elements[k]
     verts = mesh.nodes[conn]
-    strict = [(crossings[e], e) for e in mesh.element_edges[k].tolist() if e in crossings]
+    strict = [(crossings[e], e) for e in full_mesh(mesh).element_edges[k].tolist()
+              if e in crossings]
     snapped = [(verts[i].copy(), None) for i in range(len(conn)) if node_sign[conn[i]] == 0]
 
     if len(strict) > 2:
@@ -347,7 +354,8 @@ def classify_one(mesh, iface, k, crossings, node_sign, tol):
     type_tag = None
     if mesh.cell_kind == RECT:
         if eD is not None and eE is not None:
-            shared = set(mesh.edge_nodes[eD]) & set(mesh.edge_nodes[eE])
+            ends = full_mesh(mesh).edge_nodes
+            shared = set(ends[eD]) & set(ends[eE])
             type_tag = "I" if shared else "II"
         else:
             type_tag = "II" if (len(pa), len(pb)) == (4, 4) else "I"
@@ -366,14 +374,15 @@ def classify_cuts(mesh, iface):
     tol = iface.snap_tol * mesh.h
     node_phi = np.asarray(iface.phi(mesh.nodes[:, 0], mesh.nodes[:, 1]), float)
     node_sign = np.where(np.abs(node_phi) < tol, 0, np.sign(node_phi)).astype(np.int8)
-    ends = mesh.edge_nodes
+    full = full_mesh(mesh)
+    ends = full.edge_nodes
     hit, points = edge_crossings(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, mesh.h)
     crossed = np.flatnonzero(hit)
     crossings = dict(zip(crossed.tolist(), points[crossed]))
-    cent_phi = np.asarray(iface.phi(mesh.centroids[:, 0], mesh.centroids[:, 1]), float)
+    cent_phi = np.asarray(iface.phi(full.centroids[:, 0], full.centroids[:, 1]), float)
     status = np.where(cent_phi > 0, SIDE_PLUS, SIDE_MINUS).astype(np.int8)
     touched = (node_sign[mesh.elements] == 0).any(axis=1)
-    adj = mesh.edge_elements[crossed].ravel()
+    adj = full.edge_elements[crossed].ravel()
     touched[adj[adj >= 0]] = True
     cuts = {}
     for k in np.flatnonzero(touched).tolist():
@@ -403,10 +412,10 @@ def classify_edges(mesh, status):
     interface (penalties on the extra edges are harmless because the traces
     there agree identically).
     """
+    adj = full_mesh(mesh).edge_elements
     labels = np.full(mesh.n_edges, EDGE_INTERIOR, dtype=np.int8)
-    labels[mesh.edge_elements[:, 1] < 0] = EDGE_BOUNDARY
+    labels[adj[:, 1] < 0] = EDGE_BOUNDARY
     iface_elems = status == INTERFACE
-    adj = mesh.edge_elements
     touched = np.zeros(mesh.n_edges, dtype=bool)
     touched |= iface_elems[adj[:, 0]]
     interior = adj[:, 1] >= 0
@@ -465,12 +474,13 @@ def split_edge_rule(p0, p1, crossings, degree):
 
 def edge_split_points(mesh, edge_id, cuts):
     """Interior points where adjacent chords break the traces on this edge."""
-    a = mesh.nodes[mesh.edge_nodes[edge_id, 0]]
-    b = mesh.nodes[mesh.edge_nodes[edge_id, 1]]
+    full = full_mesh(mesh)
+    a = mesh.nodes[full.edge_nodes[edge_id, 0]]
+    b = mesh.nodes[full.edge_nodes[edge_id, 1]]
     d = b - a
     ll = float(d @ d)
     pts = []
-    for el in mesh.edge_elements[edge_id]:
+    for el in full.edge_elements[edge_id]:
         cut = cuts.get(int(el))
         if cut is None:
             continue
@@ -809,9 +819,11 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
                          ("p1", ("tri_lower", "tri_upper")[mesh.element_variant[k]]))
         return standard_basis(k, mesh.element_vertices(k), kind, variant)
 
+    full = full_mesh(mesh)
+
     def jump_square(e):
-        t1, t2 = mesh.edge_elements[e]
-        a, b = mesh.nodes[mesh.edge_nodes[e]]
+        t1, t2 = full.edge_elements[e]
+        a, b = mesh.nodes[full.edge_nodes[e]]
         rule = split_edge_rule(a, b, edge_split_points(mesh, e, cuts), EDGE_DEGREE)
         u1 = coeffs[mesh.elements[t1]] @ element_basis(int(t1)).values(rule.points)
         u2 = coeffs[mesh.elements[t2]] @ element_basis(int(t2)).values(rule.points)
@@ -823,7 +835,7 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
     for e in np.flatnonzero(edge_labels == EDGE_INTERFACE):
         if params.sigma0 == 0.0:
             continue
-        s["energy"] += params.sigma0 / mesh.edge_lengths[e] ** params.alpha * jump_square(int(e))
+        s["energy"] += params.sigma0 / full.edge_lengths[e] ** params.alpha * jump_square(int(e))
 
     # sampled max error: a 5 x 5 grid per element plus the cut elements' vertices
     t = np.linspace(0.0, 1.0, 5)
@@ -898,3 +910,146 @@ def dense_is_spd(S):
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the unstructured mesh adjacency and the element-block volume assembly
+# ---------------------------------------------------------------------------
+
+class ReferenceMesh:
+    """The mesh with full edge and element adjacency, numbered by a
+    `np.unique` over every element edge: nodes, elements, element_variant,
+    edge_nodes (n_edge, 2) lexicographic, edge_elements (n_edge, 2) [lower,
+    higher or -1], element_edges (n_elem, d), edge_normals from the lower
+    element toward the higher one (outward on the boundary), edge_lengths,
+    centroids, element_origins, element_h, boundary_nodes, interior_nodes."""
+
+    def __init__(self, spec: DomainSpec):
+        self.spec = spec
+        self.cell_kind = spec.cell_kind
+        n = spec.n
+        xs = np.linspace(spec.xmin, spec.xmax, n + 1)
+        ys = np.linspace(spec.ymin, spec.ymax, n + 1)
+        X, Y = np.meshgrid(xs, ys, indexing="xy")
+        self.nodes = np.column_stack([X.ravel(), Y.ravel()])
+
+        def vid(i, j):
+            return j * (n + 1) + i
+
+        I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+        i = I.ravel()
+        j = J.ravel()
+        v00, v10 = vid(i, j), vid(i + 1, j)
+        v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
+        if spec.cell_kind == RECT:
+            self.elements = np.column_stack([v00, v10, v11, v01])
+            self.element_variant = np.zeros(n * n, dtype=np.int8)
+        else:
+            self.elements = np.empty((2 * n * n, 3), dtype=int)
+            self.elements[0::2] = np.column_stack([v00, v10, v11])
+            self.elements[1::2] = np.column_stack([v00, v11, v01])
+            self.element_variant = np.tile(np.array([0, 1], dtype=np.int8), n * n)
+        self.n_nodes = len(self.nodes)
+        self.n_elements = len(self.elements)
+        d = self.elements.shape[1]
+        a, b = self.elements, np.roll(self.elements, -1, axis=1)   # local edge i: V_i -> V_i+1
+        keys, inverse = np.unique((np.minimum(a, b) * self.n_nodes + np.maximum(a, b)).ravel(),
+                                  return_inverse=True)
+        self.edge_nodes = np.column_stack(np.divmod(keys, self.n_nodes))
+        self.element_edges = inverse.reshape(self.n_elements, d)
+        self.n_edges = len(self.edge_nodes)
+
+        elem_rep = np.repeat(np.arange(self.n_elements), d)
+        flat = self.element_edges.ravel()
+        lo = np.full(self.n_edges, self.n_elements, dtype=int)
+        hi = np.full(self.n_edges, -1, dtype=int)
+        np.minimum.at(lo, flat, elem_rep)
+        np.maximum.at(hi, flat, elem_rep)
+        count = np.bincount(flat, minlength=self.n_edges)
+        assert count.max() <= 2 and count.min() >= 1, "broken edge adjacency"
+        self.edge_elements = np.column_stack([lo, np.where(count == 2, hi, -1)])
+
+        vx, vy = X.ravel()[self.elements.T], Y.ravel()[self.elements.T]
+        self.centroids = np.column_stack([vx.mean(axis=0), vy.mean(axis=0)])
+        self.element_origins = np.column_stack([vx[0], vy[0]])
+        self.element_h = np.maximum(vx.max(axis=0) - vx[0], vy.max(axis=0) - vy[0])
+
+        ea = self.nodes[self.edge_nodes[:, 0]]
+        eb = self.nodes[self.edge_nodes[:, 1]]
+        t = eb - ea
+        self.edge_lengths = np.linalg.norm(t, axis=1)
+        nrm = np.column_stack([t[:, 1], -t[:, 0]]) / self.edge_lengths[:, None]
+        mid = 0.5 * (ea + eb)
+        interior = self.edge_elements[:, 1] >= 0
+        c0, c1 = self.centroids[self.edge_elements[:, 0]], self.centroids[self.edge_elements[:, 1]]
+        ref = np.where(interior[:, None], c1 - c0, mid - c0)
+        flip = np.einsum("ij,ij->i", nrm, ref) < 0
+        nrm[flip] *= -1
+        self.edge_normals = nrm
+
+        bmask = np.zeros(self.n_nodes, dtype=bool)
+        bmask[self.edge_nodes[~interior].ravel()] = True
+        self.boundary_nodes = np.flatnonzero(bmask)
+        self.interior_nodes = np.flatnonzero(~bmask)
+
+
+@functools.lru_cache(maxsize=8)
+def _reference_mesh(spec):
+    return ReferenceMesh(spec)
+
+
+def full_mesh(mesh):
+    """The ReferenceMesh of `mesh`'s DomainSpec, cached."""
+    return _reference_mesh(mesh.spec)
+
+
+def dump_reference_mesh(mesh: ReferenceMesh, path):
+    """`geometry.dump_mesh` written from the full arrays."""
+    with open(path, "w") as f:
+        for i, (x, y) in enumerate(mesh.nodes):
+            f.write(f"node {i} {x:.17g} {y:.17g}\n")
+        for i, conn in enumerate(mesh.elements):
+            f.write("elem " + str(i) + " " + " ".join(str(v) for v in conn) + "\n")
+        for i, ((a, b), (l, r)) in enumerate(zip(mesh.edge_nodes, mesh.edge_elements)):
+            f.write(f"edge {i} {a} {b} {l} {r}\n")
+
+
+def p1_stiffness_batch(verts, coef):
+    """Local P1 stiffness matrices for a batch of triangles, (ne, 3, 3)."""
+    x = verts[:, :, 0]
+    y = verts[:, :, 1]
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    area2 = x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]  # 2*area (CCW > 0)
+    scale = coef / (2.0 * area2)
+    return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * scale[:, None, None]
+
+
+def coo_volume(mesh, status, cuts, beta_minus, beta_plus):
+    """The stiffness matrix as one COO of every element's block, the
+    standard elements in ascending order and then the cut ones, summed by
+    scipy's conversion to CSR."""
+    n = mesh.n_nodes
+    d = mesh.n_local
+    bulk = np.flatnonzero(status != 0)
+    coef = np.where(status == SIDE_MINUS, beta_minus, beta_plus)[bulk]
+    if mesh.cell_kind == RECT:
+        rule = rect_rule(2)
+        G = template_gradients("rect", rule.points)
+        blocks = coef[:, None, None] * np.einsum("q,iqa,jqa->ij", rule.weights, G, G)[None]
+    else:
+        blocks = p1_stiffness_batch(mesh.nodes[mesh.elements[bulk]], coef)
+    conn = mesh.elements[np.concatenate([bulk, cuts.ids])]
+    data = np.concatenate([blocks, cut_volume_matrices(cuts, beta_minus, beta_plus)])
+    A = sp.coo_matrix((data.ravel(), (np.repeat(conn, d, axis=1).ravel(),
+                                      np.tile(conn, (1, d)).ravel())), shape=(n, n)).tocsr()
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    A.sort_indices()
+    return A
+
+
+def neighbour_max_reduceat(G, v):
+    """Per node, the max of v over its neighbours in the CSR graph G, as a
+    gather and a `np.maximum.reduceat` over the rows (none empty)."""
+    return np.maximum.reduceat(v[G.indices], G.indptr[:-1])

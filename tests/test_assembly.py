@@ -114,7 +114,7 @@ def test_mislabeled_edge_contributes_nothing():
     # constant beta, no interface: force one interior edge through the edge
     # machinery; continuous traces must produce ~zero contributions
     mesh, iface, status, cuts, edges = _pipeline(4, iface=line(1, 0, -10), betas=(2.0, 2.0))
-    e = int(np.flatnonzero(mesh.edge_elements[:, 1] >= 0)[3])
+    e = int(np.flatnonzero(mesh.edge_elements(np.arange(mesh.n_edges))[:, 1] >= 0)[3])
     params = MethodParams.preset("spp", 2.0, 2.0)
     traces = edge_traces(mesh, np.array([e]), status, cuts, 2.0, 2.0)
     assert traces.edges.tolist() == [e]
@@ -132,11 +132,10 @@ def test_edge_terms_vs_composite_simpson_oracle():
     dofs, M, P_unit = edge_term_matrices(mesh, traces, params.alpha)
     dofs, M, P = dofs[0].tolist(), M[0], params.sigma0 * P_unit[0]
 
-    t1, t2 = mesh.edge_elements[e]
-    a = mesh.nodes[mesh.edge_nodes[e, 0]]
-    b = mesh.nodes[mesh.edge_nodes[e, 1]]
-    nB = mesh.edge_normals[e]
-    L = mesh.edge_lengths[e]
+    t1, t2 = mesh.edge_elements([e])[0]
+    a, b = mesh.nodes[mesh.edge_nodes([e])[0]]
+    nB = mesh.edge_normals([e])[0]
+    L = mesh.edge_lengths([e])[0]
     o_cuts = classify_cuts(mesh, iface)[1]
     breaks = [0.0] + sorted(float(np.dot(x - a, b - a) / L ** 2)
                             for x in edge_split_points(mesh, e, o_cuts)) + [1.0]

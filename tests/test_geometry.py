@@ -7,7 +7,8 @@ from ppife.geometry import (_AUDIT_ROWS, INTERFACE, SIDE_MINUS, SIDE_PLUS, Carte
                             DomainSpec, build_mesh, circle, classify_elements, dump_mesh,
                             edge_crossings, interface_edges, interface_from_name, line)
 from ppife.quadrature import polygon_area
-from oracles import EDGE_INTERFACE, classify_cuts, classify_edges, edge_intersection
+from oracles import (EDGE_INTERFACE, ReferenceMesh, classify_cuts, classify_edges,
+                     dump_reference_mesh, edge_intersection)
 
 R0 = np.pi / 6.28
 
@@ -30,7 +31,7 @@ def test_rect_mesh_counts_n2():
     assert mesh.n_nodes == 9
     assert mesh.n_elements == 4
     assert mesh.n_edges == 12
-    assert int((mesh.edge_elements[:, 1] >= 0).sum()) == 4
+    assert int((mesh.edge_elements(np.arange(12))[:, 1] >= 0).sum()) == 4
 
 
 def test_tri_mesh_counts_n2():
@@ -57,14 +58,17 @@ def test_mesh_invariants(kind):
         area = polygon_area(mesh.element_vertices(e))
         assert area == pytest.approx(want, abs=1e-12 * mesh.h ** 2)
     # each interior edge two elements, boundary edges one
-    interior = mesh.edge_elements[:, 1] >= 0
+    ids = np.arange(mesh.n_edges)
+    edge_elements, normals = mesh.edge_elements(ids), mesh.edge_normals(ids)
+    interior = edge_elements[:, 1] >= 0
     for e in np.flatnonzero(interior):
-        assert mesh.edge_elements[e, 0] < mesh.edge_elements[e, 1]
+        assert edge_elements[e, 0] < edge_elements[e, 1]
     # normals oriented from lower to higher element index
+    centroids = mesh.element_centroids(np.arange(mesh.n_elements))
     for e in np.flatnonzero(interior):
-        t1, t2 = mesh.edge_elements[e]
-        d = mesh.centroids[t2] - mesh.centroids[t1]
-        assert float(mesh.edge_normals[e] @ d) > 0
+        t1, t2 = edge_elements[e]
+        d = centroids[t2] - centroids[t1]
+        assert float(normals[e] @ d) > 0
 
 
 def test_domain_spec_validation():
@@ -226,18 +230,19 @@ def test_neighbours_share_crossing_points():
 def test_edge_labels():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, "rect"))
     iface = circle(0.0, 0.0, R0)
-    assert (mesh.edge_elements[:, 1] < 0).sum() == 80
+    edge_elements = mesh.edge_elements(np.arange(mesh.n_edges))
+    assert (edge_elements[:, 1] < 0).sum() == 80
     status, cuts = classify_elements(mesh, iface)
     edges = interface_edges(mesh, cuts)
     assert (np.diff(edges) > 0).all()
     labels = classify_edges(mesh, status)
     assert np.array_equal(edges, np.flatnonzero(labels == EDGE_INTERFACE))
     # interior edges only, each with a cut neighbour
-    assert (mesh.edge_elements[edges, 1] >= 0).all()
-    assert (status[mesh.edge_elements[edges]] == INTERFACE).any(axis=1).all()
+    assert (edge_elements[edges, 1] >= 0).all()
+    assert (status[edge_elements[edges]] == INTERFACE).any(axis=1).all()
     # every edge crossed by the curve is an interface edge
     crossed = cuts.cut_edges[cuts.cut_edges >= 0]
-    assert np.isin(crossed[mesh.edge_elements[crossed, 1] >= 0], edges).all()
+    assert np.isin(crossed[edge_elements[crossed, 1] >= 0], edges).all()
     # far interface: no interface edges at all
     assert len(interface_edges(mesh, classify_elements(mesh, line(1, 0, -10))[1])) == 0
 
@@ -283,6 +288,14 @@ def test_dump_mesh(tmp_path):
     assert float(node0[2]) == -1.0
 
 
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_dump_mesh_equals_reference_dump(kind, tmp_path):
+    spec = DomainSpec(-1, 1, -1, 1, 7, kind)
+    dump_mesh(build_mesh(spec), tmp_path / "mesh.txt")
+    dump_reference_mesh(ReferenceMesh(spec), tmp_path / "reference.txt")
+    assert (tmp_path / "mesh.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
 def test_classify_propagates_multiple_crossings():
     # circle dipping into one cell across a single edge twice
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 2, "rect"))
@@ -293,7 +306,8 @@ def test_classify_propagates_multiple_crossings():
     # horizontal edge near the top of the mesh, and the error names that edge
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 120, "rect"))
     a = 115 * 121 + 60
-    e = int(np.flatnonzero((mesh.edge_nodes == [a, a + 1]).all(axis=1))[0])
+    e = int(np.flatnonzero((mesh.edge_nodes(np.arange(mesh.n_edges)) == [a, a + 1])
+                           .all(axis=1))[0])
     assert e >= _AUDIT_ROWS
     (x0, y0), h = mesh.nodes[a], mesh.h
     iface = circle(x0 + 0.5 * h, y0 + 0.1 * h, 0.3 * h)
@@ -321,11 +335,13 @@ def test_every_crossed_edge_detected_by_oracle():
     iface = circle(0.0, 0.0, R0)
     status, cuts = classify_elements(mesh, iface)
     edges = interface_edges(mesh, cuts)
-    for e in range(mesh.n_edges):
-        a = mesh.nodes[mesh.edge_nodes[e, 0]]
-        b = mesh.nodes[mesh.edge_nodes[e, 1]]
+    ids = np.arange(mesh.n_edges)
+    edge_nodes, edge_elements = mesh.edge_nodes(ids), mesh.edge_elements(ids)
+    for e in ids:
+        a = mesh.nodes[edge_nodes[e, 0]]
+        b = mesh.nodes[edge_nodes[e, 1]]
         x = _crossing(a, b, iface, h=mesh.h)
-        if x is not None and mesh.edge_elements[e, 1] >= 0:
+        if x is not None and edge_elements[e, 1] >= 0:
             assert e in edges
 
 
@@ -396,5 +412,6 @@ def test_edge_numbering_equals_two_column_unique():
         pairs = np.sort(mesh.elements[:, np.column_stack([np.arange(d), np.roll(np.arange(d), -1)])]
                         .reshape(-1, 2), axis=1)
         nodes, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        assert np.array_equal(mesh.edge_nodes, nodes)
-        assert np.array_equal(mesh.element_edges, inverse.reshape(mesh.n_elements, d))
+        assert np.array_equal(mesh.edge_nodes(np.arange(mesh.n_edges)), nodes)
+        assert np.array_equal(mesh.element_edges(np.arange(mesh.n_elements)),
+                              inverse.reshape(mesh.n_elements, d))

@@ -11,7 +11,7 @@ from ppife.errors import ConfigError, NotConverged
 from ppife.geometry import INTERFACE
 from ppife.harness import (_PARSE_KIND, RunConfig, _parse_number, build_context,
                            cmd_convergence, cmd_solve, cmd_verify, evaluate_solution,
-                           load_config, pointwise_error_field, solve_scheme)
+                           load_config, pointwise_error_field, scheme_params, solve_scheme)
 
 
 def test_parse_number_pi_fractions():
@@ -257,6 +257,29 @@ def test_fine_aggregates_are_lazy_and_shared(monkeypatch):
     solve_scheme(ctx, cfg, "ipp")
     assert calls == [(len(system.free),) * 2]
     assert seen[0] is seen[1] is ctx.fine_aggregates()
+
+
+@pytest.mark.parametrize("mesh", ["rect", "tri"])
+def test_cut_data_rules_are_built_once_per_context(monkeypatch, mesh):
+    # the load and every scheme's error norms read the context's rules, and
+    # get the bits they would get from rules of their own
+    from ppife import assembly, postprocess
+    calls = []
+    rules = assembly.cut_data_rules
+    for module in (assembly, postprocess):
+        monkeypatch.setattr(module, "cut_data_rules",
+                            lambda *a: calls.append(len(a[0])) or rules(*a))
+    cfg = RunConfig(N=(24,), mesh=mesh, beta_plus=1e4, schemes=("spp", "npp"))
+    ctx = build_context(cfg, 24)
+    fresh = assembly.assemble_load(ctx.mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface)
+    assert np.array_equal(ctx.b, fresh)
+    for scheme in cfg.schemes:
+        rec, coeffs, _ = solve_scheme(ctx, cfg, scheme)
+        own = postprocess.error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,
+                                      ctx.traces, scheme_params(cfg, scheme))
+        assert [rec.e_l2, rec.e_h1, rec.e_linf, rec.e_energy] == [
+            own["l2"], own["h1"], own["linf"], own["energy"]]
+    assert calls == [len(ctx.cuts)] * 4     # the context's, the fresh load's, two norms'
 
 
 def test_not_converged_names_iterations_restarts_and_residual():

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ppife.errors import AsymmetricInput
-from oracles import check_csr, dense_solve, matvec_triplets
-from ppife.linsolve import (AMG_CG_DOFS, COARSE_SIZE, SAHierarchy, _scaled, aggregate,
-                            bicgstab, cg)
+from oracles import check_csr, dense_solve, matvec_triplets, neighbour_max_reduceat
+from ppife.linsolve import (AMG_CG_DOFS, COARSE_SIZE, SAHierarchy, _neighbour_max,
+                            _neighbour_table, _scaled, aggregate, bicgstab, cg)
 
 
 def _tridiag(n):
@@ -306,6 +306,23 @@ def test_candidate_is_carried_to_every_level():
         for C in coarse:
             ev = np.abs(np.linalg.eigvalsh(C.toarray()))
             assert (ev.min() < 1e-12 * ev.max()) == singular, (candidate is None, C.shape)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_neighbour_max_equals_reduceat(seed):
+    # rows of very uneven length, as on the coarse levels: each node keeps
+    # its diagonal and a geometric number of random neighbours, some rows
+    # far longer than the rest; values negative too, like unset aggregates
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    rows = [np.unique(np.append(rng.integers(0, n, rng.geometric(0.2 if i % 17 else 0.02)), i))
+            for i in range(n)]
+    G = sp.csr_matrix((np.ones(sum(map(len, rows)), dtype=np.int8), np.concatenate(rows),
+                       np.cumsum([0] + [len(r) for r in rows])), shape=(n, n))
+    T = _neighbour_table(G)
+    assert T.shape == (np.diff(G.indptr).max(), n)
+    for v in (rng.permutation(n).astype(np.int64), rng.integers(-3, 5, n)):
+        assert np.array_equal(_neighbour_max(T, v), neighbour_max_reduceat(G, v))
 
 
 def test_coarse_level_is_solved_exactly():

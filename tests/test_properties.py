@@ -12,7 +12,7 @@ from hypothesis import assume, given, reject, settings, strategies as st
 
 from ppife.assembly import (MethodParams, VOLUME_DEGREE, apply_dirichlet, assemble_edge_terms,
                             assemble_load, assemble_volume, combine_system, edge_traces)
-from ppife.errors import MultipleCrossings
+from ppife.errors import GeometryError, MultipleCrossings
 from ppife.geometry import (_EDGE_SAMPLES, INTERFACE, DomainSpec, InterfaceGeometry, _edge_signs,
                             build_mesh, circle, classify_elements, edge_crossings,
                             interface_edges, line)
@@ -21,9 +21,9 @@ from ppife.local_basis import (basis_residuals, build_bases, cut_frame, cut_grad
                                cut_values, piece_gradients)
 from ppife.postprocess import PiecewiseSolution, radial_interface_solution
 from ppife.quadrature import fan_rule, polygon_area
-from oracles import (EDGE_INTERFACE, classify_cuts, classify_edges, edge_intersection,
-                     edge_signs, edge_split_points, ife_basis, mesh_frames, select_branches,
-                     split_edge_rule, standard_basis, template_name)
+from oracles import (EDGE_INTERFACE, ReferenceMesh, classify_cuts, classify_edges, coo_volume,
+                     edge_intersection, edge_signs, edge_split_points, ife_basis, mesh_frames,
+                     select_branches, split_edge_rule, standard_basis, template_name)
 
 
 def _cases(n_max):
@@ -69,8 +69,8 @@ def test_cut_geometry(case):
 
     # the batched crossing solve equals the one-segment oracle bit for bit;
     # segments whose samples all share one strict sign have no crossing
-    ea = mesh.nodes[mesh.edge_nodes[:, 0]]
-    eb = mesh.nodes[mesh.edge_nodes[:, 1]]
+    ends = mesh.edge_nodes(np.arange(mesh.n_edges))
+    ea, eb = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
     hit, points = edge_crossings(ea, eb, iface, h)
     ts = np.linspace(0.0, 1.0, 17)
     s = ea[:, None, :] + ts[None, :, None] * (eb - ea)[:, None, :]
@@ -175,7 +175,7 @@ def test_standard_neighbours_match_oracle(case):
                          build_bases(cuts, 1.0, 10.0), 1.0, 10.0)
     o_cuts = classify_cuts(mesh, iface)[1]
     for b, e in enumerate(traces.edges):
-        a, c = mesh.nodes[mesh.edge_nodes[e]]
+        a, c = mesh.nodes[mesh.edge_nodes([e])[0]]
         rule = split_edge_rule(a, c, edge_split_points(mesh, int(e), o_cuts), 4)
         n = len(rule.weights)
         # the rule is the oracle's split rule, padded by a zero-weight piece
@@ -232,7 +232,7 @@ def _same(a, b):
 def test_mesh_frames_equal_gather_reduce(kind, N, xmin, ymin, width):
     mesh = build_mesh(DomainSpec(xmin, xmin + width, ymin, ymin + width, N, kind))
     centroids, origins, extents = mesh_frames(mesh)
-    assert _same(mesh.centroids, centroids)
+    assert _same(mesh.element_centroids(np.arange(mesh.n_elements)), centroids)
     assert _same(mesh.element_origins, origins)
     assert _same(mesh.element_h, extents)
 
@@ -306,3 +306,63 @@ def test_branch_selection_of_one_point(x, y, minus, kind):
     gx, gy = sol.grad(x, y, minus)
     assert _same(gx, want_gx) and _same(gy, want_gy)
     assert _same(sol.f(x, y, minus), want_f)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form mesh and the stencil against the unstructured oracle
+# ---------------------------------------------------------------------------
+
+domains = st.tuples(st.sampled_from(["rect", "tri"]), st.integers(2, 70), st.floats(-5.0, 5.0),
+                    st.floats(-5.0, 5.0), st.floats(1e-3, 10.0))
+
+
+@given(domains)
+def test_mesh_queries_equal_reference_mesh(domain):
+    kind, N, xmin, ymin, width = domain
+    spec = DomainSpec(xmin, xmin + width, ymin, ymin + width, N, kind)
+    mesh, ref = build_mesh(spec), ReferenceMesh(spec)
+    assert mesh.n_edges == ref.n_edges
+    ids = np.arange(ref.n_edges)
+    for got, want in ((mesh.nodes, ref.nodes), (mesh.elements, ref.elements),
+                      (mesh.element_variant, ref.element_variant),
+                      (mesh.edge_nodes(ids), ref.edge_nodes),
+                      (mesh.edge_elements(ids), ref.edge_elements),
+                      (mesh.element_edges(np.arange(ref.n_elements)), ref.element_edges),
+                      (mesh.edge_normals(ids), ref.edge_normals),
+                      (mesh.edge_lengths(ids), ref.edge_lengths),
+                      (mesh.boundary_nodes, ref.boundary_nodes),
+                      (mesh.interior_nodes, ref.interior_nodes)):
+        assert _same(got, want)
+    # the queries take any ids, in any order
+    pick = np.random.default_rng(N).integers(0, ref.n_edges, 7)
+    assert _same(mesh.edge_normals(pick), ref.edge_normals[pick])
+    assert _same(mesh.edge_elements(pick), ref.edge_elements[pick])
+
+
+@given(domains, st.floats(0.0, np.pi), st.floats(-0.4, 0.4), st.sampled_from([10.0, 1e4]))
+def test_stencil_volume_equals_coo_oracle(domain, angle, offset, beta_plus):
+    """Rectangles: bit for bit. Triangles: the stencil takes the unit P1
+    matrix of each variant and the oracle each element's matrix from its
+    vertex coordinates, whose differences carry a relative error of up to
+    eps L / h for coordinates of size L; each entry then agrees to
+    8 eps (1 + L / h) max|A| (0.43 of that at most over 300 random draws)."""
+    kind, N, xmin, ymin, width = domain
+    spec = DomainSpec(xmin, xmin + width, ymin, ymin + width, N, kind)
+    mesh = build_mesh(spec)
+    # a line through the domain, off its centre by up to 0.4 of its width
+    a, b = np.cos(angle), np.sin(angle)
+    c = -(a * (xmin + width / 2) + b * (ymin + width / 2)) + offset * width
+    try:
+        status, cuts = classify_elements(mesh, line(a, b, c))
+    except GeometryError:
+        reject()    # cells far smaller than their distance to the origin
+    cuts = build_bases(cuts, 1.0, beta_plus)
+    got = assemble_volume(mesh, status, cuts, 1.0, beta_plus)
+    want = coo_volume(mesh, status, cuts, 1.0, beta_plus)
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    if kind == "rect":
+        assert _same(got.data, want.data)
+    else:
+        size = max(abs(xmin), abs(ymin), abs(xmin + width), abs(ymin + width))
+        tol = 8 * np.finfo(float).eps * (1 + size / mesh.h) * np.abs(want.data).max()
+        assert np.abs(got.data - want.data).max() <= tol

@@ -240,7 +240,7 @@ def test_interp_edge_error_zero_for_linear_solution():
                          values=False)
     assert traces.values is None and len(traces.edges) > 0
     gi = np.einsum("bsd,bsdqa->bsqa", coeffs[mesh.elements[traces.elements]], traces.gradients)
-    nB = mesh.edge_normals[traces.edges][:, None, None]
+    nB = mesh.edge_normals(traces.edges)[:, None, None]
     fl = 2.0 * ((2.0 - gi[..., 0]) * nB[..., 0] + (-1.0 - gi[..., 1]) * nB[..., 1])
     assert np.abs(fl).max() < 1e-12
 

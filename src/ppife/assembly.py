@@ -23,9 +23,9 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .geometry import _CORNERS, _SWEEP_POINTS, RECT, SIDE_MINUS
-from .local_basis import (cut_frame, cut_gradients, cut_values, piece_gradients, piece_values,
-                          template_coefs, template_gradients, template_values)
+from .geometry import _CORNERS, _SWEEP_POINTS, RECT, SIDE_MINUS, SIDE_PLUS
+from .local_basis import (_monomials, cut_frame, cut_gradients, cut_values, piece_gradients,
+                          piece_values, template_coefs, template_gradients, template_values)
 from .quadrature import (_collapsed_triangle_rule, fan_rule, map_segment, rect_rule,
                          segment_rule)
 
@@ -277,10 +277,12 @@ def bulk_chunks(mesh, status, tables):
 
     `tables` maps each cell variant to a tuple whose first two entries are the
     template name and the scaled points (as `bulk_rules` returns). Yields
-    (table, element ids). A variant's elements are split into chunks of about
-    50 000, which fixes the order of the sums and products over a chunk.
+    (table, element ids). A variant's elements come minus side first, then
+    plus, each ascending, so that only the block where the sides meet mixes
+    the exact solution's branches. Chunks of about 50 000 fix the order of
+    the sums and products over a chunk.
     """
-    bulk = np.flatnonzero(status != 0)
+    bulk = np.concatenate([np.flatnonzero(status == side) for side in (SIDE_MINUS, SIDE_PLUS)])
     for variant, table in tables.items():
         if mesh.cell_kind == RECT:
             ids = bulk
@@ -318,7 +320,8 @@ def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
                   refine=DATA_REFINE, rules=None):
     """Load vector b_i = sum_K int_K f phi_i with the data-side of f chosen by
     the exact level set at each quadrature point. `rules` are the
-    `cut_data_rules` of `cuts`, made here when not given."""
+    `cut_data_rules` of `cuts`, made here when not given. A chord side's rule
+    lies on its piece: the piece's coefficients times sum_q w f mono(xi_q)."""
     b = np.zeros(mesh.n_nodes)
     h = mesh.h
     for (name, spts, swts), chunk in bulk_chunks(mesh, status, bulk_rules(mesh, degree)):
@@ -330,13 +333,13 @@ def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
         np.add.at(b, mesh.elements[chunk], fw @ V.T)
 
     if len(cuts):
-        rows = np.arange(len(cuts))
-        acc = np.zeros(cuts.cm.shape[:2])
-        for pts, wts, minus in rules or cut_data_rules(cuts, iface, degree, refine):
-            f = solution.f(pts[..., 0], pts[..., 1], minus)
-            xi, plus = cut_frame(cuts, rows, pts)
-            acc += (cut_values(cuts, rows, xi, plus) @ (f * wts)[..., None])[..., 0]
-        np.add.at(b, mesh.elements[cuts.ids], acc)
+        acc = np.zeros(cuts.cm.shape[:2] + (1,))
+        for (pts, wts, minus), c in zip(rules or cut_data_rules(cuts, iface, degree, refine),
+                                        (cuts.cm, cuts.cp)):
+            fw = solution.f(pts[..., 0], pts[..., 1], minus) * wts
+            xi = (pts - cuts.origin[:, None]) / cuts.h[:, None, None]
+            acc += c @ (fw[:, None] @ _monomials(xi, c.shape[-1])).swapaxes(-1, -2)
+        np.add.at(b, mesh.elements[cuts.ids], acc[..., 0])
     return b
 
 
@@ -359,9 +362,9 @@ class SparseSystem:
     free: np.ndarray
 
     def reduced(self):
-        A_ff = self.A[self.free][:, self.free].tocsr()
-        rhs = self.b[self.free] - self.A[self.free][:, self.boundary] @ self.boundary_values
-        return A_ff, rhs
+        A_f = self.A[self.free]
+        return (A_f[:, self.free].tocsr(),
+                self.b[self.free] - A_f[:, self.boundary] @ self.boundary_values)
 
     def expand(self, x_free):
         x = np.empty(self.A.shape[0])

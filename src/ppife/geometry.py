@@ -540,9 +540,11 @@ def _cut_set(mesh, iface, ids, crossed, points, node_sign, tol):
     ring, (sa, sb), (na, nb), edge_splits = ring_chains(verts, D, E, slot_D, slot_E)
     pa, pb = ring[rows[:, None], sa], ring[rows[:, None], sb]
     live &= (na >= 3) & (nb >= 3)
-    area_a, area_b = polygon_area(pa), polygon_area(pb)
+    # areas about the first vertex: shoelace round-off grows with |x| |y|, not h
+    o = verts[:, :1]
+    area_a, area_b = polygon_area(pa - o), polygon_area(pb - o)
     live &= np.minimum(area_a, area_b) >= 1e-12 * h ** 2
-    bad = live & (np.abs(area_a + area_b - np.abs(polygon_area(verts))) > 1e-10 * h ** 2)
+    bad = live & (np.abs(area_a + area_b - np.abs(polygon_area(verts - o))) > 1e-10 * h ** 2)
     err[bad] = 2
     live &= ~bad
 

@@ -70,8 +70,11 @@ def _scaled(A, b):
     d = np.abs(A.diagonal())
     d[d == 0.0] = 1.0
     s = 1.0 / np.sqrt(d)
-    As = sp.diags(s) @ A @ sp.diags(s)
-    return As.tocsr(), s * b, s
+    # diags(s) @ A @ diags(s): its bits, its order and no stored zeros
+    data = np.repeat(s, np.diff(A.indptr)) * A.data * s[A.indices]
+    As = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
+    As.eliminate_zeros()
+    return As, s * b, s
 
 
 def _finish(A, b, bnorm, xs, s, iterations, tol_rel, restarts=0, M=None):

@@ -9,8 +9,8 @@ import numpy as np
 from .assembly import (DATA_DEGREE, DATA_REFINE, bulk_blocks, bulk_chunks, bulk_rules,
                        cut_data_rules)
 from .geometry import RECT
-from .local_basis import (cut_frame, cut_values, piece_gradients, piece_values,
-                          template_gradients, template_values)
+from .local_basis import (cut_frame, piece_gradients, piece_values, template_gradients,
+                          template_values)
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,17 @@ def _by_side(minus_fn, plus_fn, x, y, minus_mask, n_out):
     `plus_fn` elsewhere, each side evaluated at its own points only.
 
     The branches are elementwise, so each value has the bits of evaluating
-    the branch at every point and selecting afterwards. A 0-d x or y is
-    passed on as it is, since numpy evaluates scalars through other routines
-    than arrays.
+    the branch at every point and selecting afterwards; a branch whose side
+    holds every point takes x and y whole. A 0-d x or y is passed on as it
+    is, since numpy evaluates scalars through other routines than arrays.
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(minus_mask))
     minus = np.broadcast_to(np.asarray(minus_mask, bool), shape).ravel()
+    for fn, whole in ((minus_fn, minus.all()), (plus_fn, not minus.any())):
+        if whole:
+            vals = fn(x, y)
+            return tuple(np.asarray(v, float) if np.shape(v) == shape
+                         else np.full(shape, v, float) for v in (vals if n_out > 1 else (vals,)))
     out = tuple(np.empty(shape) for _ in range(n_out))
     # flat indices, not boolean masks: take and put beat masked copies
     for fn, idx in ((minus_fn, np.flatnonzero(minus)), (plus_fn, np.flatnonzero(~minus))):
@@ -177,15 +182,17 @@ def _bulk_sums(mesh, status, coeffs, sol, iface, beta, degree):
 
 def _cut_sums(mesh, cuts, coeffs, sol, beta, rules):
     """The same sums per cut element and chord side, (K, 2, 3), from the
-    refined fan rule of each side over all cut elements."""
+    refined fan rule of each side over all cut elements, where u_h is the
+    side's piece `coeffs @ c` (K, 1, m)."""
     ce = coeffs[mesh.elements[cuts.ids]][:, None]          # (K, 1, d)
     out = np.zeros((len(cuts), 2, 3))
     for s, ((pts, wts, minus), c, b, grad) in enumerate(zip(
             rules, (cuts.cm, cuts.cp), beta, (sol.grad_minus, sol.grad_plus))):
         x, y = pts[..., 0], pts[..., 1]
         xi = (pts - cuts.origin[:, None]) / cuts.h[:, None, None]
-        diff = sol.u(x, y, minus) - (ce @ piece_values(c, xi))[:, 0]
-        gh = np.einsum("kd,kdqa->kqa", ce[:, 0], piece_gradients(c, xi, cuts.h))
+        a = ce @ c
+        diff = sol.u(x, y, minus) - piece_values(a, xi)[:, 0]
+        gh = piece_gradients(a, xi, cuts.h)[:, 0]
         gx, gy = grad(x, y)     # the branch of the piece, whatever the level set says
         d2 = (gx - gh[..., 0]) ** 2 + (gy - gh[..., 1]) ** 2
         out[:, s] = np.column_stack([np.vecdot(wts, diff * diff), np.vecdot(wts, d2),
@@ -224,11 +231,11 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
                             xi[..., 0] <= xi[..., 1] + 1e-12)
             pts = pts[keep].reshape(len(cuts), -1, 2)
         pts = np.concatenate([pts, cuts.verts], axis=1)
-        rows = np.arange(len(cuts))
-        uh = (coeffs[mesh.elements[cuts.ids]][:, None] @ cut_values(cuts, rows, *cut_frame(
-            cuts, rows, pts)))[:, 0]
-        x, y = pts[..., 0], pts[..., 1]
-        ue = sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
+        xi, plus = cut_frame(cuts, np.arange(len(cuts)), pts)
+        ce = coeffs[mesh.elements[cuts.ids]][:, None]
+        uh = np.where(plus, piece_values(ce @ cuts.cp, xi)[:, 0],
+                      piece_values(ce @ cuts.cm, xi)[:, 0])
+        ue = sol.u_at(pts[..., 0], pts[..., 1], iface)
         worst = max(worst, float(np.abs(ue - uh).max()))
     return worst
 

@@ -16,7 +16,10 @@ both-branch exact-solution selects that the per-component sweeps replace, and
 the dense Cholesky test of the coercivity scan, the unstructured mesh
 adjacency (every edge's endpoints, neighbours, normal and length) and the
 element-block COO volume assembly that the closed-form mesh and the stencil
-replace, and the gather-and-reduce neighbour maxima of the AMG aggregation.
+replace, the gather-and-reduce neighbour maxima of the AMG aggregation, and
+the ascending, mixed-side bulk sweeps and per-basis cut quadrature of the
+load and the error norms that the side-pure chunks and the piece
+contraction replace.
 """
 import functools
 from dataclasses import dataclass
@@ -25,14 +28,14 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ppife.assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_rules,
+from ppife.assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_blocks, bulk_rules,
                             cut_volume_matrices)
 from ppife.errors import GeometryError, MultipleCrossings, PpifeError, SingularLocalSystem
-from ppife.geometry import (INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI, CutSet, DomainSpec,
-                            edge_crossings)
-from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_bases,
-                               phys_coefficients, piece_gradients, template_gradients,
-                               template_values)
+from ppife.geometry import (INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI, CutSet,
+                            DomainSpec, edge_crossings)
+from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_bases, cut_frame,
+                               cut_values, phys_coefficients, piece_gradients, piece_values,
+                               template_gradients, template_values)
 from ppife.quadrature import (QuadratureRule, _collapsed_triangle_rule, fan_rule, map_segment,
                               map_triangle, polygon_area, rect_rule, segment_rule)
 from ppife.verify import _cut_params
@@ -758,11 +761,14 @@ def linear_coupling_matrix(d, e, h, beta_minus, beta_plus):
 def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_labels, params,
                           degree=DATA_DEGREE, refine=DATA_REFINE):
     """One full sweep per norm, summed in the order the fused sweep must keep:
-    standard elements chunk by chunk, then the cut-element total, then (energy
-    only) the penalty jumps edge by edge. Standard neighbours on the edges are
-    evaluated through `standard_basis`."""
+    standard elements chunk by chunk, minus side first, then the cut-element
+    total, then (energy only) the penalty jumps edge by edge. On a cut
+    element u_h is evaluated as one piece, the coefficients times the side's
+    basis. Standard neighbours on the edges are evaluated through
+    `standard_basis`."""
     beta = (sol.params["beta_minus"], sol.params["beta_plus"])
-    bulk, cut_ids = np.flatnonzero(status != 0), np.flatnonzero(status == 0)
+    bulk = np.concatenate([np.flatnonzero(status == s) for s in (SIDE_MINUS, SIDE_PLUS)])
+    cut_ids = np.flatnonzero(status == INTERFACE)
     h = mesh.h
 
     def bulk_ids(variant):
@@ -799,12 +805,13 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
             basis, ce = bases[k], coeffs[mesh.elements[k]]
             for side, pts, wts in cut_data_rules(cuts[k], degree, refine):
                 x, y = pts[:, 0], pts[:, 1]
+                a = ce[None] @ (basis.coefs_plus if side > 0 else basis.coefs_minus)
                 if kind == "l2":
                     minus = np.asarray(iface.phi(x, y)) < 0
-                    diff = sol.u(x, y, minus) - ce @ basis.values_piece(pts, side)
+                    diff = sol.u(x, y, minus) - basis._values_from(a, pts)[0]
                     total += float(np.dot(wts, diff * diff))
                     continue
-                gh = np.einsum("d,dqa->qa", ce, basis.gradients_piece(pts, side))
+                gh = basis._gradients_from(a, pts)[0]
                 gx, gy = sol.grad(x, y, np.full(len(pts), side == SIDE_MINUS))
                 d2 = (gx - gh[:, 0]) ** 2 + (gy - gh[:, 1]) ** 2
                 if kind == "energy":
@@ -865,7 +872,9 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
             pts = pts[keep]
         pts = np.vstack([pts, verts])
         x, y = pts[:, 0], pts[:, 1]
-        uh = coeffs[mesh.elements[k]] @ bases[k].values(pts)
+        ce, b = coeffs[mesh.elements[k]][None], bases[k]
+        uh = np.where(b.side_plus_mask(pts), b._values_from(ce @ b.coefs_plus, pts)[0],
+                      b._values_from(ce @ b.coefs_minus, pts)[0])
         worst = max(worst, float(np.abs(sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
                                         - uh).max()))
     return {"l2": float(np.sqrt(s["l2"])), "h1": float(np.sqrt(s["h1"])), "linf": worst,
@@ -1053,3 +1062,138 @@ def neighbour_max_reduceat(G, v):
     """Per node, the max of v over its neighbours in the CSR graph G, as a
     gather and a `np.maximum.reduceat` over the rows (none empty)."""
     return np.maximum.reduceat(v[G.indices], G.indptr[:-1])
+
+
+# ---------------------------------------------------------------------------
+# mixed-side bulk sweeps and per-basis cut quadrature: the load and the error
+# norms before side-pure chunks and piece contraction, with both exact
+# branches evaluated at every point (`select_branches`)
+# ---------------------------------------------------------------------------
+
+def ascending_chunks(mesh, status, tables):
+    """`assembly.bulk_chunks` with each variant's non-interface elements in
+    ascending order, the two sides mixed."""
+    bulk = np.flatnonzero(status != INTERFACE)
+    for variant, table in tables.items():
+        ids = bulk if mesh.cell_kind == RECT else bulk[mesh.element_variant[bulk] == variant]
+        if len(ids):
+            for chunk in np.array_split(ids, max(1, len(ids) // 50000)):
+                yield table, chunk
+
+
+def ascending_bulk_load(mesh, status, sol, iface, degree=DATA_DEGREE):
+    """The standard elements' part of `assembly.assemble_load` over
+    ascending chunks, summed in element order."""
+    b = np.zeros(mesh.n_nodes)
+    h = mesh.h
+    for (name, spts, swts), chunk in ascending_chunks(mesh, status, bulk_rules(mesh, degree)):
+        V = template_values(name, spts)
+        w = swts * h * h
+        fw = np.empty((len(chunk), len(spts)))
+        for rows, x, y in bulk_blocks(mesh, chunk, spts):
+            fw[rows] = select_branches(sol, x, y, np.asarray(iface.phi(x, y)) < 0)[2] * w
+        np.add.at(b, mesh.elements[chunk], fw @ V.T)
+    return b
+
+
+def per_basis_cut_load(cuts, sol, rules):
+    """The cut elements' load (K, d): every basis function's values at every
+    rule point, each from the piece its chord side selects."""
+    rows = np.arange(len(cuts))
+    acc = np.zeros(cuts.cm.shape[:2])
+    for pts, wts, minus in rules:
+        f = select_branches(sol, pts[..., 0], pts[..., 1], minus)[2]
+        xi, plus = cut_frame(cuts, rows, pts)
+        acc += (cut_values(cuts, rows, xi, plus) @ (f * wts)[..., None])[..., 0]
+    return acc
+
+
+def ascending_error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules,
+                          degree=DATA_DEGREE):
+    """`postprocess.error_norms` on ascending chunks, with u_h on the cut
+    elements from every basis function's values and gradients."""
+    beta = (sol.params["beta_minus"], sol.params["beta_plus"])
+    h = mesh.h
+    sums = np.zeros(3)
+    for (name, spts, swts), chunk in ascending_chunks(mesh, status, bulk_rules(mesh, degree)):
+        w = swts * h * h
+        G = template_gradients(name, spts) / h
+        ce = coeffs[mesh.elements[chunk]]
+        e2, d2, bd2 = ce @ template_values(name, spts), ce @ G[:, :, 0], ce @ G[:, :, 1]
+        for rows, x, y in bulk_blocks(mesh, chunk, spts):
+            minus = np.asarray(iface.phi(x, y)) < 0
+            u, (gx, gy), _ = select_branches(sol, x, y, minus)
+            diff = u - e2[rows]
+            e2[rows] = diff * diff
+            d2[rows] = (gx - d2[rows]) ** 2 + (gy - bd2[rows]) ** 2
+            bd2[rows] = np.where(minus, beta[0], beta[1]) * d2[rows]
+        sums += (np.einsum("eq,q->", e2, w), np.einsum("eq,q->", d2, w),
+                 np.einsum("eq,q->", bd2, w))
+    if len(cuts):
+        parts = per_basis_cut_sums(mesh, cuts, coeffs, sol, rules)
+        sums = sums + np.cumsum(parts.reshape(-1, 3), axis=0)[-1]
+    l2, h1, energy = sums
+    if params.sigma0 != 0.0:
+        u = coeffs[mesh.elements[traces.elements]][:, :, None] @ traces.values
+        jumps = np.vecdot(traces.weights, (u[:, 0, 0] - u[:, 1, 0]) ** 2)
+        scale = params.sigma0 / mesh.edge_lengths(traces.edges) ** params.alpha
+        energy = np.cumsum(np.concatenate([[energy], scale * jumps]))[-1]
+    return {"l2": float(np.sqrt(l2)), "h1": float(np.sqrt(h1)),
+            "linf": ascending_linf_error(mesh, status, cuts, coeffs, sol, iface),
+            "energy": float(np.sqrt(energy))}
+
+
+def per_basis_cut_sums(mesh, cuts, coeffs, sol, rules):
+    """`postprocess._cut_sums` from the (K, d, n) values and (K, d, n, 2)
+    gradients of every basis function of the side's piece."""
+    beta = (sol.params["beta_minus"], sol.params["beta_plus"])
+    ce = coeffs[mesh.elements[cuts.ids]][:, None]
+    out = np.zeros((len(cuts), 2, 3))
+    for s, ((pts, wts, minus), c, b, grad) in enumerate(zip(
+            rules, (cuts.cm, cuts.cp), beta, (sol.grad_minus, sol.grad_plus))):
+        x, y = pts[..., 0], pts[..., 1]
+        xi = (pts - cuts.origin[:, None]) / cuts.h[:, None, None]
+        diff = select_branches(sol, x, y, minus)[0] - (ce @ piece_values(c, xi))[:, 0]
+        gh = np.einsum("kd,kdqa->kqa", ce[:, 0], piece_gradients(c, xi, cuts.h))
+        gx, gy = grad(x, y)
+        d2 = (gx - gh[..., 0]) ** 2 + (gy - gh[..., 1]) ** 2
+        out[:, s] = np.column_stack([np.vecdot(wts, diff * diff), np.vecdot(wts, d2),
+                                     np.vecdot(wts, b * d2)])
+    return out
+
+
+def ascending_linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
+    """`postprocess._linf_error` on ascending chunks, with u_h on the cut
+    elements from every basis function's values."""
+    t = np.linspace(0.0, 1.0, grid)
+    TX, TY = np.meshgrid(t, t, indexing="ij")
+    if mesh.cell_kind == RECT:
+        sample = {0: ("rect", np.column_stack([TX.ravel(), TY.ravel()]))}
+    else:
+        sample = {0: ("tri_lower", np.column_stack([TX.ravel(), (TX * TY).ravel()])),
+                  1: ("tri_upper", np.column_stack([(TX * TY).ravel(), TX.ravel()]))}
+
+    def u(x, y):
+        return select_branches(sol, x, y, np.asarray(iface.phi(x, y)) < 0)[0]
+
+    worst = 0.0
+    for (name, spts), chunk in ascending_chunks(mesh, status, sample):
+        uh = coeffs[mesh.elements[chunk]] @ template_values(name, spts)
+        for rows, x, y in bulk_blocks(mesh, chunk, spts):
+            worst = max(worst, float(np.abs(u(x, y) - uh[rows]).max()))
+    if len(cuts):
+        lo = cuts.verts.min(axis=1)[:, None]
+        span = cuts.verts.max(axis=1)[:, None] - lo
+        pts = lo + span * np.column_stack([TX.ravel(), TY.ravel()])
+        if mesh.cell_kind != RECT:
+            xi = (pts - lo) / mesh.h
+            lower = (mesh.element_variant[cuts.ids] == 0)[:, None]
+            keep = np.where(lower, xi[..., 1] <= xi[..., 0] + 1e-12,
+                            xi[..., 0] <= xi[..., 1] + 1e-12)
+            pts = pts[keep].reshape(len(cuts), -1, 2)
+        pts = np.concatenate([pts, cuts.verts], axis=1)
+        rows = np.arange(len(cuts))
+        uh = (coeffs[mesh.elements[cuts.ids]][:, None] @ cut_values(cuts, rows, *cut_frame(
+            cuts, rows, pts)))[:, 0]
+        worst = max(worst, float(np.abs(u(pts[..., 0], pts[..., 1]) - uh).max()))
+    return worst

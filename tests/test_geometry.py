@@ -415,3 +415,19 @@ def test_edge_numbering_equals_two_column_unique():
         assert np.array_equal(mesh.edge_nodes(np.arange(mesh.n_edges)), nodes)
         assert np.array_equal(mesh.element_edges(np.arange(mesh.n_elements)),
                               inverse.reshape(mesh.n_elements, d))
+
+
+def test_small_cells_far_from_origin_are_partitioned():
+    # cells of h = 2.3e-5 at y = 1: the shoelace sum on absolute coordinates
+    # carries a round-off of about eps |x| |y|, above the 1e-10 h^2 bound of
+    # the partition check; about each element's first vertex it stays below
+    mesh = build_mesh(DomainSpec(0.0, 0.001, 1.0, 1.001, 43, "tri"))
+    status, cuts = classify_elements(mesh, line(1.0, 0.0, -0.0005))
+    assert len(cuts) == 2 * 43 and (status[cuts.ids] == INTERFACE).all()
+    assert np.allclose(cuts.D[:, 0], 0.0005, rtol=0, atol=1e-15)
+    assert np.allclose(cuts.E[:, 0], 0.0005, rtol=0, atol=1e-15)
+    bound = 1e-10 * mesh.h ** 2
+    o = cuts.verts[:, :1]
+    for shift, ok in ((o, True), (0.0, False)):
+        parts = polygon_area(cuts.poly_minus - shift) + polygon_area(cuts.poly_plus - shift)
+        assert (np.abs(parts - mesh.h ** 2 / 2) <= bound).all() == ok

@@ -399,3 +399,44 @@ def test_preconditioned_cg_iterations_grow_slowly_with_N():
     coarse, fine = solve(160), solve(320)
     assert coarse.converged and fine.converged
     assert fine.iterations <= 1.5 * coarse.iterations, (coarse.iterations, fine.iterations)
+
+
+def _same_csr(X, Y):
+    return (X.shape == Y.shape and np.array_equal(X.indptr, Y.indptr)
+            and np.array_equal(X.indices, Y.indices)
+            and np.array_equal(X.data.view(np.int64), Y.data.view(np.int64)))
+
+
+@pytest.mark.parametrize("scheme", ["spp", "npp"])
+def test_scaled_equals_diagonal_products(scheme):
+    # the Jacobi scaling scales the CSR data where it multiplied by two
+    # diagonal matrices: the same bits, the same index order (scipy's product
+    # reverses each row twice), on read-only reduced systems
+    A, b, _ = _blocked_system("rect", 40, 1e4, scheme)
+    As, bs, s = _scaled(A, b)
+    assert _same_csr(As, (sp.diags(s) @ A @ sp.diags(s)).tocsr())
+    assert np.array_equal(bs, s * b)
+
+
+def test_scaled_drops_zeros_and_keeps_unsorted_rows():
+    # rows stored out of column order keep their order; stored zeros, and
+    # products that underflow to zero, are dropped as the product drops them,
+    # without touching the input's arrays
+    rng = np.random.default_rng(5)
+    n = 30
+    A = sp.random(n, n, density=0.2, random_state=rng, format="csr") + 4 * sp.eye(n)
+    A = A.tocsr()
+    off = np.flatnonzero(A.indices != np.repeat(np.arange(n), np.diff(A.indptr)))
+    A.data[off[::7]] = 0.0
+    A.data[off[3]] = 5e-324    # times s_i s_j < 1/2: rounds to zero
+    for r in range(n):
+        lo, hi = A.indptr[r], A.indptr[r + 1]
+        order = lo + rng.permutation(hi - lo)
+        A.indices[lo:hi], A.data[lo:hi] = A.indices[order], A.data[order]
+    A.has_sorted_indices = False
+    before = (A.data.copy(), A.indices.copy(), A.indptr.copy())
+    As, _, s = _scaled(A, np.ones(n))
+    assert (s * s < 0.5).all()
+    want = (sp.diags(s) @ A @ sp.diags(s)).tocsr()
+    assert _same_csr(As, want) and not (want.data == 0).any()
+    assert all(np.array_equal(x, y) for x, y in zip(before, (A.data, A.indices, A.indptr)))

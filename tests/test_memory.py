@@ -1,19 +1,22 @@
-"""Memory budgets of the mesh and of the bulk stiffness matrix.
+"""Memory budgets of the mesh, the bulk stiffness matrix and the load.
 
 The tracemalloc peak of each call at rect N=160, above what was live before
 it, including what the call returns. Measured with numpy 2.4.6 and scipy
-1.17.1: `build_mesh` 2.8 MB (it keeps 2.1 MB) and `assemble_volume` 5.3 MB
-(the CSR matrix is 2.9 MB). The budgets are those peaks plus 50 %. The
-unstructured mesh with per-edge arrays peaked at 18.4 MB and the
-element-block COO assembly at 17.6 MB.
+1.17.1: `build_mesh` 2.8 MB (it keeps 2.1 MB), `assemble_volume` 5.3 MB
+(the CSR matrix is 2.9 MB) and `assemble_load`, given the context's cut
+rules, 5.7 MB. The budgets are those peaks plus 50 %. The unstructured mesh
+with per-edge arrays peaked at 18.4 MB, the element-block COO assembly at
+17.6 MB, and the load with every basis function's values at every cut rule
+point at 13.4 MB.
 """
 import tracemalloc
 
 import numpy as np
 
-from ppife.assembly import assemble_volume
+from ppife.assembly import assemble_load, assemble_volume, cut_data_rules
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
 from ppife.local_basis import build_bases
+from ppife.postprocess import radial_interface_solution
 
 MB = 1e6
 
@@ -34,8 +37,20 @@ def test_mesh_memory_budget():
     assert _peak(lambda: build_mesh(SPEC)) <= 4.2 * MB
 
 
-def test_stencil_memory_budget():
+def _classified():
     mesh = build_mesh(SPEC)
-    status, cuts = classify_elements(mesh, circle(0.0, 0.0, np.pi / 6.28))
-    cuts = build_bases(cuts, 1.0, 1e4)
+    iface = circle(0.0, 0.0, np.pi / 6.28)
+    status, cuts = classify_elements(mesh, iface)
+    return mesh, iface, status, build_bases(cuts, 1.0, 1e4)
+
+
+def test_stencil_memory_budget():
+    mesh, _, status, cuts = _classified()
     assert _peak(lambda: assemble_volume(mesh, status, cuts, 1.0, 1e4)) <= 8.0 * MB
+
+
+def test_load_memory_budget():
+    mesh, iface, status, cuts = _classified()
+    rules = cut_data_rules(cuts, iface)
+    sol = radial_interface_solution(1.0, 1e4)
+    assert _peak(lambda: assemble_load(mesh, status, cuts, sol, iface, rules=rules)) <= 8.5 * MB

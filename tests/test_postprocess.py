@@ -199,3 +199,21 @@ def test_tri_mesh_solution_rates():
         assert 1.85 <= r <= 2.15
     for r in convergence_rates(h1s):
         assert 0.9 <= r <= 1.1
+
+
+def test_one_sided_branches_return_fresh_float_arrays():
+    # a branch that takes x and y whole may return a scalar or an int; the
+    # caller still gets writable float arrays of the points' shape, as the
+    # per-side scatter gives them
+    sol = PiecewiseSolution(lambda x, y: 2, lambda x, y: x + y,
+                            lambda x, y: (0.0, np.asarray(y)), lambda x, y: (x, y),
+                            lambda x, y: 1, lambda x, y: 3.0)
+    x, y = np.linspace(0.0, 1.0, 6).reshape(2, 3), np.ones((2, 3))
+    for minus in (np.ones((2, 3), bool), np.zeros((2, 3), bool), np.eye(2, 3, dtype=bool)):
+        u, f, (gx, gy) = sol.u(x, y, minus), sol.f(x, y, minus), sol.grad(x, y, minus)
+        for v in (u, f, gx, gy):
+            assert v.shape == (2, 3) and v.dtype == np.float64 and v.flags.writeable
+        assert np.array_equal(u, np.where(minus, 2.0, x + y))
+        assert np.array_equal(f, np.where(minus, 1.0, 3.0))
+        assert np.array_equal(gx, np.where(minus, 0.0, x))
+        u[0, 0] = -1.0

@@ -1,29 +1,36 @@
 """Geometry and basis invariants over random interfaces and meshes.
 
 Each example draws a circle centre in [-0.3, 0.3]^2, a radius in [0.2, 0.7]
-and N in [8, 64] ([8, 32] for the patch test, which solves a global system)
-on a rect or tri mesh of [-1, 1]^2. The oracle checks and the patch test
+and N in [8, 64] ([8, 32] for the patch test, which solves a global system,
+and [8, 48] for the load and norm oracles, which build a whole context) on a
+rect or tri mesh of [-1, 1]^2. The oracle checks and the patch test
 also draw straight lines a x + b y + c = 0 with a, b in [-1, 1] and c in
 [-0.5, 0.5], solved with beta- = beta+. Draws that the mesh cannot resolve
 (MultipleCrossings) are rejected.
 """
+import dataclasses
+
 import numpy as np
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from ppife.assembly import (MethodParams, VOLUME_DEGREE, apply_dirichlet, assemble_edge_terms,
                             assemble_load, assemble_volume, combine_system, edge_traces)
-from ppife.errors import GeometryError, MultipleCrossings
-from ppife.geometry import (_EDGE_SAMPLES, INTERFACE, DomainSpec, InterfaceGeometry, _edge_signs,
-                            build_mesh, circle, classify_elements, edge_crossings,
-                            interface_edges, line)
+from ppife.errors import MultipleCrossings
+from ppife.geometry import (_EDGE_SAMPLES, INTERFACE, SIDE_MINUS, SIDE_PLUS, DomainSpec,
+                            InterfaceGeometry, _edge_signs, build_mesh, circle, classify_elements,
+                            edge_crossings, interface_edges, line)
+from ppife.harness import RunConfig, build_context, scheme_params
 from ppife.linsolve import cg
 from ppife.local_basis import (basis_residuals, build_bases, cut_frame, cut_gradients,
                                cut_values, piece_gradients)
-from ppife.postprocess import PiecewiseSolution, radial_interface_solution
+from ppife.postprocess import (PiecewiseSolution, _cut_sums, error_norms, interpolate_nodal,
+                               radial_interface_solution)
 from ppife.quadrature import fan_rule, polygon_area
-from oracles import (EDGE_INTERFACE, ReferenceMesh, classify_cuts, classify_edges, coo_volume,
-                     edge_intersection, edge_signs, edge_split_points, ife_basis, mesh_frames,
-                     select_branches, split_edge_rule, standard_basis, template_name)
+from oracles import (EDGE_INTERFACE, ReferenceMesh, ascending_bulk_load, ascending_error_norms,
+                     classify_cuts, classify_edges, coo_volume, edge_intersection, edge_signs,
+                     edge_split_points, ife_basis, mesh_frames, per_basis_cut_load,
+                     per_basis_cut_sums, select_branches, split_edge_rule, standard_basis,
+                     template_name)
 
 
 def _cases(n_max):
@@ -352,10 +359,7 @@ def test_stencil_volume_equals_coo_oracle(domain, angle, offset, beta_plus):
     # a line through the domain, off its centre by up to 0.4 of its width
     a, b = np.cos(angle), np.sin(angle)
     c = -(a * (xmin + width / 2) + b * (ymin + width / 2)) + offset * width
-    try:
-        status, cuts = classify_elements(mesh, line(a, b, c))
-    except GeometryError:
-        reject()    # cells far smaller than their distance to the origin
+    status, cuts = classify_elements(mesh, line(a, b, c))
     cuts = build_bases(cuts, 1.0, beta_plus)
     got = assemble_volume(mesh, status, cuts, 1.0, beta_plus)
     want = coo_volume(mesh, status, cuts, 1.0, beta_plus)
@@ -366,3 +370,92 @@ def test_stencil_volume_equals_coo_oracle(domain, angle, offset, beta_plus):
         size = max(abs(xmin), abs(ymin), abs(xmin + width), abs(ymin + width))
         tol = 8 * np.finfo(float).eps * (1 + size / mesh.h) * np.abs(want.data).max()
         assert np.abs(got.data - want.data).max() <= tol
+
+
+# ---------------------------------------------------------------------------
+# side-pure bulk sweeps and piece-contracted cut quadrature against the
+# ascending, mixed-side and per-basis oracles
+# ---------------------------------------------------------------------------
+
+# the golden files' bound on a change of an error column
+NORM_RTOL = 1e-9
+# the cut parts against the per-basis sums, relative to the largest load
+# entry and to each sum's cut-element total (at most 1.4e-15 and 3.7e-15 over
+# 20 random circles)
+CUT_RTOL = 1e-13
+
+
+def _context(case, beta_plus):
+    kind, N, cx, cy, r0 = case
+    config = RunConfig(mesh=kind, interface_params=(cx, cy, r0), beta_plus=beta_plus)
+    try:
+        return config, build_context(config, N)
+    except MultipleCrossings:
+        reject()
+
+
+def _no_cuts(cuts):
+    return dataclasses.replace(cuts, ids=cuts.ids[:0])
+
+
+@settings(max_examples=30)
+@given(_cases(48), st.sampled_from([10.0, 1e4]))
+def test_load_equals_ascending_per_basis_oracle(case, beta_plus):
+    """The standard elements' load bit for bit; a node that a minus and a
+    plus standard element share (beside a degenerate cut only) sums them in
+    another order. The cut elements' load within CUT_RTOL."""
+    _, ctx = _context(case, beta_plus)
+    mesh, status, cuts = ctx.mesh, ctx.status, ctx.cuts
+    got = assemble_load(mesh, status, _no_cuts(cuts), ctx.sol, ctx.iface)
+    want = ascending_bulk_load(mesh, status, ctx.sol, ctx.iface)
+    keep = np.ones(mesh.n_nodes, bool)
+    keep[np.intersect1d(mesh.elements[status == SIDE_MINUS],
+                        mesh.elements[status == SIDE_PLUS])] = False
+    assert _same(got[keep], want[keep])
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+    got = assemble_load(mesh, np.full_like(status, INTERFACE), cuts, ctx.sol, ctx.iface,
+                        rules=ctx.rules)
+    want = np.zeros(mesh.n_nodes)
+    np.add.at(want, mesh.elements[cuts.ids], per_basis_cut_load(cuts, ctx.sol, ctx.rules))
+    assert np.abs(got - want).max() <= CUT_RTOL * np.abs(want).max()
+
+
+@settings(max_examples=30)
+@given(_cases(48), st.sampled_from([10.0, 1e4]), st.integers(0, 2 ** 31))
+def test_error_norms_equal_ascending_per_basis_oracle(case, beta_plus, seed):
+    config, ctx = _context(case, beta_plus)
+    rng = np.random.default_rng(seed)
+    coeffs = (interpolate_nodal(ctx.mesh, ctx.sol, ctx.iface)
+              + 1e-3 * rng.standard_normal(ctx.mesh.n_nodes))
+    got = _cut_sums(ctx.mesh, ctx.cuts, coeffs, ctx.sol, (1.0, beta_plus), ctx.rules)
+    want = per_basis_cut_sums(ctx.mesh, ctx.cuts, coeffs, ctx.sol, ctx.rules)
+    assert (np.abs(got - want) <= CUT_RTOL * want.sum(axis=(0, 1))).all()
+    for scheme in ("classic", "spp"):
+        args = (ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface, ctx.traces,
+                scheme_params(config, scheme))
+        got = error_norms(*args, rules=ctx.rules)
+        want = ascending_error_norms(*args, ctx.rules)
+        for norm in got:
+            assert abs(got[norm] - want[norm]) <= NORM_RTOL * want[norm], norm
+
+
+def test_bulk_block_where_the_sides_meet_takes_the_split():
+    # rect N=64 with the canonical circle: the first block of 2048 elements
+    # holds the 732 minus ones and the first plus ones, so f_minus and f_plus
+    # each receive a 1-d gather of their points; the second block is all plus
+    # and passes whole (block rows, points) arrays
+    config, ctx = _context(("rect", 64, 0.0, 0.0, np.pi / 6.28), 10.0)
+    seen = set()
+
+    def spy(side, fn):
+        def call(x, y):
+            seen.add((side, np.ndim(x)))
+            return fn(x, y)
+        return call
+
+    sol = ctx.sol
+    spied = dataclasses.replace(sol, f_minus=spy("minus", sol.f_minus),
+                                f_plus=spy("plus", sol.f_plus))
+    got = assemble_load(ctx.mesh, ctx.status, _no_cuts(ctx.cuts), spied, ctx.iface)
+    assert seen == {("minus", 1), ("plus", 1), ("plus", 2)}
+    assert _same(got, ascending_bulk_load(ctx.mesh, ctx.status, sol, ctx.iface))

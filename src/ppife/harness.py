@@ -448,22 +448,28 @@ def cmd_verify(config: RunConfig):
     config.validate()
     out = _ensure_out(config)
     kind = config.mesh
-    reports = [
-        verify.scan_coefficient_bounds(kind, config.scan_betas,
-                                       samples=config.coeff_samples, seed=config.seed),
-        verify.scan_trace_ratio(kind, config.scan_betas,
-                                samples=config.trace_samples, seed=config.seed),
-        verify.scan_coercivity(config.coercivity_ns, config.scan_betas, cell_kind=kind,
-                               seed=config.seed, sigma0_override=config.sigma0),
-        verify.interp_edge_error_study(config.interp_ns,
-                                       (config.beta_minus, config.beta_plus),
-                                       cell_kind=kind, seed=config.seed),
-    ]
+    scans = (
+        lambda: verify.scan_coefficient_bounds(kind, config.scan_betas,
+                                               samples=config.coeff_samples, seed=config.seed),
+        lambda: verify.scan_trace_ratio(kind, config.scan_betas,
+                                        samples=config.trace_samples, seed=config.seed),
+        lambda: verify.scan_coercivity(config.coercivity_ns, config.scan_betas, cell_kind=kind,
+                                       seed=config.seed, sigma0_override=config.sigma0),
+        lambda: verify.interp_edge_error_study(config.interp_ns,
+                                               (config.beta_minus, config.beta_plus),
+                                               cell_kind=kind, seed=config.seed),
+    )
+    reports, timings = [], []
+    for scan in scans:
+        t0 = time.perf_counter()
+        reports.append(scan())
+        timings.append((f"scan_{reports[-1].scan_id}", time.perf_counter() - t0))
     with open(os.path.join(out, "scans.csv"), "w") as f:
         f.write("scan,key,value\n")
         for rep in reports:
             for row in rep.csv_rows():
                 f.write(row + "\n")
+    _write_timings(out, timings)
     for rep in reports:
         print(rep.summary_line())
     return reports, all(r.passed for r in reports)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .assembly import (MethodParams, assemble_edge_terms, assemble_volume, combine_system,
+from .assembly import (MethodParams, assemble_edge_terms, assemble_volume,
                        cut_volume_matrices, edge_traces)
 from .geometry import (INTERFACE, RECT, TRI, CutSet, DomainSpec, build_mesh, circle,
                        classify_elements, interface_edges, ring_chains)
@@ -57,26 +57,29 @@ class ScanReport:
 _REF_VERTS = {TRI: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
               RECT: np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])}
 
-def _cut_params(rng):
-    """Random (d, e) in [0.01, 0.99], weighted toward the endpoints where the
-    extremal (thin-sliver) cuts live, so sampled maxima saturate quickly."""
-    u = rng.uniform(0.0, 1.0, size=2)
-    g = np.where(u < 0.5, 0.5 * (2 * u) ** 3, 1.0 - 0.5 * (2 * (1 - u)) ** 3)
-    return 0.01 + 0.98 * g
-
-
 def _draw_cuts(kind, samples, seed):
-    """Parameters of `samples` random reference cuts: (d, e) per sample and,
-    for rectangles, whether the chord joins opposite edges. A scan reseeds
-    for every run, so a run's cuts are the first ones of a longer run."""
+    """Parameters of `samples` random reference cuts: (d, e) per sample in
+    [0.01, 0.99], weighted toward the endpoints where the extremal
+    (thin-sliver) cuts live, so sampled maxima saturate quickly, and, for
+    rectangles, whether the chord joins opposite edges. A scan reseeds for
+    every run, so a run's cuts are the first ones of a longer run.
+
+    The draws are bit for bit those of a per-sample `rng.uniform(size=2)`
+    and, on rectangles, `rng.integers(2)`, decoded from PCG64 words: a double
+    is the top 53 bits of a word, a coin the top bit of a 32-bit half, the
+    low half first and the buffered high half for the next coin. A pair of
+    rectangle samples takes five words, d d i d d."""
     rng = np.random.default_rng(seed)
-    params = np.empty((samples, 2))
-    opposite = np.zeros(samples, dtype=bool)
-    for s in range(samples):
-        params[s] = _cut_params(rng)
-        if kind == RECT:
-            opposite[s] = rng.integers(2) != 0
-    return params, opposite
+    if kind == RECT:
+        words = rng.bit_generator.random_raw(5 * -(-samples // 2)).reshape(-1, 5)
+        u = ((words[:, [0, 1, 3, 4]] >> 11) * 2.0 ** -53).reshape(-1, 2)[:samples]
+        coins = words[:, 2:3] >> np.array([31, 63], dtype=np.uint64) & 1
+        opposite = coins.ravel()[:samples] != 0
+    else:
+        u = rng.uniform(size=(samples, 2))
+        opposite = np.zeros(samples, dtype=bool)
+    g = np.where(u < 0.5, 0.5 * (2 * u) ** 3, 1.0 - 0.5 * (2 * (1 - u)) ** 3)
+    return 0.01 + 0.98 * g, opposite
 
 
 def _reference_cuts(kind, draws, h=1.0) -> CutSet:
@@ -275,37 +278,56 @@ def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7, hs=(1.0, 0.5, 0.25))
 # coercivity
 # ---------------------------------------------------------------------------
 
-def _is_spd(S):
-    """Whether the symmetric sparse matrix S is positive definite, by a
-    Cholesky factorization of its lower band (LAPACK pbtrf). Its cost grows
-    with the order times the squared bandwidth, not with the cubed order."""
+def _lower_bands(free, *mats):
+    """The symmetric parts of the sparse matrices `mats`, restricted to the
+    rows and columns `free`, as lower bands (len(mats), k + 1, n) in LAPACK's
+    banded storage over the largest bandwidth k among them."""
+    pos = np.full(mats[0].shape[0], -1)
+    pos[free] = np.arange(len(free))
+    entries = []
+    for X in mats:
+        X = (0.5 * (X + X.T)).tocoo()
+        r, c = pos[X.row], pos[X.col]
+        low = (c >= 0) & (r >= c)
+        entries.append((r[low] - c[low], c[low], X.data[low]))
+    bands = np.zeros((len(mats), max(d.max(initial=0) for d, _, _ in entries) + 1, len(free)))
+    for band, (d, c, v) in zip(bands, entries):
+        band[d, c] = v
+    return bands
+
+
+def _sym_part_spd(bands, params):
+    """Whether the symmetric part of the scheme matrix A_vol + delta M +
+    epsilon M^T + sigma0 P_unit (`combine_system`) is positive definite. It is
+    linear in the terms, sym(A_vol) + (delta + epsilon) sym(M) + sigma0
+    sym(P_unit), so it is one combination of their `_lower_bands`, factored by
+    a banded Cholesky (LAPACK pbtrf): order times squared bandwidth."""
     import scipy.linalg
-    L = S.tocoo()
-    low = L.row >= L.col
-    ab = np.zeros((int((L.row - L.col).max(initial=0)) + 1, S.shape[0]))
-    ab[(L.row - L.col)[low], L.col[low]] = L.data[low]
+    A_vol, M, P = bands
+    ab = A_vol + (params.delta + params.epsilon) * M + params.sigma0 * P
     try:
-        scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+        scipy.linalg.cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-def _free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
-    bm, bp = beta_pair
-    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, cell_kind))
+def _coercivity_bands(Ns, beta_pairs, cell_kind, r0=DEFAULT_R0, alpha=1.0):
+    """The `_lower_bands` of the free-node A_vol, M and P_unit per (N, beta
+    pair). The mesh, the cut elements and the interface edges do not depend
+    on beta, so they are built once per N."""
     iface = circle(0.0, 0.0, r0)
-    status, cuts = classify_elements(mesh, iface)
-    cuts = build_bases(cuts, bm, bp)
-    A_vol = assemble_volume(mesh, status, cuts, bm, bp)
-    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, bm, bp, alpha)
-    free = mesh.interior_nodes
-    return A_vol[free][:, free], M[free][:, free], P[free][:, free]
-
-
-def _sym_part_spd(A_vol, M, P, params):
-    A = combine_system(A_vol, M, P, params)
-    return _is_spd(0.5 * (A + A.T))
+    bands = {}
+    for N in Ns:
+        mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, cell_kind))
+        status, geo = classify_elements(mesh, iface)
+        edges = interface_edges(mesh, geo)
+        for bm, bp in beta_pairs:
+            cuts = build_bases(geo, bm, bp)
+            A_vol = assemble_volume(mesh, status, cuts, bm, bp)
+            M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, bm, bp, alpha)
+            bands[(N, (bm, bp))] = _lower_bands(mesh.interior_nodes, A_vol, M, P)
+    return bands
 
 
 def scan_coercivity(Ns=(10, 20, 40), beta_pairs=((1.0, 10.0), (1.0, 10000.0)),
@@ -320,30 +342,27 @@ def scan_coercivity(Ns=(10, 20, 40), beta_pairs=((1.0, 10.0), (1.0, 10000.0)),
     report = ScanReport("coercivity", f"{cell_kind} symmetric-part definiteness",
                         seed, len(Ns) * len(beta_pairs))
     ok = True
-    cache = {}
+    bands = _coercivity_bands(Ns, beta_pairs, cell_kind)
     for N in Ns:
         for pair in beta_pairs:
-            cache[(N, pair)] = _free_matrices(N, pair, cell_kind)
-            A_vol, M, P = cache[(N, pair)]
             for scheme in ("spp", "ipp"):
                 params = MethodParams.preset(scheme, *pair, sigma0=sigma0_override)
-                spd = _sym_part_spd(A_vol, M, P, params)
+                spd = _sym_part_spd(bands[(N, pair)], params)
                 report.metrics[f"{scheme}_N{N}_b{pair[0]:g}_{pair[1]:g}"] = float(spd)
                 ok = ok and spd
+    N_npp = Ns[min(1, len(Ns) - 1)]
     for pair in beta_pairs:
-        key = (Ns[min(1, len(Ns) - 1)], pair)
-        A_vol, M, P = cache[key]
         npp = MethodParams.preset("npp", *pair, sigma0=sigma0_override)
-        spd = _sym_part_spd(A_vol, M, P, npp)
-        report.metrics[f"npp_N{key[0]}_b{pair[0]:g}_{pair[1]:g}"] = float(spd)
+        spd = _sym_part_spd(bands[(N_npp, pair)], npp)
+        report.metrics[f"npp_N{N_npp}_b{pair[0]:g}_{pair[1]:g}"] = float(spd)
         ok = ok and spd
 
     # empirical SPP penalty threshold (halving scan, factor-2 bracket)
-    A_vol, M, P = cache[(Ns[min(1, len(Ns) - 1)], beta_pairs[0])]
     sig = MethodParams.preset("spp", *beta_pairs[0]).sigma0
 
     def spd_at(sigma):
-        return _sym_part_spd(A_vol, M, P, MethodParams("custom", -1.0, -1.0, sigma))
+        return _sym_part_spd(bands[(N_npp, beta_pairs[0])],
+                             MethodParams("custom", -1.0, -1.0, sigma))
 
     lo = 0.0
     s = sig

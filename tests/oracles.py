@@ -19,7 +19,10 @@ element-block COO volume assembly that the closed-form mesh and the stencil
 replace, the gather-and-reduce neighbour maxima of the AMG aggregation, and
 the ascending, mixed-side bulk sweeps and per-basis cut quadrature of the
 load and the error norms that the side-pure chunks and the piece
-contraction replace.
+contraction replace, and the per-sample draw loop and the sparse coercivity
+path (free-node submatrices, `combine_system`, its symmetric part and a
+banded Cholesky of it) that the decoded word block and the linear band
+combination of `verify` replace.
 """
 import functools
 from dataclasses import dataclass
@@ -28,17 +31,19 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ppife.assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, bulk_blocks, bulk_rules,
-                            cut_volume_matrices)
+from ppife.assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, MethodParams,
+                            assemble_edge_terms, assemble_volume, bulk_blocks, bulk_rules,
+                            combine_system, cut_volume_matrices)
 from ppife.errors import GeometryError, MultipleCrossings, PpifeError, SingularLocalSystem
 from ppife.geometry import (INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI, CutSet,
-                            DomainSpec, edge_crossings)
+                            DomainSpec, build_mesh, circle, classify_elements, edge_crossings,
+                            interface_edges)
 from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_bases, cut_frame,
                                cut_values, phys_coefficients, piece_gradients, piece_values,
                                template_gradients, template_values)
 from ppife.quadrature import (QuadratureRule, _collapsed_triangle_rule, fan_rule, map_segment,
                               map_triangle, polygon_area, rect_rule, segment_rule)
-from ppife.verify import _cut_params
+from ppife.verify import DEFAULT_R0
 
 _N_EDGE_SAMPLES = 17
 
@@ -621,11 +626,32 @@ def ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus):
                       D=D, E=E, chord_normal=n)
 
 
+def cut_params(rng):
+    """Random (d, e) in [0.01, 0.99], weighted toward the endpoints, as one
+    sample of the scans' draw."""
+    u = rng.uniform(0.0, 1.0, size=2)
+    g = np.where(u < 0.5, 0.5 * (2 * u) ** 3, 1.0 - 0.5 * (2 * (1 - u)) ** 3)
+    return 0.01 + 0.98 * g
+
+
+def draw_cuts_loop(kind, samples, seed):
+    """`verify._draw_cuts` one sample at a time: (d, e) and, on rectangles,
+    then one `rng.integers(2)` for whether the chord joins opposite edges."""
+    rng = np.random.default_rng(seed)
+    params = np.empty((samples, 2))
+    opposite = np.zeros(samples, dtype=bool)
+    for s in range(samples):
+        params[s] = cut_params(rng)
+        if kind == RECT:
+            opposite[s] = rng.integers(2) != 0
+    return params, opposite
+
+
 def reference_cut(kind, rng, h=1.0):
     """One random cut of the reference element, drawn as the scans draw them;
     returns (verts, D, E, normal, poly_minus, poly_plus) with the minus side
     containing the origin vertex."""
-    d, e = _cut_params(rng)
+    d, e = cut_params(rng)
     if kind == TRI:
         verts = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])
         D = np.array([0.0, d * h])
@@ -909,6 +935,80 @@ def select_branches(sol, x, y, minus):
     return (np.where(minus, sol.u_minus(x, y), sol.u_plus(x, y)),
             (np.where(minus, gmx, gpx), np.where(minus, gmy, gpy)),
             np.where(minus, sol.f_minus(x, y), sol.f_plus(x, y)))
+
+
+def sparse_is_spd(S):
+    """Positive definiteness of the symmetric sparse matrix S by a banded
+    Cholesky of its lower band, over the bandwidth of its stored entries."""
+    import scipy.linalg
+    L = S.tocoo()
+    low = L.row >= L.col
+    ab = np.zeros((int((L.row - L.col).max(initial=0)) + 1, S.shape[0]))
+    ab[(L.row - L.col)[low], L.col[low]] = L.data[low]
+    try:
+        scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
+    """A_vol, M and P_unit of the coercivity scan's circle problem, restricted
+    to the interior nodes, each built from its own mesh and geometry."""
+    bm, bp = beta_pair
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, cell_kind))
+    iface = circle(0.0, 0.0, r0)
+    status, cuts = classify_elements(mesh, iface)
+    cuts = build_bases(cuts, bm, bp)
+    A_vol = assemble_volume(mesh, status, cuts, bm, bp)
+    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, bm, bp, alpha)
+    free = mesh.interior_nodes
+    return A_vol[free][:, free], M[free][:, free], P[free][:, free]
+
+
+def sparse_sym_part_spd(A_vol, M, P, params):
+    """Definiteness of 0.5 (A + A^T) for the assembled scheme matrix A."""
+    A = combine_system(A_vol, M, P, params)
+    return sparse_is_spd(0.5 * (A + A.T))
+
+
+def sparse_scan_coercivity(Ns, beta_pairs, cell_kind=RECT, sigma0_override=None):
+    """The metrics and the pass flag of `verify.scan_coercivity` through the
+    sparse path: one geometry per (N, beta pair) and a full scheme matrix per
+    test."""
+    metrics = {}
+    cache = {}
+    ok = True
+    for N in Ns:
+        for pair in beta_pairs:
+            cache[(N, pair)] = free_matrices(N, pair, cell_kind)
+            for scheme in ("spp", "ipp"):
+                params = MethodParams.preset(scheme, *pair, sigma0=sigma0_override)
+                spd = sparse_sym_part_spd(*cache[(N, pair)], params)
+                metrics[f"{scheme}_N{N}_b{pair[0]:g}_{pair[1]:g}"] = float(spd)
+                ok = ok and spd
+    N_npp = Ns[min(1, len(Ns) - 1)]
+    for pair in beta_pairs:
+        npp = MethodParams.preset("npp", *pair, sigma0=sigma0_override)
+        spd = sparse_sym_part_spd(*cache[(N_npp, pair)], npp)
+        metrics[f"npp_N{N_npp}_b{pair[0]:g}_{pair[1]:g}"] = float(spd)
+        ok = ok and spd
+    mats = cache[(N_npp, beta_pairs[0])]
+    sig = MethodParams.preset("spp", *beta_pairs[0]).sigma0
+    lo, s = 0.0, sig
+    for _ in range(40):
+        s_try = s / 2.0
+        if s_try < 1e-8 * sig:
+            break
+        if sparse_sym_part_spd(*mats, MethodParams("custom", -1.0, -1.0, s_try)):
+            s = s_try
+        else:
+            lo = s_try
+            break
+    metrics["spp_sigma_preset"] = sig
+    metrics["spp_sigma_pd_down_to"] = s
+    metrics["spp_sigma_fails_at"] = lo
+    return metrics, ok
 
 
 def dense_is_spd(S):

@@ -207,6 +207,22 @@ def test_cmd_verify_small(tmp_path):
     assert any(ln.startswith("coercivity,passed,1") for ln in scans)
 
 
+def test_cmd_verify_writes_scan_timings(tmp_path):
+    cfg = RunConfig(out=str(tmp_path), coeff_samples=20, trace_samples=10,
+                    coercivity_ns=(4, 8), interp_ns=(8, 16, 32), scan_betas=((1.0, 10.0),))
+    reports, _ = cmd_verify(cfg)
+    rows = (tmp_path / "timings.csv").read_text().splitlines()
+    assert rows[0] == "label,seconds"
+    labels = [row.split(",")[0] for row in rows[1:]]
+    assert labels == [f"scan_{rep.scan_id}" for rep in reports] == [
+        "scan_coefficient_bounds", "scan_trace_ratio", "scan_coercivity",
+        "scan_interp_edge_error"]
+    assert all(float(row.split(",")[1]) >= 0.0 for row in rows[1:])
+    # the timings stay out of the deterministic scan rows
+    scans = (tmp_path / "scans.csv").read_text()
+    assert "seconds" not in scans and "scan_" not in scans
+
+
 def test_cli_exit_codes(tmp_path):
     # config error
     assert main(["solve", "--mesh", "hex", "--out", str(tmp_path / "x")]) == 2

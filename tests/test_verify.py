@@ -1,22 +1,46 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import (coef_ratio_max, dense_is_spd, linear_coupling_matrix, reference_cut,
-                     trace_ratio)
+import ppife.assembly
+import ppife.verify
+from oracles import (coef_ratio_max, dense_is_spd, draw_cuts_loop, free_matrices,
+                     linear_coupling_matrix, reference_cut, sparse_is_spd,
+                     sparse_scan_coercivity, trace_ratio)
 from ppife.assembly import MethodParams, combine_system
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
 from oracles import ife_stack_basis
 from ppife.quadrature import polygon_area
-from ppife.verify import (ScanReport, _coef_ratios, _draw_cuts, _free_matrices, _is_spd,
-                          _reference_cuts, _trace_ratios,
+from ppife.verify import (ScanReport, _coef_ratios, _coercivity_bands, _draw_cuts,
+                          _lower_bands, _reference_cuts, _sym_part_spd, _trace_ratios,
                           interp_edge_error_study, quadrant_bound_constant,
                           quadrant_gradient_check, quadrant_sigma, scan_coefficient_bounds,
                           scan_coercivity, scan_trace_ratio)
 
 # frozen regression baseline for the linear trace scan at the default seed
 TRACE_BASELINE_TRI_B10 = 3.758909087431e+00
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["rect", "tri"]), st.integers(0, 9000), st.integers(0, 2 ** 32 - 1))
+@example("rect", 0, 7)
+@example("rect", 1, 0)
+@example("rect", 2, 7)
+@example("rect", 3, 13)
+@example("rect", 480, 123)
+@example("rect", 600, 7)
+@example("rect", 8000, 13)
+@example("rect", 8001, 7)
+@example("tri", 3, 0)
+@example("tri", 8001, 123)
+def test_batched_draws_equal_the_per_sample_loop(kind, samples, seed):
+    params, opposite = _draw_cuts(kind, samples, seed)
+    want_params, want_opposite = draw_cuts_loop(kind, samples, seed)
+    assert params.shape == want_params.shape and params.tobytes() == want_params.tobytes()
+    assert opposite.dtype == bool and np.array_equal(opposite, want_opposite)
 
 
 def test_reference_cut_geometry():
@@ -180,16 +204,21 @@ def test_banded_spd_test_agrees_with_dense_cholesky(n, band, margin, seed):
     lam = np.linalg.eigvalsh(S)
     S += (margin * max(lam[-1] - lam[0], 1.0) - lam[0]) * np.eye(n)
     A = sp.csr_matrix(S)
-    assert _is_spd(A) == dense_is_spd(A) == (margin > 0)
+    zero = sp.csr_matrix((n, n))
+    bands = _lower_bands(np.arange(n), A, zero, zero)
+    spd = _sym_part_spd(bands, MethodParams("custom", 0.0, 0.0, 0.0))
+    assert spd == sparse_is_spd(A) == dense_is_spd(A) == (margin > 0)
 
 
 @pytest.mark.parametrize("kind", ["rect", "tri"])
 def test_banded_spd_test_agrees_on_the_scan_matrices(kind):
     # the scan's own symmetric parts: at the presets, across the penalty
     # halving that locates the SPP threshold, and with consistency terms
-    # scaled up until definiteness is lost
+    # scaled up until definiteness is lost; the band combination against
+    # the assembled scheme matrix's symmetric part
     for pair in ((1.0, 10.0), (1.0, 1e4)):
-        A_vol, M, P = _free_matrices(10, pair, kind)
+        A_vol, M, P = free_matrices(10, pair, kind)
+        bands = _coercivity_bands((10,), (pair,), kind)[(10, pair)]
         presets = [MethodParams.preset(s, *pair) for s in ("spp", "ipp", "npp")]
         sigma = presets[0].sigma0
         halved = [MethodParams("custom", -1.0, -1.0, sigma / 2 ** k) for k in range(1, 12)]
@@ -198,9 +227,50 @@ def test_banded_spd_test_agrees_on_the_scan_matrices(kind):
         for params in presets + halved + scaled:
             A = combine_system(A_vol, M, P, params)
             S = 0.5 * (A + A.T)
-            decisions.append(_is_spd(S))
-            assert decisions[-1] == dense_is_spd(S), params
+            decisions.append(_sym_part_spd(bands, params))
+            assert decisions[-1] == dense_is_spd(S) == sparse_is_spd(S), params
         assert True in decisions and False in decisions
+
+
+COERCIVITY_CONFIGS = list(itertools.product(
+    ["rect", "tri"], [(10, 20), (10, 20, 40)],
+    [((1.0, 10.0), (1.0, 1e4)), ((3.0, 3.0),), ((1.0, 10.0),)]))
+
+
+@pytest.mark.parametrize("kind,Ns,pairs", COERCIVITY_CONFIGS, ids=[
+    f"{kind}-N{'_'.join(map(str, Ns))}-" + "-".join(f"b{a:g}_{b:g}" for a, b in pairs)
+    for kind, Ns, pairs in COERCIVITY_CONFIGS])
+def test_coercivity_scan_equals_the_sparse_path(kind, Ns, pairs):
+    # the band combination against a full scheme matrix per test, at the
+    # presets, a forced zero penalty and a unit penalty
+    for sigma0 in (None, 0.0, 1.0):
+        report = scan_coercivity(Ns, pairs, cell_kind=kind, sigma0_override=sigma0)
+        metrics, passed = sparse_scan_coercivity(Ns, pairs, kind, sigma0)
+        assert report.metrics == metrics and report.passed == passed, sigma0
+
+
+def test_coercivity_scan_builds_one_geometry_per_mesh_size(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(ppife.verify, name, wrapper)
+
+    for name in ("build_mesh", "classify_elements", "interface_edges", "build_bases"):
+        counted(name, getattr(ppife.verify, name))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("combine_system called")
+    monkeypatch.setattr(ppife.assembly, "combine_system", refuse)
+    monkeypatch.setattr(ppife.verify, "combine_system", refuse, raising=False)
+
+    Ns, pairs = (6, 8, 10), ((1.0, 10.0), (1.0, 1e4), (3.0, 3.0))
+    scan_coercivity(Ns, pairs)
+    for name in ("build_mesh", "classify_elements", "interface_edges"):
+        assert calls.count(name) == len(Ns), name
+    assert calls.count("build_bases") == len(Ns) * len(pairs)
 
 
 def test_coercivity_scan_equal_beta():

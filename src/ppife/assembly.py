@@ -23,7 +23,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .geometry import _CORNERS, _SWEEP_POINTS, RECT, SIDE_MINUS, SIDE_PLUS
+from .geometry import _CORNERS, RECT, SIDE_MINUS, bulk_sweep
 from .local_basis import (_monomials, cut_frame, cut_gradients, cut_values, piece_gradients,
                           piece_values, template_coefs, template_gradients, template_values)
 from .quadrature import (_collapsed_triangle_rule, fan_rule, map_segment, rect_rule,
@@ -272,39 +272,6 @@ def bulk_rules(mesh, degree):
     return out
 
 
-def bulk_chunks(mesh, status, tables):
-    """Non-interface elements in chunks, per cell variant.
-
-    `tables` maps each cell variant to a tuple whose first two entries are the
-    template name and the scaled points (as `bulk_rules` returns). Yields
-    (table, element ids). A variant's elements come minus side first, then
-    plus, each ascending, so that only the block where the sides meet mixes
-    the exact solution's branches. Chunks of about 50 000 fix the order of
-    the sums and products over a chunk.
-    """
-    bulk = np.concatenate([np.flatnonzero(status == side) for side in (SIDE_MINUS, SIDE_PLUS)])
-    for variant, table in tables.items():
-        if mesh.cell_kind == RECT:
-            ids = bulk
-        else:
-            ids = bulk[mesh.element_variant[bulk] == variant]
-        if len(ids) == 0:
-            continue
-        for chunk in np.array_split(ids, max(1, len(ids) // 50000)):
-            yield table, chunk
-
-
-def bulk_blocks(mesh, ids, spts):
-    """The physical points of the scaled points `spts` on the elements `ids`,
-    in consecutive blocks of at most `geometry._SWEEP_POINTS` points. Yields
-    (slice of ids, x, y) with x, y contiguous, (block rows, n_points)."""
-    rows = max(1, _SWEEP_POINTS // len(spts))
-    hx, hy = mesh.h * spts[:, 0], mesh.h * spts[:, 1]
-    for lo in range(0, len(ids), rows):
-        origin = mesh.element_origins[ids[lo:lo + rows]]
-        yield slice(lo, lo + rows), origin[:, :1] + hx, origin[:, 1:] + hy
-
-
 def cut_data_rules(cuts, iface, degree=DATA_DEGREE, refine=DATA_REFINE):
     """The refined fan rules of the load and the error norms over the cut
     elements: per chord side (minus, plus) the points (K, n, 2), the weights
@@ -324,13 +291,10 @@ def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
     lies on its piece: the piece's coefficients times sum_q w f mono(xi_q)."""
     b = np.zeros(mesh.n_nodes)
     h = mesh.h
-    for (name, spts, swts), chunk in bulk_chunks(mesh, status, bulk_rules(mesh, degree)):
-        V = template_values(name, spts)              # (d, nq)
-        w = swts * h * h                             # physical weights
-        fw = np.empty((len(chunk), len(spts)))
-        for rows, x, y in bulk_blocks(mesh, chunk, spts):
-            fw[rows] = solution.f(x, y, np.asarray(iface.phi(x, y)) < 0) * w
-        np.add.at(b, mesh.elements[chunk], fw @ V.T)
+    for (name, spts, swts), ids, x, y, minus in bulk_sweep(mesh, status, iface,
+                                                           bulk_rules(mesh, degree)):
+        fw = solution.f(x, y, minus) * (swts * h * h)
+        np.add.at(b, mesh.elements[ids], fw @ template_values(name, spts).T)
 
     if len(cuts):
         acc = np.zeros(cuts.cm.shape[:2] + (1,))

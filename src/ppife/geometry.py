@@ -269,10 +269,12 @@ def interface_from_name(name, params) -> InterfaceGeometry:
 # ---------------------------------------------------------------------------
 
 # points per block of the pointwise sweeps over every edge or element (the
-# edge audit here, the bulk quadrature of `assembly.bulk_blocks`). Each of
-# their arrays then takes at most 256 kB, which the allocator serves again
-# from freed memory; multi-megabyte temporaries are mapped afresh on every
-# pass, and their page faults cost more than the arithmetic.
+# edge audit and the centroid signs of `classify_elements`, and `bulk_sweep`,
+# the quadrature of the load and the error norms on the standard elements).
+# Each of their arrays then takes at most 256 kB, which the allocator serves
+# again from freed memory; multi-megabyte temporaries are mapped afresh on
+# every pass, and their page faults cost more than the arithmetic. The load
+# and the norms accumulate per block, so nothing element-sized outlives one.
 _SWEEP_POINTS = 1 << 15
 # 16-interval refinement used to audit for multiple crossings
 _EDGE_SAMPLES = np.linspace(0.0, 1.0, 17)
@@ -610,3 +612,26 @@ def interface_edges(mesh: CartesianMesh, cuts: CutSet) -> np.ndarray:
     elements of `cuts`, the edges that carry the stabilization terms."""
     edges = np.unique(mesh.element_edges(cuts.ids))
     return edges[mesh.edge_elements(edges)[:, 1] >= 0]
+
+
+def bulk_sweep(mesh: CartesianMesh, status, iface: InterfaceGeometry, tables):
+    """The points of a rule on every standard (non-interface) element.
+
+    `tables` maps each cell variant to a tuple whose second entry is the
+    rule's scaled points (n, 2). A variant's elements come minus side first,
+    then plus, each ascending, so that only the block where the sides meet
+    mixes the exact solution's branches; they come in blocks of at most
+    `_SWEEP_POINTS` points. Yields (table, element ids, x, y, minus) with
+    x, y contiguous (block rows, n) and minus = phi(x, y) < 0.
+    """
+    bulk = np.concatenate([np.flatnonzero(status == side) for side in (SIDE_MINUS, SIDE_PLUS)])
+    for variant, table in tables.items():
+        ids = bulk if mesh.cell_kind == RECT else bulk[mesh.element_variant[bulk] == variant]
+        spts = table[1]
+        rows = max(1, _SWEEP_POINTS // len(spts))
+        hx, hy = mesh.h * spts[:, 0], mesh.h * spts[:, 1]
+        for lo in range(0, len(ids), rows):
+            block = ids[lo:lo + rows]
+            origin = mesh.element_origins[block]
+            x, y = origin[:, :1] + hx, origin[:, 1:] + hy
+            yield table, block, x, y, np.asarray(iface.phi(x, y)) < 0

@@ -164,7 +164,11 @@ def _parse_value(name, raw):
     if kind == "opt_int":
         return None if raw.lower() in ("none", "") else _parse_int(raw)
     if kind == "bool":
-        return raw.lower() in ("1", "true", "yes", "on")
+        if raw.lower() in ("1", "true", "yes", "on"):
+            return True
+        if raw.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ConfigError(f"{name} = {raw!r} is not a boolean (1/true/yes/on or 0/false/no/off)")
     items = [x for x in raw.replace(" ", "").split(",") if x]
     if kind == "int_tuple":
         return tuple(_parse_int(x) for x in items)

@@ -6,9 +6,8 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import (DATA_DEGREE, DATA_REFINE, bulk_blocks, bulk_chunks, bulk_rules,
-                       cut_data_rules)
-from .geometry import RECT
+from .assembly import DATA_DEGREE, DATA_REFINE, bulk_rules, cut_data_rules
+from .geometry import RECT, bulk_sweep
 from .local_basis import (cut_frame, piece_gradients, piece_values, template_gradients,
                           template_values)
 
@@ -157,26 +156,20 @@ def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params,
 
 
 def _bulk_sums(mesh, status, coeffs, sol, iface, beta, degree):
-    """Squared L2, H1 and energy error sums over the standard elements."""
+    """Squared L2, H1 and energy error sums over the standard elements,
+    accumulated block by block."""
     h = mesh.h
     sums = np.zeros(3)
-    for (name, spts, swts), chunk in bulk_chunks(mesh, status, bulk_rules(mesh, degree)):
+    for (name, spts, swts), ids, x, y, minus in bulk_sweep(mesh, status, iface,
+                                                           bulk_rules(mesh, degree)):
         w = swts * h * h
         G = template_gradients(name, spts) / h
-        ce = coeffs[mesh.elements[chunk]]
-        # u_h and its gradient per point; each block overwrites them with the
-        # squared value error, the squared gradient error and its beta-weighted
-        # copy, and the sums then run over the whole chunk as one array
-        e2, d2, bd2 = ce @ template_values(name, spts), ce @ G[:, :, 0], ce @ G[:, :, 1]
-        for rows, x, y in bulk_blocks(mesh, chunk, spts):
-            minus = np.asarray(iface.phi(x, y)) < 0
-            diff = sol.u(x, y, minus) - e2[rows]
-            gx, gy = sol.grad(x, y, minus)
-            e2[rows] = diff * diff
-            d2[rows] = (gx - d2[rows]) ** 2 + (gy - bd2[rows]) ** 2
-            bd2[rows] = np.where(minus, beta[0], beta[1]) * d2[rows]
-        sums += (np.einsum("eq,q->", e2, w), np.einsum("eq,q->", d2, w),
-                 np.einsum("eq,q->", bd2, w))
+        ce = coeffs[mesh.elements[ids]]
+        diff = sol.u(x, y, minus) - ce @ template_values(name, spts)
+        gx, gy = sol.grad(x, y, minus)
+        d2 = (gx - ce @ G[:, :, 0]) ** 2 + (gy - ce @ G[:, :, 1]) ** 2
+        sums += (np.einsum("eq,q->", diff * diff, w), np.einsum("eq,q->", d2, w),
+                 np.einsum("eq,q->", np.where(minus, beta[0], beta[1]) * d2, w))
     return sums
 
 
@@ -212,11 +205,9 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
         sample = {0: ("tri_lower", low), 1: ("tri_upper", up)}
 
     worst = 0.0
-    for (name, spts), chunk in bulk_chunks(mesh, status, sample):
-        uh = coeffs[mesh.elements[chunk]] @ template_values(name, spts)
-        for rows, x, y in bulk_blocks(mesh, chunk, spts):
-            ue = sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
-            worst = max(worst, float(np.abs(ue - uh[rows]).max()))
+    for (name, spts), ids, x, y, minus in bulk_sweep(mesh, status, iface, sample):
+        uh = coeffs[mesh.elements[ids]] @ template_values(name, spts)
+        worst = max(worst, float(np.abs(sol.u(x, y, minus) - uh).max()))
     if len(cuts):
         # the grid on each cut element's bounding square; on triangles the
         # half of it the element covers, which has the same size on both

@@ -224,11 +224,8 @@ def quadrant_gradient_check(samples, seed, hs=(1.0, 0.5)):
     """Check int_{far quadrant} |grad v|^2 >= C h^2 (c2^2 + c3^2 + c4^2 h^2)
     for random bilinear coefficient vectors, by direct quadrature."""
     rng = np.random.default_rng(seed)
-    c = np.empty((samples, 4))
-    h = np.empty(samples)
-    for s in range(samples):
-        c[s] = rng.standard_normal(4)
-        h[s] = hs[int(rng.integers(len(hs)))]
+    c = rng.standard_normal((samples, 4))
+    h = np.asarray(hs, float)[rng.integers(len(hs), size=samples)]
     rule = rect_rule(4)
     half = h[:, None] / 2
     x = half + rule.points[:, 0] * half

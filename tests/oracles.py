@@ -18,7 +18,7 @@ adjacency (every edge's endpoints, neighbours, normal and length) and the
 element-block COO volume assembly that the closed-form mesh and the stencil
 replace, the gather-and-reduce neighbour maxima of the AMG aggregation, and
 the ascending, mixed-side bulk sweeps and per-basis cut quadrature of the
-load and the error norms that the side-pure chunks and the piece
+load and the error norms that the side-pure sweep and the piece
 contraction replace, and the per-sample draw loop and the sparse coercivity
 path (free-node submatrices, `combine_system`, its symmetric part and a
 banded Cholesky of it) that the decoded word block and the linear band
@@ -32,10 +32,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from ppife.assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, MethodParams,
-                            assemble_edge_terms, assemble_volume, bulk_blocks, bulk_rules,
-                            combine_system, cut_volume_matrices)
+                            assemble_edge_terms, assemble_volume, bulk_rules, combine_system,
+                            cut_volume_matrices)
 from ppife.errors import GeometryError, MultipleCrossings, PpifeError, SingularLocalSystem
-from ppife.geometry import (INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI, CutSet,
+from ppife.geometry import (_SWEEP_POINTS, INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI, CutSet,
                             DomainSpec, build_mesh, circle, classify_elements, edge_crossings,
                             interface_edges)
 from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_bases, cut_frame,
@@ -787,10 +787,10 @@ def linear_coupling_matrix(d, e, h, beta_minus, beta_plus):
 def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_labels, params,
                           degree=DATA_DEGREE, refine=DATA_REFINE):
     """One full sweep per norm, summed in the order the fused sweep must keep:
-    standard elements chunk by chunk, minus side first, then the cut-element
-    total, then (energy only) the penalty jumps edge by edge. On a cut
-    element u_h is evaluated as one piece, the coefficients times the side's
-    basis. Standard neighbours on the edges are evaluated through
+    standard elements block by block (`point_blocks`), minus side first, then
+    the cut-element total, then (energy only) the penalty jumps edge by edge.
+    On a cut element u_h is evaluated as one piece, the coefficients times
+    the side's basis. Standard neighbours on the edges are evaluated through
     `standard_basis`."""
     beta = (sol.params["beta_minus"], sol.params["beta_plus"])
     bulk = np.concatenate([np.flatnonzero(status == s) for s in (SIDE_MINUS, SIDE_PLUS)])
@@ -809,11 +809,9 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
             w = swts * h * h
             V = template_values(name, spts)
             G = template_gradients(name, spts) / h
-            for chunk in np.array_split(ids, max(1, len(ids) // 50000)):
-                pts = mesh.element_origins[chunk][:, None, :] + h * spts[None, :, :]
-                x, y = pts[..., 0], pts[..., 1]
+            for block, x, y in point_blocks(mesh, ids, spts):
                 minus = np.asarray(iface.phi(x, y)) < 0
-                ce = coeffs[mesh.elements[chunk]]
+                ce = coeffs[mesh.elements[block]]
                 if kind == "l2":
                     diff = sol.u(x, y, minus) - ce @ V
                     total += float(np.einsum("eq,q->", diff * diff, w))
@@ -1166,33 +1164,40 @@ def neighbour_max_reduceat(G, v):
 
 # ---------------------------------------------------------------------------
 # mixed-side bulk sweeps and per-basis cut quadrature: the load and the error
-# norms before side-pure chunks and piece contraction, with both exact
+# norms before the side-pure sweep and piece contraction, with both exact
 # branches evaluated at every point (`select_branches`)
 # ---------------------------------------------------------------------------
 
-def ascending_chunks(mesh, status, tables):
-    """`assembly.bulk_chunks` with each variant's non-interface elements in
-    ascending order, the two sides mixed."""
+def point_blocks(mesh, ids, spts):
+    """The physical points of the scaled points `spts` on the elements `ids`,
+    in consecutive blocks of at most `geometry._SWEEP_POINTS` points, as
+    `geometry.bulk_sweep` walks them. Yields (block ids, x, y), x and y
+    contiguous (block rows, n_points)."""
+    rows = max(1, _SWEEP_POINTS // len(spts))
+    hx, hy = mesh.h * spts[:, 0], mesh.h * spts[:, 1]
+    for lo in range(0, len(ids), rows):
+        origin = mesh.element_origins[ids[lo:lo + rows]]
+        yield ids[lo:lo + rows], origin[:, :1] + hx, origin[:, 1:] + hy
+
+
+def ascending_blocks(mesh, status, tables):
+    """`geometry.bulk_sweep` with each variant's non-interface elements in
+    ascending order, the two sides mixed. Yields (table, ids, x, y)."""
     bulk = np.flatnonzero(status != INTERFACE)
     for variant, table in tables.items():
         ids = bulk if mesh.cell_kind == RECT else bulk[mesh.element_variant[bulk] == variant]
-        if len(ids):
-            for chunk in np.array_split(ids, max(1, len(ids) // 50000)):
-                yield table, chunk
+        for block, x, y in point_blocks(mesh, ids, table[1]):
+            yield table, block, x, y
 
 
 def ascending_bulk_load(mesh, status, sol, iface, degree=DATA_DEGREE):
     """The standard elements' part of `assembly.assemble_load` over
-    ascending chunks, summed in element order."""
+    ascending blocks, summed in element order."""
     b = np.zeros(mesh.n_nodes)
     h = mesh.h
-    for (name, spts, swts), chunk in ascending_chunks(mesh, status, bulk_rules(mesh, degree)):
-        V = template_values(name, spts)
-        w = swts * h * h
-        fw = np.empty((len(chunk), len(spts)))
-        for rows, x, y in bulk_blocks(mesh, chunk, spts):
-            fw[rows] = select_branches(sol, x, y, np.asarray(iface.phi(x, y)) < 0)[2] * w
-        np.add.at(b, mesh.elements[chunk], fw @ V.T)
+    for (name, spts, swts), ids, x, y in ascending_blocks(mesh, status, bulk_rules(mesh, degree)):
+        fw = select_branches(sol, x, y, np.asarray(iface.phi(x, y)) < 0)[2] * (swts * h * h)
+        np.add.at(b, mesh.elements[ids], fw @ template_values(name, spts).T)
     return b
 
 
@@ -1210,25 +1215,21 @@ def per_basis_cut_load(cuts, sol, rules):
 
 def ascending_error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules,
                           degree=DATA_DEGREE):
-    """`postprocess.error_norms` on ascending chunks, with u_h on the cut
+    """`postprocess.error_norms` on ascending blocks, with u_h on the cut
     elements from every basis function's values and gradients."""
     beta = (sol.params["beta_minus"], sol.params["beta_plus"])
     h = mesh.h
     sums = np.zeros(3)
-    for (name, spts, swts), chunk in ascending_chunks(mesh, status, bulk_rules(mesh, degree)):
+    for (name, spts, swts), ids, x, y in ascending_blocks(mesh, status, bulk_rules(mesh, degree)):
         w = swts * h * h
         G = template_gradients(name, spts) / h
-        ce = coeffs[mesh.elements[chunk]]
-        e2, d2, bd2 = ce @ template_values(name, spts), ce @ G[:, :, 0], ce @ G[:, :, 1]
-        for rows, x, y in bulk_blocks(mesh, chunk, spts):
-            minus = np.asarray(iface.phi(x, y)) < 0
-            u, (gx, gy), _ = select_branches(sol, x, y, minus)
-            diff = u - e2[rows]
-            e2[rows] = diff * diff
-            d2[rows] = (gx - d2[rows]) ** 2 + (gy - bd2[rows]) ** 2
-            bd2[rows] = np.where(minus, beta[0], beta[1]) * d2[rows]
-        sums += (np.einsum("eq,q->", e2, w), np.einsum("eq,q->", d2, w),
-                 np.einsum("eq,q->", bd2, w))
+        ce = coeffs[mesh.elements[ids]]
+        minus = np.asarray(iface.phi(x, y)) < 0
+        u, (gx, gy), _ = select_branches(sol, x, y, minus)
+        diff = u - ce @ template_values(name, spts)
+        d2 = (gx - ce @ G[:, :, 0]) ** 2 + (gy - ce @ G[:, :, 1]) ** 2
+        sums += (np.einsum("eq,q->", diff * diff, w), np.einsum("eq,q->", d2, w),
+                 np.einsum("eq,q->", np.where(minus, beta[0], beta[1]) * d2, w))
     if len(cuts):
         parts = per_basis_cut_sums(mesh, cuts, coeffs, sol, rules)
         sums = sums + np.cumsum(parts.reshape(-1, 3), axis=0)[-1]
@@ -1263,7 +1264,7 @@ def per_basis_cut_sums(mesh, cuts, coeffs, sol, rules):
 
 
 def ascending_linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
-    """`postprocess._linf_error` on ascending chunks, with u_h on the cut
+    """`postprocess._linf_error` on ascending blocks, with u_h on the cut
     elements from every basis function's values."""
     t = np.linspace(0.0, 1.0, grid)
     TX, TY = np.meshgrid(t, t, indexing="ij")
@@ -1277,10 +1278,9 @@ def ascending_linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
         return select_branches(sol, x, y, np.asarray(iface.phi(x, y)) < 0)[0]
 
     worst = 0.0
-    for (name, spts), chunk in ascending_chunks(mesh, status, sample):
-        uh = coeffs[mesh.elements[chunk]] @ template_values(name, spts)
-        for rows, x, y in bulk_blocks(mesh, chunk, spts):
-            worst = max(worst, float(np.abs(u(x, y) - uh[rows]).max()))
+    for (name, spts), ids, x, y in ascending_blocks(mesh, status, sample):
+        uh = coeffs[mesh.elements[ids]] @ template_values(name, spts)
+        worst = max(worst, float(np.abs(u(x, y) - uh).max()))
     if len(cuts):
         lo = cuts.verts.min(axis=1)[:, None]
         span = cuts.verts.max(axis=1)[:, None] - lo

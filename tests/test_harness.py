@@ -380,6 +380,24 @@ def test_cli_malformed_numbers_are_config_errors(tmp_path, argv, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("word, value", [("on", True), ("Yes", True), ("1", True),
+                                         ("off", False), ("FALSE", False), ("0", False)])
+def test_config_file_booleans(tmp_path, word, value):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"dump_field = {word}\n")
+    assert load_config(str(cfg_file)).dump_field is value
+
+
+def test_cli_rejects_misspelt_boolean_in_config_file(tmp_path, capsys):
+    # a typo must not silently switch the option off
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("N = 8\ndump_field = ture\n")
+    assert main(["solve", "--config", str(cfg_file), "--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dump_field" in err and "ture" in err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_build_context_validates_config():
     # a library call gets the same refusal as the CLI: there is no
     # manufactured solution for a line with a coefficient jump

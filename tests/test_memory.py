@@ -1,13 +1,16 @@
-"""Memory budgets of the mesh, the bulk stiffness matrix and the load.
+"""Memory budgets of the mesh, the bulk stiffness matrix, the load and the
+error norms.
 
 The tracemalloc peak of each call at rect N=160, above what was live before
 it, including what the call returns. Measured with numpy 2.4.6 and scipy
 1.17.1: `build_mesh` 2.8 MB (it keeps 2.1 MB), `assemble_volume` 5.3 MB
-(the CSR matrix is 2.9 MB) and `assemble_load`, given the context's cut
-rules, 5.7 MB. The budgets are those peaks plus 50 %. The unstructured mesh
+(the CSR matrix is 2.9 MB), `assemble_load`, given the context's cut
+rules, 5.7 MB, and `error_norms` (SPP, beta+ = 1e4, the context's rules)
+7.5 MB. The budgets are those peaks plus 50 %. The unstructured mesh
 with per-edge arrays peaked at 18.4 MB, the element-block COO assembly at
-17.6 MB, and the load with every basis function's values at every cut rule
-point at 13.4 MB.
+17.6 MB, the load with every basis function's values at every cut rule
+point at 13.4 MB, and the norms with element-sized arrays over chunks of
+standard elements at 14.1 MB.
 """
 import tracemalloc
 
@@ -15,8 +18,9 @@ import numpy as np
 
 from ppife.assembly import assemble_load, assemble_volume, cut_data_rules
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
+from ppife.harness import RunConfig, build_context, scheme_params
 from ppife.local_basis import build_bases
-from ppife.postprocess import radial_interface_solution
+from ppife.postprocess import error_norms, interpolate_nodal, radial_interface_solution
 
 MB = 1e6
 
@@ -54,3 +58,12 @@ def test_load_memory_budget():
     rules = cut_data_rules(cuts, iface)
     sol = radial_interface_solution(1.0, 1e4)
     assert _peak(lambda: assemble_load(mesh, status, cuts, sol, iface, rules=rules)) <= 8.5 * MB
+
+
+def test_error_norms_memory_budget():
+    config = RunConfig(mesh="rect", beta_plus=1e4)
+    ctx = build_context(config, 160)
+    coeffs = interpolate_nodal(ctx.mesh, ctx.sol, ctx.iface)
+    args = (ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface, ctx.traces,
+            scheme_params(config, "spp"))
+    assert _peak(lambda: error_norms(*args, rules=ctx.rules)) <= 11.3 * MB

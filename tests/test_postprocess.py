@@ -3,8 +3,9 @@ import pytest
 
 from oracles import (classify_cuts, classify_edges, interface_jump_residuals, oracle_bases,
                      reference_error_norms)
-from ppife.assembly import MethodParams, edge_traces
-from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements, interface_edges
+from ppife.assembly import DATA_DEGREE, MethodParams, bulk_rules, edge_traces
+from ppife.geometry import (DomainSpec, build_mesh, bulk_sweep, circle, classify_elements,
+                            interface_edges)
 from ppife.local_basis import build_bases
 from ppife.postprocess import (PiecewiseSolution, convergence_rates, error_norms,
                                interpolate_nodal, markdown_error_table,
@@ -88,15 +89,20 @@ def test_norms_are_nonnegative_and_detect_error():
         assert err[norm] > 0
 
 
-@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("N", [8, 16, 64])
 @pytest.mark.parametrize("beta_plus", [10.0, 1e4])
 @pytest.mark.parametrize("kind", ["rect", "tri"])
 def test_error_norms_equal_per_norm_reference(kind, beta_plus, N):
-    # the fused, stacked sweep keeps the per-norm, per-element summation
-    # order, so equality is exact; the reference walks the per-element
-    # classification and bases. Classic exercises the sigma0 = 0 skip of the
+    # the fused, stacked sweep keeps the per-norm summation order, block by
+    # block over the standard elements and element by element over the cut
+    # ones, so equality is exact; the reference walks the per-element
+    # classification and bases. At N=64 each cell variant's standard
+    # elements span two blocks. Classic exercises the sigma0 = 0 skip of the
     # penalty jumps
     mesh, iface, status, cuts, traces, sol = _setup(N, kind=kind, betas=(1.0, beta_plus))
+    rules = bulk_rules(mesh, DATA_DEGREE)
+    blocks = sum(1 for _ in bulk_sweep(mesh, status, iface, rules))
+    assert blocks == (len(rules) if N < 64 else 2 * len(rules))
     o_cuts = classify_cuts(mesh, iface)[1]
     o_bases = oracle_bases(mesh, o_cuts, 1.0, beta_plus)
     rng = np.random.default_rng(N)

@@ -14,11 +14,12 @@ import numpy as np
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from ppife.assembly import (MethodParams, VOLUME_DEGREE, apply_dirichlet, assemble_edge_terms,
-                            assemble_load, assemble_volume, combine_system, edge_traces)
+                            assemble_load, assemble_volume, bulk_rules, combine_system,
+                            edge_traces)
 from ppife.errors import MultipleCrossings
-from ppife.geometry import (_EDGE_SAMPLES, INTERFACE, SIDE_MINUS, SIDE_PLUS, DomainSpec,
-                            InterfaceGeometry, _edge_signs, build_mesh, circle, classify_elements,
-                            edge_crossings, interface_edges, line)
+from ppife.geometry import (_EDGE_SAMPLES, _SWEEP_POINTS, INTERFACE, SIDE_MINUS, SIDE_PLUS,
+                            DomainSpec, InterfaceGeometry, _edge_signs, build_mesh, bulk_sweep,
+                            circle, classify_elements, edge_crossings, interface_edges, line)
 from ppife.harness import RunConfig, build_context, scheme_params
 from ppife.linsolve import cg
 from ppife.local_basis import (basis_residuals, build_bases, cut_frame, cut_gradients,
@@ -459,3 +460,35 @@ def test_bulk_block_where_the_sides_meet_takes_the_split():
     got = assemble_load(ctx.mesh, ctx.status, _no_cuts(ctx.cuts), spied, ctx.iface)
     assert seen == {("minus", 1), ("plus", 1), ("plus", 2)}
     assert _same(got, ascending_bulk_load(ctx.mesh, ctx.status, sol, ctx.iface))
+
+
+@given(cases, st.integers(1, 10))
+def test_bulk_sweep_order_blocks_and_sides(case, degree):
+    """Every standard element once, per cell variant minus side first, then
+    plus, ascending within a side; at most _SWEEP_POINTS points per block;
+    x, y the element origin plus h times the scaled points, and minus the
+    sign of phi there."""
+    mesh, iface, status, _ = _classified(case)
+    tables = bulk_rules(mesh, degree)
+    seen = {variant: [] for variant in tables}
+    for table, ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
+        variant = next(v for v, t in tables.items() if t is table)
+        spts = table[1]
+        assert 0 < x.size <= _SWEEP_POINTS
+        assert x.shape == y.shape == minus.shape == (len(ids), len(spts))
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+        origin = mesh.element_origins[ids]
+        assert _same(x, origin[:, :1] + mesh.h * spts[:, 0])
+        assert _same(y, origin[:, 1:] + mesh.h * spts[:, 1])
+        assert np.array_equal(minus, iface.phi(x, y) < 0)
+        seen[variant].append(ids)
+    everything = []
+    for variant, blocks in seen.items():
+        ids = np.concatenate(blocks) if blocks else np.zeros(0, int)
+        assert mesh.cell_kind == "rect" or (mesh.element_variant[ids] == variant).all()
+        # sides as 0 (minus) and 1 (plus): the key (side, id) strictly ascends
+        key = (status[ids] == SIDE_PLUS) * mesh.n_elements + ids
+        assert (np.diff(key) > 0).all()
+        everything.append(ids)
+    everything = np.concatenate(everything)
+    assert np.array_equal(np.sort(everything), np.flatnonzero(status != INTERFACE))

@@ -159,8 +159,8 @@ def test_trace_scan_equal_beta_is_scale_free():
 def test_trace_scan_bilinear_quadrant_bound():
     sigma = quadrant_sigma()
     assert 9.0 / 12.0 < sigma < 7.0 / 9.0
-    margin = quadrant_gradient_check(1000, seed=7)
-    assert margin >= 1.0 - 1e-10
+    margins = [quadrant_gradient_check(1000, seed=seed) for seed in range(20)]
+    assert min(margins) >= 1.0 - 1e-10
     report = scan_trace_ratio("rect", ((1.0, 10.0),), samples=400, seed=7)
     assert report.passed
     assert report.metrics["quadrant_bound_margin"] >= 1.0 - 1e-10

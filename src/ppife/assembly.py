@@ -242,9 +242,15 @@ def assemble_edge_terms(mesh, edges, status, cuts, beta_minus, beta_plus, alpha)
     return out[0], out[1], traces
 
 
+def scheme_sum(params: MethodParams, A_vol, M, Mt, P_unit):
+    """A scheme's weighted sum of its four terms (matrices, or their lifts)."""
+    return A_vol + params.delta * M + params.epsilon * Mt + params.sigma0 * P_unit
+
+
 def combine_system(A_vol, M, P_unit, params: MethodParams):
-    """Full scheme matrix A_vol + delta*M + epsilon*M^T + sigma0*P_unit."""
-    A = (A_vol + params.delta * M + params.epsilon * M.T + params.sigma0 * P_unit).tocsr()
+    """Scheme matrix A_vol + delta*M + epsilon*M^T + sigma0*P_unit, on the
+    nodes the terms are given on (the free nodes in a solve)."""
+    A = scheme_sum(params, A_vol, M, M.T, P_unit).tocsr()
     A.sum_duplicates()
     A.eliminate_zeros()
     A.sort_indices()
@@ -311,13 +317,24 @@ def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
 # boundary conditions
 # ---------------------------------------------------------------------------
 
+def restrict(X, free):
+    """The CSR matrix X on the rows and columns `free` (ascending), in one
+    pass over its arrays: the free rows' entries in free columns, renumbered."""
+    pos = np.full(X.shape[0], -1, X.indices.dtype)
+    pos[free] = np.arange(len(free))
+    col = pos[X.indices]
+    keep = np.repeat(pos >= 0, np.diff(X.indptr)) & (col >= 0)
+    # a free row keeps its entries but those in boundary columns, which are few
+    lost = np.searchsorted(X.indptr, np.flatnonzero(col < 0), side="right") - 1
+    count = np.diff(X.indptr) - np.bincount(lost, minlength=X.shape[0])
+    indptr = np.concatenate([[0], np.cumsum(count[free])])
+    return sp.csr_matrix((X.data[keep], col[keep], indptr), shape=(len(free), len(free)))
+
+
 @dataclass(eq=False)
 class SparseSystem:
-    """Assembled system with Dirichlet bookkeeping.
-
-    `A` and `b` are the full (all-node) matrix and load; boundary dofs carry
-    interpolated boundary values and are eliminated in `reduced()`.
-    """
+    """A scheme's system on the free nodes, `A` and `b`; the boundary nodes
+    carry the interpolated boundary values."""
 
     A: sp.csr_matrix
     b: np.ndarray
@@ -326,26 +343,44 @@ class SparseSystem:
     free: np.ndarray
 
     def reduced(self):
-        A_f = self.A[self.free]
-        return (A_f[:, self.free].tocsr(),
-                self.b[self.free] - A_f[:, self.boundary] @ self.boundary_values)
+        return self.A, self.b
 
     def expand(self, x_free):
-        x = np.empty(self.A.shape[0])
+        x = np.empty(len(self.free) + len(self.boundary))
         x[self.free] = x_free
         x[self.boundary] = self.boundary_values
         return x
 
-    @property
-    def dirichlet(self):
-        return dict(zip(self.boundary.tolist(), self.boundary_values.tolist()))
+
+class DirichletSplit(NamedTuple):
+    """The terms of `combine_system` and the load on the free nodes, and the
+    lifts: A_vol, M, M^T and P_unit times the boundary values, free rows."""
+
+    A_vol: sp.csr_matrix
+    M: sp.csr_matrix
+    P_unit: sp.csr_matrix
+    lifts: tuple
+    b: np.ndarray
+    boundary: np.ndarray
+    boundary_values: np.ndarray
+    free: np.ndarray
+
+    def system(self, params: MethodParams) -> SparseSystem:
+        """A scheme's free-node system: terms and lifts weighted alike."""
+        return SparseSystem(combine_system(self.A_vol, self.M, self.P_unit, params),
+                            self.b - scheme_sum(params, *self.lifts), self.boundary,
+                            self.boundary_values, self.free)
 
 
-def apply_dirichlet(A, b, mesh, g) -> SparseSystem:
-    """Fix boundary dofs to the nodal interpolation of g(x, y)."""
-    bd = mesh.boundary_nodes
-    vals = np.asarray(g(mesh.nodes[bd, 0], mesh.nodes[bd, 1]), float)
-    return SparseSystem(A, b, bd, vals, mesh.interior_nodes)
+def apply_dirichlet(A_vol, M, P_unit, b, mesh, g) -> DirichletSplit:
+    """Fix the boundary dofs to the nodal interpolation of g(x, y) and split
+    the full-node terms and load there, once for every scheme."""
+    bd, free = mesh.boundary_nodes, mesh.interior_nodes
+    x = np.zeros(mesh.n_nodes)
+    x[bd] = g(mesh.nodes[bd, 0], mesh.nodes[bd, 1])
+    return DirichletSplit(*(restrict(X, free) for X in (A_vol, M, P_unit)),
+                          tuple((X @ x)[free] for X in (A_vol, M, M.T, P_unit)),
+                          b[free], bd, x[bd], free)
 
 
 def dump_matrix(path, A):

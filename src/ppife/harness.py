@@ -89,6 +89,8 @@ class RunConfig:
             raise ConfigError("coercivity_ns needs at least 1 mesh size")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if self.field_grid < 0:
+            raise ConfigError("field_grid must be 0 (the mesh nodes) or G >= 1 (a G x G grid)")
         if any(b <= 0 for pair in self.scan_betas for b in pair):
             raise ConfigError("scan_betas values must be positive")
         if doubling and len(self.N) > 1:
@@ -227,12 +229,9 @@ class CaseContext:
     sol: object
     status: np.ndarray   # per element: SIDE_MINUS, SIDE_PLUS or INTERFACE
     cuts: object         # geometry.CutSet of the interface elements, with their bases
-    A_vol: object
-    M: object
-    P_unit: object
+    split: object        # assembly.DirichletSplit: A_vol, M, P_unit and b on the free nodes
     traces: object       # assembly.EdgeTraces of the interface edges
     rules: list          # assembly.cut_data_rules of the cut elements
-    b: np.ndarray
     _aggregates: Optional[tuple] = field(default=None, repr=False)
 
     def fine_aggregates(self):
@@ -240,8 +239,7 @@ class CaseContext:
         linsolve.SAHierarchy), shared by every scheme of the context. They
         are formed on the bulk matrix A_vol, on the first call."""
         if self._aggregates is None:
-            free = self.mesh.interior_nodes
-            self._aggregates = linsolve.aggregate(self.A_vol[free][:, free])
+            self._aggregates = linsolve.aggregate(self.split.A_vol)
         return self._aggregates
 
 
@@ -262,7 +260,9 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
         config.penalty_alpha)
     rules = assembly.cut_data_rules(cuts, iface)
     b = assembly.assemble_load(mesh, status, cuts, sol, iface, rules=rules)
-    return CaseContext(N, mesh, iface, sol, status, cuts, A_vol, M, P_unit, traces, rules, b)
+    split = assembly.apply_dirichlet(A_vol, M, P_unit, b, mesh,
+                                     lambda x, y: sol.u_at(x, y, iface))
+    return CaseContext(N, mesh, iface, sol, status, cuts, split, traces, rules)
 
 
 def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
@@ -280,9 +280,7 @@ def interface_block(ctx: CaseContext, system) -> np.ndarray:
 def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     """Assemble the scheme system on a prepared context, solve, measure errors."""
     params = scheme_params(config, scheme)
-    A = assembly.combine_system(ctx.A_vol, ctx.M, ctx.P_unit, params)
-    system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
-                                      lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
+    system = ctx.split.system(params)
     A_ff, rhs = system.reduced()
     # delta == epsilon makes the scheme matrix symmetric; the solver is
     # looked up at call time, so that a tracer may wrap it

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import (MethodParams, assemble_edge_terms, assemble_volume,
-                       cut_volume_matrices, edge_traces)
+                       cut_volume_matrices, edge_traces, restrict)
 from .geometry import (INTERFACE, RECT, TRI, CutSet, DomainSpec, build_mesh, circle,
                        classify_elements, interface_edges, ring_chains)
 from .local_basis import build_bases, cut_frame, cut_gradients, phys_coefficients
@@ -275,19 +275,17 @@ def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7, hs=(1.0, 0.5, 0.25))
 # coercivity
 # ---------------------------------------------------------------------------
 
-def _lower_bands(free, *mats):
-    """The symmetric parts of the sparse matrices `mats`, restricted to the
-    rows and columns `free`, as lower bands (len(mats), k + 1, n) in LAPACK's
-    banded storage over the largest bandwidth k among them."""
-    pos = np.full(mats[0].shape[0], -1)
-    pos[free] = np.arange(len(free))
+def _lower_bands(*mats):
+    """The symmetric parts of the sparse (n, n) matrices `mats` as lower
+    bands (len(mats), k + 1, n) in LAPACK's banded storage over the largest
+    bandwidth k among them."""
     entries = []
     for X in mats:
         X = (0.5 * (X + X.T)).tocoo()
-        r, c = pos[X.row], pos[X.col]
-        low = (c >= 0) & (r >= c)
-        entries.append((r[low] - c[low], c[low], X.data[low]))
-    bands = np.zeros((len(mats), max(d.max(initial=0) for d, _, _ in entries) + 1, len(free)))
+        low = X.row >= X.col
+        entries.append((X.row[low] - X.col[low], X.col[low], X.data[low]))
+    bands = np.zeros((len(mats), max(d.max(initial=0) for d, _, _ in entries) + 1,
+                      mats[0].shape[0]))
     for band, (d, c, v) in zip(bands, entries):
         band[d, c] = v
     return bands
@@ -323,7 +321,8 @@ def _coercivity_bands(Ns, beta_pairs, cell_kind, r0=DEFAULT_R0, alpha=1.0):
             cuts = build_bases(geo, bm, bp)
             A_vol = assemble_volume(mesh, status, cuts, bm, bp)
             M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, bm, bp, alpha)
-            bands[(N, (bm, bp))] = _lower_bands(mesh.interior_nodes, A_vol, M, P)
+            bands[(N, (bm, bp))] = _lower_bands(
+                *(restrict(X, mesh.interior_nodes) for X in (A_vol, M, P)))
     return bands
 
 

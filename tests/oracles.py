@@ -19,10 +19,11 @@ element-block COO volume assembly that the closed-form mesh and the stencil
 replace, the gather-and-reduce neighbour maxima of the AMG aggregation, and
 the ascending, mixed-side bulk sweeps and per-basis cut quadrature of the
 load and the error norms that the side-pure sweep and the piece
-contraction replace, and the per-sample draw loop and the sparse coercivity
+contraction replace, the per-sample draw loop and the sparse coercivity
 path (free-node submatrices, `combine_system`, its symmetric part and a
 banded Cholesky of it) that the decoded word block and the linear band
-combination of `verify` replace.
+combination of `verify` replace, and the per-scheme slicing of the
+full-node scheme matrix that the context's one Dirichlet split replaces.
 """
 import functools
 from dataclasses import dataclass
@@ -32,8 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ppife.assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, MethodParams,
-                            assemble_edge_terms, assemble_volume, bulk_rules, combine_system,
-                            cut_volume_matrices)
+                            assemble_edge_terms, assemble_load, assemble_volume, bulk_rules,
+                            combine_system, cut_volume_matrices)
 from ppife.errors import GeometryError, MultipleCrossings, PpifeError, SingularLocalSystem
 from ppife.geometry import (_SWEEP_POINTS, INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI, CutSet,
                             DomainSpec, build_mesh, circle, classify_elements, edge_crossings,
@@ -1017,6 +1018,28 @@ def dense_is_spd(S):
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the per-scheme Dirichlet elimination on the full nodes
+# ---------------------------------------------------------------------------
+
+def full_node_system(ctx, params):
+    """A scheme's free-node matrix and right-hand side on the context `ctx`
+    through the full nodes: `combine_system` of the full-node A_vol, M and
+    P_unit, sliced to the free rows and then to the free columns, and the
+    full load on the free rows less A_fb g, the free rows' boundary columns
+    times the boundary values."""
+    bm, bp = ctx.sol.params["beta_minus"], ctx.sol.params["beta_plus"]
+    mesh = ctx.mesh
+    A_vol = assemble_volume(mesh, ctx.status, ctx.cuts, bm, bp)
+    M, P, _ = assemble_edge_terms(mesh, ctx.traces.edges, ctx.status, ctx.cuts, bm, bp,
+                                  params.alpha)
+    b = assemble_load(mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface, rules=ctx.rules)
+    free, bd = mesh.interior_nodes, mesh.boundary_nodes
+    g = ctx.sol.u_at(mesh.nodes[bd, 0], mesh.nodes[bd, 1], ctx.iface)
+    A_f = combine_system(A_vol, M, P, params)[free]
+    return A_f[:, free].tocsr(), b[free] - A_f[:, bd] @ g
 
 
 # ---------------------------------------------------------------------------

@@ -301,12 +301,15 @@ def test_cut_element_load_vs_symbolic_oracle():
 
 def test_dirichlet_homogeneous_keeps_free_rhs():
     mesh, iface, status, cuts, edges = _pipeline(4)
-    A = assemble_volume(mesh, status, cuts, 1.0, 10.0)
+    A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, 1.0)
     b = np.arange(mesh.n_nodes, dtype=float)
-    sysm = apply_dirichlet(A, b, mesh, lambda x, y: np.zeros_like(x))
+    sysm = apply_dirichlet(A_vol, M, P, b, mesh, lambda x, y: np.zeros_like(x)).system(
+        MethodParams.preset("spp", 1.0, 10.0))
     A_ff, rhs = sysm.reduced()
     assert np.allclose(rhs, b[mesh.interior_nodes])
-    assert sorted(sysm.dirichlet) == sorted(mesh.boundary_nodes.tolist())
+    assert np.array_equal(sysm.boundary, mesh.boundary_nodes)
+    assert np.array_equal(sysm.boundary_values, np.zeros(len(mesh.boundary_nodes)))
 
 
 @pytest.mark.parametrize("kind", ["rect", "tri"])
@@ -329,9 +332,8 @@ def test_patch_test_reproduces_polynomials(kind):
     A_vol = assemble_volume(mesh, status, cuts, 2.0, 2.0)
     params = MethodParams.preset("spp", 2.0, 2.0)
     M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 2.0, 2.0, params.alpha)
-    A = combine_system(A_vol, M, P, params)
     b = assemble_load(mesh, status, cuts, sol, iface)
-    sysm = apply_dirichlet(A, b, mesh, u)
+    sysm = apply_dirichlet(A_vol, M, P, b, mesh, u).system(params)
     A_ff, rhs = sysm.reduced()
     res = cg(A_ff, rhs, tol_rel=1e-13)
     coeffs = sysm.expand(res.x)
@@ -367,8 +369,8 @@ def test_schemes_identical_for_continuous_coefficient():
     for scheme in ("classic", "spp", "ipp", "npp"):
         params = MethodParams.preset(scheme, 3.0, 3.0)
         M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 3.0, 3.0, params.alpha)
-        A = combine_system(A_vol, M, P, params)
-        sysm = apply_dirichlet(A, b, mesh, lambda x, y: sol.u_at(x, y, iface))
+        sysm = apply_dirichlet(A_vol, M, P, b, mesh,
+                               lambda x, y: sol.u_at(x, y, iface)).system(params)
         A_ff, rhs = sysm.reduced()
         from ppife.linsolve import bicgstab
         res = bicgstab(A_ff, rhs, tol_rel=1e-13)

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.io
 
 from oracles import standard_basis, template_name
 from ppife.cli import build_parser, main
@@ -73,11 +74,18 @@ def test_cmd_solve_outputs(tmp_path):
     assert (tmp_path / "runs.csv").exists()
     assert (tmp_path / "timings.csv").exists()
     assert (tmp_path / "field_spp_N8.csv").exists()
-    assert (tmp_path / "system_spp_N8.mtx").exists()
     assert (tmp_path / "mesh_N8.txt").exists()
     field = (tmp_path / "field_spp_N8.csv").read_text().strip().splitlines()
     assert field[0] == "x,y,abs_error"
     assert len(field) == 1 + 17 * 17
+    # the dump is the free-node matrix the solver gets, entry for entry
+    dumped = scipy.io.mmread(tmp_path / "system_spp_N8.mtx").tocsr()
+    dumped.sort_indices()
+    A = solve_scheme(build_context(cfg, 8), cfg, "spp")[2].A
+    assert dumped.shape == A.shape == (7 * 7, 7 * 7)
+    for got, ref in ((dumped.indptr, A.indptr), (dumped.indices, A.indices),
+                     (dumped.data, A.data)):
+        assert np.array_equal(got, ref)
 
 
 def test_cmd_convergence_outputs_and_determinism(tmp_path):
@@ -176,6 +184,7 @@ def test_node_field_is_nodal_error(kind):
     ["verify", "--seed", "-1"],
     ["verify", "--scan-betas", "0:10"],
     ["solve", "--N", "8", "--alpha-exp", "-3"],
+    ["solve", "--N", "8", "--dump-field", "--field-grid", "-3"],
 ])
 def test_cli_rejects_unusable_settings(tmp_path, argv, capsys):
     assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
@@ -288,7 +297,7 @@ def test_cut_data_rules_are_built_once_per_context(monkeypatch, mesh):
     cfg = RunConfig(N=(24,), mesh=mesh, beta_plus=1e4, schemes=("spp", "npp"))
     ctx = build_context(cfg, 24)
     fresh = assembly.assemble_load(ctx.mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface)
-    assert np.array_equal(ctx.b, fresh)
+    assert np.array_equal(ctx.split.b, fresh[ctx.mesh.interior_nodes])
     for scheme in cfg.schemes:
         rec, coeffs, _ = solve_scheme(ctx, cfg, scheme)
         own = postprocess.error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,

@@ -112,16 +112,11 @@ def test_check_csr_rejects_unsorted():
 def test_solvers_on_assembled_systems():
     # SPP via cg and NPP via bicgstab on a real assembled case
     from ppife.harness import RunConfig, build_context, scheme_params
-    from ppife import assembly
 
     cfg = RunConfig(N=(20,), schemes=("spp",))
     ctx = build_context(cfg, 20)
     for scheme, solver in (("spp", cg), ("npp", bicgstab)):
-        params = scheme_params(cfg, scheme)
-        A = assembly.combine_system(ctx.A_vol, ctx.M, ctx.P_unit, params)
-        system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
-                                          lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
-        A_ff, rhs = system.reduced()
+        A_ff, rhs = ctx.split.system(scheme_params(cfg, scheme)).reduced()
         res = solver(A_ff, rhs, tol_rel=1e-12)
         assert res.converged
         assert res.residual <= 1e-12
@@ -129,15 +124,10 @@ def test_solvers_on_assembled_systems():
 
 def test_cg_bicgstab_energy_agreement():
     from ppife.harness import RunConfig, build_context, scheme_params
-    from ppife import assembly
 
     cfg = RunConfig(N=(10,), schemes=("spp",))
     ctx = build_context(cfg, 10)
-    params = scheme_params(cfg, "spp")
-    A = assembly.combine_system(ctx.A_vol, ctx.M, ctx.P_unit, params)
-    system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
-                                      lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
-    A_ff, rhs = system.reduced()
+    A_ff, rhs = ctx.split.system(scheme_params(cfg, "spp")).reduced()
     xa = cg(A_ff, rhs, tol_rel=1e-13).x
     xb = bicgstab(A_ff, rhs, tol_rel=1e-13).x
     d = xa - xb
@@ -164,12 +154,9 @@ def _blocked_system(mesh, N, beta_plus, scheme):
     """Reduced system of a scheme and the positions in it of the free nodes
     of the cut elements; shared by the tests, so every array is read-only."""
     from ppife.harness import interface_block, scheme_params
-    from ppife import assembly
 
     cfg, ctx = _context(mesh, N, beta_plus)
-    A = assembly.combine_system(ctx.A_vol, ctx.M, ctx.P_unit, scheme_params(cfg, scheme))
-    system = assembly.apply_dirichlet(A, ctx.b, ctx.mesh,
-                                      lambda x, y: ctx.sol.u_at(x, y, ctx.iface))
+    system = ctx.split.system(scheme_params(cfg, scheme))
     A_ff, rhs = system.reduced()
     block = interface_block(ctx, system)
     _read_only(A_ff.data, A_ff.indices, A_ff.indptr, rhs, block)

@@ -1,16 +1,21 @@
-"""Memory budgets of the mesh, the bulk stiffness matrix, the load and the
-error norms.
+"""Memory budgets of the mesh, the bulk stiffness matrix, the load, the
+error norms and a whole scheme solve.
 
-The tracemalloc peak of each call at rect N=160, above what was live before
-it, including what the call returns. Measured with numpy 2.4.6 and scipy
-1.17.1: `build_mesh` 2.8 MB (it keeps 2.1 MB), `assemble_volume` 5.3 MB
-(the CSR matrix is 2.9 MB), `assemble_load`, given the context's cut
-rules, 5.7 MB, and `error_norms` (SPP, beta+ = 1e4, the context's rules)
-7.5 MB. The budgets are those peaks plus 50 %. The unstructured mesh
-with per-edge arrays peaked at 18.4 MB, the element-block COO assembly at
-17.6 MB, the load with every basis function's values at every cut rule
-point at 13.4 MB, and the norms with element-sized arrays over chunks of
-standard elements at 14.1 MB.
+The tracemalloc peak of each call, above what was live before it,
+including what the call returns. Measured with numpy 2.4.6 and scipy
+1.17.1, at rect N=160: `build_mesh` 2.8 MB (it keeps 2.1 MB),
+`assemble_volume` 5.3 MB (the CSR matrix is 2.9 MB), `assemble_load`,
+given the context's cut rules, 5.7 MB, and `error_norms` (SPP, beta+ =
+1e4, the context's rules) 7.5 MB. The budgets are those peaks plus 50 %.
+The unstructured mesh with per-edge arrays peaked at 18.4 MB, the
+element-block COO assembly at 17.6 MB, the load with every basis
+function's values at every cut rule point at 13.4 MB, and the norms with
+element-sized arrays over chunks of standard elements at 14.1 MB.
+
+A second SPP `solve_scheme` at rect N=320, beta+ = 10 (the aggregates
+already formed) peaks at 47.7 MB, and its budget is that plus 15 %. With
+a full-node scheme matrix sliced to the free nodes in every solve it
+peaked at 59.3 MB.
 """
 import tracemalloc
 
@@ -18,7 +23,7 @@ import numpy as np
 
 from ppife.assembly import assemble_load, assemble_volume, cut_data_rules
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
-from ppife.harness import RunConfig, build_context, scheme_params
+from ppife.harness import RunConfig, build_context, scheme_params, solve_scheme
 from ppife.local_basis import build_bases
 from ppife.postprocess import error_norms, interpolate_nodal, radial_interface_solution
 
@@ -67,3 +72,10 @@ def test_error_norms_memory_budget():
     args = (ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface, ctx.traces,
             scheme_params(config, "spp"))
     assert _peak(lambda: error_norms(*args, rules=ctx.rules)) <= 11.3 * MB
+
+
+def test_solve_scheme_memory_budget():
+    config = RunConfig(mesh="rect", beta_plus=10.0)
+    ctx = build_context(config, 320)
+    solve_scheme(ctx, config, "spp")
+    assert _peak(lambda: solve_scheme(ctx, config, "spp")) <= 54.8 * MB

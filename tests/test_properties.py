@@ -5,16 +5,18 @@ and N in [8, 64] ([8, 32] for the patch test, which solves a global system,
 and [8, 48] for the load and norm oracles, which build a whole context) on a
 rect or tri mesh of [-1, 1]^2. The oracle checks and the patch test
 also draw straight lines a x + b y + c = 0 with a, b in [-1, 1] and c in
-[-0.5, 0.5], solved with beta- = beta+. Draws that the mesh cannot resolve
-(MultipleCrossings) are rejected.
+[-0.5, 0.5], solved with beta- = beta+. The Dirichlet split property draws
+centres in [-0.9, 0.9]^2 and N in [8, 24], so that many circles cross the
+boundary. Draws that the mesh cannot resolve (MultipleCrossings) are
+rejected.
 """
 import dataclasses
 
 import numpy as np
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
-from ppife.assembly import (MethodParams, VOLUME_DEGREE, apply_dirichlet, assemble_edge_terms,
-                            assemble_load, assemble_volume, bulk_rules, combine_system,
+from ppife.assembly import (SCHEMES, MethodParams, VOLUME_DEGREE, apply_dirichlet,
+                            assemble_edge_terms, assemble_load, assemble_volume, bulk_rules,
                             edge_traces)
 from ppife.errors import MultipleCrossings
 from ppife.geometry import (_EDGE_SAMPLES, _SWEEP_POINTS, INTERFACE, SIDE_MINUS, SIDE_PLUS,
@@ -29,9 +31,9 @@ from ppife.postprocess import (PiecewiseSolution, _cut_sums, error_norms, interp
 from ppife.quadrature import fan_rule, polygon_area
 from oracles import (EDGE_INTERFACE, ReferenceMesh, ascending_bulk_load, ascending_error_norms,
                      classify_cuts, classify_edges, coo_volume, edge_intersection, edge_signs,
-                     edge_split_points, ife_basis, mesh_frames, per_basis_cut_load,
-                     per_basis_cut_sums, select_branches, split_edge_rule, standard_basis,
-                     template_name)
+                     edge_split_points, full_node_system, ife_basis, mesh_frames,
+                     per_basis_cut_load, per_basis_cut_sums, select_branches, split_edge_rule,
+                     standard_basis, template_name)
 
 
 def _cases(n_max):
@@ -219,11 +221,43 @@ def test_patch_test_is_exact(drawn):
     params = MethodParams.preset("spp", 2.0, 2.0)
     M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts,
                                   2.0, 2.0, params.alpha)
-    A = combine_system(assemble_volume(mesh, status, cuts, 2.0, 2.0), M, P, params)
     b = assemble_load(mesh, status, cuts, sol, iface)
-    sysm = apply_dirichlet(A, b, mesh, u)
+    sysm = apply_dirichlet(assemble_volume(mesh, status, cuts, 2.0, 2.0), M, P, b, mesh,
+                           u).system(params)
     coeffs = sysm.expand(cg(*sysm.reduced(), tol_rel=1e-13).x)
     assert np.abs(coeffs - u(mesh.nodes[:, 0], mesh.nodes[:, 1])).max() < 1e-10
+
+
+@settings(max_examples=40)
+@example(("rect", 20, 0.8, 0.0, 0.5), 10.0)
+@example(("tri", 20, 0.8, 0.0, 0.5), 1e4)
+@given(st.tuples(st.sampled_from(["rect", "tri"]), st.integers(8, 24),
+                 st.floats(-0.9, 0.9), st.floats(-0.9, 0.9), st.floats(0.2, 0.7)),
+       st.sampled_from([10.0, 1e4]))
+def test_dirichlet_split_equals_full_node_slicing(case, beta_plus):
+    # the context's one split against every scheme's full-node matrix sliced
+    # to the free nodes; circles centred near the edge cross the boundary
+    kind, N, cx, cy, r = case
+    cfg = RunConfig(mesh=kind, N=(N,), interface_params=(cx, cy, r), beta_plus=beta_plus)
+    try:
+        ctx = build_context(cfg, N)
+    except MultipleCrossings:
+        reject()
+    # M has columns at the nodes of both elements of an interface edge, so
+    # its lift is 0, and the rhs bit for bit the sliced one, unless one of
+    # those elements, cut or not, touches the boundary
+    touches = np.isin(ctx.mesh.elements[ctx.traces.elements], ctx.mesh.boundary_nodes).any()
+    for scheme in SCHEMES:
+        params = scheme_params(cfg, scheme)
+        A, rhs = ctx.split.system(params).reduced()
+        A_ref, rhs_ref = full_node_system(ctx, params)
+        for a, ref in ((A.data, A_ref.data), (A.indices, A_ref.indices),
+                       (A.indptr, A_ref.indptr)):
+            assert np.array_equal(a, ref), scheme
+        if touches:
+            assert np.abs(rhs - rhs_ref).max() <= 1e-14 * np.abs(rhs_ref).max(), scheme
+        else:
+            assert np.array_equal(rhs, rhs_ref), scheme
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def test_banded_spd_test_agrees_with_dense_cholesky(n, band, margin, seed):
     S += (margin * max(lam[-1] - lam[0], 1.0) - lam[0]) * np.eye(n)
     A = sp.csr_matrix(S)
     zero = sp.csr_matrix((n, n))
-    bands = _lower_bands(np.arange(n), A, zero, zero)
+    bands = _lower_bands(A, zero, zero)
     spd = _sym_part_spd(bands, MethodParams("custom", 0.0, 0.0, 0.0))
     assert spd == sparse_is_spd(A) == dense_is_spd(A) == (margin > 0)
 

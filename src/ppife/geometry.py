@@ -210,7 +210,8 @@ def dump_mesh(mesh: CartesianMesh, path):
 class InterfaceGeometry:
     """Implicit curve phi(x, y) = 0 with phi < 0 on the minus subdomain.
 
-    `phi` and `grad` must accept numpy arrays; `grad` returns (gx, gy).
+    `phi` and `grad` must accept numpy arrays, x broadcasting against y;
+    `grad` returns (gx, gy).
     """
 
     phi: Callable
@@ -605,6 +606,35 @@ def _cut_set(mesh, iface, ids, crossed, points, node_sign, tol):
                   np.where(plus[:, None, None], pa[k], pb[k]),
                   np.where(plus, nb[k], na[k]), np.where(plus, na[k], nb[k]),
                   edge_splits[k], cut_edges[k], opposite)
+
+
+# side b of the node boxes of `lattice_aggregates` per mesh kind, from AMG
+# iterations and times at N = 160-640: 3 x 3 boxes take SPP on tri at beta+ =
+# 1e4 from 20 to 28 iterations; 2 x 2 boxes make a rect case 21 % slower
+# (N=160, beta+ = 1e4: the context, SPP and NPP)
+AGGREGATE_BOX = {RECT: 3, TRI: 2}
+
+
+def lattice_aggregates(mesh: CartesianMesh, iface: InterfaceGeometry):
+    """Aggregates of the interior nodes, in the order of `interior_nodes`,
+    as `linsolve.SAHierarchy` takes them for its first level.
+
+    Node (i, j) lies in box (i // b, j // b) of the node lattice, b =
+    AGGREGATE_BOX[cell_kind], and each box is split by the side of its nodes,
+    plus where phi > 0; phi is evaluated on a row of interior x against a
+    column of interior y, by broadcasting. Returns per node its aggregate,
+    numbered 0.. in the order of (box, side) with the empty ones left out,
+    and their number.
+    """
+    n, b = mesh.n_cells, AGGREGATE_BOX[mesh.cell_kind]
+    m = (n - 1) // b + 1                 # boxes per lattice row that hold interior nodes
+    box = np.arange(1, n) // b
+    x, y = mesh.nodes[1:n, 0], mesh.nodes[(n + 1) * np.arange(1, n), 1]
+    label = 2 * m * box[:, None] + 2 * box
+    label += np.asarray(iface.phi(x, y[:, None])) > 0
+    label = label.ravel()
+    used = np.bincount(label, minlength=2 * m * m) > 0
+    return (np.cumsum(used) - 1)[label], int(used.sum())
 
 
 def interface_edges(mesh: CartesianMesh, cuts: CutSet) -> np.ndarray:

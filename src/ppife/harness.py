@@ -237,9 +237,9 @@ class CaseContext:
     def fine_aggregates(self):
         """Level-0 AMG aggregates of the free nodes (see
         linsolve.SAHierarchy), shared by every scheme of the context. They
-        are formed on the bulk matrix A_vol, on the first call."""
+        are geometry.lattice_aggregates, formed on the first call."""
         if self._aggregates is None:
-            self._aggregates = linsolve.aggregate(self.split.A_vol)
+            self._aggregates = geometry.lattice_aggregates(self.mesh, self.iface)
         return self._aggregates
 
 

@@ -10,7 +10,8 @@ built on As (Vanek, Mandel & Brezina, Computing 56, 1996), with an exact
 solve of a given block of unknowns (the nodes of the cut elements) around
 the V-cycle. Its tentative prolongator carries the near-null vector of As,
 D^{1/2} 1, normalized per aggregate. Level 0 may take its aggregates from
-the caller, so that every scheme on one mesh shares them. A restarted
+the caller, such as the mesh's side-split node boxes, which every scheme
+on one mesh shares; the other levels aggregate algebraically. A restarted
 BiCGSTAB handles the nonsymmetric schemes, right-preconditioned. CG handles
 the symmetric ones: preconditioned above AMG_CG_DOFS unknowns, and with the
 Jacobi scaling alone below, where building the hierarchy costs more than
@@ -30,11 +31,10 @@ DEFAULT_TOL = 1e-12
 # a banded LU
 COARSE_SIZE = 400
 # CG takes the AMG preconditioner above this many dofs. Against Jacobi-CG,
-# the first solve on a context, which also forms the shared level-0
-# aggregates, gains from 19 321 dofs (N=140) on tri at beta+ = 10 and, for
-# SPP, from 25 281 (N=160) on rect at beta+ = 1e4; a later solve gains from
-# 14 161 dofs (N=120) on both
-AMG_CG_DOFS = 20_000
+# an SPP solve with the lattice aggregates of its context (tri at beta+ =
+# 10, rect at beta+ = 1e4) takes 3-7 % longer at 9 801 dofs (N=100) and
+# 9-11 % less at 14 161 (N=120)
+AMG_CG_DOFS = 12_000
 # AMG: i and j are strongly coupled when |s_ij| >= theta sqrt(|s_ii s_jj|),
 # with S the symmetric part of the level matrix
 STRENGTH_THETA = 0.08
@@ -247,15 +247,13 @@ def _banded_lu(B):
     return solve
 
 
-def aggregate(A, rng=None):
+def aggregate(A, rng):
     """Aggregates of the strong-coupling graph of the symmetric part of A,
     whose diagonal is nonzero, as SAHierarchy forms them on a level: per
     node its aggregate (-1 for a node with no strong neighbour), and the
-    number of aggregates. `rng` draws the priorities; by default a fresh
-    generator seeded with AMG_SEED. The strength test is invariant under a
-    symmetric diagonal scaling, so A need not be Jacobi-scaled."""
-    if rng is None:
-        rng = np.random.default_rng(AMG_SEED)
+    number of aggregates. `rng` draws the priorities. The strength test is
+    invariant under a symmetric diagonal scaling, so A need not be
+    Jacobi-scaled."""
     S = ((A + A.T) * 0.5).tocsr()
     return _aggregate(*_strength_graph(S, STRENGTH_THETA), rng)
 
@@ -284,9 +282,10 @@ class SAHierarchy:
     iteration's start vector come from a fixed seed.
 
     `aggregates`, a function of no arguments, gives level 0's aggregates as
-    `aggregate` returns them, in place of the level's own. It is called only
-    when level 0 is coarsened, so that a caller can compute the aggregates
-    lazily and share them between matrices on the same unknowns.
+    `aggregate` returns them, in place of the level's own (the harness
+    passes geometry.lattice_aggregates). It is called only when level 0 is
+    coarsened, so that a caller can compute the aggregates lazily and share
+    them between matrices on the same unknowns.
 
     `block`, a set of row indices, adds an exact solve of A[block, block]
     around the fine-level V-cycle: the block is solved for its part of the

@@ -267,11 +267,15 @@ def test_solve_scheme_passes_the_cut_element_block(mesh, monkeypatch):
 
 def test_fine_aggregates_are_lazy_and_shared(monkeypatch):
     # formed once per context, on the first solve that builds a hierarchy:
-    # Jacobi-CG at 529 free dofs builds none, BiCGSTAB does
-    from ppife import linsolve
+    # Jacobi-CG at 529 free dofs builds none, BiCGSTAB does; level 0 takes
+    # the lattice aggregates, and its level 1 is the coarsest, so no
+    # strength-graph aggregation runs at all
+    from ppife import geometry, linsolve
     calls, seen = [], []
-    aggregate, solver = linsolve.aggregate, linsolve.bicgstab
-    monkeypatch.setattr(linsolve, "aggregate", lambda A: calls.append(A.shape) or aggregate(A))
+    lattice, solver = geometry.lattice_aggregates, linsolve.bicgstab
+    monkeypatch.setattr(geometry, "lattice_aggregates",
+                        lambda mesh, iface: calls.append(mesh.n_cells) or lattice(mesh, iface))
+    monkeypatch.setattr(linsolve, "aggregate", lambda *a: pytest.fail("no MIS aggregation"))
     monkeypatch.setattr(linsolve, "bicgstab",
                         lambda *a, **kw: seen.append(kw["aggregates"]()) or solver(*a, **kw))
     cfg = RunConfig(N=(24,), schemes=("spp", "npp", "ipp"))
@@ -280,8 +284,9 @@ def test_fine_aggregates_are_lazy_and_shared(monkeypatch):
     assert calls == []
     solve_scheme(ctx, cfg, "npp")
     solve_scheme(ctx, cfg, "ipp")
-    assert calls == [(len(system.free),) * 2]
+    assert calls == [24]
     assert seen[0] is seen[1] is ctx.fine_aggregates()
+    assert len(seen[0][0]) == len(system.free)
 
 
 @pytest.mark.parametrize("mesh", ["rect", "tri"])

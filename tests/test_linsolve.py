@@ -324,15 +324,22 @@ def test_coarse_level_is_solved_exactly():
     assert M.levels == [] and M.coarse.shape[0] > COARSE_SIZE
 
 
-def test_given_aggregates_replace_the_first_level_only():
-    A, b, block = _blocked_system("rect", 40, 1e4, "spp")
+def test_given_aggregates_replace_the_first_level_only(monkeypatch):
+    # the context's lattice aggregates make level 0; every coarser level
+    # aggregates its own Galerkin matrix
+    from ppife import linsolve
+    A, b, block = _blocked_system("rect", 80, 1e4, "spp")
     As, _, s = _scaled(A, b)
-    agg, n_coarse = aggregate(As)
-    calls = []
-    M = SAHierarchy(As, block, 1.0 / s, lambda: calls.append(1) or (agg, n_coarse))
+    agg, n_coarse = _context("rect", 80, 1e4)[1].fine_aggregates()
     own = SAHierarchy(As, block, 1.0 / s)
+    sizes, calls = [], []
+    monkeypatch.setattr(linsolve, "aggregate",
+                        lambda L, rng: sizes.append(L.shape[0]) or aggregate(L, rng))
+    M = SAHierarchy(As, block, 1.0 / s, lambda: calls.append(1) or (agg, n_coarse))
     assert calls == [1]
-    assert M.levels[0][2].shape == own.levels[0][2].shape == (As.shape[0], n_coarse)
+    assert M.levels[0][2].shape == (As.shape[0], n_coarse) != own.levels[0][2].shape
+    assert len(M.levels) >= 2
+    assert sizes == [lvl[0].shape[0] for lvl in M.levels[1:]] and sizes[0] == n_coarse
     with pytest.raises(ValueError):
         SAHierarchy(As, aggregates=lambda: (agg[1:], n_coarse))
     # a system at the coarse size never asks for them
@@ -386,6 +393,43 @@ def test_preconditioned_cg_iterations_grow_slowly_with_N():
     coarse, fine = solve(160), solve(320)
     assert coarse.converged and fine.converged
     assert fine.iterations <= 1.5 * coarse.iterations, (coarse.iterations, fine.iterations)
+
+
+# the iteration table of ROADMAP at N=160 (classic, SPP, IPP, NPP), made
+# with level-0 aggregates from a random-priority MIS on A_vol; the lattice
+# aggregates that replaced them may take at most 2 iterations more
+ITERATION_TABLE = {("rect", 10.0): (14, 14, 8, 8), ("rect", 1e4): (17, 18, 11, 9),
+                   ("tri", 10.0): (16, 19, 11, 9), ("tri", 1e4): (17, 22, 12, 10)}
+ALL_SCHEMES = ("classic", "spp", "ipp", "npp")
+
+
+@pytest.mark.parametrize("mesh", ["rect", "tri"])
+@pytest.mark.parametrize("beta_plus", [10.0, 1e4])
+def test_solve_scheme_iterations_within_the_table(mesh, beta_plus):
+    # the production path: solve_scheme, its cut-element block and the
+    # context's lattice aggregates
+    from ppife.harness import solve_scheme
+
+    cfg, ctx = _context(mesh, 160, beta_plus)
+    for scheme, table in zip(ALL_SCHEMES, ITERATION_TABLE[mesh, beta_plus]):
+        rec, coeffs, system = solve_scheme(ctx, cfg, scheme)
+        assert rec.iterations <= table + 2, (scheme, rec.iterations)
+        A, b = system.reduced()
+        x_direct = spla.splu(A.tocsc()).solve(b)
+        x = coeffs[system.free]
+        assert np.linalg.norm(x - x_direct) <= 1e-9 * np.linalg.norm(x_direct), scheme
+
+
+@pytest.mark.parametrize("mesh", ["rect", "tri"])
+def test_solve_scheme_iterations_grow_slowly_with_N(mesh):
+    from ppife.harness import solve_scheme
+
+    def iterations(N):
+        cfg, ctx = _context(mesh, N, 1e4)
+        return [solve_scheme(ctx, cfg, scheme)[0].iterations for scheme in ALL_SCHEMES]
+
+    for scheme, coarse, fine in zip(ALL_SCHEMES, iterations(160), iterations(320)):
+        assert fine <= 1.5 * coarse, (scheme, coarse, fine)
 
 
 def _same_csr(X, Y):

@@ -8,7 +8,9 @@ also draw straight lines a x + b y + c = 0 with a, b in [-1, 1] and c in
 [-0.5, 0.5], solved with beta- = beta+. The Dirichlet split property draws
 centres in [-0.9, 0.9]^2 and N in [8, 24], so that many circles cross the
 boundary. Draws that the mesh cannot resolve (MultipleCrossings) are
-rejected.
+rejected. The lattice aggregates need no classification: they draw N in
+[8, 70] and circles with centres in [-0.9, 0.9]^2 and radii in [0.05, 1.2],
+or the lines above.
 """
 import dataclasses
 
@@ -19,9 +21,10 @@ from ppife.assembly import (SCHEMES, MethodParams, VOLUME_DEGREE, apply_dirichle
                             assemble_edge_terms, assemble_load, assemble_volume, bulk_rules,
                             edge_traces)
 from ppife.errors import MultipleCrossings
-from ppife.geometry import (_EDGE_SAMPLES, _SWEEP_POINTS, INTERFACE, SIDE_MINUS, SIDE_PLUS,
-                            DomainSpec, InterfaceGeometry, _edge_signs, build_mesh, bulk_sweep,
-                            circle, classify_elements, edge_crossings, interface_edges, line)
+from ppife.geometry import (_EDGE_SAMPLES, _SWEEP_POINTS, AGGREGATE_BOX, INTERFACE, SIDE_MINUS,
+                            SIDE_PLUS, DomainSpec, InterfaceGeometry, _edge_signs, build_mesh,
+                            bulk_sweep, circle, classify_elements, edge_crossings,
+                            interface_edges, lattice_aggregates, line)
 from ppife.harness import RunConfig, build_context, scheme_params
 from ppife.linsolve import cg
 from ppife.local_basis import (basis_residuals, build_bases, cut_frame, cut_gradients,
@@ -526,3 +529,39 @@ def test_bulk_sweep_order_blocks_and_sides(case, degree):
         everything.append(ids)
     everything = np.concatenate(everything)
     assert np.array_equal(np.sort(everything), np.flatnonzero(status != INTERFACE))
+
+
+shapes = st.one_of(
+    st.tuples(st.just(circle), st.floats(-0.9, 0.9), st.floats(-0.9, 0.9), st.floats(0.05, 1.2)),
+    st.tuples(st.just(line), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5))
+    .filter(lambda s: abs(s[1]) + abs(s[2]) > 1e-3))
+
+
+@given(st.sampled_from(["rect", "tri"]), st.integers(8, 70), shapes)
+@example("rect", 9, (circle, 0.0, 0.0, 0.5))       # N - 1 = 8, not a multiple of 3
+@example("tri", 10, (line, 0.3, -0.7, 0.1))        # N - 1 = 9, odd
+def test_lattice_aggregates_are_side_split_boxes(kind, N, shape):
+    """Every interior node is labelled, the labels are 0..n_coarse - 1, and
+    each aggregate is one side of one b x b box of the interior lattice, all
+    of it: two nodes of a box on one side share their aggregate."""
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
+    iface = shape[0](*shape[1:])
+    agg, n_coarse = lattice_aggregates(mesh, iface)
+    nodes = mesh.interior_nodes
+    assert agg.shape == nodes.shape and (agg >= 0).all()
+    assert np.array_equal(np.unique(agg), np.arange(n_coarse))
+
+    x, y = mesh.nodes[nodes].T
+    plus = iface.phi(x, y) > 0
+    assert set(np.bincount(agg, plus) / np.bincount(agg)) <= {0.0, 1.0}
+
+    box = AGGREGATE_BOX[kind]
+    j, i = np.divmod(nodes, N + 1)
+    order = np.argsort(agg, kind="stable")
+    first = np.searchsorted(agg[order], np.arange(n_coarse))
+    for k in (i, j):
+        span = np.maximum.reduceat(k[order], first) - np.minimum.reduceat(k[order], first)
+        assert (span < box).all()
+    # as many aggregates as occupied (box, side) pairs: no box side is split
+    pairs = np.unique(np.column_stack([i // box, j // box, plus]), axis=0)
+    assert len(pairs) == n_coarse

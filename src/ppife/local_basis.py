@@ -111,15 +111,6 @@ def local_frames(verts):
     return verts.min(axis=1), np.ptp(verts, axis=1).max(axis=1)
 
 
-def _refine_solve(M, rhs):
-    """Direct solve with one mixed-precision refinement sweep."""
-    X = np.linalg.solve(M, rhs)
-    Ml = M.astype(np.longdouble)
-    rl = rhs.astype(np.longdouble) - Ml @ X.astype(np.longdouble)
-    X = X + np.linalg.solve(M, rl.astype(float))
-    return X
-
-
 def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_ids=None):
     """Immersed-basis coefficients of a stack of K cut elements.
 
@@ -137,10 +128,11 @@ def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_i
     constant there, and its chord average equals its midpoint value exactly.
     The flux row is divided by max(beta).
 
-    All systems are solved at once, with one mixed-precision refinement
+    All systems are inverted at once, with one mixed-precision refinement
     sweep. SingularLocalSystem names the first element (its entry of
-    `element_ids`, else its stack index) whose condition estimate exceeds
-    1e14 or whose long-double residual exceeds 1e-12.
+    `element_ids`, else its stack index) whose condition estimate, the bound
+    ||M||_F ||M^-1||_F >= cond_2 (cond_2 by SVD if a member is exactly
+    singular), exceeds 1e14 or whose long-double residual exceeds 1e-12.
     """
     n = chord_normal
     K, nv = verts.shape[:2]
@@ -169,15 +161,21 @@ def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_i
         mid = 0.5 * (Ds + Es)
         flux[:, 6] = (beta_minus - beta_plus) * (n[:, 0] * mid[:, 1] + n[:, 1] * mid[:, 0]) / bscale
 
-    cond = np.linalg.cond(M)
+    try:
+        inv = np.linalg.inv(M)
+        cond = np.sqrt(np.einsum("kij,kij->k", M, M) * np.einsum("kij,kij->k", inv, inv))
+    except np.linalg.LinAlgError:  # an exactly singular member: the SVD ranks the stack
+        inv, cond = None, np.linalg.cond(M)
     ill = ~np.isfinite(cond) | (cond > 1e14)
-    # ill-conditioned systems are replaced by the identity so the stacked
-    # solve goes through; they are reported below all the same
-    M = np.where(ill[:, None, None], np.eye(size), M)
-    rhs = np.broadcast_to(np.eye(size, nv), (K, size, nv))
-    X = _refine_solve(M, rhs)
+    if inv is None or ill.any():
+        # ill-conditioned members become the identity so the stack inverts; they are reported below
+        M = np.where(ill[:, None, None], np.eye(size), M)
+        inv = np.linalg.inv(M)
+    # inv[..., :nv] is solve(M, eye(size, nv)) bit for bit; inv @ r would round differently
     ld = np.longdouble
-    resid = np.abs(M.astype(ld) @ X.astype(ld) - rhs.astype(ld)).max(axis=(1, 2))
+    rhs, Ml, X = np.eye(size, nv, dtype=ld), M.astype(ld), inv[:, :, :nv]
+    X = X + np.linalg.solve(M, (rhs - Ml @ X.astype(ld)).astype(float))
+    resid = np.abs(Ml @ X.astype(ld) - rhs).max(axis=(1, 2))
     bad = ill | ~np.isfinite(resid) | (resid > 1e-12)
     if bad.any():
         i = int(np.argmax(bad))

@@ -32,7 +32,6 @@ class ScanReport:
     seed: int
     samples: int
     metrics: dict = field(default_factory=dict)
-    details: list = field(default_factory=list)
     passed: bool = False
 
     def summary_line(self):
@@ -185,7 +184,7 @@ def _trace_ratios(kind, draws, beta_pair, h):
     W = _constant_complement(d)
     Dr = W.T @ Dmat @ W
     Dr[~valid] = np.eye(d - 1)
-    L = np.linalg.cholesky(Dr)[:, None]
+    L = np.linalg.cholesky(Dr)
 
     # every element edge in two pieces, split where the chord crosses it
     a = cuts.verts
@@ -202,8 +201,11 @@ def _trace_ratios(kind, draws, beta_pair, h):
         "sdeqa,sea->sdeq", G.reshape(S, d, nv, -1, 2), nB)
     N = np.einsum("seq,sieq,sjeq->seij", w, flux, flux)
     A = W.T @ N @ W
-    # C = L^-1 A L^-T has the eigenvalues of the pencil (A, Dr), Dr = L L^T
-    C = np.linalg.solve(L, np.linalg.solve(L, A).swapaxes(-1, -2))
+    # C = L^-1 A L^-T has the eigenvalues of the pencil (A, Dr), Dr = L L^T; each
+    # solve takes a cut's nv edge blocks side by side, so L is factored once per cut
+    Y = np.linalg.solve(L, A.transpose(0, 2, 1, 3).reshape(S, d - 1, -1))
+    Y = np.linalg.solve(L, Y.reshape(S, d - 1, nv, -1).transpose(0, 3, 2, 1).reshape(S, d - 1, -1))
+    C = Y.reshape(S, d - 1, nv, -1).transpose(0, 2, 1, 3)
     lam = np.linalg.eigvalsh(C)[..., -1]
     areaK = h * h if kind == RECT else h * h / 2
     ratio = np.sqrt(np.maximum(lam, 0.0) * areaK / h).max(axis=1)

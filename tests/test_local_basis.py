@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 
 from ppife.errors import SingularLocalSystem
-from ppife.local_basis import (basis_residuals, build_bases, piece_gradients, piece_values,
-                               template_coefs)
+from ppife.local_basis import (basis_residuals, build_bases, ife_coefficients, piece_gradients,
+                               piece_values, template_coefs)
 from ppife.geometry import INTERFACE, DomainSpec, build_mesh, circle, classify_elements
 from ppife.verify import _draw_cuts, _reference_cuts
 from oracles import (basis_of, cut_stack, ife_basis, ife_stack_basis, linear_coupling_matrix,
@@ -278,3 +278,29 @@ def test_singular_system_in_batch_names_its_element(kind):
     with pytest.raises(SingularLocalSystem, match=rf"^element {bad}: "):
         ife_basis(bad, mesh.element_vertices(bad), cuts.D[i], cuts.E[i],
                   cuts.normal[i], 1.0, 10.0)
+
+
+@pytest.mark.parametrize("bad", [{"zero": 7}, {"tiny": 7}, {"zero": 7, "tiny": 20},
+                                 {"tiny": 7, "zero": 20}],
+                         ids=["zero", "tiny", "zero_then_tiny", "tiny_then_zero"])
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_ill_conditioned_members_name_the_first(kind, bad):
+    # a zero chord normal zeroes the flux row, so the member is exactly
+    # singular and the stacked inverse fails; chord ends 1e-15 h apart leave
+    # it invertible, with a condition number far above 1e14
+    cuts = _reference_cuts(kind, _draw_cuts(kind, 40, 3), h=0.25)
+    ids = 100 + 3 * np.arange(len(cuts))
+    ife_coefficients(cuts.verts, cuts.D, cuts.E, cuts.normal, 1.0, 1e4, ids)
+    D, E, n = cuts.D, cuts.E.copy(), cuts.normal.copy()
+    if "zero" in bad:
+        n[bad["zero"]] = 0.0
+    if "tiny" in bad:
+        i = bad["tiny"]
+        E[i] = D[i] + 1e-15 * (E[i] - D[i])
+    first = min(bad.values())
+    with pytest.raises(SingularLocalSystem,
+                       match=rf"^element {ids[first]}: condition estimate ") as err:
+        ife_coefficients(cuts.verts, D, E, n, 1.0, 1e4, ids)
+    cond = float(str(err.value).rsplit(" ", 1)[1])
+    assert cond > 1e14
+    assert np.isinf(cond) == (bad.get("zero") == first)

@@ -23,11 +23,10 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .geometry import _CORNERS, RECT, SIDE_MINUS, bulk_sweep
+from .geometry import _CORNERS, RECT, SIDE_MINUS, bulk_sweep, cut_sweep
 from .local_basis import (_monomials, cut_frame, cut_gradients, cut_values, piece_gradients,
                           piece_values, template_coefs, template_gradients, template_values)
-from .quadrature import (_collapsed_triangle_rule, fan_rule, map_segment, rect_rule,
-                         segment_rule)
+from .quadrature import _collapsed_triangle_rule, map_segment, rect_rule, segment_rule
 
 VOLUME_DEGREE = 4
 EDGE_DEGREE = 4
@@ -73,13 +72,13 @@ class MethodParams:
 
 def cut_volume_matrices(cuts, beta_minus, beta_plus, degree=VOLUME_DEGREE):
     """Stiffness matrices (K, d, d) of the cut elements: each chord side's
-    sub-polygon with its piece and its beta."""
+    sub-polygon with its piece and its beta, over the blocks of `cut_sweep`."""
     A = np.zeros(cuts.cm.shape[:2] + cuts.cm.shape[1:2])
-    for poly, c, beta in ((cuts.poly_minus, cuts.cm, beta_minus),
-                          (cuts.poly_plus, cuts.cp, beta_plus)):
-        pts, w = fan_rule(poly, degree)
-        G = piece_gradients(c, (pts - cuts.origin[:, None]) / cuts.h[:, None, None], cuts.h)
-        A += beta * np.einsum("kq,kiqa,kjqa->kij", w, G, G)
+    for side, rows, pts, w in cut_sweep(cuts, degree):
+        c = (cuts.cm, cuts.cp)[side][rows]
+        G = piece_gradients(c, (pts - cuts.origin[rows, None]) / cuts.h[rows, None, None],
+                            cuts.h[rows])
+        A[rows] += (beta_minus, beta_plus)[side] * np.einsum("kq,kiqa,kjqa->kij", w, G, G)
     return A
 
 
@@ -280,13 +279,11 @@ def bulk_rules(mesh, degree):
 
 def cut_data_rules(cuts, iface, degree=DATA_DEGREE, refine=DATA_REFINE):
     """The refined fan rules of the load and the error norms over the cut
-    elements: per chord side (minus, plus) the points (K, n, 2), the weights
-    (K, n) and whether phi < 0 at each point. A context builds them once."""
-    rules = []
-    for poly in (cuts.poly_minus, cuts.poly_plus):
-        pts, wts = fan_rule(poly, degree, refine)
-        rules.append((pts, wts, np.asarray(iface.phi(pts[..., 0], pts[..., 1])) < 0))
-    return rules
+    elements: the blocks (side, rows, points, weights) of
+    `geometry.cut_sweep`, each with whether phi < 0 at its points appended.
+    A context builds them once."""
+    return [(side, rows, pts, wts, np.asarray(iface.phi(pts[..., 0], pts[..., 1])) < 0)
+            for side, rows, pts, wts in cut_sweep(cuts, degree, refine)]
 
 
 def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
@@ -297,18 +294,18 @@ def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
     lies on its piece: the piece's coefficients times sum_q w f mono(xi_q)."""
     b = np.zeros(mesh.n_nodes)
     h = mesh.h
-    for (name, spts, swts), ids, x, y, minus in bulk_sweep(mesh, status, iface,
-                                                           bulk_rules(mesh, degree)):
-        fw = solution.f(x, y, minus) * (swts * h * h)
-        np.add.at(b, mesh.elements[ids], fw @ template_values(name, spts).T)
+    tables = {v: (template_values(name, spts).T, spts, swts * h * h)
+              for v, (name, spts, swts) in bulk_rules(mesh, degree).items()}
+    for (V, _, w), ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
+        np.add.at(b, mesh.elements[ids], (solution.f(x, y, minus) * w) @ V)
 
     if len(cuts):
         acc = np.zeros(cuts.cm.shape[:2] + (1,))
-        for (pts, wts, minus), c in zip(rules or cut_data_rules(cuts, iface, degree, refine),
-                                        (cuts.cm, cuts.cp)):
+        for side, rows, pts, wts, minus in rules or cut_data_rules(cuts, iface, degree, refine):
+            c = (cuts.cm, cuts.cp)[side][rows]
             fw = solution.f(pts[..., 0], pts[..., 1], minus) * wts
-            xi = (pts - cuts.origin[:, None]) / cuts.h[:, None, None]
-            acc += c @ (fw[:, None] @ _monomials(xi, c.shape[-1])).swapaxes(-1, -2)
+            xi = (pts - cuts.origin[rows, None]) / cuts.h[rows, None, None]
+            acc[rows] += c @ (fw[:, None] @ _monomials(xi, c.shape[-1])).swapaxes(-1, -2)
         np.add.at(b, mesh.elements[cuts.ids], acc[..., 0])
     return b
 

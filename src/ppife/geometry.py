@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, GeometryError, MultipleCrossings
-from .quadrature import polygon_area
+from .quadrature import _collapsed_triangle_rule, fan_rule, polygon_area
 
 RECT = "rect"
 TRI = "tri"
@@ -113,10 +113,15 @@ class CartesianMesh:
     def element_vertices(self, e):
         return self.nodes[self.elements[e]]
 
-    def element_centroids(self, ids):
-        """(len, 2) vertex means of the elements `ids` (indices or a slice),
-        added in vertex order."""
-        return self.nodes[self.elements[ids].T].mean(axis=0)
+    def node_elements(self, nodes):
+        """Ids of the elements with a vertex among `nodes`, with repeats:
+        node (i, j) is local vertex l of the element of each variant in
+        cell (i, j) minus that variant's corner l, where the cell exists."""
+        n, corners = self.n_cells, _CORNERS[self.cell_kind]
+        j, i = np.divmod(np.asarray(nodes), n + 1)
+        ci, cj = i[:, None, None] - corners[..., 0], j[:, None, None] - corners[..., 1]
+        inside = (ci >= 0) & (ci < n) & (cj >= 0) & (cj < n)
+        return ((cj * n + ci) * self._nvar + np.arange(self._nvar)[:, None])[inside]
 
     def _edge_origins(self, ids):
         """Lower node (i, j) and direction k (0 right, 1 up, 2 up-right) of
@@ -211,7 +216,12 @@ class InterfaceGeometry:
     """Implicit curve phi(x, y) = 0 with phi < 0 on the minus subdomain.
 
     `phi` and `grad` must accept numpy arrays, x broadcasting against y;
-    `grad` returns (gx, gy).
+    `grad` returns (gx, gy). `reach(x, y, l)`, where given, bounds
+    |phi(q) - phi(x, y)| exactly from above for all q within l of (x, y):
+    `classify_elements` then audits for crossings only the edges of the
+    elements around the nodes where |phi| is within reach of twice the
+    longest edge; along every other edge phi keeps a strict sign. Without it
+    every edge is audited.
     """
 
     phi: Callable
@@ -219,6 +229,7 @@ class InterfaceGeometry:
     snap_tol: float = 1e-10
     name: str = "custom"
     params: tuple = ()
+    reach: Optional[Callable] = None
 
 
 def circle(cx, cy, r) -> InterfaceGeometry:
@@ -234,7 +245,10 @@ def circle(cx, cy, r) -> InterfaceGeometry:
     def grad(x, y):
         return 2.0 * (x - cx), 2.0 * (y - cy)
 
-    return InterfaceGeometry(phi, grad, name="circle", params=(cx, cy, r))
+    def reach(x, y, l):     # |q-c|^2 - |p-c|^2 = (q-p).(2(p-c) + (q-p))
+        return 2.0 * np.sqrt(np.square(x - cx) + np.square(y - cy)) * l + l * l
+
+    return InterfaceGeometry(phi, grad, name="circle", params=(cx, cy, r), reach=reach)
 
 
 def line(a, b, c) -> InterfaceGeometry:
@@ -248,7 +262,10 @@ def line(a, b, c) -> InterfaceGeometry:
     def grad(x, y):
         return a * np.ones_like(np.asarray(x, float)), b * np.ones_like(np.asarray(y, float))
 
-    return InterfaceGeometry(phi, grad, name="line", params=(a, b, c))
+    def reach(x, y, l):
+        return np.hypot(a, b) * l
+
+    return InterfaceGeometry(phi, grad, name="line", params=(a, b, c), reach=reach)
 
 
 _BUILTINS = {"circle": (circle, 3), "line": (line, 3)}
@@ -269,13 +286,14 @@ def interface_from_name(name, params) -> InterfaceGeometry:
 # edge / element classification
 # ---------------------------------------------------------------------------
 
-# points per block of the pointwise sweeps over every edge or element (the
-# edge audit and the centroid signs of `classify_elements`, and `bulk_sweep`,
-# the quadrature of the load and the error norms on the standard elements).
-# Each of their arrays then takes at most 256 kB, which the allocator serves
-# again from freed memory; multi-megabyte temporaries are mapped afresh on
-# every pass, and their page faults cost more than the arithmetic. The load
-# and the norms accumulate per block, so nothing element-sized outlives one.
+# points per block of the pointwise sweeps (the edge audit of
+# `classify_elements`, `bulk_sweep` over the standard elements and
+# `cut_sweep` over the cut ones, which the load, the error norms and the cut
+# stiffness matrices share). Each of their arrays then takes at most 256 kB,
+# which the allocator serves again from freed memory; multi-megabyte
+# temporaries are mapped afresh on every pass, and their page faults cost
+# more than the arithmetic. The consumers accumulate per block, so nothing
+# element-sized outlives one.
 _SWEEP_POINTS = 1 << 15
 # 16-interval refinement used to audit for multiple crossings
 _EDGE_SAMPLES = np.linspace(0.0, 1.0, 17)
@@ -378,10 +396,10 @@ class CutSet:
     vertex stands for a crossing that sits on it. The unit chord normal
     points from the minus sub-polygon toward the plus one. The sub-polygons
     are CCW from D or E and padded to nv + 1 vertices by repeating their last
-    vertex, which adds zero-area fan triangles. Element edge i (V_i -> V_i+1)
-    is split at `edge_splits[:, i]`: at the chord end on it, else at its end
-    vertex. `local_basis.build_bases` fills in the immersed coefficients and
-    the frames of their scaled monomials.
+    vertex (`cut_sweep` integrates the first n_minus / n_plus only). Element
+    edge i (V_i -> V_i+1) is split at `edge_splits[:, i]`: at the chord end
+    on it, else at its end vertex. `local_basis.build_bases` fills in the
+    immersed coefficients and the frames of their scaled monomials.
     """
 
     ids: np.ndarray          # (K,) element ids; stack indices for reference cuts
@@ -456,15 +474,26 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     (chord below snap tolerance, or an empty sub-polygon) fall back to
     non-interface status.
     """
-    h = mesh.h
+    h, n = mesh.h, mesh.n_cells
     tol = iface.snap_tol * h
-    node_phi = np.asarray(iface.phi(mesh.nodes[:, 0], mesh.nodes[:, 1]), float)
-    node_sign = _snapped_sign(node_phi, tol)
+    # phi on a row of node x against a column of node y, by broadcasting
+    x, y = mesh.nodes[:n + 1, 0], mesh.nodes[::n + 1, 1, None]
+    node_phi = np.asarray(iface.phi(x, y), float)
+    node_sign = _snapped_sign(node_phi, tol).ravel()
 
-    # audit every edge for hidden double crossings; collect the crossed ones
-    solve = []
-    for lo in range(0, mesh.n_edges, _AUDIT_ROWS):
-        ends = mesh.edge_nodes(np.arange(lo, min(lo + _AUDIT_ROWS, mesh.n_edges)))
+    # audit the edges the curve may reach for hidden double crossings and
+    # collect the crossed ones; the reach of two edges, not one, absorbs the
+    # round-off of phi and of the sample points
+    if iface.reach is None:
+        audit = np.arange(mesh.n_edges)
+    else:
+        l = 2.0 * (np.hypot(h, h) if mesh.cell_kind == TRI else h)
+        near = np.flatnonzero(np.abs(node_phi) <= iface.reach(x, y, l) + tol)
+        audit = np.unique(mesh.element_edges(mesh.node_elements(near)))
+    solve = [audit[:0]]
+    for lo in range(0, len(audit), _AUDIT_ROWS):
+        ids = audit[lo:lo + _AUDIT_ROWS]
+        ends = mesh.edge_nodes(ids)
         _, s = _edge_signs(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, tol)
         # all but the rows of one strict sign throughout
         rows = np.flatnonzero((s.min(axis=1) <= 0) & (s.max(axis=1) >= 0))
@@ -472,23 +501,26 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
         if (flips > 1).any():
             i = int(np.argmax(flips > 1))
             raise MultipleCrossings(
-                f"edge {lo + rows[i]} is crossed {flips[i]} times; refine the mesh")
+                f"edge {ids[rows[i]]} is crossed {flips[i]} times; refine the mesh")
         first, last = _outer_signs(s[rows])
-        solve.append(lo + rows[first * last < 0])
+        solve.append(ids[rows[first * last < 0]])
     solve = np.concatenate(solve)
     ends = mesh.edge_nodes(solve)
     hit, points = edge_crossings(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, h)
     crossed = solve[hit]
 
-    # side of phi at the centroid, in blocks of _SWEEP_POINTS vertex coordinates
-    status = np.empty(mesh.n_elements, dtype=np.int8)
-    rows = _SWEEP_POINTS // (2 * mesh.n_local)
-    for lo in range(0, mesh.n_elements, rows):
-        c = mesh.element_centroids(slice(lo, lo + rows))
-        status[lo:lo + rows] = np.where(np.asarray(iface.phi(c[:, 0], c[:, 1]), float) > 0,
-                                        SIDE_PLUS, SIDE_MINUS)
+    # side of phi at the centroids, per cell variant on a row of x against a
+    # column of y: a centroid's x, the mean of its vertices' x in vertex
+    # order, depends on the cell's column only, and its y on its row only
+    status = np.empty((n, n, mesh._nvar), dtype=np.int8)
+    for v, (di, dj) in enumerate(_CORNERS[mesh.cell_kind].transpose(0, 2, 1)):
+        cx = np.mean([x[d:d + n] for d in di], axis=0)
+        cy = np.mean([y[d:d + n] for d in dj], axis=0)
+        status[..., v] = np.where(np.asarray(iface.phi(cx, cy), float) > 0, SIDE_PLUS, SIDE_MINUS)
+    status = status.ravel()
 
-    touched = (node_sign[mesh.elements] == 0).any(axis=1)
+    touched = np.zeros(mesh.n_elements, dtype=bool)
+    touched[mesh.node_elements(np.flatnonzero(node_sign == 0))] = True
     adj = mesh.edge_elements(crossed).ravel()
     touched[adj[adj >= 0]] = True
     cuts = _cut_set(mesh, iface, np.flatnonzero(touched), crossed, points[hit], node_sign, tol)
@@ -665,3 +697,20 @@ def bulk_sweep(mesh: CartesianMesh, status, iface: InterfaceGeometry, tables):
             origin = mesh.element_origins[block]
             x, y = origin[:, :1] + hx, origin[:, 1:] + hy
             yield table, block, x, y, np.asarray(iface.phi(x, y)) < 0
+
+
+def cut_sweep(cuts: CutSet, degree, refine=0):
+    """`quadrature.fan_rule` on both chord sides of the cut elements, minus
+    (0) first, without padding: the rows whose sub-polygon has n vertices
+    get the rule of their first n, the padded rule's first points. Yields
+    (side, rows, points, weights), ascending rows of one n, at most
+    `_SWEEP_POINTS` points per block."""
+    per_tri = 4 ** refine * _collapsed_triangle_rule(degree).n_points
+    for side, (poly, count) in enumerate(((cuts.poly_minus, cuts.n_minus),
+                                          (cuts.poly_plus, cuts.n_plus))):
+        for n in np.unique(count):
+            rows = np.flatnonzero(count == n)
+            step = max(1, _SWEEP_POINTS // ((n - 2) * per_tri))
+            for lo in range(0, len(rows), step):
+                block = rows[lo:lo + step]
+                yield (side, block) + fan_rule(poly[block, :n], degree, refine)

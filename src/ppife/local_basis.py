@@ -73,12 +73,18 @@ def piece_gradients(coefs, xi, h):
     `coefs` is (..., d, m), `xi` (..., n, 2) and `h` scalar or (...), with
     the same leading axes; returns (..., d, n, 2).
     """
-    g = np.empty(coefs.shape[:-1] + (xi.shape[-2], 2), dtype=np.result_type(coefs, xi))
-    g[..., 0] = coefs[..., 1:2]
-    g[..., 1] = coefs[..., 2:3]
-    if coefs.shape[-1] == 4:
-        g[..., 0] += coefs[..., 3:4] * xi[..., None, :, 1]
-        g[..., 1] += coefs[..., 3:4] * xi[..., None, :, 0]
+    return _gradients([coefs[..., k:k + 1] for k in range(1, coefs.shape[-1])], xi, h)
+
+
+def _gradients(c, xi, h):
+    """`piece_gradients` from the x, y (and xy) coefficients c[k] (..., d, n or 1)."""
+    shape = np.broadcast_shapes(c[0].shape, xi.shape[:-2] + (1, xi.shape[-2]))
+    g = np.empty(shape + (2,), dtype=np.result_type(c[0], xi))
+    g[..., 0] = c[0]
+    g[..., 1] = c[1]
+    if len(c) == 3:
+        g[..., 0] += c[2] * xi[..., None, :, 1]
+        g[..., 1] += c[2] * xi[..., None, :, 0]
     g /= np.asarray(h)[..., None, None, None]
     return g
 
@@ -216,10 +222,11 @@ def cut_values(cuts, rows, xi, plus):
 
 
 def cut_gradients(cuts, rows, xi, plus):
-    """Immersed basis gradients (..., d, n, 2), like `cut_values`."""
-    h = cuts.h[rows]
-    return np.where(plus[..., None, :, None], piece_gradients(cuts.cp[rows], xi, h),
-                    piece_gradients(cuts.cm[rows], xi, h))
+    """Immersed basis gradients (..., d, n, 2), like `cut_values`: each
+    point's piece is selected first, and its gradient formed once."""
+    cm, cp, p = cuts.cm[rows], cuts.cp[rows], plus[..., None, :]
+    return _gradients([np.where(p, cp[..., k:k + 1], cm[..., k:k + 1])
+                       for k in range(1, cm.shape[-1])], xi, cuts.h[rows])
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,9 @@ def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params,
     the cut elements' integrals on their `assembly.cut_data_rules`, made here
     when `rules` is not given.
 
-    One sweep over the standard elements and one stacked rule per chord side
-    over the sub-polygons of all cut elements fill the three squared sums;
-    the cut elements' terms are added in element order, minus side first.
+    One sweep over the standard elements and one over the chord sides of the
+    cut elements fill the three squared sums; the cut elements' terms are
+    added in element order, minus side first.
     Values compare against the exact branch chosen by the true level set;
     gradient-based integrands compare piece against piece (branch chosen by
     the sub-polygon side). In the thin region between chord and curve the
@@ -160,12 +160,12 @@ def _bulk_sums(mesh, status, coeffs, sol, iface, beta, degree):
     accumulated block by block."""
     h = mesh.h
     sums = np.zeros(3)
-    for (name, spts, swts), ids, x, y, minus in bulk_sweep(mesh, status, iface,
-                                                           bulk_rules(mesh, degree)):
-        w = swts * h * h
-        G = template_gradients(name, spts) / h
+    tables = {v: (template_values(name, spts), spts, swts * h * h,
+                  template_gradients(name, spts) / h)
+              for v, (name, spts, swts) in bulk_rules(mesh, degree).items()}
+    for (V, _, w, G), ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
         ce = coeffs[mesh.elements[ids]]
-        diff = sol.u(x, y, minus) - ce @ template_values(name, spts)
+        diff = sol.u(x, y, minus) - ce @ V
         gx, gy = sol.grad(x, y, minus)
         d2 = (gx - ce @ G[:, :, 0]) ** 2 + (gy - ce @ G[:, :, 1]) ** 2
         sums += (np.einsum("eq,q->", diff * diff, w), np.einsum("eq,q->", d2, w),
@@ -174,22 +174,21 @@ def _bulk_sums(mesh, status, coeffs, sol, iface, beta, degree):
 
 
 def _cut_sums(mesh, cuts, coeffs, sol, beta, rules):
-    """The same sums per cut element and chord side, (K, 2, 3), from the
-    refined fan rule of each side over all cut elements, where u_h is the
-    side's piece `coeffs @ c` (K, 1, m)."""
+    """The same sums per cut element and chord side, (K, 2, 3), over the
+    blocks of the refined fan rules (`cut_data_rules`), where u_h is the
+    side's piece `coeffs @ c` (rows, 1, m)."""
     ce = coeffs[mesh.elements[cuts.ids]][:, None]          # (K, 1, d)
     out = np.zeros((len(cuts), 2, 3))
-    for s, ((pts, wts, minus), c, b, grad) in enumerate(zip(
-            rules, (cuts.cm, cuts.cp), beta, (sol.grad_minus, sol.grad_plus))):
+    for side, rows, pts, wts, minus in rules:
         x, y = pts[..., 0], pts[..., 1]
-        xi = (pts - cuts.origin[:, None]) / cuts.h[:, None, None]
-        a = ce @ c
+        xi = (pts - cuts.origin[rows, None]) / cuts.h[rows, None, None]
+        a = ce[rows] @ (cuts.cm, cuts.cp)[side][rows]
         diff = sol.u(x, y, minus) - piece_values(a, xi)[:, 0]
-        gh = piece_gradients(a, xi, cuts.h)[:, 0]
-        gx, gy = grad(x, y)     # the branch of the piece, whatever the level set says
+        gh = piece_gradients(a, xi, cuts.h[rows])[:, 0]
+        gx, gy = (sol.grad_minus, sol.grad_plus)[side](x, y)  # the piece's, whatever phi says
         d2 = (gx - gh[..., 0]) ** 2 + (gy - gh[..., 1]) ** 2
-        out[:, s] = np.column_stack([np.vecdot(wts, diff * diff), np.vecdot(wts, d2),
-                                     np.vecdot(wts, b * d2)])
+        out[rows, side] = np.column_stack([np.vecdot(wts, diff * diff), np.vecdot(wts, d2),
+                                           np.vecdot(wts, beta[side] * d2)])
     return out
 
 
@@ -205,8 +204,9 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
         sample = {0: ("tri_lower", low), 1: ("tri_upper", up)}
 
     worst = 0.0
-    for (name, spts), ids, x, y, minus in bulk_sweep(mesh, status, iface, sample):
-        uh = coeffs[mesh.elements[ids]] @ template_values(name, spts)
+    tables = {v: (template_values(name, spts), spts) for v, (name, spts) in sample.items()}
+    for (V, _), ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
+        uh = coeffs[mesh.elements[ids]] @ V
         worst = max(worst, float(np.abs(sol.u(x, y, minus) - uh).max()))
     if len(cuts):
         # the grid on each cut element's bounding square; on triangles the

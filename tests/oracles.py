@@ -22,8 +22,11 @@ load and the error norms that the side-pure sweep and the piece
 contraction replace, the per-sample draw loop and the sparse coercivity
 path (free-node submatrices, `combine_system`, its symmetric part and a
 banded Cholesky of it) that the decoded word block and the linear band
-combination of `verify` replace, and the per-scheme slicing of the
-full-node scheme matrix that the context's one Dirichlet split replaces.
+combination of `verify` replace, the per-scheme slicing of the
+full-node scheme matrix that the context's one Dirichlet split replaces,
+the sign audit of every mesh edge that the reach-pruned audit replaces, and
+the padded fan rules over all cut elements at once that `cut_sweep`'s
+blocks replace.
 """
 import functools
 from dataclasses import dataclass
@@ -36,9 +39,10 @@ from ppife.assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, MethodParams,
                             assemble_edge_terms, assemble_load, assemble_volume, bulk_rules,
                             combine_system, cut_volume_matrices)
 from ppife.errors import GeometryError, MultipleCrossings, PpifeError, SingularLocalSystem
-from ppife.geometry import (_SWEEP_POINTS, INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS, TRI, CutSet,
-                            DomainSpec, build_mesh, circle, classify_elements, edge_crossings,
-                            interface_edges)
+from ppife.geometry import (_AUDIT_ROWS, _SWEEP_POINTS, INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS,
+                            TRI, CutSet, DomainSpec, _cut_set, _edge_signs, _outer_signs,
+                            _sign_flips, _snapped_sign, build_mesh, circle, classify_elements,
+                            edge_crossings, interface_edges)
 from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_bases, cut_frame,
                                cut_values, phys_coefficients, piece_gradients, piece_values,
                                template_gradients, template_values)
@@ -926,6 +930,42 @@ def edge_signs(p0, p1, iface, tol):
     return vals, np.where(np.abs(vals) < tol, 0, np.sign(vals)).astype(np.int8)
 
 
+def all_edge_classify(mesh, iface):
+    """`geometry.classify_elements` with the sign audit on every mesh edge,
+    in ascending blocks of `_AUDIT_ROWS` edges, whatever the `reach` of
+    `iface`, and phi at the nodes, the centroids (`mesh_frames`) and the
+    snapped elements from gathers over every node and element."""
+    h = mesh.h
+    tol = iface.snap_tol * h
+    node_sign = _snapped_sign(np.asarray(iface.phi(mesh.nodes[:, 0], mesh.nodes[:, 1]), float),
+                              tol)
+    solve = []
+    for lo in range(0, mesh.n_edges, _AUDIT_ROWS):
+        ends = mesh.edge_nodes(np.arange(lo, min(lo + _AUDIT_ROWS, mesh.n_edges)))
+        _, s = _edge_signs(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, tol)
+        rows = np.flatnonzero((s.min(axis=1) <= 0) & (s.max(axis=1) >= 0))
+        flips = _sign_flips(s[rows])
+        if (flips > 1).any():
+            i = int(np.argmax(flips > 1))
+            raise MultipleCrossings(
+                f"edge {lo + rows[i]} is crossed {flips[i]} times; refine the mesh")
+        first, last = _outer_signs(s[rows])
+        solve.append(lo + rows[first * last < 0])
+    solve = np.concatenate(solve)
+    ends = mesh.edge_nodes(solve)
+    hit, points = edge_crossings(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, h)
+    crossed = solve[hit]
+    centroids = mesh_frames(mesh)[0]
+    status = np.where(np.asarray(iface.phi(centroids[:, 0], centroids[:, 1]), float) > 0,
+                      SIDE_PLUS, SIDE_MINUS).astype(np.int8)
+    touched = (node_sign[mesh.elements] == 0).any(axis=1)
+    adj = mesh.edge_elements(crossed).ravel()
+    touched[adj[adj >= 0]] = True
+    cuts = _cut_set(mesh, iface, np.flatnonzero(touched), crossed, points[hit], node_sign, tol)
+    status[cuts.ids] = INTERFACE
+    return status, cuts
+
+
 def select_branches(sol, x, y, minus):
     """u, grad and f of a PiecewiseSolution with both branches evaluated at
     every point and selected by `minus` afterwards."""
@@ -1224,9 +1264,22 @@ def ascending_bulk_load(mesh, status, sol, iface, degree=DATA_DEGREE):
     return b
 
 
+def padded_data_rules(cuts, iface, degree=DATA_DEGREE, refine=DATA_REFINE):
+    """`assembly.cut_data_rules` as one rule per chord side over all cut
+    elements, every sub-polygon padded to nv + 1 vertices: per side the
+    points (K, n, 2), the weights (K, n), zero on the padding triangles, and
+    whether phi < 0 at each point."""
+    rules = []
+    for poly in (cuts.poly_minus, cuts.poly_plus):
+        pts, wts = fan_rule(poly, degree, refine)
+        rules.append((pts, wts, np.asarray(iface.phi(pts[..., 0], pts[..., 1])) < 0))
+    return rules
+
+
 def per_basis_cut_load(cuts, sol, rules):
-    """The cut elements' load (K, d): every basis function's values at every
-    rule point, each from the piece its chord side selects."""
+    """The cut elements' load (K, d) on the `padded_data_rules`: every basis
+    function's values at every rule point, each from the piece its chord
+    side selects."""
     rows = np.arange(len(cuts))
     acc = np.zeros(cuts.cm.shape[:2])
     for pts, wts, minus in rules:
@@ -1239,7 +1292,8 @@ def per_basis_cut_load(cuts, sol, rules):
 def ascending_error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules,
                           degree=DATA_DEGREE):
     """`postprocess.error_norms` on ascending blocks, with u_h on the cut
-    elements from every basis function's values and gradients."""
+    elements from every basis function's values and gradients on the
+    `padded_data_rules`."""
     beta = (sol.params["beta_minus"], sol.params["beta_plus"])
     h = mesh.h
     sums = np.zeros(3)
@@ -1269,7 +1323,8 @@ def ascending_error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params
 
 def per_basis_cut_sums(mesh, cuts, coeffs, sol, rules):
     """`postprocess._cut_sums` from the (K, d, n) values and (K, d, n, 2)
-    gradients of every basis function of the side's piece."""
+    gradients of every basis function of the side's piece, on the
+    `padded_data_rules`."""
     beta = (sol.params["beta_minus"], sol.params["beta_plus"])
     ce = coeffs[mesh.elements[cuts.ids]][:, None]
     out = np.zeros((len(cuts), 2, 3))

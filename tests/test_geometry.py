@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -64,7 +66,7 @@ def test_mesh_invariants(kind):
     for e in np.flatnonzero(interior):
         assert edge_elements[e, 0] < edge_elements[e, 1]
     # normals oriented from lower to higher element index
-    centroids = mesh.element_centroids(np.arange(mesh.n_elements))
+    centroids = mesh.nodes[mesh.elements].mean(axis=1)
     for e in np.flatnonzero(interior):
         t1, t2 = edge_elements[e]
         d = centroids[t2] - centroids[t1]
@@ -302,8 +304,10 @@ def test_classify_propagates_multiple_crossings():
     iface = circle(0.5, 0.5, 0.55)
     with pytest.raises(MultipleCrossings):
         classify_elements(mesh, iface)
-    # the same past the first audit chunk: a small circle dips across one
-    # horizontal edge near the top of the mesh, and the error names that edge
+    # the same far into the edge numbering: a small circle dips across one
+    # horizontal edge near the top of the mesh, and the error names that
+    # edge by its mesh id, past the first audit chunk of an audit of every
+    # edge, though the reach-pruned audit sees it among its first edges
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 120, "rect"))
     a = 115 * 121 + 60
     e = int(np.flatnonzero((mesh.edge_nodes(np.arange(mesh.n_edges)) == [a, a + 1])
@@ -313,6 +317,26 @@ def test_classify_propagates_multiple_crossings():
     iface = circle(x0 + 0.5 * h, y0 + 0.1 * h, 0.3 * h)
     with pytest.raises(MultipleCrossings, match=rf"^edge {e} is crossed 2 times"):
         classify_elements(mesh, iface)
+
+
+def test_audit_work_grows_like_the_interface():
+    # the points classify_elements passes to phi beyond one per node and one
+    # per centroid: the audited edges, their crossings' bisection and the
+    # sub-polygon means grow like N; an audit of every edge grew like N^2
+    # (15.3x from N=80 to 320, against 3.80x)
+    def extra(N):
+        mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, "rect"))
+        iface = circle(0.0, 0.0, R0)
+        count = [0]
+
+        def phi(x, y):
+            count[0] += np.broadcast(x, y).size
+            return iface.phi(x, y)
+
+        classify_elements(mesh, dataclasses.replace(iface, phi=phi))
+        return count[0] - mesh.n_nodes - mesh.n_elements
+
+    assert extra(320) <= 4.5 * extra(80)
 
 
 def test_degenerate_chord_falls_back_to_uncut():

@@ -10,7 +10,14 @@ given the context's cut rules, 5.7 MB, and `error_norms` (SPP, beta+ =
 The unstructured mesh with per-edge arrays peaked at 18.4 MB, the
 element-block COO assembly at 17.6 MB, the load with every basis
 function's values at every cut rule point at 13.4 MB, and the norms with
-element-sized arrays over chunks of standard elements at 14.1 MB.
+element-sized arrays over chunks of standard elements at 14.1 MB. Since
+the cut quadrature runs in `cut_sweep` blocks, the load peaks at 2.5 MB
+and the norms at 3.9 MB.
+
+The load and one `error_norms` call at rect N=320, beta+ = 1e4, on the
+context's rules, peak at 4.4 MB together; with one padded fan rule per
+chord side over all cut elements at once they peaked at 14.9 MB. The
+budget is 4.4 MB plus 15 %.
 
 The first SPP `solve_scheme` on a context at rect N=320, beta+ = 10,
 which forms the level-0 aggregates, peaks at 53.7 MB in a fresh process
@@ -76,6 +83,20 @@ def test_error_norms_memory_budget():
     args = (ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface, ctx.traces,
             scheme_params(config, "spp"))
     assert _peak(lambda: error_norms(*args, rules=ctx.rules)) <= 11.3 * MB
+
+
+def test_cut_sweep_memory_budget():
+    config = RunConfig(mesh="rect", beta_plus=1e4)
+    ctx = build_context(config, 320)
+    coeffs = interpolate_nodal(ctx.mesh, ctx.sol, ctx.iface)
+    args = (ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface, ctx.traces,
+            scheme_params(config, "spp"))
+
+    def load_and_norms():
+        assemble_load(ctx.mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface, rules=ctx.rules)
+        error_norms(*args, rules=ctx.rules)
+
+    assert _peak(load_and_norms) <= 5.1 * MB
 
 
 def test_first_solve_scheme_memory_budget():

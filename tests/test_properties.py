@@ -10,20 +10,25 @@ centres in [-0.9, 0.9]^2 and N in [8, 24], so that many circles cross the
 boundary. Draws that the mesh cannot resolve (MultipleCrossings) are
 rejected. The lattice aggregates need no classification: they draw N in
 [8, 70] and circles with centres in [-0.9, 0.9]^2 and radii in [0.05, 1.2],
-or the lines above.
+or the lines above. The reach-pruned audit is compared with the audit of
+every edge at N in [8, 80] on circles with centres in [-1.3, 1.3]^2 and
+radii in [0.01, 1.2], circles within 1e-3 h of tangency to a mesh line,
+the lines above with c in [-1.5, 1.5], and a custom pair of parallel lines.
 """
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
+from ppife import geometry
 from ppife.assembly import (SCHEMES, MethodParams, VOLUME_DEGREE, apply_dirichlet,
                             assemble_edge_terms, assemble_load, assemble_volume, bulk_rules,
                             edge_traces)
-from ppife.errors import MultipleCrossings
+from ppife.errors import GeometryError, MultipleCrossings
 from ppife.geometry import (_EDGE_SAMPLES, _SWEEP_POINTS, AGGREGATE_BOX, INTERFACE, SIDE_MINUS,
                             SIDE_PLUS, DomainSpec, InterfaceGeometry, _edge_signs, build_mesh,
-                            bulk_sweep, circle, classify_elements, edge_crossings,
+                            bulk_sweep, circle, classify_elements, cut_sweep, edge_crossings,
                             interface_edges, lattice_aggregates, line)
 from ppife.harness import RunConfig, build_context, scheme_params
 from ppife.linsolve import cg
@@ -32,11 +37,12 @@ from ppife.local_basis import (basis_residuals, build_bases, cut_frame, cut_grad
 from ppife.postprocess import (PiecewiseSolution, _cut_sums, error_norms, interpolate_nodal,
                                radial_interface_solution)
 from ppife.quadrature import fan_rule, polygon_area
-from oracles import (EDGE_INTERFACE, ReferenceMesh, ascending_bulk_load, ascending_error_norms,
-                     classify_cuts, classify_edges, coo_volume, edge_intersection, edge_signs,
-                     edge_split_points, full_node_system, ife_basis, mesh_frames,
-                     per_basis_cut_load, per_basis_cut_sums, select_branches, split_edge_rule,
-                     standard_basis, template_name)
+import oracles
+from oracles import (EDGE_INTERFACE, ReferenceMesh, all_edge_classify, ascending_bulk_load,
+                     ascending_error_norms, classify_cuts, classify_edges, coo_volume,
+                     edge_intersection, edge_signs, edge_split_points, full_node_system, ife_basis,
+                     mesh_frames, padded_data_rules, per_basis_cut_load, per_basis_cut_sums,
+                     select_branches, split_edge_rule, standard_basis, template_name)
 
 
 def _cases(n_max):
@@ -130,6 +136,108 @@ def test_stacked_cuts_equal_per_element_oracle(drawn):
         assert tuple(e for e in cuts.cut_edges[i] if e >= 0) == c.cut_edges
         if mesh.cell_kind == "rect":
             assert cuts.opposite[i] == (c.type_tag == "II")
+
+
+def _audited(classify, mesh, iface):
+    """A classification as (status, cuts, solved crossings), the crossings
+    that `geometry.edge_crossings` finds as (p0, p1, points) of the crossed
+    edges; or the type and message of the error it raises."""
+    solved = []
+
+    def record(p0, p1, iface, h):
+        hit, points = edge_crossings(p0, p1, iface, h)
+        solved.append((p0[hit], p1[hit], points[hit]))
+        return hit, points
+
+    try:
+        with (mock.patch.object(geometry, "edge_crossings", record),
+              mock.patch.object(oracles, "edge_crossings", record)):
+            status, cuts = classify(mesh, iface)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return status, cuts, solved
+
+
+def _two_lines(c, w):
+    """phi = s (s - w), s = x + y + c: the lines s = 0 and s = w, with no
+    `reach`."""
+    s = lambda x, y: np.asarray(x) + np.asarray(y) + c
+    return InterfaceGeometry(lambda x, y: s(x, y) * (s(x, y) - w),
+                             lambda x, y: (2.0 * s(x, y) - w, 2.0 * s(x, y) - w))
+
+
+def _tangent_circle(kind, N, cx, cy, k, vertical, eps):
+    """A circle within eps h of tangency to mesh line k (x or y = -1 + k h)."""
+    h = 2.0 / N
+    gap = abs((cx if vertical else cy) - (-1.0 + k * h))
+    return kind, N, circle(cx, cy, gap + eps * h)
+
+
+audit_cases = st.one_of(
+    st.tuples(st.sampled_from(["rect", "tri"]), st.integers(8, 80),
+              st.builds(circle, st.floats(-1.3, 1.3), st.floats(-1.3, 1.3),
+                        st.floats(0.01, 1.2))),
+    st.builds(_tangent_circle, st.sampled_from(["rect", "tri"]), st.integers(8, 80),
+              st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.integers(0, 8), st.booleans(),
+              st.floats(-1e-3, 1e-3)),
+    st.tuples(st.sampled_from(["rect", "tri"]), st.integers(8, 80),
+              st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.5, 1.5))
+              .filter(lambda p: abs(p[0]) + abs(p[1]) > 1e-3).map(lambda p: line(*p))),
+    st.tuples(st.sampled_from(["rect", "tri"]), st.integers(8, 80),
+              st.builds(_two_lines, st.floats(-2.5, 2.5), st.floats(0.05, 1.0))))
+
+
+@given(audit_cases)
+@example(("rect", 2, circle(0.5, 0.5, 0.55)))        # crosses one edge twice
+@example(("tri", 80, circle(0.0, 0.0, 0.004)))       # inside one cell
+@example(("rect", 20, _two_lines(2.0, 0.4)))
+def test_reach_pruned_audit_equals_all_edge_oracle(case):
+    """The audit of the edges within `reach` gives the classification of
+    the audit of every edge bit for bit: the status, every CutSet field and
+    the solved crossings, or the same error with the same message."""
+    kind, N, iface = case
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
+    got, want = _audited(classify_elements, mesh, iface), _audited(all_edge_classify, mesh, iface)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert np.array_equal(got[0], want[0])
+    for f in dataclasses.fields(got[1]):
+        a, b = getattr(got[1], f.name), getattr(want[1], f.name)
+        assert (a is None and b is None) or _same(a, b), f.name
+    assert len(got[2]) == len(want[2]) == 1
+    for a, b in zip(got[2][0], want[2][0]):
+        assert _same(a, b)
+
+
+@given(st.sampled_from(["rect", "tri"]), st.integers(2, 40), st.integers(0, 2 ** 31))
+def test_node_elements_equal_the_vertex_gather(kind, N, seed):
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
+    nodes = np.flatnonzero(np.random.default_rng(seed).random(mesh.n_nodes) < 0.3)
+    assert np.array_equal(np.unique(mesh.node_elements(nodes)),
+                          np.flatnonzero(np.isin(mesh.elements, nodes).any(axis=1)))
+
+
+@given(cases, st.integers(1, 10), st.integers(0, 2))
+def test_cut_sweep_is_the_padded_rule_without_padding(case, degree, refine):
+    """Each chord side of each cut row once, in ascending rows per vertex
+    count, at most _SWEEP_POINTS points per block; the points and weights
+    are the padded fan rule's first ones bit for bit, and the rest of its
+    weights are zero."""
+    mesh, _, _, cuts = _classified(case)
+    seen = {0: [], 1: []}
+    for side, rows, pts, w in cut_sweep(cuts, degree, refine):
+        poly, count = ((cuts.poly_minus, cuts.n_minus), (cuts.poly_plus, cuts.n_plus))[side]
+        assert (count[rows] == count[rows[0]]).all() and (np.diff(rows) > 0).all()
+        assert 0 < w.size <= _SWEEP_POINTS or len(rows) == 1
+        p_pts, p_w = fan_rule(poly[rows], degree, refine)
+        n = w.shape[1]
+        assert _same(pts, np.ascontiguousarray(p_pts[:, :n])) and _same(w, p_w[:, :n].copy())
+        assert (p_w[:, n:] == 0).all()
+        seen[side].append(rows)
+    for side in (0, 1):
+        rows = np.concatenate(seen[side]) if seen[side] else np.zeros(0, int)
+        assert np.array_equal(np.sort(rows), np.arange(len(cuts)))
 
 
 def _close(a, b):
@@ -276,8 +384,7 @@ def _same(a, b):
        st.floats(-5.0, 5.0), st.floats(1e-3, 10.0))
 def test_mesh_frames_equal_gather_reduce(kind, N, xmin, ymin, width):
     mesh = build_mesh(DomainSpec(xmin, xmin + width, ymin, ymin + width, N, kind))
-    centroids, origins, extents = mesh_frames(mesh)
-    assert _same(mesh.element_centroids(np.arange(mesh.n_elements)), centroids)
+    _, origins, extents = mesh_frames(mesh)
     assert _same(mesh.element_origins, origins)
     assert _same(mesh.element_h, extents)
 
@@ -454,7 +561,8 @@ def test_load_equals_ascending_per_basis_oracle(case, beta_plus):
     got = assemble_load(mesh, np.full_like(status, INTERFACE), cuts, ctx.sol, ctx.iface,
                         rules=ctx.rules)
     want = np.zeros(mesh.n_nodes)
-    np.add.at(want, mesh.elements[cuts.ids], per_basis_cut_load(cuts, ctx.sol, ctx.rules))
+    np.add.at(want, mesh.elements[cuts.ids],
+              per_basis_cut_load(cuts, ctx.sol, padded_data_rules(cuts, ctx.iface)))
     assert np.abs(got - want).max() <= CUT_RTOL * np.abs(want).max()
 
 
@@ -466,13 +574,14 @@ def test_error_norms_equal_ascending_per_basis_oracle(case, beta_plus, seed):
     coeffs = (interpolate_nodal(ctx.mesh, ctx.sol, ctx.iface)
               + 1e-3 * rng.standard_normal(ctx.mesh.n_nodes))
     got = _cut_sums(ctx.mesh, ctx.cuts, coeffs, ctx.sol, (1.0, beta_plus), ctx.rules)
-    want = per_basis_cut_sums(ctx.mesh, ctx.cuts, coeffs, ctx.sol, ctx.rules)
+    padded = padded_data_rules(ctx.cuts, ctx.iface)
+    want = per_basis_cut_sums(ctx.mesh, ctx.cuts, coeffs, ctx.sol, padded)
     assert (np.abs(got - want) <= CUT_RTOL * want.sum(axis=(0, 1))).all()
     for scheme in ("classic", "spp"):
         args = (ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface, ctx.traces,
                 scheme_params(config, scheme))
         got = error_norms(*args, rules=ctx.rules)
-        want = ascending_error_norms(*args, ctx.rules)
+        want = ascending_error_norms(*args, padded)
         for norm in got:
             assert abs(got[norm] - want[norm]) <= NORM_RTOL * want[norm], norm
 

@@ -413,7 +413,6 @@ class CutSet:
     n_plus: np.ndarray       # (K,)
     edge_splits: np.ndarray  # (K, nv, 2)
     cut_edges: np.ndarray    # (K, 2) mesh edges holding D and E; -1 at a vertex or off a mesh
-    opposite: np.ndarray     # (K,) rectangle cut through opposite edges (type II)
     cm: Optional[np.ndarray] = None      # (K, d, m) minus-piece coefficients
     cp: Optional[np.ndarray] = None      # (K, d, m) plus-piece coefficients
     origin: Optional[np.ndarray] = None  # (K, 2) lower-left corner of each frame
@@ -626,18 +625,12 @@ def _cut_set(mesh, iface, ids, crossed, points, node_sign, tol):
                              3: f"inconsistent vertex signs in element {e}",
                              4: f"chord normal of element {e} contradicts the level set"}[err[r]])
 
-    opposite = np.zeros(len(k), dtype=bool)
-    if mesh.cell_kind == RECT:
-        eD, eE = cut_edges[k, 0], cut_edges[k, 1]
-        ends_D, ends_E = mesh.edge_nodes(eD), mesh.edge_nodes(eE)
-        shared = (ends_D[:, :, None] == ends_E[:, None, :]).any(axis=(1, 2))
-        opposite = np.where((eD >= 0) & (eE >= 0), ~shared, (na[k] == 4) & (nb[k] == 4))
     plus = a_plus[k]
     return CutSet(ids[k], verts[k], D[k], E[k], n,
                   np.where(plus[:, None, None], pb[k], pa[k]),
                   np.where(plus[:, None, None], pa[k], pb[k]),
                   np.where(plus, nb[k], na[k]), np.where(plus, na[k], nb[k]),
-                  edge_splits[k], cut_edges[k], opposite)
+                  edge_splits[k], cut_edges[k])
 
 
 # side b of the node boxes of `lattice_aggregates` per mesh kind, from AMG

@@ -91,6 +91,8 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
         if self.field_grid < 0:
             raise ConfigError("field_grid must be 0 (the mesh nodes) or G >= 1 (a G x G grid)")
+        if not self.scan_betas:
+            raise ConfigError("scan_betas needs at least 1 beta pair")
         if any(b <= 0 for pair in self.scan_betas for b in pair):
             raise ConfigError("scan_betas values must be positive")
         if doubling and len(self.N) > 1:

@@ -115,8 +115,9 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
-    best = (np.inf, x.copy(), 0)
+    best = (np.inf, x.copy())
     target = tol_rel
+    it = 0
     for it in range(1, max_iter + 1):
         Ap = As @ p
         pAp = float(p @ Ap)
@@ -127,7 +128,7 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
         r -= alpha * Ap
         rn = np.linalg.norm(r) / bsnorm
         if rn < best[0]:
-            best = (rn, x.copy(), it)
+            best = (rn, x.copy())
         if rn <= target:
             out = _finish(A, b, bnorm, x, s, it, tol_rel, M=M)
             if out.converged:
@@ -141,7 +142,7 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
             break
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return _finish(A, b, bnorm, best[1], s, max_iter, tol_rel, M=M)
+    return _finish(A, b, bnorm, best[1], s, it, tol_rel, M=M)
 
 
 def _neighbour_table(G):
@@ -398,7 +399,7 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     x = np.zeros(n)
     r, rtld, p, rho = fresh(x)
     restarts = 0
-    best = (np.linalg.norm(r) / bsnorm, x.copy(), 0)
+    best = (np.linalg.norm(r) / bsnorm, x.copy())
     target = tol_rel
     it = 0
     while it < max_iter:
@@ -443,7 +444,7 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
             r, rtld, p, rho = fresh(x)
             continue
         if rn < best[0]:
-            best = (rn, x.copy(), it)
+            best = (rn, x.copy())
         if rn <= target:
             out = finish(x)
             if out.converged:

@@ -81,18 +81,18 @@ def _draw_cuts(kind, samples, seed):
     return 0.01 + 0.98 * g, opposite
 
 
-def _reference_cuts(kind, draws, h=1.0) -> CutSet:
-    """The drawn cuts on the reference element of size h, as a CutSet whose
-    ids are the sample indices. The minus side holds the origin vertex; D sits
-    at height d*h on x = 0 (at x = d*h on y = h for opposite-edge cuts) and E
-    at x = e*h on y = 0."""
+def _reference_cuts(kind, draws) -> CutSet:
+    """The drawn cuts on the unit reference element, as a CutSet whose ids
+    are the sample indices. The minus side holds the origin vertex; D sits at
+    height d on x = 0 (at x = d on y = 1 for opposite-edge cuts) and E at
+    x = e on y = 0."""
     params, opposite = draws
     S = len(params)
-    verts = np.broadcast_to(h * _REF_VERTS[kind], (S,) + _REF_VERTS[kind].shape)
+    verts = np.broadcast_to(_REF_VERTS[kind], (S,) + _REF_VERTS[kind].shape)
     nv = verts.shape[1]
-    d, e = params[:, 0] * h, params[:, 1] * h
+    d, e = params[:, 0], params[:, 1]
     zero = np.zeros(S)
-    D = np.where(opposite[:, None], np.column_stack([d, np.full(S, h)]),
+    D = np.where(opposite[:, None], np.column_stack([d, np.ones(S)]),
                  np.column_stack([zero, d]))
     E = np.column_stack([e, zero])
     # np.sqrt(np.vecdot(..)) is bit for bit the per-vector np.linalg.norm;
@@ -101,13 +101,13 @@ def _reference_cuts(kind, draws, h=1.0) -> CutSet:
     n /= np.sqrt(np.vecdot(n, n))[:, None]
     n[((verts[:, 0] - D) * n).sum(axis=1) > 0] *= -1
 
-    # D on edge nv-1 (x = 0) or on edge 2 (y = h), E on edge 0 (y = 0); the
+    # D on edge nv-1 (x = 0) or on edge 2 (y = 1), E on edge 0 (y = 0); the
     # chain from D to E holds V0, so it is the minus side
     slot_D = np.where(opposite, 5, 2 * nv - 1)
     ring, (sa, sb), (na, nb), splits = ring_chains(verts, D, E, slot_D, np.ones(S, dtype=int))
     rows = np.arange(S)[:, None]
     return CutSet(np.arange(S), verts, D, E, n, ring[rows, sa], ring[rows, sb], na, nb,
-                  splits, np.full((S, 2), -1), opposite)
+                  splits, np.full((S, 2), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,27 @@ def _coef_ratios(kind, draws, beta_pair):
     return np.where(keep, hi / np.where(keep, lo, 1.0), 0.0).max(axis=1)
 
 
+def _refinement_scan(report, kind, beta_pairs, samples, seed, ratios, prefix):
+    """Record, per beta pair, the largest of `ratios(kind, draws, pair)` over
+    the first `samples` of 4 * samples drawn cuts (`<prefix>_<tag>`), over all
+    of them (`<prefix>_refined_<tag>`) and their relative drift; returns
+    whether every maximum is finite and moves by less than 10% under the 4x
+    sample refinement."""
+    ok = True
+    draws = _draw_cuts(kind, 4 * samples, seed)
+    for pair in beta_pairs:
+        r = ratios(kind, draws, pair)
+        base = float(r[:samples].max(initial=0.0))
+        fine = float(r.max(initial=0.0))
+        tag = f"b{pair[0]:g}_{pair[1]:g}"
+        report.metrics[f"{prefix}_{tag}"] = base
+        report.metrics[f"{prefix}_refined_{tag}"] = fine
+        drift = abs(fine - base) / base
+        report.metrics[f"drift_{tag}"] = drift
+        ok = ok and np.isfinite(fine) and drift < 0.10
+    return ok
+
+
 def scan_coefficient_bounds(kind, beta_pairs, samples=2000, seed=7) -> ScanReport:
     """Ratios of the two pieces' coefficient norms over random cuts.
 
@@ -135,19 +156,8 @@ def scan_coefficient_bounds(kind, beta_pairs, samples=2000, seed=7) -> ScanRepor
     """
     report = ScanReport("coefficient_bounds", f"{kind} coefficient-norm ratios",
                         seed, samples)
-    ok = True
-    draws = _draw_cuts(kind, 4 * samples, seed)
-    for pair in beta_pairs:
-        ratios = _coef_ratios(kind, draws, pair)
-        base = float(ratios[:samples].max(initial=0.0))
-        fine = float(ratios.max(initial=0.0))
-        tag = f"b{pair[0]:g}_{pair[1]:g}"
-        report.metrics[f"max_ratio_{tag}"] = base
-        report.metrics[f"max_ratio_refined_{tag}"] = fine
-        drift = abs(fine - base) / base
-        report.metrics[f"drift_{tag}"] = drift
-        ok = ok and np.isfinite(fine) and drift < 0.10
-    report.passed = bool(ok)
+    report.passed = bool(_refinement_scan(report, kind, beta_pairs, samples, seed,
+                                          _coef_ratios, "max_ratio"))
     return report
 
 
@@ -162,10 +172,10 @@ def _constant_complement(d):
     return scipy.linalg.null_space(np.full((1, d), 1.0 / np.sqrt(d)))
 
 
-def _trace_ratios(kind, draws, beta_pair, h):
-    """Per cut, max_B max_v ||beta grad(v).n_B||_B / (h^{1/2} |K|^{-1/2} ||sqrt(beta) grad v||_K)
-    over the element edges B; 0 for a cut whose gradient Gram matrix is
-    degenerate.
+def _trace_ratios(kind, draws, beta_pair):
+    """Per cut of the unit reference element, max_B max_v ||beta grad(v).n_B||_B
+    / (h^{1/2} |K|^{-1/2} ||sqrt(beta) grad v||_K) over the element edges B, at
+    h = 1; 0 for a cut whose gradient Gram matrix is degenerate.
 
     The maximum over nodal coefficient vectors on the unit sphere is the
     largest generalized eigenvalue of the edge-flux Gram matrix against the
@@ -175,7 +185,7 @@ def _trace_ratios(kind, draws, beta_pair, h):
     gradient Gram matrix.
     """
     bm, bp = beta_pair
-    cuts = build_bases(_reference_cuts(kind, draws, h), bm, bp)
+    cuts = build_bases(_reference_cuts(kind, draws), bm, bp)
     S, nv = cuts.verts.shape[:2]
     d = cuts.cm.shape[1]
 
@@ -207,8 +217,8 @@ def _trace_ratios(kind, draws, beta_pair, h):
     Y = np.linalg.solve(L, Y.reshape(S, d - 1, nv, -1).transpose(0, 3, 2, 1).reshape(S, d - 1, -1))
     C = Y.reshape(S, d - 1, nv, -1).transpose(0, 2, 1, 3)
     lam = np.linalg.eigvalsh(C)[..., -1]
-    areaK = h * h if kind == RECT else h * h / 2
-    ratio = np.sqrt(np.maximum(lam, 0.0) * areaK / h).max(axis=1)
+    areaK = 1.0 if kind == RECT else 0.5
+    ratio = np.sqrt(np.maximum(lam, 0.0) * areaK).max(axis=1)
     return np.where(valid, ratio, 0.0)
 
 
@@ -239,32 +249,16 @@ def quadrant_gradient_check(samples, seed, hs=(1.0, 0.5)):
     return float((lhs / rhs)[rhs > 0].min(initial=np.inf))
 
 
-def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7, hs=(1.0, 0.5, 0.25)) -> ScanReport:
-    """Trace-inequality ratio of edge flux norms to element gradient norms.
+def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7) -> ScanReport:
+    """Trace-inequality ratio of edge flux norms to element gradient norms,
+    on the unit reference element (the ratio is invariant under scaling it).
 
-    Pass: the maximal ratio changes by less than 10% under a 4x sample
-    refinement and across element sizes h in `hs` (h-independence). For the
-    bilinear kind the scan additionally verifies the quadrant gradient lower
-    bound with its explicit constant.
+    Pass: the maximal ratio is finite and changes by less than 10% under a
+    4x sample refinement. For the bilinear kind the scan additionally
+    verifies the quadrant gradient lower bound with its explicit constant.
     """
     report = ScanReport("trace_ratio", f"{kind} flux trace ratios", seed, samples)
-    ok = True
-    draws = _draw_cuts(kind, 4 * samples, seed)
-    head = tuple(a[:samples] for a in draws)
-    for pair in beta_pairs:
-        tag = f"b{pair[0]:g}_{pair[1]:g}"
-        refined = _trace_ratios(kind, draws, pair, hs[0])
-        per_h = [float(refined[:samples].max(initial=0.0))]
-        per_h += [float(_trace_ratios(kind, head, pair, h).max(initial=0.0)) for h in hs[1:]]
-        for h, base in zip(hs, per_h):
-            report.metrics[f"max_R_{tag}_h{h:g}"] = base
-        fine = float(refined.max(initial=0.0))
-        report.metrics[f"max_R_refined_{tag}"] = fine
-        drift = abs(fine - per_h[0]) / per_h[0]
-        spread = max(per_h) / min(per_h) - 1.0
-        report.metrics[f"drift_{tag}"] = drift
-        report.metrics[f"h_spread_{tag}"] = spread
-        ok = ok and np.isfinite(fine) and drift < 0.10 and spread < 0.10
+    ok = _refinement_scan(report, kind, beta_pairs, samples, seed, _trace_ratios, "max_R")
     if kind == RECT:
         margin = quadrant_gradient_check(1000, seed)
         report.metrics["quadrant_bound_margin"] = margin

@@ -199,7 +199,7 @@ def cut_stack(verts, D, E, normal, beta_minus, beta_plus):
     K = len(verts)
     empty = np.zeros((K, 0, 2))
     cuts = CutSet(np.arange(K), verts, D, E, normal, empty, empty, np.zeros(K, int),
-                  np.zeros(K, int), empty, np.full((K, 2), -1), np.zeros(K, bool))
+                  np.zeros(K, int), empty, np.full((K, 2), -1))
     return build_bases(cuts, beta_minus, beta_plus)
 
 
@@ -224,7 +224,6 @@ class ElementCut:
     chord_normal: np.ndarray
     poly_minus: np.ndarray
     poly_plus: np.ndarray
-    type_tag: Optional[str] = None   # 'I' / 'II' for rectangles
 
 
 def split_convex_by_chord(verts, D, E, tol):
@@ -364,19 +363,9 @@ def classify_one(mesh, iface, k, crossings, node_sign, tol):
     if float(n @ (poly_plus.mean(axis=0) - mid)) <= 0:
         raise GeometryError(f"chord normal of element {k} contradicts the level set")
 
-    type_tag = None
-    if mesh.cell_kind == RECT:
-        if eD is not None and eE is not None:
-            ends = full_mesh(mesh).edge_nodes
-            shared = set(ends[eD]) & set(ends[eE])
-            type_tag = "I" if shared else "II"
-        else:
-            type_tag = "II" if (len(pa), len(pb)) == (4, 4) else "I"
-
     return ElementCut(k, D=D, E=E,
                       cut_edges=tuple(e for e in (eD, eE) if e is not None),
-                      chord_normal=n, poly_minus=poly_minus, poly_plus=poly_plus,
-                      type_tag=type_tag)
+                      chord_normal=n, poly_minus=poly_minus, poly_plus=poly_plus)
 
 
 def classify_cuts(mesh, iface):

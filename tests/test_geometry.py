@@ -183,11 +183,13 @@ def test_type_tags():
     # D=(0, 0.3h), E=(0.4h, 0): adjacent edges -> type I
     iface = line(0.75, 1.0, -0.15)
     status, cuts = classify_elements(mesh, iface)
-    assert status[0] == INTERFACE and cuts.ids[0] == 0 and not cuts.opposite[0]
+    assert status[0] == INTERFACE and cuts.ids[0] == 0
+    assert np.allclose(sorted(map(tuple, (cuts.D[0], cuts.E[0]))), [(0.0, 0.15), (0.2, 0.0)])
     # D=(0.3h, h), E=(0.4h, 0): opposite edges -> type II
     iface = line(1.0, 0.1, -0.2)
     status, cuts = classify_elements(mesh, iface)
-    assert status[0] == INTERFACE and cuts.ids[0] == 0 and cuts.opposite[0]
+    assert status[0] == INTERFACE and cuts.ids[0] == 0
+    assert np.allclose(sorted(map(tuple, (cuts.D[0], cuts.E[0]))), [(0.15, 0.5), (0.2, 0.0)])
 
 
 def test_subdomain_area_converges():
@@ -383,8 +385,6 @@ def _assert_matches_oracle(mesh, iface):
             assert n == len(poly) and np.array_equal(padded[:n], poly)
             assert (padded[n:] == poly[-1]).all()
         assert tuple(e for e in cuts.cut_edges[i] if e >= 0) == c.cut_edges
-        if mesh.cell_kind == "rect":
-            assert cuts.opposite[i] == (c.type_tag == "II")
     return cuts
 
 

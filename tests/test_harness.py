@@ -66,6 +66,13 @@ def test_config_validation():
     RunConfig(N=(4, 8, 16)).validate(doubling=True)
 
 
+def test_verify_refuses_empty_scan_betas(tmp_path):
+    # the coercivity scan brackets its penalty on the first beta pair
+    with pytest.raises(ConfigError, match="scan_betas"):
+        cmd_verify(RunConfig(scan_betas=(), out=str(tmp_path / "v")))
+    assert not (tmp_path / "v").exists()
+
+
 def test_cmd_solve_outputs(tmp_path):
     cfg = RunConfig(N=(8,), schemes=("spp",), out=str(tmp_path), dump_field=True,
                     field_grid=17, dump_matrix=True, dump_mesh=True)

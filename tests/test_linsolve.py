@@ -63,6 +63,14 @@ def test_cg_not_converged_flag():
     assert res.residual > 1e-14
 
 
+def test_cg_breakdown_reports_the_iterations_run():
+    # indefinite: p.Ap turns negative in the second iteration, which stops CG
+    A = sp.diags([1.0, -1.0, 2.0, 3.0]).tocsr()
+    res = cg(A, np.ones(4))
+    assert not res.converged and res.iterations == 2
+    assert cg(A, np.ones(4), max_iter=1).iterations == 1
+
+
 def test_bicgstab_agrees_with_cg_on_symmetric():
     A = _tridiag(40)
     rng = np.random.default_rng(1)

@@ -287,11 +287,12 @@ def test_singular_system_in_batch_names_its_element(kind):
 def test_ill_conditioned_members_name_the_first(kind, bad):
     # a zero chord normal zeroes the flux row, so the member is exactly
     # singular and the stacked inverse fails; chord ends 1e-15 h apart leave
-    # it invertible, with a condition number far above 1e14
-    cuts = _reference_cuts(kind, _draw_cuts(kind, 40, 3), h=0.25)
+    # it invertible, with a condition number far above 1e14. The unit cuts
+    # scaled by 0.25: a power of two, so the normals stay as they are
+    cuts = _reference_cuts(kind, _draw_cuts(kind, 40, 3))
     ids = 100 + 3 * np.arange(len(cuts))
-    ife_coefficients(cuts.verts, cuts.D, cuts.E, cuts.normal, 1.0, 1e4, ids)
-    D, E, n = cuts.D, cuts.E.copy(), cuts.normal.copy()
+    verts, D, E, n = 0.25 * cuts.verts, 0.25 * cuts.D, 0.25 * cuts.E, cuts.normal.copy()
+    ife_coefficients(verts, D, E, n, 1.0, 1e4, ids)
     if "zero" in bad:
         n[bad["zero"]] = 0.0
     if "tiny" in bad:
@@ -300,7 +301,7 @@ def test_ill_conditioned_members_name_the_first(kind, bad):
     first = min(bad.values())
     with pytest.raises(SingularLocalSystem,
                        match=rf"^element {ids[first]}: condition estimate ") as err:
-        ife_coefficients(cuts.verts, D, E, n, 1.0, 1e4, ids)
+        ife_coefficients(verts, D, E, n, 1.0, 1e4, ids)
     cond = float(str(err.value).rsplit(" ", 1)[1])
     assert cond > 1e14
     assert np.isinf(cond) == (bad.get("zero") == first)

@@ -8,7 +8,8 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -234,15 +235,13 @@ class CaseContext:
     split: object        # assembly.DirichletSplit: A_vol, M, P_unit and b on the free nodes
     traces: object       # assembly.EdgeTraces of the interface edges
     rules: list          # assembly.cut_data_rules of the cut elements
-    _aggregates: Optional[tuple] = field(default=None, repr=False)
 
-    def fine_aggregates(self):
-        """Level-0 AMG aggregates of the free nodes (see
-        linsolve.SAHierarchy), shared by every scheme of the context. They
-        are geometry.lattice_aggregates, formed on the first call."""
-        if self._aggregates is None:
-            self._aggregates = geometry.lattice_aggregates(self.mesh, self.iface)
-        return self._aggregates
+    @cached_property
+    def hierarchy(self):
+        """The AMG levels (linsolve.SAHierarchy) of every scheme's V-cycle,
+        built on first use from A_vol and geometry.lattice_aggregates."""
+        return linsolve.SAHierarchy(self.split.A_vol,
+                                    geometry.lattice_aggregates(self.mesh, self.iface))
 
 
 def build_context(config: RunConfig, N: int) -> CaseContext:
@@ -272,11 +271,14 @@ def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
                                sigma0=config.sigma0, alpha=config.penalty_alpha)
 
 
-def interface_block(ctx: CaseContext, system) -> np.ndarray:
-    """Positions in the reduced system of the free nodes of the cut elements,
-    ascending."""
+def interface_block(ctx: CaseContext) -> np.ndarray:
+    """Ascending positions, among the free nodes, of those that M or P_unit
+    touch (where scheme matrices leave A_vol) or that lie on a cut element."""
+    split = ctx.split
     nodes = np.unique(ctx.mesh.elements[ctx.cuts.ids])
-    return np.searchsorted(system.free, nodes[np.isin(nodes, system.free)])
+    return np.unique(np.concatenate([
+        np.searchsorted(split.free, nodes[np.isin(nodes, split.free)]),
+        np.flatnonzero(np.diff(split.M.indptr)), split.M.indices, split.P_unit.indices]))
 
 
 def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
@@ -288,7 +290,7 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     # looked up at call time, so that a tracer may wrap it
     solver = linsolve.cg if params.delta == params.epsilon else linsolve.bicgstab
     res = solver(A_ff, rhs, tol_rel=config.solver_tol, max_iter=config.solver_maxiter,
-                 block=interface_block(ctx, system), aggregates=ctx.fine_aggregates)
+                 block=interface_block(ctx), hierarchy=lambda: ctx.hierarchy)
     if not res.converged:
         raise NotConverged(f"{scheme} at N={ctx.N}: not converged after {res.iterations} "
                            f"iterations and {res.restarts} restarts, final residual "

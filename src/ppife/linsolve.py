@@ -1,21 +1,19 @@
 """Sparse iterative solvers for the reduced systems.
 
-Matrices are scipy CSR. Both solvers work on the symmetric Jacobi scaling
+Matrices are scipy CSR. Both solvers work on a symmetric diagonal scaling
 As = D^{-1/2} A D^{-1/2}, which keeps CG's inner product exact and is
 markedly more robust than one-sided scaling for the strongly nonsymmetric
 systems produced by large coefficient contrasts.
 
 The preconditioner is one V-cycle of a smoothed-aggregation AMG hierarchy
-built on As (Vanek, Mandel & Brezina, Computing 56, 1996), with an exact
-solve of a given block of unknowns (the nodes of the cut elements) around
-the V-cycle. Its tentative prolongator carries the near-null vector of As,
-D^{1/2} 1, normalized per aggregate. Level 0 may take its aggregates from
-the caller, such as the mesh's side-split node boxes, which every scheme
-on one mesh shares; the other levels aggregate algebraically. A restarted
-BiCGSTAB handles the nonsymmetric schemes, right-preconditioned. CG handles
-the symmetric ones: preconditioned above AMG_CG_DOFS unknowns, and with the
-Jacobi scaling alone below, where building the hierarchy costs more than
-the iterations it saves.
+(Vanek, Mandel & Brezina, Computing 56, 1996) with an exact solve of a
+block of unknowns around it. One hierarchy, built on the Jacobi scaling of
+A_vol, serves every scheme of a context: each scheme matrix is scaled by
+the same D and smooths level 0, and the block covers the rows where it
+leaves A_vol (multiplicative subspace correction with an exact local solve;
+Xu, SIAM Review 34, 1992). BiCGSTAB (the nonsymmetric schemes) is always
+right-preconditioned; CG (the symmetric ones) only above AMG_CG_DOFS
+unknowns, below which its own Jacobi scaling costs less.
 """
 from __future__ import annotations
 
@@ -62,14 +60,15 @@ class SolveResult:
 def _is_symmetric(A, rtol=1e-12):
     """Whether max |A - A^T| <= rtol * max |A| over every stored entry."""
     scale = np.abs(A.data).max() if A.nnz else 1.0
-    D = abs(A - A.T)
-    return not D.nnz or D.max() <= rtol * scale
+    return np.abs((A - A.T).data).max(initial=0.0) <= rtol * scale
 
 
-def _scaled(A, b):
-    d = np.abs(A.diagonal())
-    d[d == 0.0] = 1.0
-    s = 1.0 / np.sqrt(d)
+def _scaled(A, b, s=None):
+    """diags(s) @ A @ diags(s), s * b and s; s is by default 1 / sqrt|diag A|."""
+    if s is None:
+        d = np.abs(A.diagonal())
+        d[d == 0.0] = 1.0
+        s = 1.0 / np.sqrt(d)
     # diags(s) @ A @ diags(s): its bits, its order and no stored zeros
     data = np.repeat(s, np.diff(A.indptr)) * A.data * s[A.indices]
     As = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
@@ -77,22 +76,28 @@ def _scaled(A, b):
     return As, s * b, s
 
 
-def _finish(A, b, bnorm, xs, s, iterations, tol_rel, restarts=0, M=None):
+def _preconditioned(A, b, block, hierarchy):
+    """As, bs, s for `hierarchy()` (default: one of A), its V-cycle and depth."""
+    H = SAHierarchy(A) if hierarchy is None else hierarchy()
+    As, bs, s = _scaled(A, b, H.scale)
+    return As, bs, s, H.preconditioner(As, block), len(H.levels) + 1
+
+
+def _finish(A, b, bnorm, xs, s, iterations, tol_rel, restarts=0, levels=0):
     x = xs * s
     res = float(np.linalg.norm(b - A @ x) / bnorm)
-    return SolveResult(x, iterations, res, bool(res <= tol_rel), restarts,
-                       0 if M is None else len(M.levels) + 1)
+    return SolveResult(x, iterations, res, bool(res <= tol_rel), restarts, levels)
 
 
 def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
-       aggregates=None) -> SolveResult:
-    """Conjugate gradients for symmetric systems, on the Jacobi-scaled matrix.
+       hierarchy=None) -> SolveResult:
+    """Conjugate gradients for symmetric systems, on a scaled matrix.
 
-    Above AMG_CG_DOFS unknowns, each iteration applies one V-cycle of an
-    SAHierarchy (with `block` and `aggregates`, see there) to the residual;
-    at or below, the scaling alone preconditions. Raises AsymmetricInput
-    when some |A_ij - A_ji| exceeds 1e-12 * max|A|. Returns the best iterate
-    with converged=False when the budget runs out.
+    Above AMG_CG_DOFS unknowns, the V-cycle of the SAHierarchy
+    `hierarchy()` with the exact `block` preconditions; at or below, A's own
+    Jacobi scaling alone. Raises AsymmetricInput when some |A_ij - A_ji|
+    exceeds 1e-12 * max|A|. Returns the best iterate with converged=False
+    when the budget runs out.
     """
     A = A.tocsr()
     n = A.shape[0]
@@ -103,19 +108,15 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0, True)
-    As, bs, s = _scaled(A, b)
+    As, bs, s, M, levels = (_preconditioned(A, b, block, hierarchy) if n > AMG_CG_DOFS
+                            else (*_scaled(A, b), lambda r: r, 0))
     bsnorm = np.linalg.norm(bs)
-    M = SAHierarchy(As, block, 1.0 / s, aggregates) if n > AMG_CG_DOFS else None
-
-    def precondition(r):
-        return r if M is None else M(r)
-
     x = np.zeros(n)
     r = bs.copy()
-    z = precondition(r)
+    z = M(r)
     p = z.copy()
     rz = float(r @ z)
-    best = (np.inf, x.copy())
+    best = (np.linalg.norm(r) / bsnorm, x.copy())
     target = tol_rel
     it = 0
     for it in range(1, max_iter + 1):
@@ -130,19 +131,19 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
         if rn < best[0]:
             best = (rn, x.copy())
         if rn <= target:
-            out = _finish(A, b, bnorm, x, s, it, tol_rel, M=M)
+            out = _finish(A, b, bnorm, x, s, it, tol_rel, levels=levels)
             if out.converged:
                 return out
             r = bs - As @ x          # recompute to fight drift, then tighten
             rn = np.linalg.norm(r) / bsnorm
             target = max(target / 4.0, 1e-2 * np.finfo(float).eps)
-        z = precondition(r)
+        z = M(r)
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
             break
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return _finish(A, b, bnorm, best[1], s, it, tol_rel, M=M)
+    return _finish(A, b, bnorm, best[1], s, it, tol_rel, levels=levels)
 
 
 def _neighbour_table(G):
@@ -260,62 +261,38 @@ def aggregate(A, rng):
 
 
 class SAHierarchy:
-    """Smoothed-aggregation AMG; calling it applies one V-cycle to a vector,
-    an approximation of A^-1 v.
+    """Smoothed-aggregation AMG levels of A, built on its Jacobi scaling
+    D^{-1/2} A D^{-1/2} (`scale` = D^{-1/2}); `preconditioner` makes their
+    V-cycle for any matrix with the same scaling.
 
-    Each level aggregates the strong-coupling graph of its matrix, builds
-    the tentative prolongator T from the near-null candidate B, smooths it
-    once by damped Jacobi, restricts by the transpose and forms the Galerkin
+    Each level aggregates the strong-coupling graph of its matrix (level 0
+    takes `aggregates`, as `aggregate` returns them, when given), builds the
+    tentative prolongator T from the near-null candidate B, smooths it once
+    by damped Jacobi, restricts by the transpose and forms the Galerkin
     product P^T A P. T[i, a] = B_i / |B_a| for node i of aggregate a, with
     |B_a| the norm of B over the aggregate, and the vector of those norms is
-    the next level's candidate. B = 1 when no `candidate` is given; for a
-    Jacobi-scaled A = D^{-1/2} K D^{-1/2} whose K has zero row sums, the
-    near-null vector is D^{1/2} 1, which is the candidate 1/s that the
-    solvers pass. SMOOTHER_SWEEPS damped-Jacobi sweeps smooth before and
-    after the coarse correction. The coarsest level has at most COARSE_SIZE
-    dofs and is solved by a banded LU in reverse Cuthill-McKee order, unless
-    coarsening stops early, at a zero diagonal entry or where aggregation
-    merges fewer than half the nodes; a larger coarsest level is solved by
-    splu. (A dense LU would hold about as much, but OpenBLAS factorizes a
-    few hundred dofs by another algorithm on several threads than on one,
-    so the last bits of every small solve would follow the thread count.)
-    Every step is deterministic: the random priorities and the power
-    iteration's start vector come from a fixed seed.
-
-    `aggregates`, a function of no arguments, gives level 0's aggregates as
-    `aggregate` returns them, in place of the level's own (the harness
-    passes geometry.lattice_aggregates). It is called only when level 0 is
-    coarsened, so that a caller can compute the aggregates lazily and share
-    them between matrices on the same unknowns.
-
-    `block`, a set of row indices, adds an exact solve of A[block, block]
-    around the fine-level V-cycle: the block is solved for its part of the
-    input, the V-cycle runs on the residual left over, and the block is
-    corrected once more from the new residual. The two block steps are
-    alike, so a symmetric A keeps a symmetric preconditioner. This is meant
-    for a small set of unknowns whose error Jacobi sweeps and aggregates
-    both miss, such as the nodes of the cut elements at high contrast. The
-    block is factorized as a banded LU in reverse Cuthill-McKee order, and
-    only its rows and columns of A are kept for the residual updates, so the
-    block costs no product with all of A. A block is ignored when it is
-    empty or singular, or when A has COARSE_SIZE dofs or fewer.
+    the next level's candidate. Level 0's is D^{1/2} 1, the near-null
+    vector of the scaled A where A has zero row sums. SMOOTHER_SWEEPS
+    damped-Jacobi sweeps smooth before and after the coarse correction. The
+    coarsest level has at most COARSE_SIZE dofs and is solved by a banded
+    LU in reverse Cuthill-McKee order, unless coarsening stops early, at a
+    zero diagonal entry or where aggregation merges fewer than half the
+    nodes; a larger coarsest level is solved by splu. (A dense LU would hold
+    about as much, but OpenBLAS factorizes a few hundred dofs by another
+    algorithm on several threads than on one, so the last bits of every
+    small solve would follow the thread count.) Every step is deterministic:
+    the random priorities and the power iteration's start vector come from
+    a fixed seed. Level 0 keeps no matrix of its own.
     """
 
-    def __init__(self, A, block=None, candidate=None, aggregates=None):
+    def __init__(self, A, aggregates=None):
         # imported here: scipy.sparse.linalg adds about 0.1 s to `import ppife`
         from scipy.sparse.linalg import splu
 
         rng = np.random.default_rng(AMG_SEED)
-        self.levels = []            # (A, omega / diag, P, P^T) per level
-        A = A.tocsr()
-        B = np.ones(A.shape[0]) if candidate is None else np.asarray(candidate, float)
-        self.block = None           # (ids, solver of A[ids, ids], A[ids, :], A[:, ids])
-        if block is not None and len(block) and A.shape[0] > COARSE_SIZE:
-            ids = np.asarray(block)
-            rows = A[ids]
-            solve = _banded_lu(rows[:, ids])
-            if solve is not None:
-                self.block = (ids, solve, rows, A[:, ids])
+        self.levels = []            # (omega / rho, P, next level's matrix) per level
+        A, _, self.scale = _scaled(A.tocsr(), 0.0)
+        B = 1.0 / self.scale
         while A.shape[0] > COARSE_SIZE:
             n = A.shape[0]
             diag = A.diagonal()
@@ -323,7 +300,7 @@ class SAHierarchy:
                 break
             dinv = 1.0 / diag
             if aggregates is not None and not self.levels:
-                agg, n_coarse = aggregates()
+                agg, n_coarse = aggregates
                 if len(agg) != n:
                     raise ValueError(f"{len(agg)} aggregate labels for {n} unknowns")
             else:
@@ -334,48 +311,69 @@ class SAHierarchy:
             norms = np.sqrt(np.bincount(agg[keep], B[keep] ** 2, minlength=n_coarse))
             T = sp.csr_matrix((B[keep] / norms[agg[keep]], (keep, agg[keep])),
                               shape=(n, n_coarse))
-            dinv /= _spectral_radius(A, dinv, rng)
+            rho = _spectral_radius(A, dinv, rng)
+            dinv /= rho
             P = (T - sp.diags(PROLONGATOR_DAMPING * dinv) @ (A @ T)).tocsr()
-            R = P.T.tocsr()
-            self.levels.append((A, SMOOTHER_DAMPING * dinv, P, R))
-            A = (R @ A @ P).tocsr()
+            A = (P.T.tocsr() @ A @ P).tocsr()
+            self.levels.append((SMOOTHER_DAMPING / rho, P, A))
             B = norms
         self.coarse = A             # the coarsest matrix, solved by coarse_solve
         solve = _banded_lu(A) if A.shape[0] <= COARSE_SIZE else None
         self.coarse_solve = splu(A.tocsc()).solve if solve is None else solve
 
-    def __call__(self, b):
-        if self.block is None:
-            return self._cycle(0, b)
-        # block solve, V-cycle on the rest of the residual, block solve again
-        ids, solve, rows, cols = self.block
-        xb = solve(b[ids])
-        x = self._cycle(0, b - cols @ xb)
-        x[ids] += xb
-        x[ids] += solve(b[ids] - rows @ x)
-        return x
+    def preconditioner(self, A, block=None):
+        """One V-cycle, an approximation of A^-1 v as a function of v, with
+        A (scaled by `scale`) as level 0's smoothing and residual operator.
 
-    def _cycle(self, k, b):
-        if k == len(self.levels):
+        `block`, row indices of A, adds an exact solve of A[block, block]
+        around it: the block is solved for its part of the input, the
+        V-cycle runs on the residual left, and the block is corrected once
+        more, so a symmetric A keeps a symmetric preconditioner. It is meant
+        for the unknowns whose error Jacobi sweeps and aggregates both miss:
+        where A leaves the matrix the levels were built on, and the nodes of
+        the cut elements at high contrast. A banded LU in reverse
+        Cuthill-McKee order solves it, and only its rows and columns of A
+        are kept. An empty or singular block is ignored.
+        """
+        # per level: matrix, Jacobi weights omega / (rho diag), P
+        levels = [(L, w / L.diagonal(), P) for L, (w, P, _) in
+                  zip([A] + [lvl[2] for lvl in self.levels], self.levels)]
+        ids = np.asarray(() if block is None else block, dtype=np.int64)
+        rows, cols = A[ids], A[:, ids]
+        solve = _banded_lu(rows[:, ids]) if len(ids) else None
+        if solve is None:
+            return lambda b: self._cycle(levels, 0, b)
+
+        def blocked(b):
+            # block solve, V-cycle on the rest of the residual, block solve again
+            xb = solve(b[ids])
+            x = self._cycle(levels, 0, b - cols @ xb)
+            x[ids] += xb
+            x[ids] += solve(b[ids] - rows @ x)
+            return x
+        return blocked
+
+    def _cycle(self, levels, k, b):
+        if k == len(levels):
             return self.coarse_solve(b)
-        A, omega_dinv, P, R = self.levels[k]
+        A, omega_dinv, P = levels[k]
         x = omega_dinv * b
         for _ in range(SMOOTHER_SWEEPS - 1):
             x += omega_dinv * (b - A @ x)
-        x += P @ self._cycle(k + 1, R @ (b - A @ x))
+        # P^T, a CSC view of P, restricts with the bits of its CSR copy
+        x += P @ self._cycle(levels, k + 1, P.T @ (b - A @ x))
         for _ in range(SMOOTHER_SWEEPS):
             x += omega_dinv * (b - A @ x)
         return x
 
 
 def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
-             aggregates=None) -> SolveResult:
-    """BiCGSTAB with symmetric Jacobi scaling and one SA-AMG V-cycle as the
-    right preconditioner, so the convergence test sees the true residual of
-    the scaled system; breakdowns restart with a perturbed shadow vector (at
-    most 3 restarts). `block` (row indices of A) is the set of unknowns that
-    the preconditioner solves exactly around its V-cycle, and `aggregates`
-    gives its level-0 aggregates (see SAHierarchy)."""
+             hierarchy=None) -> SolveResult:
+    """BiCGSTAB right-preconditioned by the V-cycle of `hierarchy()` with the
+    exact `block`, so the convergence test sees the true residual of the
+    scaled system; breakdowns restart with a perturbed shadow vector (at
+    most 3 restarts). At COARSE_SIZE unknowns or fewer, A's own hierarchy
+    has no levels, and its V-cycle is an exact solve."""
     A = A.tocsr()
     n = A.shape[0]
     if max_iter is None:
@@ -383,9 +381,9 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0, True)
-    As, bs, s = _scaled(A, b)
+    As, bs, s, M, levels = (_preconditioned(A, b, block, hierarchy) if n > COARSE_SIZE
+                            else _preconditioned(A, b, None, None))
     bsnorm = np.linalg.norm(bs)
-    M = SAHierarchy(As, block, 1.0 / s, aggregates)
 
     rng = np.random.default_rng(67890)
 
@@ -394,7 +392,7 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
         return r, r.copy(), r.copy(), float(r @ r)
 
     def finish(x):
-        return _finish(A, b, bnorm, x, s, it, tol_rel, restarts, M)
+        return _finish(A, b, bnorm, x, s, it, tol_rel, restarts, levels)
 
     x = np.zeros(n)
     r, rtld, p, rho = fresh(x)

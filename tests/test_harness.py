@@ -255,8 +255,10 @@ def test_cli_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("mesh", ["rect", "tri"])
 def test_solve_scheme_passes_the_cut_element_block(mesh, monkeypatch):
-    # the nonsymmetric schemes get the free nodes of the cut elements, by
-    # keyword, through the module attribute that a tracer may wrap
+    # the nonsymmetric schemes get, by keyword, through the module attribute
+    # that a tracer may wrap, the free nodes that M or P_unit touch (where
+    # the scheme matrices differ from A_vol) united with the free nodes of
+    # the cut elements
     from ppife import linsolve
     calls = []
     solver = linsolve.bicgstab
@@ -268,32 +270,100 @@ def test_solve_scheme_passes_the_cut_element_block(mesh, monkeypatch):
     assert calls == []
     solve_scheme(ctx, cfg, "npp")
     [block] = calls
-    nodes = set(ctx.mesh.elements[ctx.cuts.ids].ravel().tolist())
-    assert system.free[block].tolist() == sorted(nodes - set(system.boundary.tolist()))
+    nodes = set(ctx.mesh.elements[ctx.cuts.ids].ravel().tolist()) - set(system.boundary.tolist())
+    touched = set()
+    for X in (ctx.split.M, ctx.split.P_unit):
+        coo = X.tocoo()
+        touched |= set(system.free[coo.row].tolist()) | set(system.free[coo.col].tolist())
+    assert touched - nodes          # M and P_unit reach past the cut elements
+    assert system.free[block].tolist() == sorted(nodes | touched)
 
 
-def test_fine_aggregates_are_lazy_and_shared(monkeypatch):
-    # formed once per context, on the first solve that builds a hierarchy:
-    # Jacobi-CG at 529 free dofs builds none, BiCGSTAB does; level 0 takes
-    # the lattice aggregates, and its level 1 is the coarsest, so no
-    # strength-graph aggregation runs at all
+def _count_hierarchies(monkeypatch):
+    from ppife import linsolve
+    built = []
+    init = linsolve.SAHierarchy.__init__
+    monkeypatch.setattr(linsolve.SAHierarchy, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    return built
+
+
+def test_hierarchy_is_lazy_and_shared(monkeypatch):
+    # one hierarchy per context, built on the first solve that runs a
+    # V-cycle, from A_vol and the lattice aggregates
     from ppife import geometry, linsolve
-    calls, seen = [], []
-    lattice, solver = geometry.lattice_aggregates, linsolve.bicgstab
+    calls = []
+    lattice = geometry.lattice_aggregates
     monkeypatch.setattr(geometry, "lattice_aggregates",
                         lambda mesh, iface: calls.append(mesh.n_cells) or lattice(mesh, iface))
-    monkeypatch.setattr(linsolve, "aggregate", lambda *a: pytest.fail("no MIS aggregation"))
-    monkeypatch.setattr(linsolve, "bicgstab",
-                        lambda *a, **kw: seen.append(kw["aggregates"]()) or solver(*a, **kw))
-    cfg = RunConfig(N=(24,), schemes=("spp", "npp", "ipp"))
-    ctx = build_context(cfg, 24)
-    _, _, system = solve_scheme(ctx, cfg, "spp")
-    assert calls == []
-    solve_scheme(ctx, cfg, "npp")
-    solve_scheme(ctx, cfg, "ipp")
-    assert calls == [24]
-    assert seen[0] is seen[1] is ctx.fine_aggregates()
-    assert len(seen[0][0]) == len(system.free)
+    built = _count_hierarchies(monkeypatch)
+    # N=24: Jacobi-CG at 529 free dofs builds none, BiCGSTAB does; level 0
+    # takes the lattice aggregates and level 1 is the coarsest, so no
+    # strength-graph aggregation runs at all
+    with monkeypatch.context() as m:
+        m.setattr(linsolve, "aggregate", lambda *a: pytest.fail("no MIS aggregation"))
+        cfg = RunConfig(N=(24,))
+        ctx = build_context(cfg, 24)
+        solve_scheme(ctx, cfg, "spp")
+        assert built == [] and calls == []
+        for scheme in ("npp", "ipp"):
+            solve_scheme(ctx, cfg, scheme)
+        assert len(built) == 1 and calls == [24] and len(built[0].levels) == 1
+    # rect N=120 (14 161 free dofs): all four schemes run a V-cycle
+    built.clear()
+    cfg = RunConfig(N=(120,), beta_plus=1e4)
+    ctx = build_context(cfg, 120)
+    for scheme in ("classic", "spp", "ipp", "npp"):
+        rec = solve_scheme(ctx, cfg, scheme)[0]
+        assert rec.residual <= cfg.solver_tol, scheme
+    assert len(built) == 1 and calls == [24, 120]
+    [H] = built
+    assert H is ctx.hierarchy
+    assert H.levels[0][1].shape[0] == len(ctx.split.free)      # level 0's P
+    A_vol = ctx.split.A_vol
+    assert np.array_equal(H.scale, 1.0 / np.sqrt(np.abs(A_vol.diagonal())))
+
+
+def test_jacobi_cg_context_builds_no_hierarchy(monkeypatch):
+    # SPP on tri N=40 (1 521 free dofs) stays on Jacobi-CG
+    built = _count_hierarchies(monkeypatch)
+    cfg = RunConfig(mesh="tri", N=(40,), schemes=("spp",))
+    ctx = build_context(cfg, 40)
+    solve_scheme(ctx, cfg, "spp")
+    assert built == []
+
+
+def test_amg_levels_report_the_shared_hierarchy(monkeypatch):
+    from ppife import linsolve
+    results = []
+    for name in ("cg", "bicgstab"):
+        solver = getattr(linsolve, name)
+        monkeypatch.setattr(linsolve, name, lambda *a, _solver=solver, **kw:
+                            results.append(_solver(*a, **kw)) or results[-1])
+    cfg = RunConfig(N=(120,), beta_plus=1e4)
+    ctx = build_context(cfg, 120)
+    for scheme in ("spp", "npp"):
+        solve_scheme(ctx, cfg, scheme)
+    depth = len(ctx.hierarchy.levels) + 1
+    assert depth >= 3
+    assert [r.amg_levels for r in results] == [depth, depth]
+
+
+@pytest.mark.parametrize("mesh", ["rect", "tri"])
+def test_nonsymmetric_schemes_below_the_coarse_size_solve_exactly(mesh, monkeypatch):
+    # N=16: 225 free dofs, at most COARSE_SIZE; IPP and NPP take an exact
+    # solve of their own scaled matrix (a hierarchy of it, without levels),
+    # not the shared hierarchy
+    from ppife import linsolve
+    built = _count_hierarchies(monkeypatch)
+    cfg = RunConfig(mesh=mesh, N=(16,), beta_plus=1e4)
+    ctx = build_context(cfg, 16)
+    assert len(ctx.split.free) <= linsolve.COARSE_SIZE
+    for scheme in ("ipp", "npp"):
+        rec = solve_scheme(ctx, cfg, scheme)[0]
+        assert rec.iterations == 1 and rec.residual <= cfg.solver_tol, scheme
+    assert len(built) == 2 and all(H.levels == [] for H in built)
+    assert "hierarchy" not in vars(ctx)
 
 
 @pytest.mark.parametrize("mesh", ["rect", "tri"])

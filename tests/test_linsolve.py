@@ -7,8 +7,8 @@ import scipy.sparse.linalg as spla
 
 from ppife.errors import AsymmetricInput
 from oracles import check_csr, dense_solve, matvec_triplets, neighbour_max_reduceat
-from ppife.linsolve import (AMG_CG_DOFS, COARSE_SIZE, SAHierarchy, _neighbour_max,
-                            _neighbour_table, _scaled, aggregate, bicgstab, cg)
+from ppife.linsolve import (AMG_CG_DOFS, COARSE_SIZE, SAHierarchy, _is_symmetric,
+                            _neighbour_max, _neighbour_table, _scaled, aggregate, bicgstab, cg)
 
 
 def _tridiag(n):
@@ -69,6 +69,26 @@ def test_cg_breakdown_reports_the_iterations_run():
     res = cg(A, np.ones(4))
     assert not res.converged and res.iterations == 2
     assert cg(A, np.ones(4), max_iter=1).iterations == 1
+
+
+def test_cg_breakdown_returns_no_iterate_worse_than_the_start():
+    # the first iterate has a scaled residual of 3.25, worse than x = 0
+    res = cg(sp.diags([1.0, -1.0, 2.0, 3.0]).tocsr(), np.ones(4))
+    assert res.residual <= 1.0
+
+
+def test_symmetry_check_holds_its_margin_exactly():
+    # max|A| = 1, so the tolerance is 1e-12 exactly: an asymmetry of 1e-12
+    # passes, and one of the next float above it fails
+    def with_asymmetry(d):
+        return sp.csr_matrix(np.array([[1.0, d, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]]))
+
+    assert _is_symmetric(with_asymmetry(1e-12))
+    worse = with_asymmetry(np.nextafter(1e-12, 1.0))
+    assert not _is_symmetric(worse)
+    with pytest.raises(AsymmetricInput):
+        cg(worse, np.ones(3))
+    assert _is_symmetric(sp.csr_matrix((3, 3)))
 
 
 def test_bicgstab_agrees_with_cg_on_symmetric():
@@ -159,20 +179,31 @@ def _read_only(*arrays):
 
 @functools.cache
 def _blocked_system(mesh, N, beta_plus, scheme):
-    """Reduced system of a scheme and the positions in it of the free nodes
-    of the cut elements; shared by the tests, so every array is read-only."""
+    """Reduced system of a scheme and the positions in it of the block that
+    solve_scheme passes (harness.interface_block); shared by the tests, so
+    every array is read-only."""
     from ppife.harness import interface_block, scheme_params
 
     cfg, ctx = _context(mesh, N, beta_plus)
-    system = ctx.split.system(scheme_params(cfg, scheme))
-    A_ff, rhs = system.reduced()
-    block = interface_block(ctx, system)
+    A_ff, rhs = ctx.split.system(scheme_params(cfg, scheme)).reduced()
+    block = interface_block(ctx)
     _read_only(A_ff.data, A_ff.indices, A_ff.indptr, rhs, block)
     return A_ff, rhs, block
 
 
 def _reduced_system(mesh, N, beta_plus, scheme):
     return _blocked_system(mesh, N, beta_plus, scheme)[:2]
+
+
+def _shared_preconditioner(mesh, N, beta_plus, scheme, block=True):
+    """A scheme's matrix scaled by D_vol, the Jacobi diagonal of its
+    context's A_vol, and the V-cycle of the context's hierarchy with the
+    scheme matrix at level 0 and solve_scheme's block, as the solvers form
+    them."""
+    A, b, ids = _blocked_system(mesh, N, beta_plus, scheme)
+    H = _context(mesh, N, beta_plus)[1].hierarchy
+    As = _scaled(A, b, H.scale)[0]
+    return As, H.preconditioner(As, ids if block else None)
 
 
 def _poisson(m):
@@ -218,33 +249,36 @@ def test_small_system_is_solved_by_the_coarse_factorization():
 
 def test_sa_hierarchy_coarsens_to_the_coarse_size():
     A = _poisson(60)
-    M = SAHierarchy(A)
-    sizes = [lvl[0].shape[0] for lvl in M.levels] + [M.coarse.shape[0]]
+    H = SAHierarchy(A)
+    sizes = [P.shape[0] for _, P, _ in H.levels] + [H.coarse.shape[0]]
     assert sizes[0] == 3600 and sizes[-1] <= COARSE_SIZE
     assert all(c < f / 4 for f, c in zip(sizes, sizes[1:]))
     # every prolongator column is used and the V-cycle reduces the error
-    for _, _, P, _ in M.levels:
+    for _, P, coarse in H.levels:
         assert np.all(np.diff(P.tocsc().indptr) > 0)
+        assert coarse.shape == (P.shape[1],) * 2
+    As = _scaled(A, np.zeros(3600), H.scale)[0]
+    M = H.preconditioner(As)
     e = np.random.default_rng(5).standard_normal(3600)
     e0 = np.linalg.norm(e)
     for _ in range(10):
-        e -= M(A @ e)
+        e -= M(As @ e)
     assert np.linalg.norm(e) < 1e-3 * e0
 
 
 def test_interface_block_damps_the_slow_mode():
     # at high contrast the error that Jacobi sweeps and aggregates miss sits
-    # on the nodes of the cut elements: without the block the V-cycle
-    # contracts it by about 0.9 a step (SPP, IPP) or lets it grow (NPP)
+    # on the nodes of the cut elements and where the edge terms part the
+    # scheme matrix from A_vol: with the block, the shared V-cycle reduces
+    # it a thousandfold in 30 steps; without, it does not
     for scheme in ("spp", "ipp", "npp"):
-        A, b, block = _blocked_system("rect", 80, 1e4, scheme)
-        As = _scaled(A, b)[0]
-        M = SAHierarchy(As, block)
-        e = np.random.default_rng(11).standard_normal(As.shape[0])
-        e0 = np.linalg.norm(e)
-        for _ in range(30):
-            e -= M(As @ e)
-        assert np.linalg.norm(e) < 1e-3 * e0, scheme
+        for block in (True, False):
+            As, M = _shared_preconditioner("rect", 80, 1e4, scheme, block)
+            e = np.random.default_rng(11).standard_normal(As.shape[0])
+            e0 = np.linalg.norm(e)
+            for _ in range(30):
+                e -= M(As @ e)
+            assert (np.linalg.norm(e) < 1e-3 * e0) == block, (scheme, block)
 
 
 @pytest.mark.parametrize("mesh", ["rect", "tri"])
@@ -258,22 +292,23 @@ def test_blocked_bicgstab_iteration_ceiling(mesh, beta_plus):
 
 
 def test_block_solve_is_exact_and_optional():
-    # the block's solver inverts A[ids, ids]; an empty or absent block, or a
-    # system at the coarse size, leaves the plain V-cycle
+    # the last step solves the block's rows exactly, so they hold for the
+    # preconditioned vector; an empty or absent block leaves the plain
+    # V-cycle, and a system at the coarse size takes no V-cycle at all
     A, b, block = _blocked_system("rect", 40, 1e4, "npp")
-    As = _scaled(A, b)[0]
-    M = SAHierarchy(As, block)
-    ids, solve, rows, cols = M.block
-    assert sorted(ids) == sorted(block)
-    v = np.random.default_rng(2).standard_normal(len(ids))
-    x = solve(v)
-    assert np.allclose(As[ids][:, ids] @ x, v, rtol=0, atol=1e-10 * np.abs(v).max())
-    plain = SAHierarchy(As)
-    for other in (SAHierarchy(As, np.array([], dtype=int)), SAHierarchy(As, None)):
-        assert other.block is None
-        assert np.array_equal(other(b), plain(b))
+    H = _context("rect", 40, 1e4)[1].hierarchy
+    As, bs, _ = _scaled(A, b, H.scale)
+    v = np.random.default_rng(2).standard_normal(len(bs))
+    x = H.preconditioner(As, block)(v)
+    assert np.allclose((As @ x)[block], v[block], rtol=0, atol=1e-10 * np.abs(v).max())
+    assert not np.allclose((As @ x)[1:5], v[1:5])       # far from the block: not
+    plain = H.preconditioner(As)(v)
+    for other in (np.array([], dtype=int), None):
+        assert np.array_equal(H.preconditioner(As, other)(v), plain)
     small, small_b, small_block = _blocked_system("rect", 20, 1e4, "npp")
-    assert SAHierarchy(small, small_block).block is None
+    res = bicgstab(small, small_b, block=small_block,
+                   hierarchy=lambda: pytest.fail("no hierarchy at the coarse size"))
+    assert res.converged and res.iterations == 1
 
 
 def _weighted_laplacian(m, seed):
@@ -289,18 +324,21 @@ def _weighted_laplacian(m, seed):
 
 
 def test_candidate_is_carried_to_every_level():
-    # As = D^-1/2 K D^-1/2 has the null vector D^1/2 1 = 1/s. When the
-    # tentative prolongators carry it, every coarse matrix inherits a null
-    # vector; the constant candidate leaves them all clearly nonsingular
+    # the scaled K, D^-1/2 K D^-1/2, has the null vector D^1/2 1, which is
+    # the candidate. When the tentative prolongators carry it, every coarse
+    # matrix inherits a null vector. S K S, for S a random diagonal, has the
+    # same scaled matrix but the null vector D^1/2 S^-1 1, which its
+    # candidate D^1/2 S 1 misses: its coarse matrices stay clearly
+    # nonsingular
     K = _weighted_laplacian(60, 3)
-    As, _, s = _scaled(K, np.ones(K.shape[0]))
-    for candidate, singular in ((1.0 / s, True), (None, False)):
-        M = SAHierarchy(As, candidate=candidate)
-        coarse = [lvl[0] for lvl in M.levels[1:]] + [M.coarse]
-        assert len(coarse) >= 2
+    S = sp.diags(np.exp(np.random.default_rng(4).uniform(-1.0, 1.0, K.shape[0])))
+    for A, singular in ((K, True), ((S @ K @ S).tocsr(), False)):
+        H = SAHierarchy(A)
+        coarse = [lvl[2] for lvl in H.levels]
+        assert len(coarse) >= 2 and coarse[-1] is H.coarse
         for C in coarse:
             ev = np.abs(np.linalg.eigvalsh(C.toarray()))
-            assert (ev.min() < 1e-12 * ev.max()) == singular, (candidate is None, C.shape)
+            assert (ev.min() < 1e-12 * ev.max()) == singular, (singular, C.shape)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -335,25 +373,23 @@ def test_coarse_level_is_solved_exactly():
 def test_given_aggregates_replace_the_first_level_only(monkeypatch):
     # the context's lattice aggregates make level 0; every coarser level
     # aggregates its own Galerkin matrix
-    from ppife import linsolve
-    A, b, block = _blocked_system("rect", 80, 1e4, "spp")
-    As, _, s = _scaled(A, b)
-    agg, n_coarse = _context("rect", 80, 1e4)[1].fine_aggregates()
-    own = SAHierarchy(As, block, 1.0 / s)
-    sizes, calls = [], []
+    from ppife import geometry, linsolve
+    A = _reduced_system("rect", 80, 1e4, "spp")[0]
+    ctx = _context("rect", 80, 1e4)[1]
+    agg, n_coarse = geometry.lattice_aggregates(ctx.mesh, ctx.iface)
+    own = SAHierarchy(A)
+    sizes = []
     monkeypatch.setattr(linsolve, "aggregate",
                         lambda L, rng: sizes.append(L.shape[0]) or aggregate(L, rng))
-    M = SAHierarchy(As, block, 1.0 / s, lambda: calls.append(1) or (agg, n_coarse))
-    assert calls == [1]
-    assert M.levels[0][2].shape == (As.shape[0], n_coarse) != own.levels[0][2].shape
-    assert len(M.levels) >= 2
-    assert sizes == [lvl[0].shape[0] for lvl in M.levels[1:]] and sizes[0] == n_coarse
+    H = SAHierarchy(A, (agg, n_coarse))
+    assert H.levels[0][1].shape == (A.shape[0], n_coarse) != own.levels[0][1].shape
+    assert len(H.levels) >= 2
+    assert sizes == [lvl[2].shape[0] for lvl in H.levels[:-1]] and sizes[0] == n_coarse
     with pytest.raises(ValueError):
-        SAHierarchy(As, aggregates=lambda: (agg[1:], n_coarse))
-    # a system at the coarse size never asks for them
-    small, _, _ = _blocked_system("rect", 20, 1e4, "spp")
-    SAHierarchy(small, aggregates=lambda: calls.append(2))
-    assert calls == [1]
+        SAHierarchy(A, (agg[1:], n_coarse))
+    # a system at the coarse size is not coarsened, so they go unread
+    small = _reduced_system("rect", 20, 1e4, "spp")[0]
+    assert SAHierarchy(small, (agg, n_coarse)).levels == []
 
 
 @pytest.mark.parametrize("mesh", ["rect", "tri"])
@@ -374,16 +410,15 @@ def test_small_systems_keep_jacobi_cg():
     for mesh in ("rect", "tri"):
         A, b, block = _blocked_system(mesh, 80, 1e4, "spp")
         assert A.shape[0] <= AMG_CG_DOFS
-        res = cg(A, b, block=block, aggregates=lambda: pytest.fail("no hierarchy is built"))
+        res = cg(A, b, block=block, hierarchy=lambda: pytest.fail("no hierarchy is built"))
         assert res.converged and res.amg_levels == 0
         assert np.array_equal(res.x, cg(A, b).x)
     assert bicgstab(*_reduced_system("rect", 20, 1e4, "npp")).amg_levels == 1
 
 
 def test_cg_preconditioner_is_symmetric_and_positive():
-    A, b, block = _blocked_system("rect", 80, 1e4, "spp")
-    As, _, s = _scaled(A, b)
-    M = SAHierarchy(As, block, 1.0 / s)
+    # the shared hierarchy's V-cycle with the SPP matrix at level 0
+    As, M = _shared_preconditioner("rect", 80, 1e4, "spp")
     rng = np.random.default_rng(13)
     for _ in range(5):
         u, v = rng.standard_normal((2, As.shape[0]))
@@ -414,8 +449,8 @@ ALL_SCHEMES = ("classic", "spp", "ipp", "npp")
 @pytest.mark.parametrize("mesh", ["rect", "tri"])
 @pytest.mark.parametrize("beta_plus", [10.0, 1e4])
 def test_solve_scheme_iterations_within_the_table(mesh, beta_plus):
-    # the production path: solve_scheme, its cut-element block and the
-    # context's lattice aggregates
+    # the production path: solve_scheme, its interface block and the
+    # context's hierarchy
     from ppife.harness import solve_scheme
 
     cfg, ctx = _context(mesh, 160, beta_plus)

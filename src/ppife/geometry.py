@@ -641,25 +641,35 @@ AGGREGATE_BOX = {RECT: 3, TRI: 2}
 
 
 def lattice_aggregates(mesh: CartesianMesh, iface: InterfaceGeometry):
-    """Aggregates of the interior nodes, in the order of `interior_nodes`,
-    as `linsolve.SAHierarchy` takes them for its first level.
+    """The aggregates of every level of `linsolve.SAHierarchy`, from the
+    node lattice: one (labels, count) pair per level.
 
-    Node (i, j) lies in box (i // b, j // b) of the node lattice, b =
+    Level 0 labels the interior nodes, in the order of `interior_nodes`:
+    node (i, j) lies in box (i // b, j // b) of the node lattice, b =
     AGGREGATE_BOX[cell_kind], and each box is split by the side of its nodes,
     plus where phi > 0; phi is evaluated on a row of interior x against a
-    column of interior y, by broadcasting. Returns per node its aggregate,
-    numbered 0.. in the order of (box, side) with the empty ones left out,
-    and their number.
+    column of interior y, by broadcasting. Level k + 1 applies the same rule
+    to the aggregates of level k: one in box (p, q) on one side goes to box
+    (p // b, q // b) on that side. Each level numbers its aggregates 0.. in
+    the order of (box, side), with the empty ones left out; the last level
+    is the first with a single box.
     """
     n, b = mesh.n_cells, AGGREGATE_BOX[mesh.cell_kind]
-    m = (n - 1) // b + 1                 # boxes per lattice row that hold interior nodes
-    box = np.arange(1, n) // b
     x, y = mesh.nodes[1:n, 0], mesh.nodes[(n + 1) * np.arange(1, n), 1]
-    label = 2 * m * box[:, None] + 2 * box
-    label += np.asarray(iface.phi(x, y[:, None])) > 0
-    label = label.ravel()
-    used = np.bincount(label, minlength=2 * m * m) > 0
-    return (np.cumsum(used) - 1)[label], int(used.sum())
+    side = np.asarray(iface.phi(x, y[:, None])) > 0
+    # positions (i, j) to put in boxes: on level 0 the interior lattice, a
+    # row of i against a column of j; then one per aggregate of the level below
+    i = np.arange(1, n)
+    j = i[:, None]
+    top, levels = n - 1, []              # top: the largest position
+    while top:
+        i, j, top = i // b, j // b, top // b
+        key = (2 * ((top + 1) * j + i) + side).ravel()
+        used = np.bincount(key, minlength=2 * (top + 1) ** 2) > 0
+        levels.append(((np.cumsum(used) - 1)[key], int(used.sum())))
+        j, key = np.divmod(np.flatnonzero(used), 2 * (top + 1))
+        i, side = np.divmod(key, 2)
+    return levels
 
 
 def interface_edges(mesh: CartesianMesh, cuts: CutSet) -> np.ndarray:

@@ -239,7 +239,8 @@ class CaseContext:
     @cached_property
     def hierarchy(self):
         """The AMG levels (linsolve.SAHierarchy) of every scheme's V-cycle,
-        built on first use from A_vol and geometry.lattice_aggregates."""
+        built on first use from A_vol and the aggregates of every level,
+        geometry.lattice_aggregates."""
         return linsolve.SAHierarchy(self.split.A_vol,
                                     geometry.lattice_aggregates(self.mesh, self.iface))
 

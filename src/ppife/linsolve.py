@@ -7,11 +7,12 @@ systems produced by large coefficient contrasts.
 
 The preconditioner is one V-cycle of a smoothed-aggregation AMG hierarchy
 (Vanek, Mandel & Brezina, Computing 56, 1996) with an exact solve of a
-block of unknowns around it. One hierarchy, built on the Jacobi scaling of
-A_vol, serves every scheme of a context: each scheme matrix is scaled by
-the same D and smooths level 0, and the block covers the rows where it
-leaves A_vol (multiplicative subspace correction with an exact local solve;
-Xu, SIAM Review 34, 1992). BiCGSTAB (the nonsymmetric schemes) is always
+block of unknowns around it. The caller gives the aggregates of every
+level; this module forms none of its own. One hierarchy, built on the
+Jacobi scaling of A_vol, serves every scheme of a context: each scheme
+matrix is scaled by the same D and smooths level 0, and the block covers
+the rows where it leaves A_vol (multiplicative subspace correction with an
+exact local solve; Xu, SIAM Review 34, 1992). BiCGSTAB (the nonsymmetric schemes) is always
 right-preconditioned; CG (the symmetric ones) only above AMG_CG_DOFS
 unknowns, below which its own Jacobi scaling costs less.
 """
@@ -33,16 +34,13 @@ COARSE_SIZE = 400
 # 10, rect at beta+ = 1e4) takes 3-7 % longer at 9 801 dofs (N=100) and
 # 9-11 % less at 14 161 (N=120)
 AMG_CG_DOFS = 12_000
-# AMG: i and j are strongly coupled when |s_ij| >= theta sqrt(|s_ii s_jj|),
-# with S the symmetric part of the level matrix
-STRENGTH_THETA = 0.08
 # AMG: damping over rho(D^-1 A) of the prolongator smoothing (Vanek, Mandel
 # & Brezina) and of the Jacobi sweeps of the V-cycle
 PROLONGATOR_DAMPING = 4.0 / 3.0
 SMOOTHER_DAMPING = 1.5
 # AMG: damped-Jacobi sweeps before and after each coarse correction
 SMOOTHER_SWEEPS = 2
-# fixed seed of the aggregation priorities and of the power iteration
+# fixed seed of the start vectors of the power iteration
 AMG_SEED = 12345
 
 
@@ -77,7 +75,8 @@ def _scaled(A, b, s=None):
 
 
 def _preconditioned(A, b, block, hierarchy):
-    """As, bs, s for `hierarchy()` (default: one of A), its V-cycle and depth."""
+    """As, bs, s for `hierarchy()` (default: one of A without levels, an
+    exact solve), its V-cycle and depth."""
     H = SAHierarchy(A) if hierarchy is None else hierarchy()
     As, bs, s = _scaled(A, b, H.scale)
     return As, bs, s, H.preconditioner(As, block), len(H.levels) + 1
@@ -94,8 +93,9 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     """Conjugate gradients for symmetric systems, on a scaled matrix.
 
     Above AMG_CG_DOFS unknowns, the V-cycle of the SAHierarchy
-    `hierarchy()` with the exact `block` preconditions; at or below, A's own
-    Jacobi scaling alone. Raises AsymmetricInput when some |A_ij - A_ji|
+    `hierarchy()` (default: one of A without levels, an exact solve) with
+    the exact `block` preconditions; at or below, A's own Jacobi scaling
+    alone. Raises AsymmetricInput when some |A_ij - A_ji|
     exceeds 1e-12 * max|A|. Returns the best iterate with converged=False
     when the budget runs out.
     """
@@ -146,68 +146,6 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     return _finish(A, b, bnorm, best[1], s, it, tol_rel, levels=levels)
 
 
-def _neighbour_table(G):
-    """The neighbours of each node of the graph G (CSR, every row holding
-    its diagonal) as a column of a (largest row length, n) table, each
-    column padded with the node itself."""
-    n = G.shape[0]
-    counts = np.diff(G.indptr)
-    rows = np.repeat(np.arange(n), counts)
-    T = np.tile(np.arange(n), (counts.max(initial=1), 1))
-    T[np.arange(len(rows)) - G.indptr[rows], rows] = G.indices
-    return T
-
-
-def _neighbour_max(T, v):
-    """Per node, the max of v over its neighbours in the `_neighbour_table` T."""
-    out = v[T[0]]
-    for col in T[1:]:
-        np.maximum(out, v[col], out=out)
-    return out
-
-
-def _strength_graph(S, theta):
-    """Strong couplings of the symmetric CSR matrix S, whose diagonal is
-    nonzero, with the diagonal, as a CSR pattern; also whether each node
-    has a strong neighbour."""
-    n = S.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(S.indptr))
-    d = np.sqrt(np.abs(S.diagonal()))
-    keep = (rows == S.indices) | (np.abs(S.data) >= theta * d[rows] * d[S.indices])
-    counts = np.bincount(rows[keep], minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    G = sp.csr_matrix((np.ones(indptr[-1], dtype=np.int8), S.indices[keep],
-                       indptr), shape=(n, n))
-    return G, counts > 1
-
-
-def _aggregate(G, coupled, rng):
-    """Aggregates of the nodes with a strong neighbour (-1 for the others):
-    a distance-2 maximal independent set of roots, chosen by fixed random
-    priorities with two max-propagations a round; every other coupled node
-    then joins the aggregate of a neighbour, first at distance 1 and then at
-    distance 2."""
-    n = G.shape[0]
-    T = _neighbour_table(G)
-    priority = rng.permutation(n).astype(np.int64)
-    state = np.where(coupled, 1, 0)          # 2 root, 1 undecided, 0 out
-    while (state == 1).any():
-        key = state * n + priority
-        top = _neighbour_max(T, _neighbour_max(T, key))
-        state[(state == 1) & (top == key)] = 2
-        key = state * n + priority
-        top = _neighbour_max(T, _neighbour_max(T, key))
-        state[(state == 1) & (top >= 2 * n)] = 0
-    roots = np.flatnonzero(state == 2)
-    agg = np.full(n, -1, dtype=np.int64)
-    agg[roots] = np.arange(len(roots))
-    for _ in range(2):
-        near = _neighbour_max(T, agg)
-        join = (agg < 0) & (near >= 0)
-        agg[join] = near[join]
-    return agg, len(roots)
-
-
 def _spectral_radius(A, dinv, rng, steps=15):
     """Power-iteration estimate of rho(D^-1 A) from a fixed start vector."""
     x = rng.standard_normal(A.shape[0])
@@ -249,43 +187,35 @@ def _banded_lu(B):
     return solve
 
 
-def aggregate(A, rng):
-    """Aggregates of the strong-coupling graph of the symmetric part of A,
-    whose diagonal is nonzero, as SAHierarchy forms them on a level: per
-    node its aggregate (-1 for a node with no strong neighbour), and the
-    number of aggregates. `rng` draws the priorities. The strength test is
-    invariant under a symmetric diagonal scaling, so A need not be
-    Jacobi-scaled."""
-    S = ((A + A.T) * 0.5).tocsr()
-    return _aggregate(*_strength_graph(S, STRENGTH_THETA), rng)
-
-
 class SAHierarchy:
     """Smoothed-aggregation AMG levels of A, built on its Jacobi scaling
     D^{-1/2} A D^{-1/2} (`scale` = D^{-1/2}); `preconditioner` makes their
     V-cycle for any matrix with the same scaling.
 
-    Each level aggregates the strong-coupling graph of its matrix (level 0
-    takes `aggregates`, as `aggregate` returns them, when given), builds the
-    tentative prolongator T from the near-null candidate B, smooths it once
-    by damped Jacobi, restricts by the transpose and forms the Galerkin
-    product P^T A P. T[i, a] = B_i / |B_a| for node i of aggregate a, with
-    |B_a| the norm of B over the aggregate, and the vector of those norms is
-    the next level's candidate. Level 0's is D^{1/2} 1, the near-null
-    vector of the scaled A where A has zero row sums. SMOOTHER_SWEEPS
-    damped-Jacobi sweeps smooth before and after the coarse correction. The
-    coarsest level has at most COARSE_SIZE dofs and is solved by a banded
-    LU in reverse Cuthill-McKee order, unless coarsening stops early, at a
-    zero diagonal entry or where aggregation merges fewer than half the
-    nodes; a larger coarsest level is solved by splu. (A dense LU would hold
-    about as much, but OpenBLAS factorizes a few hundred dofs by another
-    algorithm on several threads than on one, so the last bits of every
-    small solve would follow the thread count.) Every step is deterministic:
-    the random priorities and the power iteration's start vector come from
-    a fixed seed. Level 0 keeps no matrix of its own.
+    `aggregates` gives one (labels, count) pair per level, as
+    `geometry.lattice_aggregates` makes them: labels[i] in 0..count - 1 is
+    the aggregate of unknown i of that level, and the aggregates of a level
+    are the unknowns of the next. Each level builds the tentative
+    prolongator T from the near-null candidate B, smooths it once by damped
+    Jacobi, restricts by the transpose and forms the Galerkin product
+    P^T A P. T[i, a] = B_i / |B_a| for unknown i of aggregate a, with |B_a|
+    the norm of B over the aggregate, and the vector of those norms is the
+    next level's candidate. Level 0's is D^{1/2} 1, the near-null vector of
+    the scaled A where A has zero row sums. SMOOTHER_SWEEPS damped-Jacobi
+    sweeps smooth before and after the coarse correction. Coarsening stops
+    at COARSE_SIZE dofs or fewer, at a zero diagonal entry, where a level
+    merges fewer than half its unknowns, or when the pairs run out; without
+    `aggregates` there are no levels, and the V-cycle is an exact solve of
+    A. A coarsest level of at most COARSE_SIZE dofs is solved by a banded
+    LU in reverse Cuthill-McKee order, a larger one by splu. (A dense LU
+    would hold about as much, but OpenBLAS factorizes a few hundred dofs by
+    another algorithm on several threads than on one, so the last bits of
+    every small solve would follow the thread count.) Every step is
+    deterministic: the power iteration's start vectors come from a fixed
+    seed. Level 0 keeps no matrix of its own.
     """
 
-    def __init__(self, A, aggregates=None):
+    def __init__(self, A, aggregates=()):
         # imported here: scipy.sparse.linalg adds about 0.1 s to `import ppife`
         from scipy.sparse.linalg import splu
 
@@ -293,24 +223,18 @@ class SAHierarchy:
         self.levels = []            # (omega / rho, P, next level's matrix) per level
         A, _, self.scale = _scaled(A.tocsr(), 0.0)
         B = 1.0 / self.scale
-        while A.shape[0] > COARSE_SIZE:
+        for agg, n_coarse in aggregates:
             n = A.shape[0]
+            if n <= COARSE_SIZE:
+                break
+            if len(agg) != n:
+                raise ValueError(f"{len(agg)} aggregate labels for {n} unknowns")
             diag = A.diagonal()
-            if not diag.all():
+            if not diag.all() or n_coarse > n // 2:
                 break
+            norms = np.sqrt(np.bincount(agg, B ** 2, minlength=n_coarse))
+            T = sp.csr_matrix((B / norms[agg], (np.arange(n), agg)), shape=(n, n_coarse))
             dinv = 1.0 / diag
-            if aggregates is not None and not self.levels:
-                agg, n_coarse = aggregates
-                if len(agg) != n:
-                    raise ValueError(f"{len(agg)} aggregate labels for {n} unknowns")
-            else:
-                agg, n_coarse = aggregate(A, rng)
-            if n_coarse == 0 or n_coarse > n // 2:
-                break
-            keep = np.flatnonzero(agg >= 0)
-            norms = np.sqrt(np.bincount(agg[keep], B[keep] ** 2, minlength=n_coarse))
-            T = sp.csr_matrix((B[keep] / norms[agg[keep]], (keep, agg[keep])),
-                              shape=(n, n_coarse))
             rho = _spectral_radius(A, dinv, rng)
             dinv /= rho
             P = (T - sp.diags(PROLONGATOR_DAMPING * dinv) @ (A @ T)).tocsr()
@@ -372,8 +296,9 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     """BiCGSTAB right-preconditioned by the V-cycle of `hierarchy()` with the
     exact `block`, so the convergence test sees the true residual of the
     scaled system; breakdowns restart with a perturbed shadow vector (at
-    most 3 restarts). At COARSE_SIZE unknowns or fewer, A's own hierarchy
-    has no levels, and its V-cycle is an exact solve."""
+    most 3 restarts). At COARSE_SIZE unknowns or fewer, `hierarchy` goes
+    unused: a hierarchy of A without levels makes the V-cycle an exact
+    solve."""
     A = A.tocsr()
     n = A.shape[0]
     if max_iter is None:

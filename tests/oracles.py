@@ -1208,12 +1208,6 @@ def coo_volume(mesh, status, cuts, beta_minus, beta_plus):
     return A
 
 
-def neighbour_max_reduceat(G, v):
-    """Per node, the max of v over its neighbours in the CSR graph G, as a
-    gather and a `np.maximum.reduceat` over the rows (none empty)."""
-    return np.maximum.reduceat(v[G.indices], G.indptr[:-1])
-
-
 # ---------------------------------------------------------------------------
 # mixed-side bulk sweeps and per-basis cut quadrature: the load and the error
 # norms before the side-pure sweep and piece contraction, with both exact

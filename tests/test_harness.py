@@ -291,24 +291,21 @@ def _count_hierarchies(monkeypatch):
 def test_hierarchy_is_lazy_and_shared(monkeypatch):
     # one hierarchy per context, built on the first solve that runs a
     # V-cycle, from A_vol and the lattice aggregates
-    from ppife import geometry, linsolve
+    from ppife import geometry
     calls = []
     lattice = geometry.lattice_aggregates
     monkeypatch.setattr(geometry, "lattice_aggregates",
                         lambda mesh, iface: calls.append(mesh.n_cells) or lattice(mesh, iface))
     built = _count_hierarchies(monkeypatch)
     # N=24: Jacobi-CG at 529 free dofs builds none, BiCGSTAB does; level 0
-    # takes the lattice aggregates and level 1 is the coarsest, so no
-    # strength-graph aggregation runs at all
-    with monkeypatch.context() as m:
-        m.setattr(linsolve, "aggregate", lambda *a: pytest.fail("no MIS aggregation"))
-        cfg = RunConfig(N=(24,))
-        ctx = build_context(cfg, 24)
-        solve_scheme(ctx, cfg, "spp")
-        assert built == [] and calls == []
-        for scheme in ("npp", "ipp"):
-            solve_scheme(ctx, cfg, scheme)
-        assert len(built) == 1 and calls == [24] and len(built[0].levels) == 1
+    # takes the first lattice level, and level 1 is the coarsest
+    cfg = RunConfig(N=(24,))
+    ctx = build_context(cfg, 24)
+    solve_scheme(ctx, cfg, "spp")
+    assert built == [] and calls == []
+    for scheme in ("npp", "ipp"):
+        solve_scheme(ctx, cfg, scheme)
+    assert len(built) == 1 and calls == [24] and len(built[0].levels) == 1
     # rect N=120 (14 161 free dofs): all four schemes run a V-cycle
     built.clear()
     cfg = RunConfig(N=(120,), beta_plus=1e4)
@@ -320,6 +317,8 @@ def test_hierarchy_is_lazy_and_shared(monkeypatch):
     [H] = built
     assert H is ctx.hierarchy
     assert H.levels[0][1].shape[0] == len(ctx.split.free)      # level 0's P
+    counts = [n_coarse for _, n_coarse in lattice(ctx.mesh, ctx.iface)]
+    assert [P.shape[1] for _, P, _ in H.levels] == counts[:len(H.levels)]
     A_vol = ctx.split.A_vol
     assert np.array_equal(H.scale, 1.0 / np.sqrt(np.abs(A_vol.diagonal())))
 

@@ -1,14 +1,18 @@
+import ast
 import functools
+import inspect
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ppife import linsolve
 from ppife.errors import AsymmetricInput
-from oracles import check_csr, dense_solve, matvec_triplets, neighbour_max_reduceat
-from ppife.linsolve import (AMG_CG_DOFS, COARSE_SIZE, SAHierarchy, _is_symmetric,
-                            _neighbour_max, _neighbour_table, _scaled, aggregate, bicgstab, cg)
+from ppife.geometry import DomainSpec, build_mesh, circle, lattice_aggregates
+from oracles import check_csr, dense_solve, matvec_triplets
+from ppife.linsolve import (AMG_CG_DOFS, COARSE_SIZE, SAHierarchy, _is_symmetric, _scaled,
+                            bicgstab, cg)
 
 
 def _tridiag(n):
@@ -212,10 +216,34 @@ def _poisson(m):
     return (sp.kron(T, sp.eye(m)) + sp.kron(sp.eye(m), T)).tocsr()
 
 
+def _grid_aggregates(m, kind):
+    """The lattice aggregates of the m x m interior nodes of a `kind` mesh of
+    [-1, 1]^2 cut by a circle, in the node order of `_poisson(m)`."""
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, m + 1, kind))
+    return lattice_aggregates(mesh, circle(0.1, -0.2, 0.55))
+
+
+def _lattice_hierarchy(mesh, N, beta_plus, A):
+    """A hierarchy of A itself on the lattice aggregates of its context."""
+    ctx = _context(mesh, N, beta_plus)[1]
+    return SAHierarchy(A, lattice_aggregates(ctx.mesh, ctx.iface))
+
+
+def _solve_on(solver, H, A, b, block=None):
+    """solver(A, b) preconditioned by the V-cycle of H, checked to have run
+    all of H, so that no ceiling passes on an exact solve."""
+    res = solver(A, b, block=block, hierarchy=lambda: H)
+    assert H.levels and res.amg_levels == len(H.levels) + 1
+    return res
+
+
 def test_bicgstab_is_deterministic():
+    # each solve builds its own hierarchy
     A, b = _reduced_system("rect", 40, 1e4, "npp")
-    first, second = bicgstab(A, b), bicgstab(A, b)
-    assert first.converged
+    first, second = (bicgstab(A, b, hierarchy=lambda: _lattice_hierarchy("rect", 40, 1e4, A))
+                     for _ in range(2))
+    depth = len(_lattice_hierarchy("rect", 40, 1e4, A).levels) + 1
+    assert first.converged and first.amg_levels == second.amg_levels == depth >= 2
     assert first.iterations == second.iterations
     assert np.array_equal(first.x, second.x)
 
@@ -225,7 +253,7 @@ def test_bicgstab_is_deterministic():
 def test_nonsymmetric_schemes_agree_with_direct_solve(mesh, beta_plus):
     for scheme in ("ipp", "npp"):
         A, b = _reduced_system(mesh, 80, beta_plus, scheme)
-        res = bicgstab(A, b)
+        res = _solve_on(bicgstab, _lattice_hierarchy(mesh, 80, beta_plus, A), A, b)
         assert res.converged and res.restarts == 0
         x_direct = spla.splu(A.tocsc()).solve(b)
         assert np.linalg.norm(res.x - x_direct) <= 1e-9 * np.linalg.norm(x_direct)
@@ -233,8 +261,12 @@ def test_nonsymmetric_schemes_agree_with_direct_solve(mesh, beta_plus):
 
 def test_bicgstab_iterations_grow_slowly_with_N():
     # high contrast on rect, where Jacobi-BiCGSTAB iterations grow about linearly
+    def solve(N, scheme):
+        A, b = _reduced_system("rect", N, 1e4, scheme)
+        return _solve_on(bicgstab, _lattice_hierarchy("rect", N, 1e4, A), A, b)
+
     for scheme in ("ipp", "npp"):
-        coarse, fine = (bicgstab(*_reduced_system("rect", N, 1e4, scheme)) for N in (40, 160))
+        coarse, fine = solve(40, scheme), solve(160, scheme)
         assert coarse.converged and fine.converged
         assert fine.iterations <= 1.5 * coarse.iterations, scheme
 
@@ -249,7 +281,7 @@ def test_small_system_is_solved_by_the_coarse_factorization():
 
 def test_sa_hierarchy_coarsens_to_the_coarse_size():
     A = _poisson(60)
-    H = SAHierarchy(A)
+    H = SAHierarchy(A, _grid_aggregates(60, "rect"))
     sizes = [P.shape[0] for _, P, _ in H.levels] + [H.coarse.shape[0]]
     assert sizes[0] == 3600 and sizes[-1] <= COARSE_SIZE
     assert all(c < f / 4 for f, c in zip(sizes, sizes[1:]))
@@ -286,7 +318,7 @@ def test_interface_block_damps_the_slow_mode():
 def test_blocked_bicgstab_iteration_ceiling(mesh, beta_plus):
     for scheme in ("ipp", "npp"):
         A, b, block = _blocked_system(mesh, 160, beta_plus, scheme)
-        res = bicgstab(A, b, block=block)
+        res = _solve_on(bicgstab, _lattice_hierarchy(mesh, 160, beta_plus, A), A, b, block)
         assert res.converged and res.restarts == 0, scheme
         assert res.iterations <= 30, (scheme, res.iterations)
 
@@ -333,7 +365,7 @@ def test_candidate_is_carried_to_every_level():
     K = _weighted_laplacian(60, 3)
     S = sp.diags(np.exp(np.random.default_rng(4).uniform(-1.0, 1.0, K.shape[0])))
     for A, singular in ((K, True), ((S @ K @ S).tocsr(), False)):
-        H = SAHierarchy(A)
+        H = SAHierarchy(A, _grid_aggregates(60, "tri"))
         coarse = [lvl[2] for lvl in H.levels]
         assert len(coarse) >= 2 and coarse[-1] is H.coarse
         for C in coarse:
@@ -341,55 +373,42 @@ def test_candidate_is_carried_to_every_level():
             assert (ev.min() < 1e-12 * ev.max()) == singular, (singular, C.shape)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_neighbour_max_equals_reduceat(seed):
-    # rows of very uneven length, as on the coarse levels: each node keeps
-    # its diagonal and a geometric number of random neighbours, some rows
-    # far longer than the rest; values negative too, like unset aggregates
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 400))
-    rows = [np.unique(np.append(rng.integers(0, n, rng.geometric(0.2 if i % 17 else 0.02)), i))
-            for i in range(n)]
-    G = sp.csr_matrix((np.ones(sum(map(len, rows)), dtype=np.int8), np.concatenate(rows),
-                       np.cumsum([0] + [len(r) for r in rows])), shape=(n, n))
-    T = _neighbour_table(G)
-    assert T.shape == (np.diff(G.indptr).max(), n)
-    for v in (rng.permutation(n).astype(np.int64), rng.integers(-3, 5, n)):
-        assert np.array_equal(_neighbour_max(T, v), neighbour_max_reduceat(G, v))
-
-
 def test_coarse_level_is_solved_exactly():
     # a banded LU at the coarse size; splu where coarsening stops above it
-    # (a diagonal matrix has no strong couplings to aggregate)
+    # (a hierarchy without aggregates has no levels)
     rng = np.random.default_rng(4)
-    for A in (_poisson(60), sp.diags(rng.uniform(1.0, 2.0, COARSE_SIZE + 100)).tocsr()):
-        M = SAHierarchy(A)
+    for A, aggregates in ((_poisson(60), _grid_aggregates(60, "rect")),
+                          (sp.diags(rng.uniform(1.0, 2.0, COARSE_SIZE + 100)).tocsr(), ())):
+        M = SAHierarchy(A, aggregates)
         v = rng.standard_normal(M.coarse.shape[0])
         x = M.coarse_solve(v)
         assert np.linalg.norm(M.coarse @ x - v) <= 1e-12 * np.linalg.norm(v)
+        assert (M.coarse.shape[0] <= COARSE_SIZE) == bool(M.levels)
     assert M.levels == [] and M.coarse.shape[0] > COARSE_SIZE
 
 
-def test_given_aggregates_replace_the_first_level_only(monkeypatch):
-    # the context's lattice aggregates make level 0; every coarser level
-    # aggregates its own Galerkin matrix
-    from ppife import geometry, linsolve
-    A = _reduced_system("rect", 80, 1e4, "spp")[0]
-    ctx = _context("rect", 80, 1e4)[1]
-    agg, n_coarse = geometry.lattice_aggregates(ctx.mesh, ctx.iface)
-    own = SAHierarchy(A)
-    sizes = []
-    monkeypatch.setattr(linsolve, "aggregate",
-                        lambda L, rng: sizes.append(L.shape[0]) or aggregate(L, rng))
-    H = SAHierarchy(A, (agg, n_coarse))
-    assert H.levels[0][1].shape == (A.shape[0], n_coarse) != own.levels[0][1].shape
-    assert len(H.levels) >= 2
-    assert sizes == [lvl[2].shape[0] for lvl in H.levels[:-1]] and sizes[0] == n_coarse
-    with pytest.raises(ValueError):
-        SAHierarchy(A, (agg[1:], n_coarse))
-    # a system at the coarse size is not coarsened, so they go unread
-    small = _reduced_system("rect", 20, 1e4, "spp")[0]
-    assert SAHierarchy(small, (agg, n_coarse)).levels == []
+def test_given_aggregates_define_every_level():
+    # level k coarsens to the count of the k-th pair, and its prolongator
+    # reaches every unknown from its own aggregate; a pair that does not fit
+    # its level is an error, and the pairs past the coarse size go unread
+    A = _reduced_system("tri", 80, 1e4, "spp")[0]
+    ctx = _context("tri", 80, 1e4)[1]
+    aggregates = lattice_aggregates(ctx.mesh, ctx.iface)
+    H = SAHierarchy(A, aggregates)
+    assert len(H.levels) >= 2 and H.coarse.shape[0] <= COARSE_SIZE
+    n = A.shape[0]
+    for (agg, n_coarse), (_, P, coarse) in zip(aggregates, H.levels):
+        assert P.shape == (len(agg), n_coarse) == (n, coarse.shape[0])
+        assert np.asarray(P[np.arange(n), agg]).all()
+        n = n_coarse
+    assert len(aggregates) > len(H.levels)
+    for k in range(len(H.levels)):
+        bad = list(aggregates)
+        bad[k] = (bad[k][0][1:], bad[k][1])
+        with pytest.raises(ValueError):
+            SAHierarchy(A, bad)
+    small = _reduced_system("tri", 20, 1e4, "spp")[0]
+    assert SAHierarchy(small, aggregates).levels == []
 
 
 @pytest.mark.parametrize("mesh", ["rect", "tri"])
@@ -399,8 +418,8 @@ def test_preconditioned_cg_iteration_ceiling(mesh, beta_plus):
     for scheme in ("classic", "spp"):
         A, b, block = _blocked_system(mesh, 160, beta_plus, scheme)
         assert A.shape[0] > AMG_CG_DOFS
-        res = cg(A, b, block=block)
-        assert res.converged and res.amg_levels >= 1, scheme
+        res = _solve_on(cg, _lattice_hierarchy(mesh, 160, beta_plus, A), A, b, block)
+        assert res.converged, scheme
         assert res.iterations <= 30, (scheme, res.iterations)
         x_direct = spla.splu(A.tocsc()).solve(b)
         assert np.linalg.norm(res.x - x_direct) <= 1e-10 * np.linalg.norm(x_direct), scheme
@@ -431,18 +450,18 @@ def test_preconditioned_cg_iterations_grow_slowly_with_N():
     # Jacobi-CG takes 361 and 730 iterations here
     def solve(N):
         A, b, block = _blocked_system("rect", N, 1e4, "spp")
-        return cg(A, b, block=block)
+        return _solve_on(cg, _lattice_hierarchy("rect", N, 1e4, A), A, b, block)
 
     coarse, fine = solve(160), solve(320)
     assert coarse.converged and fine.converged
     assert fine.iterations <= 1.5 * coarse.iterations, (coarse.iterations, fine.iterations)
 
 
-# the iteration table of ROADMAP at N=160 (classic, SPP, IPP, NPP), made
-# with level-0 aggregates from a random-priority MIS on A_vol; the lattice
-# aggregates that replaced them may take at most 2 iterations more
-ITERATION_TABLE = {("rect", 10.0): (14, 14, 8, 8), ("rect", 1e4): (17, 18, 11, 9),
-                   ("tri", 10.0): (16, 19, 11, 9), ("tri", 1e4): (17, 22, 12, 10)}
+# the iteration table of ROADMAP at N=160 (classic, SPP, IPP, NPP), made by
+# solve_scheme with the context's hierarchy on lattice aggregates at every
+# level; a solve may take at most 2 iterations more
+ITERATION_TABLE = {("rect", 10.0): (10, 10, 5, 5), ("rect", 1e4): (17, 17, 9, 9),
+                   ("tri", 10.0): (10, 10, 5, 5), ("tri", 1e4): (14, 15, 9, 9)}
 ALL_SCHEMES = ("classic", "spp", "ipp", "npp")
 
 
@@ -473,6 +492,28 @@ def test_solve_scheme_iterations_grow_slowly_with_N(mesh):
 
     for scheme, coarse, fine in zip(ALL_SCHEMES, iterations(160), iterations(320)):
         assert fine <= 1.5 * coarse, (scheme, coarse, fine)
+
+
+def test_tri_npp_at_n320_takes_at_most_seven_iterations():
+    # a case at the edge of the tolerance, where weaker coarse levels under
+    # the shared level 0 cost NPP two more iterations (9) than a hierarchy
+    # of the NPP matrix itself; lattice boxes on every level take 6
+    from ppife.harness import solve_scheme
+
+    cfg, ctx = _context("tri", 320, 10.0)
+    rec = solve_scheme(ctx, cfg, "npp")[0]
+    assert rec.residual <= cfg.solver_tol and rec.iterations <= 7, rec.iterations
+
+
+def test_linsolve_imports_nothing_from_geometry():
+    # the aggregates come in as arrays: the solvers know no mesh
+    names = []
+    for node in ast.walk(ast.parse(inspect.getsource(linsolve))):
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.name for alias in node.names]
+    assert names and not [name for name in names if "geometry" in name.split(".")]
 
 
 def _same_csr(X, Y):

@@ -648,27 +648,32 @@ shapes = st.one_of(
 @example("rect", 9, (circle, 0.0, 0.0, 0.5))       # N - 1 = 8, not a multiple of 3
 @example("tri", 10, (line, 0.3, -0.7, 0.1))        # N - 1 = 9, odd
 def test_lattice_aggregates_are_side_split_boxes(kind, N, shape):
-    """Every interior node is labelled, the labels are 0..n_coarse - 1, and
-    each aggregate is one side of one b x b box of the interior lattice, all
-    of it: two nodes of a box on one side share their aggregate."""
+    """On every level k the labels are 0..count - 1, one per aggregate of
+    level k - 1 (per interior node on level 0), and the counts strictly
+    fall. Each aggregate of level k, as a set of nodes, is all the nodes of
+    one side of one box of b^(k+1) x b^(k+1) lattice nodes, which groups
+    b x b boxes of level k - 1: no aggregate mixes sides, and no box side is
+    split. The last level is the first with a single box."""
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
     iface = shape[0](*shape[1:])
-    agg, n_coarse = lattice_aggregates(mesh, iface)
+    levels = lattice_aggregates(mesh, iface)
     nodes = mesh.interior_nodes
-    assert agg.shape == nodes.shape and (agg >= 0).all()
-    assert np.array_equal(np.unique(agg), np.arange(n_coarse))
-
     x, y = mesh.nodes[nodes].T
     plus = iface.phi(x, y) > 0
-    assert set(np.bincount(agg, plus) / np.bincount(agg)) <= {0.0, 1.0}
-
-    box = AGGREGATE_BOX[kind]
     j, i = np.divmod(nodes, N + 1)
-    order = np.argsort(agg, kind="stable")
-    first = np.searchsorted(agg[order], np.arange(n_coarse))
-    for k in (i, j):
-        span = np.maximum.reduceat(k[order], first) - np.minimum.reduceat(k[order], first)
-        assert (span < box).all()
-    # as many aggregates as occupied (box, side) pairs: no box side is split
-    pairs = np.unique(np.column_stack([i // box, j // box, plus]), axis=0)
-    assert len(pairs) == n_coarse
+    box = AGGREGATE_BOX[kind]
+    counts = [n_coarse for _, n_coarse in levels]
+    assert all(coarse < fine for fine, coarse in zip(counts, counts[1:]))
+    assert (N - 1) // box ** len(levels) == 0 < (N - 1) // box ** (len(levels) - 1)
+
+    node_agg, size = np.arange(len(nodes)), 1
+    for labels, n_coarse in levels:
+        assert labels.shape == (node_agg.max() + 1,)
+        assert np.array_equal(np.unique(labels), np.arange(n_coarse))
+        node_agg, size = labels[node_agg], size * box
+        assert set(np.bincount(node_agg, plus) / np.bincount(node_agg)) <= {0.0, 1.0}
+        # the aggregates are the classes of (box, side): one per occupied pair
+        _, pair = np.unique(np.column_stack([i // size, j // size, plus]), axis=0,
+                            return_inverse=True)
+        assert len(np.unique(np.column_stack([node_agg, pair.ravel()]), axis=0)) == n_coarse
+        assert pair.max() + 1 == n_coarse

@@ -4,11 +4,12 @@ quadrant sub-squares, coercivity of the assembled forms, and the decay of
 interpolation flux errors on interface edges.
 
 No analytic constants are asserted; every scan checks boundedness,
-stability under sample/mesh refinement, or a log-log slope, which is what
+stability under cut-grid/mesh refinement, or a log-log slope, which is what
 can be verified numerically.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,7 +30,6 @@ DEFAULT_R0 = np.pi / 6.28
 class ScanReport:
     scan_id: str
     description: str
-    seed: int
     samples: int
     metrics: dict = field(default_factory=dict)
     passed: bool = False
@@ -42,7 +42,6 @@ class ScanReport:
 
     def csv_rows(self):
         rows = [f"{self.scan_id},passed,{int(self.passed)}",
-                f"{self.scan_id},seed,{self.seed}",
                 f"{self.scan_id},samples,{self.samples}"]
         for k in sorted(self.metrics):
             rows.append(f"{self.scan_id},{k},{self.metrics[k]:.12e}")
@@ -50,43 +49,34 @@ class ScanReport:
 
 
 # ---------------------------------------------------------------------------
-# random reference cuts
+# reference cut grids
 # ---------------------------------------------------------------------------
 
 _REF_VERTS = {TRI: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
               RECT: np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])}
 
-def _draw_cuts(kind, samples, seed):
-    """Parameters of `samples` random reference cuts: (d, e) per sample in
-    [0.01, 0.99], weighted toward the endpoints where the extremal
-    (thin-sliver) cuts live, so sampled maxima saturate quickly, and, for
-    rectangles, whether the chord joins opposite edges. A scan reseeds for
-    every run, so a run's cuts are the first ones of a longer run.
 
-    The draws are bit for bit those of a per-sample `rng.uniform(size=2)`
-    and, on rectangles, `rng.integers(2)`, decoded from PCG64 words: a double
-    is the top 53 bits of a word, a coin the top bit of a 32-bit half, the
-    low half first and the buffered high half for the next coin. A pair of
-    rectangle samples takes five words, d d i d d."""
-    rng = np.random.default_rng(seed)
-    if kind == RECT:
-        words = rng.bit_generator.random_raw(5 * -(-samples // 2)).reshape(-1, 5)
-        u = ((words[:, [0, 1, 3, 4]] >> 11) * 2.0 ** -53).reshape(-1, 2)[:samples]
-        coins = words[:, 2:3] >> np.array([31, 63], dtype=np.uint64) & 1
-        opposite = coins.ravel()[:samples] != 0
-    else:
-        u = rng.uniform(size=(samples, 2))
-        opposite = np.zeros(samples, dtype=bool)
-    g = np.where(u < 0.5, 0.5 * (2 * u) ** 3, 1.0 - 0.5 * (2 * (1 - u)) ** 3)
-    return 0.01 + 0.98 * g, opposite
+def _grid_cuts(kind, samples):
+    """Parameters of a lemma scan's reference cuts: per topology (on
+    rectangles, chords joining adjacent and opposite edges), (d, e) on an
+    m x m uniform grid over [0.01, 0.99]^2, box faces included, and whether
+    the chord joins opposite edges. m is the odd number nearest
+    sqrt(4 samples / topologies), the upper one on a tie, and at least 3.
+    Also returns the mask of the base grid, the even-indexed subgrid of each
+    topology, which holds the box corners and about a quarter of the cuts."""
+    topologies = (False, True) if kind == RECT else (False,)
+    m = 2 * max(1, math.isqrt(samples // len(topologies))) + 1
+    k, i, j = np.indices((len(topologies), m, m)).reshape(3, -1)
+    t = np.linspace(0.01, 0.99, m)
+    return np.column_stack([t[i], t[j]]), np.array(topologies)[k], (i % 2 == 0) & (j % 2 == 0)
 
 
-def _reference_cuts(kind, draws) -> CutSet:
-    """The drawn cuts on the unit reference element, as a CutSet whose ids
-    are the sample indices. The minus side holds the origin vertex; D sits at
-    height d on x = 0 (at x = d on y = 1 for opposite-edge cuts) and E at
-    x = e on y = 0."""
-    params, opposite = draws
+def _reference_cuts(kind, cut_params) -> CutSet:
+    """The cuts (d, e) and their topologies on the unit reference element,
+    as a CutSet whose ids are the cut indices. The minus side holds the
+    origin vertex; D sits at height d on x = 0 (at x = d on y = 1 for
+    opposite-edge cuts) and E at x = e on y = 0."""
+    params, opposite = cut_params
     S = len(params)
     verts = np.broadcast_to(_REF_VERTS[kind], (S,) + _REF_VERTS[kind].shape)
     nv = verts.shape[1]
@@ -114,10 +104,10 @@ def _reference_cuts(kind, draws) -> CutSet:
 # coefficient bounds
 # ---------------------------------------------------------------------------
 
-def _coef_ratios(kind, draws, beta_pair):
+def _coef_ratios(kind, cut_params, beta_pair):
     """Per cut, the largest ratio between the two pieces' physical coefficient
     norms over the nodal functions (functions with a zero piece are skipped)."""
-    cuts = build_bases(_reference_cuts(kind, draws), *beta_pair)
+    cuts = build_bases(_reference_cuts(kind, cut_params), *beta_pair)
     norms = []
     for c in (cuts.cm, cuts.cp):
         phys = phys_coefficients(c, cuts.origin, cuts.h)
@@ -127,38 +117,39 @@ def _coef_ratios(kind, draws, beta_pair):
     return np.where(keep, hi / np.where(keep, lo, 1.0), 0.0).max(axis=1)
 
 
-def _refinement_scan(report, kind, beta_pairs, samples, seed, ratios, prefix):
-    """Record, per beta pair, the largest of `ratios(kind, draws, pair)` over
-    the first `samples` of 4 * samples drawn cuts (`<prefix>_<tag>`), over all
-    of them (`<prefix>_refined_<tag>`) and their relative drift; returns
-    whether every maximum is finite and moves by less than 10% under the 4x
-    sample refinement."""
+def _refinement_scan(scan_id, description, kind, beta_pairs, samples, ratios, prefix):
+    """A ScanReport recording, per beta pair, the largest of
+    `ratios(kind, cut_params, pair)` over the base grid of `_grid_cuts`
+    (`<prefix>_<tag>`), over the refined grid (`<prefix>_refined_<tag>`) and
+    their relative drift. It passes when every maximum is positive, finite
+    and moves by less than 10% under the 4x refinement; its `samples` is
+    the base grid's cut count."""
+    params, opposite, base = _grid_cuts(kind, samples)
+    report = ScanReport(scan_id, description, int(base.sum()))
     ok = True
-    draws = _draw_cuts(kind, 4 * samples, seed)
     for pair in beta_pairs:
-        r = ratios(kind, draws, pair)
-        base = float(r[:samples].max(initial=0.0))
-        fine = float(r.max(initial=0.0))
+        r = ratios(kind, (params, opposite), pair)
+        coarse, fine = float(r[base].max()), float(r.max())
         tag = f"b{pair[0]:g}_{pair[1]:g}"
-        report.metrics[f"{prefix}_{tag}"] = base
+        report.metrics[f"{prefix}_{tag}"] = coarse
         report.metrics[f"{prefix}_refined_{tag}"] = fine
-        drift = abs(fine - base) / base
+        # a zero maximum measures nothing: infinite drift, a failed scan
+        drift = abs(fine - coarse) / coarse if coarse > 0.0 else np.inf
         report.metrics[f"drift_{tag}"] = drift
         ok = ok and np.isfinite(fine) and drift < 0.10
-    return ok
+    report.passed = bool(ok)
+    return report
 
 
 def scan_coefficient_bounds(kind, beta_pairs, samples=2000, seed=7) -> ScanReport:
-    """Ratios of the two pieces' coefficient norms over random cuts.
+    """Ratios of the two pieces' coefficient norms over a grid of cuts.
 
-    Pass: every ratio is finite and the observed maximum moves by less than
-    10% when the sample count is refined 4x (uniformity in the cut location).
+    Pass: every ratio is finite and the maximum moves by less than 10% when
+    the cut grid is refined 4x (uniformity in the cut location). The cuts
+    are deterministic; `seed` is accepted and unused.
     """
-    report = ScanReport("coefficient_bounds", f"{kind} coefficient-norm ratios",
-                        seed, samples)
-    report.passed = bool(_refinement_scan(report, kind, beta_pairs, samples, seed,
-                                          _coef_ratios, "max_ratio"))
-    return report
+    return _refinement_scan("coefficient_bounds", f"{kind} coefficient-norm ratios", kind,
+                            beta_pairs, samples, _coef_ratios, "max_ratio")
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +163,11 @@ def _constant_complement(d):
     return scipy.linalg.null_space(np.full((1, d), 1.0 / np.sqrt(d)))
 
 
-def _trace_ratios(kind, draws, beta_pair):
+def _trace_ratios(kind, cut_params, beta_pair):
     """Per cut of the unit reference element, max_B max_v ||beta grad(v).n_B||_B
     / (h^{1/2} |K|^{-1/2} ||sqrt(beta) grad v||_K) over the element edges B, at
-    h = 1; 0 for a cut whose gradient Gram matrix is degenerate.
+    h = 1; 0 for a cut whose gradient Gram matrix is degenerate, its trace
+    below 1e-28 max(beta) (the matrix scales with beta).
 
     The maximum over nodal coefficient vectors on the unit sphere is the
     largest generalized eigenvalue of the edge-flux Gram matrix against the
@@ -185,12 +177,12 @@ def _trace_ratios(kind, draws, beta_pair):
     gradient Gram matrix.
     """
     bm, bp = beta_pair
-    cuts = build_bases(_reference_cuts(kind, draws), bm, bp)
+    cuts = build_bases(_reference_cuts(kind, cut_params), bm, bp)
     S, nv = cuts.verts.shape[:2]
     d = cuts.cm.shape[1]
 
     Dmat = cut_volume_matrices(cuts, bm, bp)
-    valid = np.trace(Dmat, axis1=1, axis2=2) >= 1e-28
+    valid = np.trace(Dmat, axis1=1, axis2=2) >= 1e-28 * max(bm, bp)
     W = _constant_complement(d)
     Dr = W.T @ Dmat @ W
     Dr[~valid] = np.eye(d - 1)
@@ -232,21 +224,23 @@ def quadrant_bound_constant():
     return min(12.0 - 9.0 / s, 2.0 * (7.0 - 9.0 * s)) / 48.0
 
 
-def quadrant_gradient_check(samples, seed, hs=(1.0, 0.5)):
-    """Check int_{far quadrant} |grad v|^2 >= C h^2 (c2^2 + c3^2 + c4^2 h^2)
-    for random bilinear coefficient vectors, by direct quadrature."""
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal((samples, 4))
-    h = np.asarray(hs, float)[rng.integers(len(hs), size=samples)]
+def quadrant_gradient_check(h=1.0):
+    """The minimum over bilinear v = c1 + c2 x + c3 y + c4 x y of
+    int_Q |grad v|^2 / (C h^2 (c2^2 + c3^2 + c4^2 h^2)) on the far quadrant
+    Q = [h/2, h]^2, with C = `quadrant_bound_constant()`: the smallest
+    eigenvalue of the 3x3 pencil of the gradient Gram matrix over Q in
+    (c2, c3, c4), grad v = c2 (1, 0) + c3 (0, 1) + c4 (y, x), against
+    C h^2 diag(1, 1, h^2). The bound holds when it is at least 1; the ratio
+    does not depend on h."""
+    import scipy.linalg
     rule = rect_rule(4)
-    half = h[:, None] / 2
-    x = half + rule.points[:, 0] * half
-    y = half + rule.points[:, 1] * half
-    gx = c[:, 1:2] + c[:, 3:4] * y
-    gy = c[:, 2:3] + c[:, 3:4] * x
-    lhs = (rule.weights * half * half * (gx * gx + gy * gy)).sum(axis=1)
-    rhs = quadrant_bound_constant() * h * h * (c[:, 1] ** 2 + c[:, 2] ** 2 + c[:, 3] ** 2 * h * h)
-    return float((lhs / rhs)[rhs > 0].min(initial=np.inf))
+    half = h / 2
+    x, y = (half + half * rule.points).T
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    grads = np.array([[one, zero], [zero, one], [y, x]])
+    gram = np.einsum("q,iaq,jaq->ij", rule.weights * half * half, grads, grads)
+    rhs = quadrant_bound_constant() * h * h * np.diag([1.0, 1.0, h * h])
+    return float(scipy.linalg.eigh(gram, rhs, eigvals_only=True)[0])
 
 
 def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7) -> ScanReport:
@@ -254,16 +248,17 @@ def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7) -> ScanReport:
     on the unit reference element (the ratio is invariant under scaling it).
 
     Pass: the maximal ratio is finite and changes by less than 10% under a
-    4x sample refinement. For the bilinear kind the scan additionally
-    verifies the quadrant gradient lower bound with its explicit constant.
+    4x refinement of the cut grid. For the bilinear kind the scan
+    additionally verifies the quadrant gradient lower bound with its
+    explicit constant. The cuts are deterministic; `seed` is accepted and
+    unused.
     """
-    report = ScanReport("trace_ratio", f"{kind} flux trace ratios", seed, samples)
-    ok = _refinement_scan(report, kind, beta_pairs, samples, seed, _trace_ratios, "max_R")
+    report = _refinement_scan("trace_ratio", f"{kind} flux trace ratios", kind, beta_pairs,
+                              samples, _trace_ratios, "max_R")
     if kind == RECT:
-        margin = quadrant_gradient_check(1000, seed)
+        margin = quadrant_gradient_check()
         report.metrics["quadrant_bound_margin"] = margin
-        ok = ok and margin >= 1.0 - 1e-10
-    report.passed = bool(ok)
+        report.passed = report.passed and margin >= 1.0 - 1e-10
     return report
 
 
@@ -329,10 +324,10 @@ def scan_coercivity(Ns=(10, 20, 40), beta_pairs=((1.0, 10.0), (1.0, 10000.0)),
     Pass: Cholesky succeeds for the SPP and IPP presets on every (N, beta)
     combination, and for NPP with its unit penalty at N = 20. The minimal
     penalty at which SPP loses definiteness is located within a factor of 2
-    and reported (informational).
+    and reported (informational). `seed` is accepted and unused.
     """
     report = ScanReport("coercivity", f"{cell_kind} symmetric-part definiteness",
-                        seed, len(Ns) * len(beta_pairs))
+                        len(Ns) * len(beta_pairs))
     ok = True
     bands = _coercivity_bands(Ns, beta_pairs, cell_kind)
     for N in Ns:
@@ -384,6 +379,7 @@ def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
 
     Pass: the log-log slope of the sum against h is at least 1.8 (O(h^2) or
     better). The per-edge maximum and its slope are reported as well.
+    `seed` is accepted and unused.
     """
     bm, bp = beta_pair
     sol = radial_interface_solution(bm, bp, r0=r0)
@@ -416,7 +412,7 @@ def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
     slope_sum = float(np.polyfit(hs, np.log(sums), 1)[0])
     slope_max = float(np.polyfit(hs, np.log(maxes), 1)[0])
     report = ScanReport("interp_edge_error", f"{cell_kind} interface-edge interpolation flux",
-                        seed, len(Ns))
+                        len(Ns))
     for N, ssum, smax in zip(Ns, sums, maxes):
         report.metrics[f"sum_N{N}"] = ssum
         report.metrics[f"max_N{N}"] = smax

@@ -48,7 +48,7 @@ from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_base
                                template_gradients, template_values)
 from ppife.quadrature import (QuadratureRule, _collapsed_triangle_rule, fan_rule, map_segment,
                               map_triangle, polygon_area, rect_rule, segment_rule)
-from ppife.verify import DEFAULT_R0
+from ppife.verify import DEFAULT_R0, quadrant_bound_constant
 
 _N_EDGE_SAMPLES = 17
 
@@ -621,16 +621,18 @@ def ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus):
 
 
 def cut_params(rng):
-    """Random (d, e) in [0.01, 0.99], weighted toward the endpoints, as one
-    sample of the scans' draw."""
+    """Random (d, e) in [0.01, 0.99], weighted toward the endpoints where the
+    thin-sliver cuts live."""
     u = rng.uniform(0.0, 1.0, size=2)
     g = np.where(u < 0.5, 0.5 * (2 * u) ** 3, 1.0 - 0.5 * (2 * (1 - u)) ** 3)
     return 0.01 + 0.98 * g
 
 
 def draw_cuts_loop(kind, samples, seed):
-    """`verify._draw_cuts` one sample at a time: (d, e) and, on rectangles,
-    then one `rng.integers(2)` for whether the chord joins opposite edges."""
+    """Seeded random reference cuts in the form `verify._reference_cuts`
+    takes, one sample at a time: (d, e) and, on rectangles, then one
+    `rng.integers(2)` for whether the chord joins opposite edges. Sample s
+    is the cut that `reference_cut` draws s-th from the same seed."""
     rng = np.random.default_rng(seed)
     params = np.empty((samples, 2))
     opposite = np.zeros(samples, dtype=bool)
@@ -642,7 +644,8 @@ def draw_cuts_loop(kind, samples, seed):
 
 
 def reference_cut(kind, rng, h=1.0):
-    """One random cut of the reference element, drawn as the scans draw them;
+    """One random cut of the reference element, drawn as `draw_cuts_loop`
+    draws them;
     returns (verts, D, E, normal, poly_minus, poly_plus) with the minus side
     containing the origin vertex."""
     d, e = cut_params(rng)
@@ -685,6 +688,25 @@ def coef_ratio_max(kind, beta_pair, samples, rng):
                 continue
             worst = max(worst, nm / npn, npn / nm)
     return worst
+
+
+def quadrant_ratio_sampled(samples, seed, hs=(1.0, 0.5)):
+    """The smallest of int_{[h/2, h]^2} |grad v|^2 / (C h^2 (c2^2 + c3^2 +
+    c4^2 h^2)) over `samples` random bilinear coefficient vectors and sizes h
+    from `hs`, by direct quadrature: a sampled upper bound of the minimum
+    that `verify.quadrant_gradient_check` computes exactly."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((samples, 4))
+    h = np.asarray(hs, float)[rng.integers(len(hs), size=samples)]
+    rule = rect_rule(4)
+    half = h[:, None] / 2
+    x = half + rule.points[:, 0] * half
+    y = half + rule.points[:, 1] * half
+    gx = c[:, 1:2] + c[:, 3:4] * y
+    gy = c[:, 2:3] + c[:, 3:4] * x
+    lhs = (rule.weights * half * half * (gx * gx + gy * gy)).sum(axis=1)
+    rhs = quadrant_bound_constant() * h * h * (c[:, 1] ** 2 + c[:, 2] ** 2 + c[:, 3] ** 2 * h * h)
+    return float((lhs / rhs)[rhs > 0].min(initial=np.inf))
 
 
 def trace_ratio(kind, cutdata, beta_pair, h):

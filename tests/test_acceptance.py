@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import draw_cuts_loop
 from ppife import verify
 from ppife.assembly import MethodParams
 from ppife.geometry import (DomainSpec, build_mesh, circle, classify_elements, interface_edges,
@@ -140,7 +141,7 @@ def test_criterion_5_basis_invariant_suite():
     per_beta = n_per_kind // len(betas) + 1
     for kind in ("tri", "rect"):
         # one seeded stream per kind, consecutive runs of it per beta pair
-        params, opposite = verify._draw_cuts(kind, per_beta * len(betas), 123)
+        params, opposite = draw_cuts_loop(kind, per_beta * len(betas), 123)
         for i, (bm, bp) in enumerate(betas):
             part = slice(i * per_beta, (i + 1) * per_beta)
             cuts = build_bases(verify._reference_cuts(kind, (params[part], opposite[part])),

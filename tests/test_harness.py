@@ -7,6 +7,7 @@ import pytest
 import scipy.io
 
 from oracles import standard_basis, template_name
+from ppife import verify
 from ppife.cli import build_parser, main
 from ppife.errors import ConfigError, NotConverged
 from ppife.geometry import INTERFACE
@@ -420,6 +421,36 @@ def test_cli_verify_exit_code_on_forced_failure(tmp_path):
     # the scans file reflects the coercivity outcome either way
     text = (tmp_path / "v" / "scans.csv").read_text()
     assert "coercivity" in text
+
+
+_SMALL_VERIFY = ["--coeff-samples", "40", "--trace-samples", "20", "--coercivity-ns", "4,8",
+                 "--interp-ns", "8,16"]
+
+
+def test_cli_verify_at_tiny_equal_betas(tmp_path, capsys):
+    # the trace scan's degeneracy test is relative to beta: at 1e-30 every
+    # cut counts and the maxima are sqrt(1e-30) times the unit ones, where
+    # an absolute test marked every cut degenerate and the drift divided
+    # by a zero maximum
+    code = main(["verify", "--mesh", "tri", "--scan-betas", "1e-30:1e-30", *_SMALL_VERIFY,
+                 "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    rows = dict(ln.rsplit(",", 1) for ln in (tmp_path / "scans.csv").read_text().splitlines())
+    assert rows["trace_ratio,passed"] == "1"
+    assert 0.0 < float(rows["trace_ratio,max_R_b1e-30_1e-30"]) < 1e-14
+
+
+def test_cli_verify_zero_maximum_is_a_failed_scan(tmp_path, capsys, monkeypatch):
+    def zero(kind, cut_params, pair):
+        return np.zeros(len(cut_params[0]))
+    monkeypatch.setattr(verify, "_trace_ratios", zero)
+    code = main(["verify", "--mesh", "tri", *_SMALL_VERIFY, "--out", str(tmp_path)])
+    assert code == 4
+    assert "FAIL trace_ratio" in capsys.readouterr().out
+    rows = dict(ln.rsplit(",", 1) for ln in (tmp_path / "scans.csv").read_text().splitlines())
+    assert rows["trace_ratio,passed"] == "0"
+    assert rows["trace_ratio,drift_b1_10"] == "inf"
 
 
 def _run_l2(tmp_path, name, *flags):

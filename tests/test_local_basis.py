@@ -8,9 +8,9 @@ from ppife.errors import SingularLocalSystem
 from ppife.local_basis import (basis_residuals, build_bases, ife_coefficients, piece_gradients,
                                piece_values, template_coefs)
 from ppife.geometry import INTERFACE, DomainSpec, build_mesh, circle, classify_elements
-from ppife.verify import _draw_cuts, _reference_cuts
-from oracles import (basis_of, cut_stack, ife_basis, ife_stack_basis, linear_coupling_matrix,
-                     reference_cut, standard_basis, template_name)
+from ppife.verify import _reference_cuts
+from oracles import (basis_of, cut_stack, draw_cuts_loop, ife_basis, ife_stack_basis,
+                     linear_coupling_matrix, reference_cut, standard_basis, template_name)
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 RECT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -144,7 +144,7 @@ def test_bilinear_type1_constraint_residuals():
 
 @pytest.mark.parametrize("kind", ["tri", "rect"])
 def test_random_cut_invariants(kind):
-    cuts = build_bases(_reference_cuts(kind, _draw_cuts(kind, 300, 42)), 1.0, 100.0)
+    cuts = build_bases(_reference_cuts(kind, draw_cuts_loop(kind, 300, 42)), 1.0, 100.0)
     res = basis_residuals(cuts, 1.0, 100.0)
     assert max(r.max() for r in res.values()) < 1e-12
 
@@ -289,7 +289,7 @@ def test_ill_conditioned_members_name_the_first(kind, bad):
     # singular and the stacked inverse fails; chord ends 1e-15 h apart leave
     # it invertible, with a condition number far above 1e14. The unit cuts
     # scaled by 0.25: a power of two, so the normals stay as they are
-    cuts = _reference_cuts(kind, _draw_cuts(kind, 40, 3))
+    cuts = _reference_cuts(kind, draw_cuts_loop(kind, 40, 3))
     ids = 100 + 3 * np.arange(len(cuts))
     verts, D, E, n = 0.25 * cuts.verts, 0.25 * cuts.D, 0.25 * cuts.E, cuts.normal.copy()
     ife_coefficients(verts, D, E, n, 1.0, 1e4, ids)

@@ -2,8 +2,7 @@
 interface problems on interface-unfitted Cartesian meshes."""
 
 from .assembly import (MethodParams, SCHEMES, SparseSystem, apply_dirichlet,
-                       assemble_edge_terms, assemble_load, assemble_volume,
-                       combine_system, edge_traces)
+                       assemble_edge_terms, assemble_load, assemble_volume, edge_traces)
 from .geometry import (CartesianMesh, CutSet, DomainSpec, InterfaceGeometry,
                        build_mesh, circle, classify_elements, edge_crossings,
                        interface_edges, line)

@@ -7,6 +7,7 @@ import configparser
 import math
 import os
 import re
+import resource
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -232,17 +233,27 @@ class CaseContext:
     sol: object
     status: np.ndarray   # per element: SIDE_MINUS, SIDE_PLUS or INTERFACE
     cuts: object         # geometry.CutSet of the interface elements, with their bases
-    split: object        # assembly.DirichletSplit: A_vol, M, P_unit and b on the free nodes
+    split: object        # assembly.DirichletSplit: the terms and b on the free nodes
     traces: object       # assembly.EdgeTraces of the interface edges
     rules: list          # assembly.cut_data_rules of the cut elements
 
     @cached_property
     def hierarchy(self):
-        """The AMG levels (linsolve.SAHierarchy) of every scheme's V-cycle,
-        built on first use from A_vol and the aggregates of every level,
-        geometry.lattice_aggregates."""
+        """The AMG levels of every scheme's V-cycle (linsolve.SAHierarchy),
+        built on first use from A_vol and geometry.lattice_aggregates."""
         return linsolve.SAHierarchy(self.split.A_vol,
                                     geometry.lattice_aggregates(self.mesh, self.iface))
+
+    @cached_property
+    def interface_block(self) -> np.ndarray:
+        """Every scheme's exact V-cycle block: the ascending positions, among
+        the free nodes, of those on a cut element or in a term of M or
+        P_unit (where scheme matrices leave A_vol)."""
+        split = self.split
+        block = np.zeros(self.mesh.n_nodes, bool)
+        block[self.mesh.elements[self.cuts.ids]] = True
+        block[split.free[split.A_vol.indices[np.concatenate([at for _, at in split.terms])]]] = True
+        return np.flatnonzero(block[split.free])
 
 
 def build_context(config: RunConfig, N: int) -> CaseContext:
@@ -256,14 +267,13 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
                                     alpha_exp=config.alpha_exp, r0=r0, center=(cx, cy))
     status, cuts = classify_elements(mesh, iface)
     cuts = build_bases(cuts, config.beta_minus, config.beta_plus)
-    A_vol = assembly.assemble_volume(mesh, status, cuts, config.beta_minus, config.beta_plus)
     M, P_unit, traces = assembly.assemble_edge_terms(
         mesh, interface_edges(mesh, cuts), status, cuts, config.beta_minus, config.beta_plus,
         config.penalty_alpha)
     rules = assembly.cut_data_rules(cuts, iface)
     b = assembly.assemble_load(mesh, status, cuts, sol, iface, rules=rules)
-    split = assembly.apply_dirichlet(A_vol, M, P_unit, b, mesh,
-                                     lambda x, y: sol.u_at(x, y, iface))
+    split = assembly.apply_dirichlet(mesh, status, cuts, config.beta_minus, config.beta_plus,
+                                     M, P_unit, b, lambda x, y: sol.u_at(x, y, iface))
     return CaseContext(N, mesh, iface, sol, status, cuts, split, traces, rules)
 
 
@@ -272,26 +282,19 @@ def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
                                sigma0=config.sigma0, alpha=config.penalty_alpha)
 
 
-def interface_block(ctx: CaseContext) -> np.ndarray:
-    """Ascending positions, among the free nodes, of those that M or P_unit
-    touch (where scheme matrices leave A_vol) or that lie on a cut element."""
-    split = ctx.split
-    nodes = np.unique(ctx.mesh.elements[ctx.cuts.ids])
-    return np.unique(np.concatenate([
-        np.searchsorted(split.free, nodes[np.isin(nodes, split.free)]),
-        np.flatnonzero(np.diff(split.M.indptr)), split.M.indices, split.P_unit.indices]))
-
-
 def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     """Assemble the scheme system on a prepared context, solve, measure errors."""
     params = scheme_params(config, scheme)
-    system = ctx.split.system(params)
-    A_ff, rhs = system.reduced()
     # delta == epsilon makes the scheme matrix symmetric; the solver is
     # looked up at call time, so that a tracer may wrap it
-    solver = linsolve.cg if params.delta == params.epsilon else linsolve.bicgstab
+    symmetric = params.delta == params.epsilon
+    solver = linsolve.cg if symmetric else linsolve.bicgstab
+    if len(ctx.split.free) > (linsolve.AMG_CG_DOFS if symmetric else linsolve.COARSE_SIZE):
+        ctx.hierarchy       # set up before the scheme matrix exists: their peaks do not add
+    system = ctx.split.system(params)
+    A_ff, rhs = system.reduced()
     res = solver(A_ff, rhs, tol_rel=config.solver_tol, max_iter=config.solver_maxiter,
-                 block=interface_block(ctx), hierarchy=lambda: ctx.hierarchy)
+                 block=ctx.interface_block, hierarchy=lambda: ctx.hierarchy)
     if not res.converged:
         raise NotConverged(f"{scheme} at N={ctx.N}: not converged after {res.iterations} "
                            f"iterations and {res.restarts} restarts, final residual "
@@ -315,21 +318,14 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
 
 def evaluate_solution(mesh, status, cuts, coeffs, pts):
     """u_h at arbitrary points of the domain (vectorized on standard cells)."""
-    spec = mesh.spec
-    n = mesh.n_cells
-    h = mesh.h
-    x = np.asarray(pts[:, 0], float)
-    y = np.asarray(pts[:, 1], float)
+    spec, n, h = mesh.spec, mesh.n_cells, mesh.h
+    x, y = np.asarray(pts[:, 0], float), np.asarray(pts[:, 1], float)
     ix = np.clip(((x - spec.xmin) / h).astype(int), 0, n - 1)
     iy = np.clip(((y - spec.ymin) / h).astype(int), 0, n - 1)
     cell = iy * n + ix
     xi = (x - (spec.xmin + ix * h)) / h
     eta = (y - (spec.ymin + iy * h)) / h
-    if mesh.cell_kind == geometry.RECT:
-        elem = cell
-    else:
-        lower = eta <= xi
-        elem = 2 * cell + np.where(lower, 0, 1)
+    elem = cell if mesh.cell_kind == geometry.RECT else 2 * cell + np.where(eta <= xi, 0, 1)
 
     out = np.empty(len(x))
     std = status[elem] != geometry.INTERFACE
@@ -356,8 +352,7 @@ def pointwise_error_field(ctx: CaseContext, coeffs, grid=0):
     penalty's effect on the interface-local error is not masked by ordinary
     in-cell interpolation error."""
     nodes = ctx.mesh.n_cells + 1
-    if grid <= 0:
-        grid = nodes
+    grid = grid if grid > 0 else nodes
     xs = np.linspace(ctx.mesh.spec.xmin, ctx.mesh.spec.xmax, grid)
     ys = np.linspace(ctx.mesh.spec.ymin, ctx.mesh.spec.ymax, grid)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -388,26 +383,35 @@ def _ensure_out(config):
     return config.out
 
 
+def _stage(timings, label, call):
+    """call(), with a timings.csv row appended to `timings`: its label, its
+    seconds and the process's peak RSS after it (ru_maxrss, in MB)."""
+    t0 = time.perf_counter()
+    out = call()
+    timings.append((label, time.perf_counter() - t0,
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
+    return out
+
+
 def _write_timings(out, rows):
     with open(os.path.join(out, "timings.csv"), "w") as f:
-        f.write("label,seconds\n")
-        for label, sec in rows:
-            f.write(f"{label},{sec:.3f}\n")
+        f.write("label,seconds,max_rss_mb\n")
+        for label, sec, rss in rows:
+            f.write(f"{label},{sec:.3f},{rss:.1f}\n")
 
 
 def cmd_solve(config: RunConfig):
     """Single solve: first N and first scheme of the config."""
     config.validate()
     out = _ensure_out(config)
-    N = config.N[0]
-    scheme = config.schemes[0]
-    t0 = time.perf_counter()
-    ctx = build_context(config, N)
-    rec, coeffs, system = solve_scheme(ctx, config, scheme)
-    elapsed = time.perf_counter() - t0
+    N, scheme = config.N[0], config.schemes[0]
+    timings = []
+    ctx = _stage(timings, f"context_N{N}", lambda: build_context(config, N))
+    rec, coeffs, system = _stage(timings, f"solve_{scheme}_N{N}",
+                                 lambda: solve_scheme(ctx, config, scheme))
     with open(os.path.join(out, "runs.csv"), "w") as f:
         f.write(record_csv_rows([rec]))
-    _write_timings(out, [(f"solve_{scheme}_N{N}", elapsed)])
+    _write_timings(out, timings)
     if config.dump_field:
         pts, err = pointwise_error_field(ctx, coeffs, config.field_grid)
         write_field(os.path.join(out, f"field_{scheme}_N{N}.csv"), pts, err)
@@ -427,17 +431,12 @@ def cmd_convergence(config: RunConfig):
     if len(config.N) < 3:
         raise ConfigError("convergence study needs at least 3 mesh sizes")
     out = _ensure_out(config)
-    records = []
-    timings = []
+    records, timings = [], []
     for N in config.N:
-        t0 = time.perf_counter()
-        ctx = build_context(config, N)
-        timings.append((f"context_N{N}", time.perf_counter() - t0))
+        ctx = _stage(timings, f"context_N{N}", lambda: build_context(config, N))
         for scheme in config.schemes:
-            t1 = time.perf_counter()
-            rec, _, _ = solve_scheme(ctx, config, scheme)
-            timings.append((f"solve_{scheme}_N{N}", time.perf_counter() - t1))
-            records.append(rec)
+            records.append(_stage(timings, f"solve_{scheme}_N{N}",
+                                  lambda: solve_scheme(ctx, config, scheme))[0])
     with open(os.path.join(out, "runs.csv"), "w") as f:
         f.write(record_csv_rows(records))
     for norm in ("l2", "h1", "linf", "energy"):
@@ -455,21 +454,18 @@ def cmd_verify(config: RunConfig):
     config.validate()
     out = _ensure_out(config)
     kind = config.mesh
-    scans = (
-        lambda: verify.scan_coefficient_bounds(kind, config.scan_betas,
-                                               samples=config.coeff_samples),
-        lambda: verify.scan_trace_ratio(kind, config.scan_betas, samples=config.trace_samples),
-        lambda: verify.scan_coercivity(config.coercivity_ns, config.scan_betas, cell_kind=kind,
-                                       sigma0_override=config.sigma0),
-        lambda: verify.interp_edge_error_study(config.interp_ns,
-                                               (config.beta_minus, config.beta_plus),
-                                               cell_kind=kind),
-    )
-    reports, timings = [], []
-    for scan in scans:
-        t0 = time.perf_counter()
-        reports.append(scan())
-        timings.append((f"scan_{reports[-1].scan_id}", time.perf_counter() - t0))
+    scans = {
+        "coefficient_bounds": lambda: verify.scan_coefficient_bounds(
+            kind, config.scan_betas, samples=config.coeff_samples),
+        "trace_ratio": lambda: verify.scan_trace_ratio(kind, config.scan_betas,
+                                                       samples=config.trace_samples),
+        "coercivity": lambda: verify.scan_coercivity(
+            config.coercivity_ns, config.scan_betas, cell_kind=kind, sigma0_override=config.sigma0),
+        "interp_edge_error": lambda: verify.interp_edge_error_study(
+            config.interp_ns, (config.beta_minus, config.beta_plus), cell_kind=kind),
+    }
+    timings = []
+    reports = [_stage(timings, f"scan_{name}", scan) for name, scan in scans.items()]
     with open(os.path.join(out, "scans.csv"), "w") as f:
         f.write("scan,key,value\n")
         for rep in reports:

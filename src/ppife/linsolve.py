@@ -1,20 +1,18 @@
 """Sparse iterative solvers for the reduced systems.
 
-Matrices are scipy CSR. Both solvers work on a symmetric diagonal scaling
-As = D^{-1/2} A D^{-1/2}, which keeps CG's inner product exact and is
-markedly more robust than one-sided scaling for the strongly nonsymmetric
-systems produced by large coefficient contrasts.
+Matrices are scipy CSR. Both solvers work on the symmetric diagonal
+scaling As = D^{-1/2} A D^{-1/2}, which keeps CG's inner product exact and
+suits the strongly nonsymmetric systems of large coefficient contrasts.
 
 The preconditioner is one V-cycle of a smoothed-aggregation AMG hierarchy
-(Vanek, Mandel & Brezina, Computing 56, 1996) with an exact solve of a
-block of unknowns around it. The caller gives the aggregates of every
-level; this module forms none of its own. One hierarchy, built on the
-Jacobi scaling of A_vol, serves every scheme of a context: each scheme
-matrix is scaled by the same D and smooths level 0, and the block covers
-the rows where it leaves A_vol (multiplicative subspace correction with an
-exact local solve; Xu, SIAM Review 34, 1992). BiCGSTAB (the nonsymmetric schemes) is always
-right-preconditioned; CG (the symmetric ones) only above AMG_CG_DOFS
-unknowns, below which its own Jacobi scaling costs less.
+(Vanek, Mandel & Brezina, Computing 56, 1996), whose aggregates the caller
+gives, with an exact solve of a block of unknowns around it. One
+hierarchy, built on the Jacobi scaling of A_vol, serves every scheme of a
+context: each scheme matrix is scaled by the same D and smooths level 0,
+and the block covers the rows where it leaves A_vol (multiplicative
+subspace correction; Xu, SIAM Review 34, 1992). BiCGSTAB is always
+right-preconditioned; CG only above AMG_CG_DOFS unknowns, below which its
+own Jacobi scaling costs less.
 """
 from __future__ import annotations
 
@@ -56,21 +54,40 @@ class SolveResult:
 
 
 def _is_symmetric(A, rtol=1e-12):
-    """Whether max |A - A^T| <= rtol * max |A| over every stored entry."""
+    """Whether max |A - A^T| <= rtol * max |A| over every stored entry. On a
+    symmetric pattern, A's data is compared with itself at the transposed
+    positions: the data of A^T's CSR structure built on their positions."""
     scale = np.abs(A.data).max() if A.nnz else 1.0
-    return np.abs((A - A.T).data).max(initial=0.0) <= rtol * scale
+    T = sp.csc_matrix((np.arange(A.nnz, dtype=A.indices.dtype), A.indices, A.indptr),
+                      shape=A.shape[::-1]).tocsr()
+    if (A.has_canonical_format and np.array_equal(T.indptr, A.indptr)
+            and np.array_equal(T.indices, A.indices)):
+        at = T.data
+        del T                   # its indices, as long as A's, are read no more
+        diff = A.data[at]
+        diff -= A.data
+    else:
+        diff = (A - sp.csr_matrix((A.data[T.data], T.indices, T.indptr), shape=A.shape)).data
+    return np.abs(diff, out=diff).max(initial=0.0) <= rtol * scale
 
 
 def _scaled(A, b, s=None):
-    """diags(s) @ A @ diags(s), s * b and s; s is by default 1 / sqrt|diag A|."""
+    """diags(s) @ A @ diags(s), s * b and s; s is by default 1 / sqrt|diag A|.
+    The scaled matrix shares A's index arrays unless it has zeros to drop."""
     if s is None:
         d = np.abs(A.diagonal())
         d[d == 0.0] = 1.0
         s = 1.0 / np.sqrt(d)
-    # diags(s) @ A @ diags(s): its bits, its order and no stored zeros
-    data = np.repeat(s, np.diff(A.indptr)) * A.data * s[A.indices]
-    As = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
-    As.eliminate_zeros()
+    # diags(s) @ A @ diags(s): its bits, its order and no stored zeros; the
+    # columns' factors in blocks of n, so no temporary outgrows a vector
+    data = np.repeat(s, np.diff(A.indptr))
+    data *= A.data
+    for k in range(0, A.nnz, len(s)):
+        data[k:k + len(s)] *= s[A.indices[k:k + len(s)]]
+    As = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+    if not data.all():
+        As = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
+        As.eliminate_zeros()
     return As, s * b, s
 
 
@@ -90,15 +107,11 @@ def _finish(A, b, bnorm, xs, s, iterations, tol_rel, restarts=0, levels=0):
 
 def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
        hierarchy=None) -> SolveResult:
-    """Conjugate gradients for symmetric systems, on a scaled matrix.
-
-    Above AMG_CG_DOFS unknowns, the V-cycle of the SAHierarchy
-    `hierarchy()` (default: one of A without levels, an exact solve) with
-    the exact `block` preconditions; at or below, A's own Jacobi scaling
-    alone. Raises AsymmetricInput when some |A_ij - A_ji|
-    exceeds 1e-12 * max|A|. Returns the best iterate with converged=False
-    when the budget runs out.
-    """
+    """Conjugate gradients for symmetric systems, on a scaled matrix, with
+    the V-cycle of `hierarchy()` (default: an exact solve) and the exact
+    `block` above AMG_CG_DOFS unknowns, else A's own Jacobi scaling alone.
+    Raises AsymmetricInput when some |A_ij - A_ji| exceeds 1e-12 * max|A|;
+    returns the best iterate, converged=False, when the budget runs out."""
     A = A.tocsr()
     n = A.shape[0]
     if not _is_symmetric(A):
@@ -160,12 +173,9 @@ def _spectral_radius(A, dinv, rng, steps=15):
 def _banded_lu(B):
     """Exact solver of B x = v as a function of v, from LAPACK's banded LU
     with partial pivoting of B in reverse Cuthill-McKee order, or None when
-    B is singular. Its storage is n (2 kl + ku + 1) floats for kl, ku the
-    lower and upper bandwidths of the reordered B, so it suits matrices that
-    this ordering gives a narrow band: mesh-like couplings, or a few hundred
-    dofs. (splu would keep its whole initial fill estimate as the factor:
-    5.1 MB for the 648-dof interface block of rect N=160, against 0.3 MB
-    here.)"""
+    B is singular. It stores n (2 kl + ku + 1) floats for the bandwidths kl,
+    ku of the reordered B: 0.3 MB for the 648-dof interface block of rect
+    N=160, where splu keeps its whole initial fill estimate, 5.1 MB."""
     from scipy.linalg.lapack import dgbtrf, dgbtrs
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -193,26 +203,18 @@ class SAHierarchy:
     V-cycle for any matrix with the same scaling.
 
     `aggregates` gives one (labels, count) pair per level, as
-    `geometry.lattice_aggregates` makes them: labels[i] in 0..count - 1 is
-    the aggregate of unknown i of that level, and the aggregates of a level
-    are the unknowns of the next. Each level builds the tentative
-    prolongator T from the near-null candidate B, smooths it once by damped
-    Jacobi, restricts by the transpose and forms the Galerkin product
-    P^T A P. T[i, a] = B_i / |B_a| for unknown i of aggregate a, with |B_a|
-    the norm of B over the aggregate, and the vector of those norms is the
-    next level's candidate. Level 0's is D^{1/2} 1, the near-null vector of
-    the scaled A where A has zero row sums. SMOOTHER_SWEEPS damped-Jacobi
-    sweeps smooth before and after the coarse correction. Coarsening stops
-    at COARSE_SIZE dofs or fewer, at a zero diagonal entry, where a level
-    merges fewer than half its unknowns, or when the pairs run out; without
-    `aggregates` there are no levels, and the V-cycle is an exact solve of
-    A. A coarsest level of at most COARSE_SIZE dofs is solved by a banded
-    LU in reverse Cuthill-McKee order, a larger one by splu. (A dense LU
-    would hold about as much, but OpenBLAS factorizes a few hundred dofs by
-    another algorithm on several threads than on one, so the last bits of
-    every small solve would follow the thread count.) Every step is
-    deterministic: the power iteration's start vectors come from a fixed
-    seed. Level 0 keeps no matrix of its own.
+    `geometry.lattice_aggregates` makes them; the aggregates of a level are
+    the unknowns of the next. Each level smooths the tentative prolongator
+    T[i, a] = B_i / |B_a| (unknown i in aggregate a, |B_a| the norm of the
+    near-null candidate B over it, and those norms the next level's B) once
+    by damped Jacobi and forms the Galerkin product P^T A P. Level 0's B is
+    D^{1/2} 1, null for the scaled A where A has zero row sums. Coarsening
+    stops at COARSE_SIZE dofs or fewer, at a zero diagonal entry, where a
+    level merges fewer than half its unknowns, or when the pairs run out.
+    The coarsest level is solved by a banded LU in reverse Cuthill-McKee
+    order up to COARSE_SIZE dofs (a dense LU's bits would follow OpenBLAS's
+    thread count), and by splu above. The power iteration starts from a
+    fixed seed, so every step is deterministic. Level 0 keeps no matrix.
     """
 
     def __init__(self, A, aggregates=()):
@@ -250,21 +252,21 @@ class SAHierarchy:
         A (scaled by `scale`) as level 0's smoothing and residual operator.
 
         `block`, row indices of A, adds an exact solve of A[block, block]
-        around it: the block is solved for its part of the input, the
-        V-cycle runs on the residual left, and the block is corrected once
-        more, so a symmetric A keeps a symmetric preconditioner. It is meant
-        for the unknowns whose error Jacobi sweeps and aggregates both miss:
-        where A leaves the matrix the levels were built on, and the nodes of
-        the cut elements at high contrast. A banded LU in reverse
-        Cuthill-McKee order solves it, and only its rows and columns of A
-        are kept. An empty or singular block is ignored.
+        before and after the V-cycle on the residual left, so a symmetric A
+        keeps a symmetric preconditioner. It is meant for the unknowns whose
+        error Jacobi sweeps and aggregates both miss: where A leaves the
+        matrix the levels were built on, and the nodes of the cut elements
+        at high contrast. A banded LU of its nonzeros in reverse
+        Cuthill-McKee order solves it; an empty or singular block is ignored.
         """
         # per level: matrix, Jacobi weights omega / (rho diag), P
         levels = [(L, w / L.diagonal(), P) for L, (w, P, _) in
                   zip([A] + [lvl[2] for lvl in self.levels], self.levels)]
         ids = np.asarray(() if block is None else block, dtype=np.int64)
         rows, cols = A[ids], A[:, ids]
-        solve = _banded_lu(rows[:, ids]) if len(ids) else None
+        inner = rows[:, ids]
+        inner.eliminate_zeros()         # its order follows the nonzeros alone
+        solve = _banded_lu(inner) if len(ids) else None
         if solve is None:
             return lambda b: self._cycle(levels, 0, b)
 
@@ -293,12 +295,10 @@ class SAHierarchy:
 
 def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
              hierarchy=None) -> SolveResult:
-    """BiCGSTAB right-preconditioned by the V-cycle of `hierarchy()` with the
-    exact `block`, so the convergence test sees the true residual of the
-    scaled system; breakdowns restart with a perturbed shadow vector (at
-    most 3 restarts). At COARSE_SIZE unknowns or fewer, `hierarchy` goes
-    unused: a hierarchy of A without levels makes the V-cycle an exact
-    solve."""
+    """BiCGSTAB right-preconditioned (the convergence test sees the true
+    scaled residual) by the V-cycle of `hierarchy()` with the exact `block`,
+    or by an exact solve at COARSE_SIZE unknowns or fewer; at most 3
+    breakdowns restart it with a perturbed shadow vector."""
     A = A.tocsr()
     n = A.shape[0]
     if max_iter is None:
@@ -315,6 +315,10 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     def fresh(x):
         r = bs - As @ x
         return r, r.copy(), r.copy(), float(r @ r)
+
+    def perturbed(r):               # a restart with a perturbed shadow vector
+        rtld = r + 1e-8 * np.linalg.norm(r) * rng.standard_normal(n)
+        return r, rtld, r.copy(), float(rtld @ r)
 
     def finish(x):
         return _finish(A, b, bnorm, x, s, it, tol_rel, restarts, levels)
@@ -334,10 +338,7 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
             if restarts >= 3:
                 break
             restarts += 1
-            r = bs - As @ x
-            rtld = r + 1e-8 * np.linalg.norm(r) * rng.standard_normal(n)
-            p = r.copy()
-            rho = float(rtld @ r)
+            r, rtld, p, rho = perturbed(bs - As @ x)
             continue
         alpha = rho / denom
         sv = r - alpha * v
@@ -380,9 +381,7 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
             if restarts >= 3:
                 break
             restarts += 1
-            rtld = r + 1e-8 * np.linalg.norm(r) * rng.standard_normal(n)
-            p = r.copy()
-            rho = float(rtld @ r)
+            r, rtld, p, rho = perturbed(r)
             continue
         beta = (rho_new / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)

@@ -158,10 +158,8 @@ def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_i
     for row, X in ((nv, Ds), (nv + 1, Es)):
         M[:, row, :6] = np.column_stack([ones, X[:, 0], X[:, 1], -ones, -X[:, 0], -X[:, 1]])
     flux = M[:, nv + 2]
-    flux[:, 1] = beta_minus * n[:, 0] / bscale
-    flux[:, 2] = beta_minus * n[:, 1] / bscale
-    flux[:, 4] = -beta_plus * n[:, 0] / bscale
-    flux[:, 5] = -beta_plus * n[:, 1] / bscale
+    flux[:, 1:3] = beta_minus * n / bscale
+    flux[:, 4:6] = -beta_plus * n / bscale
     if nv == 4:
         M[:, :nv, 6] = sv[..., 0] * sv[..., 1]
         mid = 0.5 * (Ds + Es)
@@ -189,11 +187,10 @@ def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_i
         what = (f"condition estimate {cond[i]:.3e}" if ill[i]
                 else f"local residual {float(resid[i]):.3e}")
         raise SingularLocalSystem(f"element {eid}: {what}")
-    if nv == 4:
-        cm, cp = X[:, [0, 1, 2, 6]], X[:, [3, 4, 5, 6]]
-    else:
-        cm, cp = X[:, :3], X[:, 3:]
-    return cm.transpose(0, 2, 1).copy(), cp.transpose(0, 2, 1).copy(), origin, h
+    # the xy coefficient, on rectangles, is both pieces'
+    cm, cp = (X[:, cols].transpose(0, 2, 1).copy()
+              for cols in (([0, 1, 2, 6], [3, 4, 5, 6]) if nv == 4 else ([0, 1, 2], [3, 4, 5])))
+    return cm, cp, origin, h
 
 
 def build_bases(cuts, beta_minus, beta_plus):

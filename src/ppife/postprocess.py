@@ -213,8 +213,7 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
         # half of it the element covers, which has the same size on both
         lo = cuts.verts.min(axis=1)[:, None]
         span = cuts.verts.max(axis=1)[:, None] - lo
-        grid_pts = np.column_stack([TX.ravel(), TY.ravel()])
-        pts = lo + span * grid_pts
+        pts = lo + span * np.column_stack([TX.ravel(), TY.ravel()])
         if mesh.cell_kind != RECT:
             xi = (pts - lo) / mesh.h
             lower = (mesh.element_variant[cuts.ids] == 0)[:, None]
@@ -233,12 +232,10 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
 
 def convergence_rates(errors):
     """rate_k = log2(e_k / e_{k+1}) for a doubling sequence of (N, error)."""
-    rates = []
-    for (n0, e0), (n1, e1) in zip(errors[:-1], errors[1:]):
-        if n1 != 2 * n0:
-            raise ValueError("convergence_rates expects a doubling N sequence")
-        rates.append(float(np.log(e0 / e1) / np.log(2.0)))
-    return rates
+    pairs = list(zip(errors[:-1], errors[1:]))
+    if any(n1 != 2 * n0 for (n0, _), (n1, _) in pairs):
+        raise ValueError("convergence_rates expects a doubling N sequence")
+    return [float(np.log(e0 / e1) / np.log(2.0)) for (_, e0), (_, e1) in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,7 @@ def rect_rule(degree):
     degree = _check_degree(degree)
     x, w = _gauss01(degree // 2 + 1)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    W = np.outer(w, w)
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    return QuadratureRule(pts, W.ravel(), degree)
+    return QuadratureRule(np.column_stack([X.ravel(), Y.ravel()]), np.outer(w, w).ravel(), degree)
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .assembly import (MethodParams, assemble_edge_terms, assemble_volume,
-                       cut_volume_matrices, edge_traces, restrict)
+from .assembly import (MethodParams, apply_dirichlet, assemble_edge_terms, cut_volume_matrices,
+                       edge_traces)
 from .geometry import (INTERFACE, RECT, TRI, CutSet, DomainSpec, build_mesh, circle,
                        classify_elements, interface_edges, ring_chains)
 from .local_basis import build_bases, cut_frame, cut_gradients, phys_coefficients
@@ -41,11 +41,9 @@ class ScanReport:
         return f"{status} {self.scan_id}: {self.description} [{keys}]"
 
     def csv_rows(self):
-        rows = [f"{self.scan_id},passed,{int(self.passed)}",
-                f"{self.scan_id},samples,{self.samples}"]
-        for k in sorted(self.metrics):
-            rows.append(f"{self.scan_id},{k},{self.metrics[k]:.12e}")
-        return rows
+        return ([f"{self.scan_id},passed,{int(self.passed)}",
+                 f"{self.scan_id},samples,{self.samples}"]
+                + [f"{self.scan_id},{k},{self.metrics[k]:.12e}" for k in sorted(self.metrics)])
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +106,8 @@ def _coef_ratios(kind, cut_params, beta_pair):
     """Per cut, the largest ratio between the two pieces' physical coefficient
     norms over the nodal functions (functions with a zero piece are skipped)."""
     cuts = build_bases(_reference_cuts(kind, cut_params), *beta_pair)
-    norms = []
-    for c in (cuts.cm, cuts.cp):
-        phys = phys_coefficients(c, cuts.origin, cuts.h)
-        norms.append(np.sqrt(np.vecdot(phys, phys)))
+    phys = [phys_coefficients(c, cuts.origin, cuts.h) for c in (cuts.cm, cuts.cp)]
+    norms = [np.sqrt(np.vecdot(p, p)) for p in phys]
     lo, hi = np.minimum(*norms), np.maximum(*norms)
     keep = lo > 0.0
     return np.where(keep, hi / np.where(keep, lo, 1.0), 0.0).max(axis=1)
@@ -145,9 +141,8 @@ def scan_coefficient_bounds(kind, beta_pairs, samples=2000, seed=7) -> ScanRepor
     """Ratios of the two pieces' coefficient norms over a grid of cuts.
 
     Pass: every ratio is finite and the maximum moves by less than 10% when
-    the cut grid is refined 4x (uniformity in the cut location). The cuts
-    are deterministic; `seed` is accepted and unused.
-    """
+    the cut grid is refined 4x (uniformity in the cut location). `seed` is
+    unused."""
     return _refinement_scan("coefficient_bounds", f"{kind} coefficient-norm ratios", kind,
                             beta_pairs, samples, _coef_ratios, "max_ratio")
 
@@ -247,11 +242,9 @@ def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7) -> ScanReport:
     """Trace-inequality ratio of edge flux norms to element gradient norms,
     on the unit reference element (the ratio is invariant under scaling it).
 
-    Pass: the maximal ratio is finite and changes by less than 10% under a
-    4x refinement of the cut grid. For the bilinear kind the scan
-    additionally verifies the quadrant gradient lower bound with its
-    explicit constant. The cuts are deterministic; `seed` is accepted and
-    unused.
+    Pass: the maximal ratio is finite and moves by less than 10% under a 4x
+    refinement of the cut grid, and on rectangles the quadrant gradient
+    lower bound holds with its explicit constant. `seed` is unused.
     """
     report = _refinement_scan("trace_ratio", f"{kind} flux trace ratios", kind, beta_pairs,
                               samples, _trace_ratios, "max_R")
@@ -267,24 +260,24 @@ def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 def _lower_bands(*mats):
-    """The symmetric parts of the sparse (n, n) matrices `mats` as lower
-    bands (len(mats), k + 1, n) in LAPACK's banded storage over the largest
-    bandwidth k among them."""
-    entries = []
-    for X in mats:
-        X = (0.5 * (X + X.T)).tocoo()
-        low = X.row >= X.col
-        entries.append((X.row[low] - X.col[low], X.col[low], X.data[low]))
-    bands = np.zeros((len(mats), max(d.max(initial=0) for d, _, _ in entries) + 1,
-                      mats[0].shape[0]))
-    for band, (d, c, v) in zip(bands, entries):
-        band[d, c] = v
-    return bands
+    """The symmetric parts 0.5 (X + X^T) of the sparse (n, n) matrices
+    `mats` as lower bands (len(mats), k + 1, n) in LAPACK's banded storage
+    over the largest bandwidth k among them: each entry on or below the
+    diagonal plus the mirror of each one on or above it."""
+    mats = [X.tocoo() for X in mats]
+    k = max(np.abs(X.row - X.col).max(initial=0) for X in mats)
+    bands = np.zeros((2, len(mats), k + 1, mats[0].shape[0]))
+    for i, X in enumerate(mats):
+        d = X.row - X.col
+        low, up = d >= 0, d <= 0
+        bands[0, i, d[low], X.col[low]] = X.data[low]
+        bands[1, i, -d[up], X.row[up]] = X.data[up]
+    return 0.5 * (bands[0] + bands[1])
 
 
 def _sym_part_spd(bands, params):
     """Whether the symmetric part of the scheme matrix A_vol + delta M +
-    epsilon M^T + sigma0 P_unit (`combine_system`) is positive definite. It is
+    epsilon M^T + sigma0 P_unit (`DirichletSplit.system`) is positive definite. It is
     linear in the terms, sym(A_vol) + (delta + epsilon) sym(M) + sigma0
     sym(P_unit), so it is one combination of their `_lower_bands`, factored by
     a banded Cholesky (LAPACK pbtrf): order times squared bandwidth."""
@@ -300,8 +293,7 @@ def _sym_part_spd(bands, params):
 
 def _coercivity_bands(Ns, beta_pairs, cell_kind, r0=DEFAULT_R0, alpha=1.0):
     """The `_lower_bands` of the free-node A_vol, M and P_unit per (N, beta
-    pair). The mesh, the cut elements and the interface edges do not depend
-    on beta, so they are built once per N."""
+    pair); the mesh, cut elements and interface edges once per N."""
     iface = circle(0.0, 0.0, r0)
     bands = {}
     for N in Ns:
@@ -310,10 +302,11 @@ def _coercivity_bands(Ns, beta_pairs, cell_kind, r0=DEFAULT_R0, alpha=1.0):
         edges = interface_edges(mesh, geo)
         for bm, bp in beta_pairs:
             cuts = build_bases(geo, bm, bp)
-            A_vol = assemble_volume(mesh, status, cuts, bm, bp)
             M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, bm, bp, alpha)
-            bands[(N, (bm, bp))] = _lower_bands(
-                *(restrict(X, mesh.interior_nodes) for X in (A_vol, M, P)))
+            split = apply_dirichlet(mesh, status, cuts, bm, bp, M, P, np.zeros(mesh.n_nodes),
+                                    lambda x, y: np.zeros_like(x))
+            bands[(N, (bm, bp))] = _lower_bands(split.A_vol, split.matrix(*split.terms[0]),
+                                                split.matrix(*split.terms[2]))
     return bands
 
 
@@ -322,49 +315,33 @@ def scan_coercivity(Ns=(10, 20, 40), beta_pairs=((1.0, 10.0), (1.0, 10000.0)),
     """Positive definiteness of the symmetric part of the assembled forms.
 
     Pass: Cholesky succeeds for the SPP and IPP presets on every (N, beta)
-    combination, and for NPP with its unit penalty at N = 20. The minimal
-    penalty at which SPP loses definiteness is located within a factor of 2
-    and reported (informational). `seed` is accepted and unused.
-    """
+    combination, and for NPP with its unit penalty at N = 20. The penalty at
+    which SPP loses definiteness is bracketed within a factor of 2 and
+    reported (informational). `seed` is unused."""
     report = ScanReport("coercivity", f"{cell_kind} symmetric-part definiteness",
                         len(Ns) * len(beta_pairs))
     ok = True
     bands = _coercivity_bands(Ns, beta_pairs, cell_kind)
+    N_npp = Ns[min(1, len(Ns) - 1)]
     for N in Ns:
         for pair in beta_pairs:
-            for scheme in ("spp", "ipp"):
+            for scheme in ("spp", "ipp") + (("npp",) if N == N_npp else ()):
                 params = MethodParams.preset(scheme, *pair, sigma0=sigma0_override)
                 spd = _sym_part_spd(bands[(N, pair)], params)
                 report.metrics[f"{scheme}_N{N}_b{pair[0]:g}_{pair[1]:g}"] = float(spd)
                 ok = ok and spd
-    N_npp = Ns[min(1, len(Ns) - 1)]
-    for pair in beta_pairs:
-        npp = MethodParams.preset("npp", *pair, sigma0=sigma0_override)
-        spd = _sym_part_spd(bands[(N_npp, pair)], npp)
-        report.metrics[f"npp_N{N_npp}_b{pair[0]:g}_{pair[1]:g}"] = float(spd)
-        ok = ok and spd
-
     # empirical SPP penalty threshold (halving scan, factor-2 bracket)
     sig = MethodParams.preset("spp", *beta_pairs[0]).sigma0
-
-    def spd_at(sigma):
-        return _sym_part_spd(bands[(N_npp, beta_pairs[0])],
-                             MethodParams("custom", -1.0, -1.0, sigma))
-
-    lo = 0.0
-    s = sig
-    for _ in range(40):
-        s_try = s / 2.0
-        if s_try < 1e-8 * sig:
+    s, lo = sig, 0.0
+    while s / 2.0 >= 1e-8 * sig:
+        if not _sym_part_spd(bands[(N_npp, beta_pairs[0])],
+                             MethodParams("custom", -1.0, -1.0, s / 2.0)):
+            lo = s / 2.0
             break
-        if spd_at(s_try):
-            s = s_try
-        else:
-            lo = s_try
-            break
+        s /= 2.0
     report.metrics["spp_sigma_preset"] = sig
     report.metrics["spp_sigma_pd_down_to"] = s
-    report.metrics["spp_sigma_fails_at"] = lo if lo > 0 else 0.0
+    report.metrics["spp_sigma_fails_at"] = lo
     report.passed = bool(ok)
     return report
 
@@ -378,9 +355,8 @@ def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
     """Decay of sum_B ||beta grad(u - I_h u)|_K . n_B||^2 over interface edges.
 
     Pass: the log-log slope of the sum against h is at least 1.8 (O(h^2) or
-    better). The per-edge maximum and its slope are reported as well.
-    `seed` is accepted and unused.
-    """
+    better); the per-edge maximum and its slope are reported. `seed` is
+    unused."""
     bm, bp = beta_pair
     sol = radial_interface_solution(bm, bp, r0=r0)
     iface = circle(0.0, 0.0, r0)
@@ -409,14 +385,12 @@ def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
         sums.append(float(np.cumsum(np.concatenate([[0.0], contrib.ravel()]))[-1]))
         maxes.append(float(contrib.max(initial=0.0)))
     hs = np.log([2.0 / N for N in Ns])
-    slope_sum = float(np.polyfit(hs, np.log(sums), 1)[0])
-    slope_max = float(np.polyfit(hs, np.log(maxes), 1)[0])
     report = ScanReport("interp_edge_error", f"{cell_kind} interface-edge interpolation flux",
                         len(Ns))
     for N, ssum, smax in zip(Ns, sums, maxes):
         report.metrics[f"sum_N{N}"] = ssum
         report.metrics[f"max_N{N}"] = smax
-    report.metrics["slope_sum"] = slope_sum
-    report.metrics["slope_max"] = slope_max
-    report.passed = bool(slope_sum >= 1.8)
+    for key, values in (("slope_sum", sums), ("slope_max", maxes)):
+        report.metrics[key] = float(np.polyfit(hs, np.log(values), 1)[0])
+    report.passed = bool(report.metrics["slope_sum"] >= 1.8)
     return report

@@ -24,6 +24,8 @@ path (free-node submatrices, `combine_system`, its symmetric part and a
 banded Cholesky of it) that the decoded word block and the linear band
 combination of `verify` replace, the per-scheme slicing of the
 full-node scheme matrix that the context's one Dirichlet split replaces,
+the sum of sparse scheme terms (`combine_system`) and the symmetry check
+through a sparse difference that the shared free-node pattern replaces,
 the sign audit of every mesh edge that the reach-pruned audit replaces, and
 the padded fan rules over all cut elements at once that `cut_sweep`'s
 blocks replace.
@@ -37,7 +39,7 @@ import scipy.sparse as sp
 
 from ppife.assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, MethodParams,
                             assemble_edge_terms, assemble_load, assemble_volume, bulk_rules,
-                            combine_system, cut_volume_matrices)
+                            cut_volume_matrices)
 from ppife.errors import GeometryError, MultipleCrossings, PpifeError, SingularLocalSystem
 from ppife.geometry import (_AUDIT_ROWS, _SWEEP_POINTS, INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS,
                             TRI, CutSet, DomainSpec, _cut_set, _edge_signs, _outer_signs,
@@ -1014,6 +1016,24 @@ def free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
     M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, bm, bp, alpha)
     free = mesh.interior_nodes
     return A_vol[free][:, free], M[free][:, free], P[free][:, free]
+
+
+def combine_system(A_vol, M, P_unit, params: MethodParams):
+    """Scheme matrix A_vol + delta*M + epsilon*M^T + sigma0*P_unit as a sum
+    of sparse matrices, on the nodes the terms are given on: the library's
+    sum before the shared free-node pattern, with no stored zeros."""
+    A = (A_vol + params.delta * M + params.epsilon * M.T + params.sigma0 * P_unit).tocsr()
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    A.sort_indices()
+    return A
+
+
+def is_symmetric_by_difference(A, rtol=1e-12):
+    """The symmetry check through scipy's sparse difference A - A^T: whether
+    max |A - A^T| <= rtol * max |A| over every stored entry."""
+    scale = np.abs(A.data).max() if A.nnz else 1.0
+    return np.abs((A - A.T).data).max(initial=0.0) <= rtol * scale
 
 
 def sparse_sym_part_spd(A_vol, M, P, params):

@@ -4,12 +4,11 @@ import pytest
 from ppife import assembly
 from ppife.assembly import (DATA_DEGREE, DATA_REFINE, MethodParams, apply_dirichlet,
                             assemble_edge_terms, assemble_load, assemble_volume,
-                            combine_system, cut_volume_matrices, dump_matrix,
-                            edge_term_matrices, edge_traces)
+                            cut_volume_matrices, dump_matrix, edge_term_matrices, edge_traces)
 from ppife.errors import ConfigError
 from ppife.geometry import (DomainSpec, build_mesh, circle, classify_elements,
                             interface_edges, line)
-from oracles import (basis_of, check_csr, classify_cuts, edge_split_points,
+from oracles import (basis_of, check_csr, classify_cuts, combine_system, edge_split_points,
                      interface_jump_residuals, standard_basis)
 from ppife.linsolve import cg
 from ppife.local_basis import build_bases, cut_frame, cut_values
@@ -301,10 +300,10 @@ def test_cut_element_load_vs_symbolic_oracle():
 
 def test_dirichlet_homogeneous_keeps_free_rhs():
     mesh, iface, status, cuts, edges = _pipeline(4)
-    A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
     M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, 1.0)
     b = np.arange(mesh.n_nodes, dtype=float)
-    sysm = apply_dirichlet(A_vol, M, P, b, mesh, lambda x, y: np.zeros_like(x)).system(
+    sysm = apply_dirichlet(mesh, status, cuts, 1.0, 10.0, M, P, b,
+                           lambda x, y: np.zeros_like(x)).system(
         MethodParams.preset("spp", 1.0, 10.0))
     A_ff, rhs = sysm.reduced()
     assert np.allclose(rhs, b[mesh.interior_nodes])
@@ -329,11 +328,10 @@ def test_patch_test_reproduces_polynomials(kind):
     sol = PiecewiseSolution(u, u, gu, gu, zero, zero,
                             params={"beta_minus": 2.0, "beta_plus": 2.0})
 
-    A_vol = assemble_volume(mesh, status, cuts, 2.0, 2.0)
     params = MethodParams.preset("spp", 2.0, 2.0)
     M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 2.0, 2.0, params.alpha)
     b = assemble_load(mesh, status, cuts, sol, iface)
-    sysm = apply_dirichlet(A_vol, M, P, b, mesh, u).system(params)
+    sysm = apply_dirichlet(mesh, status, cuts, 2.0, 2.0, M, P, b, u).system(params)
     A_ff, rhs = sysm.reduced()
     res = cg(A_ff, rhs, tol_rel=1e-13)
     coeffs = sysm.expand(res.x)
@@ -369,7 +367,7 @@ def test_schemes_identical_for_continuous_coefficient():
     for scheme in ("classic", "spp", "ipp", "npp"):
         params = MethodParams.preset(scheme, 3.0, 3.0)
         M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 3.0, 3.0, params.alpha)
-        sysm = apply_dirichlet(A_vol, M, P, b, mesh,
+        sysm = apply_dirichlet(mesh, status, cuts, 3.0, 3.0, M, P, b,
                                lambda x, y: sol.u_at(x, y, iface)).system(params)
         A_ff, rhs = sysm.reduced()
         from ppife.linsolve import bicgstab
@@ -400,6 +398,19 @@ def test_energy_norm_identity_against_quadrature():
         quad = error_norms(mesh, status, cuts, v, zsol, iface, traces, params)["energy"]
         alg = float(np.sqrt(v @ (A_vol @ v) + params.sigma0 * (v @ (P @ v))))
         assert quad == pytest.approx(alg, rel=1e-10)
+
+
+def test_import_leaves_scipy_io_out():
+    # scipy.io, which only the MatrixMarket dump needs, adds about 1.3 MB to
+    # the memory of a process that solves; `import ppife` must not load it
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, ppife; print('scipy.io' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_matrix_market_dump(tmp_path):

@@ -10,6 +10,7 @@ from oracles import standard_basis, template_name
 from ppife import verify
 from ppife.cli import build_parser, main
 from ppife.errors import ConfigError, NotConverged
+from ppife.assembly import assemble_edge_terms
 from ppife.geometry import INTERFACE
 from ppife.harness import (_PARSE_KIND, RunConfig, _parse_number, build_context,
                            cmd_convergence, cmd_solve, cmd_verify, evaluate_solution,
@@ -80,7 +81,9 @@ def test_cmd_solve_outputs(tmp_path):
     records = cmd_solve(cfg)
     assert len(records) == 1
     assert (tmp_path / "runs.csv").exists()
-    assert (tmp_path / "timings.csv").exists()
+    timings = (tmp_path / "timings.csv").read_text().splitlines()
+    assert timings[0] == "label,seconds,max_rss_mb"
+    assert [row.split(",")[0] for row in timings[1:]] == ["context_N8", "solve_spp_N8"]
     assert (tmp_path / "field_spp_N8.csv").exists()
     assert (tmp_path / "mesh_N8.txt").exists()
     field = (tmp_path / "field_spp_N8.csv").read_text().strip().splitlines()
@@ -229,12 +232,15 @@ def test_cmd_verify_writes_scan_timings(tmp_path):
                     coercivity_ns=(4, 8), interp_ns=(8, 16, 32), scan_betas=((1.0, 10.0),))
     reports, _ = cmd_verify(cfg)
     rows = (tmp_path / "timings.csv").read_text().splitlines()
-    assert rows[0] == "label,seconds"
+    assert rows[0] == "label,seconds,max_rss_mb"
     labels = [row.split(",")[0] for row in rows[1:]]
     assert labels == [f"scan_{rep.scan_id}" for rep in reports] == [
         "scan_coefficient_bounds", "scan_trace_ratio", "scan_coercivity",
         "scan_interp_edge_error"]
     assert all(float(row.split(",")[1]) >= 0.0 for row in rows[1:])
+    # the peak RSS after each stage never falls
+    rss = [float(row.split(",")[2]) for row in rows[1:]]
+    assert rss == sorted(rss) and rss[0] > 0.0
     # the timings stay out of the deterministic scan rows
     scans = (tmp_path / "scans.csv").read_text()
     assert "seconds" not in scans and "scan_" not in scans
@@ -273,9 +279,12 @@ def test_solve_scheme_passes_the_cut_element_block(mesh, monkeypatch):
     [block] = calls
     nodes = set(ctx.mesh.elements[ctx.cuts.ids].ravel().tolist()) - set(system.boundary.tolist())
     touched = set()
-    for X in (ctx.split.M, ctx.split.P_unit):
+    M, P, _ = assemble_edge_terms(ctx.mesh, ctx.traces.edges, ctx.status, ctx.cuts,
+                                  cfg.beta_minus, cfg.beta_plus, cfg.penalty_alpha)
+    for X in (M, P):
         coo = X.tocoo()
-        touched |= set(system.free[coo.row].tolist()) | set(system.free[coo.col].tolist())
+        inner = np.isin(coo.row, system.free) & np.isin(coo.col, system.free)
+        touched |= set(coo.row[inner].tolist()) | set(coo.col[inner].tolist())
     assert touched - nodes          # M and P_unit reach past the cut elements
     assert system.free[block].tolist() == sorted(nodes | touched)
 

@@ -95,6 +95,21 @@ def test_symmetry_check_holds_its_margin_exactly():
     assert _is_symmetric(sp.csr_matrix((3, 3)))
 
 
+def test_symmetry_check_on_a_symmetric_pattern_holds_its_margin_exactly():
+    # every entry stored, so the check compares the data with itself at the
+    # transposed positions; the margin is the same as through A - A^T
+    def with_asymmetry(d, at):
+        A = np.full((4, 4), 0.25)
+        np.fill_diagonal(A, 1.0)
+        A[at], A[at[::-1]] = d, 0.0          # the zero stays stored
+        return sp.csr_matrix((A.ravel(), np.tile(np.arange(4), 4), np.arange(0, 17, 4)))
+
+    for at in ((0, 1), (3, 2), (1, 3)):
+        assert _is_symmetric(with_asymmetry(1e-12, at))
+        assert not _is_symmetric(with_asymmetry(np.nextafter(1e-12, 1.0), at))
+        assert not _is_symmetric(with_asymmetry(-np.nextafter(1e-12, 1.0), at))
+
+
 def test_bicgstab_agrees_with_cg_on_symmetric():
     A = _tridiag(40)
     rng = np.random.default_rng(1)
@@ -184,13 +199,13 @@ def _read_only(*arrays):
 @functools.cache
 def _blocked_system(mesh, N, beta_plus, scheme):
     """Reduced system of a scheme and the positions in it of the block that
-    solve_scheme passes (harness.interface_block); shared by the tests, so
-    every array is read-only."""
-    from ppife.harness import interface_block, scheme_params
+    solve_scheme passes (CaseContext.interface_block); shared by the tests,
+    so every array is read-only."""
+    from ppife.harness import scheme_params
 
     cfg, ctx = _context(mesh, N, beta_plus)
     A_ff, rhs = ctx.split.system(scheme_params(cfg, scheme)).reduced()
-    block = interface_block(ctx)
+    block = ctx.interface_block
     _read_only(A_ff.data, A_ff.indices, A_ff.indptr, rhs, block)
     return A_ff, rhs, block
 

@@ -21,7 +21,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
-from ppife import geometry
+from ppife import geometry, linsolve
 from ppife.assembly import (SCHEMES, MethodParams, VOLUME_DEGREE, apply_dirichlet,
                             assemble_edge_terms, assemble_load, assemble_volume, bulk_rules,
                             edge_traces)
@@ -331,8 +331,7 @@ def test_patch_test_is_exact(drawn):
     M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts,
                                   2.0, 2.0, params.alpha)
     b = assemble_load(mesh, status, cuts, sol, iface)
-    sysm = apply_dirichlet(assemble_volume(mesh, status, cuts, 2.0, 2.0), M, P, b, mesh,
-                           u).system(params)
+    sysm = apply_dirichlet(mesh, status, cuts, 2.0, 2.0, M, P, b, u).system(params)
     coeffs = sysm.expand(cg(*sysm.reduced(), tol_rel=1e-13).x)
     assert np.abs(coeffs - u(mesh.nodes[:, 0], mesh.nodes[:, 1])).max() < 1e-10
 
@@ -359,6 +358,8 @@ def test_dirichlet_split_equals_full_node_slicing(case, beta_plus):
     for scheme in SCHEMES:
         params = scheme_params(cfg, scheme)
         A, rhs = ctx.split.system(params).reduced()
+        A = A.copy()        # the shared pattern stores zeros where a scheme has none
+        A.eliminate_zeros()
         A_ref, rhs_ref = full_node_system(ctx, params)
         for a, ref in ((A.data, A_ref.data), (A.indices, A_ref.indices),
                        (A.indptr, A_ref.indptr)):
@@ -677,3 +678,39 @@ def test_lattice_aggregates_are_side_split_boxes(kind, N, shape):
                             return_inverse=True)
         assert len(np.unique(np.column_stack([node_agg, pair.ravel()]), axis=0)) == n_coarse
         assert pair.max() + 1 == n_coarse
+
+
+@settings(max_examples=40)
+@given(st.one_of(_cases(40).map(lambda c: (c, "circle")),
+                 st.tuples(st.sampled_from(["rect", "tri"]), st.integers(8, 40),
+                           st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                           st.floats(-0.5, 0.5)).map(lambda c: (c, "line"))),
+       st.sampled_from([10.0, 1e4]))
+def test_shared_pattern_matrices_equal_the_summed_terms(interface, beta_plus):
+    # every scheme's data on the context's one free-node pattern against the
+    # sum of the sparse terms: the same nonzeros bit for bit, stored zeros
+    # only where no term has an entry, a symmetric pattern, and the same
+    # symmetry verdict as the sparse difference A - A^T
+    mesh, iface, status, cuts = _classified(*interface)
+    cuts = build_bases(cuts, 1.0, beta_plus)
+    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts,
+                                  1.0, beta_plus, 1.0)
+    split = apply_dirichlet(mesh, status, cuts, 1.0, beta_plus, M, P, np.zeros(mesh.n_nodes),
+                            lambda x, y: np.zeros_like(x))
+    free = mesh.interior_nodes
+    A_vol = assemble_volume(mesh, status, cuts, 1.0, beta_plus)
+    pattern = split.A_vol
+    T = pattern.T.tocsr()
+    assert np.array_equal(T.indptr, pattern.indptr) and np.array_equal(T.indices, pattern.indices)
+    for scheme in SCHEMES:
+        params = MethodParams.preset(scheme, 1.0, beta_plus)
+        A = split.system(params).A
+        assert np.shares_memory(A.indices, pattern.indices)
+        assert np.shares_memory(A.indptr, pattern.indptr)
+        ref = oracles.combine_system(A_vol, M, P, params)[free][:, free].tocsr()
+        nz = A.copy()
+        nz.eliminate_zeros()
+        assert nz.nnz == ref.nnz and np.array_equal(nz.indptr, ref.indptr), scheme
+        assert np.array_equal(nz.indices, ref.indices), scheme
+        assert np.array_equal(nz.data.view(np.int64), ref.data.view(np.int64)), scheme
+        assert linsolve._is_symmetric(A) == oracles.is_symmetric_by_difference(ref), scheme

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 import ppife.assembly
 import ppife.verify
-from oracles import (coef_ratio_max, dense_is_spd, draw_cuts_loop, free_matrices,
+from oracles import (coef_ratio_max, combine_system, dense_is_spd, draw_cuts_loop, free_matrices,
                      linear_coupling_matrix, quadrant_ratio_sampled, reference_cut,
                      sparse_is_spd, sparse_scan_coercivity, trace_ratio)
-from ppife.assembly import MethodParams, combine_system
+from ppife.assembly import MethodParams
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
 from ppife.local_basis import build_bases
 from oracles import ife_stack_basis
@@ -333,8 +333,8 @@ def test_coercivity_scan_builds_one_geometry_per_mesh_size(monkeypatch):
         counted(name, getattr(ppife.verify, name))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("combine_system called")
-    monkeypatch.setattr(ppife.assembly, "combine_system", refuse)
+        raise AssertionError("a scheme matrix was built")
+    monkeypatch.setattr(ppife.assembly.DirichletSplit, "system", refuse)
     monkeypatch.setattr(ppife.verify, "combine_system", refuse, raising=False)
 
     Ns, pairs = (6, 8, 10), ((1.0, 10.0), (1.0, 1e4), (3.0, 3.0))

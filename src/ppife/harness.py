@@ -23,6 +23,11 @@ from .local_basis import build_bases, cut_frame, cut_values, piece_values, templ
 from .postprocess import (RunRecord, error_norms, markdown_error_table,
                           radial_interface_solution, record_csv_rows)
 
+# CG takes the context's hierarchy above this many free dofs. Against
+# Jacobi-CG, an SPP solve with it (tri at beta+ = 10, rect at beta+ = 1e4)
+# takes 3-7 % longer at 9 801 dofs (N=100) and 9-11 % less at 14 161 (N=120)
+AMG_CG_DOFS = 12_000
+
 
 @dataclass
 class RunConfig:
@@ -59,6 +64,12 @@ class RunConfig:
     scan_betas: tuple = ((1.0, 10.0), (1.0, 10000.0))
 
     def validate(self, doubling=False):
+        # NaN passes every comparison below, and inf every sign test
+        for name, kind in _PARSE_KIND.items():
+            value = getattr(self, name)
+            if (kind in ("float", "opt_float", "float_tuple", "beta_pairs") and value is not None
+                    and not np.isfinite(np.asarray(value, dtype=float)).all()):
+                raise ConfigError(f"{name} must be finite, not {value!r}")
         if self.beta_minus <= 0 or self.beta_plus <= 0:
             raise ConfigError("beta values must be positive")
         if self.alpha_exp <= 0:
@@ -193,7 +204,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        text = open(path).read()
+        with open(path) as f:
+            text = f.read()
         parser = configparser.ConfigParser()
         parser.optionxform = str  # keys are case sensitive (N vs n)
         try:
@@ -239,8 +251,8 @@ class CaseContext:
 
     @cached_property
     def hierarchy(self):
-        """The AMG levels of every scheme's V-cycle (linsolve.SAHierarchy),
-        built on first use from A_vol and geometry.lattice_aggregates."""
+        """The AMG levels of every V-cycle (linsolve.SAHierarchy), built on
+        first use from A_vol and geometry.lattice_aggregates."""
         return linsolve.SAHierarchy(self.split.A_vol,
                                     geometry.lattice_aggregates(self.mesh, self.iface))
 
@@ -289,12 +301,12 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     # looked up at call time, so that a tracer may wrap it
     symmetric = params.delta == params.epsilon
     solver = linsolve.cg if symmetric else linsolve.bicgstab
-    if len(ctx.split.free) > (linsolve.AMG_CG_DOFS if symmetric else linsolve.COARSE_SIZE):
-        ctx.hierarchy       # set up before the scheme matrix exists: their peaks do not add
+    # set up before the scheme matrix exists: their peaks do not add
+    hierarchy = ctx.hierarchy if not symmetric or len(ctx.split.free) > AMG_CG_DOFS else None
     system = ctx.split.system(params)
     A_ff, rhs = system.reduced()
     res = solver(A_ff, rhs, tol_rel=config.solver_tol, max_iter=config.solver_maxiter,
-                 block=ctx.interface_block, hierarchy=lambda: ctx.hierarchy)
+                 block=ctx.interface_block, hierarchy=hierarchy)
     if not res.converged:
         raise NotConverged(f"{scheme} at N={ctx.N}: not converged after {res.iterations} "
                            f"iterations and {res.restarts} restarts, final residual "

@@ -10,9 +10,8 @@ gives, with an exact solve of a block of unknowns around it. One
 hierarchy, built on the Jacobi scaling of A_vol, serves every scheme of a
 context: each scheme matrix is scaled by the same D and smooths level 0,
 and the block covers the rows where it leaves A_vol (multiplicative
-subspace correction; Xu, SIAM Review 34, 1992). BiCGSTAB is always
-right-preconditioned; CG only above AMG_CG_DOFS unknowns, below which its
-own Jacobi scaling costs less.
+subspace correction; Xu, SIAM Review 34, 1992). `harness.solve_scheme`
+chooses the solves that run it; the others use Jacobi scaling alone.
 """
 from __future__ import annotations
 
@@ -27,11 +26,6 @@ DEFAULT_TOL = 1e-12
 # AMG: coarsening stops at this many dofs or fewer; that level is solved by
 # a banded LU
 COARSE_SIZE = 400
-# CG takes the AMG preconditioner above this many dofs. Against Jacobi-CG,
-# an SPP solve with the lattice aggregates of its context (tri at beta+ =
-# 10, rect at beta+ = 1e4) takes 3-7 % longer at 9 801 dofs (N=100) and
-# 9-11 % less at 14 161 (N=120)
-AMG_CG_DOFS = 12_000
 # AMG: damping over rho(D^-1 A) of the prolongator smoothing (Vanek, Mandel
 # & Brezina) and of the Jacobi sweeps of the V-cycle
 PROLONGATOR_DAMPING = 4.0 / 3.0
@@ -92,11 +86,12 @@ def _scaled(A, b, s=None):
 
 
 def _preconditioned(A, b, block, hierarchy):
-    """As, bs, s for `hierarchy()` (default: one of A without levels, an
-    exact solve), its V-cycle and depth."""
-    H = SAHierarchy(A) if hierarchy is None else hierarchy()
-    As, bs, s = _scaled(A, b, H.scale)
-    return As, bs, s, H.preconditioner(As, block), len(H.levels) + 1
+    """As, bs, s for `hierarchy`, its V-cycle with `block` and its depth;
+    for None, A's own Jacobi scaling, the identity and depth 0."""
+    if hierarchy is None:
+        return (*_scaled(A, b), lambda r: r, 0)
+    As, bs, s = _scaled(A, b, hierarchy.scale)
+    return As, bs, s, hierarchy.preconditioner(As, block), len(hierarchy.levels) + 1
 
 
 def _finish(A, b, bnorm, xs, s, iterations, tol_rel, restarts=0, levels=0):
@@ -107,9 +102,9 @@ def _finish(A, b, bnorm, xs, s, iterations, tol_rel, restarts=0, levels=0):
 
 def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
        hierarchy=None) -> SolveResult:
-    """Conjugate gradients for symmetric systems, on a scaled matrix, with
-    the V-cycle of `hierarchy()` (default: an exact solve) and the exact
-    `block` above AMG_CG_DOFS unknowns, else A's own Jacobi scaling alone.
+    """Conjugate gradients for symmetric systems, preconditioned by the
+    V-cycle of `hierarchy` with the exact `block`, or for None by A's own
+    Jacobi scaling alone.
     Raises AsymmetricInput when some |A_ij - A_ji| exceeds 1e-12 * max|A|;
     returns the best iterate, converged=False, when the budget runs out."""
     A = A.tocsr()
@@ -121,8 +116,7 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0, True)
-    As, bs, s, M, levels = (_preconditioned(A, b, block, hierarchy) if n > AMG_CG_DOFS
-                            else (*_scaled(A, b), lambda r: r, 0))
+    As, bs, s, M, levels = _preconditioned(A, b, block, hierarchy)
     bsnorm = np.linalg.norm(bs)
     x = np.zeros(n)
     r = bs.copy()
@@ -215,9 +209,10 @@ class SAHierarchy:
     order up to COARSE_SIZE dofs (a dense LU's bits would follow OpenBLAS's
     thread count), and by splu above. The power iteration starts from a
     fixed seed, so every step is deterministic. Level 0 keeps no matrix.
+    For no aggregates, (), there are no levels: the V-cycle is an exact solve.
     """
 
-    def __init__(self, A, aggregates=()):
+    def __init__(self, A, aggregates):
         # imported here: scipy.sparse.linalg adds about 0.1 s to `import ppife`
         from scipy.sparse.linalg import splu
 
@@ -296,9 +291,9 @@ class SAHierarchy:
 def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
              hierarchy=None) -> SolveResult:
     """BiCGSTAB right-preconditioned (the convergence test sees the true
-    scaled residual) by the V-cycle of `hierarchy()` with the exact `block`,
-    or by an exact solve at COARSE_SIZE unknowns or fewer; at most 3
-    breakdowns restart it with a perturbed shadow vector."""
+    scaled residual) by the V-cycle of `hierarchy` with the exact `block`,
+    or for None by A's own Jacobi scaling alone; at most 3 breakdowns
+    restart it with a perturbed shadow vector."""
     A = A.tocsr()
     n = A.shape[0]
     if max_iter is None:
@@ -306,8 +301,7 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0, True)
-    As, bs, s, M, levels = (_preconditioned(A, b, block, hierarchy) if n > COARSE_SIZE
-                            else _preconditioned(A, b, None, None))
+    As, bs, s, M, levels = _preconditioned(A, b, block, hierarchy)
     bsnorm = np.linalg.norm(bs)
 
     rng = np.random.default_rng(67890)

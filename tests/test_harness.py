@@ -12,7 +12,7 @@ from ppife.cli import build_parser, main
 from ppife.errors import ConfigError, NotConverged
 from ppife.assembly import assemble_edge_terms
 from ppife.geometry import INTERFACE
-from ppife.harness import (_PARSE_KIND, RunConfig, _parse_number, build_context,
+from ppife.harness import (_PARSE_KIND, AMG_CG_DOFS, RunConfig, _parse_number, build_context,
                            cmd_convergence, cmd_solve, cmd_verify, evaluate_solution,
                            load_config, pointwise_error_field, scheme_params, solve_scheme)
 
@@ -342,13 +342,35 @@ def test_jacobi_cg_context_builds_no_hierarchy(monkeypatch):
     assert built == []
 
 
-def test_amg_levels_report_the_shared_hierarchy(monkeypatch):
+def test_small_systems_keep_jacobi_cg(monkeypatch):
+    # SPP at N=80 (6 241 free dofs, at most AMG_CG_DOFS) builds no
+    # hierarchy, and solve_scheme's solution is Jacobi-CG's, bit for bit
+    from ppife import linsolve
+    built = _count_hierarchies(monkeypatch)
+    for mesh in ("rect", "tri"):
+        cfg = RunConfig(mesh=mesh, N=(80,), beta_plus=1e4, schemes=("spp",))
+        ctx = build_context(cfg, 80)
+        assert len(ctx.split.free) <= AMG_CG_DOFS
+        rec, coeffs, system = solve_scheme(ctx, cfg, "spp")
+        res = linsolve.cg(*system.reduced())
+        assert res.amg_levels == 0 and rec.iterations == res.iterations
+        assert np.array_equal(coeffs[system.free], res.x)
+    assert built == []
+
+
+def _record_solves(monkeypatch):
+    """The SolveResult of every cg and bicgstab call, in call order."""
     from ppife import linsolve
     results = []
     for name in ("cg", "bicgstab"):
         solver = getattr(linsolve, name)
         monkeypatch.setattr(linsolve, name, lambda *a, _solver=solver, **kw:
                             results.append(_solver(*a, **kw)) or results[-1])
+    return results
+
+
+def test_amg_levels_report_the_shared_hierarchy(monkeypatch):
+    results = _record_solves(monkeypatch)
     cfg = RunConfig(N=(120,), beta_plus=1e4)
     ctx = build_context(cfg, 120)
     for scheme in ("spp", "npp"):
@@ -360,19 +382,20 @@ def test_amg_levels_report_the_shared_hierarchy(monkeypatch):
 
 @pytest.mark.parametrize("mesh", ["rect", "tri"])
 def test_nonsymmetric_schemes_below_the_coarse_size_solve_exactly(mesh, monkeypatch):
-    # N=16: 225 free dofs, at most COARSE_SIZE; IPP and NPP take an exact
-    # solve of their own scaled matrix (a hierarchy of it, without levels),
-    # not the shared hierarchy
+    # N=16: 225 free dofs, at most COARSE_SIZE; IPP and NPP run the shared
+    # hierarchy, which has no levels: an exact solve of A_vol inside the
+    # exact block
     from ppife import linsolve
     built = _count_hierarchies(monkeypatch)
+    results = _record_solves(monkeypatch)
     cfg = RunConfig(mesh=mesh, N=(16,), beta_plus=1e4)
     ctx = build_context(cfg, 16)
     assert len(ctx.split.free) <= linsolve.COARSE_SIZE
     for scheme in ("ipp", "npp"):
         rec = solve_scheme(ctx, cfg, scheme)[0]
-        assert rec.iterations == 1 and rec.residual <= cfg.solver_tol, scheme
-    assert len(built) == 2 and all(H.levels == [] for H in built)
-    assert "hierarchy" not in vars(ctx)
+        assert rec.iterations <= 3 and rec.residual <= cfg.solver_tol, scheme
+    assert [r.amg_levels for r in results] == [1, 1]
+    assert built == [ctx.hierarchy] and ctx.hierarchy.levels == []
 
 
 @pytest.mark.parametrize("mesh", ["rect", "tri"])
@@ -505,6 +528,27 @@ def test_cli_scheme_alias(tmp_path):
     ["verify", "--scan-betas", "1:10:100"],
 ])
 def test_cli_malformed_numbers_are_config_errors(tmp_path, argv, capsys):
+    assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--N", "16", "--beta-minus", "inf"],
+    ["solve", "--N", "16", "--beta-plus", "nan"],
+    ["solve", "--N", "16", "--interface-params", "0,0,inf"],
+    ["solve", "--N", "8", "--xmax", "inf"],
+    ["solve", "--N", "8", "--ymin=-inf"],
+    ["solve", "--N", "8", "--alpha-exp", "nan"],
+    ["solve", "--N", "8", "--sigma0", "inf"],
+    ["solve", "--N", "8", "--penalty-alpha", "nan"],
+    ["solve", "--N", "8", "--solver-tol", "nan"],
+    ["verify", "--scan-betas", "1:inf"],
+    ["verify", "--scan-betas", "nan:10"],
+])
+def test_cli_rejects_non_finite_numbers(tmp_path, argv, capsys):
+    # NaN passes every sign test and inf every bound; both are refused
+    # before anything runs
     assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()

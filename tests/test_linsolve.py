@@ -11,8 +11,7 @@ from ppife import linsolve
 from ppife.errors import AsymmetricInput
 from ppife.geometry import DomainSpec, build_mesh, circle, lattice_aggregates
 from oracles import check_csr, dense_solve, matvec_triplets
-from ppife.linsolve import (AMG_CG_DOFS, COARSE_SIZE, SAHierarchy, _is_symmetric, _scaled,
-                            bicgstab, cg)
+from ppife.linsolve import COARSE_SIZE, SAHierarchy, _is_symmetric, _scaled, bicgstab, cg
 
 
 def _tridiag(n):
@@ -247,7 +246,7 @@ def _lattice_hierarchy(mesh, N, beta_plus, A):
 def _solve_on(solver, H, A, b, block=None):
     """solver(A, b) preconditioned by the V-cycle of H, checked to have run
     all of H, so that no ceiling passes on an exact solve."""
-    res = solver(A, b, block=block, hierarchy=lambda: H)
+    res = solver(A, b, block=block, hierarchy=H)
     assert H.levels and res.amg_levels == len(H.levels) + 1
     return res
 
@@ -255,7 +254,7 @@ def _solve_on(solver, H, A, b, block=None):
 def test_bicgstab_is_deterministic():
     # each solve builds its own hierarchy
     A, b = _reduced_system("rect", 40, 1e4, "npp")
-    first, second = (bicgstab(A, b, hierarchy=lambda: _lattice_hierarchy("rect", 40, 1e4, A))
+    first, second = (bicgstab(A, b, hierarchy=_lattice_hierarchy("rect", 40, 1e4, A))
                      for _ in range(2))
     depth = len(_lattice_hierarchy("rect", 40, 1e4, A).levels) + 1
     assert first.converged and first.amg_levels == second.amg_levels == depth >= 2
@@ -287,11 +286,16 @@ def test_bicgstab_iterations_grow_slowly_with_N():
 
 
 def test_small_system_is_solved_by_the_coarse_factorization():
+    # a hierarchy of A itself has no levels at the coarse size: its V-cycle
+    # is an exact solve; without a hierarchy no V-cycle runs
     A, b = _reduced_system("rect", 20, 1e4, "npp")
     assert A.shape[0] <= COARSE_SIZE
-    assert SAHierarchy(A).levels == []
+    H = SAHierarchy(A, ())
+    assert H.levels == []
+    res = bicgstab(A, b, hierarchy=H)
+    assert res.converged and res.iterations == 1 and res.amg_levels == 1
     res = bicgstab(A, b)
-    assert res.converged and res.iterations == 1
+    assert res.converged and res.amg_levels == 0
 
 
 def test_sa_hierarchy_coarsens_to_the_coarse_size():
@@ -341,7 +345,8 @@ def test_blocked_bicgstab_iteration_ceiling(mesh, beta_plus):
 def test_block_solve_is_exact_and_optional():
     # the last step solves the block's rows exactly, so they hold for the
     # preconditioned vector; an empty or absent block leaves the plain
-    # V-cycle, and a system at the coarse size takes no V-cycle at all
+    # V-cycle, and at the coarse size a hierarchy of the system itself
+    # solves it exactly, with its block or without
     A, b, block = _blocked_system("rect", 40, 1e4, "npp")
     H = _context("rect", 40, 1e4)[1].hierarchy
     As, bs, _ = _scaled(A, b, H.scale)
@@ -353,9 +358,11 @@ def test_block_solve_is_exact_and_optional():
     for other in (np.array([], dtype=int), None):
         assert np.array_equal(H.preconditioner(As, other)(v), plain)
     small, small_b, small_block = _blocked_system("rect", 20, 1e4, "npp")
-    res = bicgstab(small, small_b, block=small_block,
-                   hierarchy=lambda: pytest.fail("no hierarchy at the coarse size"))
-    assert res.converged and res.iterations == 1
+    for other in (small_block, None):
+        res = bicgstab(small, small_b, block=other, hierarchy=SAHierarchy(small, ()))
+        assert res.converged and res.iterations == 1 and res.amg_levels == 1
+    res = bicgstab(small, small_b, block=small_block)
+    assert res.converged and res.amg_levels == 0
 
 
 def _weighted_laplacian(m, seed):
@@ -432,22 +439,11 @@ def test_preconditioned_cg_iteration_ceiling(mesh, beta_plus):
     # Jacobi-CG needs 320-475 iterations on these systems
     for scheme in ("classic", "spp"):
         A, b, block = _blocked_system(mesh, 160, beta_plus, scheme)
-        assert A.shape[0] > AMG_CG_DOFS
         res = _solve_on(cg, _lattice_hierarchy(mesh, 160, beta_plus, A), A, b, block)
         assert res.converged, scheme
         assert res.iterations <= 30, (scheme, res.iterations)
         x_direct = spla.splu(A.tocsc()).solve(b)
         assert np.linalg.norm(res.x - x_direct) <= 1e-10 * np.linalg.norm(x_direct), scheme
-
-
-def test_small_systems_keep_jacobi_cg():
-    for mesh in ("rect", "tri"):
-        A, b, block = _blocked_system(mesh, 80, 1e4, "spp")
-        assert A.shape[0] <= AMG_CG_DOFS
-        res = cg(A, b, block=block, hierarchy=lambda: pytest.fail("no hierarchy is built"))
-        assert res.converged and res.amg_levels == 0
-        assert np.array_equal(res.x, cg(A, b).x)
-    assert bicgstab(*_reduced_system("rect", 20, 1e4, "npp")).amg_levels == 1
 
 
 def test_cg_preconditioner_is_symmetric_and_positive():

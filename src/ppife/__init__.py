@@ -8,9 +8,9 @@ from .geometry import (CartesianMesh, CutSet, DomainSpec, InterfaceGeometry,
                        interface_edges, line)
 from .harness import RunConfig, build_context, cmd_convergence, cmd_solve, cmd_verify, load_config
 from .linsolve import SolveResult, bicgstab, cg
-from .local_basis import basis_residuals, build_bases, ife_coefficients
-from .postprocess import (PiecewiseSolution, RunRecord, convergence_rates,
-                          error_norms, interpolate_nodal, radial_interface_solution)
+from .local_basis import build_bases, ife_coefficients
+from .postprocess import (PiecewiseSolution, RunRecord, error_norms, interpolate_nodal,
+                          radial_interface_solution)
 from .quadrature import QuadratureRule, rect_rule, segment_rule
 from .verify import (ScanReport, interp_edge_error_study, scan_coefficient_bounds,
                      scan_coercivity, scan_trace_ratio)

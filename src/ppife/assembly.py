@@ -65,11 +65,11 @@ class MethodParams:
 # volume terms
 # ---------------------------------------------------------------------------
 
-def cut_volume_matrices(cuts, beta_minus, beta_plus, degree=VOLUME_DEGREE):
+def cut_volume_matrices(cuts, beta_minus, beta_plus):
     """Stiffness matrices (K, d, d) of the cut elements: each chord side's
     sub-polygon with its piece and its beta, over the blocks of `cut_sweep`."""
     A = np.zeros(cuts.cm.shape[:2] + cuts.cm.shape[1:2])
-    for side, rows, pts, w in cut_sweep(cuts, degree):
+    for side, rows, pts, w in cut_sweep(cuts, VOLUME_DEGREE):
         c = (cuts.cm, cuts.cp)[side][rows]
         G = piece_gradients(c, (pts - cuts.origin[rows, None]) / cuts.h[rows, None, None],
                             cuts.h[rows])
@@ -77,10 +77,10 @@ def cut_volume_matrices(cuts, beta_minus, beta_plus, degree=VOLUME_DEGREE):
     return A
 
 
-def assemble_volume(mesh, status, cuts, beta_minus, beta_plus, free=None, pairs=((), ())):
+def assemble_volume(mesh, status, cuts, beta_minus, beta_plus, free, pairs):
     """Stiffness matrix sum_K int_K beta grad(phi_i) . grad(phi_j), CSR, on
-    the nodes `free` (default: all), with the node pairs `pairs` = (rows,
-    cols) of free nodes stored too, as zeros where it has none.
+    the ascending nodes `free`, with the node pairs `pairs` = (rows, cols) of
+    free nodes stored too, as zeros where it has none.
 
     Each row is a stencil over the node's neighbours (9 points on
     rectangles, 7 on triangles, and the pairs' offsets), filled by shifted
@@ -89,9 +89,9 @@ def assemble_volume(mesh, status, cuts, beta_minus, beta_plus, free=None, pairs=
     elements' matrices: each entry sums the standard elements, then the cut
     ones, in ascending element order. Bands of rows of about
     `_SWEEP_POINTS` stencil entries go straight into the matrix's arrays.
-    With `free`, it returns also the pairs' positions in them, and the free
-    rows' entries in the other columns as (rows, cols, values) in row order:
-    the block of the boundary lift."""
+    Returns (A, pair_at, lift): the matrix, the pairs' positions in its
+    arrays, and the free rows' entries in the other columns as (rows, cols,
+    values) in row order, the block of the boundary lift."""
     n, d, nn = mesh.n_cells, mesh.n_local, mesh.n_nodes
     corners = _CORNERS[mesh.cell_kind]
     nvar = len(corners)
@@ -121,7 +121,6 @@ def assemble_volume(mesh, status, cuts, beta_minus, beta_plus, free=None, pairs=
     cut_val = cut_volume_matrices(cuts, beta_minus, beta_plus).ravel()[by_row]
 
     idx = np.int32 if nn * S < 2 ** 31 else np.int64
-    full, free = free is None, np.arange(nn) if free is None else free
     pos = np.full(nn, -1, dtype=idx)
     pos[free] = np.arange(len(free))
     indptr = np.zeros(len(free) + 1, dtype=idx)
@@ -158,7 +157,7 @@ def assemble_volume(mesh, status, cuts, beta_minus, beta_plus, free=None, pairs=
     indices.resize(w, refcheck=False)
     data.resize(w, refcheck=False)
     A = sp.csr_matrix((data, indices, indptr), shape=(len(free), len(free)))
-    return A if full else (A, pair_at, tuple(np.concatenate(x) for x in zip(*lift)))
+    return A, pair_at, tuple(np.concatenate(x) for x in zip(*lift))
 
 
 # ---------------------------------------------------------------------------
@@ -290,31 +289,30 @@ def bulk_rules(mesh, degree):
             for variant, J, name in ((0, J_low, "tri_lower"), (1, J_up, "tri_upper"))}
 
 
-def cut_data_rules(cuts, iface, degree=DATA_DEGREE, refine=DATA_REFINE):
+def cut_data_rules(cuts, iface):
     """The refined fan rules of the load and the error norms over the cut
     elements: the blocks (side, rows, points, weights) of
     `geometry.cut_sweep`, each with whether phi < 0 at its points appended.
     A context builds them once."""
     return [(side, rows, pts, wts, np.asarray(iface.phi(pts[..., 0], pts[..., 1])) < 0)
-            for side, rows, pts, wts in cut_sweep(cuts, degree, refine)]
+            for side, rows, pts, wts in cut_sweep(cuts, DATA_DEGREE, DATA_REFINE)]
 
 
-def assemble_load(mesh, status, cuts, solution, iface, degree=DATA_DEGREE,
-                  refine=DATA_REFINE, rules=None):
+def assemble_load(mesh, status, cuts, solution, iface, rules):
     """Load vector b_i = sum_K int_K f phi_i with the data-side of f chosen by
-    the exact level set at each quadrature point. `rules` are the
-    `cut_data_rules` of `cuts`, made here when not given. A chord side's rule
-    lies on its piece: the piece's coefficients times sum_q w f mono(xi_q)."""
+    the exact level set at each quadrature point, over the `cut_data_rules`
+    `rules` of `cuts` on the cut elements. A chord side's rule lies on its
+    piece: the piece's coefficients times sum_q w f mono(xi_q)."""
     b = np.zeros(mesh.n_nodes)
     h = mesh.h
     tables = {v: (template_values(name, spts).T, spts, swts * h * h)
-              for v, (name, spts, swts) in bulk_rules(mesh, degree).items()}
+              for v, (name, spts, swts) in bulk_rules(mesh, DATA_DEGREE).items()}
     for (V, _, w), ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
         np.add.at(b, mesh.elements[ids], (solution.f(x, y, minus) * w) @ V)
 
     if len(cuts):
         acc = np.zeros(cuts.cm.shape[:2] + (1,))
-        for side, rows, pts, wts, minus in rules or cut_data_rules(cuts, iface, degree, refine):
+        for side, rows, pts, wts, minus in rules:
             c = (cuts.cm, cuts.cp)[side][rows]
             fw = solution.f(pts[..., 0], pts[..., 1], minus) * wts
             xi = (pts - cuts.origin[rows, None]) / cuts.h[rows, None, None]
@@ -354,7 +352,8 @@ class DirichletSplit(NamedTuple):
     A_vol's index arrays are the pattern of every scheme matrix, which
     stores the couplings of M, M^T and P_unit too. `terms` holds M, M^T and
     P_unit as (values, positions in the pattern), and `lifts` A_vol, M, M^T
-    and P_unit times the boundary values as (rows, values), nonzero rows."""
+    and P_unit times the boundary values as (rows, values), nonzero rows;
+    a term's rows and columns are those of its positions in A_vol."""
 
     A_vol: sp.csr_matrix
     terms: tuple
@@ -364,27 +363,20 @@ class DirichletSplit(NamedTuple):
     boundary_values: np.ndarray
     free: np.ndarray
 
-    def matrix(self, data, at=None):
-        """CSR matrix of `data` on the pattern (shared) or of a term at `at`."""
-        A = self.A_vol
-        if at is None:
-            return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
-        rows = np.searchsorted(A.indptr, at, side="right") - 1
-        return sp.csr_matrix((data, (rows, A.indices[at])), shape=A.shape)
-
     def system(self, params: MethodParams) -> SparseSystem:
         """A scheme's free-node system: the data of A_vol + delta M +
         epsilon M^T + sigma0 P_unit, summed entry by entry in that order,
         and the load less the lifts weighted alike."""
-        data = self.A_vol.data.copy()
+        A = self.A_vol
+        data = A.data.copy()
         for weight, (values, at) in zip((params.delta, params.epsilon, params.sigma0), self.terms):
             data[at] += weight * values
         lA, lM, lMt, lP = (np.zeros(len(self.free)) for _ in self.lifts)
         for lift, (rows, values) in zip((lA, lM, lMt, lP), self.lifts):
             lift[rows] = values
         rhs = self.b - (lA + params.delta * lM + params.epsilon * lMt + params.sigma0 * lP)
-        return SparseSystem(self.matrix(data), rhs, self.boundary, self.boundary_values,
-                            self.free)
+        return SparseSystem(sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape), rhs,
+                            self.boundary, self.boundary_values, self.free)
 
 
 def apply_dirichlet(mesh, status, cuts, beta_minus, beta_plus, M, P_unit, b,

@@ -42,10 +42,23 @@ def build_parser():
     return parser
 
 
+def _attach_values(argv):
+    """`argv` with each flag that takes a value joined to the argument after
+    it, as `--flag=value`: argparse reads a value that starts with "-", like
+    -pi or -0.1,0,0.5, as a flag of its own."""
+    flags = {"--config", "--scheme"} | {"--" + key.replace("_", "-")
+                                        for key, kind in _PARSE_KIND.items() if kind != "bool"}
+    out, args = [], iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in flags else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 

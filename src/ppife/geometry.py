@@ -25,6 +25,9 @@ SIDE_MINUS = -1
 SIDE_PLUS = 1
 INTERFACE = 0
 
+# phi values below SNAP_TOL * h in magnitude count as on the curve
+SNAP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -109,9 +112,6 @@ class CartesianMesh:
     @property
     def n_local(self):
         return self.elements.shape[1]
-
-    def element_vertices(self, e):
-        return self.nodes[self.elements[e]]
 
     def node_elements(self, nodes):
         """Ids of the elements with a vertex among `nodes`, with repeats:
@@ -216,7 +216,8 @@ class InterfaceGeometry:
     """Implicit curve phi(x, y) = 0 with phi < 0 on the minus subdomain.
 
     `phi` and `grad` must accept numpy arrays, x broadcasting against y;
-    `grad` returns (gx, gy). `reach(x, y, l)`, where given, bounds
+    `grad` returns (gx, gy). Values of phi within SNAP_TOL * h of 0 snap
+    onto the curve. `reach(x, y, l)`, where given, bounds
     |phi(q) - phi(x, y)| exactly from above for all q within l of (x, y):
     `classify_elements` then audits for crossings only the edges of the
     elements around the nodes where |phi| is within reach of twice the
@@ -226,7 +227,6 @@ class InterfaceGeometry:
 
     phi: Callable
     grad: Callable
-    snap_tol: float = 1e-10
     name: str = "custom"
     params: tuple = ()
     reach: Optional[Callable] = None
@@ -339,7 +339,7 @@ def _outer_signs(signs):
 def edge_crossings(p0, p1, iface: InterfaceGeometry, h):
     """Interface crossings of the segments p0[i] -> p1[i], bisected all at once.
 
-    Samples with |phi| < snap_tol*h are snapped onto the curve. A segment has
+    Samples with |phi| < SNAP_TOL*h are snapped onto the curve. A segment has
     a crossing when its first and last strictly-signed samples have opposite
     signs; a snapped endpoint thus adds no crossing of its own, but does not
     hide one inside the segment. A sign audit on a 16-interval refinement
@@ -351,7 +351,7 @@ def edge_crossings(p0, p1, iface: InterfaceGeometry, h):
     """
     p0 = np.asarray(p0, float).reshape(-1, 2)
     p1 = np.asarray(p1, float).reshape(-1, 2)
-    vals, signs = _edge_signs(p0, p1, iface, iface.snap_tol * h)
+    vals, signs = _edge_signs(p0, p1, iface, SNAP_TOL * h)
     flips = _sign_flips(signs)
     if (flips > 1).any():
         i = int(np.argmax(flips > 1))
@@ -474,7 +474,7 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     non-interface status.
     """
     h, n = mesh.h, mesh.n_cells
-    tol = iface.snap_tol * h
+    tol = SNAP_TOL * h
     # phi on a row of node x against a column of node y, by broadcasting
     x, y = mesh.nodes[:n + 1, 0], mesh.nodes[::n + 1, 1, None]
     node_phi = np.asarray(iface.phi(x, y), float)

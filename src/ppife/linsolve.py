@@ -10,8 +10,9 @@ gives, with an exact solve of a block of unknowns around it. One
 hierarchy, built on the Jacobi scaling of A_vol, serves every scheme of a
 context: each scheme matrix is scaled by the same D and smooths level 0,
 and the block covers the rows where it leaves A_vol (multiplicative
-subspace correction; Xu, SIAM Review 34, 1992). `harness.solve_scheme`
-chooses the solves that run it; the others use Jacobi scaling alone.
+subspace correction; Xu, SIAM Review 34, 1992); a banded LU solves the
+block and the coarsest level. `harness.solve_scheme` chooses the solves
+that run it; the others use Jacobi scaling alone.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AsymmetricInput
+from .errors import AsymmetricInput, PpifeError
 
 DEFAULT_TOL = 1e-12
 # AMG: coarsening stops at this many dofs or fewer; that level is solved by
@@ -167,7 +168,9 @@ def _spectral_radius(A, dinv, rng, steps=15):
 def _banded_lu(B):
     """Exact solver of B x = v as a function of v, from LAPACK's banded LU
     with partial pivoting of B in reverse Cuthill-McKee order, or None when
-    B is singular. It stores n (2 kl + ku + 1) floats for the bandwidths kl,
+    B is singular: the V-cycle's one direct solver, of its block and its
+    coarsest level, whose bits, unlike a dense LU's, do not follow the BLAS
+    thread count. It stores n (2 kl + ku + 1) floats for the bandwidths kl,
     ku of the reordered B: 0.3 MB for the 648-dof interface block of rect
     N=160, where splu keeps its whole initial fill estimate, 5.1 MB."""
     from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -205,17 +208,13 @@ class SAHierarchy:
     D^{1/2} 1, null for the scaled A where A has zero row sums. Coarsening
     stops at COARSE_SIZE dofs or fewer, at a zero diagonal entry, where a
     level merges fewer than half its unknowns, or when the pairs run out.
-    The coarsest level is solved by a banded LU in reverse Cuthill-McKee
-    order up to COARSE_SIZE dofs (a dense LU's bits would follow OpenBLAS's
-    thread count), and by splu above. The power iteration starts from a
+    The coarsest level, whatever its size, is solved by `_banded_lu`; a
+    singular one raises PpifeError. The power iteration starts from a
     fixed seed, so every step is deterministic. Level 0 keeps no matrix.
     For no aggregates, (), there are no levels: the V-cycle is an exact solve.
     """
 
     def __init__(self, A, aggregates):
-        # imported here: scipy.sparse.linalg adds about 0.1 s to `import ppife`
-        from scipy.sparse.linalg import splu
-
         rng = np.random.default_rng(AMG_SEED)
         self.levels = []            # (omega / rho, P, next level's matrix) per level
         A, _, self.scale = _scaled(A.tocsr(), 0.0)
@@ -239,8 +238,9 @@ class SAHierarchy:
             self.levels.append((SMOOTHER_DAMPING / rho, P, A))
             B = norms
         self.coarse = A             # the coarsest matrix, solved by coarse_solve
-        solve = _banded_lu(A) if A.shape[0] <= COARSE_SIZE else None
-        self.coarse_solve = splu(A.tocsc()).solve if solve is None else solve
+        self.coarse_solve = _banded_lu(A)
+        if self.coarse_solve is None:
+            raise PpifeError(f"the coarsest AMG matrix, {A.shape[0]} unknowns, is singular")
 
     def preconditioner(self, A, block=None):
         """One V-cycle, an approximation of A^-1 v as a function of v, with

@@ -117,14 +117,14 @@ def local_frames(verts):
     return verts.min(axis=1), np.ptp(verts, axis=1).max(axis=1)
 
 
-def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_ids=None):
+def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_ids):
     """Immersed-basis coefficients of a stack of K cut elements.
 
     `verts` is a float array (K, 3, 2) for triangles or (K, 4, 2) for
-    rectangles; D, E and the unit chord normals are float arrays (K, 2).
-    Returns (cm, cp, origin, h): the scaled-monomial coefficients of the
-    minus and plus pieces, each (K, d, m), and the frames (`local_frames`)
-    they refer to.
+    rectangles; D, E and the unit chord normals are float arrays (K, 2), and
+    `element_ids` (K,) names the elements in errors. Returns (cm, cp, origin,
+    h): the scaled-monomial coefficients of the minus and plus pieces, each
+    (K, d, m), and the frames (`local_frames`) they refer to.
 
     A triangle has six unknowns (two linear pieces): three nodal conditions,
     continuity at D and at E, and matching of the normal flux beta * dv/dn
@@ -135,8 +135,8 @@ def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_i
     The flux row is divided by max(beta).
 
     All systems are inverted at once, with one mixed-precision refinement
-    sweep. SingularLocalSystem names the first element (its entry of
-    `element_ids`, else its stack index) whose condition estimate, the bound
+    sweep. SingularLocalSystem names the first element, by its entry of
+    `element_ids`, whose condition estimate, the bound
     ||M||_F ||M^-1||_F >= cond_2 (cond_2 by SVD if a member is exactly
     singular), exceeds 1e14 or whose long-double residual exceeds 1e-12.
     """
@@ -183,10 +183,9 @@ def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_i
     bad = ill | ~np.isfinite(resid) | (resid > 1e-12)
     if bad.any():
         i = int(np.argmax(bad))
-        eid = i if element_ids is None else element_ids[i]
         what = (f"condition estimate {cond[i]:.3e}" if ill[i]
                 else f"local residual {float(resid[i]):.3e}")
-        raise SingularLocalSystem(f"element {eid}: {what}")
+        raise SingularLocalSystem(f"element {element_ids[i]}: {what}")
     # the xy coefficient, on rectangles, is both pieces'
     cm, cp = (X[:, cols].transpose(0, 2, 1).copy()
               for cols in (([0, 1, 2, 6], [3, 4, 5, 6]) if nv == 4 else ([0, 1, 2], [3, 4, 5])))
@@ -224,54 +223,3 @@ def cut_gradients(cuts, rows, xi, plus):
     cm, cp, p = cuts.cm[rows], cuts.cp[rows], plus[..., None, :]
     return _gradients([np.where(p, cp[..., k:k + 1], cm[..., k:k + 1])
                        for k in range(1, cm.shape[-1])], xi, cuts.h[rows])
-
-
-# ---------------------------------------------------------------------------
-# invariant checks
-# ---------------------------------------------------------------------------
-
-def basis_residuals(cuts, beta_minus, beta_plus):
-    """Worst-case residuals of the defining conditions of the immersed bases
-    of a CutSet, per cut, in long double.
-
-    Returns a dict of (K,) arrays with keys 'kronecker', 'continuity', 'flux'
-    and 'partition'. The flux residual is pointwise
-    (|beta- dv-/dn - beta+ dv+/dn|) for linear bases and the chord-line
-    integral for bilinear ones; like the builder's flux row it is divided by
-    max(beta), so all four are unit-free.
-    """
-    ld = np.longdouble
-    cm, cp = cuts.cm.astype(ld), cuts.cp.astype(ld)
-    origin, h = cuts.origin.astype(ld)[:, None], cuts.h.astype(ld)
-    bm, bp = ld(beta_minus), ld(beta_plus)
-    n = cuts.normal.astype(ld)[:, None, None]
-
-    def xi(p):
-        return (p.astype(ld) - origin) / h[:, None, None]
-
-    def flux(p):
-        """beta- dv-/dn - beta+ dv+/dn at the points p (K, n, 2): (K, d, n)."""
-        return ((bm * piece_gradients(cm, xi(p), h) - bp * piece_gradients(cp, xi(p), h))
-                * n).sum(axis=-1)
-
-    verts, ends = cuts.verts, np.stack([cuts.D, cuts.E], axis=1)
-    plus = (np.vecdot(verts - cuts.D[:, None], cuts.normal[:, None])
-            > CHORD_TIE_TOL * cuts.h[:, None])
-    vals = np.where(plus[:, None], piece_values(cp, xi(verts)), piece_values(cm, xi(verts)))
-    out = {"kronecker": np.abs(vals - np.eye(cm.shape[1])).max(axis=(1, 2)),
-           "continuity": np.abs(piece_values(cm, xi(ends))
-                                - piece_values(cp, xi(ends))).max(axis=(1, 2))}
-    if verts.shape[1] == 3:
-        out["flux"] = np.abs(flux(cuts.D[:, None])).max(axis=(1, 2))
-    else:
-        # 2-point Gauss along the chord; exact for an affine integrand and
-        # independent of the midpoint rule used in the construction
-        t = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)], dtype=ld)[:, None]
-        L = np.sqrt(np.vecdot(cuts.E - cuts.D, cuts.E - cuts.D)).astype(ld)
-        p = cuts.D.astype(ld)[:, None] * (1 - t) + cuts.E.astype(ld)[:, None] * t
-        out["flux"] = np.abs(flux(p).sum(axis=-1) * (L / 2)[:, None]).max(axis=1)
-    out["flux"] = out["flux"] / max(bm, bp)
-    out["partition"] = np.maximum(*(np.maximum(np.abs(c[:, :, 0].sum(axis=1) - 1),
-                                               np.abs(c[:, :, 1:].sum(axis=1)).max(axis=1))
-                                    for c in (cm, cp)))
-    return {k: v.astype(float) for k, v in out.items()}

@@ -1,4 +1,4 @@
-"""Manufactured solutions, error norms, convergence rates, and run records."""
+"""Manufactured solutions, error norms, and run records with their tables."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import DATA_DEGREE, DATA_REFINE, bulk_rules, cut_data_rules
+from .assembly import DATA_DEGREE, bulk_rules
 from .geometry import RECT, bulk_sweep
 from .local_basis import (cut_frame, piece_gradients, piece_values, template_gradients,
                           template_values)
@@ -115,17 +115,16 @@ def interpolate_nodal(mesh, sol, iface):
 # error norms
 # ---------------------------------------------------------------------------
 
-def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params,
-                degree=DATA_DEGREE, refine=DATA_REFINE, rules=None):
+def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules):
     """Errors of u_h against the exact solution, keyed like `_NORM_KEYS`.
 
     'l2' is ||u - u_h||_L2, 'h1' the broken H1 seminorm, 'linf' the sampled
     max error and 'energy' ||u - u_h||_h: the beta-weighted broken H1 seminorm
     plus the penalty jump terms. The exact solution is continuous across
     edges, so the edge jumps of the error reduce to the jumps of u_h, taken
-    on the interface-edge `traces` that `assembly.edge_traces` returns, and
-    the cut elements' integrals on their `assembly.cut_data_rules`, made here
-    when `rules` is not given.
+    on the interface-edge `traces` that `assembly.edge_traces` returns. The
+    cut elements' integrals run on `rules`, their `assembly.cut_data_rules`,
+    and the standard elements' on the rules of degree DATA_DEGREE.
 
     One sweep over the standard elements and one over the chord sides of the
     cut elements fill the three squared sums; the cut elements' terms are
@@ -138,11 +137,10 @@ def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params,
     gradient norms by an h-independent factor at large jumps.
     """
     beta = (sol.params["beta_minus"], sol.params["beta_plus"])
-    sums = _bulk_sums(mesh, status, coeffs, sol, iface, beta, degree)
+    sums = _bulk_sums(mesh, status, coeffs, sol, iface, beta)
     if len(cuts):
         # sequential sums keep the order of an element-by-element walk
-        parts = _cut_sums(mesh, cuts, coeffs, sol, beta,
-                          rules or cut_data_rules(cuts, iface, degree, refine))
+        parts = _cut_sums(mesh, cuts, coeffs, sol, beta, rules)
         sums = sums + np.cumsum(parts.reshape(-1, 3), axis=0)[-1]
     l2, h1, energy = sums
     if params.sigma0 != 0.0:
@@ -155,14 +153,14 @@ def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params,
             "energy": float(np.sqrt(energy))}
 
 
-def _bulk_sums(mesh, status, coeffs, sol, iface, beta, degree):
+def _bulk_sums(mesh, status, coeffs, sol, iface, beta):
     """Squared L2, H1 and energy error sums over the standard elements,
     accumulated block by block."""
     h = mesh.h
     sums = np.zeros(3)
     tables = {v: (template_values(name, spts), spts, swts * h * h,
                   template_gradients(name, spts) / h)
-              for v, (name, spts, swts) in bulk_rules(mesh, degree).items()}
+              for v, (name, spts, swts) in bulk_rules(mesh, DATA_DEGREE).items()}
     for (V, _, w, G), ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
         ce = coeffs[mesh.elements[ids]]
         diff = sol.u(x, y, minus) - ce @ V
@@ -228,14 +226,6 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
         ue = sol.u_at(pts[..., 0], pts[..., 1], iface)
         worst = max(worst, float(np.abs(ue - uh).max()))
     return worst
-
-
-def convergence_rates(errors):
-    """rate_k = log2(e_k / e_{k+1}) for a doubling sequence of (N, error)."""
-    pairs = list(zip(errors[:-1], errors[1:]))
-    if any(n1 != 2 * n0 for (n0, _), (n1, _) in pairs):
-        raise ValueError("convergence_rates expects a doubling N sequence")
-    return [float(np.log(e0 / e1) / np.log(2.0)) for (_, e0), (_, e1) in pairs]
 
 
 # ---------------------------------------------------------------------------

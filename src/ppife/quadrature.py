@@ -20,11 +20,10 @@ MAX_DEGREE = 10
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Point set, positive weights, and the polynomial degree it integrates exactly."""
+    """Point set and positive weights of a reference rule."""
 
     points: np.ndarray   # (n,) for reference segments, (n, 2) otherwise
     weights: np.ndarray  # (n,)
-    degree: int
 
     @property
     def n_points(self):
@@ -50,7 +49,7 @@ def segment_rule(degree):
     """Gauss-Legendre rule on the reference segment [0, 1]."""
     degree = _check_degree(degree)
     x, w = _gauss01(degree // 2 + 1)
-    return QuadratureRule(x, w, degree)
+    return QuadratureRule(x, w)
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +58,7 @@ def rect_rule(degree):
     degree = _check_degree(degree)
     x, w = _gauss01(degree // 2 + 1)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    return QuadratureRule(np.column_stack([X.ravel(), Y.ravel()]), np.outer(w, w).ravel(), degree)
+    return QuadratureRule(np.column_stack([X.ravel(), Y.ravel()]), np.outer(w, w).ravel())
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +74,7 @@ def _collapsed_triangle_rule(degree):
     Y = V * (1.0 - U)
     W = np.outer(wu, wv) * (1.0 - U)
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    return QuadratureRule(pts, W.ravel(), degree)
+    return QuadratureRule(pts, W.ravel())
 
 
 # ---------------------------------------------------------------------------

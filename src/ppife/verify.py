@@ -259,19 +259,20 @@ def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7) -> ScanReport:
 # coercivity
 # ---------------------------------------------------------------------------
 
-def _lower_bands(*mats):
-    """The symmetric parts 0.5 (X + X^T) of the sparse (n, n) matrices
-    `mats` as lower bands (len(mats), k + 1, n) in LAPACK's banded storage
-    over the largest bandwidth k among them: each entry on or below the
-    diagonal plus the mirror of each one on or above it."""
-    mats = [X.tocoo() for X in mats]
-    k = max(np.abs(X.row - X.col).max(initial=0) for X in mats)
-    bands = np.zeros((2, len(mats), k + 1, mats[0].shape[0]))
-    for i, X in enumerate(mats):
-        d = X.row - X.col
-        low, up = d >= 0, d <= 0
-        bands[0, i, d[low], X.col[low]] = X.data[low]
-        bands[1, i, -d[up], X.row[up]] = X.data[up]
+def _lower_bands(A, *terms):
+    """The symmetric parts 0.5 (X + X^T) of the CSR matrix A and of the
+    `terms`, each (values, positions) on A's pattern, as lower bands
+    (1 + len(terms), k + 1, n) in LAPACK's banded storage over the
+    pattern's bandwidth k: each entry on or below the diagonal plus the
+    mirror of each one on or above it."""
+    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    d = row - A.indices
+    terms = ((A.data, slice(None)),) + terms
+    bands = np.zeros((2, len(terms), np.abs(d).max(initial=0) + 1, A.shape[0]))
+    for i, (values, at) in enumerate(terms):
+        low, up = d[at] >= 0, d[at] <= 0
+        bands[0, i, d[at][low], A.indices[at][low]] = values[low]
+        bands[1, i, -d[at][up], row[at][up]] = values[up]
     return 0.5 * (bands[0] + bands[1])
 
 
@@ -291,10 +292,11 @@ def _sym_part_spd(bands, params):
     return True
 
 
-def _coercivity_bands(Ns, beta_pairs, cell_kind, r0=DEFAULT_R0, alpha=1.0):
-    """The `_lower_bands` of the free-node A_vol, M and P_unit per (N, beta
-    pair); the mesh, cut elements and interface edges once per N."""
-    iface = circle(0.0, 0.0, r0)
+def _coercivity_bands(Ns, beta_pairs, cell_kind):
+    """The `_lower_bands` of the free-node A_vol, M and P_unit (penalty
+    exponent 1) per (N, beta pair) of the circle of radius DEFAULT_R0; the
+    mesh, cut elements and interface edges once per N."""
+    iface = circle(0.0, 0.0, DEFAULT_R0)
     bands = {}
     for N in Ns:
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, cell_kind))
@@ -302,11 +304,10 @@ def _coercivity_bands(Ns, beta_pairs, cell_kind, r0=DEFAULT_R0, alpha=1.0):
         edges = interface_edges(mesh, geo)
         for bm, bp in beta_pairs:
             cuts = build_bases(geo, bm, bp)
-            M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, bm, bp, alpha)
+            M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, bm, bp, 1.0)
             split = apply_dirichlet(mesh, status, cuts, bm, bp, M, P, np.zeros(mesh.n_nodes),
                                     lambda x, y: np.zeros_like(x))
-            bands[(N, (bm, bp))] = _lower_bands(split.A_vol, split.matrix(*split.terms[0]),
-                                                split.matrix(*split.terms[2]))
+            bands[(N, (bm, bp))] = _lower_bands(split.A_vol, split.terms[0], split.terms[2])
     return bands
 
 

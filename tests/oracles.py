@@ -28,7 +28,10 @@ the sum of sparse scheme terms (`combine_system`) and the symmetry check
 through a sparse difference that the shared free-node pattern replaces,
 the sign audit of every mesh edge that the reach-pruned audit replaces, and
 the padded fan rules over all cut elements at once that `cut_sweep`'s
-blocks replace.
+blocks replace. Last, the checks that tests run on library results: the
+residuals of the immersed bases' defining conditions and the convergence
+rates of an error sequence, and `full_volume`, the full-node stiffness
+matrix through the library's one volume assembly.
 """
 import functools
 from dataclasses import dataclass
@@ -42,7 +45,7 @@ from ppife.assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, MethodParams,
                             cut_volume_matrices)
 from ppife.errors import GeometryError, MultipleCrossings, PpifeError, SingularLocalSystem
 from ppife.geometry import (_AUDIT_ROWS, _SWEEP_POINTS, INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS,
-                            TRI, CutSet, DomainSpec, _cut_set, _edge_signs, _outer_signs,
+                            SNAP_TOL, TRI, CutSet, DomainSpec, _cut_set, _edge_signs, _outer_signs,
                             _sign_flips, _snapped_sign, build_mesh, circle, classify_elements,
                             edge_crossings, interface_edges)
 from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_bases, cut_frame,
@@ -65,7 +68,7 @@ def _compressed_sign_flips(signs):
 def edge_intersection(p0, p1, iface, h=None):
     """Interface crossing of the segment p0 -> p1, or None.
 
-    Samples with |phi| < snap_tol*h are snapped onto the curve; the segment
+    Samples with |phi| < SNAP_TOL*h are snapped onto the curve; the segment
     is crossed when its first and last strictly-signed samples have opposite
     signs. A sign audit on a 16-interval refinement raises MultipleCrossings
     when the curve cuts the segment more than once. The crossing parameter is
@@ -75,7 +78,7 @@ def edge_intersection(p0, p1, iface, h=None):
     p1 = np.asarray(p1, float)
     if h is None:
         h = np.linalg.norm(p1 - p0)
-    tol = iface.snap_tol * h
+    tol = SNAP_TOL * h
 
     ts = np.linspace(0.0, 1.0, _N_EDGE_SAMPLES)
     pts = p0 + ts[:, None] * (p1 - p0)
@@ -375,7 +378,7 @@ def classify_cuts(mesh, iface):
     element with a snapped vertex or a crossed edge goes through
     `classify_one`; the crossings are those of `geometry.edge_crossings` over
     every mesh edge."""
-    tol = iface.snap_tol * mesh.h
+    tol = SNAP_TOL * mesh.h
     node_phi = np.asarray(iface.phi(mesh.nodes[:, 0], mesh.nodes[:, 1]), float)
     node_sign = np.where(np.abs(node_phi) < tol, 0, np.sign(node_phi)).astype(np.int8)
     full = full_mesh(mesh)
@@ -399,7 +402,7 @@ def classify_cuts(mesh, iface):
 
 def oracle_bases(mesh, cuts, beta_minus, beta_plus):
     """{element id: LocalBasis} of the per-element solve, keyed like `cuts`."""
-    return {k: ife_basis(k, mesh.element_vertices(k), c.D, c.E, c.chord_normal,
+    return {k: ife_basis(k, mesh.nodes[mesh.elements[k]], c.D, c.E, c.chord_normal,
                          beta_minus, beta_plus) for k, c in cuts.items()}
 
 
@@ -453,7 +456,7 @@ def split_polygon_rule(poly, degree, refine=0):
     if area < 1e-14 * scale * scale:
         raise DegeneratePolygon(f"polygon area {area:.3e} below tolerance")
     pts, wts = fan_rule(poly, degree, refine)
-    return QuadratureRule(pts, wts, degree)
+    return QuadratureRule(pts, wts)
 
 
 def split_edge_rule(p0, p1, crossings, degree):
@@ -473,7 +476,7 @@ def split_edge_rule(p0, p1, crossings, degree):
     ts = [float(np.dot(np.asarray(x, float) - p0, d) / (length * length)) for x in crossings]
     breaks = np.concatenate([[0.0], np.sort(ts), [1.0]])[:, None]
     pts, wts = map_segment(segment_rule(degree), p0 + breaks[:-1] * d, p0 + breaks[1:] * d)
-    return QuadratureRule(pts.reshape(-1, 2), wts.ravel(), degree)
+    return QuadratureRule(pts.reshape(-1, 2), wts.ravel())
 
 
 def edge_split_points(mesh, edge_id, cuts):
@@ -866,7 +869,7 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
             return bases[k]
         kind, variant = (("q1", "rect") if mesh.cell_kind == RECT else
                          ("p1", ("tri_lower", "tri_upper")[mesh.element_variant[k]]))
-        return standard_basis(k, mesh.element_vertices(k), kind, variant)
+        return standard_basis(k, mesh.nodes[mesh.elements[k]], kind, variant)
 
     full = full_mesh(mesh)
 
@@ -903,7 +906,7 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
         worst = max(worst, float(np.abs(sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
                                         - uh).max()))
     for k in cut_ids:
-        verts = mesh.element_vertices(k)
+        verts = mesh.nodes[mesh.elements[k]]
         lo = verts.min(axis=0)
         span = verts.max(axis=0) - lo
         pts = np.column_stack([(lo[0] + span[0] * TX).ravel(), (lo[1] + span[1] * TY).ravel()])
@@ -949,7 +952,7 @@ def all_edge_classify(mesh, iface):
     `iface`, and phi at the nodes, the centroids (`mesh_frames`) and the
     snapped elements from gathers over every node and element."""
     h = mesh.h
-    tol = iface.snap_tol * h
+    tol = SNAP_TOL * h
     node_sign = _snapped_sign(np.asarray(iface.phi(mesh.nodes[:, 0], mesh.nodes[:, 1]), float),
                               tol)
     solve = []
@@ -1012,7 +1015,7 @@ def free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
     iface = circle(0.0, 0.0, r0)
     status, cuts = classify_elements(mesh, iface)
     cuts = build_bases(cuts, bm, bp)
-    A_vol = assemble_volume(mesh, status, cuts, bm, bp)
+    A_vol = full_volume(mesh, status, cuts, bm, bp)
     M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, bm, bp, alpha)
     free = mesh.interior_nodes
     return A_vol[free][:, free], M[free][:, free], P[free][:, free]
@@ -1103,10 +1106,10 @@ def full_node_system(ctx, params):
     times the boundary values."""
     bm, bp = ctx.sol.params["beta_minus"], ctx.sol.params["beta_plus"]
     mesh = ctx.mesh
-    A_vol = assemble_volume(mesh, ctx.status, ctx.cuts, bm, bp)
+    A_vol = full_volume(mesh, ctx.status, ctx.cuts, bm, bp)
     M, P, _ = assemble_edge_terms(mesh, ctx.traces.edges, ctx.status, ctx.cuts, bm, bp,
                                   params.alpha)
-    b = assemble_load(mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface, rules=ctx.rules)
+    b = assemble_load(mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface, ctx.rules)
     free, bd = mesh.interior_nodes, mesh.boundary_nodes
     g = ctx.sol.u_at(mesh.nodes[bd, 0], mesh.nodes[bd, 1], ctx.iface)
     A_f = combine_system(A_vol, M, P, params)[free]
@@ -1400,3 +1403,70 @@ def ascending_linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
             cuts, rows, pts)))[:, 0]
         worst = max(worst, float(np.abs(u(pts[..., 0], pts[..., 1]) - uh).max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# checks of library results: the immersed bases' defining conditions, the
+# rates of an error sequence, the full-node stiffness matrix
+# ---------------------------------------------------------------------------
+
+def basis_residuals(cuts, beta_minus, beta_plus):
+    """Worst-case residuals of the defining conditions of the immersed bases
+    of a CutSet, per cut, in long double.
+
+    Returns a dict of (K,) arrays with keys 'kronecker', 'continuity', 'flux'
+    and 'partition'. The flux residual is pointwise
+    (|beta- dv-/dn - beta+ dv+/dn|) for linear bases and the chord-line
+    integral for bilinear ones; like the builder's flux row it is divided by
+    max(beta), so all four are unit-free.
+    """
+    ld = np.longdouble
+    cm, cp = cuts.cm.astype(ld), cuts.cp.astype(ld)
+    origin, h = cuts.origin.astype(ld)[:, None], cuts.h.astype(ld)
+    bm, bp = ld(beta_minus), ld(beta_plus)
+    n = cuts.normal.astype(ld)[:, None, None]
+
+    def xi(p):
+        return (p.astype(ld) - origin) / h[:, None, None]
+
+    def flux(p):
+        """beta- dv-/dn - beta+ dv+/dn at the points p (K, n, 2): (K, d, n)."""
+        return ((bm * piece_gradients(cm, xi(p), h) - bp * piece_gradients(cp, xi(p), h))
+                * n).sum(axis=-1)
+
+    verts, ends = cuts.verts, np.stack([cuts.D, cuts.E], axis=1)
+    plus = (np.vecdot(verts - cuts.D[:, None], cuts.normal[:, None])
+            > CHORD_TIE_TOL * cuts.h[:, None])
+    vals = np.where(plus[:, None], piece_values(cp, xi(verts)), piece_values(cm, xi(verts)))
+    out = {"kronecker": np.abs(vals - np.eye(cm.shape[1])).max(axis=(1, 2)),
+           "continuity": np.abs(piece_values(cm, xi(ends))
+                                - piece_values(cp, xi(ends))).max(axis=(1, 2))}
+    if verts.shape[1] == 3:
+        out["flux"] = np.abs(flux(cuts.D[:, None])).max(axis=(1, 2))
+    else:
+        # 2-point Gauss along the chord; exact for an affine integrand and
+        # independent of the midpoint rule used in the construction
+        t = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)], dtype=ld)[:, None]
+        L = np.sqrt(np.vecdot(cuts.E - cuts.D, cuts.E - cuts.D)).astype(ld)
+        p = cuts.D.astype(ld)[:, None] * (1 - t) + cuts.E.astype(ld)[:, None] * t
+        out["flux"] = np.abs(flux(p).sum(axis=-1) * (L / 2)[:, None]).max(axis=1)
+    out["flux"] = out["flux"] / max(bm, bp)
+    out["partition"] = np.maximum(*(np.maximum(np.abs(c[:, :, 0].sum(axis=1) - 1),
+                                               np.abs(c[:, :, 1:].sum(axis=1)).max(axis=1))
+                                    for c in (cm, cp)))
+    return {k: v.astype(float) for k, v in out.items()}
+
+
+def convergence_rates(errors):
+    """rate_k = log2(e_k / e_{k+1}) for a doubling sequence of (N, error)."""
+    pairs = list(zip(errors[:-1], errors[1:]))
+    if any(n1 != 2 * n0 for (n0, _), (n1, _) in pairs):
+        raise ValueError("convergence_rates expects a doubling N sequence")
+    return [float(np.log(e0 / e1) / np.log(2.0)) for (_, e0), (_, e1) in pairs]
+
+
+def full_volume(mesh, status, cuts, beta_minus, beta_plus):
+    """The stiffness matrix on every node: `assembly.assemble_volume` with
+    all nodes free and no pairs."""
+    return assemble_volume(mesh, status, cuts, beta_minus, beta_plus,
+                           np.arange(mesh.n_nodes), ((), ()))[0]

@@ -13,14 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import draw_cuts_loop
+from oracles import basis_residuals, convergence_rates, draw_cuts_loop
 from ppife import verify
 from ppife.assembly import MethodParams
 from ppife.geometry import (DomainSpec, build_mesh, circle, classify_elements, interface_edges,
                             line)
 from ppife.harness import RunConfig, build_context, pointwise_error_field, solve_scheme
-from ppife.local_basis import basis_residuals, build_bases
-from ppife.postprocess import convergence_rates
+from ppife.local_basis import build_bases
 
 NS = (20, 40, 80, 160, 320)
 SCHEMES = ("classic", "spp", "ipp", "npp")
@@ -212,7 +211,8 @@ def test_criterion_7_reduction_and_patch():
         params = MethodParams.preset("spp", 2.0, 2.0)
         M, P, _ = assembly.assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts,
                                                2.0, 2.0, params.alpha)
-        b = assembly.assemble_load(mesh, status, cuts, sol, iface)
+        b = assembly.assemble_load(mesh, status, cuts, sol, iface,
+                                   assembly.cut_data_rules(cuts, iface))
         sysm = assembly.apply_dirichlet(mesh, status, cuts, 2.0, 2.0, M, P, b, u).system(params)
         A_ff, rhs = sysm.reduced()
         res = cg(A_ff, rhs, tol_rel=1e-13)

@@ -3,13 +3,13 @@ import pytest
 
 from ppife import assembly
 from ppife.assembly import (DATA_DEGREE, DATA_REFINE, MethodParams, apply_dirichlet,
-                            assemble_edge_terms, assemble_load, assemble_volume,
+                            assemble_edge_terms, assemble_load, cut_data_rules,
                             cut_volume_matrices, dump_matrix, edge_term_matrices, edge_traces)
 from ppife.errors import ConfigError
 from ppife.geometry import (DomainSpec, build_mesh, circle, classify_elements,
                             interface_edges, line)
 from oracles import (basis_of, check_csr, classify_cuts, combine_system, edge_split_points,
-                     interface_jump_residuals, standard_basis)
+                     full_volume, interface_jump_residuals, standard_basis)
 from ppife.linsolve import cg
 from ppife.local_basis import build_bases, cut_frame, cut_values
 from ppife.postprocess import radial_interface_solution
@@ -31,9 +31,9 @@ def _element_basis(mesh, cuts, k):
     if k in cuts.ids:
         return basis_of(cuts, int(np.searchsorted(cuts.ids, k)))
     if mesh.cell_kind == "rect":
-        return standard_basis(k, mesh.element_vertices(k), "q1", "rect")
+        return standard_basis(k, mesh.nodes[mesh.elements[k]], "q1", "rect")
     variant = ("tri_lower", "tri_upper")[mesh.element_variant[k]]
-    return standard_basis(k, mesh.element_vertices(k), "p1", variant)
+    return standard_basis(k, mesh.nodes[mesh.elements[k]], "p1", variant)
 
 
 def test_method_params_presets():
@@ -55,7 +55,7 @@ def test_method_params_presets():
 def test_q1_interior_stencil_diagonal():
     # beta = 1 on a 2x2 mesh: the centre node accumulates 4 corner entries of 8/3 total
     mesh, iface, status, cuts, edges = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
-    A = assemble_volume(mesh, status, cuts, 1.0, 1.0)
+    A = full_volume(mesh, status, cuts, 1.0, 1.0)
     centre = 4  # node (1,1) of the 3x3 grid
     assert A[centre, centre] == pytest.approx(8.0 / 3.0, abs=1e-12)
 
@@ -63,7 +63,7 @@ def test_q1_interior_stencil_diagonal():
 def test_volume_row_sums_vanish():
     for kind in ("rect", "tri"):
         mesh, iface, status, cuts, edges = _pipeline(6, kind=kind)
-        A = assemble_volume(mesh, status, cuts, 1.0, 10.0)
+        A = full_volume(mesh, status, cuts, 1.0, 10.0)
         check_csr(A)
         ones = np.ones(mesh.n_nodes)
         assert np.abs(A @ ones).max() < 1e-12 * np.abs(A.data).max()
@@ -102,7 +102,7 @@ def test_cut_element_matrix_vs_dense_grid_oracle():
 
 def test_classic_combine_is_volume_only():
     mesh, iface, status, cuts, edges = _pipeline(8)
-    A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
+    A_vol = full_volume(mesh, status, cuts, 1.0, 10.0)
     params = MethodParams.preset("classic")
     M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
@@ -177,7 +177,7 @@ def test_edge_terms_vs_composite_simpson_oracle():
 
 def test_spp_matrix_is_symmetric():
     mesh, iface, status, cuts, edges = _pipeline(10)
-    A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
+    A_vol = full_volume(mesh, status, cuts, 1.0, 10.0)
     params = MethodParams.preset("spp", 1.0, 10.0)
     M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
@@ -190,7 +190,7 @@ def test_spp_matrix_is_symmetric():
 def test_spp_symmetric_part_positive_definite():
     for betas in ((1.0, 10.0), (1.0, 10000.0)):
         mesh, iface, status, cuts, edges = _pipeline(10, betas=betas)
-        A_vol = assemble_volume(mesh, status, cuts, *betas)
+        A_vol = full_volume(mesh, status, cuts, *betas)
         params = MethodParams.preset("spp", *betas)
         M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, *betas, params.alpha)
         A = combine_system(A_vol, M, P, params)
@@ -205,12 +205,13 @@ def test_load_partition_of_unity():
     sol = type(one)(u_minus=one.u_minus, u_plus=one.u_plus, grad_minus=one.grad_minus,
                     grad_plus=one.grad_plus, f_minus=lambda x, y: np.ones_like(np.asarray(x, float)),
                     f_plus=lambda x, y: np.ones_like(np.asarray(x, float)), params=one.params)
-    b = assemble_load(mesh, status, cuts, sol, iface)
+    rules = cut_data_rules(cuts, iface)
+    b = assemble_load(mesh, status, cuts, sol, iface, rules)
     assert b.sum() == pytest.approx(4.0, abs=1e-12)
     zero = type(one)(u_minus=one.u_minus, u_plus=one.u_plus, grad_minus=one.grad_minus,
                      grad_plus=one.grad_plus, f_minus=lambda x, y: np.zeros_like(np.asarray(x, float)),
                      f_plus=lambda x, y: np.zeros_like(np.asarray(x, float)), params=one.params)
-    assert np.abs(assemble_load(mesh, status, cuts, zero, iface)).max() == 0.0
+    assert np.abs(assemble_load(mesh, status, cuts, zero, iface, rules)).max() == 0.0
 
 
 def _dense_grid_load(mesh, iface, cuts, sol, m=512):
@@ -240,7 +241,7 @@ def test_load_vs_dense_grid_oracle():
     # below for a sharp check of the assembly logic itself
     mesh, iface, status, cuts, edges = _pipeline(4)
     sol = radial_interface_solution(1.0, 10.0)
-    b = assemble_load(mesh, status, cuts, sol, iface)
+    b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
     oracle = _dense_grid_load(mesh, iface, cuts, sol)
     assert np.abs(b - oracle).max() < 1e-6 * np.abs(oracle).max()
 
@@ -251,7 +252,7 @@ def test_load_vs_dense_grid_oracle_polynomial_data():
     # near machine precision
     mesh, iface, status, cuts, edges = _pipeline(4)
     sol = radial_interface_solution(1.0, 10.0, alpha_exp=6.0)
-    b = assemble_load(mesh, status, cuts, sol, iface)
+    b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
     oracle = _dense_grid_load(mesh, iface, cuts, sol, m=256)
     touched = np.zeros(mesh.n_nodes, dtype=bool)
     touched[mesh.elements[cuts.ids]] = True
@@ -330,7 +331,7 @@ def test_patch_test_reproduces_polynomials(kind):
 
     params = MethodParams.preset("spp", 2.0, 2.0)
     M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 2.0, 2.0, params.alpha)
-    b = assemble_load(mesh, status, cuts, sol, iface)
+    b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
     sysm = apply_dirichlet(mesh, status, cuts, 2.0, 2.0, M, P, b, u).system(params)
     A_ff, rhs = sysm.reduced()
     res = cg(A_ff, rhs, tol_rel=1e-13)
@@ -361,8 +362,8 @@ def test_schemes_identical_for_continuous_coefficient():
     # all schemes produce the same solution
     mesh, iface, status, cuts, edges = _pipeline(8, betas=(3.0, 3.0))
     sol = radial_interface_solution(3.0, 3.0)
-    A_vol = assemble_volume(mesh, status, cuts, 3.0, 3.0)
-    b = assemble_load(mesh, status, cuts, sol, iface)
+    A_vol = full_volume(mesh, status, cuts, 3.0, 3.0)
+    b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
     solutions = []
     for scheme in ("classic", "spp", "ipp", "npp"):
         params = MethodParams.preset(scheme, 3.0, 3.0)
@@ -385,7 +386,7 @@ def test_energy_norm_identity_against_quadrature():
     from ppife.postprocess import error_norms, PiecewiseSolution
     mesh, iface, status, cuts, edges = _pipeline(4)
     params = MethodParams.preset("spp", 1.0, 10.0)
-    A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
+    A_vol = full_volume(mesh, status, cuts, 1.0, 10.0)
     M, P, traces = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0,
                                        params.alpha)
     rng = np.random.default_rng(2)
@@ -393,9 +394,10 @@ def test_energy_norm_identity_against_quadrature():
     zsol = PiecewiseSolution(zero, zero, lambda x, y: (zero(x, y), zero(x, y)),
                              lambda x, y: (zero(x, y), zero(x, y)), zero, zero,
                              params={"beta_minus": 1.0, "beta_plus": 10.0})
+    rules = cut_data_rules(cuts, iface)
     for _ in range(5):
         v = rng.standard_normal(mesh.n_nodes)
-        quad = error_norms(mesh, status, cuts, v, zsol, iface, traces, params)["energy"]
+        quad = error_norms(mesh, status, cuts, v, zsol, iface, traces, params, rules)["energy"]
         alg = float(np.sqrt(v @ (A_vol @ v) + params.sigma0 * (v @ (P @ v))))
         assert quad == pytest.approx(alg, rel=1e-10)
 
@@ -415,7 +417,7 @@ def test_import_leaves_scipy_io_out():
 
 def test_matrix_market_dump(tmp_path):
     mesh, iface, status, cuts, edges = _pipeline(4)
-    A = assemble_volume(mesh, status, cuts, 1.0, 10.0)
+    A = full_volume(mesh, status, cuts, 1.0, 10.0)
     path = tmp_path / "A.mtx"
     dump_matrix(path, A)
     import scipy.io
@@ -426,7 +428,7 @@ def test_matrix_market_dump(tmp_path):
 def test_delta_sign_convention():
     # delta = -1 reproduces a hand-assembled fixed-minus consistency term
     mesh, iface, status, cuts, edges = _pipeline(6)
-    A_vol = assemble_volume(mesh, status, cuts, 1.0, 10.0)
+    A_vol = full_volume(mesh, status, cuts, 1.0, 10.0)
     params = MethodParams("custom", -1.0, 1.0, 1.0, 1.0)
     M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, params.alpha)
     A = combine_system(A_vol, M, P, params)
@@ -438,10 +440,10 @@ def test_classic_constant_beta_equals_standard_fem_matrix():
     # with a continuous coefficient the immersed stiffness matrix equals the
     # standard FEM stiffness matrix of the same mesh entry for entry
     mesh, iface, status, cuts, edges = _pipeline(10, betas=(3.0, 3.0))
-    A_ife = assemble_volume(mesh, status, cuts, 3.0, 3.0)
+    A_ife = full_volume(mesh, status, cuts, 3.0, 3.0)
     far = line(1.0, 0.0, -10.0)
     status2, cuts2 = classify_elements(mesh, far)
-    A_fem = assemble_volume(mesh, status2, build_bases(cuts2, 3.0, 3.0), 3.0, 3.0)
+    A_fem = full_volume(mesh, status2, build_bases(cuts2, 3.0, 3.0), 3.0, 3.0)
     free = mesh.interior_nodes
     diff = (A_ife[free][:, free] - A_fem[free][:, free]).toarray()
     assert np.abs(diff).max() < 1e-12 * np.abs(A_fem.data).max()

@@ -57,7 +57,7 @@ def test_mesh_invariants(kind):
     # uniform element areas
     want = mesh.h ** 2 if kind == "rect" else mesh.h ** 2 / 2
     for e in range(mesh.n_elements):
-        area = polygon_area(mesh.element_vertices(e))
+        area = polygon_area(mesh.nodes[mesh.elements[e]])
         assert area == pytest.approx(want, abs=1e-12 * mesh.h ** 2)
     # each interior edge two elements, boundary edges one
     ids = np.arange(mesh.n_edges)
@@ -132,7 +132,7 @@ def test_classify_against_dense_sampling_oracle():
     t = np.linspace(0.0, 1.0, 50)
     TX, TY = np.meshgrid(t, t, indexing="ij")
     for k in range(mesh.n_elements):
-        lo = mesh.element_vertices(k).min(axis=0)
+        lo = mesh.nodes[mesh.elements[k]].min(axis=0)
         xs = lo[0] + mesh.h * TX
         ys = lo[1] + mesh.h * TY
         vals = iface.phi(xs, ys)

@@ -151,7 +151,7 @@ def test_evaluate_solution_matches_standard_basis_off_nodes(kind):
     vals = evaluate_solution(mesh, ctx.status, ctx.cuts, coeffs, pts)
     kind_name = "q1" if kind == "rect" else "p1"
     for k, p, v in zip(ids, pts, vals):
-        basis = standard_basis(k, mesh.element_vertices(k), kind_name, template_name(mesh, k))
+        basis = standard_basis(k, mesh.nodes[mesh.elements[k]], kind_name, template_name(mesh, k))
         assert abs(v - coeffs[mesh.elements[k]] @ basis.values(p[None])[:, 0]) <= 1e-15
 
 
@@ -405,17 +405,18 @@ def test_cut_data_rules_are_built_once_per_context(monkeypatch, mesh):
     from ppife import assembly, postprocess
     calls = []
     rules = assembly.cut_data_rules
-    for module in (assembly, postprocess):
-        monkeypatch.setattr(module, "cut_data_rules",
-                            lambda *a: calls.append(len(a[0])) or rules(*a))
+    monkeypatch.setattr(assembly, "cut_data_rules",
+                        lambda *a: calls.append(len(a[0])) or rules(*a))
     cfg = RunConfig(N=(24,), mesh=mesh, beta_plus=1e4, schemes=("spp", "npp"))
     ctx = build_context(cfg, 24)
-    fresh = assembly.assemble_load(ctx.mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface)
+    fresh = assembly.assemble_load(ctx.mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface,
+                                   assembly.cut_data_rules(ctx.cuts, ctx.iface))
     assert np.array_equal(ctx.split.b, fresh[ctx.mesh.interior_nodes])
     for scheme in cfg.schemes:
         rec, coeffs, _ = solve_scheme(ctx, cfg, scheme)
         own = postprocess.error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,
-                                      ctx.traces, scheme_params(cfg, scheme))
+                                      ctx.traces, scheme_params(cfg, scheme),
+                                      assembly.cut_data_rules(ctx.cuts, ctx.iface))
         assert [rec.e_l2, rec.e_h1, rec.e_linf, rec.e_energy] == [
             own["l2"], own["h1"], own["linf"], own["energy"]]
     assert calls == [len(ctx.cuts)] * 4     # the context's, the fresh load's, two norms'
@@ -552,6 +553,24 @@ def test_cli_rejects_non_finite_numbers(tmp_path, argv, capsys):
     assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("argv, h, code", [
+    (["--xmin", "-pi", "--xmax", "pi", "--ymin", "-pi", "--ymax", "pi"], math.pi / 4, 0),
+    (["--interface-params", "-0.1,0,0.5"], 0.25, 0),
+    (["--ymin", "-inf"], None, 2),
+], ids=["minus-pi-domain", "negative-centre", "minus-inf"])
+def test_cli_values_may_start_with_a_minus(tmp_path, argv, h, code, capsys):
+    # argparse takes a "-pi" or "-0.1,0,0.5" after a flag for a flag of its
+    # own; the value is read, and refused only where it is invalid
+    out = tmp_path / "run"
+    assert main(["solve", "--N", "8", *argv, "--out", str(out)]) == code
+    if code:
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        row = (out / "runs.csv").read_text().splitlines()[1].split(",")
+        assert float(row[3]) == pytest.approx(h, rel=1e-12)
 
 
 @pytest.mark.parametrize("word, value", [("on", True), ("Yes", True), ("1", True),

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ppife import linsolve
-from ppife.errors import AsymmetricInput
+from ppife.errors import AsymmetricInput, PpifeError
 from ppife.geometry import DomainSpec, build_mesh, circle, lattice_aggregates
 from oracles import check_csr, dense_solve, matvec_triplets
 from ppife.linsolve import COARSE_SIZE, SAHierarchy, _is_symmetric, _scaled, bicgstab, cg
@@ -396,8 +396,8 @@ def test_candidate_is_carried_to_every_level():
 
 
 def test_coarse_level_is_solved_exactly():
-    # a banded LU at the coarse size; splu where coarsening stops above it
-    # (a hierarchy without aggregates has no levels)
+    # a banded LU at the coarse size, and also where coarsening stops above
+    # it (a hierarchy without aggregates has no levels)
     rng = np.random.default_rng(4)
     for A, aggregates in ((_poisson(60), _grid_aggregates(60, "rect")),
                           (sp.diags(rng.uniform(1.0, 2.0, COARSE_SIZE + 100)).tocsr(), ())):
@@ -407,6 +407,12 @@ def test_coarse_level_is_solved_exactly():
         assert np.linalg.norm(M.coarse @ x - v) <= 1e-12 * np.linalg.norm(v)
         assert (M.coarse.shape[0] <= COARSE_SIZE) == bool(M.levels)
     assert M.levels == [] and M.coarse.shape[0] > COARSE_SIZE
+
+
+def test_singular_coarse_level_is_a_ppife_error():
+    # the coarsest matrix's banded LU fails: the error names its size
+    with pytest.raises(PpifeError, match=r"\b3 unknowns"):
+        SAHierarchy(sp.diags([1.0, 0.0, 2.0]).tocsr(), ())
 
 
 def test_given_aggregates_define_every_level():

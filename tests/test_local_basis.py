@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg
 
 from ppife.errors import SingularLocalSystem
-from ppife.local_basis import (basis_residuals, build_bases, ife_coefficients, piece_gradients,
-                               piece_values, template_coefs)
+from ppife.local_basis import (build_bases, ife_coefficients, piece_gradients, piece_values,
+                               template_coefs)
 from ppife.geometry import INTERFACE, DomainSpec, build_mesh, circle, classify_elements
 from ppife.verify import _reference_cuts
-from oracles import (basis_of, cut_stack, draw_cuts_loop, ife_basis, ife_stack_basis,
-                     linear_coupling_matrix, reference_cut, standard_basis, template_name)
+from oracles import (basis_of, basis_residuals, cut_stack, draw_cuts_loop, ife_basis,
+                     ife_stack_basis, linear_coupling_matrix, reference_cut, standard_basis,
+                     template_name)
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 RECT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -233,7 +234,7 @@ def test_templates_equal_standard_basis_oracle(kind):
     oracle_kind = "q1" if kind == "rect" else "p1"
     C = template_coefs(mesh, np.arange(mesh.n_elements))
     for k in range(mesh.n_elements):
-        verts = mesh.element_vertices(k)
+        verts = mesh.nodes[mesh.elements[k]]
         pts = np.vstack([verts, verts.mean(axis=0) + 0.3 * mesh.h * rng.uniform(-1, 1, (5, 2))])
         xi = (pts - mesh.element_origins[k]) / mesh.element_h[k]
         values = piece_values(C[k], xi)
@@ -254,8 +255,8 @@ def test_build_bases_equals_per_element_oracle(kind, beta_plus):
         _, cuts = classify_elements(mesh, circle(cx, cy, r))
         bases = build_bases(cuts, 1.0, beta_plus)
         for i, k in enumerate(cuts.ids):
-            oracle = ife_basis(k, mesh.element_vertices(k), cuts.D[i], cuts.E[i], cuts.normal[i],
-                               1.0, beta_plus)
+            oracle = ife_basis(k, mesh.nodes[mesh.elements[k]], cuts.D[i], cuts.E[i],
+                               cuts.normal[i], 1.0, beta_plus)
             basis = basis_of(bases, i)
             assert basis.kind == oracle.kind
             assert np.array_equal(basis.origin, oracle.origin) and basis.h == oracle.h
@@ -276,7 +277,7 @@ def test_singular_system_in_batch_names_its_element(kind):
     with pytest.raises(SingularLocalSystem, match=rf"^element {bad}: "):
         build_bases(cuts, 1.0, 10.0)
     with pytest.raises(SingularLocalSystem, match=rf"^element {bad}: "):
-        ife_basis(bad, mesh.element_vertices(bad), cuts.D[i], cuts.E[i],
+        ife_basis(bad, mesh.nodes[mesh.elements[bad]], cuts.D[i], cuts.E[i],
                   cuts.normal[i], 1.0, 10.0)
 
 

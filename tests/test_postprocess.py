@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import (classify_cuts, classify_edges, interface_jump_residuals, oracle_bases,
-                     reference_error_norms)
-from ppife.assembly import DATA_DEGREE, MethodParams, bulk_rules, edge_traces
+from oracles import (classify_cuts, classify_edges, convergence_rates, interface_jump_residuals,
+                     oracle_bases, reference_error_norms)
+from ppife.assembly import DATA_DEGREE, MethodParams, bulk_rules, cut_data_rules, edge_traces
 from ppife.geometry import (DomainSpec, build_mesh, bulk_sweep, circle, classify_elements,
-                            interface_edges)
+                            cut_sweep, interface_edges)
 from ppife.local_basis import build_bases
-from ppife.postprocess import (PiecewiseSolution, convergence_rates, error_norms,
-                               interpolate_nodal, markdown_error_table,
-                               radial_interface_solution, record_csv_rows, RunRecord)
+from ppife.postprocess import (PiecewiseSolution, error_norms, interpolate_nodal,
+                               markdown_error_table, radial_interface_solution, record_csv_rows,
+                               RunRecord)
 
 R0 = np.pi / 6.28
 
@@ -76,7 +76,8 @@ def test_norms_vanish_for_reproduced_linear(kind):
     sol = PiecewiseSolution(lin, lin, grad, grad, zero, zero,
                             params={"beta_minus": 2.0, "beta_plus": 2.0})
     coeffs = lin(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC)
+    err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC,
+                      cut_data_rules(cuts, iface))
     for norm in ("l2", "h1", "linf", "energy"):
         assert err[norm] < 1e-12
 
@@ -84,7 +85,8 @@ def test_norms_vanish_for_reproduced_linear(kind):
 def test_norms_are_nonnegative_and_detect_error():
     mesh, iface, status, cuts, traces, sol = _setup(8)
     coeffs = interpolate_nodal(mesh, sol, iface)
-    err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC)
+    err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC,
+                      cut_data_rules(cuts, iface))
     for norm in ("l2", "h1", "linf", "energy"):
         assert err[norm] > 0
 
@@ -100,16 +102,17 @@ def test_error_norms_equal_per_norm_reference(kind, beta_plus, N):
     # elements span two blocks. Classic exercises the sigma0 = 0 skip of the
     # penalty jumps
     mesh, iface, status, cuts, traces, sol = _setup(N, kind=kind, betas=(1.0, beta_plus))
-    rules = bulk_rules(mesh, DATA_DEGREE)
-    blocks = sum(1 for _ in bulk_sweep(mesh, status, iface, rules))
-    assert blocks == (len(rules) if N < 64 else 2 * len(rules))
+    tables = bulk_rules(mesh, DATA_DEGREE)
+    blocks = sum(1 for _ in bulk_sweep(mesh, status, iface, tables))
+    assert blocks == (len(tables) if N < 64 else 2 * len(tables))
     o_cuts = classify_cuts(mesh, iface)[1]
     o_bases = oracle_bases(mesh, o_cuts, 1.0, beta_plus)
+    rules = cut_data_rules(cuts, iface)
     rng = np.random.default_rng(N)
     coeffs = interpolate_nodal(mesh, sol, iface) + 1e-3 * rng.standard_normal(mesh.n_nodes)
     for scheme in ("classic", "spp", "npp"):
         params = MethodParams.preset(scheme, 1.0, beta_plus)
-        fused = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params)
+        fused = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules)
         assert fused == reference_error_norms(mesh, status, o_cuts, o_bases, coeffs, sol, iface,
                                               classify_edges(mesh, status), params)
 
@@ -125,7 +128,8 @@ def test_interpolation_rates():
         cuts = build_bases(cuts, 1.0, 10.0)
         traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, 1.0, 10.0)
         coeffs = interpolate_nodal(mesh, sol, iface)
-        err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC)
+        err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC,
+                          cut_data_rules(cuts, iface))
         l2s.append((N, err["l2"]))
         h1s.append((N, err["h1"]))
     for r in convergence_rates(l2s):
@@ -137,8 +141,12 @@ def test_interpolation_rates():
 def test_quadrature_depth_self_convergence():
     mesh, iface, status, cuts, traces, sol = _setup(20)
     coeffs = interpolate_nodal(mesh, sol, iface)
-    a = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC, refine=1)
-    b = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC, refine=2)
+    # the context's rules refine each fan triangle once; these twice
+    twice = [(side, rows, pts, wts, np.asarray(iface.phi(pts[..., 0], pts[..., 1])) < 0)
+             for side, rows, pts, wts in cut_sweep(cuts, DATA_DEGREE, 2)]
+    a = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC,
+                    cut_data_rules(cuts, iface))
+    b = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC, twice)
     for norm in ("l2", "h1"):
         assert abs(a[norm] - b[norm]) / a[norm] < 1e-3  # three significant digits
 
@@ -147,8 +155,10 @@ def test_energy_error_includes_jumps():
     mesh, iface, status, cuts, traces, sol = _setup(8)
     params = MethodParams.preset("spp", 1.0, 10.0)
     coeffs = interpolate_nodal(mesh, sol, iface)
-    e_pen = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params)["energy"]
-    e_nopen = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC)["energy"]
+    rules = cut_data_rules(cuts, iface)
+    e_pen = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules)["energy"]
+    e_nopen = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC,
+                          rules)["energy"]
     assert e_pen >= e_nopen > 0
 
 

@@ -23,26 +23,27 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 
 from ppife import geometry, linsolve
 from ppife.assembly import (SCHEMES, MethodParams, VOLUME_DEGREE, apply_dirichlet,
-                            assemble_edge_terms, assemble_load, assemble_volume, bulk_rules,
+                            assemble_edge_terms, assemble_load, bulk_rules, cut_data_rules,
                             edge_traces)
 from ppife.errors import GeometryError, MultipleCrossings
 from ppife.geometry import (_EDGE_SAMPLES, _SWEEP_POINTS, AGGREGATE_BOX, INTERFACE, SIDE_MINUS,
-                            SIDE_PLUS, DomainSpec, InterfaceGeometry, _edge_signs, build_mesh,
-                            bulk_sweep, circle, classify_elements, cut_sweep, edge_crossings,
-                            interface_edges, lattice_aggregates, line)
+                            SIDE_PLUS, SNAP_TOL, DomainSpec, InterfaceGeometry, _edge_signs,
+                            build_mesh, bulk_sweep, circle, classify_elements, cut_sweep,
+                            edge_crossings, interface_edges, lattice_aggregates, line)
 from ppife.harness import RunConfig, build_context, scheme_params
 from ppife.linsolve import cg
-from ppife.local_basis import (basis_residuals, build_bases, cut_frame, cut_gradients,
-                               cut_values, piece_gradients)
+from ppife.local_basis import (build_bases, cut_frame, cut_gradients, cut_values,
+                               piece_gradients)
 from ppife.postprocess import (PiecewiseSolution, _cut_sums, error_norms, interpolate_nodal,
                                radial_interface_solution)
 from ppife.quadrature import fan_rule, polygon_area
 import oracles
 from oracles import (EDGE_INTERFACE, ReferenceMesh, all_edge_classify, ascending_bulk_load,
-                     ascending_error_norms, classify_cuts, classify_edges, coo_volume,
-                     edge_intersection, edge_signs, edge_split_points, full_node_system, ife_basis,
-                     mesh_frames, padded_data_rules, per_basis_cut_load, per_basis_cut_sums,
-                     select_branches, split_edge_rule, standard_basis, template_name)
+                     ascending_error_norms, basis_residuals, classify_cuts, classify_edges,
+                     coo_volume, edge_intersection, edge_signs, edge_split_points,
+                     full_node_system, full_volume, ife_basis, mesh_frames, padded_data_rules,
+                     per_basis_cut_load, per_basis_cut_sums, select_branches, split_edge_rule,
+                     standard_basis, template_name)
 
 
 def _cases(n_max):
@@ -94,7 +95,7 @@ def test_cut_geometry(case):
     ts = np.linspace(0.0, 1.0, 17)
     s = ea[:, None, :] + ts[None, :, None] * (eb - ea)[:, None, :]
     vals = iface.phi(s[..., 0], s[..., 1])
-    tol = iface.snap_tol * h
+    tol = SNAP_TOL * h
     open_edges = ~((vals > tol).all(axis=1) | (vals < -tol).all(axis=1))
     assert not hit[~open_edges].any()
     for e in np.flatnonzero(open_edges):
@@ -304,7 +305,7 @@ def test_standard_neighbours_match_oracle(case):
         for s, k in enumerate(traces.elements[b]):
             if status[k] == INTERFACE:
                 continue
-            oracle = standard_basis(k, mesh.element_vertices(k), kind, template_name(mesh, k))
+            oracle = standard_basis(k, mesh.nodes[mesh.elements[k]], kind, template_name(mesh, k))
             pts = traces.points[b]
             assert np.array_equal(traces.values[b, s], oracle.values(pts))
             assert np.array_equal(traces.gradients[b, s], oracle.gradients(pts))
@@ -330,7 +331,7 @@ def test_patch_test_is_exact(drawn):
     params = MethodParams.preset("spp", 2.0, 2.0)
     M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts,
                                   2.0, 2.0, params.alpha)
-    b = assemble_load(mesh, status, cuts, sol, iface)
+    b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
     sysm = apply_dirichlet(mesh, status, cuts, 2.0, 2.0, M, P, b, u).system(params)
     coeffs = sysm.expand(cg(*sysm.reduced(), tol_rel=1e-13).x)
     assert np.abs(coeffs - u(mesh.nodes[:, 0], mesh.nodes[:, 1])).max() < 1e-10
@@ -505,7 +506,7 @@ def test_stencil_volume_equals_coo_oracle(domain, angle, offset, beta_plus):
     c = -(a * (xmin + width / 2) + b * (ymin + width / 2)) + offset * width
     status, cuts = classify_elements(mesh, line(a, b, c))
     cuts = build_bases(cuts, 1.0, beta_plus)
-    got = assemble_volume(mesh, status, cuts, 1.0, beta_plus)
+    got = full_volume(mesh, status, cuts, 1.0, beta_plus)
     want = coo_volume(mesh, status, cuts, 1.0, beta_plus)
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
     if kind == "rect":
@@ -550,7 +551,7 @@ def test_load_equals_ascending_per_basis_oracle(case, beta_plus):
     another order. The cut elements' load within CUT_RTOL."""
     _, ctx = _context(case, beta_plus)
     mesh, status, cuts = ctx.mesh, ctx.status, ctx.cuts
-    got = assemble_load(mesh, status, _no_cuts(cuts), ctx.sol, ctx.iface)
+    got = assemble_load(mesh, status, _no_cuts(cuts), ctx.sol, ctx.iface, [])
     want = ascending_bulk_load(mesh, status, ctx.sol, ctx.iface)
     keep = np.ones(mesh.n_nodes, bool)
     keep[np.intersect1d(mesh.elements[status == SIDE_MINUS],
@@ -558,7 +559,7 @@ def test_load_equals_ascending_per_basis_oracle(case, beta_plus):
     assert _same(got[keep], want[keep])
     assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
     got = assemble_load(mesh, np.full_like(status, INTERFACE), cuts, ctx.sol, ctx.iface,
-                        rules=ctx.rules)
+                        ctx.rules)
     want = np.zeros(mesh.n_nodes)
     np.add.at(want, mesh.elements[cuts.ids],
               per_basis_cut_load(cuts, ctx.sol, padded_data_rules(cuts, ctx.iface)))
@@ -579,7 +580,7 @@ def test_error_norms_equal_ascending_per_basis_oracle(case, beta_plus, seed):
     for scheme in ("classic", "spp"):
         args = (ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface, ctx.traces,
                 scheme_params(config, scheme))
-        got = error_norms(*args, rules=ctx.rules)
+        got = error_norms(*args, ctx.rules)
         want = ascending_error_norms(*args, padded)
         for norm in got:
             assert abs(got[norm] - want[norm]) <= NORM_RTOL * want[norm], norm
@@ -602,7 +603,7 @@ def test_bulk_block_where_the_sides_meet_takes_the_split():
     sol = ctx.sol
     spied = dataclasses.replace(sol, f_minus=spy("minus", sol.f_minus),
                                 f_plus=spy("plus", sol.f_plus))
-    got = assemble_load(ctx.mesh, ctx.status, _no_cuts(ctx.cuts), spied, ctx.iface)
+    got = assemble_load(ctx.mesh, ctx.status, _no_cuts(ctx.cuts), spied, ctx.iface, [])
     assert seen == {("minus", 1), ("plus", 1), ("plus", 2)}
     assert _same(got, ascending_bulk_load(ctx.mesh, ctx.status, sol, ctx.iface))
 
@@ -698,7 +699,7 @@ def test_shared_pattern_matrices_equal_the_summed_terms(interface, beta_plus):
     split = apply_dirichlet(mesh, status, cuts, 1.0, beta_plus, M, P, np.zeros(mesh.n_nodes),
                             lambda x, y: np.zeros_like(x))
     free = mesh.interior_nodes
-    A_vol = assemble_volume(mesh, status, cuts, 1.0, beta_plus)
+    A_vol = full_volume(mesh, status, cuts, 1.0, beta_plus)
     pattern = split.A_vol
     T = pattern.T.tocsr()
     assert np.array_equal(T.indptr, pattern.indptr) and np.array_equal(T.indices, pattern.indices)

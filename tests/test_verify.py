@@ -275,8 +275,9 @@ def test_banded_spd_test_agrees_with_dense_cholesky(n, band, margin, seed):
     lam = np.linalg.eigvalsh(S)
     S += (margin * max(lam[-1] - lam[0], 1.0) - lam[0]) * np.eye(n)
     A = sp.csr_matrix(S)
-    zero = sp.csr_matrix((n, n))
-    bands = _lower_bands(A, zero, zero)
+    # A and two empty terms on its pattern
+    empty = (np.zeros(0), np.zeros(0, np.int64))
+    bands = _lower_bands(A, empty, empty)
     spd = _sym_part_spd(bands, MethodParams("custom", 0.0, 0.0, 0.0))
     assert spd == sparse_is_spd(A) == dense_is_spd(A) == (margin > 0)
 

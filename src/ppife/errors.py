@@ -14,7 +14,12 @@ class GeometryError(PpifeError):
 
 
 class MultipleCrossings(GeometryError):
-    """The interface crosses a single edge more than once: mesh too coarse."""
+    """The interface crosses a single edge more than once: mesh too coarse.
+    `geometry.edge_crossings` gives the segment's row and sign changes."""
+
+    def __init__(self, message, row=None, crossings=None):
+        super().__init__(message)
+        self.row, self.crossings = row, crossings
 
 
 class SingularLocalSystem(PpifeError):

@@ -215,21 +215,19 @@ def dump_mesh(mesh: CartesianMesh, path):
 class InterfaceGeometry:
     """Implicit curve phi(x, y) = 0 with phi < 0 on the minus subdomain.
 
-    `phi` and `grad` must accept numpy arrays, x broadcasting against y;
-    `grad` returns (gx, gy). Values of phi within SNAP_TOL * h of 0 snap
-    onto the curve. `reach(x, y, l)`, where given, bounds
-    |phi(q) - phi(x, y)| exactly from above for all q within l of (x, y):
-    `classify_elements` then audits for crossings only the edges of the
-    elements around the nodes where |phi| is within reach of twice the
-    longest edge; along every other edge phi keeps a strict sign. Without it
-    every edge is audited.
+    `phi`, `grad` and `reach` must accept numpy arrays, x broadcasting
+    against y; `grad` returns (gx, gy). Values of phi within SNAP_TOL * h of
+    0 snap onto the curve. `reach(x, y, l)` bounds |phi(q) - phi(x, y)|
+    exactly from above for all q within l of (x, y): `classify_elements`
+    audits for crossings the edges of the elements around the nodes where
+    |phi| is within reach of twice the longest edge, and along every other
+    edge phi keeps a strict sign. A curve with no known bound returns inf,
+    and every edge is audited.
     """
 
     phi: Callable
     grad: Callable
-    name: str = "custom"
-    params: tuple = ()
-    reach: Optional[Callable] = None
+    reach: Callable
 
 
 def circle(cx, cy, r) -> InterfaceGeometry:
@@ -248,7 +246,7 @@ def circle(cx, cy, r) -> InterfaceGeometry:
     def reach(x, y, l):     # |q-c|^2 - |p-c|^2 = (q-p).(2(p-c) + (q-p))
         return 2.0 * np.sqrt(np.square(x - cx) + np.square(y - cy)) * l + l * l
 
-    return InterfaceGeometry(phi, grad, name="circle", params=(cx, cy, r), reach=reach)
+    return InterfaceGeometry(phi, grad, reach)
 
 
 def line(a, b, c) -> InterfaceGeometry:
@@ -265,7 +263,7 @@ def line(a, b, c) -> InterfaceGeometry:
     def reach(x, y, l):
         return np.hypot(a, b) * l
 
-    return InterfaceGeometry(phi, grad, name="line", params=(a, b, c), reach=reach)
+    return InterfaceGeometry(phi, grad, reach)
 
 
 _BUILTINS = {"circle": (circle, 3), "line": (line, 3)}
@@ -287,7 +285,7 @@ def interface_from_name(name, params) -> InterfaceGeometry:
 # ---------------------------------------------------------------------------
 
 # points per block of the pointwise sweeps (the edge audit of
-# `classify_elements`, `bulk_sweep` over the standard elements and
+# `edge_crossings`, `bulk_sweep` over the standard elements and
 # `cut_sweep` over the cut ones, which the load, the error norms and the cut
 # stiffness matrices share). Each of their arrays then takes at most 256 kB,
 # which the allocator serves again from freed memory; multi-megabyte
@@ -318,56 +316,52 @@ def _edge_signs(p0, p1, iface, tol):
     return vals.T, _snapped_sign(vals, tol).T
 
 
-def _sign_flips(signs):
-    """Sign changes along each row of `signs`, zeros skipped."""
+def _sign_changes(signs):
+    """Where the sign changes along each row of `signs`, zeros skipped:
+    (changes, last), both (n, 16). changes[:, c] marks sample c + 1 as
+    strictly signed against the latest nonzero sample up to c, and
+    last[:, c] is that sample's column."""
     cols = np.arange(signs.shape[1])
-    last = np.maximum.accumulate(np.where(signs != 0, cols, 0), axis=1)
-    prev = np.take_along_axis(signs, last[:, :-1], axis=1)  # latest nonzero before
-    return np.count_nonzero(prev * signs[:, 1:] < 0, axis=1)
-
-
-def _outer_signs(signs):
-    """First and last nonzero entry of each row of `signs`, 0 for a row of
-    zeros."""
-    nz = signs != 0
-    first = np.argmax(nz, axis=1)
-    last = signs.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
-    rows = np.arange(len(signs))
-    return signs[rows, first], signs[rows, last]
+    last = np.maximum.accumulate(np.where(signs != 0, cols, 0), axis=1)[:, :-1]
+    return np.take_along_axis(signs, last, axis=1) * signs[:, 1:] < 0, last
 
 
 def edge_crossings(p0, p1, iface: InterfaceGeometry, h):
-    """Interface crossings of the segments p0[i] -> p1[i], bisected all at once.
+    """Interface crossings of the segments p0[i] -> p1[i], the audit of
+    `classify_elements`: one walk over 17 samples of each, in blocks of
+    `_AUDIT_ROWS` segments, with |phi| < SNAP_TOL*h snapped onto the curve.
 
-    Samples with |phi| < SNAP_TOL*h are snapped onto the curve. A segment has
-    a crossing when its first and last strictly-signed samples have opposite
-    signs; a snapped endpoint thus adds no crossing of its own, but does not
-    hide one inside the segment. A sign audit on a 16-interval refinement
-    raises MultipleCrossings when the curve cuts a segment more than once.
-    Each crossing parameter is resolved to 1e-14 by bisection between the
-    nearest strictly-signed samples (interior samples may sit inside the snap
-    band around the crossing). Returns (hit, points): a boolean mask and
-    (n, 2) crossing points, NaN where there is none.
+    The first segment whose strictly-signed samples change sign more than
+    once raises MultipleCrossings with its row and sign changes. A segment
+    whose signs change once is crossed; a snapped endpoint thus adds no
+    crossing of its own, but does not hide one inside the segment. One
+    bisection loop resolves every crossing parameter to 1e-14 from the last
+    sample of one sign and the first of the other (interior samples may sit
+    inside the snap band around the crossing). Returns (hit, points): a
+    boolean mask and (n, 2) crossing points, NaN where there is none.
     """
     p0 = np.asarray(p0, float).reshape(-1, 2)
     p1 = np.asarray(p1, float).reshape(-1, 2)
-    vals, signs = _edge_signs(p0, p1, iface, SNAP_TOL * h)
-    flips = _sign_flips(signs)
-    if (flips > 1).any():
-        i = int(np.argmax(flips > 1))
-        raise MultipleCrossings(
-            f"interface crosses segment {p0[i]}->{p1[i]} more than once; refine the mesh")
-    first, last = _outer_signs(signs)
-    hit = first * last < 0
-    rows = np.flatnonzero(hit)
-
-    # bracket: first sample of the far sign, last one of the near sign before it
-    S = signs[rows]
-    near = first[rows, None]
-    cols = np.arange(S.shape[1])
-    j = np.argmax(S == -near, axis=1)
-    k = np.where((S == near) & (cols < j[:, None]), cols, 0).max(axis=1)
-    a, b, fa = _EDGE_SAMPLES[k], _EDGE_SAMPLES[j], vals[rows, k]
+    tol = SNAP_TOL * h
+    brackets = []
+    # one block at least, so that no segments give empty brackets
+    for lo in range(0, max(len(p0), 1), _AUDIT_ROWS):
+        vals, signs = _edge_signs(p0[lo:lo + _AUDIT_ROWS], p1[lo:lo + _AUDIT_ROWS], iface, tol)
+        # all but the rows of one strict sign throughout
+        r = np.flatnonzero((signs.min(axis=1) <= 0) & (signs.max(axis=1) >= 0))
+        changes, last = _sign_changes(signs[r])
+        flips = np.count_nonzero(changes, axis=1)
+        if (flips > 1).any():
+            f = int(np.argmax(flips > 1))
+            i = lo + int(r[f])
+            raise MultipleCrossings(f"interface crosses segment {p0[i]}->{p1[i]} more than once; "
+                                    "refine the mesh", i, int(flips[f]))
+        once = flips == 1
+        c = np.argmax(changes[once], axis=1)
+        k = np.take_along_axis(last[once], c[:, None], axis=1)[:, 0]
+        brackets.append((lo + r[once], k, c + 1, vals[r[once], k]))
+    rows, k, j, fa = map(np.concatenate, zip(*brackets))
+    a, b = _EDGE_SAMPLES[k], _EDGE_SAMPLES[j]
     q0 = p0[rows]
     d = p1[rows] - q0
     for _ in range(60):
@@ -382,6 +376,8 @@ def edge_crossings(p0, p1, iface: InterfaceGeometry, h):
         b = np.where(lower | (upper & (fm == 0.0)), m, b)
         a = np.where(upper, m, a)
         fa = np.where(upper, fm, fa)
+    hit = np.zeros(len(p0), dtype=bool)
+    hit[rows] = True
     points = np.full(p0.shape, np.nan)
     points[rows] = q0 + (0.5 * (a + b))[:, None] * d
     return hit, points
@@ -457,6 +453,13 @@ def ring_chains(verts, D, E, slot_D, slot_E):
     return ring, chains, counts, edge_splits
 
 
+def _distinct(ids):
+    """np.unique of the ids (>= 0) `ids`, from a sort and a mask in a
+    fraction of its time."""
+    ids = np.sort(ids, axis=None)
+    return ids[np.diff(ids, prepend=-1) != 0]
+
+
 def _norm(v):
     # sqrt(vecdot) is bit for bit np.linalg.norm of one vector, on stacks too
     return np.sqrt(np.vecdot(v, v))
@@ -480,33 +483,19 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     node_phi = np.asarray(iface.phi(x, y), float)
     node_sign = _snapped_sign(node_phi, tol).ravel()
 
-    # audit the edges the curve may reach for hidden double crossings and
-    # collect the crossed ones; the reach of two edges, not one, absorbs the
-    # round-off of phi and of the sample points
-    if iface.reach is None:
-        audit = np.arange(mesh.n_edges)
-    else:
-        l = 2.0 * (np.hypot(h, h) if mesh.cell_kind == TRI else h)
-        near = np.flatnonzero(np.abs(node_phi) <= iface.reach(x, y, l) + tol)
-        audit = np.unique(mesh.element_edges(mesh.node_elements(near)))
-    solve = [audit[:0]]
-    for lo in range(0, len(audit), _AUDIT_ROWS):
-        ids = audit[lo:lo + _AUDIT_ROWS]
-        ends = mesh.edge_nodes(ids)
-        _, s = _edge_signs(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, tol)
-        # all but the rows of one strict sign throughout
-        rows = np.flatnonzero((s.min(axis=1) <= 0) & (s.max(axis=1) >= 0))
-        flips = _sign_flips(s[rows])
-        if (flips > 1).any():
-            i = int(np.argmax(flips > 1))
-            raise MultipleCrossings(
-                f"edge {ids[rows[i]]} is crossed {flips[i]} times; refine the mesh")
-        first, last = _outer_signs(s[rows])
-        solve.append(ids[rows[first * last < 0]])
-    solve = np.concatenate(solve)
-    ends = mesh.edge_nodes(solve)
-    hit, points = edge_crossings(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, h)
-    crossed = solve[hit]
+    # the edges the curve may reach, audited for hidden double crossings as
+    # their crossings are solved; the reach of two edges, not one, absorbs
+    # the round-off of phi and of the sample points
+    l = 2.0 * (np.hypot(h, h) if mesh.cell_kind == TRI else h)
+    near = np.flatnonzero(np.abs(node_phi) <= iface.reach(x, y, l) + tol)
+    audit = _distinct(mesh.element_edges(mesh.node_elements(near)))
+    ends = mesh.edge_nodes(audit)
+    try:
+        hit, points = edge_crossings(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, h)
+    except MultipleCrossings as err:
+        raise MultipleCrossings(f"edge {audit[err.row]} is crossed {err.crossings} times; "
+                                "refine the mesh") from err
+    crossed = audit[hit]
 
     # side of phi at the centroids, per cell variant on a row of x against a
     # column of y: a centroid's x, the mean of its vertices' x in vertex
@@ -675,7 +664,7 @@ def lattice_aggregates(mesh: CartesianMesh, iface: InterfaceGeometry):
 def interface_edges(mesh: CartesianMesh, cuts: CutSet) -> np.ndarray:
     """Ids of the interface edges, ascending: the interior edges of the cut
     elements of `cuts`, the edges that carry the stabilization terms."""
-    edges = np.unique(mesh.element_edges(cuts.ids))
+    edges = _distinct(mesh.element_edges(cuts.ids))
     return edges[mesh.edge_elements(edges)[:, 1] >= 0]
 
 

@@ -24,6 +24,8 @@ import scipy.sparse as sp
 from .errors import AsymmetricInput, PpifeError
 
 DEFAULT_TOL = 1e-12
+# CG's symmetry check: max |A - A^T| against max |A|
+SYMMETRY_RTOL = 1e-12
 # AMG: coarsening stops at this many dofs or fewer; that level is solved by
 # a banded LU
 COARSE_SIZE = 400
@@ -33,8 +35,9 @@ PROLONGATOR_DAMPING = 4.0 / 3.0
 SMOOTHER_DAMPING = 1.5
 # AMG: damped-Jacobi sweeps before and after each coarse correction
 SMOOTHER_SWEEPS = 2
-# fixed seed of the start vectors of the power iteration
+# fixed seed of the start vectors of the power iteration, and its steps
 AMG_SEED = 12345
+POWER_STEPS = 15
 
 
 @dataclass
@@ -48,9 +51,9 @@ class SolveResult:
                            # 0 when no V-cycle ran
 
 
-def _is_symmetric(A, rtol=1e-12):
-    """Whether max |A - A^T| <= rtol * max |A| over every stored entry. On a
-    symmetric pattern, A's data is compared with itself at the transposed
+def _is_symmetric(A):
+    """Whether max |A - A^T| <= SYMMETRY_RTOL max |A| over the stored entries.
+    On a symmetric pattern, A's data is compared with itself at the transposed
     positions: the data of A^T's CSR structure built on their positions."""
     scale = np.abs(A.data).max() if A.nnz else 1.0
     T = sp.csc_matrix((np.arange(A.nnz, dtype=A.indices.dtype), A.indices, A.indptr),
@@ -63,7 +66,7 @@ def _is_symmetric(A, rtol=1e-12):
         diff -= A.data
     else:
         diff = (A - sp.csr_matrix((A.data[T.data], T.indices, T.indptr), shape=A.shape)).data
-    return np.abs(diff, out=diff).max(initial=0.0) <= rtol * scale
+    return np.abs(diff, out=diff).max(initial=0.0) <= SYMMETRY_RTOL * scale
 
 
 def _scaled(A, b, s=None):
@@ -101,12 +104,11 @@ def _finish(A, b, bnorm, xs, s, iterations, tol_rel, restarts=0, levels=0):
     return SolveResult(x, iterations, res, bool(res <= tol_rel), restarts, levels)
 
 
-def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
+def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
        hierarchy=None) -> SolveResult:
     """Conjugate gradients for symmetric systems, preconditioned by the
     V-cycle of `hierarchy` with the exact `block`, or for None by A's own
-    Jacobi scaling alone.
-    Raises AsymmetricInput when some |A_ij - A_ji| exceeds 1e-12 * max|A|;
+    Jacobi scaling alone. Raises AsymmetricInput when A fails `_is_symmetric`;
     returns the best iterate, converged=False, when the budget runs out."""
     A = A.tocsr()
     n = A.shape[0]
@@ -154,11 +156,11 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
     return _finish(A, b, bnorm, best[1], s, it, tol_rel, levels=levels)
 
 
-def _spectral_radius(A, dinv, rng, steps=15):
+def _spectral_radius(A, dinv, rng):
     """Power-iteration estimate of rho(D^-1 A) from a fixed start vector."""
     x = rng.standard_normal(A.shape[0])
     lam = 1.0
-    for _ in range(steps):
+    for _ in range(POWER_STEPS):
         y = dinv * (A @ x)
         lam = np.linalg.norm(y)
         x = y / lam
@@ -242,7 +244,7 @@ class SAHierarchy:
         if self.coarse_solve is None:
             raise PpifeError(f"the coarsest AMG matrix, {A.shape[0]} unknowns, is singular")
 
-    def preconditioner(self, A, block=None):
+    def preconditioner(self, A, block):
         """One V-cycle, an approximation of A^-1 v as a function of v, with
         A (scaled by `scale`) as level 0's smoothing and residual operator.
 
@@ -257,7 +259,7 @@ class SAHierarchy:
         # per level: matrix, Jacobi weights omega / (rho diag), P
         levels = [(L, w / L.diagonal(), P) for L, (w, P, _) in
                   zip([A] + [lvl[2] for lvl in self.levels], self.levels)]
-        ids = np.asarray(() if block is None else block, dtype=np.int64)
+        ids = np.asarray(block, dtype=np.int64)
         rows, cols = A[ids], A[:, ids]
         inner = rows[:, ids]
         inner.eliminate_zeros()         # its order follows the nonzeros alone
@@ -288,7 +290,7 @@ class SAHierarchy:
         return x
 
 
-def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=None,
+def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
              hierarchy=None) -> SolveResult:
     """BiCGSTAB right-preconditioned (the convergence test sees the true
     scaled residual) by the V-cycle of `hierarchy` with the exact `block`,

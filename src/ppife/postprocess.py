@@ -11,6 +11,8 @@ from .geometry import RECT, bulk_sweep
 from .local_basis import (cut_frame, piece_gradients, piece_values, template_gradients,
                           template_values)
 
+LINF_GRID = 5       # samples per side of each element in the L-infinity error
+
 
 @dataclass(frozen=True)
 class PiecewiseSolution:
@@ -190,9 +192,9 @@ def _cut_sums(mesh, cuts, coeffs, sol, beta, rules):
     return out
 
 
-def _linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
-    """Max |u - u_h| over a grid x grid sample per element plus all vertices."""
-    t = np.linspace(0.0, 1.0, grid)
+def _linf_error(mesh, status, cuts, coeffs, sol, iface):
+    """Max |u - u_h| over LINF_GRID^2 samples per element plus all vertices."""
+    t = np.linspace(0.0, 1.0, LINF_GRID)
     TX, TY = np.meshgrid(t, t, indexing="ij")
     if mesh.cell_kind == RECT:
         sample = {0: ("rect", np.column_stack([TX.ravel(), TY.ravel()]))}

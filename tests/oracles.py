@@ -45,8 +45,8 @@ from ppife.assembly import (DATA_DEGREE, DATA_REFINE, EDGE_DEGREE, MethodParams,
                             cut_volume_matrices)
 from ppife.errors import GeometryError, MultipleCrossings, PpifeError, SingularLocalSystem
 from ppife.geometry import (_AUDIT_ROWS, _SWEEP_POINTS, INTERFACE, RECT, SIDE_MINUS, SIDE_PLUS,
-                            SNAP_TOL, TRI, CutSet, DomainSpec, _cut_set, _edge_signs, _outer_signs,
-                            _sign_flips, _snapped_sign, build_mesh, circle, classify_elements,
+                            SNAP_TOL, TRI, CutSet, DomainSpec, _cut_set, _edge_signs,
+                            _snapped_sign, build_mesh, circle, classify_elements,
                             edge_crossings, interface_edges)
 from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_bases, cut_frame,
                                cut_values, phys_coefficients, piece_gradients, piece_values,
@@ -530,10 +530,12 @@ def cut_data_rules(cut, degree=DATA_DEGREE, refine=DATA_REFINE):
         yield side, pts.reshape(-1, 2), wts.ravel()
 
 
-def interface_jump_residuals(sol, iface, n_samples=360):
-    """Max |[u]| and |[beta du/dn]| sampled along a circular interface."""
-    r0 = sol.params.get("r0")
-    cx, cy, _ = iface.params if iface.name == "circle" else (0.0, 0.0, r0)
+def interface_jump_residuals(sol, config, n_samples=360):
+    """Max |[u]| and |[beta du/dn]| sampled along the circle of a circle
+    interface's RunConfig."""
+    assert config.interface == "circle"
+    cx, cy, r0 = config.interface_params
+    iface = circle(cx, cy, r0)
     theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
     x = cx + r0 * np.cos(theta)
     y = cy + r0 * np.sin(theta)
@@ -946,6 +948,24 @@ def edge_signs(p0, p1, iface, tol):
     return vals, np.where(np.abs(vals) < tol, 0, np.sign(vals)).astype(np.int8)
 
 
+def sign_flips(signs):
+    """Sign changes along each row of `signs`, zeros skipped."""
+    cols = np.arange(signs.shape[1])
+    last = np.maximum.accumulate(np.where(signs != 0, cols, 0), axis=1)
+    prev = np.take_along_axis(signs, last[:, :-1], axis=1)  # latest nonzero before
+    return np.count_nonzero(prev * signs[:, 1:] < 0, axis=1)
+
+
+def outer_signs(signs):
+    """First and last nonzero entry of each row of `signs`, 0 for a row of
+    zeros."""
+    nz = signs != 0
+    first = np.argmax(nz, axis=1)
+    last = signs.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+    rows = np.arange(len(signs))
+    return signs[rows, first], signs[rows, last]
+
+
 def all_edge_classify(mesh, iface):
     """`geometry.classify_elements` with the sign audit on every mesh edge,
     in ascending blocks of `_AUDIT_ROWS` edges, whatever the `reach` of
@@ -960,12 +980,12 @@ def all_edge_classify(mesh, iface):
         ends = mesh.edge_nodes(np.arange(lo, min(lo + _AUDIT_ROWS, mesh.n_edges)))
         _, s = _edge_signs(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, tol)
         rows = np.flatnonzero((s.min(axis=1) <= 0) & (s.max(axis=1) >= 0))
-        flips = _sign_flips(s[rows])
+        flips = sign_flips(s[rows])
         if (flips > 1).any():
             i = int(np.argmax(flips > 1))
             raise MultipleCrossings(
                 f"edge {lo + rows[i]} is crossed {flips[i]} times; refine the mesh")
-        first, last = _outer_signs(s[rows])
+        first, last = outer_signs(s[rows])
         solve.append(lo + rows[first * last < 0])
     solve = np.concatenate(solve)
     ends = mesh.edge_nodes(solve)

@@ -10,6 +10,7 @@ from ppife.geometry import (DomainSpec, build_mesh, circle, classify_elements,
                             interface_edges, line)
 from oracles import (basis_of, check_csr, classify_cuts, combine_system, edge_split_points,
                      full_volume, interface_jump_residuals, standard_basis)
+from ppife.harness import RunConfig
 from ppife.linsolve import cg
 from ppife.local_basis import build_bases, cut_frame, cut_values
 from ppife.postprocess import radial_interface_solution
@@ -344,7 +345,7 @@ def test_boundary_values_satisfy_interface_conditions():
     iface = circle(0.0, 0.0, R0)
     for betas in ((1.0, 10.0), (1.0, 10000.0)):
         sol = radial_interface_solution(*betas)
-        ju, jf = interface_jump_residuals(sol, iface)
+        ju, jf = interface_jump_residuals(sol, RunConfig(interface_params=(0.0, 0.0, R0)))
         assert ju < 1e-10
         assert jf < 1e-10
     # boundary trace comes from the outer branch on this domain

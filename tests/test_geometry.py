@@ -1,13 +1,15 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from ppife import geometry
 from ppife.errors import ConfigError, MultipleCrossings
 from ppife.geometry import (_AUDIT_ROWS, INTERFACE, SIDE_MINUS, SIDE_PLUS, CartesianMesh,
-                            DomainSpec, build_mesh, circle, classify_elements, dump_mesh,
-                            edge_crossings, interface_edges, interface_from_name, line)
+                            DomainSpec, _edge_signs, build_mesh, circle, classify_elements,
+                            dump_mesh, edge_crossings, interface_edges, interface_from_name, line)
 from ppife.quadrature import polygon_area
 from oracles import (EDGE_INTERFACE, ReferenceMesh, classify_cuts, classify_edges,
                      dump_reference_mesh, edge_intersection)
@@ -341,6 +343,35 @@ def test_audit_work_grows_like_the_interface():
     assert extra(320) <= 4.5 * extra(80)
 
 
+@pytest.mark.parametrize("pruned", [True, False])
+def test_classify_samples_each_audited_edge_once(pruned):
+    # the audit's samples also bracket the crossings, so no edge reaches
+    # _edge_signs twice (sampling the crossed edges again did); an infinite
+    # reach audits every edge, here in two blocks
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 40, "rect"))
+    assert mesh.n_edges > _AUDIT_ROWS
+    iface = circle(0.0, 0.0, R0)
+    if not pruned:
+        iface = dataclasses.replace(iface, reach=lambda x, y, l: np.inf)
+    sampled = []
+
+    def record(p0, p1, iface, tol):
+        sampled.append(np.column_stack([p0, p1]))
+        return _edge_signs(p0, p1, iface, tol)
+
+    with mock.patch.object(geometry, "_edge_signs", record):
+        cuts = classify_elements(mesh, iface)[1]
+    sampled = np.concatenate(sampled)
+    assert len(np.unique(sampled, axis=0)) == len(sampled)
+    ends = mesh.edge_nodes(np.unique(cuts.cut_edges[cuts.cut_edges >= 0]))
+    crossed = np.column_stack([mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]])
+    assert len(crossed) and (crossed[:, None] == sampled).all(axis=2).any(axis=1).all()
+    if not pruned:
+        ends = mesh.edge_nodes(np.arange(mesh.n_edges))
+        assert np.array_equal(sampled, np.column_stack([mesh.nodes[ends[:, 0]],
+                                                        mesh.nodes[ends[:, 1]]]))
+
+
 def test_degenerate_chord_falls_back_to_uncut():
     # steep level set clipping one corner: crossings exist but the chord is
     # far below the snap tolerance, so the element is reclassified by side
@@ -350,7 +381,8 @@ def test_degenerate_chord_falls_back_to_uncut():
     phi = lambda x, y: scale * (np.asarray(x) + np.asarray(y) - 2.0 + 1e-16)
     grad = lambda x, y: (scale * np.ones_like(np.asarray(x, float)),
                          scale * np.ones_like(np.asarray(y, float)))
-    status, cuts = classify_elements(mesh, InterfaceGeometry(phi, grad))
+    iface = InterfaceGeometry(phi, grad, reach=lambda x, y, l: np.inf)
+    status, cuts = classify_elements(mesh, iface)
     assert len(cuts) == 0
     assert (status == SIDE_MINUS).all()
 
@@ -399,7 +431,8 @@ def test_snapped_vertex_cuts_match_oracle(kind):
     # vertex, where the two crossings make the chord
     s = lambda x, y: np.asarray(x) + np.asarray(y) + 2.0
     pair = InterfaceGeometry(lambda x, y: s(x, y) * (s(x, y) - 0.4),
-                             lambda x, y: (2.0 * s(x, y) - 0.4, 2.0 * s(x, y) - 0.4))
+                             lambda x, y: (2.0 * s(x, y) - 0.4, 2.0 * s(x, y) - 0.4),
+                             reach=lambda x, y, l: np.inf)
     snapped = 0
     for iface in (line(1.0, 1.0, 0.0), line(1.0, -1.0, 0.25), line(2.0, 1.0, 0.5),
                   line(1.0, 2.0, -0.25), line(1.0, -3.0, 0.5), circle(0.0, 0.0, 0.5),
@@ -420,7 +453,8 @@ def test_crossing_beside_a_snapped_vertex_is_solved():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 8, "tri"))
     s = lambda x, y: np.asarray(x) + np.asarray(y) + 2.0
     pair = InterfaceGeometry(lambda x, y: s(x, y) * (s(x, y) - 0.4),
-                             lambda x, y: (2.0 * s(x, y) - 0.4, 2.0 * s(x, y) - 0.4))
+                             lambda x, y: (2.0 * s(x, y) - 0.4, 2.0 * s(x, y) - 0.4),
+                             reach=lambda x, y, l: np.inf)
     cuts = _assert_matches_oracle(mesh, pair)
     assert cuts.ids[0] == 0 and (cuts.cut_edges[0] >= 0).all()
     assert np.allclose(cuts.D[0], [-0.75, -0.85], atol=1e-13)

@@ -221,7 +221,7 @@ def _shared_preconditioner(mesh, N, beta_plus, scheme, block=True):
     A, b, ids = _blocked_system(mesh, N, beta_plus, scheme)
     H = _context(mesh, N, beta_plus)[1].hierarchy
     As = _scaled(A, b, H.scale)[0]
-    return As, H.preconditioner(As, ids if block else None)
+    return As, H.preconditioner(As, ids if block else ())
 
 
 def _poisson(m):
@@ -243,7 +243,7 @@ def _lattice_hierarchy(mesh, N, beta_plus, A):
     return SAHierarchy(A, lattice_aggregates(ctx.mesh, ctx.iface))
 
 
-def _solve_on(solver, H, A, b, block=None):
+def _solve_on(solver, H, A, b, block=()):
     """solver(A, b) preconditioned by the V-cycle of H, checked to have run
     all of H, so that no ceiling passes on an exact solve."""
     res = solver(A, b, block=block, hierarchy=H)
@@ -309,7 +309,7 @@ def test_sa_hierarchy_coarsens_to_the_coarse_size():
         assert np.all(np.diff(P.tocsc().indptr) > 0)
         assert coarse.shape == (P.shape[1],) * 2
     As = _scaled(A, np.zeros(3600), H.scale)[0]
-    M = H.preconditioner(As)
+    M = H.preconditioner(As, ())
     e = np.random.default_rng(5).standard_normal(3600)
     e0 = np.linalg.norm(e)
     for _ in range(10):
@@ -344,9 +344,9 @@ def test_blocked_bicgstab_iteration_ceiling(mesh, beta_plus):
 
 def test_block_solve_is_exact_and_optional():
     # the last step solves the block's rows exactly, so they hold for the
-    # preconditioned vector; an empty or absent block leaves the plain
-    # V-cycle, and at the coarse size a hierarchy of the system itself
-    # solves it exactly, with its block or without
+    # preconditioned vector; an empty block leaves the plain V-cycle, and at
+    # the coarse size a hierarchy of the system itself solves it exactly,
+    # with its block or with the solvers' default, none
     A, b, block = _blocked_system("rect", 40, 1e4, "npp")
     H = _context("rect", 40, 1e4)[1].hierarchy
     As, bs, _ = _scaled(A, b, H.scale)
@@ -354,12 +354,11 @@ def test_block_solve_is_exact_and_optional():
     x = H.preconditioner(As, block)(v)
     assert np.allclose((As @ x)[block], v[block], rtol=0, atol=1e-10 * np.abs(v).max())
     assert not np.allclose((As @ x)[1:5], v[1:5])       # far from the block: not
-    plain = H.preconditioner(As)(v)
-    for other in (np.array([], dtype=int), None):
-        assert np.array_equal(H.preconditioner(As, other)(v), plain)
+    plain = H.preconditioner(As, ())(v)
+    assert np.array_equal(H.preconditioner(As, np.array([], dtype=int))(v), plain)
     small, small_b, small_block = _blocked_system("rect", 20, 1e4, "npp")
-    for other in (small_block, None):
-        res = bicgstab(small, small_b, block=other, hierarchy=SAHierarchy(small, ()))
+    for given in ({"block": small_block}, {}):
+        res = bicgstab(small, small_b, hierarchy=SAHierarchy(small, ()), **given)
         assert res.converged and res.iterations == 1 and res.amg_levels == 1
     res = bicgstab(small, small_b, block=small_block)
     assert res.converged and res.amg_levels == 0

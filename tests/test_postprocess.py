@@ -6,6 +6,7 @@ from oracles import (classify_cuts, classify_edges, convergence_rates, interface
 from ppife.assembly import DATA_DEGREE, MethodParams, bulk_rules, cut_data_rules, edge_traces
 from ppife.geometry import (DomainSpec, build_mesh, bulk_sweep, circle, classify_elements,
                             cut_sweep, interface_edges)
+from ppife.harness import RunConfig
 from ppife.local_basis import build_bases
 from ppife.postprocess import (PiecewiseSolution, error_norms, interpolate_nodal,
                                markdown_error_table, radial_interface_solution, record_csv_rows,
@@ -30,8 +31,8 @@ CLASSIC = MethodParams.preset("classic")
 @pytest.mark.parametrize("betas", [(1.0, 10.0), (1.0, 10000.0), (10.0, 1.0)])
 def test_manufactured_solution_jump_conditions(betas):
     sol = radial_interface_solution(*betas)
-    iface = circle(0.0, 0.0, R0)
-    ju, jf = interface_jump_residuals(sol, iface, n_samples=360)
+    ju, jf = interface_jump_residuals(sol, RunConfig(interface_params=(0.0, 0.0, R0)),
+                                      n_samples=360)
     assert ju < 1e-10
     assert jf < 1e-10
 
@@ -203,7 +204,7 @@ def test_markdown_table_layout():
 
 def test_tri_mesh_solution_rates():
     # end-to-end linear elements: optimal orders on the triangular pipeline
-    from ppife.harness import RunConfig, build_context, solve_scheme
+    from ppife.harness import build_context, solve_scheme
     cfg = RunConfig(N=(20,), schemes=("spp",), mesh="tri")
     l2s, h1s = [], []
     for N in (20, 40, 80):

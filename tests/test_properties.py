@@ -158,11 +158,12 @@ def _audited(classify, mesh, iface):
 
 
 def _two_lines(c, w):
-    """phi = s (s - w), s = x + y + c: the lines s = 0 and s = w, with no
-    `reach`."""
+    """phi = s (s - w), s = x + y + c: the lines s = 0 and s = w, with an
+    infinite `reach`."""
     s = lambda x, y: np.asarray(x) + np.asarray(y) + c
     return InterfaceGeometry(lambda x, y: s(x, y) * (s(x, y) - w),
-                             lambda x, y: (2.0 * s(x, y) - w, 2.0 * s(x, y) - w))
+                             lambda x, y: (2.0 * s(x, y) - w, 2.0 * s(x, y) - w),
+                             reach=lambda x, y, l: np.inf)
 
 
 def _tangent_circle(kind, N, cx, cy, k, vertical, eps):
@@ -406,7 +407,8 @@ def test_edge_signs_at_the_snap_tolerance(exp, n):
     # k = 7 and 9, and exactly 0 at k = 8; a power-of-two tol keeps the
     # samples exact
     tol = 2.0 ** exp
-    iface = InterfaceGeometry(lambda x, y: x, lambda x, y: (1.0, 0.0))
+    iface = InterfaceGeometry(lambda x, y: x, lambda x, y: (1.0, 0.0),
+                              reach=lambda x, y, l: np.inf)
     p0 = np.tile([[-8 * tol, 0.0]], (n, 1))
     p1 = np.tile([[8 * tol, 1.0]], (n, 1))
     vals, signs = _edge_signs(p0, p1, iface, tol)

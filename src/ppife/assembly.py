@@ -65,7 +65,7 @@ class MethodParams:
 # volume terms
 # ---------------------------------------------------------------------------
 
-def cut_volume_matrices(cuts, beta_minus, beta_plus):
+def cut_volume_matrices(cuts):
     """Stiffness matrices (K, d, d) of the cut elements: each chord side's
     sub-polygon with its piece and its beta, over the blocks of `cut_sweep`."""
     A = np.zeros(cuts.cm.shape[:2] + cuts.cm.shape[1:2])
@@ -73,11 +73,11 @@ def cut_volume_matrices(cuts, beta_minus, beta_plus):
         c = (cuts.cm, cuts.cp)[side][rows]
         G = piece_gradients(c, (pts - cuts.origin[rows, None]) / cuts.h[rows, None, None],
                             cuts.h[rows])
-        A[rows] += (beta_minus, beta_plus)[side] * np.einsum("kq,kiqa,kjqa->kij", w, G, G)
+        A[rows] += cuts.beta[side] * np.einsum("kq,kiqa,kjqa->kij", w, G, G)
     return A
 
 
-def assemble_volume(mesh, status, cuts, beta_minus, beta_plus, free, pairs):
+def assemble_volume(mesh, status, cuts, free, pairs):
     """Stiffness matrix sum_K int_K beta grad(phi_i) . grad(phi_j), CSR, on
     the ascending nodes `free`, with the node pairs `pairs` = (rows, cols) of
     free nodes stored too, as zeros where it has none.
@@ -109,7 +109,7 @@ def assemble_volume(mesh, status, cuts, beta_minus, beta_plus, free, pairs):
     pin = pr * S + np.searchsorted(offsets, pc - pr)            # the pairs' (row, slot)
     by_pin = np.argsort(pin)
     pin, pair_at = pin[by_pin], np.empty(len(pin), np.int64)
-    coef = np.array([beta_minus, 0.0, beta_plus])[status + 1].reshape(n, n, nvar)  # 0 if cut
+    coef = np.array([cuts.beta[0], 0.0, cuts.beta[1]])[status + 1].reshape(n, n, nvar)  # 0: cut
     # node (i, j) is vertex l of the element in cell (i, j) - corner l, so
     # (-dj, -di, variant) ascending is ascending element id
     order = sorted(np.ndindex(nvar, d, d),
@@ -118,7 +118,7 @@ def assemble_volume(mesh, status, cuts, beta_minus, beta_plus, free, pairs):
     row = np.repeat(mesh.elements[cuts.ids], d, axis=1).ravel()
     by_row = np.argsort(row * len(row) + np.arange(len(row)))     # unique keys: stable
     cut_row, cut_slot = row[by_row], slot[cuts.ids % nvar].ravel()[by_row]
-    cut_val = cut_volume_matrices(cuts, beta_minus, beta_plus).ravel()[by_row]
+    cut_val = cut_volume_matrices(cuts).ravel()[by_row]
 
     idx = np.int32 if nn * S < 2 ** 31 else np.int64
     pos = np.full(nn, -1, dtype=idx)
@@ -180,8 +180,7 @@ class EdgeTraces(NamedTuple):
     beta: np.ndarray        # (B, 2, nq) coefficient of the active side per point
 
 
-def edge_traces(mesh, edges, status, cuts, beta_minus, beta_plus,
-                degree=EDGE_DEGREE, values=True):
+def edge_traces(mesh, edges, status, cuts, degree=EDGE_DEGREE, values=True):
     """The EdgeTraces of the interior edges `edges` (ascending ids, the
     `geometry.interface_edges` of `cuts` in a solve): the one walk over
     interface edges, which the edge terms, the penalty jumps of the energy
@@ -212,6 +211,7 @@ def edge_traces(mesh, edges, status, cuts, beta_minus, beta_plus,
     V = np.empty((B, 2, nv, nq)) if values else None
     G = np.empty((B, 2, nv, nq, 2))
     beta = np.empty((B, 2, nq))
+    bm, bp = cuts.beta
     for s in (0, 1):
         rows = row_of[els[:, s]]
         cut = rows >= 0
@@ -219,14 +219,14 @@ def edge_traces(mesh, edges, status, cuts, beta_minus, beta_plus,
         if values:
             V[cut, s] = cut_values(cuts, rows[cut], xi, plus)
         G[cut, s] = cut_gradients(cuts, rows[cut], xi, plus)
-        beta[cut, s] = np.where(plus, beta_plus, beta_minus)
+        beta[cut, s] = np.where(plus, bp, bm)
         k = els[~cut, s]
         C = template_coefs(mesh, k)
         xi = (pts[~cut] - mesh.element_origins[k][:, None]) / mesh.element_h[k][:, None, None]
         if values:
             V[~cut, s] = piece_values(C, xi)
         G[~cut, s] = piece_gradients(C, xi, mesh.element_h[k])
-        beta[~cut, s] = np.where(status[k] == SIDE_MINUS, beta_minus, beta_plus)[:, None]
+        beta[~cut, s] = np.where(status[k] == SIDE_MINUS, bm, bp)[:, None]
     return EdgeTraces(edges, els, pts, w, V, G, beta)
 
 
@@ -257,11 +257,11 @@ def edge_term_matrices(mesh, traces, alpha):
     return dofs, M, P
 
 
-def assemble_edge_terms(mesh, edges, status, cuts, beta_minus, beta_plus, alpha):
+def assemble_edge_terms(mesh, edges, status, cuts, alpha):
     """Assemble (M, P_unit, traces) over the interface edges `edges`: the consistency
     matrix, the penalty matrix at sigma0 = 1 (`DirichletSplit.system` weighs both
     per scheme) and the `edge_traces` the sums were taken over."""
-    traces = edge_traces(mesh, edges, status, cuts, beta_minus, beta_plus)
+    traces = edge_traces(mesh, edges, status, cuts)
     dofs, M, P = edge_term_matrices(mesh, traces, alpha)
     nd = dofs.shape[1]
     r, c = np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel()
@@ -379,8 +379,7 @@ class DirichletSplit(NamedTuple):
                             self.boundary, self.boundary_values, self.free)
 
 
-def apply_dirichlet(mesh, status, cuts, beta_minus, beta_plus, M, P_unit, b,
-                    g) -> DirichletSplit:
+def apply_dirichlet(mesh, status, cuts, M, P_unit, b, g) -> DirichletSplit:
     """Fix the boundary dofs to the nodal interpolation of g(x, y) and split
     the terms and the load there, once for every scheme: A_vol is assembled
     on the free nodes alone, from the full-node M and P_unit."""
@@ -394,8 +393,7 @@ def apply_dirichlet(mesh, status, cuts, beta_minus, beta_plus, M, P_unit, b,
     terms = [(r, c, X.data) for X in (M, P_unit) for r, c in ((X.row, X.col), (X.col, X.row))]
     inner = [(pos[r] >= 0) & (pos[c] >= 0) for r, c, _ in terms]
     rows, cols = (np.concatenate([t[k][f] for t, f in zip(terms, inner)]) for k in (0, 1))
-    A_vol, at, block = assemble_volume(mesh, status, cuts, beta_minus, beta_plus, free,
-                                       (rows, cols))
+    A_vol, at, block = assemble_volume(mesh, status, cuts, free, (rows, cols))
     at = np.split(at, np.cumsum([f.sum() for f in inner]))
     lifts = []
     for r, c, v in [block] + terms[:3]:

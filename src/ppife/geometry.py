@@ -395,7 +395,8 @@ class CutSet:
     vertex (`cut_sweep` integrates the first n_minus / n_plus only). Element
     edge i (V_i -> V_i+1) is split at `edge_splits[:, i]`: at the chord end
     on it, else at its end vertex. `local_basis.build_bases` fills in the
-    immersed coefficients and the frames of their scaled monomials.
+    coefficient pair (beta-, beta+) of the IFE space, the immersed
+    coefficients and the frames of their scaled monomials.
     """
 
     ids: np.ndarray          # (K,) element ids; stack indices for reference cuts
@@ -413,6 +414,7 @@ class CutSet:
     cp: Optional[np.ndarray] = None      # (K, d, m) plus-piece coefficients
     origin: Optional[np.ndarray] = None  # (K, 2) lower-left corner of each frame
     h: Optional[np.ndarray] = None       # (K,) size of each frame
+    beta: Optional[tuple] = None         # (beta_minus, beta_plus) of the bases
 
     def __len__(self):
         return len(self.ids)

@@ -96,8 +96,11 @@ class RunConfig:
             raise ConfigError("sigma0 must be non-negative")
         if self.coeff_samples < 1 or self.trace_samples < 1:
             raise ConfigError("coeff_samples and trace_samples must be at least 1")
-        if len(set(self.interp_ns)) < 2:
-            raise ConfigError("interp_ns needs at least 2 distinct mesh sizes for a slope")
+        for name in ("schemes", "interp_ns", "coercivity_ns", "scan_betas"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(f"{name} repeats an entry: {getattr(self, name)!r}")
+        if len(self.interp_ns) < 2:
+            raise ConfigError("interp_ns needs at least 2 mesh sizes for a slope")
         if not self.coercivity_ns:
             raise ConfigError("coercivity_ns needs at least 1 mesh size")
         if self.seed < 0:
@@ -239,7 +242,6 @@ def load_config(path=None, overrides=None) -> RunConfig:
 class CaseContext:
     """Everything that is shared by all schemes on one (mesh, beta) case."""
 
-    N: int
     mesh: object
     iface: object
     sol: object
@@ -279,14 +281,13 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
                                     alpha_exp=config.alpha_exp, r0=r0, center=(cx, cy))
     status, cuts = classify_elements(mesh, iface)
     cuts = build_bases(cuts, config.beta_minus, config.beta_plus)
-    M, P_unit, traces = assembly.assemble_edge_terms(
-        mesh, interface_edges(mesh, cuts), status, cuts, config.beta_minus, config.beta_plus,
-        config.penalty_alpha)
+    M, P_unit, traces = assembly.assemble_edge_terms(mesh, interface_edges(mesh, cuts), status,
+                                                     cuts, config.penalty_alpha)
     rules = assembly.cut_data_rules(cuts, iface)
     b = assembly.assemble_load(mesh, status, cuts, sol, iface, rules=rules)
-    split = assembly.apply_dirichlet(mesh, status, cuts, config.beta_minus, config.beta_plus,
-                                     M, P_unit, b, lambda x, y: sol.u_at(x, y, iface))
-    return CaseContext(N, mesh, iface, sol, status, cuts, split, traces, rules)
+    split = assembly.apply_dirichlet(mesh, status, cuts, M, P_unit, b,
+                                     lambda x, y: sol.u_at(x, y, iface))
+    return CaseContext(mesh, iface, sol, status, cuts, split, traces, rules)
 
 
 def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
@@ -297,6 +298,7 @@ def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
 def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     """Assemble the scheme system on a prepared context, solve, measure errors."""
     params = scheme_params(config, scheme)
+    N = ctx.mesh.n_cells
     # delta == epsilon makes the scheme matrix symmetric; the solver is
     # looked up at call time, so that a tracer may wrap it
     symmetric = params.delta == params.epsilon
@@ -308,7 +310,7 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     res = solver(A_ff, rhs, tol_rel=config.solver_tol, max_iter=config.solver_maxiter,
                  block=ctx.interface_block, hierarchy=hierarchy)
     if not res.converged:
-        raise NotConverged(f"{scheme} at N={ctx.N}: not converged after {res.iterations} "
+        raise NotConverged(f"{scheme} at N={N}: not converged after {res.iterations} "
                            f"iterations and {res.restarts} restarts, final residual "
                            f"{res.residual:.3e}", res)
     coeffs = system.expand(res.x)
@@ -316,7 +318,7 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     err = error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,
                       ctx.traces, params, rules=ctx.rules)
     rec = RunRecord(
-        scheme=scheme, mesh_kind=config.mesh, N=ctx.N, h=ctx.mesh.h,
+        scheme=scheme, mesh_kind=config.mesh, N=N, h=ctx.mesh.h,
         beta_minus=config.beta_minus, beta_plus=config.beta_plus,
         e_l2=err["l2"], e_h1=err["h1"], e_linf=err["linf"], e_energy=err["energy"],
         iterations=res.iterations, residual=res.residual,

@@ -194,10 +194,12 @@ def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_i
 
 def build_bases(cuts, beta_minus, beta_plus):
     """The CutSet `cuts` with its immersed coefficients and frames filled in,
-    from one stacked solve (`ife_coefficients`)."""
+    from one stacked solve (`ife_coefficients`), and with `beta`, the pair
+    that defines them, which every later stage reads."""
     cm, cp, origin, h = ife_coefficients(cuts.verts, cuts.D, cuts.E, cuts.normal,
                                          beta_minus, beta_plus, cuts.ids)
-    return dataclasses.replace(cuts, cm=cm, cp=cp, origin=origin, h=h)
+    return dataclasses.replace(cuts, cm=cm, cp=cp, origin=origin, h=h,
+                               beta=(beta_minus, beta_plus))
 
 
 def cut_frame(cuts, rows, pts):

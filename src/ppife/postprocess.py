@@ -1,7 +1,7 @@
 """Manufactured solutions, error norms, and run records with their tables."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,6 @@ class PiecewiseSolution:
     grad_plus: Callable
     f_minus: Callable
     f_plus: Callable
-    params: dict = field(default_factory=dict)
 
     def u(self, x, y, minus_mask):
         return _by_side(self.u_minus, self.u_plus, x, y, minus_mask, 1)[0]
@@ -102,9 +101,7 @@ def radial_interface_solution(beta_minus, beta_plus, alpha_exp=5.0,
     def f(x, y):
         return -a * a * r2(x, y) ** ((a - 2) / 2)
 
-    return PiecewiseSolution(u_minus, u_plus, grad_side(beta_minus), grad_side(beta_plus),
-                             f, f, params={"alpha_exp": a, "r0": r0,
-                                           "beta_minus": beta_minus, "beta_plus": beta_plus})
+    return PiecewiseSolution(u_minus, u_plus, grad_side(beta_minus), grad_side(beta_plus), f, f)
 
 
 def interpolate_nodal(mesh, sol, iface):
@@ -121,12 +118,13 @@ def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules):
     """Errors of u_h against the exact solution, keyed like `_NORM_KEYS`.
 
     'l2' is ||u - u_h||_L2, 'h1' the broken H1 seminorm, 'linf' the sampled
-    max error and 'energy' ||u - u_h||_h: the beta-weighted broken H1 seminorm
-    plus the penalty jump terms. The exact solution is continuous across
-    edges, so the edge jumps of the error reduce to the jumps of u_h, taken
-    on the interface-edge `traces` that `assembly.edge_traces` returns. The
-    cut elements' integrals run on `rules`, their `assembly.cut_data_rules`,
-    and the standard elements' on the rules of degree DATA_DEGREE.
+    max error and 'energy' ||u - u_h||_h: the broken H1 seminorm weighted by
+    the beta of `cuts` plus the penalty jump terms. The exact solution is
+    continuous across edges, so the edge jumps of the error reduce to the
+    jumps of u_h, taken on the interface-edge `traces` that
+    `assembly.edge_traces` returns. The cut elements' integrals run on
+    `rules`, their `assembly.cut_data_rules`, and the standard elements' on
+    the rules of degree DATA_DEGREE.
 
     One sweep over the standard elements and one over the chord sides of the
     cut elements fill the three squared sums; the cut elements' terms are
@@ -138,11 +136,10 @@ def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules):
     charging that mismatch to the discrete solution would inflate the
     gradient norms by an h-independent factor at large jumps.
     """
-    beta = (sol.params["beta_minus"], sol.params["beta_plus"])
-    sums = _bulk_sums(mesh, status, coeffs, sol, iface, beta)
+    sums = _bulk_sums(mesh, status, coeffs, sol, iface, cuts.beta)
     if len(cuts):
         # sequential sums keep the order of an element-by-element walk
-        parts = _cut_sums(mesh, cuts, coeffs, sol, beta, rules)
+        parts = _cut_sums(mesh, cuts, coeffs, sol, rules)
         sums = sums + np.cumsum(parts.reshape(-1, 3), axis=0)[-1]
     l2, h1, energy = sums
     if params.sigma0 != 0.0:
@@ -173,7 +170,7 @@ def _bulk_sums(mesh, status, coeffs, sol, iface, beta):
     return sums
 
 
-def _cut_sums(mesh, cuts, coeffs, sol, beta, rules):
+def _cut_sums(mesh, cuts, coeffs, sol, rules):
     """The same sums per cut element and chord side, (K, 2, 3), over the
     blocks of the refined fan rules (`cut_data_rules`), where u_h is the
     side's piece `coeffs @ c` (rows, 1, m)."""
@@ -188,7 +185,7 @@ def _cut_sums(mesh, cuts, coeffs, sol, beta, rules):
         gx, gy = (sol.grad_minus, sol.grad_plus)[side](x, y)  # the piece's, whatever phi says
         d2 = (gx - gh[..., 0]) ** 2 + (gy - gh[..., 1]) ** 2
         out[rows, side] = np.column_stack([np.vecdot(wts, diff * diff), np.vecdot(wts, d2),
-                                           np.vecdot(wts, beta[side] * d2)])
+                                           np.vecdot(wts, cuts.beta[side] * d2)])
     return out
 
 

@@ -171,12 +171,12 @@ def _trace_ratios(kind, cut_params, beta_pair):
     cuts and edges at once through the Cholesky factor of the projected
     gradient Gram matrix.
     """
-    bm, bp = beta_pair
-    cuts = build_bases(_reference_cuts(kind, cut_params), bm, bp)
+    cuts = build_bases(_reference_cuts(kind, cut_params), *beta_pair)
+    bm, bp = cuts.beta
     S, nv = cuts.verts.shape[:2]
     d = cuts.cm.shape[1]
 
-    Dmat = cut_volume_matrices(cuts, bm, bp)
+    Dmat = cut_volume_matrices(cuts)
     valid = np.trace(Dmat, axis1=1, axis2=2) >= 1e-28 * max(bm, bp)
     W = _constant_complement(d)
     Dr = W.T @ Dmat @ W
@@ -304,8 +304,8 @@ def _coercivity_bands(Ns, beta_pairs, cell_kind):
         edges = interface_edges(mesh, geo)
         for bm, bp in beta_pairs:
             cuts = build_bases(geo, bm, bp)
-            M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, bm, bp, 1.0)
-            split = apply_dirichlet(mesh, status, cuts, bm, bp, M, P, np.zeros(mesh.n_nodes),
+            M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
+            split = apply_dirichlet(mesh, status, cuts, M, P, np.zeros(mesh.n_nodes),
                                     lambda x, y: np.zeros_like(x))
             bands[(N, (bm, bp))] = _lower_bands(split.A_vol, split.terms[0], split.terms[2])
     return bands
@@ -352,23 +352,22 @@ def scan_coercivity(Ns=(10, 20, 40), beta_pairs=((1.0, 10.0), (1.0, 10000.0)),
 # ---------------------------------------------------------------------------
 
 def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
-                            cell_kind=RECT, r0=DEFAULT_R0, seed=7) -> ScanReport:
+                            cell_kind=RECT, seed=7) -> ScanReport:
     """Decay of sum_B ||beta grad(u - I_h u)|_K . n_B||^2 over interface edges.
 
     Pass: the log-log slope of the sum against h is at least 1.8 (O(h^2) or
-    better); the per-edge maximum and its slope are reported. `seed` is
-    unused."""
+    better); the per-edge maximum and its slope are reported, for the circle
+    of radius DEFAULT_R0. `seed` is unused."""
     bm, bp = beta_pair
-    sol = radial_interface_solution(bm, bp, r0=r0)
-    iface = circle(0.0, 0.0, r0)
+    sol = radial_interface_solution(bm, bp, r0=DEFAULT_R0)
+    iface = circle(0.0, 0.0, DEFAULT_R0)
     sums, maxes = [], []
     for N in Ns:
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, cell_kind))
         status, cuts = classify_elements(mesh, iface)
         cuts = build_bases(cuts, bm, bp)
         coeffs = interpolate_nodal(mesh, sol, iface)
-        tr = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, bm, bp, degree=6,
-                         values=False)
+        tr = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, degree=6, values=False)
         x, y = tr.points[..., 0], tr.points[..., 1]
         nB = mesh.edge_normals(tr.edges)[:, None]
         minus = np.asarray(iface.phi(x, y)) < 0

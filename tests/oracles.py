@@ -532,7 +532,7 @@ def cut_data_rules(cut, degree=DATA_DEGREE, refine=DATA_REFINE):
 
 def interface_jump_residuals(sol, config, n_samples=360):
     """Max |[u]| and |[beta du/dn]| sampled along the circle of a circle
-    interface's RunConfig."""
+    interface's RunConfig, with its beta pair."""
     assert config.interface == "circle"
     cx, cy, r0 = config.interface_params
     iface = circle(cx, cy, r0)
@@ -545,8 +545,7 @@ def interface_jump_residuals(sol, config, n_samples=360):
     gx, gy = iface.grad(x, y)
     nn = np.hypot(gx, gy)
     nx, ny = gx / nn, gy / nn
-    bm = sol.params["beta_minus"]
-    bp = sol.params["beta_plus"]
+    bm, bp = config.beta_minus, config.beta_plus
     jf = bm * (gmx * nx + gmy * ny) - bp * (gpx * nx + gpy * ny)
     return float(np.abs(ju).max()), float(np.abs(jf).max())
 
@@ -808,14 +807,13 @@ def linear_coupling_matrix(d, e, h, beta_minus, beta_plus):
 
 
 def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_labels, params,
-                          degree=DATA_DEGREE, refine=DATA_REFINE):
+                          beta, degree=DATA_DEGREE, refine=DATA_REFINE):
     """One full sweep per norm, summed in the order the fused sweep must keep:
     standard elements block by block (`point_blocks`), minus side first, then
     the cut-element total, then (energy only) the penalty jumps edge by edge.
     On a cut element u_h is evaluated as one piece, the coefficients times
     the side's basis. Standard neighbours on the edges are evaluated through
-    `standard_basis`."""
-    beta = (sol.params["beta_minus"], sol.params["beta_plus"])
+    `standard_basis`. `beta` is the pair (beta-, beta+) the bases were built for."""
     bulk = np.concatenate([np.flatnonzero(status == s) for s in (SIDE_MINUS, SIDE_PLUS)])
     cut_ids = np.flatnonzero(status == INTERFACE)
     h = mesh.h
@@ -1035,8 +1033,8 @@ def free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
     iface = circle(0.0, 0.0, r0)
     status, cuts = classify_elements(mesh, iface)
     cuts = build_bases(cuts, bm, bp)
-    A_vol = full_volume(mesh, status, cuts, bm, bp)
-    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, bm, bp, alpha)
+    A_vol = full_volume(mesh, status, cuts)
+    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, alpha)
     free = mesh.interior_nodes
     return A_vol[free][:, free], M[free][:, free], P[free][:, free]
 
@@ -1124,11 +1122,9 @@ def full_node_system(ctx, params):
     P_unit, sliced to the free rows and then to the free columns, and the
     full load on the free rows less A_fb g, the free rows' boundary columns
     times the boundary values."""
-    bm, bp = ctx.sol.params["beta_minus"], ctx.sol.params["beta_plus"]
     mesh = ctx.mesh
-    A_vol = full_volume(mesh, ctx.status, ctx.cuts, bm, bp)
-    M, P, _ = assemble_edge_terms(mesh, ctx.traces.edges, ctx.status, ctx.cuts, bm, bp,
-                                  params.alpha)
+    A_vol = full_volume(mesh, ctx.status, ctx.cuts)
+    M, P, _ = assemble_edge_terms(mesh, ctx.traces.edges, ctx.status, ctx.cuts, params.alpha)
     b = assemble_load(mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface, ctx.rules)
     free, bd = mesh.interior_nodes, mesh.boundary_nodes
     g = ctx.sol.u_at(mesh.nodes[bd, 0], mesh.nodes[bd, 1], ctx.iface)
@@ -1264,7 +1260,7 @@ def coo_volume(mesh, status, cuts, beta_minus, beta_plus):
     else:
         blocks = p1_stiffness_batch(mesh.nodes[mesh.elements[bulk]], coef)
     conn = mesh.elements[np.concatenate([bulk, cuts.ids])]
-    data = np.concatenate([blocks, cut_volume_matrices(cuts, beta_minus, beta_plus)])
+    data = np.concatenate([blocks, cut_volume_matrices(cuts)])
     A = sp.coo_matrix((data.ravel(), (np.repeat(conn, d, axis=1).ravel(),
                                       np.tile(conn, (1, d)).ravel())), shape=(n, n)).tocsr()
     A.sum_duplicates()
@@ -1342,7 +1338,7 @@ def ascending_error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params
     """`postprocess.error_norms` on ascending blocks, with u_h on the cut
     elements from every basis function's values and gradients on the
     `padded_data_rules`."""
-    beta = (sol.params["beta_minus"], sol.params["beta_plus"])
+    beta = cuts.beta
     h = mesh.h
     sums = np.zeros(3)
     for (name, spts, swts), ids, x, y in ascending_blocks(mesh, status, bulk_rules(mesh, degree)):
@@ -1373,11 +1369,10 @@ def per_basis_cut_sums(mesh, cuts, coeffs, sol, rules):
     """`postprocess._cut_sums` from the (K, d, n) values and (K, d, n, 2)
     gradients of every basis function of the side's piece, on the
     `padded_data_rules`."""
-    beta = (sol.params["beta_minus"], sol.params["beta_plus"])
     ce = coeffs[mesh.elements[cuts.ids]][:, None]
     out = np.zeros((len(cuts), 2, 3))
     for s, ((pts, wts, minus), c, b, grad) in enumerate(zip(
-            rules, (cuts.cm, cuts.cp), beta, (sol.grad_minus, sol.grad_plus))):
+            rules, (cuts.cm, cuts.cp), cuts.beta, (sol.grad_minus, sol.grad_plus))):
         x, y = pts[..., 0], pts[..., 1]
         xi = (pts - cuts.origin[:, None]) / cuts.h[:, None, None]
         diff = select_branches(sol, x, y, minus)[0] - (ce @ piece_values(c, xi))[:, 0]
@@ -1485,8 +1480,7 @@ def convergence_rates(errors):
     return [float(np.log(e0 / e1) / np.log(2.0)) for (_, e0), (_, e1) in pairs]
 
 
-def full_volume(mesh, status, cuts, beta_minus, beta_plus):
+def full_volume(mesh, status, cuts):
     """The stiffness matrix on every node: `assembly.assemble_volume` with
     all nodes free and no pairs."""
-    return assemble_volume(mesh, status, cuts, beta_minus, beta_plus,
-                           np.arange(mesh.n_nodes), ((), ()))[0]
+    return assemble_volume(mesh, status, cuts, np.arange(mesh.n_nodes), ((), ()))[0]

@@ -206,14 +206,13 @@ def test_criterion_7_reduction_and_patch():
             gu = lambda x, y: (2.0 * np.ones_like(np.asarray(x)),
                                -3.0 * np.ones_like(np.asarray(x)))
         zero = lambda x, y: np.zeros_like(np.asarray(x, float))
-        sol = PiecewiseSolution(u, u, gu, gu, zero, zero,
-                                params={"beta_minus": 2.0, "beta_plus": 2.0})
+        sol = PiecewiseSolution(u, u, gu, gu, zero, zero)
         params = MethodParams.preset("spp", 2.0, 2.0)
         M, P, _ = assembly.assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts,
-                                               2.0, 2.0, params.alpha)
+                                               params.alpha)
         b = assembly.assemble_load(mesh, status, cuts, sol, iface,
                                    assembly.cut_data_rules(cuts, iface))
-        sysm = assembly.apply_dirichlet(mesh, status, cuts, 2.0, 2.0, M, P, b, u).system(params)
+        sysm = assembly.apply_dirichlet(mesh, status, cuts, M, P, b, u).system(params)
         A_ff, rhs = sysm.reduced()
         res = cg(A_ff, rhs, tol_rel=1e-13)
         coeffs = sysm.expand(res.x)

@@ -56,7 +56,7 @@ def test_method_params_presets():
 def test_q1_interior_stencil_diagonal():
     # beta = 1 on a 2x2 mesh: the centre node accumulates 4 corner entries of 8/3 total
     mesh, iface, status, cuts, edges = _pipeline(2, iface=line(1, 0, -10), betas=(1.0, 1.0))
-    A = full_volume(mesh, status, cuts, 1.0, 1.0)
+    A = full_volume(mesh, status, cuts)
     centre = 4  # node (1,1) of the 3x3 grid
     assert A[centre, centre] == pytest.approx(8.0 / 3.0, abs=1e-12)
 
@@ -64,7 +64,7 @@ def test_q1_interior_stencil_diagonal():
 def test_volume_row_sums_vanish():
     for kind in ("rect", "tri"):
         mesh, iface, status, cuts, edges = _pipeline(6, kind=kind)
-        A = full_volume(mesh, status, cuts, 1.0, 10.0)
+        A = full_volume(mesh, status, cuts)
         check_csr(A)
         ones = np.ones(mesh.n_nodes)
         assert np.abs(A @ ones).max() < 1e-12 * np.abs(A.data).max()
@@ -73,7 +73,7 @@ def test_volume_row_sums_vanish():
 def test_cut_element_matrix_vs_dense_grid_oracle():
     mesh, iface, status, cuts, edges = _pipeline(4)
     basis = basis_of(cuts, 0)
-    Aloc = cut_volume_matrices(cuts, 1.0, 10.0)[0]
+    Aloc = cut_volume_matrices(cuts)[0]
 
     # dense-grid oracle: subdivide each fan triangle of each sub-polygon into
     # m^2 congruent triangles and apply the centroid rule
@@ -103,9 +103,9 @@ def test_cut_element_matrix_vs_dense_grid_oracle():
 
 def test_classic_combine_is_volume_only():
     mesh, iface, status, cuts, edges = _pipeline(8)
-    A_vol = full_volume(mesh, status, cuts, 1.0, 10.0)
+    A_vol = full_volume(mesh, status, cuts)
     params = MethodParams.preset("classic")
-    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
     A = combine_system(A_vol, M, P, params)
     assert (A - A_vol).nnz == 0 or np.abs((A - A_vol).data).max() == 0.0
 
@@ -116,7 +116,7 @@ def test_mislabeled_edge_contributes_nothing():
     mesh, iface, status, cuts, edges = _pipeline(4, iface=line(1, 0, -10), betas=(2.0, 2.0))
     e = int(np.flatnonzero(mesh.edge_elements(np.arange(mesh.n_edges))[:, 1] >= 0)[3])
     params = MethodParams.preset("spp", 2.0, 2.0)
-    traces = edge_traces(mesh, np.array([e]), status, cuts, 2.0, 2.0)
+    traces = edge_traces(mesh, np.array([e]), status, cuts)
     assert traces.edges.tolist() == [e]
     dofs, M, P = edge_term_matrices(mesh, traces, params.alpha)
     assert np.abs(M).max() < 1e-12
@@ -127,7 +127,7 @@ def test_edge_terms_vs_composite_simpson_oracle():
     mesh, iface, status, cuts, edges = _pipeline(4)
     e = int(edges[0])
     params = MethodParams.preset("spp", 1.0, 10.0)
-    traces = edge_traces(mesh, edges, status, cuts, 1.0, 10.0)
+    traces = edge_traces(mesh, edges, status, cuts)
     assert traces.edges[0] == e
     dofs, M, P_unit = edge_term_matrices(mesh, traces, params.alpha)
     dofs, M, P = dofs[0].tolist(), M[0], params.sigma0 * P_unit[0]
@@ -178,9 +178,9 @@ def test_edge_terms_vs_composite_simpson_oracle():
 
 def test_spp_matrix_is_symmetric():
     mesh, iface, status, cuts, edges = _pipeline(10)
-    A_vol = full_volume(mesh, status, cuts, 1.0, 10.0)
+    A_vol = full_volume(mesh, status, cuts)
     params = MethodParams.preset("spp", 1.0, 10.0)
-    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
     A = combine_system(A_vol, M, P, params)
     free = mesh.interior_nodes
     A_ff = A[free][:, free]
@@ -191,9 +191,9 @@ def test_spp_matrix_is_symmetric():
 def test_spp_symmetric_part_positive_definite():
     for betas in ((1.0, 10.0), (1.0, 10000.0)):
         mesh, iface, status, cuts, edges = _pipeline(10, betas=betas)
-        A_vol = full_volume(mesh, status, cuts, *betas)
+        A_vol = full_volume(mesh, status, cuts)
         params = MethodParams.preset("spp", *betas)
-        M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, *betas, params.alpha)
+        M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
         A = combine_system(A_vol, M, P, params)
         free = mesh.interior_nodes
         S = A[free][:, free].toarray()
@@ -205,13 +205,13 @@ def test_load_partition_of_unity():
     one = radial_interface_solution(1.0, 1.0)
     sol = type(one)(u_minus=one.u_minus, u_plus=one.u_plus, grad_minus=one.grad_minus,
                     grad_plus=one.grad_plus, f_minus=lambda x, y: np.ones_like(np.asarray(x, float)),
-                    f_plus=lambda x, y: np.ones_like(np.asarray(x, float)), params=one.params)
+                    f_plus=lambda x, y: np.ones_like(np.asarray(x, float)))
     rules = cut_data_rules(cuts, iface)
     b = assemble_load(mesh, status, cuts, sol, iface, rules)
     assert b.sum() == pytest.approx(4.0, abs=1e-12)
     zero = type(one)(u_minus=one.u_minus, u_plus=one.u_plus, grad_minus=one.grad_minus,
                      grad_plus=one.grad_plus, f_minus=lambda x, y: np.zeros_like(np.asarray(x, float)),
-                     f_plus=lambda x, y: np.zeros_like(np.asarray(x, float)), params=one.params)
+                     f_plus=lambda x, y: np.zeros_like(np.asarray(x, float)))
     assert np.abs(assemble_load(mesh, status, cuts, zero, iface, rules)).max() == 0.0
 
 
@@ -302,9 +302,9 @@ def test_cut_element_load_vs_symbolic_oracle():
 
 def test_dirichlet_homogeneous_keeps_free_rhs():
     mesh, iface, status, cuts, edges = _pipeline(4)
-    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, 1.0)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
     b = np.arange(mesh.n_nodes, dtype=float)
-    sysm = apply_dirichlet(mesh, status, cuts, 1.0, 10.0, M, P, b,
+    sysm = apply_dirichlet(mesh, status, cuts, M, P, b,
                            lambda x, y: np.zeros_like(x)).system(
         MethodParams.preset("spp", 1.0, 10.0))
     A_ff, rhs = sysm.reduced()
@@ -327,13 +327,12 @@ def test_patch_test_reproduces_polynomials(kind):
         gu = lambda x, y: (2.0 * np.ones_like(x), -3.0 * np.ones_like(x))
     from ppife.postprocess import PiecewiseSolution
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
-    sol = PiecewiseSolution(u, u, gu, gu, zero, zero,
-                            params={"beta_minus": 2.0, "beta_plus": 2.0})
+    sol = PiecewiseSolution(u, u, gu, gu, zero, zero)
 
     params = MethodParams.preset("spp", 2.0, 2.0)
-    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 2.0, 2.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
     b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
-    sysm = apply_dirichlet(mesh, status, cuts, 2.0, 2.0, M, P, b, u).system(params)
+    sysm = apply_dirichlet(mesh, status, cuts, M, P, b, u).system(params)
     A_ff, rhs = sysm.reduced()
     res = cg(A_ff, rhs, tol_rel=1e-13)
     coeffs = sysm.expand(res.x)
@@ -345,7 +344,8 @@ def test_boundary_values_satisfy_interface_conditions():
     iface = circle(0.0, 0.0, R0)
     for betas in ((1.0, 10.0), (1.0, 10000.0)):
         sol = radial_interface_solution(*betas)
-        ju, jf = interface_jump_residuals(sol, RunConfig(interface_params=(0.0, 0.0, R0)))
+        ju, jf = interface_jump_residuals(sol, RunConfig(interface_params=(0.0, 0.0, R0),
+                                                         beta_minus=betas[0], beta_plus=betas[1]))
         assert ju < 1e-10
         assert jf < 1e-10
     # boundary trace comes from the outer branch on this domain
@@ -363,13 +363,13 @@ def test_schemes_identical_for_continuous_coefficient():
     # all schemes produce the same solution
     mesh, iface, status, cuts, edges = _pipeline(8, betas=(3.0, 3.0))
     sol = radial_interface_solution(3.0, 3.0)
-    A_vol = full_volume(mesh, status, cuts, 3.0, 3.0)
+    A_vol = full_volume(mesh, status, cuts)
     b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
     solutions = []
     for scheme in ("classic", "spp", "ipp", "npp"):
         params = MethodParams.preset(scheme, 3.0, 3.0)
-        M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 3.0, 3.0, params.alpha)
-        sysm = apply_dirichlet(mesh, status, cuts, 3.0, 3.0, M, P, b,
+        M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
+        sysm = apply_dirichlet(mesh, status, cuts, M, P, b,
                                lambda x, y: sol.u_at(x, y, iface)).system(params)
         A_ff, rhs = sysm.reduced()
         from ppife.linsolve import bicgstab
@@ -387,14 +387,12 @@ def test_energy_norm_identity_against_quadrature():
     from ppife.postprocess import error_norms, PiecewiseSolution
     mesh, iface, status, cuts, edges = _pipeline(4)
     params = MethodParams.preset("spp", 1.0, 10.0)
-    A_vol = full_volume(mesh, status, cuts, 1.0, 10.0)
-    M, P, traces = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0,
-                                       params.alpha)
+    A_vol = full_volume(mesh, status, cuts)
+    M, P, traces = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
     rng = np.random.default_rng(2)
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
     zsol = PiecewiseSolution(zero, zero, lambda x, y: (zero(x, y), zero(x, y)),
-                             lambda x, y: (zero(x, y), zero(x, y)), zero, zero,
-                             params={"beta_minus": 1.0, "beta_plus": 10.0})
+                             lambda x, y: (zero(x, y), zero(x, y)), zero, zero)
     rules = cut_data_rules(cuts, iface)
     for _ in range(5):
         v = rng.standard_normal(mesh.n_nodes)
@@ -418,7 +416,7 @@ def test_import_leaves_scipy_io_out():
 
 def test_matrix_market_dump(tmp_path):
     mesh, iface, status, cuts, edges = _pipeline(4)
-    A = full_volume(mesh, status, cuts, 1.0, 10.0)
+    A = full_volume(mesh, status, cuts)
     path = tmp_path / "A.mtx"
     dump_matrix(path, A)
     import scipy.io
@@ -429,9 +427,9 @@ def test_matrix_market_dump(tmp_path):
 def test_delta_sign_convention():
     # delta = -1 reproduces a hand-assembled fixed-minus consistency term
     mesh, iface, status, cuts, edges = _pipeline(6)
-    A_vol = full_volume(mesh, status, cuts, 1.0, 10.0)
+    A_vol = full_volume(mesh, status, cuts)
     params = MethodParams("custom", -1.0, 1.0, 1.0, 1.0)
-    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0, 10.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
     A = combine_system(A_vol, M, P, params)
     ref = (A_vol - M + M.T + P).tocsr()
     assert np.abs((A - ref).toarray()).max() < 1e-14 * np.abs(A_vol.data).max()
@@ -441,10 +439,10 @@ def test_classic_constant_beta_equals_standard_fem_matrix():
     # with a continuous coefficient the immersed stiffness matrix equals the
     # standard FEM stiffness matrix of the same mesh entry for entry
     mesh, iface, status, cuts, edges = _pipeline(10, betas=(3.0, 3.0))
-    A_ife = full_volume(mesh, status, cuts, 3.0, 3.0)
+    A_ife = full_volume(mesh, status, cuts)
     far = line(1.0, 0.0, -10.0)
     status2, cuts2 = classify_elements(mesh, far)
-    A_fem = full_volume(mesh, status2, build_bases(cuts2, 3.0, 3.0), 3.0, 3.0)
+    A_fem = full_volume(mesh, status2, build_bases(cuts2, 3.0, 3.0))
     free = mesh.interior_nodes
     diff = (A_ife[free][:, free] - A_fem[free][:, free]).toarray()
     assert np.abs(diff).max() < 1e-12 * np.abs(A_fem.data).max()

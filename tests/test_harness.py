@@ -196,6 +196,13 @@ def test_node_field_is_nodal_error(kind):
     ["verify", "--scan-betas", "0:10"],
     ["solve", "--N", "8", "--alpha-exp", "-3"],
     ["solve", "--N", "8", "--dump-field", "--field-grid", "-3"],
+    # a repeated scheme solves every case twice and writes each runs.csv row
+    # and table column twice; a repeated mesh size weighs a scan's slope fit
+    ["convergence", "--N", "8,16,32", "--schemes", "spp,spp"],
+    ["convergence", "--N", "8,16,32", "--schemes", "spp,npp,SPP"],
+    ["verify", "--interp-ns", "8,8,16"],
+    ["verify", "--coercivity-ns", "4,4"],
+    ["verify", "--scan-betas", "1:10,1:10"],
 ])
 def test_cli_rejects_unusable_settings(tmp_path, argv, capsys):
     assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
@@ -280,7 +287,7 @@ def test_solve_scheme_passes_the_cut_element_block(mesh, monkeypatch):
     nodes = set(ctx.mesh.elements[ctx.cuts.ids].ravel().tolist()) - set(system.boundary.tolist())
     touched = set()
     M, P, _ = assemble_edge_terms(ctx.mesh, ctx.traces.edges, ctx.status, ctx.cuts,
-                                  cfg.beta_minus, cfg.beta_plus, cfg.penalty_alpha)
+                                  cfg.penalty_alpha)
     for X in (M, P):
         coo = X.tocoo()
         inner = np.isin(coo.row, system.free) & np.isin(coo.col, system.free)

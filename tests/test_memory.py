@@ -87,7 +87,7 @@ def _classified():
 
 def test_stencil_memory_budget():
     mesh, _, status, cuts = _classified()
-    assert _peak(lambda: full_volume(mesh, status, cuts, 1.0, 1e4)) <= 8.0 * MB
+    assert _peak(lambda: full_volume(mesh, status, cuts)) <= 8.0 * MB
 
 
 def test_load_memory_budget():

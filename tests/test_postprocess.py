@@ -6,7 +6,7 @@ from oracles import (classify_cuts, classify_edges, convergence_rates, interface
 from ppife.assembly import DATA_DEGREE, MethodParams, bulk_rules, cut_data_rules, edge_traces
 from ppife.geometry import (DomainSpec, build_mesh, bulk_sweep, circle, classify_elements,
                             cut_sweep, interface_edges)
-from ppife.harness import RunConfig
+from ppife.harness import RunConfig, build_context, scheme_params, solve_scheme
 from ppife.local_basis import build_bases
 from ppife.postprocess import (PiecewiseSolution, error_norms, interpolate_nodal,
                                markdown_error_table, radial_interface_solution, record_csv_rows,
@@ -20,7 +20,7 @@ def _setup(N, kind="rect", betas=(1.0, 10.0)):
     iface = circle(0.0, 0.0, R0)
     status, cuts = classify_elements(mesh, iface)
     cuts = build_bases(cuts, *betas)
-    traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, *betas)
+    traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts)
     sol = radial_interface_solution(*betas)
     return mesh, iface, status, cuts, traces, sol
 
@@ -31,8 +31,8 @@ CLASSIC = MethodParams.preset("classic")
 @pytest.mark.parametrize("betas", [(1.0, 10.0), (1.0, 10000.0), (10.0, 1.0)])
 def test_manufactured_solution_jump_conditions(betas):
     sol = radial_interface_solution(*betas)
-    ju, jf = interface_jump_residuals(sol, RunConfig(interface_params=(0.0, 0.0, R0)),
-                                      n_samples=360)
+    config = RunConfig(interface_params=(0.0, 0.0, R0), beta_minus=betas[0], beta_plus=betas[1])
+    ju, jf = interface_jump_residuals(sol, config, n_samples=360)
     assert ju < 1e-10
     assert jf < 1e-10
 
@@ -74,8 +74,7 @@ def test_norms_vanish_for_reproduced_linear(kind):
     lin = lambda x, y: 0.5 + 1.5 * np.asarray(x) - 0.25 * np.asarray(y)
     grad = lambda x, y: (1.5 * np.ones_like(np.asarray(x)), -0.25 * np.ones_like(np.asarray(x)))
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
-    sol = PiecewiseSolution(lin, lin, grad, grad, zero, zero,
-                            params={"beta_minus": 2.0, "beta_plus": 2.0})
+    sol = PiecewiseSolution(lin, lin, grad, grad, zero, zero)
     coeffs = lin(mesh.nodes[:, 0], mesh.nodes[:, 1])
     err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC,
                       cut_data_rules(cuts, iface))
@@ -115,7 +114,23 @@ def test_error_norms_equal_per_norm_reference(kind, beta_plus, N):
         params = MethodParams.preset(scheme, 1.0, beta_plus)
         fused = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules)
         assert fused == reference_error_norms(mesh, status, o_cuts, o_bases, coeffs, sol, iface,
-                                              classify_edges(mesh, status), params)
+                                              classify_edges(mesh, status), params,
+                                              (1.0, beta_plus))
+
+
+def test_error_norms_read_beta_from_the_cut_set():
+    # an exact solution carries no beta: a PiecewiseSolution of the same
+    # callables gets the context's norms bit for bit, weighted by the beta
+    # pair the bases were built for
+    config = RunConfig(N=(8,), beta_plus=10.0, schemes=("spp",))
+    ctx = build_context(config, 8)
+    rec, coeffs, _ = solve_scheme(ctx, config, "spp")
+    s = ctx.sol
+    plain = PiecewiseSolution(s.u_minus, s.u_plus, s.grad_minus, s.grad_plus, s.f_minus, s.f_plus)
+    err = error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, plain, ctx.iface, ctx.traces,
+                      scheme_params(config, "spp"), ctx.rules)
+    assert (err["l2"], err["h1"], err["linf"], err["energy"]) == (
+        rec.e_l2, rec.e_h1, rec.e_linf, rec.e_energy)
 
 
 def test_interpolation_rates():
@@ -127,7 +142,7 @@ def test_interpolation_rates():
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, "rect"))
         status, cuts = classify_elements(mesh, iface)
         cuts = build_bases(cuts, 1.0, 10.0)
-        traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, 1.0, 10.0)
+        traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts)
         coeffs = interpolate_nodal(mesh, sol, iface)
         err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC,
                           cut_data_rules(cuts, iface))

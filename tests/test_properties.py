@@ -256,7 +256,7 @@ def test_stacked_bases_equal_per_element_oracle(drawn, beta_plus):
     oracle = [ife_basis(k, cuts.verts[i], cuts.D[i], cuts.E[i], cuts.normal[i], bm, bp)
               for i, k in enumerate(cuts.ids)]
 
-    traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, bm, bp)
+    traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts)
     row_of = {k: i for i, k in enumerate(cuts.ids.tolist())}
     for b, e in enumerate(traces.edges):
         for s, k in enumerate(traces.elements[b]):
@@ -292,8 +292,7 @@ def test_cut_bases_satisfy_interface_conditions(case, beta_plus):
 def test_standard_neighbours_match_oracle(case):
     mesh, iface, status, cuts = _classified(case)
     kind = "q1" if mesh.cell_kind == "rect" else "p1"
-    traces = edge_traces(mesh, interface_edges(mesh, cuts), status,
-                         build_bases(cuts, 1.0, 10.0), 1.0, 10.0)
+    traces = edge_traces(mesh, interface_edges(mesh, cuts), status, build_bases(cuts, 1.0, 10.0))
     o_cuts = classify_cuts(mesh, iface)[1]
     for b, e in enumerate(traces.edges):
         a, c = mesh.nodes[mesh.edge_nodes([e])[0]]
@@ -327,13 +326,11 @@ def test_patch_test_is_exact(drawn):
         u = lambda x, y: 1.0 + 2.0 * x - 3.0 * y
         gu = lambda x, y: (2.0 + 0.0 * x, -3.0 + 0.0 * y)
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
-    sol = PiecewiseSolution(u, u, gu, gu, zero, zero,
-                            params={"beta_minus": 2.0, "beta_plus": 2.0})
+    sol = PiecewiseSolution(u, u, gu, gu, zero, zero)
     params = MethodParams.preset("spp", 2.0, 2.0)
-    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts,
-                                  2.0, 2.0, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, params.alpha)
     b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
-    sysm = apply_dirichlet(mesh, status, cuts, 2.0, 2.0, M, P, b, u).system(params)
+    sysm = apply_dirichlet(mesh, status, cuts, M, P, b, u).system(params)
     coeffs = sysm.expand(cg(*sysm.reduced(), tol_rel=1e-13).x)
     assert np.abs(coeffs - u(mesh.nodes[:, 0], mesh.nodes[:, 1])).max() < 1e-10
 
@@ -508,7 +505,7 @@ def test_stencil_volume_equals_coo_oracle(domain, angle, offset, beta_plus):
     c = -(a * (xmin + width / 2) + b * (ymin + width / 2)) + offset * width
     status, cuts = classify_elements(mesh, line(a, b, c))
     cuts = build_bases(cuts, 1.0, beta_plus)
-    got = full_volume(mesh, status, cuts, 1.0, beta_plus)
+    got = full_volume(mesh, status, cuts)
     want = coo_volume(mesh, status, cuts, 1.0, beta_plus)
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
     if kind == "rect":
@@ -575,7 +572,7 @@ def test_error_norms_equal_ascending_per_basis_oracle(case, beta_plus, seed):
     rng = np.random.default_rng(seed)
     coeffs = (interpolate_nodal(ctx.mesh, ctx.sol, ctx.iface)
               + 1e-3 * rng.standard_normal(ctx.mesh.n_nodes))
-    got = _cut_sums(ctx.mesh, ctx.cuts, coeffs, ctx.sol, (1.0, beta_plus), ctx.rules)
+    got = _cut_sums(ctx.mesh, ctx.cuts, coeffs, ctx.sol, ctx.rules)
     padded = padded_data_rules(ctx.cuts, ctx.iface)
     want = per_basis_cut_sums(ctx.mesh, ctx.cuts, coeffs, ctx.sol, padded)
     assert (np.abs(got - want) <= CUT_RTOL * want.sum(axis=(0, 1))).all()
@@ -696,12 +693,11 @@ def test_shared_pattern_matrices_equal_the_summed_terms(interface, beta_plus):
     # symmetry verdict as the sparse difference A - A^T
     mesh, iface, status, cuts = _classified(*interface)
     cuts = build_bases(cuts, 1.0, beta_plus)
-    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts,
-                                  1.0, beta_plus, 1.0)
-    split = apply_dirichlet(mesh, status, cuts, 1.0, beta_plus, M, P, np.zeros(mesh.n_nodes),
+    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, 1.0)
+    split = apply_dirichlet(mesh, status, cuts, M, P, np.zeros(mesh.n_nodes),
                             lambda x, y: np.zeros_like(x))
     free = mesh.interior_nodes
-    A_vol = full_volume(mesh, status, cuts, 1.0, beta_plus)
+    A_vol = full_volume(mesh, status, cuts)
     pattern = split.A_vol
     T = pattern.T.tocsr()
     assert np.array_equal(T.indptr, pattern.indptr) and np.array_equal(T.indices, pattern.indices)

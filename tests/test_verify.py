@@ -378,8 +378,7 @@ def test_interp_edge_error_zero_for_linear_solution():
     status, cuts = classify_elements(mesh, iface)
     cuts = build_bases(cuts, 2.0, 2.0)
     coeffs = 1.0 + 2.0 * mesh.nodes[:, 0] - mesh.nodes[:, 1]
-    traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, 2.0, 2.0,
-                         values=False)
+    traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, values=False)
     assert traces.values is None and len(traces.edges) > 0
     gi = np.einsum("bsd,bsdqa->bsqa", coeffs[mesh.elements[traces.elements]], traces.gradients)
     nB = mesh.edge_normals(traces.edges)[:, None, None]

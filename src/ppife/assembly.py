@@ -37,28 +37,25 @@ SCHEMES = ("classic", "spp", "ipp", "npp")
 
 @dataclass(frozen=True)
 class MethodParams:
-    """Scheme parameters: edge-term signs, penalty rule, penalty exponent."""
+    """A scheme's edge-term weights: delta on M, epsilon on M^T and sigma0 on
+    P_unit (`DirichletSplit.system`)."""
 
-    scheme: str
     delta: float
     epsilon: float
     sigma0: float
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ConfigError("penalty exponent alpha must be >= 1")
 
     @staticmethod
-    def preset(name, beta_minus=1.0, beta_plus=1.0, sigma0=None, alpha=1.0):
+    def preset(name, cuts, sigma0=None):
+        """The weights (delta, epsilon, sigma0) of scheme `name` on the IFE
+        space `cuts`, None standing for 10 max beta, with beta `cuts.beta`; a
+        `sigma0` replaces the penalty of spp, ipp and npp, and classic has none."""
         name = name.lower()
         if name not in SCHEMES:
             raise ConfigError(f"unknown scheme {name!r}; choose from {SCHEMES}")
-        # delta, epsilon and the default sigma0 (None: 10 max beta)
         delta, epsilon, s = {"classic": (0.0, 0.0, 0.0), "spp": (-1.0, -1.0, None),
                              "ipp": (-1.0, 0.0, None), "npp": (-1.0, 1.0, 1.0)}[name]
-        s = 10.0 * max(beta_minus, beta_plus) if s is None else s
-        return MethodParams(name, delta, epsilon, s if sigma0 is None else sigma0, alpha)
+        s = 10.0 * max(cuts.beta) if s is None else s
+        return MethodParams(delta, epsilon, s if sigma0 is None or name == "classic" else sigma0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +163,8 @@ def assemble_volume(mesh, status, cuts, free, pairs):
 
 class EdgeTraces(NamedTuple):
     """The interface edges in ascending order, their split Gauss rules and
-    both neighbours' traces on them. Side 0 is the lower-index element, which
+    both neighbours' traces on them, and the penalty exponent alpha that
+    `assemble_edge_terms` records. Side 0 is the lower-index element, which
     the edge normal points away from. Every edge is split in two: at the
     chord end that lies inside it, or else at its end vertex, which leaves a
     zero-weight second piece."""
@@ -178,6 +176,7 @@ class EdgeTraces(NamedTuple):
     values: np.ndarray      # (B, 2, d, nq), or None when not asked for
     gradients: np.ndarray   # (B, 2, d, nq, 2)
     beta: np.ndarray        # (B, 2, nq) coefficient of the active side per point
+    alpha: float            # the penalty exponent of P_unit, or None when not assembled
 
 
 def edge_traces(mesh, edges, status, cuts, degree=EDGE_DEGREE, values=True):
@@ -227,14 +226,14 @@ def edge_traces(mesh, edges, status, cuts, degree=EDGE_DEGREE, values=True):
             V[~cut, s] = piece_values(C, xi)
         G[~cut, s] = piece_gradients(C, xi, mesh.element_h[k])
         beta[~cut, s] = np.where(status[k] == SIDE_MINUS, bm, bp)[:, None]
-    return EdgeTraces(edges, els, pts, w, V, G, beta)
+    return EdgeTraces(edges, els, pts, w, V, G, beta, None)
 
 
-def edge_term_matrices(mesh, traces, alpha):
+def edge_term_matrices(mesh, traces):
     """Consistency matrices M_loc[i,j] = int_B {beta grad(phi_j).n}[phi_i] and
-    unit penalty matrices |B|^-alpha int_B [phi_i][phi_j] of the edges of
-    `traces`, (B, nd, nd) each, with the dofs (B, nd) they refer to: the
-    lower-index element's nodes, then the other element's remaining ones."""
+    unit penalty matrices |B|^-alpha int_B [phi_i][phi_j], alpha = `traces.alpha`,
+    of the edges of `traces`, (B, nd, nd) each, with the dofs (B, nd) they refer
+    to: the lower-index element's nodes, then the other element's remaining ones."""
     c0, c1 = mesh.elements[traces.elements[:, 0]], mesh.elements[traces.elements[:, 1]]
     B, nv = c0.shape
     extra = c1[~(c1[:, :, None] == c0[:, None, :]).any(axis=2)].reshape(B, nv - 2)
@@ -252,17 +251,20 @@ def edge_term_matrices(mesh, traces, alpha):
     jump[rows, loc1] += -traces.values[:, 1]
     flux[rows, loc1] += flux_side[:, 1]
     M = np.einsum("bq,biq,bjq->bij", w, jump, flux)
-    P = (1.0 / mesh.edge_lengths(traces.edges) ** alpha)[:, None, None] * np.einsum(
+    P = (1.0 / mesh.edge_lengths(traces.edges) ** traces.alpha)[:, None, None] * np.einsum(
         "bq,biq,bjq->bij", w, jump, jump)
     return dofs, M, P
 
 
 def assemble_edge_terms(mesh, edges, status, cuts, alpha):
     """Assemble (M, P_unit, traces) over the interface edges `edges`: the consistency
-    matrix, the penalty matrix at sigma0 = 1 (`DirichletSplit.system` weighs both
-    per scheme) and the `edge_traces` the sums were taken over."""
-    traces = edge_traces(mesh, edges, status, cuts)
-    dofs, M, P = edge_term_matrices(mesh, traces, alpha)
+    matrix, the penalty matrix at sigma0 = 1 with the exponent `alpha` >= 1
+    (`DirichletSplit.system` weighs both per scheme) and the `edge_traces` the
+    sums were taken over, with `alpha` recorded as `traces.alpha`."""
+    if alpha < 1.0:
+        raise ConfigError("penalty exponent alpha must be >= 1")
+    traces = edge_traces(mesh, edges, status, cuts)._replace(alpha=alpha)
+    dofs, M, P = edge_term_matrices(mesh, traces)
     nd = dofs.shape[1]
     r, c = np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel()
     # tocsr sums the duplicates and sorts each row

@@ -290,14 +290,9 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
     return CaseContext(mesh, iface, sol, status, cuts, split, traces, rules)
 
 
-def scheme_params(config: RunConfig, scheme: str) -> MethodParams:
-    return MethodParams.preset(scheme, config.beta_minus, config.beta_plus,
-                               sigma0=config.sigma0, alpha=config.penalty_alpha)
-
-
 def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     """Assemble the scheme system on a prepared context, solve, measure errors."""
-    params = scheme_params(config, scheme)
+    params = MethodParams.preset(scheme, ctx.cuts, config.sigma0)
     N = ctx.mesh.n_cells
     # delta == epsilon makes the scheme matrix symmetric; the solver is
     # looked up at call time, so that a tracer may wrap it
@@ -316,7 +311,7 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     coeffs = system.expand(res.x)
 
     err = error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,
-                      ctx.traces, params, rules=ctx.rules)
+                      ctx.traces, params.sigma0, rules=ctx.rules)
     rec = RunRecord(
         scheme=scheme, mesh_kind=config.mesh, N=N, h=ctx.mesh.h,
         beta_minus=config.beta_minus, beta_plus=config.beta_plus,

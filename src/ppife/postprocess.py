@@ -114,17 +114,18 @@ def interpolate_nodal(mesh, sol, iface):
 # error norms
 # ---------------------------------------------------------------------------
 
-def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules):
+def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, sigma0, rules):
     """Errors of u_h against the exact solution, keyed like `_NORM_KEYS`.
 
     'l2' is ||u - u_h||_L2, 'h1' the broken H1 seminorm, 'linf' the sampled
     max error and 'energy' ||u - u_h||_h: the broken H1 seminorm weighted by
-    the beta of `cuts` plus the penalty jump terms. The exact solution is
-    continuous across edges, so the edge jumps of the error reduce to the
-    jumps of u_h, taken on the interface-edge `traces` that
-    `assembly.edge_traces` returns. The cut elements' integrals run on
-    `rules`, their `assembly.cut_data_rules`, and the standard elements' on
-    the rules of degree DATA_DEGREE.
+    the beta of `cuts` plus the penalty jump terms sigma0 / |B|^alpha
+    ||[u_h]||_B^2. The exact solution is continuous across edges, so the edge
+    jumps of the error reduce to the jumps of u_h, taken on the interface-edge
+    `traces` that `assembly.assemble_edge_terms` returns; alpha is their
+    `traces.alpha`, read only when the penalty `sigma0` is not 0. The cut
+    elements' integrals run on `rules`, their `assembly.cut_data_rules`, and
+    the standard elements' on the rules of degree DATA_DEGREE.
 
     One sweep over the standard elements and one over the chord sides of the
     cut elements fill the three squared sums; the cut elements' terms are
@@ -142,10 +143,10 @@ def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules):
         parts = _cut_sums(mesh, cuts, coeffs, sol, rules)
         sums = sums + np.cumsum(parts.reshape(-1, 3), axis=0)[-1]
     l2, h1, energy = sums
-    if params.sigma0 != 0.0:
+    if sigma0 != 0.0:
         u = coeffs[mesh.elements[traces.elements]][:, :, None] @ traces.values   # (B, 2, 1, nq)
         jumps = np.vecdot(traces.weights, (u[:, 0, 0] - u[:, 1, 0]) ** 2)
-        scale = params.sigma0 / mesh.edge_lengths(traces.edges) ** params.alpha
+        scale = sigma0 / mesh.edge_lengths(traces.edges) ** traces.alpha
         energy = np.cumsum(np.concatenate([[energy], scale * jumps]))[-1]
     return {"l2": float(np.sqrt(l2)), "h1": float(np.sqrt(h1)),
             "linf": _linf_error(mesh, status, cuts, coeffs, sol, iface),

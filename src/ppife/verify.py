@@ -137,8 +137,9 @@ def _refinement_scan(scan_id, description, kind, beta_pairs, samples, ratios, pr
     return report
 
 
-def scan_coefficient_bounds(kind, beta_pairs, samples=2000, seed=7) -> ScanReport:
-    """Ratios of the two pieces' coefficient norms over a grid of cuts.
+def scan_coefficient_bounds(kind, beta_pairs, samples, seed=7) -> ScanReport:
+    """Ratios of the two pieces' coefficient norms over a grid of about
+    `samples` cuts per beta pair, refined to 4 `samples`.
 
     Pass: every ratio is finite and the maximum moves by less than 10% when
     the cut grid is refined 4x (uniformity in the cut location). `seed` is
@@ -238,14 +239,14 @@ def quadrant_gradient_check(h=1.0):
     return float(scipy.linalg.eigh(gram, rhs, eigvals_only=True)[0])
 
 
-def scan_trace_ratio(kind, beta_pairs, samples=800, seed=7) -> ScanReport:
+def scan_trace_ratio(kind, beta_pairs, samples, seed=7) -> ScanReport:
     """Trace-inequality ratio of edge flux norms to element gradient norms,
-    on the unit reference element (the ratio is invariant under scaling it).
+    on the unit reference element (the ratio is invariant under scaling it),
+    over a grid of about `samples` cuts per beta pair.
 
     Pass: the maximal ratio is finite and moves by less than 10% under a 4x
     refinement of the cut grid, and on rectangles the quadrant gradient
-    lower bound holds with its explicit constant. `seed` is unused.
-    """
+    lower bound holds with its explicit constant. `seed` is unused."""
     report = _refinement_scan("trace_ratio", f"{kind} flux trace ratios", kind, beta_pairs,
                               samples, _trace_ratios, "max_R")
     if kind == RECT:
@@ -294,8 +295,8 @@ def _sym_part_spd(bands, params):
 
 def _coercivity_bands(Ns, beta_pairs, cell_kind):
     """The `_lower_bands` of the free-node A_vol, M and P_unit (penalty
-    exponent 1) per (N, beta pair) of the circle of radius DEFAULT_R0; the
-    mesh, cut elements and interface edges once per N."""
+    exponent 1) and the cut set, per (N, beta pair) of the circle of radius
+    DEFAULT_R0; the mesh, cut elements and interface edges once per N."""
     iface = circle(0.0, 0.0, DEFAULT_R0)
     bands = {}
     for N in Ns:
@@ -307,18 +308,19 @@ def _coercivity_bands(Ns, beta_pairs, cell_kind):
             M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
             split = apply_dirichlet(mesh, status, cuts, M, P, np.zeros(mesh.n_nodes),
                                     lambda x, y: np.zeros_like(x))
-            bands[(N, (bm, bp))] = _lower_bands(split.A_vol, split.terms[0], split.terms[2])
+            bands[(N, (bm, bp))] = _lower_bands(split.A_vol, split.terms[0], split.terms[2]), cuts
     return bands
 
 
-def scan_coercivity(Ns=(10, 20, 40), beta_pairs=((1.0, 10.0), (1.0, 10000.0)),
-                    cell_kind=RECT, seed=7, sigma0_override=None) -> ScanReport:
-    """Positive definiteness of the symmetric part of the assembled forms.
+def scan_coercivity(Ns, beta_pairs, cell_kind, sigma0_override, seed=7) -> ScanReport:
+    """Positive definiteness of the symmetric part of the assembled forms, on
+    the `cell_kind` meshes of sizes `Ns`, per pair of `beta_pairs`.
 
     Pass: Cholesky succeeds for the SPP and IPP presets on every (N, beta)
     combination, and for NPP with its unit penalty at N = 20. The penalty at
     which SPP loses definiteness is bracketed within a factor of 2 and
-    reported (informational). `seed` is unused."""
+    reported (informational). A `sigma0_override` that is not None replaces
+    the presets' penalties (`MethodParams.preset`). `seed` is unused."""
     report = ScanReport("coercivity", f"{cell_kind} symmetric-part definiteness",
                         len(Ns) * len(beta_pairs))
     ok = True
@@ -326,17 +328,17 @@ def scan_coercivity(Ns=(10, 20, 40), beta_pairs=((1.0, 10.0), (1.0, 10000.0)),
     N_npp = Ns[min(1, len(Ns) - 1)]
     for N in Ns:
         for pair in beta_pairs:
+            band, cuts = bands[(N, pair)]
             for scheme in ("spp", "ipp") + (("npp",) if N == N_npp else ()):
-                params = MethodParams.preset(scheme, *pair, sigma0=sigma0_override)
-                spd = _sym_part_spd(bands[(N, pair)], params)
+                spd = _sym_part_spd(band, MethodParams.preset(scheme, cuts, sigma0_override))
                 report.metrics[f"{scheme}_N{N}_b{pair[0]:g}_{pair[1]:g}"] = float(spd)
                 ok = ok and spd
     # empirical SPP penalty threshold (halving scan, factor-2 bracket)
-    sig = MethodParams.preset("spp", *beta_pairs[0]).sigma0
+    band, cuts = bands[(N_npp, beta_pairs[0])]
+    sig = MethodParams.preset("spp", cuts).sigma0
     s, lo = sig, 0.0
     while s / 2.0 >= 1e-8 * sig:
-        if not _sym_part_spd(bands[(N_npp, beta_pairs[0])],
-                             MethodParams("custom", -1.0, -1.0, s / 2.0)):
+        if not _sym_part_spd(band, MethodParams(-1.0, -1.0, s / 2.0)):
             lo = s / 2.0
             break
         s /= 2.0
@@ -351,9 +353,9 @@ def scan_coercivity(Ns=(10, 20, 40), beta_pairs=((1.0, 10.0), (1.0, 10000.0)),
 # interpolation flux error on interface edges
 # ---------------------------------------------------------------------------
 
-def interp_edge_error_study(Ns=(20, 40, 80, 160), beta_pair=(1.0, 10.0),
-                            cell_kind=RECT, seed=7) -> ScanReport:
-    """Decay of sum_B ||beta grad(u - I_h u)|_K . n_B||^2 over interface edges.
+def interp_edge_error_study(Ns, beta_pair, cell_kind, seed=7) -> ScanReport:
+    """Decay of sum_B ||beta grad(u - I_h u)|_K . n_B||^2 over interface edges,
+    on the `cell_kind` meshes of sizes `Ns` with the coefficients `beta_pair`.
 
     Pass: the log-log slope of the sum against h is at least 1.8 (O(h^2) or
     better); the per-edge maximum and its slope are reported, for the circle

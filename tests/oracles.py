@@ -21,7 +21,8 @@ the ascending, mixed-side bulk sweeps and per-basis cut quadrature of the
 load and the error norms that the side-pure sweep and the piece
 contraction replace, the per-sample draw loop and the sparse coercivity
 path (free-node submatrices, `combine_system`, its symmetric part and a
-banded Cholesky of it) that the decoded word block and the linear band
+banded Cholesky of it, with the paper's scheme weights for a beta pair,
+`paper_params`) that the decoded word block and the linear band
 combination of `verify` replace, the per-scheme slicing of the
 full-node scheme matrix that the context's one Dirichlet split replaces,
 the sum of sparse scheme terms (`combine_system`) and the symmetry check
@@ -806,14 +807,15 @@ def linear_coupling_matrix(d, e, h, beta_minus, beta_plus):
     return (g_minus * rho + g_plus) / q
 
 
-def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_labels, params,
-                          beta, degree=DATA_DEGREE, refine=DATA_REFINE):
+def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_labels, sigma0,
+                          alpha, beta, degree=DATA_DEGREE, refine=DATA_REFINE):
     """One full sweep per norm, summed in the order the fused sweep must keep:
     standard elements block by block (`point_blocks`), minus side first, then
     the cut-element total, then (energy only) the penalty jumps edge by edge.
     On a cut element u_h is evaluated as one piece, the coefficients times
     the side's basis. Standard neighbours on the edges are evaluated through
-    `standard_basis`. `beta` is the pair (beta-, beta+) the bases were built for."""
+    `standard_basis`. `beta` is the pair (beta-, beta+) the bases were built for,
+    and each edge's jump weighs sigma0 / |B|^alpha."""
     bulk = np.concatenate([np.flatnonzero(status == s) for s in (SIDE_MINUS, SIDE_PLUS)])
     cut_ids = np.flatnonzero(status == INTERFACE)
     h = mesh.h
@@ -885,9 +887,9 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
     for kind in s:
         s[kind] += cut_sum(kind)
     for e in np.flatnonzero(edge_labels == EDGE_INTERFACE):
-        if params.sigma0 == 0.0:
+        if sigma0 == 0.0:
             continue
-        s["energy"] += params.sigma0 / full.edge_lengths[e] ** params.alpha * jump_square(int(e))
+        s["energy"] += sigma0 / full.edge_lengths[e] ** alpha * jump_square(int(e))
 
     # sampled max error: a 5 x 5 grid per element plus the cut elements' vertices
     t = np.linspace(0.0, 1.0, 5)
@@ -1063,6 +1065,15 @@ def sparse_sym_part_spd(A_vol, M, P, params):
     return sparse_is_spd(0.5 * (A + A.T))
 
 
+def paper_params(scheme, beta_pair, sigma0=None):
+    """The weights (delta, epsilon, sigma0) of a scheme by the paper's table
+    for the coefficient pair `beta_pair`: SPP (-1, -1, 10 max beta), IPP
+    (-1, 0, 10 max beta), NPP (-1, 1, 1); a `sigma0` replaces their penalty."""
+    delta, epsilon, s = {"spp": (-1.0, -1.0, 10.0 * max(beta_pair)),
+                         "ipp": (-1.0, 0.0, 10.0 * max(beta_pair)), "npp": (-1.0, 1.0, 1.0)}[scheme]
+    return MethodParams(delta, epsilon, s if sigma0 is None else sigma0)
+
+
 def sparse_scan_coercivity(Ns, beta_pairs, cell_kind=RECT, sigma0_override=None):
     """The metrics and the pass flag of `verify.scan_coercivity` through the
     sparse path: one geometry per (N, beta pair) and a full scheme matrix per
@@ -1074,24 +1085,24 @@ def sparse_scan_coercivity(Ns, beta_pairs, cell_kind=RECT, sigma0_override=None)
         for pair in beta_pairs:
             cache[(N, pair)] = free_matrices(N, pair, cell_kind)
             for scheme in ("spp", "ipp"):
-                params = MethodParams.preset(scheme, *pair, sigma0=sigma0_override)
+                params = paper_params(scheme, pair, sigma0_override)
                 spd = sparse_sym_part_spd(*cache[(N, pair)], params)
                 metrics[f"{scheme}_N{N}_b{pair[0]:g}_{pair[1]:g}"] = float(spd)
                 ok = ok and spd
     N_npp = Ns[min(1, len(Ns) - 1)]
     for pair in beta_pairs:
-        npp = MethodParams.preset("npp", *pair, sigma0=sigma0_override)
+        npp = paper_params("npp", pair, sigma0_override)
         spd = sparse_sym_part_spd(*cache[(N_npp, pair)], npp)
         metrics[f"npp_N{N_npp}_b{pair[0]:g}_{pair[1]:g}"] = float(spd)
         ok = ok and spd
     mats = cache[(N_npp, beta_pairs[0])]
-    sig = MethodParams.preset("spp", *beta_pairs[0]).sigma0
+    sig = paper_params("spp", beta_pairs[0]).sigma0
     lo, s = 0.0, sig
     for _ in range(40):
         s_try = s / 2.0
         if s_try < 1e-8 * sig:
             break
-        if sparse_sym_part_spd(*mats, MethodParams("custom", -1.0, -1.0, s_try)):
+        if sparse_sym_part_spd(*mats, MethodParams(-1.0, -1.0, s_try)):
             s = s_try
         else:
             lo = s_try
@@ -1124,7 +1135,7 @@ def full_node_system(ctx, params):
     times the boundary values."""
     mesh = ctx.mesh
     A_vol = full_volume(mesh, ctx.status, ctx.cuts)
-    M, P, _ = assemble_edge_terms(mesh, ctx.traces.edges, ctx.status, ctx.cuts, params.alpha)
+    M, P, _ = assemble_edge_terms(mesh, ctx.traces.edges, ctx.status, ctx.cuts, ctx.traces.alpha)
     b = assemble_load(mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface, ctx.rules)
     free, bd = mesh.interior_nodes, mesh.boundary_nodes
     g = ctx.sol.u_at(mesh.nodes[bd, 0], mesh.nodes[bd, 1], ctx.iface)
@@ -1333,7 +1344,7 @@ def per_basis_cut_load(cuts, sol, rules):
     return acc
 
 
-def ascending_error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules,
+def ascending_error_norms(mesh, status, cuts, coeffs, sol, iface, traces, sigma0, rules,
                           degree=DATA_DEGREE):
     """`postprocess.error_norms` on ascending blocks, with u_h on the cut
     elements from every basis function's values and gradients on the
@@ -1355,10 +1366,10 @@ def ascending_error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params
         parts = per_basis_cut_sums(mesh, cuts, coeffs, sol, rules)
         sums = sums + np.cumsum(parts.reshape(-1, 3), axis=0)[-1]
     l2, h1, energy = sums
-    if params.sigma0 != 0.0:
+    if sigma0 != 0.0:
         u = coeffs[mesh.elements[traces.elements]][:, :, None] @ traces.values
         jumps = np.vecdot(traces.weights, (u[:, 0, 0] - u[:, 1, 0]) ** 2)
-        scale = params.sigma0 / mesh.edge_lengths(traces.edges) ** params.alpha
+        scale = sigma0 / mesh.edge_lengths(traces.edges) ** traces.alpha
         energy = np.cumsum(np.concatenate([[energy], scale * jumps]))[-1]
     return {"l2": float(np.sqrt(l2)), "h1": float(np.sqrt(h1)),
             "linf": ascending_linf_error(mesh, status, cuts, coeffs, sol, iface),

@@ -161,8 +161,8 @@ def test_criterion_6_lemma_scans():
         verify.scan_coefficient_bounds("tri", betas, samples=2000, seed=7),
         verify.scan_trace_ratio("rect", betas, samples=800, seed=7),
         verify.scan_trace_ratio("tri", betas, samples=800, seed=7),
-        verify.scan_coercivity((10, 20, 40), betas),
-        verify.interp_edge_error_study((20, 40, 80, 160), (1.0, 10.0)),
+        verify.scan_coercivity((10, 20, 40), betas, "rect", None),
+        verify.interp_edge_error_study((20, 40, 80, 160), (1.0, 10.0), "rect"),
     ]
     elapsed = time.perf_counter() - t0
     for rep in reports:
@@ -207,9 +207,9 @@ def test_criterion_7_reduction_and_patch():
                                -3.0 * np.ones_like(np.asarray(x)))
         zero = lambda x, y: np.zeros_like(np.asarray(x, float))
         sol = PiecewiseSolution(u, u, gu, gu, zero, zero)
-        params = MethodParams.preset("spp", 2.0, 2.0)
+        params = MethodParams.preset("spp", cuts)
         M, P, _ = assembly.assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts,
-                                               params.alpha)
+                                               1.0)
         b = assembly.assemble_load(mesh, status, cuts, sol, iface,
                                    assembly.cut_data_rules(cuts, iface))
         sysm = assembly.apply_dirichlet(mesh, status, cuts, M, P, b, u).system(params)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -38,19 +40,25 @@ def _element_basis(mesh, cuts, k):
 
 
 def test_method_params_presets():
-    spp = MethodParams.preset("spp", 1.0, 10.0)
-    assert (spp.delta, spp.epsilon, spp.sigma0) == (-1.0, -1.0, 100.0)
-    ipp = MethodParams.preset("ipp", 1.0, 10000.0)
-    assert (ipp.delta, ipp.epsilon, ipp.sigma0) == (-1.0, 0.0, 100000.0)
-    npp = MethodParams.preset("npp", 1.0, 10.0)
-    assert (npp.delta, npp.epsilon, npp.sigma0) == (-1.0, 1.0, 1.0)
-    classic = MethodParams.preset("classic")
-    assert (classic.delta, classic.epsilon, classic.sigma0) == (0.0, 0.0, 0.0)
-    assert classic.alpha == 1.0
+    # the penalty's beta is the cut set's; sigma0 replaces all but classic's
+    low, high = (_pipeline(4, betas=pair)[3] for pair in ((1.0, 10.0), (1.0, 10000.0)))
+    assert [f.name for f in fields(MethodParams)] == ["delta", "epsilon", "sigma0"]
+    assert MethodParams.preset("spp", low) == MethodParams(-1.0, -1.0, 100.0)
+    assert MethodParams.preset("ipp", high) == MethodParams(-1.0, 0.0, 100000.0)
+    assert MethodParams.preset("npp", low) == MethodParams(-1.0, 1.0, 1.0)
+    assert MethodParams.preset("classic", high) == MethodParams(0.0, 0.0, 0.0)
+    for scheme in ("spp", "ipp", "npp"):
+        assert MethodParams.preset(scheme, low, 7.0).sigma0 == 7.0
+    assert MethodParams.preset("classic", low, 7.0) == MethodParams(0.0, 0.0, 0.0)
     with pytest.raises(ConfigError):
-        MethodParams.preset("sip")
-    with pytest.raises(ConfigError):
-        MethodParams("x", 0.0, 0.0, 0.0, alpha=0.5)
+        MethodParams.preset("sip", low)
+
+
+def test_edge_terms_refuse_alpha_below_one():
+    mesh, iface, status, cuts, edges = _pipeline(4)
+    with pytest.raises(ConfigError, match="alpha must be >= 1"):
+        assemble_edge_terms(mesh, edges, status, cuts, 0.5)
+    assert edge_traces(mesh, edges, status, cuts).alpha is None     # recorded by the terms only
 
 
 def test_q1_interior_stencil_diagonal():
@@ -104,8 +112,8 @@ def test_cut_element_matrix_vs_dense_grid_oracle():
 def test_classic_combine_is_volume_only():
     mesh, iface, status, cuts, edges = _pipeline(8)
     A_vol = full_volume(mesh, status, cuts)
-    params = MethodParams.preset("classic")
-    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
+    params = MethodParams.preset("classic", cuts)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
     A = combine_system(A_vol, M, P, params)
     assert (A - A_vol).nnz == 0 or np.abs((A - A_vol).data).max() == 0.0
 
@@ -115,21 +123,35 @@ def test_mislabeled_edge_contributes_nothing():
     # machinery; continuous traces must produce ~zero contributions
     mesh, iface, status, cuts, edges = _pipeline(4, iface=line(1, 0, -10), betas=(2.0, 2.0))
     e = int(np.flatnonzero(mesh.edge_elements(np.arange(mesh.n_edges))[:, 1] >= 0)[3])
-    params = MethodParams.preset("spp", 2.0, 2.0)
-    traces = edge_traces(mesh, np.array([e]), status, cuts)
+    traces = assemble_edge_terms(mesh, np.array([e]), status, cuts, 1.0)[2]
     assert traces.edges.tolist() == [e]
-    dofs, M, P = edge_term_matrices(mesh, traces, params.alpha)
+    dofs, M, P = edge_term_matrices(mesh, traces)
     assert np.abs(M).max() < 1e-12
     assert np.abs(P).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_penalty_blocks_at_alpha_two_are_unit_blocks_over_length(kind):
+    # |B|^-2 = |B|^-1 / |B|: alpha, recorded on the traces, scales P_unit
+    # edge by edge and leaves M alone
+    mesh, iface, status, cuts, edges = _pipeline(16, kind=kind)
+    one = assemble_edge_terms(mesh, edges, status, cuts, 1.0)[2]
+    two = assemble_edge_terms(mesh, edges, status, cuts, 2.0)[2]
+    assert (one.alpha, two.alpha) == (1.0, 2.0)
+    _, M1, P1 = edge_term_matrices(mesh, one)
+    _, M2, P2 = edge_term_matrices(mesh, two)
+    want = P1 / mesh.edge_lengths(edges)[:, None, None]
+    assert np.array_equal(M1, M2)
+    assert (np.abs(P2 - want).max(axis=(1, 2)) <= 1e-14 * np.abs(want).max(axis=(1, 2))).all()
 
 
 def test_edge_terms_vs_composite_simpson_oracle():
     mesh, iface, status, cuts, edges = _pipeline(4)
     e = int(edges[0])
-    params = MethodParams.preset("spp", 1.0, 10.0)
-    traces = edge_traces(mesh, edges, status, cuts)
+    params = MethodParams.preset("spp", cuts)
+    traces = assemble_edge_terms(mesh, edges, status, cuts, 1.0)[2]
     assert traces.edges[0] == e
-    dofs, M, P_unit = edge_term_matrices(mesh, traces, params.alpha)
+    dofs, M, P_unit = edge_term_matrices(mesh, traces)
     dofs, M, P = dofs[0].tolist(), M[0], params.sigma0 * P_unit[0]
 
     t1, t2 = mesh.edge_elements([e])[0]
@@ -179,8 +201,8 @@ def test_edge_terms_vs_composite_simpson_oracle():
 def test_spp_matrix_is_symmetric():
     mesh, iface, status, cuts, edges = _pipeline(10)
     A_vol = full_volume(mesh, status, cuts)
-    params = MethodParams.preset("spp", 1.0, 10.0)
-    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
+    params = MethodParams.preset("spp", cuts)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
     A = combine_system(A_vol, M, P, params)
     free = mesh.interior_nodes
     A_ff = A[free][:, free]
@@ -192,8 +214,8 @@ def test_spp_symmetric_part_positive_definite():
     for betas in ((1.0, 10.0), (1.0, 10000.0)):
         mesh, iface, status, cuts, edges = _pipeline(10, betas=betas)
         A_vol = full_volume(mesh, status, cuts)
-        params = MethodParams.preset("spp", *betas)
-        M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
+        params = MethodParams.preset("spp", cuts)
+        M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
         A = combine_system(A_vol, M, P, params)
         free = mesh.interior_nodes
         S = A[free][:, free].toarray()
@@ -306,7 +328,7 @@ def test_dirichlet_homogeneous_keeps_free_rhs():
     b = np.arange(mesh.n_nodes, dtype=float)
     sysm = apply_dirichlet(mesh, status, cuts, M, P, b,
                            lambda x, y: np.zeros_like(x)).system(
-        MethodParams.preset("spp", 1.0, 10.0))
+        MethodParams.preset("spp", cuts))
     A_ff, rhs = sysm.reduced()
     assert np.allclose(rhs, b[mesh.interior_nodes])
     assert np.array_equal(sysm.boundary, mesh.boundary_nodes)
@@ -329,8 +351,8 @@ def test_patch_test_reproduces_polynomials(kind):
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
     sol = PiecewiseSolution(u, u, gu, gu, zero, zero)
 
-    params = MethodParams.preset("spp", 2.0, 2.0)
-    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
+    params = MethodParams.preset("spp", cuts)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
     b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
     sysm = apply_dirichlet(mesh, status, cuts, M, P, b, u).system(params)
     A_ff, rhs = sysm.reduced()
@@ -367,8 +389,8 @@ def test_schemes_identical_for_continuous_coefficient():
     b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
     solutions = []
     for scheme in ("classic", "spp", "ipp", "npp"):
-        params = MethodParams.preset(scheme, 3.0, 3.0)
-        M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
+        params = MethodParams.preset(scheme, cuts)
+        M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
         sysm = apply_dirichlet(mesh, status, cuts, M, P, b,
                                lambda x, y: sol.u_at(x, y, iface)).system(params)
         A_ff, rhs = sysm.reduced()
@@ -386,9 +408,9 @@ def test_energy_norm_identity_against_quadrature():
     # ||v||_h^2 == v' (A_vol + P) v, checked against the postprocess quadrature
     from ppife.postprocess import error_norms, PiecewiseSolution
     mesh, iface, status, cuts, edges = _pipeline(4)
-    params = MethodParams.preset("spp", 1.0, 10.0)
+    params = MethodParams.preset("spp", cuts)
     A_vol = full_volume(mesh, status, cuts)
-    M, P, traces = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
+    M, P, traces = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
     rng = np.random.default_rng(2)
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
     zsol = PiecewiseSolution(zero, zero, lambda x, y: (zero(x, y), zero(x, y)),
@@ -396,7 +418,8 @@ def test_energy_norm_identity_against_quadrature():
     rules = cut_data_rules(cuts, iface)
     for _ in range(5):
         v = rng.standard_normal(mesh.n_nodes)
-        quad = error_norms(mesh, status, cuts, v, zsol, iface, traces, params, rules)["energy"]
+        quad = error_norms(mesh, status, cuts, v, zsol, iface, traces, params.sigma0,
+                           rules)["energy"]
         alg = float(np.sqrt(v @ (A_vol @ v) + params.sigma0 * (v @ (P @ v))))
         assert quad == pytest.approx(alg, rel=1e-10)
 
@@ -428,8 +451,8 @@ def test_delta_sign_convention():
     # delta = -1 reproduces a hand-assembled fixed-minus consistency term
     mesh, iface, status, cuts, edges = _pipeline(6)
     A_vol = full_volume(mesh, status, cuts)
-    params = MethodParams("custom", -1.0, 1.0, 1.0, 1.0)
-    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, params.alpha)
+    params = MethodParams(-1.0, 1.0, 1.0)
+    M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
     A = combine_system(A_vol, M, P, params)
     ref = (A_vol - M + M.T + P).tocsr()
     assert np.abs((A - ref).toarray()).max() < 1e-14 * np.abs(A_vol.data).max()

@@ -10,11 +10,11 @@ from oracles import standard_basis, template_name
 from ppife import verify
 from ppife.cli import build_parser, main
 from ppife.errors import ConfigError, NotConverged
-from ppife.assembly import assemble_edge_terms
+from ppife.assembly import MethodParams, assemble_edge_terms
 from ppife.geometry import INTERFACE
 from ppife.harness import (_PARSE_KIND, AMG_CG_DOFS, RunConfig, _parse_number, build_context,
                            cmd_convergence, cmd_solve, cmd_verify, evaluate_solution,
-                           load_config, pointwise_error_field, scheme_params, solve_scheme)
+                           load_config, pointwise_error_field, solve_scheme)
 
 
 def test_parse_number_pi_fractions():
@@ -422,7 +422,7 @@ def test_cut_data_rules_are_built_once_per_context(monkeypatch, mesh):
     for scheme in cfg.schemes:
         rec, coeffs, _ = solve_scheme(ctx, cfg, scheme)
         own = postprocess.error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,
-                                      ctx.traces, scheme_params(cfg, scheme),
+                                      ctx.traces, MethodParams.preset(scheme, ctx.cuts).sigma0,
                                       assembly.cut_data_rules(ctx.cuts, ctx.iface))
         assert [rec.e_l2, rec.e_h1, rec.e_linf, rec.e_energy] == [
             own["l2"], own["h1"], own["linf"], own["energy"]]
@@ -519,6 +519,20 @@ def test_cli_line_interface_needs_equal_betas(tmp_path):
     flat = _run_l2(tmp_path, "flat", "--interface", "line", "--interface-params", "1,0,-0.3",
                    "--beta-plus", "1")
     assert flat == pytest.approx(_run_l2(tmp_path, "circle", "--beta-plus", "1"), rel=1e-6)
+
+
+def test_cli_sigma0_leaves_classic_unpenalized(tmp_path):
+    # classic has no penalty: --sigma0 sets that of spp, ipp and npp only, so
+    # the classic row is the one without it, and the npp row moves
+    rows = {}
+    for name, flags in (("preset", ()), ("override", ("--sigma0", "100"))):
+        for scheme in ("classic", "npp"):
+            out = tmp_path / f"{name}_{scheme}"
+            assert main(["solve", "--N", "16", "--schemes", scheme, *flags,
+                         "--out", str(out)]) == 0
+            rows[name, scheme] = (out / "runs.csv").read_bytes()
+    assert rows["override", "classic"] == rows["preset", "classic"]
+    assert rows["override", "npp"] != rows["preset", "npp"]
 
 
 def test_cli_scheme_alias(tmp_path):

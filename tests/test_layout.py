@@ -5,9 +5,13 @@ A public top-level function, a class or a method of `src/ppife` that only
 tests call is a test oracle or a dead path, and belongs in `tests/` or
 nowhere. The scan reads the modules' syntax trees, so a name mentioned in a
 string or a docstring does not count as a use; neither do imports, nor a
-definition's references to itself. `build_bases` records (beta-, beta+) on
-the CutSet it returns; a later stage that took the pair beside the cut set
-could pair a matrix with bases built for another beta.
+definition's references to itself.
+
+Each scheme coefficient enters the library once. `build_bases` records
+(beta-, beta+) on the CutSet it returns; a later stage that took the pair
+beside the cut set could pair a matrix with bases built for another beta.
+`assemble_edge_terms` records the penalty exponent alpha on the EdgeTraces it
+returns; a norm that took alpha again could weigh the jumps unlike P_unit.
 """
 import ast
 from pathlib import Path
@@ -16,8 +20,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ppife"
 
 # the console entry point, called from outside the package
 ENTRY_POINTS = {("cli", "main")}
-# where the beta pair enters the IFE space
-BETA_ENTRY = {("local_basis", "build_bases")}
+# where the beta pair enters: the IFE space, its stacked solve, the exact solution
+BETA_ENTRY = {("local_basis", "build_bases"), ("local_basis", "ife_coefficients"),
+              ("postprocess", "radial_interface_solution")}
+# where the penalty exponent enters: P_unit, recorded as EdgeTraces.alpha
+ALPHA_ENTRY = {("assembly", "assemble_edge_terms")}
 
 
 def _definitions(tree):
@@ -68,9 +75,9 @@ def test_every_library_name_has_a_library_caller():
     assert unused_library_names() == []
 
 
-def beta_beside_cuts():
-    """The library functions and methods, but for BETA_ENTRY, that take a
-    `cuts` parameter and a `beta_minus` or `beta_plus` one as well."""
+def _takers(names, entry):
+    """The library functions and methods, but for those in `entry`, that take
+    a parameter named in `names`."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -78,11 +85,26 @@ def beta_beside_cuts():
                 continue
             a = node.args
             params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
-            if ("cuts" in params and params & {"beta_minus", "beta_plus"}
-                    and (path.stem, node.name) not in BETA_ENTRY):
+            if params & names and (path.stem, node.name) not in entry:
                 found.append(f"{path.stem}.{node.name}")
     return found
 
 
+def beta_beside_cuts():
+    """The library functions and methods that take `beta_minus` or
+    `beta_plus` but do not build the IFE space or the exact solution."""
+    return _takers({"beta_minus", "beta_plus"}, BETA_ENTRY)
+
+
+def alpha_beside_edge_terms():
+    """The library functions and methods, but for the edge-term assembly,
+    that take the penalty exponent `alpha`."""
+    return _takers({"alpha"}, ALPHA_ENTRY)
+
+
 def test_beta_pair_lives_on_the_cut_set():
     assert beta_beside_cuts() == []
+
+
+def test_penalty_exponent_enters_at_the_edge_terms():
+    assert alpha_beside_edge_terms() == []

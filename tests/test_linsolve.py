@@ -157,23 +157,25 @@ def test_check_csr_rejects_unsorted():
 
 def test_solvers_on_assembled_systems():
     # SPP via cg and NPP via bicgstab on a real assembled case
-    from ppife.harness import RunConfig, build_context, scheme_params
+    from ppife.assembly import MethodParams
+    from ppife.harness import RunConfig, build_context
 
     cfg = RunConfig(N=(20,), schemes=("spp",))
     ctx = build_context(cfg, 20)
     for scheme, solver in (("spp", cg), ("npp", bicgstab)):
-        A_ff, rhs = ctx.split.system(scheme_params(cfg, scheme)).reduced()
+        A_ff, rhs = ctx.split.system(MethodParams.preset(scheme, ctx.cuts)).reduced()
         res = solver(A_ff, rhs, tol_rel=1e-12)
         assert res.converged
         assert res.residual <= 1e-12
 
 
 def test_cg_bicgstab_energy_agreement():
-    from ppife.harness import RunConfig, build_context, scheme_params
+    from ppife.assembly import MethodParams
+    from ppife.harness import RunConfig, build_context
 
     cfg = RunConfig(N=(10,), schemes=("spp",))
     ctx = build_context(cfg, 10)
-    A_ff, rhs = ctx.split.system(scheme_params(cfg, "spp")).reduced()
+    A_ff, rhs = ctx.split.system(MethodParams.preset("spp", ctx.cuts)).reduced()
     xa = cg(A_ff, rhs, tol_rel=1e-13).x
     xb = bicgstab(A_ff, rhs, tol_rel=1e-13).x
     d = xa - xb
@@ -200,10 +202,10 @@ def _blocked_system(mesh, N, beta_plus, scheme):
     """Reduced system of a scheme and the positions in it of the block that
     solve_scheme passes (CaseContext.interface_block); shared by the tests,
     so every array is read-only."""
-    from ppife.harness import scheme_params
+    from ppife.assembly import MethodParams
 
     cfg, ctx = _context(mesh, N, beta_plus)
-    A_ff, rhs = ctx.split.system(scheme_params(cfg, scheme)).reduced()
+    A_ff, rhs = ctx.split.system(MethodParams.preset(scheme, ctx.cuts)).reduced()
     block = ctx.interface_block
     _read_only(A_ff.data, A_ff.indices, A_ff.indptr, rhs, block)
     return A_ff, rhs, block

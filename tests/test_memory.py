@@ -53,9 +53,9 @@ import tracemalloc
 import numpy as np
 
 from oracles import full_volume
-from ppife.assembly import assemble_load, cut_data_rules
+from ppife.assembly import MethodParams, assemble_load, cut_data_rules
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
-from ppife.harness import RunConfig, build_context, scheme_params, solve_scheme
+from ppife.harness import RunConfig, build_context, solve_scheme
 from ppife.local_basis import build_bases
 from ppife.postprocess import error_norms, interpolate_nodal, radial_interface_solution
 
@@ -102,7 +102,7 @@ def test_error_norms_memory_budget():
     ctx = build_context(config, 160)
     coeffs = interpolate_nodal(ctx.mesh, ctx.sol, ctx.iface)
     args = (ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface, ctx.traces,
-            scheme_params(config, "spp"))
+            MethodParams.preset("spp", ctx.cuts).sigma0)
     assert _peak(lambda: error_norms(*args, rules=ctx.rules)) <= 11.3 * MB
 
 
@@ -111,7 +111,7 @@ def test_cut_sweep_memory_budget():
     ctx = build_context(config, 320)
     coeffs = interpolate_nodal(ctx.mesh, ctx.sol, ctx.iface)
     args = (ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface, ctx.traces,
-            scheme_params(config, "spp"))
+            MethodParams.preset("spp", ctx.cuts).sigma0)
 
     def load_and_norms():
         assemble_load(ctx.mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface, rules=ctx.rules)

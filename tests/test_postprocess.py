@@ -3,10 +3,11 @@ import pytest
 
 from oracles import (classify_cuts, classify_edges, convergence_rates, interface_jump_residuals,
                      oracle_bases, reference_error_norms)
-from ppife.assembly import DATA_DEGREE, MethodParams, bulk_rules, cut_data_rules, edge_traces
+from ppife.assembly import (DATA_DEGREE, MethodParams, assemble_edge_terms, bulk_rules,
+                            cut_data_rules, edge_traces)
 from ppife.geometry import (DomainSpec, build_mesh, bulk_sweep, circle, classify_elements,
                             cut_sweep, interface_edges)
-from ppife.harness import RunConfig, build_context, scheme_params, solve_scheme
+from ppife.harness import RunConfig, build_context, solve_scheme
 from ppife.local_basis import build_bases
 from ppife.postprocess import (PiecewiseSolution, error_norms, interpolate_nodal,
                                markdown_error_table, radial_interface_solution, record_csv_rows,
@@ -15,17 +16,17 @@ from ppife.postprocess import (PiecewiseSolution, error_norms, interpolate_nodal
 R0 = np.pi / 6.28
 
 
-def _setup(N, kind="rect", betas=(1.0, 10.0)):
+def _setup(N, kind="rect", betas=(1.0, 10.0), alpha=1.0):
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
     iface = circle(0.0, 0.0, R0)
     status, cuts = classify_elements(mesh, iface)
     cuts = build_bases(cuts, *betas)
-    traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts)
+    traces = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, alpha)[2]
     sol = radial_interface_solution(*betas)
     return mesh, iface, status, cuts, traces, sol
 
 
-CLASSIC = MethodParams.preset("classic")
+CLASSIC = 0.0       # the classic scheme's sigma0: no penalty jumps
 
 
 @pytest.mark.parametrize("betas", [(1.0, 10.0), (1.0, 10000.0), (10.0, 1.0)])
@@ -111,11 +112,34 @@ def test_error_norms_equal_per_norm_reference(kind, beta_plus, N):
     rng = np.random.default_rng(N)
     coeffs = interpolate_nodal(mesh, sol, iface) + 1e-3 * rng.standard_normal(mesh.n_nodes)
     for scheme in ("classic", "spp", "npp"):
-        params = MethodParams.preset(scheme, 1.0, beta_plus)
-        fused = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules)
+        sigma0 = MethodParams.preset(scheme, cuts).sigma0
+        fused = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, sigma0, rules)
         assert fused == reference_error_norms(mesh, status, o_cuts, o_bases, coeffs, sol, iface,
-                                              classify_edges(mesh, status), params,
+                                              classify_edges(mesh, status), sigma0, 1.0,
                                               (1.0, beta_plus))
+
+
+@pytest.mark.parametrize("kind", ["rect", "tri"])
+def test_error_norms_at_penalty_exponent_two(kind):
+    # the penalty jumps weighted by sigma0 / |B|^2, with alpha read from the
+    # traces, against the per-norm reference given alpha = 2 explicitly
+    mesh, iface, status, cuts, traces, sol = _setup(16, kind=kind, alpha=2.0)
+    assert traces.alpha == 2.0
+    o_cuts = classify_cuts(mesh, iface)[1]
+    o_bases = oracle_bases(mesh, o_cuts, 1.0, 10.0)
+    rules = cut_data_rules(cuts, iface)
+    rng = np.random.default_rng(16)
+    coeffs = interpolate_nodal(mesh, sol, iface) + 1e-3 * rng.standard_normal(mesh.n_nodes)
+    one = _setup(16, kind=kind)[4]
+    for scheme in ("spp", "npp"):
+        sigma0 = MethodParams.preset(scheme, cuts).sigma0
+        fused = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, sigma0, rules)
+        assert fused == reference_error_norms(mesh, status, o_cuts, o_bases, coeffs, sol, iface,
+                                              classify_edges(mesh, status), sigma0, 2.0,
+                                              (1.0, 10.0))
+        # edges shorter than 1 weigh their jumps 1 / |B| times more than at alpha = 1
+        assert fused["energy"] > error_norms(mesh, status, cuts, coeffs, sol, iface, one, sigma0,
+                                             rules)["energy"]
 
 
 def test_error_norms_read_beta_from_the_cut_set():
@@ -128,7 +152,7 @@ def test_error_norms_read_beta_from_the_cut_set():
     s = ctx.sol
     plain = PiecewiseSolution(s.u_minus, s.u_plus, s.grad_minus, s.grad_plus, s.f_minus, s.f_plus)
     err = error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, plain, ctx.iface, ctx.traces,
-                      scheme_params(config, "spp"), ctx.rules)
+                      MethodParams.preset("spp", ctx.cuts).sigma0, ctx.rules)
     assert (err["l2"], err["h1"], err["linf"], err["energy"]) == (
         rec.e_l2, rec.e_h1, rec.e_linf, rec.e_energy)
 
@@ -169,10 +193,10 @@ def test_quadrature_depth_self_convergence():
 
 def test_energy_error_includes_jumps():
     mesh, iface, status, cuts, traces, sol = _setup(8)
-    params = MethodParams.preset("spp", 1.0, 10.0)
+    sigma0 = MethodParams.preset("spp", cuts).sigma0
     coeffs = interpolate_nodal(mesh, sol, iface)
     rules = cut_data_rules(cuts, iface)
-    e_pen = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, params, rules)["energy"]
+    e_pen = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, sigma0, rules)["energy"]
     e_nopen = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC,
                           rules)["energy"]
     assert e_pen >= e_nopen > 0

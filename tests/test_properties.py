@@ -30,7 +30,7 @@ from ppife.geometry import (_EDGE_SAMPLES, _SWEEP_POINTS, AGGREGATE_BOX, INTERFA
                             SIDE_PLUS, SNAP_TOL, DomainSpec, InterfaceGeometry, _edge_signs,
                             build_mesh, bulk_sweep, circle, classify_elements, cut_sweep,
                             edge_crossings, interface_edges, lattice_aggregates, line)
-from ppife.harness import RunConfig, build_context, scheme_params
+from ppife.harness import RunConfig, build_context
 from ppife.linsolve import cg
 from ppife.local_basis import (build_bases, cut_frame, cut_gradients, cut_values,
                                piece_gradients)
@@ -327,8 +327,8 @@ def test_patch_test_is_exact(drawn):
         gu = lambda x, y: (2.0 + 0.0 * x, -3.0 + 0.0 * y)
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
     sol = PiecewiseSolution(u, u, gu, gu, zero, zero)
-    params = MethodParams.preset("spp", 2.0, 2.0)
-    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, params.alpha)
+    params = MethodParams.preset("spp", cuts)
+    M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, 1.0)
     b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
     sysm = apply_dirichlet(mesh, status, cuts, M, P, b, u).system(params)
     coeffs = sysm.expand(cg(*sysm.reduced(), tol_rel=1e-13).x)
@@ -355,7 +355,7 @@ def test_dirichlet_split_equals_full_node_slicing(case, beta_plus):
     # those elements, cut or not, touches the boundary
     touches = np.isin(ctx.mesh.elements[ctx.traces.elements], ctx.mesh.boundary_nodes).any()
     for scheme in SCHEMES:
-        params = scheme_params(cfg, scheme)
+        params = MethodParams.preset(scheme, ctx.cuts, cfg.sigma0)
         A, rhs = ctx.split.system(params).reduced()
         A = A.copy()        # the shared pattern stores zeros where a scheme has none
         A.eliminate_zeros()
@@ -578,7 +578,7 @@ def test_error_norms_equal_ascending_per_basis_oracle(case, beta_plus, seed):
     assert (np.abs(got - want) <= CUT_RTOL * want.sum(axis=(0, 1))).all()
     for scheme in ("classic", "spp"):
         args = (ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface, ctx.traces,
-                scheme_params(config, scheme))
+                MethodParams.preset(scheme, ctx.cuts).sigma0)
         got = error_norms(*args, ctx.rules)
         want = ascending_error_norms(*args, padded)
         for norm in got:
@@ -702,7 +702,7 @@ def test_shared_pattern_matrices_equal_the_summed_terms(interface, beta_plus):
     T = pattern.T.tocsr()
     assert np.array_equal(T.indptr, pattern.indptr) and np.array_equal(T.indices, pattern.indices)
     for scheme in SCHEMES:
-        params = MethodParams.preset(scheme, 1.0, beta_plus)
+        params = MethodParams.preset(scheme, cuts)
         A = split.system(params).A
         assert np.shares_memory(A.indices, pattern.indices)
         assert np.shares_memory(A.indptr, pattern.indptr)

@@ -254,7 +254,8 @@ def test_quadrant_identity_against_closed_form():
 
 
 def test_coercivity_scan_small():
-    report = scan_coercivity(Ns=(10, 20), beta_pairs=((1.0, 10.0),))
+    report = scan_coercivity(Ns=(10, 20), beta_pairs=((1.0, 10.0),), cell_kind="rect",
+                             sigma0_override=None)
     assert report.passed
     assert report.metrics["spp_N10_b1_10"] == 1.0
     assert report.metrics["npp_N20_b1_10"] == 1.0
@@ -278,7 +279,7 @@ def test_banded_spd_test_agrees_with_dense_cholesky(n, band, margin, seed):
     # A and two empty terms on its pattern
     empty = (np.zeros(0), np.zeros(0, np.int64))
     bands = _lower_bands(A, empty, empty)
-    spd = _sym_part_spd(bands, MethodParams("custom", 0.0, 0.0, 0.0))
+    spd = _sym_part_spd(bands, MethodParams(0.0, 0.0, 0.0))
     assert spd == sparse_is_spd(A) == dense_is_spd(A) == (margin > 0)
 
 
@@ -290,11 +291,12 @@ def test_banded_spd_test_agrees_on_the_scan_matrices(kind):
     # the assembled scheme matrix's symmetric part
     for pair in ((1.0, 10.0), (1.0, 1e4)):
         A_vol, M, P = free_matrices(10, pair, kind)
-        bands = _coercivity_bands((10,), (pair,), kind)[(10, pair)]
-        presets = [MethodParams.preset(s, *pair) for s in ("spp", "ipp", "npp")]
+        bands, cuts = _coercivity_bands((10,), (pair,), kind)[(10, pair)]
+        assert cuts.beta == pair
+        presets = [MethodParams.preset(s, cuts) for s in ("spp", "ipp", "npp")]
         sigma = presets[0].sigma0
-        halved = [MethodParams("custom", -1.0, -1.0, sigma / 2 ** k) for k in range(1, 12)]
-        scaled = [MethodParams("custom", -d, -d, s) for d in (2.0, 4.0, 8.0) for s in (0.0, 1.0)]
+        halved = [MethodParams(-1.0, -1.0, sigma / 2 ** k) for k in range(1, 12)]
+        scaled = [MethodParams(-d, -d, s) for d in (2.0, 4.0, 8.0) for s in (0.0, 1.0)]
         decisions = []
         for params in presets + halved + scaled:
             A = combine_system(A_vol, M, P, params)
@@ -339,7 +341,7 @@ def test_coercivity_scan_builds_one_geometry_per_mesh_size(monkeypatch):
     monkeypatch.setattr(ppife.verify, "combine_system", refuse, raising=False)
 
     Ns, pairs = (6, 8, 10), ((1.0, 10.0), (1.0, 1e4), (3.0, 3.0))
-    scan_coercivity(Ns, pairs)
+    scan_coercivity(Ns, pairs, "rect", None)
     for name in ("build_mesh", "classify_elements", "interface_edges"):
         assert calls.count(name) == len(Ns), name
     assert calls.count("build_bases") == len(Ns) * len(pairs)
@@ -348,21 +350,23 @@ def test_coercivity_scan_builds_one_geometry_per_mesh_size(monkeypatch):
 def test_coercivity_scan_equal_beta():
     # constant coefficient: the penalized matrix is a standard interior-penalty
     # FEM matrix, positive definite at the preset penalty
-    report = scan_coercivity(Ns=(10,), beta_pairs=((3.0, 3.0),))
+    report = scan_coercivity(Ns=(10,), beta_pairs=((3.0, 3.0),), cell_kind="rect",
+                             sigma0_override=None)
     assert report.passed
 
 
 def test_coercivity_detects_forced_zero_penalty_for_ipp():
     # sigma0 = 0 removes the stabilization entirely; for epsilon = 0 (IPP) the
     # symmetric part generically loses definiteness
-    report = scan_coercivity(Ns=(10, 20), beta_pairs=((1.0, 10.0),), sigma0_override=0.0)
+    report = scan_coercivity(Ns=(10, 20), beta_pairs=((1.0, 10.0),), cell_kind="rect",
+                             sigma0_override=0.0)
     assert report.metrics["ipp_N20_b1_10"] in (0.0, 1.0)
     # and the report carries the threshold bookkeeping either way
     assert "spp_sigma_pd_down_to" in report.metrics
 
 
 def test_interp_edge_error_study_slopes():
-    report = interp_edge_error_study(Ns=(20, 40, 80), beta_pair=(1.0, 10.0))
+    report = interp_edge_error_study(Ns=(20, 40, 80), beta_pair=(1.0, 10.0), cell_kind="rect")
     assert report.passed
     assert report.metrics["slope_sum"] >= 1.8
     assert 2.0 <= report.metrics["slope_max"] <= 4.0

@@ -112,7 +112,7 @@ def assemble_volume(mesh, status, cuts, free, pairs):
     order = sorted(np.ndindex(nvar, d, d),
                    key=lambda t: (-corners[t[0], t[1], 1], -corners[t[0], t[1], 0], t[0]))
     # the cut elements' entries by row node, each row's in (element, l, m) order
-    row = np.repeat(mesh.elements[cuts.ids], d, axis=1).ravel()
+    row = np.repeat(mesh.element_nodes(cuts.ids), d, axis=1).ravel()
     by_row = np.argsort(row * len(row) + np.arange(len(row)))     # unique keys: stable
     cut_row, cut_slot = row[by_row], slot[cuts.ids % nvar].ravel()[by_row]
     cut_val = cut_volume_matrices(cuts).ravel()[by_row]
@@ -187,9 +187,8 @@ def edge_traces(mesh, edges, status, cuts, degree=EDGE_DEGREE, values=True):
     neighbours of each side are evaluated as two stacks; `values=False`
     skips the values."""
     B = len(edges)
-    ends = mesh.edge_nodes(edges)
-    a = mesh.nodes[ends[:, 0]]
-    d = mesh.nodes[ends[:, 1]] - a
+    ends = mesh.node_coords(mesh.edge_nodes(edges))
+    a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
     # the chord end of an adjacent cut that lies inside the edge, if any
     hit = np.isin(cuts.cut_edges, edges)
     split = np.full((B, 2), np.nan)
@@ -221,10 +220,11 @@ def edge_traces(mesh, edges, status, cuts, degree=EDGE_DEGREE, values=True):
         beta[cut, s] = np.where(plus, bp, bm)
         k = els[~cut, s]
         C = template_coefs(mesh, k)
-        xi = (pts[~cut] - mesh.element_origins[k][:, None]) / mesh.element_h[k][:, None, None]
+        origin, size = mesh.element_frames(k)
+        xi = (pts[~cut] - origin[:, None]) / size[:, None, None]
         if values:
             V[~cut, s] = piece_values(C, xi)
-        G[~cut, s] = piece_gradients(C, xi, mesh.element_h[k])
+        G[~cut, s] = piece_gradients(C, xi, size)
         beta[~cut, s] = np.where(status[k] == SIDE_MINUS, bm, bp)[:, None]
     return EdgeTraces(edges, els, pts, w, V, G, beta, None)
 
@@ -234,7 +234,7 @@ def edge_term_matrices(mesh, traces):
     unit penalty matrices |B|^-alpha int_B [phi_i][phi_j], alpha = `traces.alpha`,
     of the edges of `traces`, (B, nd, nd) each, with the dofs (B, nd) they refer
     to: the lower-index element's nodes, then the other element's remaining ones."""
-    c0, c1 = mesh.elements[traces.elements[:, 0]], mesh.elements[traces.elements[:, 1]]
+    c0, c1 = mesh.element_nodes(traces.elements).transpose(1, 0, 2)
     B, nv = c0.shape
     extra = c1[~(c1[:, :, None] == c0[:, None, :]).any(axis=2)].reshape(B, nv - 2)
     dofs = np.concatenate([c0, extra], axis=1)
@@ -310,7 +310,7 @@ def assemble_load(mesh, status, cuts, solution, iface, rules):
     tables = {v: (template_values(name, spts).T, spts, swts * h * h)
               for v, (name, spts, swts) in bulk_rules(mesh, DATA_DEGREE).items()}
     for (V, _, w), ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
-        np.add.at(b, mesh.elements[ids], (solution.f(x, y, minus) * w) @ V)
+        np.add.at(b, mesh.element_nodes(ids), (solution.f(x, y, minus) * w) @ V)
 
     if len(cuts):
         acc = np.zeros(cuts.cm.shape[:2] + (1,))
@@ -319,7 +319,7 @@ def assemble_load(mesh, status, cuts, solution, iface, rules):
             fw = solution.f(pts[..., 0], pts[..., 1], minus) * wts
             xi = (pts - cuts.origin[rows, None]) / cuts.h[rows, None, None]
             acc[rows] += c @ (fw[:, None] @ _monomials(xi, c.shape[-1])).swapaxes(-1, -2)
-        np.add.at(b, mesh.elements[cuts.ids], acc[..., 0])
+        np.add.at(b, mesh.element_nodes(cuts.ids), acc[..., 0])
     return b
 
 
@@ -382,12 +382,14 @@ class DirichletSplit(NamedTuple):
 
 
 def apply_dirichlet(mesh, status, cuts, M, P_unit, b, g) -> DirichletSplit:
-    """Fix the boundary dofs to the nodal interpolation of g(x, y) and split
-    the terms and the load there, once for every scheme: A_vol is assembled
-    on the free nodes alone, from the full-node M and P_unit."""
-    bd, free = mesh.boundary_nodes, mesh.interior_nodes
+    """Fix the boundary dofs, found here, to the nodal interpolation of g(x, y)
+    and split the terms and the load there, once for every scheme: A_vol is
+    assembled on the free nodes alone, from the full-node M and P_unit."""
+    on = np.zeros((mesh.n_cells + 1,) * 2, dtype=bool)
+    on[[0, -1]] = on[:, [0, -1]] = True
+    bd, free = np.flatnonzero(on), np.flatnonzero(~on)
     x = np.zeros(mesh.n_nodes)
-    x[bd] = g(mesh.nodes[bd, 0], mesh.nodes[bd, 1])
+    x[bd] = g(*mesh.node_coords(bd).T)
     pos = np.full(mesh.n_nodes, -1)
     pos[free] = np.arange(len(free))
     M, P_unit = M.tocoo(), P_unit.tocoo()

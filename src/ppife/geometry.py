@@ -65,19 +65,15 @@ _CORNERS = {RECT: np.array([[[0, 0], [1, 0], [1, 1], [0, 1]]]),
 
 
 class CartesianMesh:
-    """Structured mesh; its edges are index arithmetic on the grid.
+    """Structured mesh of index arithmetic on the grid lines `xs`, `ys`.
 
-    Node (i, j) is j (n + 1) + i, and cell (i, j) holds elements
-    (j n + i) v + variant, v = 1 or 2 (the lower and upper triangle). Edges
-    are numbered in the lexicographic order of their node pairs: node a has
-    edges to a + 1, a + n + 1 and, on triangles, a + n + 2. The edge queries
-    compute endpoints, neighbours, normals and lengths only for the ids asked.
-
-    nodes (n_nodes, 2); elements (n_elem, 3|4), counterclockwise;
-    element_variant (int8, 1 for upper triangles); element_origins
-    (n_elem, 2) and element_h (n_elem,), the lower-left corner and extent of
-    each cell, the frame of scaled local coordinates (the extent can differ
-    from h in the last bit); boundary_nodes and interior_nodes, ascending.
+    Node (i, j) is j (n + 1) + i, at (xs[i], ys[j]), and cell (i, j) holds
+    elements (j n + i) v + variant, v = 1 or 2, variant 1 the upper
+    triangle; an element's vertices run counterclockwise from the cell's
+    lower-left node. Edges are numbered in the lexicographic order of their
+    node pairs: node a has edges to a + 1, a + n + 1 and, on triangles,
+    a + n + 2. Every query computes nodes, elements, frames and edges only
+    for the ids asked; the mesh stores no per-node or per-element array.
     """
 
     def __init__(self, spec: DomainSpec):
@@ -85,33 +81,37 @@ class CartesianMesh:
         self.cell_kind = spec.cell_kind
         self.n_cells = n = spec.n
         self.h = spec.h
-        xs = np.linspace(spec.xmin, spec.xmax, n + 1)
-        ys = np.linspace(spec.ymin, spec.ymax, n + 1)
-        X, Y = np.meshgrid(xs, ys, indexing="xy")
-        self.nodes = np.column_stack([X.ravel(), Y.ravel()])
-        self.n_nodes = len(self.nodes)
-
+        self.xs = np.linspace(spec.xmin, spec.xmax, n + 1)
+        self.ys = np.linspace(spec.ymin, spec.ymax, n + 1)
+        self.n_nodes = (n + 1) ** 2
         corners = _CORNERS[spec.cell_kind]
-        self._nvar = nvar = len(corners)
-        cell_node = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
-        self.elements = (cell_node[:, None, None] + corners @ [1, n + 1]).reshape(n * n * nvar, -1)
-        self.n_elements = len(self.elements)
-        self.element_variant = np.tile(np.arange(nvar, dtype=np.int8), n * n)
-        self.element_origins = np.repeat(self.nodes[cell_node], nvar, axis=0)
-        self.element_h = np.repeat(np.maximum(np.diff(xs), np.diff(ys)[:, None]).ravel(), nvar)
-
+        self._nvar, self.n_local = corners.shape[:2]
+        self.n_elements = n * n * self._nvar
+        # node-id offset of each variant's local vertices from the cell's lower-left node
+        self._offsets = corners @ [1, n + 1]
         # edges per row of nodes below the top
-        self._row = (nvar + 1) * n + 1
+        self._row = (self._nvar + 1) * n + 1
         self.n_edges = n * self._row + n
 
-        on = np.zeros((n + 1, n + 1), dtype=bool)
-        on[[0, -1]] = on[:, [0, -1]] = True
-        self.boundary_nodes = np.flatnonzero(on)
-        self.interior_nodes = np.flatnonzero(~on)
+    def node_coords(self, ids):
+        """(..., 2) coordinates of the nodes `ids`."""
+        j, i = np.divmod(np.asarray(ids), self.n_cells + 1)
+        return np.stack([self.xs[i], self.ys[j]], axis=-1)
 
-    @property
-    def n_local(self):
-        return self.elements.shape[1]
+    def element_nodes(self, ids):
+        """(..., d) nodes of the elements `ids`, counterclockwise: cell
+        c = j n + i has lower-left node c + j."""
+        c, v = np.divmod(np.asarray(ids), self._nvar)
+        return (c + c // self.n_cells)[..., None] + np.take(self._offsets, v, axis=0)
+
+    def element_frames(self, ids):
+        """Lower-left corner (..., 2) and extent (...) of the cells of the
+        elements `ids`: the frames of scaled local coordinates. The extent is
+        the larger grid step, which can differ from h in the last bit."""
+        j, i = np.divmod(np.asarray(ids) // self._nvar, self.n_cells)
+        xs, ys = self.xs, self.ys
+        return (np.stack([xs[i], ys[j]], axis=-1),
+                np.maximum(xs[i + 1] - xs[i], ys[j + 1] - ys[j]))
 
     def node_elements(self, nodes):
         """Ids of the elements with a vertex among `nodes`, with repeats:
@@ -143,7 +143,7 @@ class CartesianMesh:
     def element_edges(self, ids):
         """(len, d) edge of each local edge V_i -> V_i+1 of the elements `ids`."""
         n = self.n_cells
-        conn = self.elements[ids]
+        conn = self.element_nodes(ids)
         a = np.minimum(conn, np.roll(conn, -1, axis=1))
         gap = np.maximum(conn, np.roll(conn, -1, axis=1)) - a
         j, i = np.divmod(a, n + 1)
@@ -171,8 +171,8 @@ class CartesianMesh:
         return np.where(el[:, :1] >= 0, el, el[:, ::-1])
 
     def _edge_vectors(self, ids):
-        ends = self.edge_nodes(ids)
-        return self.nodes[ends[:, 1]] - self.nodes[ends[:, 0]]
+        ends = self.node_coords(self.edge_nodes(ids))
+        return ends[:, 1] - ends[:, 0]
 
     def edge_lengths(self, ids):
         """Lengths of the edges `ids`."""
@@ -199,9 +199,9 @@ def dump_mesh(mesh: CartesianMesh, path):
     """Plain-text dump: one `node|elem|edge` record per line, space-separated."""
     ids = np.arange(mesh.n_edges)
     with open(path, "w") as f:
-        for i, (x, y) in enumerate(mesh.nodes):
+        for i, (x, y) in enumerate(mesh.node_coords(np.arange(mesh.n_nodes))):
             f.write(f"node {i} {x:.17g} {y:.17g}\n")
-        for i, conn in enumerate(mesh.elements):
+        for i, conn in enumerate(mesh.element_nodes(np.arange(mesh.n_elements))):
             f.write("elem " + str(i) + " " + " ".join(str(v) for v in conn) + "\n")
         for i, ((a, b), (l, r)) in enumerate(zip(mesh.edge_nodes(ids), mesh.edge_elements(ids))):
             f.write(f"edge {i} {a} {b} {l} {r}\n")
@@ -481,7 +481,7 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     h, n = mesh.h, mesh.n_cells
     tol = SNAP_TOL * h
     # phi on a row of node x against a column of node y, by broadcasting
-    x, y = mesh.nodes[:n + 1, 0], mesh.nodes[::n + 1, 1, None]
+    x, y = mesh.xs, mesh.ys[:, None]
     node_phi = np.asarray(iface.phi(x, y), float)
     node_sign = _snapped_sign(node_phi, tol).ravel()
 
@@ -491,9 +491,9 @@ def classify_elements(mesh: CartesianMesh, iface: InterfaceGeometry):
     l = 2.0 * (np.hypot(h, h) if mesh.cell_kind == TRI else h)
     near = np.flatnonzero(np.abs(node_phi) <= iface.reach(x, y, l) + tol)
     audit = _distinct(mesh.element_edges(mesh.node_elements(near)))
-    ends = mesh.edge_nodes(audit)
+    ends = mesh.node_coords(mesh.edge_nodes(audit))
     try:
-        hit, points = edge_crossings(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, h)
+        hit, points = edge_crossings(ends[:, 0], ends[:, 1], iface, h)
     except MultipleCrossings as err:
         raise MultipleCrossings(f"edge {audit[err.row]} is crossed {err.crossings} times; "
                                 "refine the mesh") from err
@@ -524,8 +524,8 @@ def _cut_set(mesh, iface, ids, crossed, points, node_sign, tol):
     h = mesh.h
     K, nv = len(ids), mesh.n_local
     rows = np.arange(K)
-    conn = mesh.elements[ids]
-    verts = mesh.nodes[conn]
+    conn = mesh.element_nodes(ids)
+    verts = mesh.node_coords(conn)
     edges = mesh.element_edges(ids)
     # each local edge's crossing; a NaN row appended to the points where none
     at = np.searchsorted(crossed, edges)
@@ -635,7 +635,8 @@ def lattice_aggregates(mesh: CartesianMesh, iface: InterfaceGeometry):
     """The aggregates of every level of `linsolve.SAHierarchy`, from the
     node lattice: one (labels, count) pair per level.
 
-    Level 0 labels the interior nodes, in the order of `interior_nodes`:
+    Level 0 labels the interior nodes in ascending order, the free nodes of
+    `assembly.DirichletSplit`:
     node (i, j) lies in box (i // b, j // b) of the node lattice, b =
     AGGREGATE_BOX[cell_kind], and each box is split by the side of its nodes,
     plus where phi > 0; phi is evaluated on a row of interior x against a
@@ -646,7 +647,7 @@ def lattice_aggregates(mesh: CartesianMesh, iface: InterfaceGeometry):
     is the first with a single box.
     """
     n, b = mesh.n_cells, AGGREGATE_BOX[mesh.cell_kind]
-    x, y = mesh.nodes[1:n, 0], mesh.nodes[(n + 1) * np.arange(1, n), 1]
+    x, y = mesh.xs[1:n], mesh.ys[1:n]
     side = np.asarray(iface.phi(x, y[:, None])) > 0
     # positions (i, j) to put in boxes: on level 0 the interior lattice, a
     # row of i against a column of j; then one per aggregate of the level below
@@ -682,13 +683,13 @@ def bulk_sweep(mesh: CartesianMesh, status, iface: InterfaceGeometry, tables):
     """
     bulk = np.concatenate([np.flatnonzero(status == side) for side in (SIDE_MINUS, SIDE_PLUS)])
     for variant, table in tables.items():
-        ids = bulk if mesh.cell_kind == RECT else bulk[mesh.element_variant[bulk] == variant]
+        ids = bulk if mesh.cell_kind == RECT else bulk[bulk % 2 == variant]
         spts = table[1]
         rows = max(1, _SWEEP_POINTS // len(spts))
         hx, hy = mesh.h * spts[:, 0], mesh.h * spts[:, 1]
         for lo in range(0, len(ids), rows):
             block = ids[lo:lo + rows]
-            origin = mesh.element_origins[block]
+            origin = mesh.element_frames(block)[0]
             x, y = origin[:, :1] + hx, origin[:, 1:] + hy
             yield table, block, x, y, np.asarray(iface.phi(x, y)) < 0
 

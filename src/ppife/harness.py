@@ -265,7 +265,7 @@ class CaseContext:
         P_unit (where scheme matrices leave A_vol)."""
         split = self.split
         block = np.zeros(self.mesh.n_nodes, bool)
-        block[self.mesh.elements[self.cuts.ids]] = True
+        block[self.mesh.element_nodes(self.cuts.ids)] = True
         block[split.free[split.A_vol.indices[np.concatenate([at for _, at in split.terms])]]] = True
         return np.flatnonzero(block[split.free])
 
@@ -340,7 +340,7 @@ def evaluate_solution(mesh, status, cuts, coeffs, pts):
     std = status[elem] != geometry.INTERFACE
     k = elem[std]
     vals = piece_values(template_coefs(mesh, k), np.stack([xi[std], eta[std]], axis=-1)[:, None])
-    out[std] = (coeffs[mesh.elements[k]] * vals[..., 0]).sum(axis=1)
+    out[std] = (coeffs[mesh.element_nodes(k)] * vals[..., 0]).sum(axis=1)
     # points on cut elements, grouped by element; the elements with equal
     # point counts form one stack, so each element's products have the
     # shapes, and so the bits, of evaluating its points on their own
@@ -352,7 +352,8 @@ def evaluate_solution(mesh, status, cuts, coeffs, pts):
         sel = idx[first[g][:, None] + np.arange(c)]
         rows = np.searchsorted(cuts.ids, k[g])
         xi, plus = cut_frame(cuts, rows, np.stack([x[sel], y[sel]], axis=-1))
-        out[sel] = (coeffs[mesh.elements[k[g]]][:, None] @ cut_values(cuts, rows, xi, plus))[:, 0]
+        ce = coeffs[mesh.element_nodes(k[g])][:, None]
+        out[sel] = (ce @ cut_values(cuts, rows, xi, plus))[:, 0]
     return out
 
 
@@ -459,8 +460,11 @@ def cmd_convergence(config: RunConfig):
 
 
 def cmd_verify(config: RunConfig):
-    """Run all four verification scans; returns (reports, all_passed)."""
+    """Run all four verification scans; returns (reports, all_passed). The
+    coercivity scan assembles P_unit at alpha = 1, and refuses any other."""
     config.validate()
+    if config.penalty_alpha != 1.0:
+        raise ConfigError(f"verify scans penalty_alpha = 1 only, not {config.penalty_alpha:g}")
     out = _ensure_out(config)
     kind = config.mesh
     scans = {

@@ -58,7 +58,7 @@ def template_coefs(mesh, ids):
     """Standard-basis coefficient templates of the elements `ids`, (..., d, m)."""
     if mesh.cell_kind == RECT:
         return np.broadcast_to(_C_RECT, np.shape(ids) + _C_RECT.shape)
-    return np.stack([_C_TRI_LOWER, _C_TRI_UPPER])[mesh.element_variant[ids]]
+    return np.stack([_C_TRI_LOWER, _C_TRI_UPPER])[np.asarray(ids) % 2]
 
 
 def piece_values(coefs, xi):

@@ -106,7 +106,7 @@ def radial_interface_solution(beta_minus, beta_plus, alpha_exp=5.0,
 
 def interpolate_nodal(mesh, sol, iface):
     """Nodal interpolant: coefficients are the exact values at mesh nodes."""
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    x, y = mesh.node_coords(np.arange(mesh.n_nodes)).T
     return sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
 
 
@@ -144,7 +144,8 @@ def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, sigma0, rules):
         sums = sums + np.cumsum(parts.reshape(-1, 3), axis=0)[-1]
     l2, h1, energy = sums
     if sigma0 != 0.0:
-        u = coeffs[mesh.elements[traces.elements]][:, :, None] @ traces.values   # (B, 2, 1, nq)
+        ce = coeffs[mesh.element_nodes(traces.elements)][:, :, None]
+        u = ce @ traces.values                                        # (B, 2, 1, nq)
         jumps = np.vecdot(traces.weights, (u[:, 0, 0] - u[:, 1, 0]) ** 2)
         scale = sigma0 / mesh.edge_lengths(traces.edges) ** traces.alpha
         energy = np.cumsum(np.concatenate([[energy], scale * jumps]))[-1]
@@ -162,7 +163,7 @@ def _bulk_sums(mesh, status, coeffs, sol, iface, beta):
                   template_gradients(name, spts) / h)
               for v, (name, spts, swts) in bulk_rules(mesh, DATA_DEGREE).items()}
     for (V, _, w, G), ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
-        ce = coeffs[mesh.elements[ids]]
+        ce = coeffs[mesh.element_nodes(ids)]
         diff = sol.u(x, y, minus) - ce @ V
         gx, gy = sol.grad(x, y, minus)
         d2 = (gx - ce @ G[:, :, 0]) ** 2 + (gy - ce @ G[:, :, 1]) ** 2
@@ -175,7 +176,7 @@ def _cut_sums(mesh, cuts, coeffs, sol, rules):
     """The same sums per cut element and chord side, (K, 2, 3), over the
     blocks of the refined fan rules (`cut_data_rules`), where u_h is the
     side's piece `coeffs @ c` (rows, 1, m)."""
-    ce = coeffs[mesh.elements[cuts.ids]][:, None]          # (K, 1, d)
+    ce = coeffs[mesh.element_nodes(cuts.ids)][:, None]     # (K, 1, d)
     out = np.zeros((len(cuts), 2, 3))
     for side, rows, pts, wts, minus in rules:
         x, y = pts[..., 0], pts[..., 1]
@@ -204,7 +205,7 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface):
     worst = 0.0
     tables = {v: (template_values(name, spts), spts) for v, (name, spts) in sample.items()}
     for (V, _), ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
-        uh = coeffs[mesh.elements[ids]] @ V
+        uh = coeffs[mesh.element_nodes(ids)] @ V
         worst = max(worst, float(np.abs(sol.u(x, y, minus) - uh).max()))
     if len(cuts):
         # the grid on each cut element's bounding square; on triangles the
@@ -214,13 +215,13 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface):
         pts = lo + span * np.column_stack([TX.ravel(), TY.ravel()])
         if mesh.cell_kind != RECT:
             xi = (pts - lo) / mesh.h
-            lower = (mesh.element_variant[cuts.ids] == 0)[:, None]
+            lower = (cuts.ids % 2 == 0)[:, None]
             keep = np.where(lower, xi[..., 1] <= xi[..., 0] + 1e-12,
                             xi[..., 0] <= xi[..., 1] + 1e-12)
             pts = pts[keep].reshape(len(cuts), -1, 2)
         pts = np.concatenate([pts, cuts.verts], axis=1)
         xi, plus = cut_frame(cuts, np.arange(len(cuts)), pts)
-        ce = coeffs[mesh.elements[cuts.ids]][:, None]
+        ce = coeffs[mesh.element_nodes(cuts.ids)][:, None]
         uh = np.where(plus, piece_values(ce @ cuts.cp, xi)[:, 0],
                       piece_values(ce @ cuts.cm, xi)[:, 0])
         ue = sol.u_at(pts[..., 0], pts[..., 1], iface)

@@ -380,7 +380,8 @@ def interp_edge_error_study(Ns, beta_pair, cell_kind, seed=7) -> ScanReport:
         for s in (0, 1):
             el = tr.elements[:, s]
             cut = status[el] == INTERFACE
-            gi = np.einsum("bd,bdqa->bqa", coeffs[mesh.elements[el[cut]]], tr.gradients[cut, s])
+            ce = coeffs[mesh.element_nodes(el[cut])]
+            gi = np.einsum("bd,bdqa->bqa", ce, tr.gradients[cut, s])
             fl = bpt[cut] * ((gx[cut] - gi[..., 0]) * nB[cut, :, 0]
                              + (gy[cut] - gi[..., 1]) * nB[cut, :, 1])
             contrib[cut, s] = np.vecdot(tr.weights[cut], fl * fl)

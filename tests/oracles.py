@@ -289,9 +289,10 @@ def split_convex_by_chord(verts, D, E, tol):
 
 def classify_one(mesh, iface, k, crossings, node_sign, tol):
     """Cut data of element k, or None when its cut is degenerate."""
-    conn = mesh.elements[k]
-    verts = mesh.nodes[conn]
-    strict = [(crossings[e], e) for e in full_mesh(mesh).element_edges[k].tolist()
+    full = full_mesh(mesh)
+    conn = full.elements[k]
+    verts = full.nodes[conn]
+    strict = [(crossings[e], e) for e in full.element_edges[k].tolist()
               if e in crossings]
     snapped = [(verts[i].copy(), None) for i in range(len(conn)) if node_sign[conn[i]] == 0]
 
@@ -380,16 +381,16 @@ def classify_cuts(mesh, iface):
     `classify_one`; the crossings are those of `geometry.edge_crossings` over
     every mesh edge."""
     tol = SNAP_TOL * mesh.h
-    node_phi = np.asarray(iface.phi(mesh.nodes[:, 0], mesh.nodes[:, 1]), float)
-    node_sign = np.where(np.abs(node_phi) < tol, 0, np.sign(node_phi)).astype(np.int8)
     full = full_mesh(mesh)
+    node_phi = np.asarray(iface.phi(full.nodes[:, 0], full.nodes[:, 1]), float)
+    node_sign = np.where(np.abs(node_phi) < tol, 0, np.sign(node_phi)).astype(np.int8)
     ends = full.edge_nodes
-    hit, points = edge_crossings(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, mesh.h)
+    hit, points = edge_crossings(full.nodes[ends[:, 0]], full.nodes[ends[:, 1]], iface, mesh.h)
     crossed = np.flatnonzero(hit)
     crossings = dict(zip(crossed.tolist(), points[crossed]))
     cent_phi = np.asarray(iface.phi(full.centroids[:, 0], full.centroids[:, 1]), float)
     status = np.where(cent_phi > 0, SIDE_PLUS, SIDE_MINUS).astype(np.int8)
-    touched = (node_sign[mesh.elements] == 0).any(axis=1)
+    touched = (node_sign[full.elements] == 0).any(axis=1)
     adj = full.edge_elements[crossed].ravel()
     touched[adj[adj >= 0]] = True
     cuts = {}
@@ -403,7 +404,8 @@ def classify_cuts(mesh, iface):
 
 def oracle_bases(mesh, cuts, beta_minus, beta_plus):
     """{element id: LocalBasis} of the per-element solve, keyed like `cuts`."""
-    return {k: ife_basis(k, mesh.nodes[mesh.elements[k]], c.D, c.E, c.chord_normal,
+    full = full_mesh(mesh)
+    return {k: ife_basis(k, full.nodes[full.elements[k]], c.D, c.E, c.chord_normal,
                          beta_minus, beta_plus) for k, c in cuts.items()}
 
 
@@ -483,8 +485,8 @@ def split_edge_rule(p0, p1, crossings, degree):
 def edge_split_points(mesh, edge_id, cuts):
     """Interior points where adjacent chords break the traces on this edge."""
     full = full_mesh(mesh)
-    a = mesh.nodes[full.edge_nodes[edge_id, 0]]
-    b = mesh.nodes[full.edge_nodes[edge_id, 1]]
+    a = full.nodes[full.edge_nodes[edge_id, 0]]
+    b = full.nodes[full.edge_nodes[edge_id, 1]]
     d = b - a
     ll = float(d @ d)
     pts = []
@@ -555,7 +557,7 @@ def template_name(mesh, k):
     """Template of the standard nodal basis on element k."""
     if mesh.cell_kind == RECT:
         return "rect"
-    return "tri_lower" if mesh.element_variant[k] == 0 else "tri_upper"
+    return "tri_lower" if full_mesh(mesh).element_variant[k] == 0 else "tri_upper"
 
 
 def standard_basis(element_id, verts, kind, variant=None):
@@ -819,9 +821,10 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
     bulk = np.concatenate([np.flatnonzero(status == s) for s in (SIDE_MINUS, SIDE_PLUS)])
     cut_ids = np.flatnonzero(status == INTERFACE)
     h = mesh.h
+    full = full_mesh(mesh)
 
     def bulk_ids(variant):
-        return bulk if mesh.cell_kind == RECT else bulk[mesh.element_variant[bulk] == variant]
+        return bulk if mesh.cell_kind == RECT else bulk[full.element_variant[bulk] == variant]
 
     def bulk_sum(kind):
         total = 0.0
@@ -834,7 +837,7 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
             G = template_gradients(name, spts) / h
             for block, x, y in point_blocks(mesh, ids, spts):
                 minus = np.asarray(iface.phi(x, y)) < 0
-                ce = coeffs[mesh.elements[block]]
+                ce = coeffs[full.elements[block]]
                 if kind == "l2":
                     diff = sol.u(x, y, minus) - ce @ V
                     total += float(np.einsum("eq,q->", diff * diff, w))
@@ -849,7 +852,7 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
     def cut_sum(kind):
         total = 0.0
         for k in cut_ids:
-            basis, ce = bases[k], coeffs[mesh.elements[k]]
+            basis, ce = bases[k], coeffs[full.elements[k]]
             for side, pts, wts in cut_data_rules(cuts[k], degree, refine):
                 x, y = pts[:, 0], pts[:, 1]
                 a = ce[None] @ (basis.coefs_plus if side > 0 else basis.coefs_minus)
@@ -870,17 +873,15 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
         if k in bases:
             return bases[k]
         kind, variant = (("q1", "rect") if mesh.cell_kind == RECT else
-                         ("p1", ("tri_lower", "tri_upper")[mesh.element_variant[k]]))
-        return standard_basis(k, mesh.nodes[mesh.elements[k]], kind, variant)
-
-    full = full_mesh(mesh)
+                         ("p1", ("tri_lower", "tri_upper")[full.element_variant[k]]))
+        return standard_basis(k, full.nodes[full.elements[k]], kind, variant)
 
     def jump_square(e):
         t1, t2 = full.edge_elements[e]
-        a, b = mesh.nodes[full.edge_nodes[e]]
+        a, b = full.nodes[full.edge_nodes[e]]
         rule = split_edge_rule(a, b, edge_split_points(mesh, e, cuts), EDGE_DEGREE)
-        u1 = coeffs[mesh.elements[t1]] @ element_basis(int(t1)).values(rule.points)
-        u2 = coeffs[mesh.elements[t2]] @ element_basis(int(t2)).values(rule.points)
+        u1 = coeffs[full.elements[t1]] @ element_basis(int(t1)).values(rule.points)
+        u2 = coeffs[full.elements[t2]] @ element_basis(int(t2)).values(rule.points)
         return float(np.dot(rule.weights, (u1 - u2) ** 2))
 
     s = {kind: bulk_sum(kind) for kind in ("l2", "h1", "energy")}
@@ -902,24 +903,24 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
     worst = 0.0
     for variant, (name, spts) in sample.items():
         ids = bulk_ids(variant)
-        pts = mesh.element_origins[ids][:, None, :] + h * spts[None, :, :]
+        pts = full.element_origins[ids][:, None, :] + h * spts[None, :, :]
         x, y = pts[..., 0], pts[..., 1]
-        uh = coeffs[mesh.elements[ids]] @ template_values(name, spts)
+        uh = coeffs[full.elements[ids]] @ template_values(name, spts)
         worst = max(worst, float(np.abs(sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
                                         - uh).max()))
     for k in cut_ids:
-        verts = mesh.nodes[mesh.elements[k]]
+        verts = full.nodes[full.elements[k]]
         lo = verts.min(axis=0)
         span = verts.max(axis=0) - lo
         pts = np.column_stack([(lo[0] + span[0] * TX).ravel(), (lo[1] + span[1] * TY).ravel()])
         if mesh.cell_kind != RECT:
             xi = (pts - lo) / h
-            keep = (xi[:, 1] <= xi[:, 0] + 1e-12 if mesh.element_variant[k] == 0
+            keep = (xi[:, 1] <= xi[:, 0] + 1e-12 if full.element_variant[k] == 0
                     else xi[:, 0] <= xi[:, 1] + 1e-12)
             pts = pts[keep]
         pts = np.vstack([pts, verts])
         x, y = pts[:, 0], pts[:, 1]
-        ce, b = coeffs[mesh.elements[k]][None], bases[k]
+        ce, b = coeffs[full.elements[k]][None], bases[k]
         uh = np.where(b.side_plus_mask(pts), b._values_from(ce @ b.coefs_plus, pts)[0],
                       b._values_from(ce @ b.coefs_minus, pts)[0])
         worst = max(worst, float(np.abs(sol.u(x, y, np.asarray(iface.phi(x, y)) < 0)
@@ -935,7 +936,8 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
 def mesh_frames(mesh):
     """Centroids, cell origins and extents per element, reduced over the
     (n_elem, d, 2) gather of the element vertices."""
-    v = mesh.nodes[mesh.elements]
+    full = full_mesh(mesh)
+    v = full.nodes[full.elements]
     return v.mean(axis=1), v.min(axis=1), np.ptp(v, axis=1).max(axis=1)
 
 
@@ -973,12 +975,13 @@ def all_edge_classify(mesh, iface):
     snapped elements from gathers over every node and element."""
     h = mesh.h
     tol = SNAP_TOL * h
-    node_sign = _snapped_sign(np.asarray(iface.phi(mesh.nodes[:, 0], mesh.nodes[:, 1]), float),
+    full = full_mesh(mesh)
+    node_sign = _snapped_sign(np.asarray(iface.phi(full.nodes[:, 0], full.nodes[:, 1]), float),
                               tol)
     solve = []
     for lo in range(0, mesh.n_edges, _AUDIT_ROWS):
         ends = mesh.edge_nodes(np.arange(lo, min(lo + _AUDIT_ROWS, mesh.n_edges)))
-        _, s = _edge_signs(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, tol)
+        _, s = _edge_signs(full.nodes[ends[:, 0]], full.nodes[ends[:, 1]], iface, tol)
         rows = np.flatnonzero((s.min(axis=1) <= 0) & (s.max(axis=1) >= 0))
         flips = sign_flips(s[rows])
         if (flips > 1).any():
@@ -989,12 +992,12 @@ def all_edge_classify(mesh, iface):
         solve.append(lo + rows[first * last < 0])
     solve = np.concatenate(solve)
     ends = mesh.edge_nodes(solve)
-    hit, points = edge_crossings(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]], iface, h)
+    hit, points = edge_crossings(full.nodes[ends[:, 0]], full.nodes[ends[:, 1]], iface, h)
     crossed = solve[hit]
     centroids = mesh_frames(mesh)[0]
     status = np.where(np.asarray(iface.phi(centroids[:, 0], centroids[:, 1]), float) > 0,
                       SIDE_PLUS, SIDE_MINUS).astype(np.int8)
-    touched = (node_sign[mesh.elements] == 0).any(axis=1)
+    touched = (node_sign[full.elements] == 0).any(axis=1)
     adj = mesh.edge_elements(crossed).ravel()
     touched[adj[adj >= 0]] = True
     cuts = _cut_set(mesh, iface, np.flatnonzero(touched), crossed, points[hit], node_sign, tol)
@@ -1037,7 +1040,7 @@ def free_matrices(N, beta_pair, cell_kind=RECT, r0=DEFAULT_R0, alpha=1.0):
     cuts = build_bases(cuts, bm, bp)
     A_vol = full_volume(mesh, status, cuts)
     M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, alpha)
-    free = mesh.interior_nodes
+    free = full_mesh(mesh).interior_nodes
     return A_vol[free][:, free], M[free][:, free], P[free][:, free]
 
 
@@ -1137,8 +1140,9 @@ def full_node_system(ctx, params):
     A_vol = full_volume(mesh, ctx.status, ctx.cuts)
     M, P, _ = assemble_edge_terms(mesh, ctx.traces.edges, ctx.status, ctx.cuts, ctx.traces.alpha)
     b = assemble_load(mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface, ctx.rules)
-    free, bd = mesh.interior_nodes, mesh.boundary_nodes
-    g = ctx.sol.u_at(mesh.nodes[bd, 0], mesh.nodes[bd, 1], ctx.iface)
+    full = full_mesh(mesh)
+    free, bd = full.interior_nodes, full.boundary_nodes
+    g = ctx.sol.u_at(full.nodes[bd, 0], full.nodes[bd, 1], ctx.iface)
     A_f = combine_system(A_vol, M, P, params)[free]
     return A_f[:, free].tocsr(), b[free] - A_f[:, bd] @ g
 
@@ -1269,8 +1273,8 @@ def coo_volume(mesh, status, cuts, beta_minus, beta_plus):
         G = template_gradients("rect", rule.points)
         blocks = coef[:, None, None] * np.einsum("q,iqa,jqa->ij", rule.weights, G, G)[None]
     else:
-        blocks = p1_stiffness_batch(mesh.nodes[mesh.elements[bulk]], coef)
-    conn = mesh.elements[np.concatenate([bulk, cuts.ids])]
+        blocks = p1_stiffness_batch(mesh.node_coords(mesh.element_nodes(bulk)), coef)
+    conn = mesh.element_nodes(np.concatenate([bulk, cuts.ids]))
     data = np.concatenate([blocks, cut_volume_matrices(cuts)])
     A = sp.coo_matrix((data.ravel(), (np.repeat(conn, d, axis=1).ravel(),
                                       np.tile(conn, (1, d)).ravel())), shape=(n, n)).tocsr()
@@ -1294,7 +1298,7 @@ def point_blocks(mesh, ids, spts):
     rows = max(1, _SWEEP_POINTS // len(spts))
     hx, hy = mesh.h * spts[:, 0], mesh.h * spts[:, 1]
     for lo in range(0, len(ids), rows):
-        origin = mesh.element_origins[ids[lo:lo + rows]]
+        origin = full_mesh(mesh).element_origins[ids[lo:lo + rows]]
         yield ids[lo:lo + rows], origin[:, :1] + hx, origin[:, 1:] + hy
 
 
@@ -1302,8 +1306,9 @@ def ascending_blocks(mesh, status, tables):
     """`geometry.bulk_sweep` with each variant's non-interface elements in
     ascending order, the two sides mixed. Yields (table, ids, x, y)."""
     bulk = np.flatnonzero(status != INTERFACE)
+    variants = full_mesh(mesh).element_variant[bulk]
     for variant, table in tables.items():
-        ids = bulk if mesh.cell_kind == RECT else bulk[mesh.element_variant[bulk] == variant]
+        ids = bulk if mesh.cell_kind == RECT else bulk[variants == variant]
         for block, x, y in point_blocks(mesh, ids, table[1]):
             yield table, block, x, y
 
@@ -1315,7 +1320,7 @@ def ascending_bulk_load(mesh, status, sol, iface, degree=DATA_DEGREE):
     h = mesh.h
     for (name, spts, swts), ids, x, y in ascending_blocks(mesh, status, bulk_rules(mesh, degree)):
         fw = select_branches(sol, x, y, np.asarray(iface.phi(x, y)) < 0)[2] * (swts * h * h)
-        np.add.at(b, mesh.elements[ids], fw @ template_values(name, spts).T)
+        np.add.at(b, full_mesh(mesh).elements[ids], fw @ template_values(name, spts).T)
     return b
 
 
@@ -1355,7 +1360,7 @@ def ascending_error_norms(mesh, status, cuts, coeffs, sol, iface, traces, sigma0
     for (name, spts, swts), ids, x, y in ascending_blocks(mesh, status, bulk_rules(mesh, degree)):
         w = swts * h * h
         G = template_gradients(name, spts) / h
-        ce = coeffs[mesh.elements[ids]]
+        ce = coeffs[full_mesh(mesh).elements[ids]]
         minus = np.asarray(iface.phi(x, y)) < 0
         u, (gx, gy), _ = select_branches(sol, x, y, minus)
         diff = u - ce @ template_values(name, spts)
@@ -1367,7 +1372,7 @@ def ascending_error_norms(mesh, status, cuts, coeffs, sol, iface, traces, sigma0
         sums = sums + np.cumsum(parts.reshape(-1, 3), axis=0)[-1]
     l2, h1, energy = sums
     if sigma0 != 0.0:
-        u = coeffs[mesh.elements[traces.elements]][:, :, None] @ traces.values
+        u = coeffs[full_mesh(mesh).elements[traces.elements]][:, :, None] @ traces.values
         jumps = np.vecdot(traces.weights, (u[:, 0, 0] - u[:, 1, 0]) ** 2)
         scale = sigma0 / mesh.edge_lengths(traces.edges) ** traces.alpha
         energy = np.cumsum(np.concatenate([[energy], scale * jumps]))[-1]
@@ -1380,7 +1385,7 @@ def per_basis_cut_sums(mesh, cuts, coeffs, sol, rules):
     """`postprocess._cut_sums` from the (K, d, n) values and (K, d, n, 2)
     gradients of every basis function of the side's piece, on the
     `padded_data_rules`."""
-    ce = coeffs[mesh.elements[cuts.ids]][:, None]
+    ce = coeffs[full_mesh(mesh).elements[cuts.ids]][:, None]
     out = np.zeros((len(cuts), 2, 3))
     for s, ((pts, wts, minus), c, b, grad) in enumerate(zip(
             rules, (cuts.cm, cuts.cp), cuts.beta, (sol.grad_minus, sol.grad_plus))):
@@ -1411,7 +1416,7 @@ def ascending_linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
 
     worst = 0.0
     for (name, spts), ids, x, y in ascending_blocks(mesh, status, sample):
-        uh = coeffs[mesh.elements[ids]] @ template_values(name, spts)
+        uh = coeffs[full_mesh(mesh).elements[ids]] @ template_values(name, spts)
         worst = max(worst, float(np.abs(u(x, y) - uh).max()))
     if len(cuts):
         lo = cuts.verts.min(axis=1)[:, None]
@@ -1419,14 +1424,14 @@ def ascending_linf_error(mesh, status, cuts, coeffs, sol, iface, grid=5):
         pts = lo + span * np.column_stack([TX.ravel(), TY.ravel()])
         if mesh.cell_kind != RECT:
             xi = (pts - lo) / mesh.h
-            lower = (mesh.element_variant[cuts.ids] == 0)[:, None]
+            lower = (full_mesh(mesh).element_variant[cuts.ids] == 0)[:, None]
             keep = np.where(lower, xi[..., 1] <= xi[..., 0] + 1e-12,
                             xi[..., 0] <= xi[..., 1] + 1e-12)
             pts = pts[keep].reshape(len(cuts), -1, 2)
         pts = np.concatenate([pts, cuts.verts], axis=1)
         rows = np.arange(len(cuts))
-        uh = (coeffs[mesh.elements[cuts.ids]][:, None] @ cut_values(cuts, rows, *cut_frame(
-            cuts, rows, pts)))[:, 0]
+        ce = coeffs[full_mesh(mesh).elements[cuts.ids]][:, None]
+        uh = (ce @ cut_values(cuts, rows, *cut_frame(cuts, rows, pts)))[:, 0]
         worst = max(worst, float(np.abs(u(pts[..., 0], pts[..., 1]) - uh).max()))
     return worst
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import basis_residuals, convergence_rates, draw_cuts_loop
+from oracles import basis_residuals, convergence_rates, draw_cuts_loop, full_mesh
 from ppife import verify
 from ppife.assembly import MethodParams
 from ppife.geometry import (DomainSpec, build_mesh, circle, classify_elements, interface_edges,
@@ -217,7 +217,7 @@ def test_criterion_7_reduction_and_patch():
         res = cg(A_ff, rhs, tol_rel=1e-13)
         coeffs = sysm.expand(res.x)
         patch_worst = max(patch_worst,
-                          float(np.abs(coeffs - u(mesh.nodes[:, 0], mesh.nodes[:, 1])).max()))
+                          float(np.abs(coeffs - u(*full_mesh(mesh).nodes.T)).max()))
     ok = ok and patch_worst < 1e-10
     _line(7, ok, f"scheme-vs-FEM energy distance {worst:.2e} < 1e-9; "
                  f"patch-test nodal error {patch_worst:.2e} < 1e-10")

@@ -11,7 +11,7 @@ from ppife.errors import ConfigError
 from ppife.geometry import (DomainSpec, build_mesh, circle, classify_elements,
                             interface_edges, line)
 from oracles import (basis_of, check_csr, classify_cuts, combine_system, edge_split_points,
-                     full_volume, interface_jump_residuals, standard_basis)
+                     full_mesh, full_volume, interface_jump_residuals, standard_basis)
 from ppife.harness import RunConfig
 from ppife.linsolve import cg
 from ppife.local_basis import build_bases, cut_frame, cut_values
@@ -34,9 +34,9 @@ def _element_basis(mesh, cuts, k):
     if k in cuts.ids:
         return basis_of(cuts, int(np.searchsorted(cuts.ids, k)))
     if mesh.cell_kind == "rect":
-        return standard_basis(k, mesh.nodes[mesh.elements[k]], "q1", "rect")
-    variant = ("tri_lower", "tri_upper")[mesh.element_variant[k]]
-    return standard_basis(k, mesh.nodes[mesh.elements[k]], "p1", variant)
+        return standard_basis(k, mesh.node_coords(mesh.element_nodes(k)), "q1", "rect")
+    variant = ("tri_lower", "tri_upper")[full_mesh(mesh).element_variant[k]]
+    return standard_basis(k, mesh.node_coords(mesh.element_nodes(k)), "p1", variant)
 
 
 def test_method_params_presets():
@@ -155,7 +155,7 @@ def test_edge_terms_vs_composite_simpson_oracle():
     dofs, M, P = dofs[0].tolist(), M[0], params.sigma0 * P_unit[0]
 
     t1, t2 = mesh.edge_elements([e])[0]
-    a, b = mesh.nodes[mesh.edge_nodes([e])[0]]
+    a, b = mesh.node_coords(mesh.edge_nodes([e])[0])
     nB = mesh.edge_normals([e])[0]
     L = mesh.edge_lengths([e])[0]
     o_cuts = classify_cuts(mesh, iface)[1]
@@ -168,7 +168,7 @@ def test_edge_terms_vs_composite_simpson_oracle():
         flux = np.zeros((len(dofs), len(pts)))
         for elem, sign in ((t1, 1.0), (t2, -1.0)):
             basis = _element_basis(mesh, cuts, int(elem))
-            loc = [index[int(g)] for g in mesh.elements[elem]]
+            loc = [index[int(g)] for g in mesh.element_nodes(elem)]
             vals = basis.values(pts)
             grads = basis.gradients(pts)
             if elem in cuts.ids:
@@ -204,7 +204,7 @@ def test_spp_matrix_is_symmetric():
     params = MethodParams.preset("spp", cuts)
     M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
     A = combine_system(A_vol, M, P, params)
-    free = mesh.interior_nodes
+    free = full_mesh(mesh).interior_nodes
     A_ff = A[free][:, free]
     diff = np.abs((A_ff - A_ff.T).toarray()).max()
     assert diff < 1e-12 * np.abs(A_ff.data).max()
@@ -217,7 +217,7 @@ def test_spp_symmetric_part_positive_definite():
         params = MethodParams.preset("spp", cuts)
         M, P, _ = assemble_edge_terms(mesh, edges, status, cuts, 1.0)
         A = combine_system(A_vol, M, P, params)
-        free = mesh.interior_nodes
+        free = full_mesh(mesh).interior_nodes
         S = A[free][:, free].toarray()
         np.linalg.cholesky(0.5 * (S + S.T))  # raises if not PD
 
@@ -248,12 +248,12 @@ def _dense_grid_load(mesh, iface, cuts, sol, m=512):
     oracle = np.zeros(mesh.n_nodes)
     h = mesh.h
     for e in range(mesh.n_elements):
-        o = mesh.element_origins[e]
+        o = mesh.element_frames(e)[0]
         pts = np.column_stack([(o[0] + h * TX).ravel(), (o[1] + h * TY).ravel()])
         minus = iface.phi(pts[:, 0], pts[:, 1]) < 0
         f = np.where(minus, sol.f_minus(pts[:, 0], pts[:, 1]), sol.f_plus(pts[:, 0], pts[:, 1]))
         vals = _element_basis(mesh, cuts, e).values(pts)
-        oracle[mesh.elements[e]] += (vals * (f * W)[None, :]).sum(axis=1) * h * h
+        oracle[mesh.element_nodes(e)] += (vals * (f * W)[None, :]).sum(axis=1) * h * h
     return oracle
 
 
@@ -278,7 +278,7 @@ def test_load_vs_dense_grid_oracle_polynomial_data():
     b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
     oracle = _dense_grid_load(mesh, iface, cuts, sol, m=256)
     touched = np.zeros(mesh.n_nodes, dtype=bool)
-    touched[mesh.elements[cuts.ids]] = True
+    touched[mesh.element_nodes(cuts.ids)] = True
     sel = ~touched
     assert np.abs(b[sel] - oracle[sel]).max() < 1e-12 * np.abs(oracle).max()
 
@@ -330,9 +330,10 @@ def test_dirichlet_homogeneous_keeps_free_rhs():
                            lambda x, y: np.zeros_like(x)).system(
         MethodParams.preset("spp", cuts))
     A_ff, rhs = sysm.reduced()
-    assert np.allclose(rhs, b[mesh.interior_nodes])
-    assert np.array_equal(sysm.boundary, mesh.boundary_nodes)
-    assert np.array_equal(sysm.boundary_values, np.zeros(len(mesh.boundary_nodes)))
+    full = full_mesh(mesh)
+    assert np.allclose(rhs, b[full.interior_nodes])
+    assert np.array_equal(sysm.boundary, full.boundary_nodes)
+    assert np.array_equal(sysm.boundary_values, np.zeros(len(full.boundary_nodes)))
 
 
 @pytest.mark.parametrize("kind", ["rect", "tri"])
@@ -358,7 +359,7 @@ def test_patch_test_reproduces_polynomials(kind):
     A_ff, rhs = sysm.reduced()
     res = cg(A_ff, rhs, tol_rel=1e-13)
     coeffs = sysm.expand(res.x)
-    exact = u(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    exact = u(*full_mesh(mesh).nodes.T)
     assert np.abs(coeffs - exact).max() < 1e-10
 
 
@@ -373,7 +374,7 @@ def test_boundary_values_satisfy_interface_conditions():
     # boundary trace comes from the outer branch on this domain
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 20, "rect"))
     sol = radial_interface_solution(1.0, 10.0)
-    bd = mesh.nodes[mesh.boundary_nodes]
+    bd = mesh.node_coords(full_mesh(mesh).boundary_nodes)
     g = sol.u_at(bd[:, 0], bd[:, 1], iface)
     r = np.hypot(bd[:, 0], bd[:, 1])
     shift = (1.0 - 1.0 / 10.0) * R0 ** 5
@@ -466,6 +467,6 @@ def test_classic_constant_beta_equals_standard_fem_matrix():
     far = line(1.0, 0.0, -10.0)
     status2, cuts2 = classify_elements(mesh, far)
     A_fem = full_volume(mesh, status2, build_bases(cuts2, 3.0, 3.0))
-    free = mesh.interior_nodes
+    free = full_mesh(mesh).interior_nodes
     diff = (A_ife[free][:, free] - A_fem[free][:, free]).toarray()
     assert np.abs(diff).max() < 1e-12 * np.abs(A_fem.data).max()

@@ -12,7 +12,7 @@ from ppife.geometry import (_AUDIT_ROWS, INTERFACE, SIDE_MINUS, SIDE_PLUS, Carte
                             dump_mesh, edge_crossings, interface_edges, interface_from_name, line)
 from ppife.quadrature import polygon_area
 from oracles import (EDGE_INTERFACE, ReferenceMesh, classify_cuts, classify_edges,
-                     dump_reference_mesh, edge_intersection)
+                     dump_reference_mesh, edge_intersection, full_mesh)
 
 R0 = np.pi / 6.28
 
@@ -59,7 +59,7 @@ def test_mesh_invariants(kind):
     # uniform element areas
     want = mesh.h ** 2 if kind == "rect" else mesh.h ** 2 / 2
     for e in range(mesh.n_elements):
-        area = polygon_area(mesh.nodes[mesh.elements[e]])
+        area = polygon_area(mesh.node_coords(mesh.element_nodes(e)))
         assert area == pytest.approx(want, abs=1e-12 * mesh.h ** 2)
     # each interior edge two elements, boundary edges one
     ids = np.arange(mesh.n_edges)
@@ -68,7 +68,7 @@ def test_mesh_invariants(kind):
     for e in np.flatnonzero(interior):
         assert edge_elements[e, 0] < edge_elements[e, 1]
     # normals oriented from lower to higher element index
-    centroids = mesh.nodes[mesh.elements].mean(axis=1)
+    centroids = full_mesh(mesh).centroids
     for e in np.flatnonzero(interior):
         t1, t2 = edge_elements[e]
         d = centroids[t2] - centroids[t1]
@@ -134,7 +134,7 @@ def test_classify_against_dense_sampling_oracle():
     t = np.linspace(0.0, 1.0, 50)
     TX, TY = np.meshgrid(t, t, indexing="ij")
     for k in range(mesh.n_elements):
-        lo = mesh.nodes[mesh.elements[k]].min(axis=0)
+        lo = mesh.node_coords(mesh.element_nodes(k)).min(axis=0)
         xs = lo[0] + mesh.h * TX
         ys = lo[1] + mesh.h * TY
         vals = iface.phi(xs, ys)
@@ -157,7 +157,7 @@ def test_cut_invariants_circle():
     status, cuts = classify_elements(mesh, iface)
     # rows exist for exactly the interface elements, in ascending order
     assert cuts.ids.tolist() == np.flatnonzero(status == INTERFACE).tolist()
-    assert np.array_equal(cuts.verts, mesh.nodes[mesh.elements[cuts.ids]])
+    assert np.array_equal(cuts.verts, mesh.node_coords(mesh.element_nodes(cuts.ids)))
     for i in range(len(cuts)):
         am = polygon_area(cuts.poly_minus[i, :cuts.n_minus[i]])
         ap = polygon_area(cuts.poly_plus[i, :cuts.n_plus[i]])
@@ -317,7 +317,7 @@ def test_classify_propagates_multiple_crossings():
     e = int(np.flatnonzero((mesh.edge_nodes(np.arange(mesh.n_edges)) == [a, a + 1])
                            .all(axis=1))[0])
     assert e >= _AUDIT_ROWS
-    (x0, y0), h = mesh.nodes[a], mesh.h
+    (x0, y0), h = mesh.node_coords(a), mesh.h
     iface = circle(x0 + 0.5 * h, y0 + 0.1 * h, 0.3 * h)
     with pytest.raises(MultipleCrossings, match=rf"^edge {e} is crossed 2 times"):
         classify_elements(mesh, iface)
@@ -364,12 +364,11 @@ def test_classify_samples_each_audited_edge_once(pruned):
     sampled = np.concatenate(sampled)
     assert len(np.unique(sampled, axis=0)) == len(sampled)
     ends = mesh.edge_nodes(np.unique(cuts.cut_edges[cuts.cut_edges >= 0]))
-    crossed = np.column_stack([mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]])
+    crossed = mesh.node_coords(ends).reshape(-1, 4)
     assert len(crossed) and (crossed[:, None] == sampled).all(axis=2).any(axis=1).all()
     if not pruned:
         ends = mesh.edge_nodes(np.arange(mesh.n_edges))
-        assert np.array_equal(sampled, np.column_stack([mesh.nodes[ends[:, 0]],
-                                                        mesh.nodes[ends[:, 1]]]))
+        assert np.array_equal(sampled, mesh.node_coords(ends).reshape(-1, 4))
 
 
 def test_degenerate_chord_falls_back_to_uncut():
@@ -396,8 +395,7 @@ def test_every_crossed_edge_detected_by_oracle():
     ids = np.arange(mesh.n_edges)
     edge_nodes, edge_elements = mesh.edge_nodes(ids), mesh.edge_elements(ids)
     for e in ids:
-        a = mesh.nodes[edge_nodes[e, 0]]
-        b = mesh.nodes[edge_nodes[e, 1]]
+        a, b = mesh.node_coords(edge_nodes[e])
         x = _crossing(a, b, iface, h=mesh.h)
         if x is not None and edge_elements[e, 1] >= 0:
             assert e in edges
@@ -467,7 +465,8 @@ def test_edge_numbering_equals_two_column_unique():
     for kind in ("rect", "tri"):
         mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 7, kind))
         d = mesh.n_local
-        pairs = np.sort(mesh.elements[:, np.column_stack([np.arange(d), np.roll(np.arange(d), -1)])]
+        elements = mesh.element_nodes(np.arange(mesh.n_elements))
+        pairs = np.sort(elements[:, np.column_stack([np.arange(d), np.roll(np.arange(d), -1)])]
                         .reshape(-1, 2), axis=1)
         nodes, inverse = np.unique(pairs, axis=0, return_inverse=True)
         assert np.array_equal(mesh.edge_nodes(np.arange(mesh.n_edges)), nodes)

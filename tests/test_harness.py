@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from oracles import standard_basis, template_name
+from oracles import full_mesh, standard_basis, template_name
 from ppife import verify
 from ppife.cli import build_parser, main
 from ppife.errors import ConfigError, NotConverged
@@ -128,7 +128,7 @@ def test_evaluate_solution_reproduces_nodal_field():
         ctx = build_context(cfg, 8)
         rng = np.random.default_rng(0)
         coeffs = rng.standard_normal(ctx.mesh.n_nodes)
-        vals = evaluate_solution(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.mesh.nodes)
+        vals = evaluate_solution(ctx.mesh, ctx.status, ctx.cuts, coeffs, full_mesh(ctx.mesh).nodes)
         assert np.abs(vals - coeffs).max() < 1e-11
 
 
@@ -145,14 +145,15 @@ def test_evaluate_solution_matches_standard_basis_off_nodes(kind):
     if kind == "tri":
         # fold into the element's half of the cell, off the diagonal
         lo, hi = local.min(axis=1), local.max(axis=1) + 0.01
-        upper = mesh.element_variant[ids] == 1
+        upper = full_mesh(mesh).element_variant[ids] == 1
         local = np.column_stack([np.where(upper, lo, hi), np.where(upper, hi, lo)])
-    pts = mesh.element_origins[ids] + mesh.h * local
+    pts = full_mesh(mesh).element_origins[ids] + mesh.h * local
     vals = evaluate_solution(mesh, ctx.status, ctx.cuts, coeffs, pts)
     kind_name = "q1" if kind == "rect" else "p1"
     for k, p, v in zip(ids, pts, vals):
-        basis = standard_basis(k, mesh.nodes[mesh.elements[k]], kind_name, template_name(mesh, k))
-        assert abs(v - coeffs[mesh.elements[k]] @ basis.values(p[None])[:, 0]) <= 1e-15
+        basis = standard_basis(k, mesh.node_coords(mesh.element_nodes(k)), kind_name,
+                               template_name(mesh, k))
+        assert abs(v - coeffs[mesh.element_nodes(k)] @ basis.values(p[None])[:, 0]) <= 1e-15
 
 
 def test_field_dump_matches_direct_evaluation():
@@ -176,7 +177,7 @@ def test_node_field_is_nodal_error(kind):
     ctx = build_context(cfg, 10)
     _, coeffs, _ = solve_scheme(ctx, cfg, "npp")
     pts, err = pointwise_error_field(ctx, coeffs)
-    nodes = ctx.mesh.nodes
+    nodes = full_mesh(ctx.mesh).nodes
     order = np.lexsort((nodes[:, 1], nodes[:, 0]))    # x-major, as the field
     assert np.array_equal(pts, nodes[order])
     ue = ctx.sol.u_at(nodes[:, 0], nodes[:, 1], ctx.iface)
@@ -284,7 +285,8 @@ def test_solve_scheme_passes_the_cut_element_block(mesh, monkeypatch):
     assert calls == []
     solve_scheme(ctx, cfg, "npp")
     [block] = calls
-    nodes = set(ctx.mesh.elements[ctx.cuts.ids].ravel().tolist()) - set(system.boundary.tolist())
+    nodes = (set(ctx.mesh.element_nodes(ctx.cuts.ids).ravel().tolist())
+             - set(system.boundary.tolist()))
     touched = set()
     M, P, _ = assemble_edge_terms(ctx.mesh, ctx.traces.edges, ctx.status, ctx.cuts,
                                   cfg.penalty_alpha)
@@ -418,7 +420,7 @@ def test_cut_data_rules_are_built_once_per_context(monkeypatch, mesh):
     ctx = build_context(cfg, 24)
     fresh = assembly.assemble_load(ctx.mesh, ctx.status, ctx.cuts, ctx.sol, ctx.iface,
                                    assembly.cut_data_rules(ctx.cuts, ctx.iface))
-    assert np.array_equal(ctx.split.b, fresh[ctx.mesh.interior_nodes])
+    assert np.array_equal(ctx.split.b, fresh[full_mesh(ctx.mesh).interior_nodes])
     for scheme in cfg.schemes:
         rec, coeffs, _ = solve_scheme(ctx, cfg, scheme)
         own = postprocess.error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,
@@ -479,6 +481,18 @@ def test_cli_verify_at_tiny_equal_betas(tmp_path, capsys):
     rows = dict(ln.rsplit(",", 1) for ln in (tmp_path / "scans.csv").read_text().splitlines())
     assert rows["trace_ratio,passed"] == "1"
     assert 0.0 < float(rows["trace_ratio,max_R_b1e-30_1e-30"]) < 1e-14
+
+
+def test_cli_verify_refuses_a_penalty_exponent_it_does_not_scan(tmp_path, capsys):
+    # the coercivity scan assembles P_unit at alpha = 1; at any other alpha
+    # verify would report the alpha = 1 forms under the wrong name
+    code = main(["verify", "--penalty-alpha", "2", *_SMALL_VERIFY, "--out", str(tmp_path / "a2")])
+    assert code == 2
+    assert "penalty_alpha" in capsys.readouterr().err
+    assert not (tmp_path / "a2").exists()
+    assert main(["verify", "--penalty-alpha", "1", *_SMALL_VERIFY,
+                 "--out", str(tmp_path / "a1")]) == 0
+    assert (tmp_path / "a1" / "scans.csv").exists()
 
 
 def test_cli_verify_zero_maximum_is_a_failed_scan(tmp_path, capsys, monkeypatch):

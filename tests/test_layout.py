@@ -12,9 +12,17 @@ Each scheme coefficient enters the library once. `build_bases` records
 beside the cut set could pair a matrix with bases built for another beta.
 `assemble_edge_terms` records the penalty exponent alpha on the EdgeTraces it
 returns; a norm that took alpha again could weigh the jumps unlike P_unit.
+
+The Cartesian mesh is index arithmetic on its two grid-line arrays: it
+stores no per-node or per-element array, so that its nodes, elements and
+frames are computed only for the ids a stage asks for.
 """
 import ast
 from pathlib import Path
+
+import numpy as np
+
+from ppife.geometry import DomainSpec, build_mesh
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ppife"
 
@@ -108,3 +116,12 @@ def test_beta_pair_lives_on_the_cut_set():
 
 def test_penalty_exponent_enters_at_the_edge_terms():
     assert alpha_beside_edge_terms() == []
+
+
+def test_mesh_stores_no_per_node_or_per_element_array():
+    n = 7
+    for kind in ("rect", "tri"):
+        mesh = build_mesh(DomainSpec(-1, 1, -1, 1, n, kind))
+        big = {name: value.size for name, value in vars(mesh).items()
+               if isinstance(value, np.ndarray) and value.size > n + 1}
+        assert big == {}, kind

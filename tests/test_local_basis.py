@@ -9,7 +9,7 @@ from ppife.local_basis import (build_bases, ife_coefficients, piece_gradients, p
                                template_coefs)
 from ppife.geometry import INTERFACE, DomainSpec, build_mesh, circle, classify_elements
 from ppife.verify import _reference_cuts
-from oracles import (basis_of, basis_residuals, cut_stack, draw_cuts_loop, ife_basis,
+from oracles import (basis_of, basis_residuals, cut_stack, draw_cuts_loop, full_mesh, ife_basis,
                      ife_stack_basis, linear_coupling_matrix, reference_cut, standard_basis,
                      template_name)
 
@@ -220,7 +220,7 @@ def test_build_bases_dispatch():
         assert bases.ids.tolist() == np.flatnonzero(status == INTERFACE).tolist()
         m = 4 if kind == "rect" else 3
         assert bases.cm.shape == bases.cp.shape == (len(cuts), mesh.n_local, m)
-        assert np.array_equal(bases.origin, mesh.element_origins[cuts.ids])
+        assert np.array_equal(bases.origin, full_mesh(mesh).element_origins[cuts.ids])
         res = basis_residuals(bases, 1.0, 10.0)
         assert max(r.max() for r in res.values()) < 1e-12
 
@@ -233,14 +233,15 @@ def test_templates_equal_standard_basis_oracle(kind):
     rng = np.random.default_rng(3)
     oracle_kind = "q1" if kind == "rect" else "p1"
     C = template_coefs(mesh, np.arange(mesh.n_elements))
+    full = full_mesh(mesh)
     for k in range(mesh.n_elements):
-        verts = mesh.nodes[mesh.elements[k]]
+        verts = mesh.node_coords(mesh.element_nodes(k))
         pts = np.vstack([verts, verts.mean(axis=0) + 0.3 * mesh.h * rng.uniform(-1, 1, (5, 2))])
-        xi = (pts - mesh.element_origins[k]) / mesh.element_h[k]
+        xi = (pts - full.element_origins[k]) / full.element_h[k]
         values = piece_values(C[k], xi)
         oracle = standard_basis(k, verts, oracle_kind, template_name(mesh, k))
         assert np.array_equal(values, oracle.values(pts))
-        assert np.array_equal(piece_gradients(C[k], xi, mesh.element_h[k]), oracle.gradients(pts))
+        assert np.array_equal(piece_gradients(C[k], xi, full.element_h[k]), oracle.gradients(pts))
         solved = standard_basis(k, verts, oracle_kind)
         assert np.allclose(values, solved.values(pts), atol=1e-12)
         assert np.allclose(values[:, :len(verts)], np.eye(len(verts)), atol=1e-13)
@@ -255,7 +256,7 @@ def test_build_bases_equals_per_element_oracle(kind, beta_plus):
         _, cuts = classify_elements(mesh, circle(cx, cy, r))
         bases = build_bases(cuts, 1.0, beta_plus)
         for i, k in enumerate(cuts.ids):
-            oracle = ife_basis(k, mesh.nodes[mesh.elements[k]], cuts.D[i], cuts.E[i],
+            oracle = ife_basis(k, mesh.node_coords(mesh.element_nodes(k)), cuts.D[i], cuts.E[i],
                                cuts.normal[i], 1.0, beta_plus)
             basis = basis_of(bases, i)
             assert basis.kind == oracle.kind
@@ -277,7 +278,7 @@ def test_singular_system_in_batch_names_its_element(kind):
     with pytest.raises(SingularLocalSystem, match=rf"^element {bad}: "):
         build_bases(cuts, 1.0, 10.0)
     with pytest.raises(SingularLocalSystem, match=rf"^element {bad}: "):
-        ife_basis(bad, mesh.nodes[mesh.elements[bad]], cuts.D[i], cuts.E[i],
+        ife_basis(bad, mesh.node_coords(mesh.element_nodes(bad)), cuts.D[i], cuts.E[i],
                   cuts.normal[i], 1.0, 10.0)
 
 

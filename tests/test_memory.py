@@ -3,7 +3,9 @@ error norms, a case context and a whole scheme solve.
 
 The tracemalloc peak of each call, above what was live before it,
 including what the call returns. Measured with numpy 2.4.6 and scipy
-1.17.1, at rect N=160: `build_mesh` 2.8 MB (it keeps 2.1 MB),
+1.17.1, at rect N=160: `build_mesh` 4.4 kB in a fresh process (it keeps
+3.5 kB, the two grid-line arrays and the corner offsets; with stored node,
+element and frame arrays it peaked at 2.8 MB and kept 2.1 MB),
 `assemble_volume` 5.3 MB (the CSR matrix is 2.9 MB), `assemble_load`,
 given the context's cut rules, 5.7 MB, and `error_norms` (SPP, beta+ =
 1e4, the context's rules) 7.5 MB. The budgets are those peaks plus 50 %.
@@ -41,8 +43,9 @@ Every scheme matrix is now one data array on the context's free-node
 pattern, the index arrays of A_vol, which the Jacobi-scaled copy shares
 too, and the symmetry check compares the data with itself at the
 transposed positions. `build_context` at rect N=320, beta+ = 10, peaks at
-37.8 MB; with a full-node A_vol restricted to the free nodes it peaked at
-48.5 MB. The first SPP solve peaks at 39.5 MB, a second one at 28.0 MB,
+31.6 MB; with a mesh that stored its node, element and frame arrays it
+peaked at 38.9 MB, and with a full-node A_vol restricted to the free nodes
+at 48.5 MB. The first SPP solve peaks at 39.5 MB, a second one at 28.0 MB,
 and an NPP solve after SPP at 31.8 MB (40.2 MB with a matrix of index
 arrays of its own, a scaled copy with copies of them and a sparse
 transpose in the sum). The budgets of `build_context` and of that NPP
@@ -59,6 +62,7 @@ from ppife.harness import RunConfig, build_context, solve_scheme
 from ppife.local_basis import build_bases
 from ppife.postprocess import error_norms, interpolate_nodal, radial_interface_solution
 
+KB = 1e3
 MB = 1e6
 
 
@@ -75,7 +79,7 @@ SPEC = DomainSpec(-1, 1, -1, 1, 160, "rect")
 
 
 def test_mesh_memory_budget():
-    assert _peak(lambda: build_mesh(SPEC)) <= 4.2 * MB
+    assert _peak(lambda: build_mesh(SPEC)) <= 6.6 * KB
 
 
 def _classified():
@@ -142,4 +146,4 @@ def test_second_scheme_memory_budget():
 
 def test_build_context_memory_budget():
     config = RunConfig(mesh="rect", beta_plus=10.0)
-    assert _peak(lambda: build_context(config, 320)) <= 43.5 * MB
+    assert _peak(lambda: build_context(config, 320)) <= 36.3 * MB

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (classify_cuts, classify_edges, convergence_rates, interface_jump_residuals,
-                     oracle_bases, reference_error_norms)
+                     full_mesh, oracle_bases, reference_error_norms)
 from ppife.assembly import (DATA_DEGREE, MethodParams, assemble_edge_terms, bulk_rules,
                             cut_data_rules, edge_traces)
 from ppife.geometry import (DomainSpec, build_mesh, bulk_sweep, circle, classify_elements,
@@ -76,7 +76,7 @@ def test_norms_vanish_for_reproduced_linear(kind):
     grad = lambda x, y: (1.5 * np.ones_like(np.asarray(x)), -0.25 * np.ones_like(np.asarray(x)))
     zero = lambda x, y: np.zeros_like(np.asarray(x, float))
     sol = PiecewiseSolution(lin, lin, grad, grad, zero, zero)
-    coeffs = lin(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    coeffs = lin(*full_mesh(mesh).nodes.T)
     err = error_norms(mesh, status, cuts, coeffs, sol, iface, traces, CLASSIC,
                       cut_data_rules(cuts, iface))
     for norm in ("l2", "h1", "linf", "energy"):

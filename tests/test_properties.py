@@ -19,6 +19,7 @@ import dataclasses
 from unittest import mock
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from ppife import geometry, linsolve
@@ -40,7 +41,7 @@ from ppife.quadrature import fan_rule, polygon_area
 import oracles
 from oracles import (EDGE_INTERFACE, ReferenceMesh, all_edge_classify, ascending_bulk_load,
                      ascending_error_norms, basis_residuals, classify_cuts, classify_edges,
-                     coo_volume, edge_intersection, edge_signs, edge_split_points,
+                     coo_volume, edge_intersection, edge_signs, edge_split_points, full_mesh,
                      full_node_system, full_volume, ife_basis, mesh_frames, padded_data_rules,
                      per_basis_cut_load, per_basis_cut_sums, select_branches, split_edge_rule,
                      standard_basis, template_name)
@@ -90,7 +91,7 @@ def test_cut_geometry(case):
     # the batched crossing solve equals the one-segment oracle bit for bit;
     # segments whose samples all share one strict sign have no crossing
     ends = mesh.edge_nodes(np.arange(mesh.n_edges))
-    ea, eb = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
+    ea, eb = mesh.node_coords(ends).transpose(1, 0, 2)
     hit, points = edge_crossings(ea, eb, iface, h)
     ts = np.linspace(0.0, 1.0, 17)
     s = ea[:, None, :] + ts[None, :, None] * (eb - ea)[:, None, :]
@@ -215,7 +216,7 @@ def test_node_elements_equal_the_vertex_gather(kind, N, seed):
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
     nodes = np.flatnonzero(np.random.default_rng(seed).random(mesh.n_nodes) < 0.3)
     assert np.array_equal(np.unique(mesh.node_elements(nodes)),
-                          np.flatnonzero(np.isin(mesh.elements, nodes).any(axis=1)))
+                          np.flatnonzero(np.isin(full_mesh(mesh).elements, nodes).any(axis=1)))
 
 
 @given(cases, st.integers(1, 10), st.integers(0, 2))
@@ -295,7 +296,7 @@ def test_standard_neighbours_match_oracle(case):
     traces = edge_traces(mesh, interface_edges(mesh, cuts), status, build_bases(cuts, 1.0, 10.0))
     o_cuts = classify_cuts(mesh, iface)[1]
     for b, e in enumerate(traces.edges):
-        a, c = mesh.nodes[mesh.edge_nodes([e])[0]]
+        a, c = mesh.node_coords(mesh.edge_nodes([e])[0])
         rule = split_edge_rule(a, c, edge_split_points(mesh, int(e), o_cuts), 4)
         n = len(rule.weights)
         # the rule is the oracle's split rule, padded by a zero-weight piece
@@ -305,7 +306,8 @@ def test_standard_neighbours_match_oracle(case):
         for s, k in enumerate(traces.elements[b]):
             if status[k] == INTERFACE:
                 continue
-            oracle = standard_basis(k, mesh.nodes[mesh.elements[k]], kind, template_name(mesh, k))
+            oracle = standard_basis(k, mesh.node_coords(mesh.element_nodes(k)), kind,
+                                    template_name(mesh, k))
             pts = traces.points[b]
             assert np.array_equal(traces.values[b, s], oracle.values(pts))
             assert np.array_equal(traces.gradients[b, s], oracle.gradients(pts))
@@ -332,7 +334,7 @@ def test_patch_test_is_exact(drawn):
     b = assemble_load(mesh, status, cuts, sol, iface, cut_data_rules(cuts, iface))
     sysm = apply_dirichlet(mesh, status, cuts, M, P, b, u).system(params)
     coeffs = sysm.expand(cg(*sysm.reduced(), tol_rel=1e-13).x)
-    assert np.abs(coeffs - u(mesh.nodes[:, 0], mesh.nodes[:, 1])).max() < 1e-10
+    assert np.abs(coeffs - u(*full_mesh(mesh).nodes.T)).max() < 1e-10
 
 
 @settings(max_examples=40)
@@ -353,7 +355,8 @@ def test_dirichlet_split_equals_full_node_slicing(case, beta_plus):
     # M has columns at the nodes of both elements of an interface edge, so
     # its lift is 0, and the rhs bit for bit the sliced one, unless one of
     # those elements, cut or not, touches the boundary
-    touches = np.isin(ctx.mesh.elements[ctx.traces.elements], ctx.mesh.boundary_nodes).any()
+    touches = np.isin(ctx.mesh.element_nodes(ctx.traces.elements),
+                      full_mesh(ctx.mesh).boundary_nodes).any()
     for scheme in SCHEMES:
         params = MethodParams.preset(scheme, ctx.cuts, cfg.sigma0)
         A, rhs = ctx.split.system(params).reduced()
@@ -383,8 +386,9 @@ def _same(a, b):
 def test_mesh_frames_equal_gather_reduce(kind, N, xmin, ymin, width):
     mesh = build_mesh(DomainSpec(xmin, xmin + width, ymin, ymin + width, N, kind))
     _, origins, extents = mesh_frames(mesh)
-    assert _same(mesh.element_origins, origins)
-    assert _same(mesh.element_h, extents)
+    got = mesh.element_frames(np.arange(mesh.n_elements))
+    assert _same(got[0], origins)
+    assert _same(got[1], extents)
 
 
 @given(st.integers(1, 40), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(0.2, 0.7),
@@ -472,22 +476,39 @@ def test_mesh_queries_equal_reference_mesh(domain):
     kind, N, xmin, ymin, width = domain
     spec = DomainSpec(xmin, xmin + width, ymin, ymin + width, N, kind)
     mesh, ref = build_mesh(spec), ReferenceMesh(spec)
-    assert mesh.n_edges == ref.n_edges
-    ids = np.arange(ref.n_edges)
-    for got, want in ((mesh.nodes, ref.nodes), (mesh.elements, ref.elements),
-                      (mesh.element_variant, ref.element_variant),
+    assert (mesh.n_nodes, mesh.n_elements, mesh.n_edges) == (ref.n_nodes, ref.n_elements,
+                                                             ref.n_edges)
+    ids, nodes = np.arange(ref.n_edges), np.arange(ref.n_nodes)
+    elements = np.arange(ref.n_elements)
+    for got, want in ((mesh.node_coords(nodes), ref.nodes),
+                      (mesh.element_nodes(elements), ref.elements),
+                      (mesh.element_frames(elements)[0], ref.element_origins),
+                      (mesh.element_frames(elements)[1], ref.element_h),
                       (mesh.edge_nodes(ids), ref.edge_nodes),
                       (mesh.edge_elements(ids), ref.edge_elements),
                       (mesh.element_edges(np.arange(ref.n_elements)), ref.element_edges),
                       (mesh.edge_normals(ids), ref.edge_normals),
-                      (mesh.edge_lengths(ids), ref.edge_lengths),
-                      (mesh.boundary_nodes, ref.boundary_nodes),
-                      (mesh.interior_nodes, ref.interior_nodes)):
+                      (mesh.edge_lengths(ids), ref.edge_lengths)):
         assert _same(got, want)
     # the queries take any ids, in any order
-    pick = np.random.default_rng(N).integers(0, ref.n_edges, 7)
+    rng = np.random.default_rng(N)
+    pick = rng.integers(0, ref.n_edges, 7)
     assert _same(mesh.edge_normals(pick), ref.edge_normals[pick])
     assert _same(mesh.edge_elements(pick), ref.edge_elements[pick])
+    pick = rng.integers(0, ref.n_nodes, 7)
+    assert _same(mesh.node_coords(pick), ref.nodes[pick])
+    pick = rng.integers(0, ref.n_elements, 7)
+    assert _same(mesh.element_nodes(pick), ref.elements[pick])
+    assert _same(mesh.element_frames(pick)[0], ref.element_origins[pick])
+    assert _same(mesh.element_frames(pick)[1], ref.element_h[pick])
+    # the Dirichlet split holds the boundary and free nodes
+    zero = sp.csr_matrix((mesh.n_nodes, mesh.n_nodes))
+    status, cuts = classify_elements(mesh, line(1.0, 0.0, 1.0 - xmin))
+    cuts = build_bases(cuts, 1.0, 1.0)
+    split = apply_dirichlet(mesh, status, cuts, zero, zero, np.zeros(mesh.n_nodes),
+                            lambda x, y: np.zeros_like(x))
+    assert _same(split.boundary, ref.boundary_nodes)
+    assert _same(split.free, ref.interior_nodes)
 
 
 @given(domains, st.floats(0.0, np.pi), st.floats(-0.4, 0.4), st.sampled_from([10.0, 1e4]))
@@ -553,14 +574,14 @@ def test_load_equals_ascending_per_basis_oracle(case, beta_plus):
     got = assemble_load(mesh, status, _no_cuts(cuts), ctx.sol, ctx.iface, [])
     want = ascending_bulk_load(mesh, status, ctx.sol, ctx.iface)
     keep = np.ones(mesh.n_nodes, bool)
-    keep[np.intersect1d(mesh.elements[status == SIDE_MINUS],
-                        mesh.elements[status == SIDE_PLUS])] = False
+    keep[np.intersect1d(mesh.element_nodes(np.flatnonzero(status == SIDE_MINUS)),
+                        mesh.element_nodes(np.flatnonzero(status == SIDE_PLUS)))] = False
     assert _same(got[keep], want[keep])
     assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
     got = assemble_load(mesh, np.full_like(status, INTERFACE), cuts, ctx.sol, ctx.iface,
                         ctx.rules)
     want = np.zeros(mesh.n_nodes)
-    np.add.at(want, mesh.elements[cuts.ids],
+    np.add.at(want, mesh.element_nodes(cuts.ids),
               per_basis_cut_load(cuts, ctx.sol, padded_data_rules(cuts, ctx.iface)))
     assert np.abs(got - want).max() <= CUT_RTOL * np.abs(want).max()
 
@@ -614,6 +635,7 @@ def test_bulk_sweep_order_blocks_and_sides(case, degree):
     x, y the element origin plus h times the scaled points, and minus the
     sign of phi there."""
     mesh, iface, status, _ = _classified(case)
+    full = full_mesh(mesh)
     tables = bulk_rules(mesh, degree)
     seen = {variant: [] for variant in tables}
     for table, ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
@@ -622,7 +644,7 @@ def test_bulk_sweep_order_blocks_and_sides(case, degree):
         assert 0 < x.size <= _SWEEP_POINTS
         assert x.shape == y.shape == minus.shape == (len(ids), len(spts))
         assert x.flags.c_contiguous and y.flags.c_contiguous
-        origin = mesh.element_origins[ids]
+        origin = full.element_origins[ids]
         assert _same(x, origin[:, :1] + mesh.h * spts[:, 0])
         assert _same(y, origin[:, 1:] + mesh.h * spts[:, 1])
         assert np.array_equal(minus, iface.phi(x, y) < 0)
@@ -630,7 +652,7 @@ def test_bulk_sweep_order_blocks_and_sides(case, degree):
     everything = []
     for variant, blocks in seen.items():
         ids = np.concatenate(blocks) if blocks else np.zeros(0, int)
-        assert mesh.cell_kind == "rect" or (mesh.element_variant[ids] == variant).all()
+        assert mesh.cell_kind == "rect" or (full.element_variant[ids] == variant).all()
         # sides as 0 (minus) and 1 (plus): the key (side, id) strictly ascends
         key = (status[ids] == SIDE_PLUS) * mesh.n_elements + ids
         assert (np.diff(key) > 0).all()
@@ -658,8 +680,8 @@ def test_lattice_aggregates_are_side_split_boxes(kind, N, shape):
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, kind))
     iface = shape[0](*shape[1:])
     levels = lattice_aggregates(mesh, iface)
-    nodes = mesh.interior_nodes
-    x, y = mesh.nodes[nodes].T
+    nodes = full_mesh(mesh).interior_nodes
+    x, y = mesh.node_coords(nodes).T
     plus = iface.phi(x, y) > 0
     j, i = np.divmod(nodes, N + 1)
     box = AGGREGATE_BOX[kind]
@@ -696,7 +718,7 @@ def test_shared_pattern_matrices_equal_the_summed_terms(interface, beta_plus):
     M, P, _ = assemble_edge_terms(mesh, interface_edges(mesh, cuts), status, cuts, 1.0)
     split = apply_dirichlet(mesh, status, cuts, M, P, np.zeros(mesh.n_nodes),
                             lambda x, y: np.zeros_like(x))
-    free = mesh.interior_nodes
+    free = full_mesh(mesh).interior_nodes
     A_vol = full_volume(mesh, status, cuts)
     pattern = split.A_vol
     T = pattern.T.tocsr()

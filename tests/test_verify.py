@@ -13,7 +13,7 @@ from oracles import (coef_ratio_max, combine_system, dense_is_spd, draw_cuts_loo
 from ppife.assembly import MethodParams
 from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
 from ppife.local_basis import build_bases
-from oracles import ife_stack_basis
+from oracles import full_mesh, ife_stack_basis
 from ppife.quadrature import polygon_area
 from ppife.verify import (ScanReport, _coef_ratios, _coercivity_bands, _grid_cuts,
                           _lower_bands, _reference_cuts, _sym_part_spd, _trace_ratios,
@@ -381,10 +381,12 @@ def test_interp_edge_error_zero_for_linear_solution():
     iface = circle(0.0, 0.0, np.pi / 6.28)
     status, cuts = classify_elements(mesh, iface)
     cuts = build_bases(cuts, 2.0, 2.0)
-    coeffs = 1.0 + 2.0 * mesh.nodes[:, 0] - mesh.nodes[:, 1]
+    x, y = full_mesh(mesh).nodes.T
+    coeffs = 1.0 + 2.0 * x - y
     traces = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, values=False)
     assert traces.values is None and len(traces.edges) > 0
-    gi = np.einsum("bsd,bsdqa->bsqa", coeffs[mesh.elements[traces.elements]], traces.gradients)
+    ce = coeffs[mesh.element_nodes(traces.elements)]
+    gi = np.einsum("bsd,bsdqa->bsqa", ce, traces.gradients)
     nB = mesh.edge_normals(traces.edges)[:, None, None]
     fl = 2.0 * ((2.0 - gi[..., 0]) * nB[..., 0] + (-1.0 - gi[..., 1]) * nB[..., 1])
     assert np.abs(fl).max() < 1e-12

@@ -121,7 +121,10 @@ def assemble_volume(mesh, status, cuts, free, pairs):
     pos = np.full(nn, -1, dtype=idx)
     pos[free] = np.arange(len(free))
     indptr = np.zeros(len(free) + 1, dtype=idx)
-    size = len(free) * len(np.unique(gap)) + len(pr)          # at least nnz
+    # at least nnz: a row holds the slots of the nonzero unit entries (5 of
+    # the 7 on triangles), its cut entries in other slots and its pairs
+    filled = np.unique(slot[np.array(unit) != 0])
+    size = len(free) * len(filled) + np.count_nonzero(~np.isin(cut_slot, filled)) + len(pr)
     indices, data, lift, w = np.empty(size, idx), np.empty(size), [], 0
     band = max(1, _SWEEP_POINTS // (S * (n + 1)))          # node rows per band
     for y0 in range(0, n + 1, band):

@@ -681,17 +681,23 @@ def bulk_sweep(mesh: CartesianMesh, status, iface: InterfaceGeometry, tables):
     `_SWEEP_POINTS` points. Yields (table, element ids, x, y, minus) with
     x, y contiguous (block rows, n) and minus = phi(x, y) < 0.
     """
-    bulk = np.concatenate([np.flatnonzero(status == side) for side in (SIDE_MINUS, SIDE_PLUS)])
+    nvar = mesh._nvar
     for variant, table in tables.items():
-        ids = bulk if mesh.cell_kind == RECT else bulk[bulk % 2 == variant]
+        # per side, the positions k among the variant's elements, whose ids
+        # are variant + nvar k: no element-sized id array
+        minus, plus = (np.flatnonzero(status[variant::nvar] == side)
+                       for side in (SIDE_MINUS, SIDE_PLUS))
         spts = table[1]
         rows = max(1, _SWEEP_POINTS // len(spts))
         hx, hy = mesh.h * spts[:, 0], mesh.h * spts[:, 1]
-        for lo in range(0, len(ids), rows):
-            block = ids[lo:lo + rows]
+        m = len(minus)
+        for lo in range(0, m + len(plus), rows):
+            block = variant + nvar * np.concatenate([minus[lo:lo + rows],
+                                                     plus[max(lo - m, 0):max(lo + rows - m, 0)]])
             origin = mesh.element_frames(block)[0]
             x, y = origin[:, :1] + hx, origin[:, 1:] + hy
             yield table, block, x, y, np.asarray(iface.phi(x, y)) < 0
+        del minus, plus                 # before the next variant's
 
 
 def cut_sweep(cuts: CutSet, degree, refine=0):

@@ -240,7 +240,9 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
 @dataclass(eq=False)
 class CaseContext:
-    """Everything that is shared by all schemes on one (mesh, beta) case."""
+    """Everything that is shared by all schemes on one (mesh, beta) case,
+    and the free-node solution of the last scheme that converged on it,
+    where the next scheme's Krylov solve starts (None: from zero)."""
 
     mesh: object
     iface: object
@@ -250,6 +252,7 @@ class CaseContext:
     split: object        # assembly.DirichletSplit: the terms and b on the free nodes
     traces: object       # assembly.EdgeTraces of the interface edges
     rules: list          # assembly.cut_data_rules of the cut elements
+    start: Optional[np.ndarray] = None
 
     @cached_property
     def hierarchy(self):
@@ -291,7 +294,8 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
 
 
 def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
-    """Assemble the scheme system on a prepared context, solve, measure errors."""
+    """Assemble the scheme system on a prepared context, solve from the
+    context's start, keep the solution as the next start, measure errors."""
     params = MethodParams.preset(scheme, ctx.cuts, config.sigma0)
     N = ctx.mesh.n_cells
     # delta == epsilon makes the scheme matrix symmetric; the solver is
@@ -303,11 +307,12 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     system = ctx.split.system(params)
     A_ff, rhs = system.reduced()
     res = solver(A_ff, rhs, tol_rel=config.solver_tol, max_iter=config.solver_maxiter,
-                 block=ctx.interface_block, hierarchy=hierarchy)
+                 block=ctx.interface_block, hierarchy=hierarchy, x0=ctx.start)
     if not res.converged:
         raise NotConverged(f"{scheme} at N={N}: not converged after {res.iterations} "
                            f"iterations and {res.restarts} restarts, final residual "
                            f"{res.residual:.3e}", res)
+    ctx.start = res.x
     coeffs = system.expand(res.x)
 
     err = error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,

@@ -105,11 +105,12 @@ def _finish(A, b, bnorm, xs, s, iterations, tol_rel, restarts=0, levels=0):
 
 
 def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
-       hierarchy=None) -> SolveResult:
+       hierarchy=None, x0=None) -> SolveResult:
     """Conjugate gradients for symmetric systems, preconditioned by the
     V-cycle of `hierarchy` with the exact `block`, or for None by A's own
-    Jacobi scaling alone. Raises AsymmetricInput when A fails `_is_symmetric`;
-    returns the best iterate, converged=False, when the budget runs out."""
+    Jacobi scaling alone, from the start `x0` (None: zero). Raises
+    AsymmetricInput when A fails `_is_symmetric`; returns the best iterate,
+    converged=False, when the budget runs out."""
     A = A.tocsr()
     n = A.shape[0]
     if not _is_symmetric(A):
@@ -121,8 +122,8 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
         return SolveResult(np.zeros(n), 0, 0.0, True)
     As, bs, s, M, levels = _preconditioned(A, b, block, hierarchy)
     bsnorm = np.linalg.norm(bs)
-    x = np.zeros(n)
-    r = bs.copy()
+    x = np.zeros(n) if x0 is None else x0 / s
+    r = bs.copy() if x0 is None else bs - As @ x
     z = M(r)
     p = z.copy()
     rz = float(r @ z)
@@ -291,11 +292,11 @@ class SAHierarchy:
 
 
 def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
-             hierarchy=None) -> SolveResult:
+             hierarchy=None, x0=None) -> SolveResult:
     """BiCGSTAB right-preconditioned (the convergence test sees the true
     scaled residual) by the V-cycle of `hierarchy` with the exact `block`,
-    or for None by A's own Jacobi scaling alone; at most 3 breakdowns
-    restart it with a perturbed shadow vector."""
+    or for None by A's own Jacobi scaling alone, from the start `x0` (None:
+    zero); at most 3 breakdowns restart it with a perturbed shadow vector."""
     A = A.tocsr()
     n = A.shape[0]
     if max_iter is None:
@@ -319,7 +320,7 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
     def finish(x):
         return _finish(A, b, bnorm, x, s, it, tol_rel, restarts, levels)
 
-    x = np.zeros(n)
+    x = np.zeros(n) if x0 is None else x0 / s
     r, rtld, p, rho = fresh(x)
     restarts = 0
     best = (np.linalg.norm(r) / bsnorm, x.copy())

@@ -192,14 +192,18 @@ def _cut_sums(mesh, cuts, coeffs, sol, rules):
 
 
 def _linf_error(mesh, status, cuts, coeffs, sol, iface):
-    """Max |u - u_h| over LINF_GRID^2 samples per element plus all vertices."""
+    """Max |u - u_h| over a LINF_GRID x LINF_GRID grid per element (its
+    distinct points on triangles, where one side collapses to a vertex) plus
+    all vertices."""
     t = np.linspace(0.0, 1.0, LINF_GRID)
     TX, TY = np.meshgrid(t, t, indexing="ij")
     if mesh.cell_kind == RECT:
         sample = {0: ("rect", np.column_stack([TX.ravel(), TY.ravel()]))}
     else:
-        low = np.column_stack([TX.ravel(), (TX * TY).ravel()])       # eta <= xi
-        up = np.column_stack([(TX * TY).ravel(), TX.ravel()])        # xi <= eta
+        # the grid's first LINF_GRID points, at xi = 0, all map to the
+        # vertex (0, 0): it is sampled once
+        low = np.column_stack([TX.ravel(), (TX * TY).ravel()])[LINF_GRID - 1:]  # eta <= xi
+        up = np.column_stack([(TX * TY).ravel(), TX.ravel()])[LINF_GRID - 1:]   # xi <= eta
         sample = {0: ("tri_lower", low), 1: ("tri_upper", up)}
 
     worst = 0.0

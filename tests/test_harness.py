@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse.linalg
 
 from oracles import full_mesh, standard_basis, template_name
 from ppife import verify
@@ -429,6 +430,45 @@ def test_cut_data_rules_are_built_once_per_context(monkeypatch, mesh):
         assert [rec.e_l2, rec.e_h1, rec.e_linf, rec.e_energy] == [
             own["l2"], own["h1"], own["linf"], own["energy"]]
     assert calls == [len(ctx.cuts)] * 4     # the context's, the fresh load's, two norms'
+
+
+@pytest.mark.parametrize("mesh", ["rect", "tri"])
+def test_later_schemes_start_from_the_last_converged_solution(mesh):
+    # on one context each scheme after the first starts from the solution
+    # before it: at most the iterations of a start from zero, fewer for some,
+    # its norms within 5e-8 and its solution within 1e-9 of splu's
+    cfg = RunConfig(mesh=mesh, N=(32,), beta_plus=1e4)
+    ctx, cold_ctx = build_context(cfg, 32), build_context(cfg, 32)
+    fewer = False
+    for k, scheme in enumerate(("classic", "spp", "ipp", "npp")):
+        rec, coeffs, system = solve_scheme(ctx, cfg, scheme)
+        assert np.array_equal(ctx.start, coeffs[system.free])
+        cold_ctx.start = None
+        cold = solve_scheme(cold_ctx, cfg, scheme)[0]
+        assert rec == cold if k == 0 else rec.iterations <= cold.iterations, scheme
+        fewer |= rec.iterations < cold.iterations
+        for key in ("e_l2", "e_h1", "e_linf", "e_energy"):
+            assert abs(getattr(rec, key) - getattr(cold, key)) <= 5e-8 * getattr(cold, key)
+        A, b = system.reduced()
+        x_direct = scipy.sparse.linalg.splu(A.tocsc()).solve(b)
+        assert (np.linalg.norm(coeffs[system.free] - x_direct)
+                <= 1e-9 * np.linalg.norm(x_direct)), scheme
+    assert fewer
+
+
+def test_a_scheme_that_does_not_converge_leaves_the_start():
+    cfg = RunConfig(N=(32,), beta_plus=1e4)
+    ctx, twin = build_context(cfg, 32), build_context(cfg, 32)
+    for c in (ctx, twin):
+        solve_scheme(c, cfg, "classic")
+    start = ctx.start.copy()
+    with pytest.raises(NotConverged):
+        solve_scheme(ctx, dataclasses.replace(cfg, solver_maxiter=1), "npp")
+    assert np.array_equal(ctx.start, start)
+    # the next scheme starts from classic's solution, as on a context where
+    # nothing failed
+    rec = solve_scheme(ctx, cfg, "ipp")[0]
+    assert rec.residual <= cfg.solver_tol and rec == solve_scheme(twin, cfg, "ipp")[0]
 
 
 def test_not_converged_names_iterations_restarts_and_residual():

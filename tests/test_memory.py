@@ -6,7 +6,9 @@ including what the call returns. Measured with numpy 2.4.6 and scipy
 1.17.1, at rect N=160: `build_mesh` 4.4 kB in a fresh process (it keeps
 3.5 kB, the two grid-line arrays and the corner offsets; with stored node,
 element and frame arrays it peaked at 2.8 MB and kept 2.1 MB),
-`assemble_volume` 5.3 MB (the CSR matrix is 2.9 MB), `assemble_load`,
+`assemble_volume` 5.3 MB (the CSR matrix is 2.9 MB; on tri 4.2 MB, for
+a matrix of 1.6 MB, and 4.8 MB when it sized its arrays for all 7 stencil
+slots of a row, where the unit matrices fill 5), `assemble_load`,
 given the context's cut rules, 5.7 MB, and `error_norms` (SPP, beta+ =
 1e4, the context's rules) 7.5 MB. The budgets are those peaks plus 50 %.
 The unstructured mesh with per-edge arrays peaked at 18.4 MB, the
@@ -15,6 +17,12 @@ function's values at every cut rule point at 13.4 MB, and the norms with
 element-sized arrays over chunks of standard elements at 14.1 MB. Since
 the cut quadrature runs in `cut_sweep` blocks, the load peaks at 2.5 MB
 and the norms at 3.9 MB.
+
+A bare `bulk_sweep` over the standard elements of tri N=640 at the
+data rule's points peaks at 5.2 MB: its point blocks and, per cell variant
+and side, the positions among the variant's elements. With an element-sized
+id array of both sides and its variant mask it peaked at 17.4 MB. The
+budget is 5.2 MB plus 50 %.
 
 The load and one `error_norms` call at rect N=320, beta+ = 1e4, on the
 context's rules, peak at 4.4 MB together; with one padded fan rule per
@@ -56,8 +64,9 @@ import tracemalloc
 import numpy as np
 
 from oracles import full_volume
-from ppife.assembly import MethodParams, assemble_load, cut_data_rules
-from ppife.geometry import DomainSpec, build_mesh, circle, classify_elements
+from ppife.assembly import (DATA_DEGREE, MethodParams, assemble_load, bulk_rules,
+                            cut_data_rules)
+from ppife.geometry import DomainSpec, build_mesh, bulk_sweep, circle, classify_elements
 from ppife.harness import RunConfig, build_context, solve_scheme
 from ppife.local_basis import build_bases
 from ppife.postprocess import error_norms, interpolate_nodal, radial_interface_solution
@@ -82,8 +91,8 @@ def test_mesh_memory_budget():
     assert _peak(lambda: build_mesh(SPEC)) <= 6.6 * KB
 
 
-def _classified():
-    mesh = build_mesh(SPEC)
+def _classified(spec=SPEC):
+    mesh = build_mesh(spec)
     iface = circle(0.0, 0.0, np.pi / 6.28)
     status, cuts = classify_elements(mesh, iface)
     return mesh, iface, status, build_bases(cuts, 1.0, 1e4)
@@ -92,6 +101,20 @@ def _classified():
 def test_stencil_memory_budget():
     mesh, _, status, cuts = _classified()
     assert _peak(lambda: full_volume(mesh, status, cuts)) <= 8.0 * MB
+    mesh, _, status, cuts = _classified(DomainSpec(-1, 1, -1, 1, 160, "tri"))
+    assert _peak(lambda: full_volume(mesh, status, cuts)) <= 6.4 * MB
+
+
+def test_bulk_sweep_memory_budget():
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 640, "tri"))
+    iface = circle(0.0, 0.0, np.pi / 6.28)
+    status, _ = classify_elements(mesh, iface)
+    tables = {v: (name, spts) for v, (name, spts, _) in bulk_rules(mesh, DATA_DEGREE).items()}
+
+    def sweep():
+        for _ in bulk_sweep(mesh, status, iface, tables):
+            pass
+    assert _peak(sweep) <= 7.8 * MB
 
 
 def test_load_memory_budget():

@@ -74,10 +74,11 @@ def cut_volume_matrices(cuts):
     return A
 
 
-def assemble_volume(mesh, status, cuts, free, pairs):
+def assemble_volume(mesh, status, cuts, pos, pairs):
     """Stiffness matrix sum_K int_K beta grad(phi_i) . grad(phi_j), CSR, on
-    the ascending nodes `free`, with the node pairs `pairs` = (rows, cols) of
-    free nodes stored too, as zeros where it has none.
+    the free nodes, where `pos` maps each node to its position among them
+    (ascending) or to -1, with the node pairs `pairs` = (rows, cols) of free
+    nodes stored too, as zeros where it has none.
 
     Each row is a stencil over the node's neighbours (9 points on
     rectangles, 7 on triangles, and the pairs' offsets), filled by shifted
@@ -118,13 +119,12 @@ def assemble_volume(mesh, status, cuts, free, pairs):
     cut_val = cut_volume_matrices(cuts).ravel()[by_row]
 
     idx = np.int32 if nn * S < 2 ** 31 else np.int64
-    pos = np.full(nn, -1, dtype=idx)
-    pos[free] = np.arange(len(free))
-    indptr = np.zeros(len(free) + 1, dtype=idx)
+    n_free = int(pos.max()) + 1
+    indptr = np.zeros(n_free + 1, dtype=idx)
     # at least nnz: a row holds the slots of the nonzero unit entries (5 of
     # the 7 on triangles), its cut entries in other slots and its pairs
     filled = np.unique(slot[np.array(unit) != 0])
-    size = len(free) * len(filled) + np.count_nonzero(~np.isin(cut_slot, filled)) + len(pr)
+    size = n_free * len(filled) + np.count_nonzero(~np.isin(cut_slot, filled)) + len(pr)
     indices, data, lift, w = np.empty(size, idx), np.empty(size), [], 0
     band = max(1, _SWEEP_POINTS // (S * (n + 1)))          # node rows per band
     for y0 in range(0, n + 1, band):
@@ -156,7 +156,7 @@ def assemble_volume(mesh, status, cuts, free, pairs):
     np.cumsum(indptr, out=indptr)
     indices.resize(w, refcheck=False)
     data.resize(w, refcheck=False)
-    A = sp.csr_matrix((data, indices, indptr), shape=(len(free), len(free)))
+    A = sp.csr_matrix((data, indices, indptr), shape=(n_free, n_free))
     return A, pair_at, tuple(np.concatenate(x) for x in zip(*lift))
 
 
@@ -396,14 +396,15 @@ def apply_dirichlet(mesh, status, cuts, M, P_unit, b, g) -> DirichletSplit:
     pos = np.full(mesh.n_nodes, -1)
     pos[free] = np.arange(len(free))
     M, P_unit = M.tocoo(), P_unit.tocoo()
-    # M, M^T, P_unit and P_unit^T as (rows, cols, values), in their products' order
-    terms = [(r, c, X.data) for X in (M, P_unit) for r, c in ((X.row, X.col), (X.col, X.row))]
+    # M, M^T and P_unit as (rows, cols, values), in their products' order;
+    # P_unit's stored pattern is symmetric, so P_unit^T adds no pair
+    terms = [(M.row, M.col, M.data), (M.col, M.row, M.data), (P_unit.row, P_unit.col, P_unit.data)]
     inner = [(pos[r] >= 0) & (pos[c] >= 0) for r, c, _ in terms]
     rows, cols = (np.concatenate([t[k][f] for t, f in zip(terms, inner)]) for k in (0, 1))
-    A_vol, at, block = assemble_volume(mesh, status, cuts, free, (rows, cols))
+    A_vol, at, block = assemble_volume(mesh, status, cuts, pos, (rows, cols))
     at = np.split(at, np.cumsum([f.sum() for f in inner]))
     lifts = []
-    for r, c, v in [block] + terms[:3]:
+    for r, c, v in [block] + terms:
         out = (pos[r] >= 0) & (pos[c] < 0)
         y = np.zeros(len(free))
         np.add.at(y, pos[r[out]], v[out] * x[c[out]])       # each row in its entries' order

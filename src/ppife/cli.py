@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: solve (single run), convergence (mesh-refinement study),
-verify (analytical-property scans). Every run-config key has a flag of the
-same name. Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 verification failure.
+verify (analytical-property scans). Every `RunConfig` field has a flag of
+the same name, read as the field's annotation says. Exit codes: 0 success,
+2 config error, 3 numerical failure, 4 verification failure.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import sys
 from . import harness
 from .errors import (AsymmetricInput, ConfigError, GeometryError, NotConverged,
                      PpifeError, SingularLocalSystem)
-from .harness import _PARSE_KIND
+from .harness import CONFIG_TYPES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,9 +31,9 @@ def build_parser():
                             ("verify", "run the analytical-property scans")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="path to a key=value config file")
-        for key in _PARSE_KIND:
+        for key, hint in CONFIG_TYPES.items():
             flag = "--" + key.replace("_", "-")
-            if _PARSE_KIND[key] == "bool":
+            if hint is bool:
                 p.add_argument(flag, dest=key, action="store_true", default=None)
             else:
                 p.add_argument(flag, dest=key, default=None)
@@ -47,7 +47,7 @@ def _attach_values(argv):
     it, as `--flag=value`: argparse reads a value that starts with "-", like
     -pi or -0.1,0,0.5, as a flag of its own."""
     flags = {"--config", "--scheme"} | {"--" + key.replace("_", "-")
-                                        for key, kind in _PARSE_KIND.items() if kind != "bool"}
+                                        for key, hint in CONFIG_TYPES.items() if hint is not bool}
     out, args = [], iter(argv)
     for arg in args:
         value = next(args, None) if arg in flags else None

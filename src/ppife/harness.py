@@ -9,7 +9,8 @@ import os
 import re
 import resource
 import time
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -20,8 +21,8 @@ from .assembly import MethodParams, SCHEMES
 from .errors import ConfigError, NotConverged
 from .geometry import DomainSpec, build_mesh, classify_elements, interface_edges
 from .local_basis import build_bases, cut_frame, cut_values, piece_values, template_coefs
-from .postprocess import (RunRecord, error_norms, markdown_error_table,
-                          radial_interface_solution, record_csv_rows)
+from .postprocess import (DEFAULT_ALPHA_EXP, DEFAULT_R0, NORMS, RunRecord, error_norms,
+                          markdown_error_table, radial_interface_solution, record_csv_rows)
 
 # CG takes the context's hierarchy above this many free dofs. Against
 # Jacobi-CG, an SPP solve with it (tri at beta+ = 10, rect at beta+ = 1e4)
@@ -32,23 +33,24 @@ AMG_CG_DOFS = 12_000
 @dataclass
 class RunConfig:
     """Flat run configuration; every field can be set from a config file and
-    overridden by the CLI flag of the same name."""
+    overridden by the CLI flag of the same name, and its annotation says how
+    its text is read (`_parse_as`)."""
 
     xmin: float = -1.0
     xmax: float = 1.0
     ymin: float = -1.0
     ymax: float = 1.0
     mesh: str = "rect"
-    N: tuple = (20, 40, 80)
+    N: tuple[int, ...] = (20, 40, 80)
     interface: str = "circle"
-    interface_params: tuple = (0.0, 0.0, math.pi / 6.28)
+    interface_params: tuple[float, ...] = (0.0, 0.0, DEFAULT_R0)
     beta_minus: float = 1.0
     beta_plus: float = 10.0
-    alpha_exp: float = 5.0
-    schemes: tuple = ("spp",)
+    alpha_exp: float = DEFAULT_ALPHA_EXP
+    schemes: tuple[str, ...] = ("spp",)
     sigma0: Optional[float] = None
     penalty_alpha: float = 1.0
-    solver_tol: float = 1e-12
+    solver_tol: float = linsolve.DEFAULT_TOL
     solver_maxiter: Optional[int] = None
     seed: int = 7            # inert: nothing draws from it (the scans use grids)
     out: str = "out"
@@ -59,15 +61,15 @@ class RunConfig:
     # verification scan sizes
     coeff_samples: int = 2000
     trace_samples: int = 800
-    coercivity_ns: tuple = (10, 20, 40)
-    interp_ns: tuple = (20, 40, 80, 160)
-    scan_betas: tuple = ((1.0, 10.0), (1.0, 10000.0))
+    coercivity_ns: tuple[int, ...] = (10, 20, 40)
+    interp_ns: tuple[int, ...] = (20, 40, 80, 160)
+    scan_betas: tuple[tuple[float, float], ...] = ((1.0, 10.0), (1.0, 10000.0))
 
     def validate(self, doubling=False):
         # NaN passes every comparison below, and inf every sign test
-        for name, kind in _PARSE_KIND.items():
+        for name, hint in CONFIG_TYPES.items():
             value = getattr(self, name)
-            if (kind in ("float", "opt_float", "float_tuple", "beta_pairs") and value is not None
+            if (_holds_float(hint) and value is not None
                     and not np.isfinite(np.asarray(value, dtype=float)).all()):
                 raise ConfigError(f"{name} must be finite, not {value!r}")
         if self.beta_minus <= 0 or self.beta_plus <= 0:
@@ -81,13 +83,13 @@ class RunConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
-        if self.mesh not in ("rect", "tri"):
-            raise ConfigError("mesh must be 'rect' or 'tri'")
         if self.interface != "circle" and self.beta_minus != self.beta_plus:
             raise ConfigError("the manufactured solution needs a circle interface "
                               "when beta_minus != beta_plus")
         if not self.N:
             raise ConfigError("N list is empty")
+        for N in self.N:
+            DomainSpec(self.xmin, self.xmax, self.ymin, self.ymax, N, self.mesh)
         if self.solver_tol <= 0:
             raise ConfigError("solver_tol must be positive")
         if self.solver_maxiter is not None and self.solver_maxiter < 1:
@@ -117,6 +119,10 @@ class RunConfig:
                     raise ConfigError("N list must strictly double")
         return self
 
+
+# each setting's annotation, in field order: how it is read, checked for
+# finiteness and given a CLI flag
+CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
 _NUM = r"(\d+\.?\d*(?:e[+-]?\d+)?|\.\d+(?:e[+-]?\d+)?)"
 _PI_FRACTION = re.compile(rf"([+-]?)(?:{_NUM}\*)?pi(?:/{_NUM})?")
@@ -149,60 +155,42 @@ def _parse_int(text):
         raise ConfigError(f"cannot parse integer {text!r}") from None
 
 
-# how each RunConfig field is parsed from text
-_PARSE_KIND = {
-    "xmin": "float", "xmax": "float", "ymin": "float", "ymax": "float",
-    "mesh": "str", "N": "int_tuple", "interface": "str",
-    "interface_params": "float_tuple", "beta_minus": "float", "beta_plus": "float",
-    "alpha_exp": "float", "schemes": "str_tuple", "sigma0": "opt_float",
-    "penalty_alpha": "float", "solver_tol": "float", "solver_maxiter": "opt_int",
-    "seed": "int", "out": "str", "dump_field": "bool", "field_grid": "int",
-    "dump_matrix": "bool", "dump_mesh": "bool",
-    "coeff_samples": "int", "trace_samples": "int",
-    "coercivity_ns": "int_tuple", "interp_ns": "int_tuple", "scan_betas": "beta_pairs",
-}
-
-
-def _parse_value(name, raw):
-    kind = _PARSE_KIND[name]
-    raw = raw.strip()
-    if kind == "beta_pairs":
-        pairs = []
-        for item in raw.split(","):
-            parts = item.split(":")
-            if len(parts) != 2:
-                raise ConfigError(f"beta pair {item!r} is not of the form minus:plus")
-            a, b = parts
-            pairs.append((_parse_number(a), _parse_number(b)))
-        return tuple(pairs)
-    if kind == "float":
-        return _parse_number(raw)
-    if kind == "opt_float":
-        return None if raw.lower() in ("none", "") else _parse_number(raw)
-    if kind == "int":
-        return _parse_int(raw)
-    if kind == "opt_int":
-        return None if raw.lower() in ("none", "") else _parse_int(raw)
-    if kind == "bool":
+def _parse_as(hint, raw, name):
+    """The text `raw` of setting `name` read as its annotation `hint`: a
+    tuple of any length from a comma list (names in it case-blind), one of
+    fixed length from a colon list, None from "none" or nothing."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:                                   # Optional[X]
+        return None if raw.lower() in ("none", "") else _parse_as(args[0], raw, name)
+    if origin is tuple and args[-1] is Ellipsis:
+        items = [x for x in raw.replace(" ", "").split(",") if x]
+        return tuple(_parse_as(args[0], x.lower() if args[0] is str else x, name)
+                     for x in items)
+    if origin is tuple:
+        parts = raw.split(":")
+        if len(parts) != len(args):
+            raise ConfigError(f"beta pair {raw!r} is not of the form minus:plus")
+        return tuple(_parse_as(a, x, name) for a, x in zip(args, parts))
+    if hint is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{name} = {raw!r} is not a boolean (1/true/yes/on or 0/false/no/off)")
-    items = [x for x in raw.replace(" ", "").split(",") if x]
-    if kind == "int_tuple":
-        return tuple(_parse_int(x) for x in items)
-    if kind == "float_tuple":
-        return tuple(_parse_number(x) for x in items)
-    if kind == "str_tuple":
-        return tuple(x.lower() for x in items)
+    if hint is float:
+        return _parse_number(raw)
+    if hint is int:
+        return _parse_int(raw)
     return raw
+
+
+def _holds_float(hint):
+    return hint is float or any(_holds_float(a) for a in typing.get_args(hint))
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
     """Read a flat key=value config file (a [run] section is optional) and
     apply CLI overrides on top of it."""
-    cfg = RunConfig()
     values = {}
     if path is not None:
         if not os.path.exists(path):
@@ -219,19 +207,15 @@ def load_config(path=None, overrides=None) -> RunConfig:
             values.update(parser.items(section))
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    lowered = {k.lower(): k for k in _PARSE_KIND}
-    for key, raw in values.items():
-        key = key.replace("-", "_")
-        if key not in _PARSE_KIND:
-            key = lowered.get(key.lower(), key)
-        if key not in _PARSE_KIND:
-            raise ConfigError(f"unknown config key {key!r}")
-        val = _parse_value(key, raw) if isinstance(raw, str) else raw
-        try:
-            cfg = replace(cfg, **{key: val})
-        except TypeError as exc:
-            raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    return cfg
+    lowered = {k.lower(): k for k in CONFIG_TYPES}
+    settings = {}
+    for name, raw in values.items():
+        key = lowered.get(name.replace("-", "_").lower())
+        if key is None:
+            raise ConfigError(f"unknown config key {name!r}")
+        settings[key] = (_parse_as(CONFIG_TYPES[key], raw.strip(), key) if isinstance(raw, str)
+                         else raw)
+    return RunConfig(**settings)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +263,7 @@ def build_context(config: RunConfig, N: int) -> CaseContext:
     mesh = build_mesh(spec)
     iface = geometry.interface_from_name(config.interface, config.interface_params)
     cx, cy, r0 = (config.interface_params if config.interface == "circle"
-                  else (0.0, 0.0, np.pi / 6.28))
+                  else (0.0, 0.0, DEFAULT_R0))
     sol = radial_interface_solution(config.beta_minus, config.beta_plus,
                                     alpha_exp=config.alpha_exp, r0=r0, center=(cx, cy))
     status, cuts = classify_elements(mesh, iface)
@@ -318,9 +302,9 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     err = error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,
                       ctx.traces, params.sigma0, rules=ctx.rules)
     rec = RunRecord(
-        scheme=scheme, mesh_kind=config.mesh, N=N, h=ctx.mesh.h,
+        scheme=scheme, mesh=config.mesh, N=N, h=ctx.mesh.h,
         beta_minus=config.beta_minus, beta_plus=config.beta_plus,
-        e_l2=err["l2"], e_h1=err["h1"], e_linf=err["linf"], e_energy=err["energy"],
+        **{f"e_{norm}": e for norm, e in err.items()},
         iterations=res.iterations, residual=res.residual,
         n_dofs=ctx.mesh.n_nodes, n_interface_elements=len(ctx.cuts))
     return rec, coeffs, system
@@ -362,7 +346,7 @@ def evaluate_solution(mesh, status, cuts, coeffs, pts):
     return out
 
 
-def pointwise_error_field(ctx: CaseContext, coeffs, grid=0):
+def pointwise_error_field(ctx: CaseContext, coeffs, grid):
     """|u - u_h| on a uniform grid; grid=0 samples at the mesh nodes, where the
     penalty's effect on the interface-local error is not masked by ordinary
     in-cell interpolation error."""
@@ -434,8 +418,8 @@ def cmd_solve(config: RunConfig):
         assembly.dump_matrix(os.path.join(out, f"system_{scheme}_N{N}.mtx"), system.A)
     if config.dump_mesh:
         geometry.dump_mesh(ctx.mesh, os.path.join(out, f"mesh_N{N}.txt"))
-    print(f"{scheme} N={N} h={ctx.mesh.h:.4e} L2={rec.e_l2:.4e} H1={rec.e_h1:.4e} "
-          f"Linf={rec.e_linf:.4e} energy={rec.e_energy:.4e} iters={rec.iterations}")
+    norms = " ".join(f"{norm}={getattr(rec, 'e_' + norm):.4e}" for norm in NORMS)
+    print(f"{scheme} N={N} h={ctx.mesh.h:.4e} {norms} iters={rec.iterations}")
     return [rec]
 
 
@@ -454,7 +438,7 @@ def cmd_convergence(config: RunConfig):
                                   lambda: solve_scheme(ctx, config, scheme))[0])
     with open(os.path.join(out, "runs.csv"), "w") as f:
         f.write(record_csv_rows(records))
-    for norm in ("l2", "h1", "linf", "energy"):
+    for norm in NORMS:
         table = markdown_error_table(records, norm, list(config.schemes))
         with open(os.path.join(out, f"table_{norm}.md"), "w") as f:
             f.write(table)
@@ -466,10 +450,15 @@ def cmd_convergence(config: RunConfig):
 
 def cmd_verify(config: RunConfig):
     """Run all four verification scans; returns (reports, all_passed). The
-    coercivity scan assembles P_unit at alpha = 1, and refuses any other."""
+    scans take the default interface, domain and solution exponent, and
+    assemble P_unit at penalty alpha = 1: any other value is refused."""
     config.validate()
-    if config.penalty_alpha != 1.0:
-        raise ConfigError(f"verify scans penalty_alpha = 1 only, not {config.penalty_alpha:g}")
+    default = RunConfig()
+    unscanned = [f"{name} = {getattr(config, name)!r}" for name in (
+        "interface", "interface_params", "xmin", "xmax", "ymin", "ymax", "alpha_exp",
+        "penalty_alpha") if getattr(config, name) != getattr(default, name)]
+    if unscanned:
+        raise ConfigError("verify scans the default problem only, not " + ", ".join(unscanned))
     out = _ensure_out(config)
     kind = config.mesh
     scans = {

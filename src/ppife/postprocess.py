@@ -1,8 +1,8 @@
 """Manufactured solutions, error norms, and run records with their tables."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import astuple, dataclass
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -12,6 +12,11 @@ from .local_basis import (cut_frame, piece_gradients, piece_values, template_gra
                           template_values)
 
 LINF_GRID = 5       # samples per side of each element in the L-infinity error
+# the error norms, in the order of their keys, runs.csv columns and tables
+NORMS = ("l2", "h1", "linf", "energy")
+# the default manufactured solution: r**5 about the circle r = pi/6.28
+DEFAULT_R0 = np.pi / 6.28
+DEFAULT_ALPHA_EXP = 5.0
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,8 @@ def _by_side(minus_fn, plus_fn, x, y, minus_mask, n_out):
     return out
 
 
-def radial_interface_solution(beta_minus, beta_plus, alpha_exp=5.0,
-                              r0=np.pi / 6.28, center=(0.0, 0.0)) -> PiecewiseSolution:
+def radial_interface_solution(beta_minus, beta_plus, alpha_exp=DEFAULT_ALPHA_EXP,
+                              r0=DEFAULT_R0, center=(0.0, 0.0)) -> PiecewiseSolution:
     """u = r^a / beta^-, inside; r^a / beta^+ plus a matching constant outside.
 
     r is the distance from `center`. The additive constant
@@ -115,7 +120,7 @@ def interpolate_nodal(mesh, sol, iface):
 # ---------------------------------------------------------------------------
 
 def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, sigma0, rules):
-    """Errors of u_h against the exact solution, keyed like `_NORM_KEYS`.
+    """Errors of u_h against the exact solution, keyed by NORMS.
 
     'l2' is ||u - u_h||_L2, 'h1' the broken H1 seminorm, 'linf' the sampled
     max error and 'energy' ||u - u_h||_h: the broken H1 seminorm weighted by
@@ -149,9 +154,9 @@ def error_norms(mesh, status, cuts, coeffs, sol, iface, traces, sigma0, rules):
         jumps = np.vecdot(traces.weights, (u[:, 0, 0] - u[:, 1, 0]) ** 2)
         scale = sigma0 / mesh.edge_lengths(traces.edges) ** traces.alpha
         energy = np.cumsum(np.concatenate([[energy], scale * jumps]))[-1]
-    return {"l2": float(np.sqrt(l2)), "h1": float(np.sqrt(h1)),
-            "linf": _linf_error(mesh, status, cuts, coeffs, sol, iface),
-            "energy": float(np.sqrt(energy))}
+    return dict(zip(NORMS, (float(np.sqrt(l2)), float(np.sqrt(h1)),
+                            _linf_error(mesh, status, cuts, coeffs, sol, iface),
+                            float(np.sqrt(energy)))))
 
 
 def _bulk_sums(mesh, status, coeffs, sol, iface, beta):
@@ -239,8 +244,10 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface):
 
 @dataclass
 class RunRecord:
+    """One runs.csv row; the field names are its header."""
+
     scheme: str
-    mesh_kind: str
+    mesh: str
     N: int
     h: float
     beta_minus: float
@@ -255,33 +262,21 @@ class RunRecord:
     n_interface_elements: int
 
 
-CSV_HEADER = ("scheme,mesh,N,h,beta_minus,beta_plus,e_l2,e_h1,e_linf,e_energy,"
-              "iterations,residual,n_dofs,n_interface_elements")
-
-
-def _fmt(x):
-    return f"{x:.12e}"
-
-
 def record_csv_rows(records):
-    lines = [CSV_HEADER]
+    """runs.csv: RunRecord's field names, then a row per record, float
+    fields as %.12e and the others as str."""
+    types = get_type_hints(RunRecord)
+    lines = [",".join(types)]
     for r in records:
-        lines.append(",".join([
-            r.scheme, r.mesh_kind, str(r.N), _fmt(r.h), _fmt(r.beta_minus),
-            _fmt(r.beta_plus), _fmt(r.e_l2), _fmt(r.e_h1), _fmt(r.e_linf),
-            _fmt(r.e_energy), str(r.iterations), _fmt(r.residual),
-            str(r.n_dofs), str(r.n_interface_elements)]))
+        lines.append(",".join(f"{v:.12e}" if t is float else str(v)
+                              for t, v in zip(types.values(), astuple(r))))
     return "\n".join(lines) + "\n"
-
-
-_NORM_KEYS = {"l2": "e_l2", "h1": "e_h1", "linf": "e_linf", "energy": "e_energy"}
 
 
 def markdown_error_table(records, norm, schemes):
     """One row per N, an error and rate column per scheme (table-style layout)."""
-    key = _NORM_KEYS[norm]
     Ns = sorted({r.N for r in records})
-    by = {(r.scheme, r.N): getattr(r, key) for r in records}
+    by = {(r.scheme, r.N): getattr(r, f"e_{norm}") for r in records}
     header = "| N |" + "".join(f" {s} {norm} | rate |" for s in schemes)
     sep = "|---|" + "---|---|" * len(schemes)
     lines = [header, sep]

@@ -20,10 +20,8 @@ from .assembly import (MethodParams, apply_dirichlet, assemble_edge_terms, cut_v
 from .geometry import (INTERFACE, RECT, TRI, CutSet, DomainSpec, build_mesh, circle,
                        classify_elements, interface_edges, ring_chains)
 from .local_basis import build_bases, cut_frame, cut_gradients, phys_coefficients
-from .postprocess import interpolate_nodal, radial_interface_solution
+from .postprocess import DEFAULT_R0, interpolate_nodal, radial_interface_solution
 from .quadrature import map_segment, rect_rule, segment_rule
-
-DEFAULT_R0 = np.pi / 6.28
 
 
 @dataclass
@@ -361,7 +359,7 @@ def interp_edge_error_study(Ns, beta_pair, cell_kind, seed=7) -> ScanReport:
     better); the per-edge maximum and its slope are reported, for the circle
     of radius DEFAULT_R0. `seed` is unused."""
     bm, bp = beta_pair
-    sol = radial_interface_solution(bm, bp, r0=DEFAULT_R0)
+    sol = radial_interface_solution(bm, bp)
     iface = circle(0.0, 0.0, DEFAULT_R0)
     sums, maxes = [], []
     for N in Ns:

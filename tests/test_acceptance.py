@@ -54,7 +54,7 @@ def study():
                 rec, coeffs, _ = solve_scheme(ctx, cfg, scheme)
                 records[(betas, scheme, N)] = rec
                 if betas == BETA_MODERATE and N == 80 and scheme in ("classic", "npp"):
-                    _, err = pointwise_error_field(ctx, coeffs)
+                    _, err = pointwise_error_field(ctx, coeffs, 0)
                     fields[scheme] = float(err.max())
         timings[betas] = time.perf_counter() - t0
     return {"records": records, "fields": fields, "timings": timings}

@@ -13,7 +13,7 @@ from ppife.cli import build_parser, main
 from ppife.errors import ConfigError, NotConverged
 from ppife.assembly import MethodParams, assemble_edge_terms
 from ppife.geometry import INTERFACE
-from ppife.harness import (_PARSE_KIND, AMG_CG_DOFS, RunConfig, _parse_number, build_context,
+from ppife.harness import (AMG_CG_DOFS, CONFIG_TYPES, RunConfig, _parse_number, build_context,
                            cmd_convergence, cmd_solve, cmd_verify, evaluate_solution,
                            load_config, pointwise_error_field, solve_scheme)
 
@@ -177,7 +177,7 @@ def test_node_field_is_nodal_error(kind):
     cfg = RunConfig(mesh=kind, N=(10,), schemes=("npp",))
     ctx = build_context(cfg, 10)
     _, coeffs, _ = solve_scheme(ctx, cfg, "npp")
-    pts, err = pointwise_error_field(ctx, coeffs)
+    pts, err = pointwise_error_field(ctx, coeffs, 0)
     nodes = full_mesh(ctx.mesh).nodes
     order = np.lexsort((nodes[:, 1], nodes[:, 0]))    # x-major, as the field
     assert np.array_equal(pts, nodes[order])
@@ -213,14 +213,14 @@ def test_cli_rejects_unusable_settings(tmp_path, argv, capsys):
 
 
 def test_every_config_field_has_a_parser_and_a_flag():
-    # _PARSE_KIND repeats RunConfig's fields, and the CLI builds its flags
-    # from it
-    assert list(_PARSE_KIND) == [f.name for f in dataclasses.fields(RunConfig)]
+    # a setting is a RunConfig field: its annotation says how its text is
+    # read, and every command has a flag of the same name that takes it
+    assert list(CONFIG_TYPES) == [f.name for f in dataclasses.fields(RunConfig)]
     parser = build_parser()
     for command in ("solve", "convergence", "verify"):
-        for key, kind in _PARSE_KIND.items():
+        for key, hint in CONFIG_TYPES.items():
             flag = "--" + key.replace("_", "-")
-            args = parser.parse_args([command, flag] if kind == "bool" else [command, flag, "1"])
+            args = parser.parse_args([command, flag] if hint is bool else [command, flag, "1"])
             assert getattr(args, key) is not None, (command, flag)
 
 
@@ -533,6 +533,34 @@ def test_cli_verify_refuses_a_penalty_exponent_it_does_not_scan(tmp_path, capsys
     assert main(["verify", "--penalty-alpha", "1", *_SMALL_VERIFY,
                  "--out", str(tmp_path / "a1")]) == 0
     assert (tmp_path / "a1" / "scans.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alpha-exp", "3"],
+    ["--interface", "line", "--interface-params", "1,0.3,-0.2", "--beta-plus", "1"],
+    ["--interface-params", "0.1,0,0.5"],
+    ["--xmin", "-2", "--xmax", "2", "--ymin", "-2", "--ymax", "2"],
+])
+def test_cli_verify_refuses_a_problem_it_does_not_scan(tmp_path, argv, capsys):
+    # the scans run the default circle on [-1, 1]^2 at alpha_exp 5: a
+    # report under another problem's settings would not describe it
+    assert main(["verify", *argv, *_SMALL_VERIFY, "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and argv[0][2:].replace("-", "_") in err
+    assert not (tmp_path / "v").exists()
+
+
+def test_cli_verify_takes_the_defaults_spelt_out(tmp_path):
+    assert main(["verify", "--alpha-exp", "5", "--interface-params", "0,0,pi/6.28",
+                 "--xmin", "-1", *_SMALL_VERIFY, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence", "verify"])
+def test_cli_refuses_a_domain_without_square_cells(tmp_path, command, capsys):
+    # the domain is checked with the other settings, before anything is written
+    assert main([command, "--N", "8,16,32", "--xmin", "-2", "--out", str(tmp_path / "d")]) == 2
+    assert "cells must be square" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_verify_zero_maximum_is_a_failed_scan(tmp_path, capsys, monkeypatch):

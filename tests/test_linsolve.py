@@ -129,6 +129,18 @@ def test_bicgstab_random_diagonally_dominant():
     assert np.allclose(res.x, dense_solve(A, b), atol=1e-10)
 
 
+def test_bicgstab_restarts_after_a_breakdown_and_returns_its_best_iterate():
+    # on the skew matrix the first step breaks down: the shadow residual is
+    # b, and b . Ab = 0. The solver restarts with a perturbed shadow vector;
+    # whatever it reaches in its 40-iteration budget, it returns an iterate
+    # no worse than the zero start
+    A = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    res = bicgstab(A, np.array([1.0, 2.0]))
+    assert res.restarts >= 1
+    assert not res.converged
+    assert res.residual <= 1.0
+
+
 def test_matvec_matches_triplet_oracle():
     rng = np.random.default_rng(3)
     n = 60

@@ -22,10 +22,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .geometry import _CORNERS, _SWEEP_POINTS, RECT, SIDE_MINUS, bulk_sweep, cut_sweep
+from .geometry import _CORNERS, _SWEEP_POINTS, RECT, SIDE_MINUS, TRI, bulk_sweep, cut_sweep
 from .local_basis import (_monomials, cut_frame, cut_gradients, cut_values, piece_gradients,
-                          piece_values, template_coefs, template_gradients, template_values)
-from .quadrature import _collapsed_triangle_rule, map_segment, rect_rule, segment_rule
+                          piece_values, template_coefs)
+from .quadrature import (_collapsed_triangle_rule, map_segment, map_triangle, rect_rule,
+                         segment_rule)
 
 VOLUME_DEGREE = 4
 EDGE_DEGREE = 4
@@ -93,10 +94,8 @@ def assemble_volume(mesh, status, cuts, pos, pairs):
     n, d, nn = mesh.n_cells, mesh.n_local, mesh.n_nodes
     corners = _CORNERS[mesh.cell_kind]
     nvar = len(corners)
-    unit = []                                     # per variant, (d, d)
-    for name, pts, w in bulk_rules(mesh, 2).values():
-        G = template_gradients(name, pts)
-        unit.append(np.einsum("q,iqa,jqa->ij", w, G, G))
+    grads = [(w, piece_gradients(C, pts, 1.0)) for C, pts, w in bulk_rules(mesh, 2).values()]
+    unit = [np.einsum("q,iqa,jqa->ij", w, G, G) for w, G in grads]     # per variant, (d, d)
     # node-index offset from local vertex l to m, and its stencil slot
     gap = (corners[:, None, :] - corners[:, :, None]) @ [1, n + 1]   # (nvar, d, d)
     pr, pc = (np.asarray(x, np.int64) for x in pairs)
@@ -176,19 +175,19 @@ class EdgeTraces(NamedTuple):
     elements: np.ndarray    # (B, 2) the neighbours, lower index first
     points: np.ndarray      # (B, nq, 2)
     weights: np.ndarray     # (B, nq)
-    values: np.ndarray      # (B, 2, d, nq), or None when not asked for
+    values: np.ndarray      # (B, 2, d, nq)
     gradients: np.ndarray   # (B, 2, d, nq, 2)
     beta: np.ndarray        # (B, 2, nq) coefficient of the active side per point
     alpha: float            # the penalty exponent of P_unit, or None when not assembled
 
 
-def edge_traces(mesh, edges, status, cuts, degree=EDGE_DEGREE, values=True):
+def edge_traces(mesh, edges, status, cuts):
     """The EdgeTraces of the interior edges `edges` (ascending ids, the
-    `geometry.interface_edges` of `cuts` in a solve): the one walk over
-    interface edges, which the edge terms, the penalty jumps of the energy
-    norm and the interpolation-flux scan read. The cut and the standard
-    neighbours of each side are evaluated as two stacks; `values=False`
-    skips the values."""
+    `geometry.interface_edges` of `cuts` in a solve), on split Gauss rules of
+    degree EDGE_DEGREE: the one walk over interface edges, which the edge
+    terms, the penalty jumps of the energy norm and the interpolation-flux
+    scan read. The cut and the standard neighbours of each side are
+    evaluated as two stacks."""
     B = len(edges)
     ends = mesh.node_coords(mesh.edge_nodes(edges))
     a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
@@ -200,7 +199,7 @@ def edge_traces(mesh, edges, status, cuts, degree=EDGE_DEGREE, values=True):
     t = np.vecdot(split - a, d) / (length * length)
     t = np.where((t > 1e-12) & (t < 1 - 1e-12), t, 1.0)
     breaks = np.column_stack([np.zeros(B), t, np.ones(B)])[..., None]
-    rule = segment_rule(degree)
+    rule = segment_rule(EDGE_DEGREE)
     pts, w = map_segment(rule, a[:, None] + breaks[:, :-1] * d[:, None],
                          a[:, None] + breaks[:, 1:] * d[:, None])
     nv, nq = mesh.n_local, 2 * rule.n_points
@@ -209,7 +208,7 @@ def edge_traces(mesh, edges, status, cuts, degree=EDGE_DEGREE, values=True):
     row_of = np.full(mesh.n_elements, -1)
     row_of[cuts.ids] = np.arange(len(cuts))
     els = mesh.edge_elements(edges)
-    V = np.empty((B, 2, nv, nq)) if values else None
+    V = np.empty((B, 2, nv, nq))
     G = np.empty((B, 2, nv, nq, 2))
     beta = np.empty((B, 2, nq))
     bm, bp = cuts.beta
@@ -217,16 +216,14 @@ def edge_traces(mesh, edges, status, cuts, degree=EDGE_DEGREE, values=True):
         rows = row_of[els[:, s]]
         cut = rows >= 0
         xi, plus = cut_frame(cuts, rows[cut], pts[cut])
-        if values:
-            V[cut, s] = cut_values(cuts, rows[cut], xi, plus)
+        V[cut, s] = cut_values(cuts, rows[cut], xi, plus)
         G[cut, s] = cut_gradients(cuts, rows[cut], xi, plus)
         beta[cut, s] = np.where(plus, bp, bm)
         k = els[~cut, s]
         C = template_coefs(mesh, k)
         origin, size = mesh.element_frames(k)
         xi = (pts[~cut] - origin[:, None]) / size[:, None, None]
-        if values:
-            V[~cut, s] = piece_values(C, xi)
+        V[~cut, s] = piece_values(C, xi)
         G[~cut, s] = piece_gradients(C, xi, size)
         beta[~cut, s] = np.where(status[k] == SIDE_MINUS, bm, bp)[:, None]
     return EdgeTraces(edges, els, pts, w, V, G, beta, None)
@@ -282,16 +279,15 @@ def assemble_edge_terms(mesh, edges, status, cuts, alpha):
 # ---------------------------------------------------------------------------
 
 def bulk_rules(mesh, degree):
-    """Scaled quadrature rule per cell variant: {variant: (template, points, weights)}."""
+    """Scaled quadrature rule per cell variant, with the variant's standard
+    basis: {variant: (coefficients (d, m), points, weights)}, the triangles'
+    rules mapped onto the unit cell's variants of `geometry._CORNERS`."""
     if mesh.cell_kind == RECT:
         rule = rect_rule(degree)
-        return {0: ("rect", rule.points, rule.weights)}
-    ref = _collapsed_triangle_rule(degree)
-    # map reference (0,0)-(1,0)-(0,1) onto the two cell triangles in scaled coords
-    J_low = np.column_stack([[1.0, 0.0], [1.0, 1.0]])   # (0,0),(1,0),(1,1)
-    J_up = np.column_stack([[1.0, 1.0], [0.0, 1.0]])    # (0,0),(1,1),(0,1)
-    return {variant: (name, ref.points @ J.T, ref.weights * abs(np.linalg.det(J)))
-            for variant, J, name in ((0, J_low, "tri_lower"), (1, J_up, "tri_upper"))}
+        return {0: (template_coefs(mesh, 0), rule.points, rule.weights)}
+    rule = _collapsed_triangle_rule(degree)
+    return {v: (template_coefs(mesh, v),) + map_triangle(rule, tri)
+            for v, tri in enumerate(_CORNERS[TRI])}
 
 
 def cut_data_rules(cuts, iface):
@@ -310,8 +306,8 @@ def assemble_load(mesh, status, cuts, solution, iface, rules):
     piece: the piece's coefficients times sum_q w f mono(xi_q)."""
     b = np.zeros(mesh.n_nodes)
     h = mesh.h
-    tables = {v: (template_values(name, spts).T, spts, swts * h * h)
-              for v, (name, spts, swts) in bulk_rules(mesh, DATA_DEGREE).items()}
+    tables = {v: (piece_values(C, spts).T, spts, swts * h * h)
+              for v, (C, spts, swts) in bulk_rules(mesh, DATA_DEGREE).items()}
     for (V, _, w), ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
         np.add.at(b, mesh.element_nodes(ids), (solution.f(x, y, minus) * w) @ V)
 

@@ -83,6 +83,7 @@ class RunConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
+        geometry.interface_from_name(self.interface, self.interface_params)
         if self.interface != "circle" and self.beta_minus != self.beta_plus:
             raise ConfigError("the manufactured solution needs a circle interface "
                               "when beta_minus != beta_plus")
@@ -302,8 +303,8 @@ def solve_scheme(ctx: CaseContext, config: RunConfig, scheme: str):
     err = error_norms(ctx.mesh, ctx.status, ctx.cuts, coeffs, ctx.sol, ctx.iface,
                       ctx.traces, params.sigma0, rules=ctx.rules)
     rec = RunRecord(
-        scheme=scheme, mesh=config.mesh, N=N, h=ctx.mesh.h,
-        beta_minus=config.beta_minus, beta_plus=config.beta_plus,
+        scheme=scheme, mesh=ctx.mesh.cell_kind, N=N, h=ctx.mesh.h,
+        beta_minus=ctx.cuts.beta[0], beta_plus=ctx.cuts.beta[1],
         **{f"e_{norm}": e for norm, e in err.items()},
         iterations=res.iterations, residual=res.residual,
         n_dofs=ctx.mesh.n_nodes, n_interface_elements=len(ctx.cuts))
@@ -448,17 +449,22 @@ def cmd_convergence(config: RunConfig):
     return records
 
 
+# the settings `cmd_verify` reads (seed is inert, as everywhere)
+_VERIFY_SETTINGS = ("mesh", "beta_minus", "beta_plus", "sigma0", "out", "seed",
+                    "coeff_samples", "trace_samples", "coercivity_ns", "interp_ns", "scan_betas")
+
+
 def cmd_verify(config: RunConfig):
     """Run all four verification scans; returns (reports, all_passed). The
-    scans take the default interface, domain and solution exponent, and
-    assemble P_unit at penalty alpha = 1: any other value is refused."""
+    scans read only the _VERIFY_SETTINGS: they take the default interface,
+    domain and solution exponent, assemble P_unit at penalty alpha = 1 and
+    solve nothing, so any other setting than its default is refused."""
     config.validate()
     default = RunConfig()
-    unscanned = [f"{name} = {getattr(config, name)!r}" for name in (
-        "interface", "interface_params", "xmin", "xmax", "ymin", "ymax", "alpha_exp",
-        "penalty_alpha") if getattr(config, name) != getattr(default, name)]
-    if unscanned:
-        raise ConfigError("verify scans the default problem only, not " + ", ".join(unscanned))
+    unread = [f"{name} = {getattr(config, name)!r}" for name in CONFIG_TYPES
+              if name not in _VERIFY_SETTINGS and getattr(config, name) != getattr(default, name)]
+    if unread:
+        raise ConfigError("verify does not read " + ", ".join(unread))
     out = _ensure_out(config)
     kind = config.mesh
     scans = {

@@ -1,10 +1,11 @@
 """Nodal bases on mesh elements.
 
 Non-interface elements carry the standard linear (triangle) or bilinear
-(rectangle) nodal basis, evaluated from fixed coefficient templates; no
-object is built for them. Interface elements carry an immersed basis: one
-polynomial per side of the chord D-E, glued by continuity at D and E plus a
-flux-matching condition, solved for all cut elements of a CutSet at once.
+(rectangle) nodal basis, evaluated from coefficient templates derived from
+the cell variants' vertices; no object is built for them. Interface
+elements carry an immersed basis: one polynomial per side of the chord D-E,
+glued by continuity at D and E plus a flux-matching condition, solved for
+all cut elements of a CutSet at once.
 Coefficients are stored for scaled monomials in local coordinates
 xi = (x - origin)/h so the local systems stay well conditioned on fine
 meshes.
@@ -16,24 +17,9 @@ import dataclasses
 import numpy as np
 
 from .errors import SingularLocalSystem
-from .geometry import RECT
+from .geometry import _CORNERS
 
 CHORD_TIE_TOL = 1e-13  # points this close to the chord evaluate the minus piece
-
-# scaled-monomial coefficient templates for the mesh's standard elements,
-# vertex order matching CartesianMesh construction
-_C_RECT = np.array([[1.0, -1.0, -1.0, 1.0],
-                    [0.0, 1.0, 0.0, -1.0],
-                    [0.0, 0.0, 0.0, 1.0],
-                    [0.0, 0.0, 1.0, -1.0]])
-_C_TRI_LOWER = np.array([[1.0, -1.0, 0.0],
-                         [0.0, 1.0, -1.0],
-                         [0.0, 0.0, 1.0]])
-_C_TRI_UPPER = np.array([[1.0, 0.0, -1.0],
-                         [0.0, 1.0, 0.0],
-                         [0.0, -1.0, 1.0]])
-
-_TEMPLATES = {"rect": _C_RECT, "tri_lower": _C_TRI_LOWER, "tri_upper": _C_TRI_UPPER}
 
 
 def _monomials(pts, m):
@@ -44,21 +30,19 @@ def _monomials(pts, m):
     return np.stack(cols, axis=-1)
 
 
-def template_values(variant, pts):
-    """Values of the standard nodal basis at scaled points, shape (d, n)."""
-    return piece_values(_TEMPLATES[variant], np.atleast_2d(pts))
-
-
-def template_gradients(variant, pts):
-    """Scaled gradients of the standard nodal basis, shape (d, n, 2)."""
-    return piece_gradients(_TEMPLATES[variant], np.atleast_2d(pts), 1.0)
+# the standard nodal basis of each cell variant, (nvar, d, m): the
+# scaled-monomial coefficients that are 1 at one vertex of the unit cell's
+# variant (geometry._CORNERS) and 0 at its others
+_TEMPLATES = {kind: np.linalg.inv(_monomials(c, c.shape[1])).swapaxes(-1, -2)
+              for kind, c in _CORNERS.items()}
 
 
 def template_coefs(mesh, ids):
     """Standard-basis coefficient templates of the elements `ids`, (..., d, m)."""
-    if mesh.cell_kind == RECT:
-        return np.broadcast_to(_C_RECT, np.shape(ids) + _C_RECT.shape)
-    return np.stack([_C_TRI_LOWER, _C_TRI_UPPER])[np.asarray(ids) % 2]
+    C = _TEMPLATES[mesh.cell_kind]
+    if len(C) == 1:                      # one variant: a view, no copy
+        return np.broadcast_to(C[0], np.shape(ids) + C.shape[1:])
+    return C[np.asarray(ids) % len(C)]
 
 
 def piece_values(coefs, xi):

@@ -8,8 +8,7 @@ import numpy as np
 
 from .assembly import DATA_DEGREE, bulk_rules
 from .geometry import RECT, bulk_sweep
-from .local_basis import (cut_frame, piece_gradients, piece_values, template_gradients,
-                          template_values)
+from .local_basis import cut_frame, piece_gradients, piece_values, template_coefs
 
 LINF_GRID = 5       # samples per side of each element in the L-infinity error
 # the error norms, in the order of their keys, runs.csv columns and tables
@@ -164,9 +163,8 @@ def _bulk_sums(mesh, status, coeffs, sol, iface, beta):
     accumulated block by block."""
     h = mesh.h
     sums = np.zeros(3)
-    tables = {v: (template_values(name, spts), spts, swts * h * h,
-                  template_gradients(name, spts) / h)
-              for v, (name, spts, swts) in bulk_rules(mesh, DATA_DEGREE).items()}
+    tables = {v: (piece_values(C, spts), spts, swts * h * h, piece_gradients(C, spts, h))
+              for v, (C, spts, swts) in bulk_rules(mesh, DATA_DEGREE).items()}
     for (V, _, w, G), ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
         ce = coeffs[mesh.element_nodes(ids)]
         diff = sol.u(x, y, minus) - ce @ V
@@ -203,16 +201,16 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface):
     t = np.linspace(0.0, 1.0, LINF_GRID)
     TX, TY = np.meshgrid(t, t, indexing="ij")
     if mesh.cell_kind == RECT:
-        sample = {0: ("rect", np.column_stack([TX.ravel(), TY.ravel()]))}
+        sample = {0: np.column_stack([TX.ravel(), TY.ravel()])}
     else:
         # the grid's first LINF_GRID points, at xi = 0, all map to the
         # vertex (0, 0): it is sampled once
         low = np.column_stack([TX.ravel(), (TX * TY).ravel()])[LINF_GRID - 1:]  # eta <= xi
         up = np.column_stack([(TX * TY).ravel(), TX.ravel()])[LINF_GRID - 1:]   # xi <= eta
-        sample = {0: ("tri_lower", low), 1: ("tri_upper", up)}
+        sample = {0: low, 1: up}
 
     worst = 0.0
-    tables = {v: (template_values(name, spts), spts) for v, (name, spts) in sample.items()}
+    tables = {v: (piece_values(template_coefs(mesh, v), p), p) for v, p in sample.items()}
     for (V, _), ids, x, y, minus in bulk_sweep(mesh, status, iface, tables):
         uh = coeffs[mesh.element_nodes(ids)] @ V
         worst = max(worst, float(np.abs(sol.u(x, y, minus) - uh).max()))

@@ -367,7 +367,7 @@ def interp_edge_error_study(Ns, beta_pair, cell_kind, seed=7) -> ScanReport:
         status, cuts = classify_elements(mesh, iface)
         cuts = build_bases(cuts, bm, bp)
         coeffs = interpolate_nodal(mesh, sol, iface)
-        tr = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts, degree=6, values=False)
+        tr = edge_traces(mesh, interface_edges(mesh, cuts), status, cuts)
         x, y = tr.points[..., 0], tr.points[..., 1]
         nB = mesh.edge_normals(tr.edges)[:, None]
         minus = np.asarray(iface.phi(x, y)) < 0

@@ -4,7 +4,9 @@ None of this runs in the solver: storage checks and naive products for the
 sparse kernels, a dense solve for small systems, the closed-form linear IFE
 coupling, the per-norm error passes that `postprocess.error_norms` fuses, the
 one-segment crossing solve that `geometry.edge_crossings` vectorises, the
-per-element standard basis that the templates replace, the per-element
+standard bases' coefficient matrices written out (`TEMPLATES`), which
+`local_basis` derives from the cell variants, and the per-element standard
+basis that the templates replace, the per-element
 classification, chord split and edge split points that `geometry.CutSet`
 stacks, the per-element immersed basis (`LocalBasis`) and its solve, and the
 reference cuts and lemma-scan ratios that `local_basis.ife_coefficients` and
@@ -49,9 +51,8 @@ from ppife.geometry import (_AUDIT_ROWS, _SWEEP_POINTS, INTERFACE, RECT, SIDE_MI
                             SNAP_TOL, TRI, CutSet, DomainSpec, _cut_set, _edge_signs,
                             _snapped_sign, build_mesh, circle, classify_elements,
                             edge_crossings, interface_edges)
-from ppife.local_basis import (_TEMPLATES, CHORD_TIE_TOL, _monomials, build_bases, cut_frame,
-                               cut_values, phys_coefficients, piece_gradients, piece_values,
-                               template_gradients, template_values)
+from ppife.local_basis import (CHORD_TIE_TOL, _monomials, build_bases, cut_frame, cut_values,
+                               phys_coefficients, piece_gradients, piece_values)
 from ppife.quadrature import (QuadratureRule, _collapsed_triangle_rule, fan_rule, map_segment,
                               map_triangle, polygon_area, rect_rule, segment_rule)
 from ppife.verify import DEFAULT_R0, quadrant_bound_constant
@@ -553,11 +554,44 @@ def interface_jump_residuals(sol, config, n_samples=360):
     return float(np.abs(ju).max()), float(np.abs(jf).max())
 
 
+# the standard nodal bases' scaled-monomial coefficients, written out: the
+# rectangle (0,0),(1,0),(1,1),(0,1) and the triangles (0,0),(1,0),(1,1) below
+# the diagonal and (0,0),(1,1),(0,1) above it, against which the templates
+# that `local_basis` derives from the cell variants are checked
+TEMPLATES = {"rect": np.array([[1.0, -1.0, -1.0, 1.0],
+                               [0.0, 1.0, 0.0, -1.0],
+                               [0.0, 0.0, 0.0, 1.0],
+                               [0.0, 0.0, 1.0, -1.0]]),
+             "tri_lower": np.array([[1.0, -1.0, 0.0],
+                                    [0.0, 1.0, -1.0],
+                                    [0.0, 0.0, 1.0]]),
+             "tri_upper": np.array([[1.0, 0.0, -1.0],
+                                    [0.0, 1.0, 0.0],
+                                    [0.0, -1.0, 1.0]])}
+# the template of each cell variant, by variant
+VARIANT_TEMPLATES = {RECT: ("rect",), TRI: ("tri_lower", "tri_upper")}
+
+
+def template_values(name, pts):
+    """Values of the standard nodal basis `name` at scaled points, (d, n)."""
+    return piece_values(TEMPLATES[name], np.atleast_2d(pts))
+
+
+def template_gradients(name, pts):
+    """Scaled gradients of the standard nodal basis `name`, (d, n, 2)."""
+    return piece_gradients(TEMPLATES[name], np.atleast_2d(pts), 1.0)
+
+
+def named_rules(mesh, degree):
+    """`assembly.bulk_rules` with each variant's template name in place of
+    its coefficients: {variant: (name, points, weights)}."""
+    return {v: (VARIANT_TEMPLATES[mesh.cell_kind][v],) + rule[1:]
+            for v, rule in bulk_rules(mesh, degree).items()}
+
+
 def template_name(mesh, k):
     """Template of the standard nodal basis on element k."""
-    if mesh.cell_kind == RECT:
-        return "rect"
-    return "tri_lower" if full_mesh(mesh).element_variant[k] == 0 else "tri_upper"
+    return VARIANT_TEMPLATES[mesh.cell_kind][full_mesh(mesh).element_variant[k]]
 
 
 def standard_basis(element_id, verts, kind, variant=None):
@@ -569,7 +603,7 @@ def standard_basis(element_id, verts, kind, variant=None):
     h = max(np.ptp(verts[:, 0]), np.ptp(verts[:, 1]))
     sv = (verts - origin) / h
     if variant is not None:
-        C = _TEMPLATES[variant]
+        C = TEMPLATES[variant]
     else:
         m = len(verts)
         V = _monomials(sv, m)
@@ -828,7 +862,7 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
 
     def bulk_sum(kind):
         total = 0.0
-        for variant, (name, spts, swts) in bulk_rules(mesh, degree).items():
+        for variant, (name, spts, swts) in named_rules(mesh, degree).items():
             ids = bulk_ids(variant)
             if len(ids) == 0:
                 continue
@@ -872,9 +906,8 @@ def reference_error_norms(mesh, status, cuts, bases, coeffs, sol, iface, edge_la
     def element_basis(k):
         if k in bases:
             return bases[k]
-        kind, variant = (("q1", "rect") if mesh.cell_kind == RECT else
-                         ("p1", ("tri_lower", "tri_upper")[full.element_variant[k]]))
-        return standard_basis(k, full.nodes[full.elements[k]], kind, variant)
+        kind = "q1" if mesh.cell_kind == RECT else "p1"
+        return standard_basis(k, full.nodes[full.elements[k]], kind, template_name(mesh, k))
 
     def jump_square(e):
         t1, t2 = full.edge_elements[e]
@@ -1318,7 +1351,7 @@ def ascending_bulk_load(mesh, status, sol, iface, degree=DATA_DEGREE):
     ascending blocks, summed in element order."""
     b = np.zeros(mesh.n_nodes)
     h = mesh.h
-    for (name, spts, swts), ids, x, y in ascending_blocks(mesh, status, bulk_rules(mesh, degree)):
+    for (name, spts, swts), ids, x, y in ascending_blocks(mesh, status, named_rules(mesh, degree)):
         fw = select_branches(sol, x, y, np.asarray(iface.phi(x, y)) < 0)[2] * (swts * h * h)
         np.add.at(b, full_mesh(mesh).elements[ids], fw @ template_values(name, spts).T)
     return b
@@ -1357,7 +1390,7 @@ def ascending_error_norms(mesh, status, cuts, coeffs, sol, iface, traces, sigma0
     beta = cuts.beta
     h = mesh.h
     sums = np.zeros(3)
-    for (name, spts, swts), ids, x, y in ascending_blocks(mesh, status, bulk_rules(mesh, degree)):
+    for (name, spts, swts), ids, x, y in ascending_blocks(mesh, status, named_rules(mesh, degree)):
         w = swts * h * h
         G = template_gradients(name, spts) / h
         ce = coeffs[full_mesh(mesh).elements[ids]]

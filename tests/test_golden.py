@@ -12,8 +12,16 @@ column, with the old and new values.
 Regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
+
+or list every difference from them, writing nothing (exit 1 if any), with
+
+    PYTHONPATH=src python tests/test_golden.py --check
 """
+import contextlib
+import io
 import os
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -46,35 +54,49 @@ def _run_verify(mesh, out):
     cmd_verify(load_config(None, {"mesh": mesh, "out": str(out), **VERIFY_SIZES}))
 
 
-def _first_difference(name, want, got):
-    """Where `got` first leaves `want`: for a CSV file with key columns, the
-    row by its keys, the column and the old and new values; otherwise the
-    byte index."""
+def _differences(name, want, got):
+    """Where `got` leaves `want`: for a CSV file with key columns, every
+    differing cell, by its row's keys and its column, with the old and new
+    values, then any change of the row count; otherwise the first differing
+    byte. Empty when they are equal."""
+    if want == got:
+        return []
     if name not in CSV_KEYS:
         at = next((i for i, (a, b) in enumerate(zip(want, got)) if a != b),
                   min(len(want), len(got)))
-        return f"at byte {at}"
+        return [f"at byte {at}"]
     old, new = ([row.split(",") for row in text.decode().splitlines()] for text in (want, got))
     header = old[0]
 
     def cell(row, k):
         return row[k] if k < len(row) else "(missing)"
+    out = []
     for i, (a, b) in enumerate(zip(old, new)):
-        if a != b:
-            k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-            where = "header" if i == 0 else ", ".join(
-                f"{key} {cell(a, header.index(key))}" for key in CSV_KEYS[name])
-            return f"at {where}, column {cell(header, k)}: {cell(a, k)} -> {cell(b, k)}"
-    return f"in its row count: {len(old)} -> {len(new)}"
+        where = "header" if i == 0 else ", ".join(
+            f"{key} {cell(a, header.index(key))}" for key in CSV_KEYS[name])
+        out += [f"at {where}, column {cell(header, k)}: {cell(a, k)} -> {cell(b, k)}"
+                for k in range(max(len(a), len(b))) if cell(a, k) != cell(b, k)]
+    if len(old) != len(new):
+        out.append(f"in its row count: {len(old)} -> {len(new)}")
+    return out
+
+
+def _first_difference(name, want, got):
+    """The first of the `_differences` of `got` from `want`."""
+    return _differences(name, want, got)[0]
+
+
+def _golden_and_new(case, name, out):
+    """The bytes of golden file `name` of `case` and of the one a run wrote to `out`."""
+    with open(os.path.join(GOLDEN, case, name), "rb") as want, \
+            open(os.path.join(out, name), "rb") as got:
+        return want.read(), got.read()
 
 
 def _assert_same(case, names, out):
     versions = f"numpy {np.__version__}, scipy {scipy.__version__}"
     for name in names:
-        with open(os.path.join(GOLDEN, case, name), "rb") as f:
-            want = f.read()
-        with open(out / name, "rb") as f:
-            got = f.read()
+        want, got = _golden_and_new(case, name, out)
         assert got == want, (f"{case}/{name} differs from golden "
                              f"{_first_difference(name, want, got)} ({versions})")
 
@@ -86,6 +108,16 @@ def test_a_mismatch_report_names_its_row_and_column():
     assert _first_difference("runs.csv", want, want + b"npp,rect,16,3.0\n") == (
         "in its row count: 3 -> 4")
     assert _first_difference("table_l2.md", b"| 1.0 |", b"| 1.5 |") == "at byte 4"
+
+
+def test_a_check_reports_every_changed_row():
+    want = (b"scan,key,value\ncoercivity,min_N10,1.0\ncoercivity,min_N20,2.0\n"
+            b"interp_edge_error,sum_N20,3.0\n")
+    got = want.replace(b"1.0", b"1.5").replace(b"3.0", b"3.5")
+    assert _differences("scans.csv", want, got) == [
+        "at scan coercivity, key min_N10, column value: 1.0 -> 1.5",
+        "at scan interp_edge_error, key sum_N20, column value: 3.0 -> 3.5"]
+    assert _differences("scans.csv", want, want) == []
 
 
 @pytest.mark.parametrize("mesh,bp", CASES)
@@ -102,18 +134,38 @@ def test_verify_scans_match_golden(mesh, tmp_path, capsys):
     _assert_same(f"verify_{mesh}", ("scans.csv",), tmp_path)
 
 
-def regenerate():
+def _golden_cases():
+    """(directory, compared files, run into a directory) of every golden case."""
     for mesh, bp in CASES:
-        out = os.path.join(GOLDEN, _case_dir(mesh, bp))
-        _run(mesh, bp, out)
-        os.remove(os.path.join(out, "timings.csv"))
+        yield _case_dir(mesh, bp), FILES, lambda out, mesh=mesh, bp=bp: _run(mesh, bp, out)
     for mesh in VERIFY_MESHES:
-        out = os.path.join(GOLDEN, f"verify_{mesh}")
-        _run_verify(mesh, out)
-        timings = os.path.join(out, "timings.csv")
-        if os.path.exists(timings):
-            os.remove(timings)
+        yield f"verify_{mesh}", ("scans.csv",), lambda out, mesh=mesh: _run_verify(mesh, out)
+
+
+def regenerate():
+    for case, _, run in _golden_cases():
+        out = os.path.join(GOLDEN, case)
+        run(out)
+        os.remove(os.path.join(out, "timings.csv"))
+
+
+def check():
+    """Run every golden case into a temporary directory and print each of
+    its `_differences` from the golden files; 1 if there is any, else 0."""
+    found = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, names, run in _golden_cases():
+            out = os.path.join(tmp, case)
+            with contextlib.redirect_stdout(io.StringIO()):
+                run(out)
+            for name in names:
+                for line in _differences(name, *_golden_and_new(case, name, out)):
+                    print(f"{case}/{name} {line}")
+                    found += 1
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
-    regenerate()
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/test_golden.py [--check]")
+    sys.exit(check() if sys.argv[1:] else regenerate())

@@ -269,6 +269,14 @@ def test_cli_exit_codes(tmp_path):
     assert code == 0
 
 
+def test_run_record_describes_the_context_it_solved():
+    # the mesh and the beta pair of a record are the context's, whatever
+    # the config passed with it says
+    ctx = build_context(RunConfig(mesh="rect", beta_plus=10.0), 8)
+    rec = solve_scheme(ctx, RunConfig(mesh="tri", beta_plus=1e4), "spp")[0]
+    assert (rec.mesh, rec.beta_minus, rec.beta_plus) == ("rect", 1.0, 10.0)
+
+
 @pytest.mark.parametrize("mesh", ["rect", "tri"])
 def test_solve_scheme_passes_the_cut_element_block(mesh, monkeypatch):
     # the nonsymmetric schemes get, by keyword, through the module attribute
@@ -540,10 +548,19 @@ def test_cli_verify_refuses_a_penalty_exponent_it_does_not_scan(tmp_path, capsys
     ["--interface", "line", "--interface-params", "1,0.3,-0.2", "--beta-plus", "1"],
     ["--interface-params", "0.1,0,0.5"],
     ["--xmin", "-2", "--xmax", "2", "--ymin", "-2", "--ymax", "2"],
+    ["--dump-field"],
+    ["--dump-matrix"],
+    ["--dump-mesh"],
+    ["--field-grid", "3"],
+    ["--schemes", "npp"],
+    ["--solver-tol", "1e-3"],
+    ["--solver-maxiter", "50"],
+    ["--N", "7"],
 ])
 def test_cli_verify_refuses_a_problem_it_does_not_scan(tmp_path, argv, capsys):
-    # the scans run the default circle on [-1, 1]^2 at alpha_exp 5: a
-    # report under another problem's settings would not describe it
+    # the scans run the default circle on [-1, 1]^2 at alpha_exp 5 and solve
+    # nothing: a report under another problem's or a solve's settings would
+    # not describe it
     assert main(["verify", *argv, *_SMALL_VERIFY, "--out", str(tmp_path / "v")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and argv[0][2:].replace("-", "_") in err
@@ -553,6 +570,17 @@ def test_cli_verify_refuses_a_problem_it_does_not_scan(tmp_path, argv, capsys):
 def test_cli_verify_takes_the_defaults_spelt_out(tmp_path):
     assert main(["verify", "--alpha-exp", "5", "--interface-params", "0,0,pi/6.28",
                  "--xmin", "-1", *_SMALL_VERIFY, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("params,message", [("0,0,-1", "circle radius must be positive"),
+                                            ("0,0", "takes 3 parameters")])
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_cli_refuses_an_interface_it_cannot_build(tmp_path, command, params, message, capsys):
+    # the interface is built with the other settings, before anything is written
+    assert main([command, "--N", "8,16,32", "--interface-params", params,
+                 "--out", str(tmp_path / "i")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "i").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "convergence", "verify"])

@@ -109,7 +109,7 @@ def test_bulk_sweep_memory_budget():
     mesh = build_mesh(DomainSpec(-1, 1, -1, 1, 640, "tri"))
     iface = circle(0.0, 0.0, np.pi / 6.28)
     status, _ = classify_elements(mesh, iface)
-    tables = {v: (name, spts) for v, (name, spts, _) in bulk_rules(mesh, DATA_DEGREE).items()}
+    tables = {v: (C, spts) for v, (C, spts, _) in bulk_rules(mesh, DATA_DEGREE).items()}
 
     def sweep():
         for _ in bulk_sweep(mesh, status, iface, tables):

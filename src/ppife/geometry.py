@@ -62,6 +62,8 @@ class DomainSpec:
 # lower-left -> upper-right diagonal
 _CORNERS = {RECT: np.array([[[0, 0], [1, 0], [1, 1], [0, 1]]]),
             TRI: np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])}
+# per triangle variant, the axis of its corner off the diagonal, its points' larger coordinate
+TRI_AXIS = _CORNERS[TRI][_CORNERS[TRI].sum(axis=2) == 1].argmax(axis=1)
 
 
 class CartesianMesh:

@@ -89,7 +89,7 @@ class RunConfig:
                               "when beta_minus != beta_plus")
         if not self.N:
             raise ConfigError("N list is empty")
-        for N in self.N:
+        for N in self.N + self.coercivity_ns + self.interp_ns:
             DomainSpec(self.xmin, self.xmax, self.ymin, self.ymax, N, self.mesh)
         if self.solver_tol <= 0:
             raise ConfigError("solver_tol must be positive")
@@ -324,7 +324,9 @@ def evaluate_solution(mesh, status, cuts, coeffs, pts):
     cell = iy * n + ix
     xi = (x - (spec.xmin + ix * h)) / h
     eta = (y - (spec.ymin + iy * h)) / h
-    elem = cell if mesh.cell_kind == geometry.RECT else 2 * cell + np.where(eta <= xi, 0, 1)
+    # on triangles, the variant whose axis holds the larger coordinate, xi's on the diagonal
+    elem = cell if mesh.cell_kind == geometry.RECT else (
+        len(geometry.TRI_AXIS) * cell + np.where(eta <= xi, *np.argsort(geometry.TRI_AXIS)))
 
     out = np.empty(len(x))
     std = status[elem] != geometry.INTERFACE

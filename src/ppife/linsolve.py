@@ -1,18 +1,18 @@
 """Sparse iterative solvers for the reduced systems.
 
-Matrices are scipy CSR. Both solvers work on the symmetric diagonal
-scaling As = D^{-1/2} A D^{-1/2}, which keeps CG's inner product exact and
-suits the strongly nonsymmetric systems of large coefficient contrasts.
+Matrices are scipy CSR. Both solvers run on A itself; the Jacobi scale
+s = |diag A_vol|^-1/2 (without a hierarchy, A's own) enters as a vector
+only: the stopping test reads |s r| / |s b|, and BiCGSTAB weighs its inner
+products by s^2, so the iterates are those on D^-1/2 A D^-1/2.
 
 The preconditioner is one V-cycle of a smoothed-aggregation AMG hierarchy
 (Vanek, Mandel & Brezina, Computing 56, 1996), whose aggregates the caller
 gives, with an exact solve of a block of unknowns around it. One
-hierarchy, built on the Jacobi scaling of A_vol, serves every scheme of a
-context: each scheme matrix is scaled by the same D and smooths level 0,
-and the block covers the rows where it leaves A_vol (multiplicative
-subspace correction; Xu, SIAM Review 34, 1992); a banded LU solves the
-block and the coarsest level. `harness.solve_scheme` chooses the solves
-that run it; the others use Jacobi scaling alone.
+hierarchy, built on A_vol, serves every scheme of a context: each scheme
+matrix smooths level 0, and the block covers the rows where it leaves
+A_vol (multiplicative subspace correction; Xu, SIAM Review 34, 1992); a
+banded LU solves the block and the coarsest level. `harness.solve_scheme`
+chooses the solves that run it; the others use Jacobi alone.
 """
 from __future__ import annotations
 
@@ -69,37 +69,23 @@ def _is_symmetric(A):
     return np.abs(diff, out=diff).max(initial=0.0) <= SYMMETRY_RTOL * scale
 
 
-def _scaled(A, b, s=None):
-    """diags(s) @ A @ diags(s), s * b and s; s is by default 1 / sqrt|diag A|.
-    The scaled matrix shares A's index arrays unless it has zeros to drop."""
-    if s is None:
-        d = np.abs(A.diagonal())
-        d[d == 0.0] = 1.0
-        s = 1.0 / np.sqrt(d)
-    # diags(s) @ A @ diags(s): its bits, its order and no stored zeros; the
-    # columns' factors in blocks of n, so no temporary outgrows a vector
-    data = np.repeat(s, np.diff(A.indptr))
-    data *= A.data
-    for k in range(0, A.nnz, len(s)):
-        data[k:k + len(s)] *= s[A.indices[k:k + len(s)]]
-    As = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
-    if not data.all():
-        As = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
-        As.eliminate_zeros()
-    return As, s * b, s
+def _jacobi_scale(A):
+    """1 / sqrt|diag A|, with 1 where the diagonal is 0."""
+    d = np.abs(A.diagonal())
+    d[d == 0.0] = 1.0
+    return 1.0 / np.sqrt(d)
 
 
-def _preconditioned(A, b, block, hierarchy):
-    """As, bs, s for `hierarchy`, its V-cycle with `block` and its depth;
-    for None, A's own Jacobi scaling, the identity and depth 0."""
+def _preconditioned(A, block, hierarchy):
+    """s, M and the V-cycle's depth: `hierarchy`'s scale and V-cycle with
+    `block`, or for None A's own scale, M r = s^2 r and depth 0."""
     if hierarchy is None:
-        return (*_scaled(A, b), lambda r: r, 0)
-    As, bs, s = _scaled(A, b, hierarchy.scale)
-    return As, bs, s, hierarchy.preconditioner(As, block), len(hierarchy.levels) + 1
+        s = _jacobi_scale(A)
+        return s, lambda r, s2=s * s: s2 * r, 0
+    return hierarchy.scale, hierarchy.preconditioner(A, block), len(hierarchy.levels) + 1
 
 
-def _finish(A, b, bnorm, xs, s, iterations, tol_rel, restarts=0, levels=0):
-    x = xs * s
+def _finish(A, b, bnorm, x, iterations, tol_rel, restarts=0, levels=0):
     res = float(np.linalg.norm(b - A @ x) / bnorm)
     return SolveResult(x, iterations, res, bool(res <= tol_rel), restarts, levels)
 
@@ -108,7 +94,7 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
        hierarchy=None, x0=None) -> SolveResult:
     """Conjugate gradients for symmetric systems, preconditioned by the
     V-cycle of `hierarchy` with the exact `block`, or for None by A's own
-    Jacobi scaling alone, from the start `x0` (None: zero). Raises
+    Jacobi diagonal, from the start `x0` (None: zero). Raises
     AsymmetricInput when A fails `_is_symmetric`; returns the best iterate,
     converged=False, when the budget runs out."""
     A = A.tocsr()
@@ -120,49 +106,58 @@ def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0, True)
-    As, bs, s, M, levels = _preconditioned(A, b, block, hierarchy)
-    bsnorm = np.linalg.norm(bs)
-    x = np.zeros(n) if x0 is None else x0 / s
-    r = bs.copy() if x0 is None else bs - As @ x
-    z = M(r)
+    s, M, levels = _preconditioned(A, block, hierarchy)
+    bsnorm = np.linalg.norm(s * b)
+
+    def applied(r):
+        z = M(r)
+        return z, float(r @ z)
+
+    def weighted(r):
+        # |s r| / |s b|, and for Jacobi (M r, r . M r), as M r = s^2 r makes
+        # r . M r = |s r|^2; a V-cycle waits for the test
+        zrz = applied(r) if hierarchy is None else None
+        return (np.sqrt(zrz[1]) if zrz else np.linalg.norm(s * r)) / bsnorm, zrz
+
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    r = b.copy() if x0 is None else b - A @ x
+    rn, zrz = weighted(r)
+    z, rz = zrz or applied(r)
     p = z.copy()
-    rz = float(r @ z)
-    best = (np.linalg.norm(r) / bsnorm, x.copy())
+    best = (rn, x.copy())
     target = tol_rel
     it = 0
     for it in range(1, max_iter + 1):
-        Ap = As @ p
+        Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0 or not np.isfinite(pAp):
             break
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rn = np.linalg.norm(r) / bsnorm
+        rn, zrz = weighted(r)
         if rn < best[0]:
             best = (rn, x.copy())
         if rn <= target:
-            out = _finish(A, b, bnorm, x, s, it, tol_rel, levels=levels)
+            out = _finish(A, b, bnorm, x, it, tol_rel, levels=levels)
             if out.converged:
                 return out
-            r = bs - As @ x          # recompute to fight drift, then tighten
-            rn = np.linalg.norm(r) / bsnorm
+            r, zrz = b - A @ x, None   # recompute to fight drift, then tighten
             target = max(target / 4.0, 1e-2 * np.finfo(float).eps)
-        z = M(r)
-        rz_new = float(r @ z)
+        z, rz_new = zrz or applied(r)
         if not np.isfinite(rz_new):
             break
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return _finish(A, b, bnorm, best[1], s, it, tol_rel, levels=levels)
+    return _finish(A, b, bnorm, best[1], it, tol_rel, levels=levels)
 
 
-def _spectral_radius(A, dinv, rng):
-    """Power-iteration estimate of rho(D^-1 A) from a fixed start vector."""
+def _spectral_radius(left, right, A, rng):
+    """Power-iteration estimate of rho(diag(left) A diag(right)) from a fixed start."""
     x = rng.standard_normal(A.shape[0])
     lam = 1.0
     for _ in range(POWER_STEPS):
-        y = dinv * (A @ x)
+        y = left * (A @ (right * x))
         lam = np.linalg.norm(y)
         x = y / lam
     return float(lam)
@@ -179,7 +174,8 @@ def _banded_lu(B):
     from scipy.linalg.lapack import dgbtrf, dgbtrs
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    B = B.tocsr()
+    B = sp.csr_matrix(B, copy=True)
+    B.eliminate_zeros()             # its order follows the nonzeros alone
     order = reverse_cuthill_mckee(B, symmetric_mode=False)
     B = B[order][:, order].tocoo()
     kl = int(np.max(B.row - B.col, initial=0))
@@ -198,30 +194,33 @@ def _banded_lu(B):
 
 
 class SAHierarchy:
-    """Smoothed-aggregation AMG levels of A, built on its Jacobi scaling
-    D^{-1/2} A D^{-1/2} (`scale` = D^{-1/2}); `preconditioner` makes their
-    V-cycle for any matrix with the same scaling.
+    """Smoothed-aggregation AMG levels of A and its Jacobi scale `scale`,
+    |diag A|^-1/2; `preconditioner` makes their V-cycle with a matrix of
+    A's shape, such as a scheme matrix, at level 0.
 
     `aggregates` gives one (labels, count) pair per level, as
     `geometry.lattice_aggregates` makes them; the aggregates of a level are
     the unknowns of the next. Each level smooths the tentative prolongator
     T[i, a] = B_i / |B_a| (unknown i in aggregate a, |B_a| the norm of the
     near-null candidate B over it, and those norms the next level's B) once
-    by damped Jacobi and forms the Galerkin product P^T A P. Level 0's B is
-    D^{1/2} 1, null for the scaled A where A has zero row sums. Coarsening
-    stops at COARSE_SIZE dofs or fewer, at a zero diagonal entry, where a
-    level merges fewer than half its unknowns, or when the pairs run out.
-    The coarsest level, whatever its size, is solved by `_banded_lu`; a
-    singular one raises PpifeError. The power iteration starts from a
-    fixed seed, so every step is deterministic. Level 0 keeps no matrix.
-    For no aggregates, (), there are no levels: the V-cycle is an exact solve.
+    by damped Jacobi, P = T - (omega / rho) D^-1 A T, and forms the Galerkin
+    product P^T A P. Level 0's B is 1, its norms weighted by |diag A|: its P
+    is `scale` times that of the Jacobi-scaled A for B = D^1/2 1, whose
+    coarse matrices and rho(D^-1 A) it shares. Coarsening stops at
+    COARSE_SIZE dofs or fewer, at a zero diagonal entry, where a level
+    merges fewer than half its unknowns, or when the pairs run out. The
+    coarsest level, whatever its size, is solved by `_banded_lu`; a singular
+    one raises PpifeError. The power iteration starts from a fixed seed, so
+    every step is deterministic. Level 0 keeps no matrix. For no aggregates,
+    (), there are no levels: the V-cycle is an exact solve of A.
     """
 
     def __init__(self, A, aggregates):
         rng = np.random.default_rng(AMG_SEED)
         self.levels = []            # (omega / rho, P, next level's matrix) per level
-        A, _, self.scale = _scaled(A.tocsr(), 0.0)
-        B = 1.0 / self.scale
+        A = A.tocsr()
+        self.scale = s = _jacobi_scale(A)
+        B, weights = np.ones(A.shape[0]), (1.0 / s) ** 2
         for agg, n_coarse in aggregates:
             n = A.shape[0]
             if n <= COARSE_SIZE:
@@ -231,15 +230,17 @@ class SAHierarchy:
             diag = A.diagonal()
             if not diag.all() or n_coarse > n // 2:
                 break
-            norms = np.sqrt(np.bincount(agg, B ** 2, minlength=n_coarse))
+            norms = np.sqrt(np.bincount(agg, B ** 2 * weights, minlength=n_coarse))
             T = sp.csr_matrix((B / norms[agg], (np.arange(n), agg)), shape=(n, n_coarse))
             dinv = 1.0 / diag
-            rho = _spectral_radius(A, dinv, rng)
+            # rho(D^-1 A); on level 0 that of the Jacobi-scaled A, s A s
+            rho = _spectral_radius(*((dinv, 1.0) if self.levels else (s, s)), A, rng)
             dinv /= rho
             P = (T - sp.diags(PROLONGATOR_DAMPING * dinv) @ (A @ T)).tocsr()
+            del T                   # freed before the Galerkin product, the peak
             A = (P.T.tocsr() @ A @ P).tocsr()
             self.levels.append((SMOOTHER_DAMPING / rho, P, A))
-            B = norms
+            B, weights = norms, 1.0
         self.coarse = A             # the coarsest matrix, solved by coarse_solve
         self.coarse_solve = _banded_lu(A)
         if self.coarse_solve is None:
@@ -247,7 +248,7 @@ class SAHierarchy:
 
     def preconditioner(self, A, block):
         """One V-cycle, an approximation of A^-1 v as a function of v, with
-        A (scaled by `scale`) as level 0's smoothing and residual operator.
+        A as level 0's smoothing and residual operator.
 
         `block`, row indices of A, adds an exact solve of A[block, block]
         before and after the V-cycle on the residual left, so a symmetric A
@@ -262,9 +263,7 @@ class SAHierarchy:
                   zip([A] + [lvl[2] for lvl in self.levels], self.levels)]
         ids = np.asarray(block, dtype=np.int64)
         rows, cols = A[ids], A[:, ids]
-        inner = rows[:, ids]
-        inner.eliminate_zeros()         # its order follows the nonzeros alone
-        solve = _banded_lu(inner) if len(ids) else None
+        solve = _banded_lu(rows[:, ids]) if len(ids) else None
         if solve is None:
             return lambda b: self._cycle(levels, 0, b)
 
@@ -294,9 +293,9 @@ class SAHierarchy:
 def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
              hierarchy=None, x0=None) -> SolveResult:
     """BiCGSTAB right-preconditioned (the convergence test sees the true
-    scaled residual) by the V-cycle of `hierarchy` with the exact `block`,
-    or for None by A's own Jacobi scaling alone, from the start `x0` (None:
-    zero); at most 3 breakdowns restart it with a perturbed shadow vector."""
+    residual) by the V-cycle of `hierarchy` with the exact `block`, or for
+    None by A's own Jacobi diagonal, from the start `x0` (None: zero); at
+    most 3 breakdowns restart it with a perturbed shadow vector."""
     A = A.tocsr()
     n = A.shape[0]
     if max_iter is None:
@@ -304,68 +303,67 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0, True)
-    As, bs, s, M, levels = _preconditioned(A, b, block, hierarchy)
-    bsnorm = np.linalg.norm(bs)
+    s, M, levels = _preconditioned(A, block, hierarchy)
+    s2 = s * s
+    bsnorm = np.linalg.norm(s * b)
 
     rng = np.random.default_rng(67890)
 
-    def fresh(x):
-        r = bs - As @ x
-        return r, r.copy(), r.copy(), float(r @ r)
+    def fresh(x):                   # the weighted shadow vector s^2 r
+        r = b - A @ x
+        rtld = s2 * r
+        return r, rtld, r.copy(), float(rtld @ r)
 
     def perturbed(r):               # a restart with a perturbed shadow vector
-        rtld = r + 1e-8 * np.linalg.norm(r) * rng.standard_normal(n)
+        sr = s * r
+        rtld = s * (sr + 1e-8 * np.linalg.norm(sr) * rng.standard_normal(n))
         return r, rtld, r.copy(), float(rtld @ r)
 
     def finish(x):
-        return _finish(A, b, bnorm, x, s, it, tol_rel, restarts, levels)
+        return _finish(A, b, bnorm, x, it, tol_rel, restarts, levels)
 
-    x = np.zeros(n) if x0 is None else x0 / s
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r, rtld, p, rho = fresh(x)
     restarts = 0
-    best = (np.linalg.norm(r) / bsnorm, x.copy())
+    best = (np.linalg.norm(s * r) / bsnorm, x.copy())
     target = tol_rel
     it = 0
     while it < max_iter:
         it += 1
         ph = M(p)
-        v = As @ ph
+        v = A @ ph
         denom = float(rtld @ v)
         if not np.isfinite(denom) or abs(denom) < 1e-300 or abs(rho) < 1e-300:
             if restarts >= 3:
                 break
             restarts += 1
-            r, rtld, p, rho = perturbed(bs - As @ x)
+            r, rtld, p, rho = perturbed(b - A @ x)
             continue
         alpha = rho / denom
         sv = r - alpha * v
-        shat_norm = np.linalg.norm(sv)
-        if not np.isfinite(shat_norm):
-            break
-        if shat_norm / bsnorm <= target:
-            x = x + alpha * ph
-            out = finish(x)
-            if out.converged:
-                return out
-            r, rtld, p, rho = fresh(x)
-            target = max(target / 4.0, 1e-2 * np.finfo(float).eps)
-            continue
-        sh = M(sv)
-        t = As @ sh
-        tt = float(t @ t)
-        omega = float(t @ sv) / tt if tt > 0 else 0.0
-        x = x + alpha * ph + omega * sh
-        r = sv - omega * t
-        rn = np.linalg.norm(r) / bsnorm
+        rn = np.linalg.norm(s * sv) / bsnorm
         if not np.isfinite(rn):
-            x = best[1].copy()
-            if restarts >= 3:
-                break
-            restarts += 1
-            r, rtld, p, rho = fresh(x)
-            continue
-        if rn < best[0]:
-            best = (rn, x.copy())
+            break
+        if rn <= target:                # the half step is tested as it is
+            x = x + alpha * ph
+        else:
+            sh = M(sv)
+            t = A @ sh
+            wt = s2 * t
+            tt = float(wt @ t)
+            omega = float(wt @ sv) / tt if tt > 0 else 0.0
+            x = x + alpha * ph + omega * sh
+            r = sv - omega * t
+            rn = np.linalg.norm(s * r) / bsnorm
+            if not np.isfinite(rn):
+                x = best[1].copy()
+                if restarts >= 3:
+                    break
+                restarts += 1
+                r, rtld, p, rho = fresh(x)
+                continue
+            if rn < best[0]:
+                best = (rn, x.copy())
         if rn <= target:
             out = finish(x)
             if out.converged:
@@ -383,6 +381,4 @@ def bicgstab(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
         beta = (rho_new / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
         rho = rho_new
-    out = finish(best[1])
-    cand = finish(x)
-    return cand if cand.residual < out.residual else out
+    return min(finish(best[1]), finish(x), key=lambda out: out.residual)

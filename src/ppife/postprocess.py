@@ -7,7 +7,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .assembly import DATA_DEGREE, bulk_rules
-from .geometry import RECT, bulk_sweep
+from .geometry import RECT, TRI_AXIS, bulk_sweep
 from .local_basis import cut_frame, piece_gradients, piece_values, template_coefs
 
 LINF_GRID = 5       # samples per side of each element in the L-infinity error
@@ -203,11 +203,10 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface):
     if mesh.cell_kind == RECT:
         sample = {0: np.column_stack([TX.ravel(), TY.ravel()])}
     else:
-        # the grid's first LINF_GRID points, at xi = 0, all map to the
-        # vertex (0, 0): it is sampled once
-        low = np.column_stack([TX.ravel(), (TX * TY).ravel()])[LINF_GRID - 1:]  # eta <= xi
-        up = np.column_stack([(TX * TY).ravel(), TX.ravel()])[LINF_GRID - 1:]   # xi <= eta
-        sample = {0: low, 1: up}
+        # (s, s t) on each variant's axes, from its vertex (0, 0), where the
+        # first LINF_GRID points, at s = 0, all fall: it is sampled once
+        st = np.column_stack([TX.ravel(), (TX * TY).ravel()])[LINF_GRID - 1:]
+        sample = {v: np.roll(st, axis, axis=1) for v, axis in enumerate(TRI_AXIS)}
 
     worst = 0.0
     tables = {v: (piece_values(template_coefs(mesh, v), p), p) for v, p in sample.items()}
@@ -222,9 +221,9 @@ def _linf_error(mesh, status, cuts, coeffs, sol, iface):
         pts = lo + span * np.column_stack([TX.ravel(), TY.ravel()])
         if mesh.cell_kind != RECT:
             xi = (pts - lo) / mesh.h
-            lower = (cuts.ids % 2 == 0)[:, None]
-            keep = np.where(lower, xi[..., 1] <= xi[..., 0] + 1e-12,
-                            xi[..., 0] <= xi[..., 1] + 1e-12)
+            xi_axis = (TRI_AXIS[cuts.ids % len(TRI_AXIS)] == 0)[:, None, None]
+            xi = np.where(xi_axis, xi, xi[..., ::-1])   # on the element's axes
+            keep = xi[..., 1] <= xi[..., 0] + 1e-12
             pts = pts[keep].reshape(len(cuts), -1, 2)
         pts = np.concatenate([pts, cuts.verts], axis=1)
         xi, plus = cut_frame(cuts, np.arange(len(cuts)), pts)

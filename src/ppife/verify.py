@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import (MethodParams, apply_dirichlet, assemble_edge_terms, cut_volume_matrices,
                        edge_traces)
-from .geometry import (INTERFACE, RECT, TRI, CutSet, DomainSpec, build_mesh, circle,
+from .geometry import (_CORNERS, INTERFACE, RECT, TRI, CutSet, DomainSpec, build_mesh, circle,
                        classify_elements, interface_edges, ring_chains)
 from .local_basis import build_bases, cut_frame, cut_gradients, phys_coefficients
 from .postprocess import DEFAULT_R0, interpolate_nodal, radial_interface_solution
@@ -49,7 +49,7 @@ class ScanReport:
 # ---------------------------------------------------------------------------
 
 _REF_VERTS = {TRI: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-              RECT: np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])}
+              RECT: _CORNERS[RECT][0].astype(float)}
 
 
 def _grid_cuts(kind, samples):

@@ -16,9 +16,13 @@ Regenerate them with
 or list every difference from them, writing nothing (exit 1 if any), with
 
     PYTHONPATH=src python tests/test_golden.py --check
+
+which ends with one line per changed CSV column: its count of changed
+cells and its largest relative change, with that cell's row.
 """
 import contextlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -54,6 +58,22 @@ def _run_verify(mesh, out):
     cmd_verify(load_config(None, {"mesh": mesh, "out": str(out), **VERIFY_SIZES}))
 
 
+def _changed_cells(name, want, got):
+    """Every cell of CSV file `name` that differs between `want` and `got`,
+    as (its row's keys, or "header", its column, old value, new value)."""
+    old, new = ([row.split(",") for row in text.decode().splitlines()] for text in (want, got))
+    header = old[0]
+
+    def cell(row, k):
+        return row[k] if k < len(row) else "(missing)"
+    for i, (a, b) in enumerate(zip(old, new)):
+        where = "header" if i == 0 else ", ".join(
+            f"{key} {cell(a, header.index(key))}" for key in CSV_KEYS[name])
+        for k in range(max(len(a), len(b))):
+            if cell(a, k) != cell(b, k):
+                yield where, cell(header, k), cell(a, k), cell(b, k)
+
+
 def _differences(name, want, got):
     """Where `got` leaves `want`: for a CSV file with key columns, every
     differing cell, by its row's keys and its column, with the old and new
@@ -65,20 +85,38 @@ def _differences(name, want, got):
         at = next((i for i, (a, b) in enumerate(zip(want, got)) if a != b),
                   min(len(want), len(got)))
         return [f"at byte {at}"]
-    old, new = ([row.split(",") for row in text.decode().splitlines()] for text in (want, got))
-    header = old[0]
-
-    def cell(row, k):
-        return row[k] if k < len(row) else "(missing)"
-    out = []
-    for i, (a, b) in enumerate(zip(old, new)):
-        where = "header" if i == 0 else ", ".join(
-            f"{key} {cell(a, header.index(key))}" for key in CSV_KEYS[name])
-        out += [f"at {where}, column {cell(header, k)}: {cell(a, k)} -> {cell(b, k)}"
-                for k in range(max(len(a), len(b))) if cell(a, k) != cell(b, k)]
-    if len(old) != len(new):
-        out.append(f"in its row count: {len(old)} -> {len(new)}")
+    out = [f"at {where}, column {column}: {a} -> {b}"
+           for where, column, a, b in _changed_cells(name, want, got)]
+    rows = [text.count(b"\n") for text in (want, got)]
+    if rows[0] != rows[1]:
+        out.append(f"in its row count: {rows[0]} -> {rows[1]}")
     return out
+
+
+def _relative_change(old, new):
+    """|new - old| / |old| of two numeric cells; inf where either is not a
+    number or old is 0."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def _largest_changes(changes):
+    """One line per column among `changes`, (case/file, row keys, column,
+    old, new) in order: its count of changed cells and its largest
+    relative change, with that cell's row and values."""
+    by_column = {}
+    for place, where, column, a, b in changes:
+        count, worst = by_column.get(column, (0, None))
+        rel = _relative_change(a, b)
+        if worst is None or rel > worst[0]:
+            worst = (rel, place, where, a, b)
+        by_column[column] = (count + 1, worst)
+    return [f"column {column}: {count} cells changed, largest relative change {rel:.2e} "
+            f"at {place} {where}: {a} -> {b}"
+            for column, (count, (rel, place, where, a, b)) in by_column.items()]
 
 
 def _first_difference(name, want, got):
@@ -120,6 +158,18 @@ def test_a_check_reports_every_changed_row():
     assert _differences("scans.csv", want, want) == []
 
 
+def test_a_check_ends_with_the_largest_change_of_each_column():
+    want = b"scheme,mesh,N,e_l2,iterations\nspp,rect,16,1.0,5\nnpp,rect,16,2.0,6\n"
+    got = b"scheme,mesh,N,e_l2,iterations\nspp,rect,16,1.5,5\nnpp,rect,16,2.2,7\n"
+    changes = [("c/runs.csv", *cell) for cell in _changed_cells("runs.csv", want, got)]
+    assert _largest_changes(changes) == [
+        "column e_l2: 2 cells changed, largest relative change 5.00e-01 "
+        "at c/runs.csv scheme spp, N 16: 1.0 -> 1.5",
+        "column iterations: 1 cells changed, largest relative change 1.67e-01 "
+        "at c/runs.csv scheme npp, N 16: 6 -> 7"]
+    assert _relative_change("0", "1e-30") == _relative_change("x", "y") == math.inf
+
+
 @pytest.mark.parametrize("mesh,bp", CASES)
 def test_convergence_outputs_match_golden(mesh, bp, tmp_path, capsys):
     _run(mesh, bp, tmp_path)
@@ -151,17 +201,24 @@ def regenerate():
 
 def check():
     """Run every golden case into a temporary directory and print each of
-    its `_differences` from the golden files; 1 if there is any, else 0."""
-    found = 0
+    its `_differences` from the golden files, then, per changed CSV column,
+    its `_largest_changes` line; 1 if there is any difference, else 0."""
+    found, changes = 0, []
     with tempfile.TemporaryDirectory() as tmp:
         for case, names, run in _golden_cases():
             out = os.path.join(tmp, case)
             with contextlib.redirect_stdout(io.StringIO()):
                 run(out)
             for name in names:
-                for line in _differences(name, *_golden_and_new(case, name, out)):
+                want, got = _golden_and_new(case, name, out)
+                for line in _differences(name, want, got):
                     print(f"{case}/{name} {line}")
                     found += 1
+                if name in CSV_KEYS and want != got:
+                    changes += [(f"{case}/{name}", *cell)
+                                for cell in _changed_cells(name, want, got)]
+    for line in _largest_changes(changes):
+        print(line)
     return 1 if found else 0
 
 

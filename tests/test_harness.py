@@ -205,6 +205,10 @@ def test_node_field_is_nodal_error(kind):
     ["verify", "--interp-ns", "8,8,16"],
     ["verify", "--coercivity-ns", "4,4"],
     ["verify", "--scan-betas", "1:10,1:10"],
+    # a scan's mesh needs 2 cells per side, checked before the output
+    # directory is made, as for N
+    ["verify", "--coercivity-ns", "1,4"],
+    ["verify", "--interp-ns", "1,4"],
 ])
 def test_cli_rejects_unusable_settings(tmp_path, argv, capsys):
     assert main([*argv, "--out", str(tmp_path / "bad")]) == 2

@@ -11,7 +11,7 @@ from ppife import linsolve
 from ppife.errors import AsymmetricInput, PpifeError
 from ppife.geometry import DomainSpec, build_mesh, circle, lattice_aggregates
 from oracles import check_csr, dense_solve, matvec_triplets
-from ppife.linsolve import COARSE_SIZE, SAHierarchy, _is_symmetric, _scaled, bicgstab, cg
+from ppife.linsolve import COARSE_SIZE, SAHierarchy, _banded_lu, _is_symmetric, bicgstab, cg
 
 
 def _tridiag(n):
@@ -228,14 +228,12 @@ def _reduced_system(mesh, N, beta_plus, scheme):
 
 
 def _shared_preconditioner(mesh, N, beta_plus, scheme, block=True):
-    """A scheme's matrix scaled by D_vol, the Jacobi diagonal of its
-    context's A_vol, and the V-cycle of the context's hierarchy with the
-    scheme matrix at level 0 and solve_scheme's block, as the solvers form
-    them."""
+    """A scheme's matrix and the V-cycle of its context's hierarchy with
+    the scheme matrix at level 0 and solve_scheme's block, as the solvers
+    form them."""
     A, b, ids = _blocked_system(mesh, N, beta_plus, scheme)
     H = _context(mesh, N, beta_plus)[1].hierarchy
-    As = _scaled(A, b, H.scale)[0]
-    return As, H.preconditioner(As, ids if block else ())
+    return A, H.preconditioner(A, ids if block else ())
 
 
 @pytest.mark.parametrize("solver, scheme, amg", [(cg, "spp", False), (cg, "spp", True),
@@ -338,12 +336,11 @@ def test_sa_hierarchy_coarsens_to_the_coarse_size():
     for _, P, coarse in H.levels:
         assert np.all(np.diff(P.tocsc().indptr) > 0)
         assert coarse.shape == (P.shape[1],) * 2
-    As = _scaled(A, np.zeros(3600), H.scale)[0]
-    M = H.preconditioner(As, ())
+    M = H.preconditioner(A, ())
     e = np.random.default_rng(5).standard_normal(3600)
     e0 = np.linalg.norm(e)
     for _ in range(10):
-        e -= M(As @ e)
+        e -= M(A @ e)
     assert np.linalg.norm(e) < 1e-3 * e0
 
 
@@ -354,11 +351,11 @@ def test_interface_block_damps_the_slow_mode():
     # it a thousandfold in 30 steps; without, it does not
     for scheme in ("spp", "ipp", "npp"):
         for block in (True, False):
-            As, M = _shared_preconditioner("rect", 80, 1e4, scheme, block)
-            e = np.random.default_rng(11).standard_normal(As.shape[0])
+            A, M = _shared_preconditioner("rect", 80, 1e4, scheme, block)
+            e = np.random.default_rng(11).standard_normal(A.shape[0])
             e0 = np.linalg.norm(e)
             for _ in range(30):
-                e -= M(As @ e)
+                e -= M(A @ e)
             assert (np.linalg.norm(e) < 1e-3 * e0) == block, (scheme, block)
 
 
@@ -379,13 +376,12 @@ def test_block_solve_is_exact_and_optional():
     # with its block or with the solvers' default, none
     A, b, block = _blocked_system("rect", 40, 1e4, "npp")
     H = _context("rect", 40, 1e4)[1].hierarchy
-    As, bs, _ = _scaled(A, b, H.scale)
-    v = np.random.default_rng(2).standard_normal(len(bs))
-    x = H.preconditioner(As, block)(v)
-    assert np.allclose((As @ x)[block], v[block], rtol=0, atol=1e-10 * np.abs(v).max())
-    assert not np.allclose((As @ x)[1:5], v[1:5])       # far from the block: not
-    plain = H.preconditioner(As, ())(v)
-    assert np.array_equal(H.preconditioner(As, np.array([], dtype=int))(v), plain)
+    v = np.random.default_rng(2).standard_normal(len(b))
+    x = H.preconditioner(A, block)(v)
+    assert np.allclose((A @ x)[block], v[block], rtol=0, atol=1e-10 * np.abs(v).max())
+    assert not np.allclose((A @ x)[1:5], v[1:5])       # far from the block: not
+    plain = H.preconditioner(A, ())(v)
+    assert np.array_equal(H.preconditioner(A, np.array([], dtype=int))(v), plain)
     small, small_b, small_block = _blocked_system("rect", 20, 1e4, "npp")
     for given in ({"block": small_block}, {}):
         res = bicgstab(small, small_b, hierarchy=SAHierarchy(small, ()), **given)
@@ -483,10 +479,10 @@ def test_preconditioned_cg_iteration_ceiling(mesh, beta_plus):
 
 def test_cg_preconditioner_is_symmetric_and_positive():
     # the shared hierarchy's V-cycle with the SPP matrix at level 0
-    As, M = _shared_preconditioner("rect", 80, 1e4, "spp")
+    A, M = _shared_preconditioner("rect", 80, 1e4, "spp")
     rng = np.random.default_rng(13)
     for _ in range(5):
-        u, v = rng.standard_normal((2, As.shape[0]))
+        u, v = rng.standard_normal((2, A.shape[0]))
         Mu, Mv = M(u), M(v)
         assert abs(u @ Mv - v @ Mu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(Mv)
         assert u @ Mu > 0
@@ -566,42 +562,73 @@ def test_linsolve_imports_nothing_from_geometry():
     assert names and not [name for name in names if "geometry" in name.split(".")]
 
 
-def _same_csr(X, Y):
-    return (X.shape == Y.shape and np.array_equal(X.indptr, Y.indptr)
-            and np.array_equal(X.indices, Y.indices)
-            and np.array_equal(X.data.view(np.int64), Y.data.view(np.int64)))
+def test_vcycle_without_levels_is_the_inverse_of_a_vol():
+    # tri N=16 has 225 free dofs, under the coarse size: the context's
+    # hierarchy has no levels, and its V-cycle with an empty block solves
+    # A_vol itself, whatever matrix smooths level 0
+    from ppife.assembly import MethodParams
+
+    _, ctx = _context("tri", 16, 1e4)
+    A_vol = ctx.split.A_vol
+    H = ctx.hierarchy
+    assert A_vol.shape[0] == 225 and H.levels == []
+    v = np.random.default_rng(8).standard_normal(225)
+    for A in (A_vol, ctx.split.system(MethodParams.preset("npp", ctx.cuts)).reduced()[0]):
+        x = H.preconditioner(A, ())(A_vol @ v)
+        assert np.linalg.norm(x - v) <= 1e-10 * np.linalg.norm(v)
 
 
-@pytest.mark.parametrize("scheme", ["spp", "npp"])
-def test_scaled_equals_diagonal_products(scheme):
-    # the Jacobi scaling scales the CSR data where it multiplied by two
-    # diagonal matrices: the same bits, the same index order (scipy's product
-    # reverses each row twice), on read-only reduced systems
-    A, b, _ = _blocked_system("rect", 40, 1e4, scheme)
-    As, bs, s = _scaled(A, b)
-    assert _same_csr(As, (sp.diags(s) @ A @ sp.diags(s)).tocsr())
-    assert np.array_equal(bs, s * b)
+@pytest.mark.parametrize("amg", [False, True])
+def test_cg_is_invariant_under_a_diagonal_scaling(amg):
+    # CG on D A D y = D b, with D a random positive diagonal, takes the
+    # iterates of CG on A x = b in the variables y = D^-1 x: the Jacobi
+    # scale, the stopping test, the V-cycle's level-0 weights and spectral
+    # radius and its block solve all follow D. Jacobi-CG on classic rect
+    # N=16 takes 28 iterations. The V-cycle of a hierarchy on the
+    # lattice aggregates at rect N=40, with solve_scheme's block, takes
+    # 16; its candidate, the constant, is null for A but not for D A D
+    # unless D is constant on each aggregate, and then D P' = P and the
+    # coarsest matrix, level 1's, is A's
+    N = 40 if amg else 16
+    A, b, block = _blocked_system("rect", N, 1e4, "spp" if amg else "classic")
+    rng = np.random.default_rng(21)
+    if amg:
+        ctx = _context("rect", N, 1e4)[1]
+        agg, count = lattice_aggregates(ctx.mesh, ctx.iface)[0]
+        d = np.exp(rng.uniform(-2.0, 2.0, count))[agg]
+    else:
+        d = np.exp(rng.uniform(-2.0, 2.0, len(b)))
+    DAD = (sp.diags(d) @ A @ sp.diags(d)).tocsr()
+
+    def solve(M, rhs):
+        H = _lattice_hierarchy("rect", N, 1e4, M) if amg else None
+        return cg(M, rhs, block=block if amg else (), hierarchy=H)
+
+    plain, scaled = solve(A, b), solve(DAD, d * b)
+    assert plain.converged and scaled.converged
+    assert plain.amg_levels == scaled.amg_levels == (2 if amg else 0)
+    assert abs(plain.iterations - scaled.iterations) <= 1
+    assert np.linalg.norm(scaled.x - plain.x / d) <= 1e-8 * np.linalg.norm(plain.x / d)
 
 
-def test_scaled_drops_zeros_and_keeps_unsorted_rows():
-    # rows stored out of column order keep their order; stored zeros, and
-    # products that underflow to zero, are dropped as the product drops them,
-    # without touching the input's arrays
+def test_banded_lu_drops_stored_zeros_and_leaves_its_input():
+    # stored zeros and rows out of column order: the LU of the nonzeros
+    # alone, bit for bit, and the input's arrays unchanged
     rng = np.random.default_rng(5)
     n = 30
-    A = sp.random(n, n, density=0.2, random_state=rng, format="csr") + 4 * sp.eye(n)
-    A = A.tocsr()
+    A = (sp.random(n, n, density=0.2, random_state=rng, format="csr") + 4 * sp.eye(n)).tocsr()
     off = np.flatnonzero(A.indices != np.repeat(np.arange(n), np.diff(A.indptr)))
     A.data[off[::7]] = 0.0
-    A.data[off[3]] = 5e-324    # times s_i s_j < 1/2: rounds to zero
     for r in range(n):
         lo, hi = A.indptr[r], A.indptr[r + 1]
         order = lo + rng.permutation(hi - lo)
         A.indices[lo:hi], A.data[lo:hi] = A.indices[order], A.data[order]
     A.has_sorted_indices = False
     before = (A.data.copy(), A.indices.copy(), A.indptr.copy())
-    As, _, s = _scaled(A, np.ones(n))
-    assert (s * s < 0.5).all()
-    want = (sp.diags(s) @ A @ sp.diags(s)).tocsr()
-    assert _same_csr(As, want) and not (want.data == 0).any()
-    assert all(np.array_equal(x, y) for x, y in zip(before, (A.data, A.indices, A.indptr)))
+    nonzeros = A.copy()
+    nonzeros.eliminate_zeros()
+    v = rng.standard_normal(n)
+    x = _banded_lu(A)(v)
+    assert np.array_equal(x, _banded_lu(nonzeros)(v))
+    assert np.linalg.norm(A @ x - v) <= 1e-12 * np.linalg.norm(v)
+    assert all(np.array_equal(a, b) for a, b in zip(before, (A.data, A.indices, A.indptr)))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError
+from .errors import AsymmetricInput, ConfigError
 from .geometry import _CORNERS, _SWEEP_POINTS, RECT, SIDE_MINUS, TRI, bulk_sweep, cut_sweep
 from .local_basis import (_monomials, cut_frame, cut_gradients, cut_values, piece_gradients,
                           piece_values, template_coefs)
@@ -34,6 +34,7 @@ DATA_DEGREE = 6      # load / error integrands (non-polynomial data)
 DATA_REFINE = 1      # uniform sub-triangle refinement on cut elements
 
 SCHEMES = ("classic", "spp", "ipp", "npp")
+SYMMETRY_RTOL = 1e-12   # the symmetry check of A_vol and P_unit: max |X - X^T| / max |X|
 
 
 @dataclass(frozen=True)
@@ -393,7 +394,7 @@ def apply_dirichlet(mesh, status, cuts, M, P_unit, b, g) -> DirichletSplit:
     pos[free] = np.arange(len(free))
     M, P_unit = M.tocoo(), P_unit.tocoo()
     # M, M^T and P_unit as (rows, cols, values), in their products' order;
-    # P_unit's stored pattern is symmetric, so P_unit^T adds no pair
+    # P_unit is symmetric (checked below), so P_unit^T is no term of its own
     terms = [(M.row, M.col, M.data), (M.col, M.row, M.data), (P_unit.row, P_unit.col, P_unit.data)]
     inner = [(pos[r] >= 0) & (pos[c] >= 0) for r, c, _ in terms]
     rows, cols = (np.concatenate([t[k][f] for t, f in zip(terms, inner)]) for k in (0, 1))
@@ -402,12 +403,33 @@ def apply_dirichlet(mesh, status, cuts, M, P_unit, b, g) -> DirichletSplit:
     lifts = []
     for r, c, v in [block] + terms:
         out = (pos[r] >= 0) & (pos[c] < 0)
-        y = np.zeros(len(free))
-        np.add.at(y, pos[r[out]], v[out] * x[c[out]])       # each row in its entries' order
+        y = np.bincount(pos[r[out]], v[out] * x[c[out]], len(free))   # each row in entry order
         lifts.append((np.flatnonzero(y), y[y != 0]))
-    m, p = M.data[inner[0]], P_unit.data[inner[2]]
+    m, p, bvals = M.data[inner[0]], P_unit.data[inner[2]], x[bd]
+    del pos, x, y           # full-node arrays, freed before the check's transient
+    if not _is_symmetric(A_vol, (p, at[2])):
+        raise AsymmetricInput("A_vol or P_unit failed the symmetry check")
     return DirichletSplit(A_vol, ((m, at[0]), (m, at[1]), (p, at[2])), tuple(lifts), b[free],
-                          bd, x[bd], free)
+                          bd, bvals, free)
+
+
+def _is_symmetric(A, *terms):
+    """Whether the CSR matrix A has a symmetric stored pattern and, for X = A
+    and each term, (values, positions in A's data) and 0 at a mirror it does
+    not hold, max |X - X^T| <= SYMMETRY_RTOL max |X|."""
+    T = sp.csc_matrix((np.arange(A.nnz, dtype=A.indices.dtype), A.indices, A.indptr),
+                      shape=A.shape[::-1]).tocsr()
+    if not (np.array_equal(T.indptr, A.indptr) and np.array_equal(T.indices, A.indices)):
+        return False
+    mirror = T.data         # A^T's structure on A's positions: each one's mirror
+    del T                   # its indices, as long as A's, are read no more
+    checks = [(A.data[mirror], A.data)]         # (X at the mirrors, X)
+    for values, at in terms:
+        order = np.argsort(at)
+        k = order[np.searchsorted(at, mirror[at], sorter=order).clip(max=len(at) - 1)]
+        checks.append((np.where(at[k] == mirror[at], values[k], 0.0), values))
+    return all(np.abs(np.subtract(xt, x, out=xt), out=xt).max(initial=0.0)
+               <= SYMMETRY_RTOL * max(x.max(initial=0.0), -x.min(initial=0.0)) for xt, x in checks)
 
 
 def dump_matrix(path, A):

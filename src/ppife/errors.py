@@ -31,7 +31,7 @@ class UnsupportedDegree(PpifeError):
 
 
 class AsymmetricInput(PpifeError):
-    """A symmetric solver was handed a matrix that fails the symmetry check."""
+    """A context's A_vol or P_unit failed `assembly.apply_dirichlet`'s symmetry check."""
 
 
 class NotConverged(PpifeError):

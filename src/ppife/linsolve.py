@@ -21,11 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AsymmetricInput, PpifeError
+from .errors import PpifeError
 
 DEFAULT_TOL = 1e-12
-# CG's symmetry check: max |A - A^T| against max |A|
-SYMMETRY_RTOL = 1e-12
 # AMG: coarsening stops at this many dofs or fewer; that level is solved by
 # a banded LU
 COARSE_SIZE = 400
@@ -51,24 +49,6 @@ class SolveResult:
                            # 0 when no V-cycle ran
 
 
-def _is_symmetric(A):
-    """Whether max |A - A^T| <= SYMMETRY_RTOL max |A| over the stored entries.
-    On a symmetric pattern, A's data is compared with itself at the transposed
-    positions: the data of A^T's CSR structure built on their positions."""
-    scale = np.abs(A.data).max() if A.nnz else 1.0
-    T = sp.csc_matrix((np.arange(A.nnz, dtype=A.indices.dtype), A.indices, A.indptr),
-                      shape=A.shape[::-1]).tocsr()
-    if (A.has_canonical_format and np.array_equal(T.indptr, A.indptr)
-            and np.array_equal(T.indices, A.indices)):
-        at = T.data
-        del T                   # its indices, as long as A's, are read no more
-        diff = A.data[at]
-        diff -= A.data
-    else:
-        diff = (A - sp.csr_matrix((A.data[T.data], T.indices, T.indptr), shape=A.shape)).data
-    return np.abs(diff, out=diff).max(initial=0.0) <= SYMMETRY_RTOL * scale
-
-
 def _jacobi_scale(A):
     """1 / sqrt|diag A|, with 1 where the diagonal is 0."""
     d = np.abs(A.diagonal())
@@ -92,15 +72,12 @@ def _finish(A, b, bnorm, x, iterations, tol_rel, restarts=0, levels=0):
 
 def cg(A, b, tol_rel=DEFAULT_TOL, max_iter=None, block=(),
        hierarchy=None, x0=None) -> SolveResult:
-    """Conjugate gradients for symmetric systems, preconditioned by the
-    V-cycle of `hierarchy` with the exact `block`, or for None by A's own
-    Jacobi diagonal, from the start `x0` (None: zero). Raises
-    AsymmetricInput when A fails `_is_symmetric`; returns the best iterate,
-    converged=False, when the budget runs out."""
+    """Conjugate gradients for a symmetric A (a context checks its A_vol and
+    P_unit once), preconditioned by the V-cycle of `hierarchy` with the exact
+    `block`, or for None by A's own Jacobi diagonal, from `x0` (None: zero);
+    the best iterate, converged=False, when the budget runs out."""
     A = A.tocsr()
     n = A.shape[0]
-    if not _is_symmetric(A):
-        raise AsymmetricInput("matrix failed the symmetry check")
     if max_iter is None:
         max_iter = 20 * n
     bnorm = np.linalg.norm(b)

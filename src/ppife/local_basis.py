@@ -122,7 +122,7 @@ def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_i
     sweep. SingularLocalSystem names the first element, by its entry of
     `element_ids`, whose condition estimate, the bound
     ||M||_F ||M^-1||_F >= cond_2 (cond_2 by SVD if a member is exactly
-    singular), exceeds 1e14 or whose long-double residual exceeds 1e-12.
+    singular), exceeds 1e14 or whose long-double residual exceeds eps ||M||_F ||X||_F.
     """
     n = chord_normal
     K, nv = verts.shape[:2]
@@ -164,7 +164,8 @@ def ife_coefficients(verts, D, E, chord_normal, beta_minus, beta_plus, element_i
     rhs, Ml, X = np.eye(size, nv, dtype=ld), M.astype(ld), inv[:, :, :nv]
     X = X + np.linalg.solve(M, (rhs - Ml @ X.astype(ld)).astype(float))
     resid = np.abs(Ml @ X.astype(ld) - rhs).max(axis=(1, 2))
-    bad = ill | ~np.isfinite(resid) | (resid > 1e-12)
+    frob2 = np.einsum("kij,kij->k", M, M) * np.einsum("kij,kij->k", X, X)
+    bad = ill | ~np.isfinite(resid) | (resid > np.finfo(float).eps * np.sqrt(frob2))
     if bad.any():
         i = int(np.argmax(bad))
         what = (f"condition estimate {cond[i]:.3e}" if ill[i]

@@ -611,10 +611,11 @@ def standard_basis(element_id, verts, kind, variant=None):
     return LocalBasis(element_id, kind, origin, h, C, C)
 
 
-def ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus):
-    """Immersed basis of one cut element, its jump-condition system written
-    out row by row: P1 on a triangle, Q1 (shared xy coefficient, flux matched
-    at the chord midpoint) on a rectangle; the flux row is divided by max(beta)."""
+def ife_system(verts, D, E, chord_normal, beta_minus, beta_plus):
+    """The jump-condition system (M, rhs) of one cut element in its scaled
+    frame, written out row by row: P1 on a triangle, Q1 (shared xy
+    coefficient, flux matched at the chord midpoint) on a rectangle; the flux
+    row is divided by max(beta)."""
     verts = np.asarray(verts, float)
     nv = len(verts)
     origin = verts.min(axis=0)
@@ -644,7 +645,18 @@ def ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus):
     if nv == 4:
         mid = 0.5 * (Ds + Es)
         M[6, 6] = (beta_minus - beta_plus) * (n[0] * mid[1] + n[1] * mid[0]) / bscale
+    return M, rhs
 
+
+def ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus):
+    """Immersed basis of one cut element: its `ife_system` solved, with one
+    long-double refinement, and refused when its condition number exceeds
+    1e14 or its residual eps ||M||_F ||X||_F."""
+    M, rhs = ife_system(verts, D, E, chord_normal, beta_minus, beta_plus)
+    verts = np.asarray(verts, float)
+    nv = len(verts)
+    origin = verts.min(axis=0)
+    h = max(np.ptp(verts[:, 0]), np.ptp(verts[:, 1]))
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularLocalSystem(f"element {element_id}: condition estimate {cond:.3e}")
@@ -652,7 +664,7 @@ def ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus):
     rl = rhs.astype(np.longdouble) - M.astype(np.longdouble) @ X.astype(np.longdouble)
     X = X + np.linalg.solve(M, rl.astype(float))
     resid = np.abs(M.astype(np.longdouble) @ X.astype(np.longdouble) - rhs).max()
-    if not np.isfinite(resid) or resid > 1e-12:
+    if not np.isfinite(resid) or resid > np.finfo(float).eps * np.linalg.norm(M) * np.linalg.norm(X):
         raise SingularLocalSystem(f"element {element_id}: local residual {float(resid):.3e}")
     if nv == 4:
         cm = np.column_stack([X[0], X[1], X[2], X[6]])
@@ -660,7 +672,8 @@ def ife_basis(element_id, verts, D, E, chord_normal, beta_minus, beta_plus):
     else:
         cm, cp = X[:3].T.copy(), X[3:].T.copy()
     return LocalBasis(element_id, "ife_q1" if nv == 4 else "ife_p1", origin, h, cm, cp,
-                      D=D, E=E, chord_normal=n)
+                      D=np.asarray(D, float), E=np.asarray(E, float),
+                      chord_normal=np.asarray(chord_normal, float))
 
 
 def cut_params(rng):

@@ -2,17 +2,20 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from ppife import assembly
-from ppife.assembly import (DATA_DEGREE, DATA_REFINE, MethodParams, apply_dirichlet,
-                            assemble_edge_terms, assemble_load, cut_data_rules,
+from ppife import assembly, linsolve
+from ppife.assembly import (DATA_DEGREE, DATA_REFINE, SYMMETRY_RTOL, MethodParams, _is_symmetric,
+                            apply_dirichlet, assemble_edge_terms, assemble_load, cut_data_rules,
                             cut_volume_matrices, dump_matrix, edge_term_matrices, edge_traces)
-from ppife.errors import ConfigError
+from ppife.cli import main
+from ppife.errors import AsymmetricInput, ConfigError
 from ppife.geometry import (DomainSpec, build_mesh, circle, classify_elements,
                             interface_edges, line)
 from oracles import (basis_of, check_csr, classify_cuts, combine_system, edge_split_points,
-                     full_mesh, full_volume, interface_jump_residuals, standard_basis)
-from ppife.harness import RunConfig
+                     full_mesh, full_volume, interface_jump_residuals, is_symmetric_by_difference,
+                     standard_basis)
+from ppife.harness import RunConfig, build_context
 from ppife.linsolve import cg
 from ppife.local_basis import build_bases, cut_frame, cut_values
 from ppife.postprocess import radial_interface_solution
@@ -220,6 +223,153 @@ def test_spp_symmetric_part_positive_definite():
         free = full_mesh(mesh).interior_nodes
         S = A[free][:, free].toarray()
         np.linalg.cholesky(0.5 * (S + S.T))  # raises if not PD
+
+
+def test_symmetry_check_holds_its_margin_exactly():
+    # max|A| = 1, so the tolerance is 1e-12 exactly: an asymmetry of 1e-12
+    # against a stored zero passes, and one of the next float above it fails;
+    # so for a term on A's positions, against its own largest entry, whether
+    # it stores the mirror's zero or lacks the mirror. A pattern that is not
+    # symmetric fails, though A - A^T is 0
+    def with_asymmetry(d, mirrored=True):
+        rows, cols = [0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2]
+        data = [1.0, d, 0.0, 1.0, 0.5, 0.5, 1.0]
+        if not mirrored:
+            del rows[2], cols[2], data[2]
+        A = sp.csr_matrix((data, (rows, cols)), shape=(3, 3))
+        assert A.nnz == len(data)                # the zeros stay stored
+        return A
+
+    assert _is_symmetric(with_asymmetry(1e-12))
+    assert not _is_symmetric(with_asymmetry(np.nextafter(1e-12, 1.0)))
+    A = with_asymmetry(0.0)
+    for d in (4e-12, -4e-12):
+        # at (0, 1), (1, 1) and (1, 0), the last left out; max |term| = 4
+        for values, at in (([d, 4.0, 0.0], [1, 3, 2]), ([d, -4.0], [1, 3])):
+            assert _is_symmetric(A, (np.array(values), np.array(at)))
+            values[0] = np.nextafter(d, 2 * d)
+            assert not _is_symmetric(A, (np.array(values), np.array(at)))
+    lone = with_asymmetry(0.0, mirrored=False)
+    assert is_symmetric_by_difference(lone) and not _is_symmetric(lone)
+    assert _is_symmetric(sp.csr_matrix((3, 3)))
+
+
+def test_symmetry_check_on_a_symmetric_pattern_holds_its_margin_exactly():
+    # every entry stored, so the check compares the data with itself at the
+    # transposed positions; the margin is the same as through A - A^T
+    def with_asymmetry(d, at):
+        A = np.full((4, 4), 0.25)
+        np.fill_diagonal(A, 1.0)
+        A[at], A[at[::-1]] = d, 0.0          # the zero stays stored
+        return sp.csr_matrix((A.ravel(), np.tile(np.arange(4), 4), np.arange(0, 17, 4)))
+
+    for at in ((0, 1), (3, 2), (1, 3)):
+        assert _is_symmetric(with_asymmetry(1e-12, at))
+        assert not _is_symmetric(with_asymmetry(np.nextafter(1e-12, 1.0), at))
+        assert not _is_symmetric(with_asymmetry(-np.nextafter(1e-12, 1.0), at))
+
+
+def _change_volume(monkeypatch, change):
+    """Make `assemble_volume`, as `apply_dirichlet` calls it, hand on
+    `change(A_vol)` in place of the A_vol it assembled."""
+    volume = assembly.assemble_volume
+
+    def changed(*args):
+        A, at, block = volume(*args)
+        return change(A), at, block
+    monkeypatch.setattr(assembly, "assemble_volume", changed)
+
+
+def _off_diagonal(A, zero):
+    """The position of a stored off-diagonal entry of A near its middle row:
+    a stored zero, or a nonzero."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    k = np.flatnonzero(((A.data == 0) == zero) & (rows != A.indices))
+    return k[np.searchsorted(rows[k], A.shape[0] // 2)]
+
+
+def _push_past_the_margin(monkeypatch, term, past=True):
+    """Make the context's A_vol or free-node P_unit term asymmetric by
+    SYMMETRY_RTOL times its own largest entry, or by the next float above
+    it: in one stored zero of A_vol, whose mirror is a zero too, or in an
+    entry added to P_unit between two neighbouring free nodes it does not
+    couple, with a stored zero at its mirror."""
+    def step(t):
+        return np.nextafter(t, np.inf) if past else t
+
+    def volume(A):
+        A.data[_off_diagonal(A, zero=True)] = step(SYMMETRY_RTOL * np.abs(A.data).max())
+        return A
+    if term == "A_vol":
+        _change_volume(monkeypatch, volume)
+        return
+    edge_terms = assembly.assemble_edge_terms
+
+    def penalty(mesh, *args):
+        M, P, traces = edge_terms(mesh, *args)
+        # every coupling of P_unit is between free nodes, away from the boundary
+        assert np.isin(P.tocoo().row, full_mesh(mesh).interior_nodes).all()
+        i = 2 * (mesh.n_cells + 1) + 2
+        assert P[i, i + 1] == 0 and P[i + 1, i] == 0
+        t, P = step(SYMMETRY_RTOL * np.abs(P.data).max()), P.tocoo()
+        pushed_P = sp.csr_matrix((np.r_[P.data, t, 0.0],
+                                  (np.r_[P.row, i, i + 1], np.r_[P.col, i + 1, i])), shape=P.shape)
+        assert pushed_P.nnz == P.nnz + 2                        # the zero stays stored
+        return M, pushed_P, traces
+    monkeypatch.setattr(assembly, "assemble_edge_terms", penalty)
+
+
+@pytest.mark.parametrize("term", ["A_vol", "P_unit"])
+@pytest.mark.parametrize("mesh", ["rect", "tri"])
+def test_context_symmetry_check_holds_its_margin_exactly(monkeypatch, mesh, term):
+    # the context's check of A_vol and of the P_unit term, each against its
+    # own largest entry: an asymmetry at the margin passes, one float past it
+    # raises before any scheme matrix exists
+    cfg = RunConfig(mesh=mesh, beta_plus=1e4)
+    with monkeypatch.context() as m:
+        _push_past_the_margin(m, term, past=False)
+        build_context(cfg, 16)
+    _push_past_the_margin(monkeypatch, term)
+    with pytest.raises(AsymmetricInput):
+        build_context(cfg, 16)
+
+
+def test_context_rejects_an_asymmetric_volume_pattern(monkeypatch):
+    # one nonzero off-diagonal entry of A_vol dropped, its mirror kept
+    def dropped(A):
+        keep = np.arange(A.nnz) != _off_diagonal(A, zero=False)
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        return sp.csr_matrix((A.data[keep], (rows[keep], A.indices[keep])), shape=A.shape)
+    _change_volume(monkeypatch, dropped)
+    with pytest.raises(AsymmetricInput):
+        build_context(RunConfig(mesh="rect"), 8)
+
+
+def test_context_rejects_one_asymmetric_entry_in_a_large_volume_matrix(monkeypatch):
+    # one off-diagonal entry out of tens of thousands differs from its
+    # mirror; a sampled check misses it
+    def tripled(A):
+        assert A.nnz > 30000
+        A.data[_off_diagonal(A, zero=False)] *= 3.0
+        return A
+    _change_volume(monkeypatch, tripled)
+    with pytest.raises(AsymmetricInput):
+        build_context(RunConfig(mesh="rect"), 64)
+
+
+@pytest.mark.parametrize("scheme", ["spp", "npp"])
+@pytest.mark.parametrize("term", ["A_vol", "P_unit"])
+def test_cli_refuses_an_asymmetric_context(tmp_path, monkeypatch, capsys, term, scheme):
+    # whichever scheme it would solve: exit 3 before any Krylov iteration,
+    # and no runs.csv
+    _push_past_the_margin(monkeypatch, term)
+    solves = []
+    for name in ("cg", "bicgstab"):
+        monkeypatch.setattr(linsolve, name, lambda *a, **kw: solves.append(a))
+    out = tmp_path / "out"
+    assert main(["solve", "--N", "16", "--schemes", scheme, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert solves == [] and not (out / "runs.csv").exists()
 
 
 def test_load_partition_of_unity():

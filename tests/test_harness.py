@@ -445,6 +445,23 @@ def test_cut_data_rules_are_built_once_per_context(monkeypatch, mesh):
 
 
 @pytest.mark.parametrize("mesh", ["rect", "tri"])
+def test_symmetry_is_checked_once_per_context(monkeypatch, mesh):
+    # A_vol and the P_unit term are checked where the context's split makes
+    # them; no scheme solve checks again
+    from ppife import assembly
+    calls = []
+    check = assembly._is_symmetric
+    monkeypatch.setattr(assembly, "_is_symmetric",
+                        lambda A, *terms: calls.append(len(terms)) or check(A, *terms))
+    cfg = RunConfig(N=(24,), mesh=mesh, beta_plus=1e4)
+    ctx = build_context(cfg, 24)
+    assert calls == [1]
+    for scheme in ("classic", "spp", "ipp", "npp"):
+        solve_scheme(ctx, cfg, scheme)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("mesh", ["rect", "tri"])
 def test_later_schemes_start_from_the_last_converged_solution(mesh):
     # on one context each scheme after the first starts from the solution
     # before it: at most the iterations of a start from zero, fewer for some,

@@ -12,6 +12,8 @@ Each scheme coefficient enters the library once. `build_bases` records
 beside the cut set could pair a matrix with bases built for another beta.
 `assemble_edge_terms` records the penalty exponent alpha on the EdgeTraces it
 returns; a norm that took alpha again could weigh the jumps unlike P_unit.
+Symmetry is checked once, where `apply_dirichlet` makes A_vol and P_unit,
+and the solvers take it as given.
 
 The Cartesian mesh is index arithmetic on its two grid-line arrays: it
 stores no per-node or per-element array, so that its nodes, elements and
@@ -33,6 +35,8 @@ BETA_ENTRY = {("local_basis", "build_bases"), ("local_basis", "ife_coefficients"
               ("postprocess", "radial_interface_solution")}
 # where the penalty exponent enters: P_unit, recorded as EdgeTraces.alpha
 ALPHA_ENTRY = {("assembly", "assemble_edge_terms")}
+# where symmetry is checked: A_vol and P_unit, once per context's split
+SYMMETRY_ENTRY = {("assembly", "apply_dirichlet")}
 
 
 def _definitions(tree):
@@ -110,12 +114,40 @@ def alpha_beside_edge_terms():
     return _takers({"alpha"}, ALPHA_ENTRY)
 
 
+def _callers(name):
+    """The library functions and methods that call `name`, as (module,
+    function)."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(call, ast.Call) and name in (getattr(call.func, "id", None),
+                                                           getattr(call.func, "attr", None))
+                    for call in ast.walk(node)):
+                found.add((path.stem, node.name))
+    return found
+
+
+def _refers_to(module, names):
+    """The names of `names` that a library module loads, reads as an
+    attribute or imports."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    return sorted(names & ({name for name, _ in _uses(tree)} | imported))
+
+
 def test_beta_pair_lives_on_the_cut_set():
     assert beta_beside_cuts() == []
 
 
 def test_penalty_exponent_enters_at_the_edge_terms():
     assert alpha_beside_edge_terms() == []
+
+
+def test_symmetry_is_checked_where_the_split_is_made():
+    assert _callers("_is_symmetric") == SYMMETRY_ENTRY
+    assert _refers_to("linsolve", {"_is_symmetric", "SYMMETRY_RTOL", "AsymmetricInput"}) == []
 
 
 def test_mesh_stores_no_per_node_or_per_element_array():

@@ -307,3 +307,15 @@ def test_ill_conditioned_members_name_the_first(kind, bad):
     cond = float(str(err.value).rsplit(" ", 1)[1])
     assert cond > 1e14
     assert np.isinf(cond) == (bad.get("zero") == first)
+
+
+@pytest.mark.parametrize("beta_plus", [1e5, 1e6])
+@pytest.mark.parametrize("N", [16, 20, 32])
+def test_extreme_contrasts_build_on_tri(N, beta_plus):
+    # solvable local systems whose residuals exceed an absolute 1e-12 (tri
+    # N=20 at 1e5: 2.672e-12 on element 368) but stay within eps ||M||_F
+    # ||X||_F, the rounding of the product; the bases meet their conditions
+    mesh = build_mesh(DomainSpec(-1, 1, -1, 1, N, "tri"))
+    _, cuts = classify_elements(mesh, circle(0.0, 0.0, np.pi / 6.28))
+    res = basis_residuals(build_bases(cuts, 1.0, beta_plus), 1.0, beta_plus)
+    assert max(r.max() for r in res.values()) < 1e-11

@@ -48,14 +48,21 @@ context that holds the hierarchy, peaked at 40.2 MB; with a hierarchy per
 solve it peaked at 50.8 MB.
 
 Every scheme matrix is now one data array on the context's free-node
-pattern, the index arrays of A_vol, and the symmetry check compares the
-data with itself at the transposed positions. `build_context` at rect N=320, beta+ = 10, peaks at
+pattern, the index arrays of A_vol. The symmetry check runs once per
+context, in `apply_dirichlet`, where it compares A_vol's data with itself
+at the transposed positions (and the P_unit term with its own), and no
+solve checks again. `build_context` at rect N=320, beta+ = 10, peaks at
+35.3 MB, the check's transient on top of A_vol and what the split holds,
+after it frees its full-node arrays (30.1 MB with the check in CG, 37.7 MB
+with the check before they were freed); a second SPP solve, which no longer
+checks, peaks at 18.2 MB (19.7 MB). Earlier, `build_context` peaked at
 31.6 MB; with a mesh that stored its node, element and frame arrays it
 peaked at 38.9 MB, and with a full-node A_vol restricted to the free nodes
 at 48.5 MB. The first SPP solve peaks at 39.5 MB, a second one at 28.0 MB,
 and an NPP solve after SPP at 31.8 MB (40.2 MB with a matrix of index
 arrays of its own, a scaled copy with copies of them and a sparse
-transpose in the sum). The budget of `build_context` is its peak plus 15 %.
+transpose in the sum). The budget of `build_context`, 36.3 MB, is that
+31.6 MB peak plus 15 %, and it holds the check's 35.3 MB too.
 
 The solvers and the hierarchy's build run on the matrices themselves; the
 Jacobi scale enters as a vector only. At rect N=320, beta+ = 10, in a fresh
